@@ -13,7 +13,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 
-from .closed_form import exchange_energy_lab
+from .closed_form import exchange_energy
 from .errors import (
     DotxError,
     InvalidArgumentError,
@@ -24,8 +24,7 @@ from .errors import (
     ScenarioError,
     SingularConfigurationError,
 )
-from .oracle import assemble_oracle
-from .special import QuadratureSpec
+from .oracle import _DEFAULT_COULOMB, _DEFAULT_SINGLE, assemble_oracle
 from .sweeps import (
     SweepSpec,
     find_switch,
@@ -37,6 +36,7 @@ from .sweeps import (
     switching_scenario,
 )
 from .units import (
+    DerivedParams,
     FieldConfig,
     MaterialParams,
     bohr_radius_nm,
@@ -98,7 +98,6 @@ class RunConfig:
     fields: FieldConfig
     output_path: str | None
     format: str
-    quadrature: QuadratureSpec | None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -127,6 +126,13 @@ def _add_field_args(p):
     )
 
 
+def _float_list(text: str) -> list:
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers: {text!r}") from None
+
+
 def _add_quadrature_args(p):
     p.add_argument("--quad-order", type=int, default=None, help="quadrature order override")
     p.add_argument("--quad-rel-tol", type=float, default=None, help="quadrature rel_tol override")
@@ -146,12 +152,6 @@ def _resolve_config(args) -> RunConfig:
     if a_nm is None:
         a_nm = getattr(args, "a_over_ab", 0.7) * bohr_radius_nm(mat)
     fields = FieldConfig(B=getattr(args, "B", 0.0), E=getattr(args, "E", 0.0), a=a_nm)
-    quad = None
-    if getattr(args, "quad_order", None) or getattr(args, "quad_rel_tol", None):
-        quad = QuadratureSpec(
-            order=args.quad_order or 64,
-            rel_tol=args.quad_rel_tol or 1e-10,
-        )
     return RunConfig(
         material=mat,
         material_name=name,
@@ -159,12 +159,11 @@ def _resolve_config(args) -> RunConfig:
         fields=fields,
         output_path=getattr(args, "out", None),
         format=getattr(args, "format", "csv"),
-        quadrature=quad,
     )
 
 
-def _provenance(cfg: RunConfig, extra: dict | None = None) -> dict:
-    p = derive_parameters(cfg.material, cfg.fields)
+def _provenance(cfg: RunConfig, extra: dict | None = None, p: DerivedParams | None = None) -> dict:
+    p = p or derive_parameters(cfg.material, cfg.fields)
     out = {
         "material": cfg.material_name,
         "effective_mass": cfg.material.effective_mass,
@@ -183,9 +182,12 @@ def _provenance(cfg: RunConfig, extra: dict | None = None) -> dict:
 
 
 def _write_text(path: str, text: str):
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    try:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InvalidArgumentError(f"cannot write {path}: {exc}") from exc
 
 
 def _json_text(payload: dict) -> str:
@@ -195,10 +197,12 @@ def _json_text(payload: dict) -> str:
 def cmd_eval(args) -> int:
     cfg = _resolve_config(args)
     p = derive_parameters(cfg.material, cfg.fields)
-    bd = exchange_energy_lab(cfg.material, cfg.fields)
+    bd = exchange_energy(
+        p.b, p.d, p.c_coulomb, p.efield_ratio, energy_scale_mev=cfg.material.confinement_energy
+    )
     if getattr(args, "json", False):
         payload = {
-            "params": _provenance(cfg, {"b": p.b, "d": p.d, "efield_ratio": p.efield_ratio}),
+            "params": _provenance(cfg, {"b": p.b, "d": p.d, "efield_ratio": p.efield_ratio}, p),
             "prefactor": bd.prefactor,
             "coulomb_term": bd.coulomb_term,
             "quartic_term": bd.quartic_term,
@@ -351,20 +355,16 @@ def cmd_figure(args) -> int:
 
 def cmd_oracle(args) -> int:
     cfg = _resolve_config(args)
-    grid_b = [float(v) for v in args.grid_b.split(",")]
-    grid_d = [float(v) for v in args.grid_d.split(",")]
-    quad_single = cfg.quadrature or QuadratureSpec(order=64, rel_tol=1e-10)
-    quad_coulomb = QuadratureSpec(
-        rule="adaptive_polar",
-        order=quad_single.order,
-        rel_tol=max(quad_single.rel_tol, 1e-8),
-    )
+    overrides = {"order": args.quad_order, "rel_tol": args.quad_rel_tol}
+    quad_single = replace(_DEFAULT_SINGLE, **{k: v for k, v in overrides.items() if v is not None})
+    rel_tol = max(quad_single.rel_tol, _DEFAULT_COULOMB.rel_tol)
+    quad_coulomb = replace(_DEFAULT_COULOMB, order=quad_single.order, rel_tol=rel_tol)
     a_b = bohr_radius_nm(cfg.material)
     records = []
     worst = 0.0
     any_incomplete = False
-    for b_field in grid_b:
-        for d in grid_d:
+    for b_field in args.grid_b:
+        for d in args.grid_d:
             fields = FieldConfig(B=b_field, E=cfg.fields.E, a=d * a_b)
             p = derive_parameters(cfg.material, fields)
             breakdown = assemble_oracle(
@@ -384,7 +384,7 @@ def cmd_oracle(args) -> int:
             else:
                 worst = max(worst, breakdown.rel_discrepancy)
     payload = {
-        "params": _provenance(cfg, {"grid_B_T": grid_b, "grid_d": grid_d}),
+        "params": _provenance(cfg, {"grid_B_T": args.grid_b, "grid_d": args.grid_d}),
         "threshold": args.threshold,
         "max_rel_discrepancy": worst,
         "all_within_threshold": worst <= args.threshold and not any_incomplete,
@@ -458,9 +458,12 @@ def build_parser() -> _Parser:
     _add_material_args(p_oracle)
     _add_field_args(p_oracle)
     _add_quadrature_args(p_oracle)
-    p_oracle.add_argument("--grid-b", default="0,1,1.5,2,3", help="comma-separated B values, T")
     p_oracle.add_argument(
-        "--grid-d", default="0.5,0.6,0.7,0.85,1.0", help="comma-separated d values"
+        "--grid-b", type=_float_list, default="0,1,1.5,2,3", help="comma-separated B values, T"
+    )
+    p_oracle.add_argument(
+        "--grid-d", type=_float_list, default="0.5,0.6,0.7,0.85,1.0",
+        help="comma-separated d values",
     )
     p_oracle.add_argument("--threshold", type=float, default=0.01)
     p_oracle.add_argument("--out", default=None)

@@ -198,10 +198,11 @@ def apply_hamiltonian(
     return field
 
 
-def _quad_2d(f, quad, center, scale, failures, label):
-    """integrate_2d that can downgrade a failure to a recorded best estimate."""
+def _integrate(integrator, f, quad, failures, label, **hints):
+    """Run one quadrature; with a `failures` list, a QuadratureError is
+    recorded there and its best estimate returned instead of raised."""
     try:
-        return integrate_2d(f, quad, center=center, scale=scale)
+        return integrator(f, quad, **hints)
     except QuadratureError as exc:
         if failures is None:
             raise
@@ -211,14 +212,19 @@ def _quad_2d(f, quad, center, scale, failures, label):
         return value, err
 
 
+def _bracket(bra, ket, f, quad, failures, label):
+    """Integrate f(x, y), the integrand of <bra|...|ket>, on nodes centred
+    between the two orbitals at the bra's Gaussian width."""
+    center = (0.5 * (bra.center_x + ket.center_x), 0.0)
+    scale = 1.0 / math.sqrt(bra.compression)
+    return _integrate(integrate_2d, f, quad, failures, label, center=center, scale=scale)
+
+
 def orbital_norm(spec: OrbitalSpec, quad: QuadratureSpec | None = None):
     """Quadrature of the orbital density (should be 1)."""
-    quad = quad or _DEFAULT_SINGLE
-    return integrate_2d(
-        lambda x, y: np.abs(eval_orbital(spec, x, y)) ** 2,
-        quad,
-        center=(spec.center_x, 0.0),
-        scale=1.0 / math.sqrt(spec.compression),
+    return _bracket(
+        spec, spec, lambda x, y: np.abs(eval_orbital(spec, x, y)) ** 2,
+        quad or _DEFAULT_SINGLE, None, "norm",
     )
 
 
@@ -232,14 +238,9 @@ def overlap_numeric(
     quad = quad or _DEFAULT_SINGLE
     orb1 = build_orbital(1, mat, fields)
     orb2 = build_orbital(2, mat, fields)
-    mid = 0.5 * (orb1.center_x + orb2.center_x)
-    value, err = _quad_2d(
-        lambda x, y: np.conj(eval_orbital(orb2, x, y)) * eval_orbital(orb1, x, y),
-        quad,
-        (mid, 0.0),
-        1.0 / math.sqrt(orb1.compression),
-        failures,
-        "overlap",
+    value, err = _bracket(
+        orb2, orb1, lambda x, y: np.conj(eval_orbital(orb2, x, y)) * eval_orbital(orb1, x, y),
+        quad, failures, "overlap",
     )
     value = complex(value)
     return value.real, err + abs(value.imag)
@@ -248,14 +249,9 @@ def overlap_numeric(
 def _h_element(bra, j, ket, mat, fields, quad, failures=None, label="h-element"):
     """<bra | H_j | ket> as a (complex value, error) pair."""
     h_ket = apply_hamiltonian(ket, j, mat, fields)
-    mid = 0.5 * (bra.center_x + ket.center_x)
-    return _quad_2d(
-        lambda x, y: np.conj(eval_orbital(bra, x, y)) * h_ket(x, y),
-        quad,
-        (mid, 0.0),
-        1.0 / math.sqrt(bra.compression),
-        failures,
-        label,
+    return _bracket(
+        bra, ket, lambda x, y: np.conj(eval_orbital(bra, x, y)) * h_ket(x, y),
+        quad, failures, label,
     )
 
 
@@ -274,14 +270,10 @@ def _w_element(bra, ket, fr: _Frame, quad, failures=None, label="w-element"):
         w2 = 0.5 * (q * q / (4.0 * d * d) - (x - d) ** 2)
         return w1 + w2
 
-    mid = 0.5 * (bra.center_x + ket.center_x)
-    return _quad_2d(
+    return _bracket(
+        bra, ket,
         lambda x, y: np.conj(eval_orbital(bra, x, y)) * w_sum(x) * eval_orbital(ket, x, y),
-        quad,
-        (mid, 0.0),
-        1.0 / math.sqrt(bra.compression),
-        failures,
-        label,
+        quad, failures, label,
     )
 
 
@@ -371,19 +363,14 @@ def upsilon_coulomb(
         gauss = attenuation * np.exp(-0.5 * beta * r * r)
         return norm * v0 * gauss * np.exp(1j * kappa * y) / r
 
-    def polar(g, label, r_peak):
-        try:
-            return integrate_coulomb_relative(g, quad, scale=width, r_peak=r_peak)
-        except QuadratureError as exc:
-            if failures is None:
-                raise
-            failures.append(f"{label}: {exc}")
-            value = exc.value if exc.value is not None else math.nan
-            err = exc.error_estimate if exc.error_estimate is not None else math.inf
-            return value, err
-
-    direct, err3 = polar(g_direct, "u3 direct coulomb", abs(delta))
-    exchange, err4 = polar(g_exchange, "u4 exchange coulomb", 0.0)
+    direct, err3 = _integrate(
+        integrate_coulomb_relative, g_direct, quad, failures, "u3 direct coulomb",
+        scale=width, r_peak=abs(delta),
+    )
+    exchange, err4 = _integrate(
+        integrate_coulomb_relative, g_exchange, quad, failures, "u4 exchange coulomb",
+        scale=width, r_peak=0.0,
+    )
     direct = complex(direct)
     exchange = complex(exchange)
     u3 = TermEstimate(2.0 * direct.real, 2.0 * (err3 + abs(direct.imag)))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .closed_form import ExchangeBreakdown, exchange_energy_lab, overlap
+from .closed_form import ExchangeBreakdown, exchange_energy, exchange_energy_lab, overlap
 from .errors import (
     InvalidParameterError,
     NoRootInBracketError,
@@ -102,7 +102,10 @@ def sweep(spec: SweepSpec) -> list[SweepRow]:
         cfg = _config_at(spec.material, spec.fixed, spec.vary, x)
         try:
             p = derive_parameters(spec.material, cfg)
-            bd = exchange_energy_lab(spec.material, cfg)
+            bd = exchange_energy(
+                p.b, p.d, p.c_coulomb, p.efield_ratio,
+                energy_scale_mev=spec.material.confinement_energy,
+            )
         except (SingularConfigurationError, InvalidParameterError):
             rows.append(
                 SweepRow(x, math.nan, None, math.nan, math.nan, math.nan, singular=True)

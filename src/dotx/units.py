@@ -10,6 +10,7 @@ downstream works with four dimensionless numbers derived here:
 
 The confinement quantum hbar*omega_0 sets the energy unit and the single
 well Bohr radius a_B = sqrt(hbar / (m omega_0)) sets the length unit.
+The physical constants are CODATA 2022 (the doubles scipy.constants holds).
 """
 
 from __future__ import annotations
@@ -19,13 +20,12 @@ import math
 import os
 from dataclasses import dataclass
 
-from scipy.constants import elementary_charge as E_CHARGE  # C
-from scipy.constants import epsilon_0 as EPS0  # F/m
-from scipy.constants import hbar as HBAR  # J s
-from scipy.constants import m_e as M_ELECTRON  # kg
-
 from .errors import InvalidParameterError, SingularConfigurationError
 
+E_CHARGE = 1.602176634e-19  # C
+EPS0 = 8.8541878188e-12  # F/m
+HBAR = 1.0545718176461565e-34  # J s
+M_ELECTRON = 9.1093837139e-31  # kg
 MEV_TO_J = 1e-3 * E_CHARGE
 NM_TO_M = 1e-9
 
@@ -193,8 +193,11 @@ def load_material(path: str) -> MaterialParams:
     Required keys: effective_mass, dielectric_const, confinement_energy_mev.
     Optional: c_override.
     """
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise InvalidParameterError(f"cannot read material file {path}: {exc}") from exc
     try:
         mat = MaterialParams(
             effective_mass=float(raw["effective_mass"]),
@@ -204,6 +207,8 @@ def load_material(path: str) -> MaterialParams:
         )
     except KeyError as exc:
         raise InvalidParameterError(f"material file {path} is missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"material file {path} is malformed: {exc}") from exc
     mat.validate()
     return mat
 

@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-from dotx.units import GAAS, FieldConfig, bohr_radius_nm
+from dotx.units import GAAS, FieldConfig, bohr_radius_nm, derive_parameters
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "pinned_values.json"
 
@@ -23,6 +23,25 @@ def golden():
 def gaas_fields():
     """GaAs reference geometry: a = 0.7 a_B, no applied fields."""
     return FieldConfig(B=0.0, E=0.0, a=0.7 * bohr_radius_nm(GAAS))
+
+
+@pytest.fixture()
+def count_derivations(monkeypatch):
+    """Install a counting derive_parameters in the given modules; the
+    returned list gets one entry per call."""
+
+    def install(*modules):
+        calls = []
+
+        def counting(mat, fields):
+            calls.append(fields)
+            return derive_parameters(mat, fields)
+
+        for module in modules:
+            monkeypatch.setattr(module, "derive_parameters", counting)
+        return calls
+
+    return install
 
 
 def rel_err(got, want):

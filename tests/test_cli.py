@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import dotx.cli
+import dotx.closed_form
 from dotx.cli import main
 
 
@@ -39,6 +41,12 @@ class TestEval:
         payload = json.loads(out)
         assert payload["params"]["c_source"] == "derived"
         assert payload["J_meV"] == pytest.approx(0.28336649412393045, rel=1e-9)
+
+    @pytest.mark.parametrize("fmt", [(), ("--json",)])
+    def test_derives_parameters_once(self, capsys, count_derivations, fmt):
+        calls = count_derivations(dotx.cli, dotx.closed_form)
+        assert run(capsys, "eval", "--B", "1.0", *fmt)[0] == 0
+        assert len(calls) == 1
 
     def test_unknown_material(self, capsys):
         code, _, err = run(capsys, "eval", "--material", "unobtainium")
@@ -212,3 +220,47 @@ class TestMaterialResolution:
         code, out, _ = run(capsys, "eval", "--material", "inas")
         assert code == 0
         assert "material: inas" in out
+
+
+class TestErrorMapping:
+    """Bad inputs exit with their documented code and a one-line error."""
+
+    @pytest.mark.parametrize("flag", ["--grid-b", "--grid-d"])
+    def test_malformed_grid_is_usage_error(self, capsys, flag):
+        code, _, err = run(capsys, "oracle", flag, "1,x")
+        assert code == 1
+        assert f"error: argument {flag}: expected comma-separated numbers: '1,x'" in err
+
+    @pytest.mark.parametrize(
+        "text", [None, "{not json", "[1, 2]", '{"effective_mass": "heavy"}']
+    )
+    def test_missing_or_invalid_material_file(self, capsys, tmp_path, text):
+        mat = tmp_path / "material.json"
+        if text is not None:
+            mat.write_text(text)
+        code, _, err = run(capsys, "eval", "--material-file", str(mat))
+        assert code == 2
+        assert err.startswith("dotx: error: ")
+        assert err.count("\n") == 1
+
+    def test_unwritable_output(self, capsys, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a regular file, not a directory")
+        out = blocker / "sweep.csv"
+        code, _, err = run(
+            capsys, "sweep", "--vary", "B", "--from", "0", "--to", "1", "--steps", "3",
+            "--out", str(out),
+        )
+        assert code == 2
+        assert err.startswith(f"dotx: error: cannot write {out}")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [("--quad-order", "quadrature order must be >= 4"), ("--quad-rel-tol", "rel_tol must lie")],
+    )
+    def test_zero_quadrature_override_is_validated(self, capsys, flag, message):
+        code, out, err = run(capsys, "oracle", "--grid-b", "1", "--grid-d", "0.7", flag, "0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("dotx: error: ") and message in err

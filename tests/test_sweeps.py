@@ -4,6 +4,9 @@ from dataclasses import replace
 import pytest
 import scipy.optimize
 
+import dotx.closed_form
+import dotx.sweeps
+from dotx.closed_form import exchange_energy_lab
 from dotx.errors import (
     InvalidParameterError,
     NoRootInBracketError,
@@ -97,6 +100,24 @@ class TestSweep:
             sweep(make_spec(gaas, steps=1))
         with pytest.raises(InvalidParameterError):
             sweep(make_spec(gaas, vary="d", start=0.0, stop=1.0))
+
+    @pytest.mark.parametrize(
+        "vary, start, stop", [("B", 0.0, 8.0), ("E", -2e5, 2e5), ("d", 0.05, 4.0)]
+    )
+    def test_breakdown_equals_lab_evaluation(self, gaas, vary, start, stop):
+        fixed = FieldConfig(B=1.5, E=5e4, a=0.7 * bohr_radius_nm(gaas))
+        spec = make_spec(gaas, vary=vary, start=start, stop=stop, steps=41, fixed=fixed)
+        for row in sweep(spec):
+            if vary == "d":
+                cfg = replace(fixed, a=row.x * bohr_radius_nm(gaas))
+            else:
+                cfg = replace(fixed, **{vary: row.x})
+            assert row.breakdown == exchange_energy_lab(gaas, cfg)
+
+    def test_derives_each_point_once(self, gaas, count_derivations):
+        calls = count_derivations(dotx.sweeps, dotx.closed_form)
+        sweep(make_spec(gaas, steps=31))
+        assert len(calls) == 31
 
     def test_csv_text_layout(self, gaas):
         spec = make_spec(gaas, steps=5)

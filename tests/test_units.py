@@ -1,8 +1,14 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
 
+import dotx
+from dotx import units
 from dotx.errors import InvalidParameterError, SingularConfigurationError
 from dotx.units import (
     FieldConfig,
@@ -139,3 +145,25 @@ def test_material_by_name(tmp_path, monkeypatch, gaas):
     )
     monkeypatch.setenv("DOTX_MATERIAL_PATH", str(tmp_path))
     assert material_by_name("inas").effective_mass == 0.023
+
+
+def test_constants_equal_scipy_codata():
+    from scipy import constants
+
+    assert units.E_CHARGE == constants.elementary_charge
+    assert units.EPS0 == constants.epsilon_0
+    assert units.HBAR == constants.hbar
+    assert units.M_ELECTRON == constants.m_e
+
+
+def test_import_loads_no_scipy():
+    src = str(pathlib.Path(dotx.__file__).resolve().parents[1])
+    probe = "import sys, dotx, dotx.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"
