@@ -23,6 +23,15 @@ coordinate integral done in polar coordinates where the Jacobian cancels
 the 1/r singularity.  Assembling them with the numerically computed
 overlap S gives a value of J that shares no code path with the closed
 form beyond the raw inputs.
+
+The 13 single-particle brackets share one Gaussian width and only three
+node centres (each dot and their midpoint), so one point's working set
+(`_Point`) derives the parameters once and evaluates each orbital once
+per node grid; every bracket still runs its own `integrate_2d`
+refinement and reads phi_A/phi_B from there.  Each integrand keeps its
+expression and grouping, and the element lists are summed in a fixed
+order: floating-point sums are not associative, so regrouping or
+reordering them would move the last bits of the report.
 """
 
 from __future__ import annotations
@@ -144,11 +153,7 @@ def _frame(mat: MaterialParams, fields: FieldConfig) -> _Frame:
     )
 
 
-def build_orbital(dot_index: int, mat: MaterialParams, fields: FieldConfig) -> OrbitalSpec:
-    """Ground-state orbital of one dot under the applied fields."""
-    if dot_index not in _WELL_SIGN:
-        raise ValueError(f"dot_index must be 1 or 2, got {dot_index!r}")
-    fr = _frame(mat, fields)
+def _orbital(fr: _Frame, dot_index: int) -> OrbitalSpec:
     center = fr.well_center(dot_index) - fr.fshift
     return OrbitalSpec(
         center_x=center,
@@ -158,6 +163,13 @@ def build_orbital(dot_index: int, mat: MaterialParams, fields: FieldConfig) -> O
     )
 
 
+def build_orbital(dot_index: int, mat: MaterialParams, fields: FieldConfig) -> OrbitalSpec:
+    """Ground-state orbital of one dot under the applied fields."""
+    if dot_index not in _WELL_SIGN:
+        raise ValueError(f"dot_index must be 1 or 2, got {dot_index!r}")
+    return _orbital(_frame(mat, fields), dot_index)
+
+
 def eval_orbital(spec: OrbitalSpec, x, y):
     """Complex orbital amplitude at (x, y); accepts arrays."""
     beta = spec.compression
@@ -165,6 +177,25 @@ def eval_orbital(spec: OrbitalSpec, x, y):
     return math.sqrt(beta / math.pi) * np.exp(
         1j * spec.phase_slope * y - 0.5 * beta * (dx * dx + y * y)
     )
+
+
+def _polynomial_prefix(spec: OrbitalSpec, fr: _Frame, x, y):
+    """kinetic + angular + diamagnetic + dipole: the part of H_j's
+    polynomial on `spec` that does not depend on the well j."""
+    beta = spec.compression
+    lam = fr.lam
+    gx = -beta * (x - spec.center_x)
+    gy = 1j * spec.phase_slope - beta * y
+    kinetic = beta - 0.5 * (gx * gx + gy * gy)
+    angular = -1j * lam * (x * gy - y * gx)
+    diamagnetic = 0.5 * lam * lam * (x * x + y * y)
+    dipole = fr.fshift * x
+    return kinetic + angular + diamagnetic + dipole
+
+
+def _well(s_well: float, x, y):
+    dxw = x - s_well
+    return 0.5 * (dxw * dxw + y * y)
 
 
 def apply_hamiltonian(
@@ -178,24 +209,45 @@ def apply_hamiltonian(
     polynomial; the returned field is that polynomial times the orbital.
     """
     fr = _frame(mat, fields)
-    beta = spec.compression
-    k = spec.phase_slope
-    x0 = spec.center_x
     s_well = fr.well_center(j)
-    lam, fsh = fr.lam, fr.fshift
 
     def field(x, y):
-        gx = -beta * (x - x0)
-        gy = 1j * k - beta * y
-        kinetic = beta - 0.5 * (gx * gx + gy * gy)
-        angular = -1j * lam * (x * gy - y * gx)
-        diamagnetic = 0.5 * lam * lam * (x * x + y * y)
-        dipole = fsh * x
-        dxw = x - s_well
-        well = 0.5 * (dxw * dxw + y * y)
-        return (kinetic + angular + diamagnetic + dipole + well) * eval_orbital(spec, x, y)
+        return (_polynomial_prefix(spec, fr, x, y) + _well(s_well, x, y)) * eval_orbital(spec, x, y)
 
     return field
+
+
+class _Point:
+    """Working set of one oracle point.
+
+    Holds the frame, both orbitals and each orbital's values on every node
+    grid a bracket sampled, so the brackets that share a grid read phi_A
+    and phi_B instead of evaluating them again.  A grid is named by
+    (quadrature spec, centre, scale, node-array shape); its orbital values
+    live as long as the point.  A ket's j-independent polynomial on a grid
+    is kept only until its second reader (H_1 and H_2 share it) takes it.
+    """
+
+    def __init__(self, mat: MaterialParams, fields: FieldConfig):
+        self.frame = _frame(mat, fields)
+        self.orb1 = _orbital(self.frame, 1)
+        self.orb2 = _orbital(self.frame, 2)
+        self._phi = {}
+        self._prefix = {}
+
+    def phi(self, spec: OrbitalSpec, grid, x, y):
+        key = (spec, grid)
+        values = self._phi.get(key)
+        if values is None:
+            values = self._phi[key] = eval_orbital(spec, x, y)
+        return values
+
+    def prefix(self, spec: OrbitalSpec, grid, x, y):
+        key = (spec, grid)
+        values = self._prefix.pop(key, None)
+        if values is None:
+            values = self._prefix[key] = _polynomial_prefix(spec, self.frame, x, y)
+        return values
 
 
 def _integrate(integrator, f, quad, failures, label, **hints):
@@ -213,17 +265,22 @@ def _integrate(integrator, f, quad, failures, label, **hints):
 
 
 def _bracket(bra, ket, f, quad, failures, label):
-    """Integrate f(x, y), the integrand of <bra|...|ket>, on nodes centred
-    between the two orbitals at the bra's Gaussian width."""
+    """Integrate f(grid, x, y), the integrand of <bra|...|ket>, on nodes
+    centred between the two orbitals at the bra's Gaussian width.  `grid`
+    names the node set (x, y) belongs to, so f can read values kept for it."""
     center = (0.5 * (bra.center_x + ket.center_x), 0.0)
     scale = 1.0 / math.sqrt(bra.compression)
-    return _integrate(integrate_2d, f, quad, failures, label, center=center, scale=scale)
+
+    def integrand(x, y):
+        return f((quad, center, scale, np.shape(x)), x, y)
+
+    return _integrate(integrate_2d, integrand, quad, failures, label, center=center, scale=scale)
 
 
 def orbital_norm(spec: OrbitalSpec, quad: QuadratureSpec | None = None):
     """Quadrature of the orbital density (should be 1)."""
     return _bracket(
-        spec, spec, lambda x, y: np.abs(eval_orbital(spec, x, y)) ** 2,
+        spec, spec, lambda grid, x, y: np.abs(eval_orbital(spec, x, y)) ** 2,
         quad or _DEFAULT_SINGLE, None, "norm",
     )
 
@@ -235,34 +292,39 @@ def overlap_numeric(
     failures: list | None = None,
 ):
     """Overlap <phi_2|phi_1> by quadrature; returns (value, error)."""
-    quad = quad or _DEFAULT_SINGLE
-    orb1 = build_orbital(1, mat, fields)
-    orb2 = build_orbital(2, mat, fields)
+    return _overlap(_Point(mat, fields), quad or _DEFAULT_SINGLE, failures)
+
+
+def _overlap(pt: _Point, quad, failures):
+    orb1, orb2 = pt.orb1, pt.orb2
     value, err = _bracket(
-        orb2, orb1, lambda x, y: np.conj(eval_orbital(orb2, x, y)) * eval_orbital(orb1, x, y),
+        orb2, orb1,
+        lambda grid, x, y: np.conj(pt.phi(orb2, grid, x, y)) * pt.phi(orb1, grid, x, y),
         quad, failures, "overlap",
     )
     value = complex(value)
     return value.real, err + abs(value.imag)
 
 
-def _h_element(bra, j, ket, mat, fields, quad, failures=None, label="h-element"):
+def _h_element(pt: _Point, bra, j, ket, quad, failures=None, label="h-element"):
     """<bra | H_j | ket> as a (complex value, error) pair."""
-    h_ket = apply_hamiltonian(ket, j, mat, fields)
-    return _bracket(
-        bra, ket, lambda x, y: np.conj(eval_orbital(bra, x, y)) * h_ket(x, y),
-        quad, failures, label,
-    )
+    s_well = pt.frame.well_center(j)
+
+    def f(grid, x, y):
+        h_ket = (pt.prefix(ket, grid, x, y) + _well(s_well, x, y)) * pt.phi(ket, grid, x, y)
+        return np.conj(pt.phi(bra, grid, x, y)) * h_ket
+
+    return _bracket(bra, ket, f, quad, failures, label)
 
 
-def _w_element(bra, ket, fr: _Frame, quad, failures=None, label="w-element"):
+def _w_element(pt: _Point, bra, ket, quad, failures=None, label="w-element"):
     """<bra | W_1 + W_2 | ket> with the double-well quartic correction.
 
     W_s(x) = 1/2 [ (x^2 - d^2)^2 / (4 d^2) - (x - s d)^2 ] completes the
     harmonic well s to the smooth quartic double well, so the sum over
     both wells is what every two-particle bracket sees.
     """
-    d = fr.d
+    d = pt.frame.d
 
     def w_sum(x):
         q = x * x - d * d
@@ -272,7 +334,7 @@ def _w_element(bra, ket, fr: _Frame, quad, failures=None, label="w-element"):
 
     return _bracket(
         bra, ket,
-        lambda x, y: np.conj(eval_orbital(bra, x, y)) * w_sum(x) * eval_orbital(ket, x, y),
+        lambda grid, x, y: np.conj(pt.phi(bra, grid, x, y)) * w_sum(x) * pt.phi(ket, grid, x, y),
         quad, failures, label,
     )
 
@@ -299,25 +361,27 @@ def upsilon_single(
     norms are 1); u2 the cross elements, each weighted by the spectator
     overlap S.
     """
-    quad = quad or _DEFAULT_SINGLE
-    a = build_orbital(1, mat, fields)
-    b = build_orbital(2, mat, fields)
+    return _single(_Point(mat, fields), quad or _DEFAULT_SINGLE, s_num, failures)
+
+
+def _single(pt: _Point, quad, s_num, failures):
+    a, b = pt.orb1, pt.orb2
     if s_num is None:
-        s_num, _ = overlap_numeric(mat, fields, quad, failures=failures)
+        s_num, _ = _overlap(pt, quad, failures)
     u1 = _sum_elements(
         [
-            _h_element(a, 1, a, mat, fields, quad, failures, "u1 <A|H1|A>"),
-            _h_element(b, 2, b, mat, fields, quad, failures, "u1 <B|H2|B>"),
-            _h_element(b, 1, b, mat, fields, quad, failures, "u1 <B|H1|B>"),
-            _h_element(a, 2, a, mat, fields, quad, failures, "u1 <A|H2|A>"),
+            _h_element(pt, a, 1, a, quad, failures, "u1 <A|H1|A>"),
+            _h_element(pt, b, 2, b, quad, failures, "u1 <B|H2|B>"),
+            _h_element(pt, b, 1, b, quad, failures, "u1 <B|H1|B>"),
+            _h_element(pt, a, 2, a, quad, failures, "u1 <A|H2|A>"),
         ]
     )
     cross = _sum_elements(
         [
-            _h_element(a, 1, b, mat, fields, quad, failures, "u2 <A|H1|B>"),
-            _h_element(b, 2, a, mat, fields, quad, failures, "u2 <B|H2|A>"),
-            _h_element(b, 1, a, mat, fields, quad, failures, "u2 <B|H1|A>"),
-            _h_element(a, 2, b, mat, fields, quad, failures, "u2 <A|H2|B>"),
+            _h_element(pt, a, 1, b, quad, failures, "u2 <A|H1|B>"),
+            _h_element(pt, b, 2, a, quad, failures, "u2 <B|H2|A>"),
+            _h_element(pt, b, 1, a, quad, failures, "u2 <B|H1|A>"),
+            _h_element(pt, a, 2, b, quad, failures, "u2 <A|H2|B>"),
         ]
     )
     u2 = TermEstimate(s_num * cross.value, abs(s_num) * cross.error)
@@ -340,10 +404,12 @@ def upsilon_coulomb(
     picks up the phase mismatch exp(i kappa y) and the static attenuation
     exp(-b Delta^2 / 2).
     """
-    quad = quad or _DEFAULT_COULOMB
-    fr = _frame(mat, fields)
-    a = build_orbital(1, mat, fields)
-    b_orb = build_orbital(2, mat, fields)
+    return _coulomb(_Point(mat, fields), quad or _DEFAULT_COULOMB, failures)
+
+
+def _coulomb(pt: _Point, quad, failures):
+    fr = pt.frame
+    a, b_orb = pt.orb1, pt.orb2
     beta = fr.b
     delta = a.center_x - b_orb.center_x  # -2d
     kappa = b_orb.phase_slope - a.phase_slope
@@ -391,22 +457,23 @@ def upsilon_quartic(
     one spectator overlap S and the overall 1/S^2 of the exchange
     channel, leaving a net -1/S weight.
     """
-    quad = quad or _DEFAULT_SINGLE
-    fr = _frame(mat, fields)
-    a = build_orbital(1, mat, fields)
-    b = build_orbital(2, mat, fields)
+    return _quartic(_Point(mat, fields), quad or _DEFAULT_SINGLE, s_num, failures)
+
+
+def _quartic(pt: _Point, quad, s_num, failures):
+    a, b = pt.orb1, pt.orb2
     if s_num is None:
-        s_num, _ = overlap_numeric(mat, fields, quad, failures=failures)
+        s_num, _ = _overlap(pt, quad, failures)
     diag = _sum_elements(
         [
-            _w_element(a, a, fr, quad, failures, "u5 <A|W|A>"),
-            _w_element(b, b, fr, quad, failures, "u5 <B|W|B>"),
+            _w_element(pt, a, a, quad, failures, "u5 <A|W|A>"),
+            _w_element(pt, b, b, quad, failures, "u5 <B|W|B>"),
         ]
     )
     cross = _sum_elements(
         [
-            _w_element(b, a, fr, quad, failures, "u5 <B|W|A>"),
-            _w_element(a, b, fr, quad, failures, "u5 <A|W|B>"),
+            _w_element(pt, b, a, quad, failures, "u5 <B|W|A>"),
+            _w_element(pt, a, b, quad, failures, "u5 <A|W|B>"),
         ]
     )
     value = diag.value - cross.value / s_num
@@ -428,13 +495,14 @@ def assemble_oracle(
     """
     quad_single = quad_single or _DEFAULT_SINGLE
     quad_coulomb = quad_coulomb or _DEFAULT_COULOMB
-    fr = _frame(mat, fields)
+    pt = _Point(mat, fields)
+    fr = pt.frame
 
     failures: list = []
-    s_num, _ = overlap_numeric(mat, fields, quad_single, failures=failures)
-    u1, u2 = upsilon_single(mat, fields, quad_single, s_num=s_num, failures=failures)
-    u3, u4 = upsilon_coulomb(mat, fields, quad_coulomb, failures=failures)
-    u5 = upsilon_quartic(mat, fields, quad_single, s_num=s_num, failures=failures)
+    s_num, _ = _overlap(pt, quad_single, failures)
+    u1, u2 = _single(pt, quad_single, s_num, failures)
+    u3, u4 = _coulomb(pt, quad_coulomb, failures)
+    u5 = _quartic(pt, quad_single, s_num, failures)
 
     s2 = s_num * s_num
     weight = s2 / (1.0 - s2 * s2)

@@ -114,12 +114,17 @@ def bessel_i0e(x: float) -> float:
     return _i0e_large(x)
 
 
+# Refinement samples up to 12x this order per axis, so 128 already means
+# 1536^2 complex nodes (about 38 MB per array).
+_MAX_ORDER = 128
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Controls one family of 2D integrals.
 
     rule        "tensor_gauss_hermite" or "adaptive_polar"
-    order       points per axis at the first refinement level
+    order       points per axis at the first refinement level, 4..128
     rel_tol     target relative error (against the integral of |f|)
     domain_cut  truncation radius in units of the Gaussian width
     """
@@ -134,6 +139,8 @@ class QuadratureSpec:
             raise InvalidArgumentError(f"unknown quadrature rule {self.rule!r}")
         if self.order < 4:
             raise InvalidArgumentError("quadrature order must be >= 4")
+        if self.order > _MAX_ORDER:
+            raise InvalidArgumentError(f"quadrature order must be <= {_MAX_ORDER}")
         if not (0.0 < self.rel_tol < 1.0):
             raise InvalidArgumentError("rel_tol must lie in (0, 1)")
         if self.domain_cut < 4.0:
@@ -148,8 +155,10 @@ def _hermite_nodes(n: int):
     if n not in _hermite_cache:
         t, w = np.polynomial.hermite.hermgauss(n)
         # Fold the exp(t^2) de-weighting into the weights via logs so very
-        # high orders do not overflow intermediate factors.
-        _hermite_cache[n] = (t, np.exp(np.log(w) + t * t))
+        # high orders do not overflow intermediate factors; keep the tensor
+        # weight matrix that every 2D sample of this order uses.
+        w = np.exp(np.log(w) + t * t)
+        _hermite_cache[n] = (t, w[:, None] * w[None, :])
     return _hermite_cache[n]
 
 
@@ -160,11 +169,10 @@ def _legendre_nodes(n: int):
 
 
 def _gauss_hermite_sample(f, n, center, scale):
-    t, w = _hermite_nodes(n)
+    t, weight = _hermite_nodes(n)
     x = center[0] + scale * t[:, None]
     y = center[1] + scale * t[None, :]
     vals = np.broadcast_to(np.asarray(f(x, y)), (n, n))
-    weight = w[:, None] * w[None, :]
     value = complex(np.sum(weight * vals)) * scale * scale
     l1 = float(np.sum(weight * np.abs(vals))) * scale * scale
     return value, l1

@@ -28,6 +28,10 @@ AXES = ("B", "E", "d")
 #: Bracket-width convergence targets per axis, in that axis's unit.
 AXIS_XTOL = {"B": 1e-6, "E": 1.0, "d": 1e-8}
 
+# Upper bound on every grid length a caller can ask for (sweep, pre-scan,
+# scenario phase), so a mistyped count fails before any allocation.
+_MAX_STEPS = 100_000
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -49,8 +53,10 @@ class SweepSpec:
             raise InvalidParameterError(f"vary must be one of {AXES}, got {self.vary!r}")
         if not (self.start < self.stop):
             raise InvalidParameterError("sweep range must satisfy start < stop")
-        if self.steps < 2:
-            raise InvalidParameterError("sweep needs at least 2 steps")
+        if not (2 <= self.steps <= _MAX_STEPS):
+            raise InvalidParameterError(
+                f"sweep needs between 2 and {_MAX_STEPS} steps, got {self.steps!r}"
+            )
         if self.vary == "d" and self.start <= 0.0:
             raise InvalidParameterError("d sweeps must start above 0")
 
@@ -250,6 +256,10 @@ def scan_switches(
     axis, but nothing assumes that: each bracketed change is refined and
     reported in order.
     """
+    if not (2 <= scan_steps <= _MAX_STEPS):
+        raise InvalidParameterError(
+            f"scan needs between 2 and {_MAX_STEPS} steps, got {scan_steps!r}"
+        )
     grid = np.linspace(lo, hi, scan_steps)
     j = _j_of(material, fixed, axis)
     values = [j(float(x)) for x in grid]
@@ -295,6 +305,10 @@ def switching_scenario(
     the recovered antiferro plateau.  Fails if the operating field sits
     below the switch threshold, in which case no E crossing exists.
     """
+    if not (1 <= steps_per_phase <= _MAX_STEPS):
+        raise InvalidParameterError(
+            f"scenario needs between 1 and {_MAX_STEPS} steps per phase, got {steps_per_phase!r}"
+        )
     fixed = FieldConfig(B=0.0, E=0.0, a=a_nm)
     j = _j_of(material, fixed, "B")
     if j(b_operating) >= 0.0:

@@ -4,6 +4,7 @@ import pytest
 
 import dotx.cli
 import dotx.closed_form
+import dotx.special
 from dotx.cli import main
 
 
@@ -264,3 +265,32 @@ class TestErrorMapping:
         assert code == 2
         assert out == ""
         assert err.startswith("dotx: error: ") and message in err
+
+    def test_huge_quadrature_order_fails_before_any_node(self, capsys, monkeypatch):
+        def no_nodes(n):
+            raise AssertionError(f"built {n} quadrature nodes")
+
+        monkeypatch.setattr(dotx.special, "_hermite_nodes", no_nodes)
+        monkeypatch.setattr(dotx.special, "_legendre_nodes", no_nodes)
+        code, out, err = run(
+            capsys, "oracle", "--grid-b", "1", "--grid-d", "0.7", "--quad-order", "100000"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "dotx: error: quadrature order must be <= 128\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["sweep", "--vary", "B", "--from", "0", "--to", "1", "--steps", "100001"],
+          "sweep needs between 2 and 100000 steps, got 100001")]
+        + [(["switch", "--vary", "B", "--from", "0.1", "--to", "3", "--scan", "--scan-steps", n],
+            f"scan needs between 2 and 100000 steps, got {n}") for n in ("-5", "0", "1", "100001")]
+        + [(["scenario", "--steps-per-phase", n],
+            f"scenario needs between 1 and 100000 steps per phase, got {n}")
+           for n in ("-3", "0", "100001")],
+    )
+    def test_step_counts_are_bounded(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"dotx: error: {message}\n"

@@ -5,7 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import dotx.oracle
 from dotx.closed_form import exchange_energy_lab, overlap
+from dotx.errors import QuadratureError
 from dotx.oracle import (
     apply_hamiltonian,
     assemble_oracle,
@@ -17,8 +19,8 @@ from dotx.oracle import (
     upsilon_quartic,
     upsilon_single,
 )
-from dotx.oracle import _h_element  # noqa: internal, exercised directly
-from dotx.special import QuadratureSpec
+from dotx.oracle import _Point, _h_element  # noqa: internal, exercised directly
+from dotx.special import QuadratureSpec, integrate_2d
 from dotx.units import FieldConfig, bohr_radius_nm, derive_parameters
 
 from conftest import rel_err
@@ -110,11 +112,11 @@ class TestHamiltonian:
 
     def test_expectation_values(self, gaas, gaas_fields, fields_1t):
         orb0 = build_orbital(1, gaas, gaas_fields)
-        value, _ = _h_element(orb0, 1, orb0, gaas, gaas_fields, QuadratureSpec())
+        value, _ = _h_element(_Point(gaas, gaas_fields), orb0, 1, orb0, QuadratureSpec())
         assert rel_err(complex(value).real, 1.0) < 1e-8
         p = derive_parameters(gaas, fields_1t)
         orb1 = build_orbital(1, gaas, fields_1t)
-        value, _ = _h_element(orb1, 1, orb1, gaas, fields_1t, QuadratureSpec())
+        value, _ = _h_element(_Point(gaas, fields_1t), orb1, 1, orb1, QuadratureSpec())
         assert rel_err(complex(value).real, p.b) < 1e-8
 
     def test_finite_difference_cross_check(self, gaas, fields_1t):
@@ -167,8 +169,8 @@ class TestHamiltonian:
         quad = QuadratureSpec()
         a = build_orbital(1, gaas, fields_1t)
         b = build_orbital(2, gaas, fields_1t)
-        ab, err_ab = _h_element(a, 1, b, gaas, fields_1t, quad)
-        ba, err_ba = _h_element(b, 1, a, gaas, fields_1t, quad)
+        ab, err_ab = _h_element(_Point(gaas, fields_1t), a, 1, b, quad)
+        ba, err_ba = _h_element(_Point(gaas, fields_1t), b, 1, a, quad)
         assert abs(complex(ab) - complex(ba).conjugate()) <= err_ab + err_ba + 1e-12
 
 
@@ -186,10 +188,10 @@ class TestUpsilonTerms:
         u1, _ = upsilon_single(gaas, fields_1t, quad)
         a = build_orbital(1, gaas, fields_1t)
         b = build_orbital(2, gaas, fields_1t)
-        own_a = complex(_h_element(a, 1, a, gaas, fields_1t, quad)[0]).real
-        own_b = complex(_h_element(b, 2, b, gaas, fields_1t, quad)[0]).real
-        opp_a = complex(_h_element(a, 2, a, gaas, fields_1t, quad)[0]).real
-        opp_b = complex(_h_element(b, 1, b, gaas, fields_1t, quad)[0]).real
+        own_a = complex(_h_element(_Point(gaas, fields_1t), a, 1, a, quad)[0]).real
+        own_b = complex(_h_element(_Point(gaas, fields_1t), b, 2, b, quad)[0]).real
+        opp_a = complex(_h_element(_Point(gaas, fields_1t), a, 2, a, quad)[0]).real
+        opp_b = complex(_h_element(_Point(gaas, fields_1t), b, 1, b, quad)[0]).real
         assert rel_err(own_a, own_b) < 1e-12
         assert rel_err(opp_a, opp_b) < 1e-12
         assert rel_err(u1.value, 2.0 * (own_a + opp_b)) < 1e-10
@@ -296,3 +298,128 @@ class TestAssemble:
         v0 = p.c_coulomb * math.sqrt(2.0 / math.pi)
         mc = float(np.mean(v0 / rho))
         assert rel_err(mc, u3.value / 2.0) < 0.01
+
+
+def loop_oracle(mat, fields, quad):
+    """s_num, u1, u2, u5 and the failures of the 13 single-particle
+    brackets, each integrated on its own by integrate_2d with fresh
+    eval_orbital / apply_hamiltonian integrands, summed in the oracle's
+    order.  Also returns the integrand calls per bracket."""
+    a, b = build_orbital(1, mat, fields), build_orbital(2, mat, fields)
+    d = derive_parameters(mat, fields).d
+    failures, samples = [], []
+
+    def bracket(label, bra, ket, f):
+        calls = []
+        samples.append(calls)
+
+        def counted(x, y):
+            calls.append(np.shape(x))
+            return f(x, y)
+
+        center = (0.5 * (bra.center_x + ket.center_x), 0.0)
+        try:
+            scale = 1.0 / math.sqrt(bra.compression)
+            return integrate_2d(counted, quad, center=center, scale=scale)
+        except QuadratureError as exc:
+            failures.append(f"{label}: {exc}")
+            return exc.value, exc.error_estimate
+
+    def h(label, bra, j, ket):
+        h_ket = apply_hamiltonian(ket, j, mat, fields)
+        return bracket(label, bra, ket, lambda x, y: np.conj(eval_orbital(bra, x, y)) * h_ket(x, y))
+
+    def w_sum(x):
+        q = x * x - d * d
+        w1 = 0.5 * (q * q / (4.0 * d * d) - (x + d) ** 2)
+        w2 = 0.5 * (q * q / (4.0 * d * d) - (x - d) ** 2)
+        return w1 + w2
+
+    def w(label, bra, ket):
+        return bracket(
+            label, bra, ket,
+            lambda x, y: np.conj(eval_orbital(bra, x, y)) * w_sum(x) * eval_orbital(ket, x, y),
+        )
+
+    def total(parts):
+        value, err = 0.0 + 0.0j, 0.0
+        for v, e in parts:
+            value += complex(v)
+            err += e
+        return value.real, err + abs(value.imag)
+
+    s_value, _ = bracket(
+        "overlap", b, a, lambda x, y: np.conj(eval_orbital(b, x, y)) * eval_orbital(a, x, y)
+    )
+    s = complex(s_value).real
+    u1 = total([
+        h("u1 <A|H1|A>", a, 1, a), h("u1 <B|H2|B>", b, 2, b),
+        h("u1 <B|H1|B>", b, 1, b), h("u1 <A|H2|A>", a, 2, a),
+    ])
+    cross = total([
+        h("u2 <A|H1|B>", a, 1, b), h("u2 <B|H2|A>", b, 2, a),
+        h("u2 <B|H1|A>", b, 1, a), h("u2 <A|H2|B>", a, 2, b),
+    ])
+    diag = total([w("u5 <A|W|A>", a, a), w("u5 <B|W|B>", b, b)])
+    w_cross = total([w("u5 <B|W|A>", b, a), w("u5 <A|W|B>", a, b)])
+    upsilon = {
+        "u1": u1,
+        "u2": (s * cross[0], abs(s) * cross[1]),
+        "u5": (diag[0] - w_cross[0] / s, diag[1] + w_cross[1] / abs(s)),
+    }
+    return s, upsilon, failures, samples
+
+
+class TestSharedGridValues:
+    """assemble_oracle evaluates each orbital once per node grid; every
+    bracket must still come out bit for bit as if integrated on its own."""
+
+    @pytest.mark.parametrize(
+        "quad, B, E, d",
+        [
+            (QuadratureSpec(), 1.0, 0.0, 0.7),
+            (QuadratureSpec(order=8), 3.0, 1e5, 1.0),
+            (QuadratureSpec(), 2.0, -3e5, 0.5),
+        ],
+        ids=["default", "refined", "efield"],
+    )
+    def test_matches_per_bracket_loop(self, gaas, quad, B, E, d):
+        fields = FieldConfig(B=B, E=E, a=d * bohr_radius_nm(gaas))
+        s, upsilon, failures, samples = loop_oracle(gaas, fields, quad)
+        hb = assemble_oracle(gaas, fields, quad_single=quad)
+        assert not failures and not hb.incomplete
+        assert hb.s_num == s
+        for key in ("u1", "u2", "u5"):
+            assert tuple(hb.upsilon[key]) == upsilon[key]
+        u3, u4 = upsilon_coulomb(gaas, fields)
+        assert hb.upsilon["u3"] == u3 and hb.upsilon["u4"] == u4
+        if quad.order == 8:  # some bracket must go past the first level
+            assert max(len(calls) for calls in samples) > 2
+
+    def test_failures_keep_their_order(self, gaas, fields_1t):
+        impossible = QuadratureSpec(order=4, rel_tol=1e-15)
+        s, upsilon, failures, _ = loop_oracle(gaas, fields_1t, impossible)
+        hb = assemble_oracle(gaas, fields_1t, quad_single=impossible)
+        assert failures
+        assert list(hb.failures) == failures
+        assert hb.s_num == s
+        for key in ("u1", "u2", "u5"):
+            assert tuple(hb.upsilon[key]) == upsilon[key]
+
+    def test_each_orbital_evaluated_once_per_grid(self, gaas, fields_1t, monkeypatch):
+        calls = []
+
+        def counting(spec, x, y):
+            calls.append(spec)
+            return eval_orbital(spec, x, y)
+
+        monkeypatch.setattr(dotx.oracle, "eval_orbital", counting)
+        assemble_oracle(gaas, fields_1t)
+        # two orbitals on the middle grid, one on each own-centre grid,
+        # at the two orders of the first refinement level
+        assert len(calls) <= 8
+
+    def test_frame_derived_once_per_point(self, gaas, fields_1t, count_derivations):
+        calls = count_derivations(dotx.oracle)
+        assemble_oracle(gaas, fields_1t)
+        assert len(calls) == 1

@@ -141,6 +141,9 @@ class TestIntegrate2D:
             QuadratureSpec(domain_cut=1.0)
         with pytest.raises(InvalidArgumentError):
             QuadratureSpec(rule="monte_carlo")
+        assert QuadratureSpec(order=128).order == 128
+        with pytest.raises(InvalidArgumentError, match="order must be <= 128"):
+            QuadratureSpec(order=129)
 
 
 class TestCoulombRelative:
