@@ -34,6 +34,7 @@ from .sweeps import (
     sweep_csv_text,
     switch_point_dict,
     switching_scenario,
+    validate_scan_steps,
 )
 from .units import (
     DerivedParams,
@@ -264,6 +265,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_switch(args) -> int:
     cfg = _resolve_config(args)
+    validate_scan_steps(args.scan_steps)
     lo, hi = getattr(args, "from"), args.to
     if args.scan:
         points = scan_switches(

@@ -20,9 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidParameterError, SingularConfigurationError
-from .special import bessel_i0e
-from .units import FieldConfig, MaterialParams, derive_parameters
+from .special import bessel_i0e, bessel_i0e_array, libm
+from .units import FieldConfig, MaterialParams, derive_arrays, derive_parameters
 
 
 @dataclass(frozen=True)
@@ -70,13 +72,19 @@ def exchange_energy(
     x1 = b * d2
     x2 = d2 * (b - 1.0 / b)
     arg = 2.0 * (x1 + x2)  # 2 d^2 (2b - 1/b)
+    em = math.exp(-arg)
+    denominator = 1.0 - em * em  # 1 - S^4
+    if denominator == 0.0:
+        raise SingularConfigurationError(
+            f"singular configuration d={d!r}: 1 - S^4 rounds to 0, the two dots coincide"
+        )
     csb = c * math.sqrt(b)
 
     quartic_term = 0.75 / b * (1.0 + x1)
     efield_term = 1.5 * (efield_ratio * efield_ratio) / d2
     # 1/sinh(arg) == 2 exp(-arg) to double precision once exp(-2 arg)
     # underflows; switching forms avoids overflowing sinh itself.
-    prefactor = 1.0 / math.sinh(arg) if arg < 350.0 else 2.0 * math.exp(-arg)
+    prefactor = 1.0 / math.sinh(arg) if arg < 350.0 else 2.0 * em
     # The term as printed overflows through exp(x2) for extreme (b, d);
     # report -inf there, while j below uses an overflow-free regrouping.
     coulomb_term = (
@@ -85,11 +93,10 @@ def exchange_energy(
         else -math.inf
     )
 
-    em = math.exp(-arg)
     j_dimensionless = (
         2.0 * em * (csb * bessel_i0e(x1) + quartic_term + efield_term)
         - 2.0 * csb * bessel_i0e(x2) * math.exp(-2.0 * x1)
-    ) / (1.0 - em * em)
+    ) / denominator
 
     return ExchangeBreakdown(
         prefactor=prefactor,
@@ -106,6 +113,100 @@ def exchange_energy_lab(mat: MaterialParams, fields: FieldConfig) -> ExchangeBre
     p = derive_parameters(mat, fields)
     return exchange_energy(
         p.b, p.d, p.c_coulomb, p.efield_ratio, energy_scale_mev=mat.confinement_energy
+    )
+
+
+@dataclass(frozen=True)
+class ExchangeColumns:
+    """`exchange_energy_lab` and `overlap` over 1-D arrays of lab points.
+
+    Each column holds, per point, the number the scalar functions give,
+    bit for bit.  valid is False where `exchange_energy_lab` raises
+    InvalidParameterError or SingularConfigurationError (the points a
+    sweep marks singular); every column is nan there.
+    """
+
+    b: np.ndarray
+    d: np.ndarray
+    efield_ratio: np.ndarray
+    prefactor: np.ndarray
+    coulomb_term: np.ndarray
+    quartic_term: np.ndarray
+    efield_term: np.ndarray
+    j_dimensionless: np.ndarray
+    j_mev: np.ndarray
+    s_overlap: np.ndarray
+    valid: np.ndarray
+
+
+def exchange_energy_arrays(mat: MaterialParams, B, E, a) -> ExchangeColumns:
+    """Exchange splitting over lab arrays (Tesla, V/m, nm), broadcast to 1-D.
+
+    Runs the operations of `exchange_energy` in the same order: the IEEE
+    ones (+ - * /, sqrt) in numpy, exp and sinh through libm.  Like the
+    scalar form it raises InvalidArgumentError where a valid point sends
+    NaN into I0 (d^2 overflowing at b = 1).
+    """
+    b, d, c, chi, valid = derive_arrays(mat, B, E, a)
+    with np.errstate(all="ignore"):  # floats overflow silently; so do the columns
+        d2 = d * d
+        x1 = b * d2
+        x2 = d2 * (b - 1.0 / b)
+        arg = 2.0 * (x1 + x2)
+        em = libm(math.exp, -arg)  # arg >= 0 or nan, so exp never overflows
+        denominator = 1.0 - em * em
+        valid = (
+            valid
+            & np.isfinite(b) & (b >= 1.0 - 1e-12)
+            & np.isfinite(d) & (d > 0.0)
+            & np.isfinite(chi)
+            & (denominator != 0.0)
+        )
+        if not (math.isfinite(c) and c >= 0.0):
+            valid[:] = False
+        keep = slice(None) if valid.all() else valid  # a view when every point is valid
+        b, d, chi, d2, x1, x2, arg, em, denominator = (
+            v[keep] for v in (b, d, chi, d2, x1, x2, arg, em, denominator)
+        )
+        csb = c * np.sqrt(b)
+        quartic_term = 0.75 / b * (1.0 + x1)
+        efield_term = 1.5 * (chi * chi) / d2
+        i0e_x1 = bessel_i0e_array(x1)
+        i0e_x2 = bessel_i0e_array(x2)
+
+        prefactor = 2.0 * em
+        near = arg < 350.0
+        prefactor[near] = 1.0 / libm(math.sinh, arg[near])
+        coulomb_term = np.full_like(arg, -math.inf)
+        finite = 2.0 * x2 < 700.0
+        coulomb_term[finite] = csb[finite] * (
+            i0e_x1[finite] - libm(math.exp, 2.0 * x2[finite]) * i0e_x2[finite]
+        )
+        j_dimensionless = (
+            2.0 * em * (csb * i0e_x1 + quartic_term + efield_term)
+            - 2.0 * csb * i0e_x2 * libm(math.exp, -2.0 * x1)
+        ) / denominator
+        s_overlap = libm(math.exp, -d * d * (2.0 * b - 1.0 / b))
+
+    def column(values):
+        if keep is not valid:
+            return values
+        out = np.full(valid.shape, math.nan)
+        out[valid] = values
+        return out
+
+    return ExchangeColumns(
+        b=column(b),
+        d=column(d),
+        efield_ratio=column(chi),
+        prefactor=column(prefactor),
+        coulomb_term=column(coulomb_term),
+        quartic_term=column(quartic_term),
+        efield_term=column(efield_term),
+        j_dimensionless=column(j_dimensionless),
+        j_mev=column(j_dimensionless * mat.confinement_energy),
+        s_overlap=column(s_overlap),
+        valid=valid,
     )
 
 

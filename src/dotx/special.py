@@ -78,14 +78,21 @@ def _i0_series(x: float) -> float:
         total = updated
 
 
-def _i0e_large(x: float) -> float:
-    # Clenshaw evaluation of the fitted expansion in 7.5/x.
+# Upper bound on the terms `_i0_series` adds below the splice (the longest
+# loop on [0, 7.5) stops at k = 20): past it a term can no longer change
+# the rounded sum, so a fixed-length sum gives the same bits.
+_I0_SERIES_TERMS = 20
+
+
+def _i0e_large(x, sqrt=math.sqrt):
+    # Clenshaw evaluation of the fitted expansion in 7.5/x; the same
+    # operations serve a float and (with sqrt=np.sqrt) an array.
     u = 2.0 * (_I0_SPLIT / x) - 1.0
     b1 = b2 = 0.0
     for coef in reversed(_I0_LARGE_CHEB[1:]):
         b1, b2 = 2.0 * u * b1 - b2 + coef, b1
     poly = u * b1 - b2 + _I0_LARGE_CHEB[0]
-    return poly / math.sqrt(2.0 * math.pi * x)
+    return poly / sqrt(2.0 * math.pi * x)
 
 
 def bessel_i0(x: float) -> float:
@@ -112,6 +119,36 @@ def bessel_i0e(x: float) -> float:
     if x < _I0_SPLIT:
         return math.exp(-x) * _i0_series(x)
     return _i0e_large(x)
+
+
+def libm(fn, x: np.ndarray) -> np.ndarray:
+    """`fn` from `math` applied to each element of a 1-D float array.
+
+    numpy's exp/sinh/hypot differ from the C library in the last bit for
+    a few percent of inputs; the array paths call libm so that they give
+    the scalar functions' bits.
+    """
+    return np.fromiter(map(fn, x.tolist()), float, x.size)
+
+
+def bessel_i0e_array(x: np.ndarray) -> np.ndarray:
+    """`bessel_i0e` of each element of a 1-D float array, bit for bit."""
+    if np.isnan(x).any():
+        raise InvalidArgumentError("bessel_i0e received NaN")
+    x = np.abs(x)
+    out = np.empty_like(x)
+    small = x < _I0_SPLIT
+    xs = x[small]
+    q = 0.25 * xs * xs
+    total = np.ones_like(xs)
+    term = np.ones_like(xs)
+    for k in range(1, _I0_SERIES_TERMS + 1):
+        term *= q / (k * k)
+        total += term
+    out[small] = libm(math.exp, -xs) * total
+    with np.errstate(over="ignore"):  # 2 pi x is inf near x = 1e308, as in float
+        out[~small] = _i0e_large(x[~small], np.sqrt)
+    return out
 
 
 # Refinement samples up to 12x this order per axis, so 128 already means

@@ -13,15 +13,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .closed_form import ExchangeBreakdown, exchange_energy, exchange_energy_lab, overlap
+from .closed_form import ExchangeBreakdown, exchange_energy_arrays, exchange_energy_lab
 from .errors import (
+    InvalidArgumentError,
     InvalidParameterError,
     NoRootInBracketError,
     RootConvergenceError,
     ScenarioError,
-    SingularConfigurationError,
 )
-from .units import FieldConfig, MaterialParams, bohr_radius_nm, derive_parameters
+from .units import FieldConfig, MaterialParams, bohr_radius_nm
 
 AXES = ("B", "E", "d")
 
@@ -53,12 +53,29 @@ class SweepSpec:
             raise InvalidParameterError(f"vary must be one of {AXES}, got {self.vary!r}")
         if not (self.start < self.stop):
             raise InvalidParameterError("sweep range must satisfy start < stop")
+        _check_finite_range("sweep", self.start, self.stop)
         if not (2 <= self.steps <= _MAX_STEPS):
             raise InvalidParameterError(
                 f"sweep needs between 2 and {_MAX_STEPS} steps, got {self.steps!r}"
             )
         if self.vary == "d" and self.start <= 0.0:
             raise InvalidParameterError("d sweeps must start above 0")
+
+
+def _check_finite_range(what: str, start: float, stop: float):
+    # A grid on an infinite range, or one whose width overflows, is nan/inf.
+    if not (math.isfinite(start) and math.isfinite(stop) and math.isfinite(stop - start)):
+        raise InvalidParameterError(
+            f"{what} range must be finite with a finite width, got [{start!r}, {stop!r}]"
+        )
+
+
+def validate_scan_steps(scan_steps: int):
+    """Bound the pre-scan grid of `scan_switches`."""
+    if not (2 <= scan_steps <= _MAX_STEPS):
+        raise InvalidParameterError(
+            f"scan needs between 2 and {_MAX_STEPS} steps, got {scan_steps!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -83,41 +100,69 @@ class SwitchPoint:
     direction: str  # "antiferro_to_ferro" or "ferro_to_antiferro"
 
 
-def _config_at(spec_material, fixed: FieldConfig, axis: str, x: float) -> FieldConfig:
+def _lab_point(material: MaterialParams, fixed: FieldConfig, axis: str, x):
+    """(B, E, a) with `x` (a float or an array) on `axis`, the rest from `fixed`."""
     if axis == "B":
-        return replace(fixed, B=x)
+        return x, fixed.E, fixed.a
     if axis == "E":
-        return replace(fixed, E=x)
-    return replace(fixed, a=x * bohr_radius_nm(spec_material))
+        return fixed.B, x, fixed.a
+    return fixed.B, fixed.E, x * bohr_radius_nm(material)
 
 
 def _j_of(material: MaterialParams, fixed: FieldConfig, axis: str):
     def j(x: float) -> float:
-        return exchange_energy_lab(material, _config_at(material, fixed, axis, x)).j_mev
+        fields = FieldConfig(*_lab_point(material, fixed, axis, x))
+        return exchange_energy_lab(material, fields).j_mev
 
     return j
 
 
-def sweep(spec: SweepSpec) -> list[SweepRow]:
-    """Evaluate the exchange energy along a monotone grid."""
-    spec.validate()
+def _j_values(material: MaterialParams, B, E, a) -> list:
+    """J in meV at every lab point, from one array evaluation.
+
+    Where some point is rejected, the points are evaluated one by one, so
+    that the error raised is the one the scalar path raises first.
+    """
+    try:
+        cols = exchange_energy_arrays(material, B, E, a)
+        if cols.valid.all():
+            return cols.j_mev.tolist()
+    except InvalidArgumentError:
+        pass
+    points = zip(*(v.tolist() for v in np.broadcast_arrays(B, E, a)))
+    return [exchange_energy_lab(material, FieldConfig(*point)).j_mev for point in points]
+
+
+def _row_columns(spec: SweepSpec) -> list:
+    # Per-point lists of grid, validity and the row's numbers; the arrays
+    # they come from are freed on return, before the rows are built.
     grid = np.linspace(spec.start, spec.stop, spec.steps)
+    cols = exchange_energy_arrays(
+        spec.material, *_lab_point(spec.material, spec.fixed, spec.vary, grid)
+    )
+    return [
+        column.tolist()
+        for column in (
+            grid, cols.valid, cols.prefactor, cols.coulomb_term, cols.quartic_term,
+            cols.efield_term, cols.j_dimensionless, cols.j_mev, cols.b, cols.d, cols.s_overlap,
+        )
+    ]
+
+
+def sweep(spec: SweepSpec) -> list[SweepRow]:
+    """Evaluate the exchange energy along a monotone grid, in one array call."""
+    spec.validate()
     rows = []
-    for x in grid:
-        x = float(x)
-        cfg = _config_at(spec.material, spec.fixed, spec.vary, x)
-        try:
-            p = derive_parameters(spec.material, cfg)
-            bd = exchange_energy(
-                p.b, p.d, p.c_coulomb, p.efield_ratio,
-                energy_scale_mev=spec.material.confinement_energy,
-            )
-        except (SingularConfigurationError, InvalidParameterError):
+    for x, valid, prefactor, coulomb, quartic, efield, j_dim, j_mev, b, d, s in zip(
+        *_row_columns(spec)
+    ):
+        if valid:
+            bd = ExchangeBreakdown(prefactor, coulomb, quartic, efield, j_dim, j_mev)
+            rows.append(SweepRow(x, j_mev, bd, b, d, s))
+        else:
             rows.append(
                 SweepRow(x, math.nan, None, math.nan, math.nan, math.nan, singular=True)
             )
-            continue
-        rows.append(SweepRow(x, bd.j_mev, bd, p.b, p.d, overlap(p.b, p.d)))
     return rows
 
 
@@ -256,21 +301,17 @@ def scan_switches(
     axis, but nothing assumes that: each bracketed change is refined and
     reported in order.
     """
-    if not (2 <= scan_steps <= _MAX_STEPS):
-        raise InvalidParameterError(
-            f"scan needs between 2 and {_MAX_STEPS} steps, got {scan_steps!r}"
-        )
+    validate_scan_steps(scan_steps)
+    _check_finite_range("scan", lo, hi)
     grid = np.linspace(lo, hi, scan_steps)
-    j = _j_of(material, fixed, axis)
-    values = [j(float(x)) for x in grid]
+    values = _j_values(material, *_lab_point(material, fixed, axis, grid))
+    grid = grid.tolist()
     points = []
     for left, right, j_left, j_right in zip(grid[:-1], grid[1:], values[:-1], values[1:]):
         if j_left == 0.0 or math.copysign(1.0, j_left) != math.copysign(1.0, j_right):
             if j_left == 0.0 and j_right == 0.0:
                 continue
-            points.append(
-                find_switch(axis, material, fixed, (float(left), float(right)), tol=tol)
-            )
+            points.append(find_switch(axis, material, fixed, (left, right), tol=tol))
     return points
 
 
@@ -331,22 +372,21 @@ def switching_scenario(
     e_switch = e_points[0]
     e_stop = 1.25 * e_switch.value
 
-    steps = []
-
-    def add(phase, B, E):
-        cfg = FieldConfig(B=B, E=E, a=a_nm)
-        value = exchange_energy_lab(material, cfg).j_mev
-        sign = 0 if value == 0.0 else (1 if value > 0.0 else -1)
-        steps.append(ScenarioStep(phase, B, E, value, sign))
-
-    for x in np.linspace(0.0, b_operating, steps_per_phase):
-        add("A", float(x), 0.0)
-    for _ in range(max(2, steps_per_phase // 4)):
-        add("B", b_operating, 0.0)
-    for x in np.linspace(0.0, e_stop, steps_per_phase):
-        add("C", b_operating, float(x))
-    for _ in range(max(2, steps_per_phase // 4)):
-        add("D", b_operating, e_stop)
+    ramp_b = np.linspace(0.0, b_operating, steps_per_phase).tolist()
+    ramp_e = np.linspace(0.0, e_stop, steps_per_phase).tolist()
+    plateau = max(2, steps_per_phase // 4)
+    path = (
+        [("A", x, 0.0) for x in ramp_b]
+        + [("B", b_operating, 0.0)] * plateau
+        + [("C", b_operating, x) for x in ramp_e]
+        + [("D", b_operating, e_stop)] * plateau
+    )
+    _, B, E = zip(*path)
+    values = _j_values(material, np.array(B, dtype=float), np.array(E, dtype=float), a_nm)
+    steps = [
+        ScenarioStep(phase, b, e, value, 0 if value == 0.0 else (1 if value > 0.0 else -1))
+        for (phase, b, e), value in zip(path, values)
+    ]
 
     return ScenarioResult(steps=steps, b_switch=b_switch, e_switch=e_switch)
 

@@ -15,12 +15,16 @@ The physical constants are CODATA 2022 (the doubles scipy.constants holds).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidParameterError, SingularConfigurationError
+from .special import libm
 
 E_CHARGE = 1.602176634e-19  # C
 EPS0 = 8.8541878188e-12  # F/m
@@ -161,6 +165,34 @@ def derive_parameters(mat: MaterialParams, fields: FieldConfig) -> DerivedParams
         c_coulomb=coulomb_strength(mat),
         efield_ratio=chi,
     )
+
+
+def derive_arrays(mat: MaterialParams, B, E, a):
+    """(b, d, c, efield_ratio, valid) for 1-D arrays of lab points (scalars
+    broadcast), each point with the bits `derive_parameters` gives it.
+
+    The material is checked and omega_0, a_B and c computed once.  valid
+    is False where `derive_parameters` raises; b, d and efield_ratio are
+    nan or garbage there, and c is nan when no point is valid.
+    """
+    B, E, a = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float)) for v in (B, E, a)))
+    try:
+        mat.validate()
+    except InvalidParameterError:
+        valid = np.zeros(B.shape, dtype=bool)
+    else:
+        valid = np.isfinite(a) & (a > 0.0) & np.isfinite(B) & np.isfinite(E)
+    if not valid.any():
+        nan = np.full(B.shape, math.nan)
+        return nan, nan, math.nan, nan, valid
+    m = mat.effective_mass * M_ELECTRON
+    omega0 = confinement_frequency(mat)
+    with np.errstate(all="ignore"):  # invalid points may overflow; floats would too
+        larmor = E_CHARGE * np.abs(B) / (2.0 * m)
+        b = libm(functools.partial(math.hypot, omega0), larmor) / omega0
+        d = a / bohr_radius_nm(mat)
+        chi = E_CHARGE * E * a * NM_TO_M / (mat.confinement_energy * MEV_TO_J)
+    return b, d, coulomb_strength(mat), chi, valid
 
 
 def to_dimensionless(mat: MaterialParams, fields: FieldConfig):

@@ -1,0 +1,262 @@
+"""The array closed form against the scalar one, bit for bit.
+
+Every grid driver (sweep, the switch pre-scan, the scenario phases)
+evaluates J through `exchange_energy_arrays`; the point evaluators and
+Brent use `exchange_energy_lab`.  These tests keep the two from drifting:
+each array row is compared with the scalar call by repr, which tells
+nan, -inf and -0.0 apart.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import dotx.special
+import dotx.sweeps
+from dotx.closed_form import exchange_energy, exchange_energy_arrays, exchange_energy_lab, overlap
+from dotx.errors import InvalidArgumentError, InvalidParameterError, SingularConfigurationError
+from dotx.special import _I0_SPLIT, bessel_i0e, bessel_i0e_array
+from dotx.sweeps import SweepRow, SweepSpec, scan_switches, sweep, switching_scenario
+from dotx.units import (
+    GAAS,
+    FieldConfig,
+    MaterialParams,
+    bohr_radius_nm,
+    derive_parameters,
+    fields_from_dimensionless,
+)
+
+A_B = bohr_radius_nm(GAAS)
+
+
+def scalar_rows(mat, B, E, a):
+    """Per point: the scalar (b, d, chi, breakdown..., S), or None where it raises
+    the error a sweep turns into a singular row."""
+    rows = []
+    for point in zip(B, E, a):
+        fields = FieldConfig(*map(float, point))
+        try:
+            p = derive_parameters(mat, fields)
+            bd = exchange_energy_lab(mat, fields)
+        except (InvalidParameterError, SingularConfigurationError):
+            rows.append(None)
+            continue
+        rows.append(
+            (p.b, p.d, p.efield_ratio, bd.prefactor, bd.coulomb_term, bd.quartic_term,
+             bd.efield_term, bd.j_dimensionless, bd.j_mev, overlap(p.b, p.d))
+        )
+    return rows
+
+
+def array_rows(mat, B, E, a):
+    cols = exchange_energy_arrays(mat, *(np.asarray(v, dtype=float) for v in (B, E, a)))
+    names = ("b", "d", "efield_ratio", "prefactor", "coulomb_term", "quartic_term",
+             "efield_term", "j_dimensionless", "j_mev", "s_overlap")
+    columns = [getattr(cols, name).tolist() for name in names]
+    return [
+        tuple(column[i] for column in columns) if valid else None
+        for i, valid in enumerate(cols.valid.tolist())
+    ]
+
+
+def assert_same(mat, B, E, a):
+    got, want = array_rows(mat, B, E, a), scalar_rows(mat, B, E, a)
+    assert len(got) == len(want)
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert repr(g) == repr(w), (i, B[i], E[i], a[i])
+    return got
+
+
+class TestBesselArray:
+    def test_matches_scalar_on_both_branches(self):
+        x = np.concatenate([
+            np.linspace(0.0, 10.0, 20001),
+            np.linspace(-50.0, 800.0, 20001),
+            [math.nextafter(_I0_SPLIT, 0.0), _I0_SPLIT, 5e-324, 1e-300, 1e300, math.inf, -math.inf],
+        ])
+        got = bessel_i0e_array(x).tolist()
+        want = [bessel_i0e(v) for v in x.tolist()]
+        assert repr(got) == repr(want)
+
+    def test_nan_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            bessel_i0e_array(np.array([1.0, math.nan]))
+
+    def test_series_length_is_the_longest_scalar_loop(self):
+        def loop_length(x):  # the early-exit loop of special._i0_series, counted
+            q = 0.25 * x * x
+            total = term = 1.0
+            k = 0
+            while True:
+                k += 1
+                term *= q / (k * k)
+                if total + term == total:
+                    return k
+                total += term
+
+        xs = np.linspace(0.0, _I0_SPLIT, 50001)[:-1].tolist() + [math.nextafter(_I0_SPLIT, 0.0)]
+        assert dotx.special._I0_SERIES_TERMS == max(map(loop_length, xs))
+
+
+class TestKernelMatchesScalar:
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(-60.0, 60.0),
+                st.floats(-1e7, 1e7),
+                st.floats(1e-7, 8.0),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_random_lab_points(self, points):
+        B, E, a_rel = zip(*points)
+        assert_same(GAAS, B, E, [x * A_B for x in a_rel])
+
+    def test_branch_thresholds(self):
+        # Lab points whose x1 = b d^2 straddles the I0 splice at 7.5, whose
+        # arg = 2 d^2 (2b - 1/b) straddles the prefactor switch at 350, and
+        # whose 2 x2 = 2 d^2 (b - 1/b) straddles 700, where the printed
+        # coulomb term turns to -inf.
+        targets = [  # (b, d) on each threshold
+            (1.0, math.sqrt(_I0_SPLIT)),
+            (2.0, math.sqrt(_I0_SPLIT / 2.0)),
+            (2.0, math.sqrt(_I0_SPLIT / 1.5)),
+            (1.0, math.sqrt(175.0)),
+            (1.5, math.sqrt(175.0 / (3.0 - 1.0 / 1.5))),
+            (3.0, math.sqrt(350.0 / (3.0 - 1.0 / 3.0))),
+            (1.2, math.sqrt(350.0 / (1.2 - 1.0 / 1.2))),
+        ]
+        B, E, a = [], [], []
+        for b, d in targets:
+            for k in range(-40, 41):
+                fields = fields_from_dimensionless(GAAS, b, d * (1.0 + k * 1e-13), efield_ratio=0.3)
+                B.append(fields.B)
+                E.append(fields.E)
+                a.append(fields.a)
+        rows = assert_same(GAAS, B, E, a)
+        b, d = np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+        x1, x2 = b * d * d, d * d * (b - 1.0 / b)
+        arg = 2.0 * (x1 + x2)
+        for value, threshold in ((x1, _I0_SPLIT), (x2, _I0_SPLIT), (arg, 350.0), (2.0 * x2, 700.0)):
+            assert (value < threshold).any() and (value >= threshold).any()
+        assert any(r[4] == -math.inf for r in rows)
+
+    def test_singular_inputs(self):
+        a = 0.7 * A_B
+        points = [  # (B, E, a, whether the scalar path gives a breakdown)
+            (1.0, 0.0, a, True),
+            (0.0, 0.0, 0.0, False),
+            (1.0, math.inf, a, False),
+            (1.0, -math.inf, a, False),
+            (math.nan, 0.0, a, False),
+            (1e300, 0.0, a, False),  # b overflows
+            (-1e300, 0.0, a, False),
+            (1.0, 0.0, -a, False),
+            (1.0, 1e305, a, True),  # chi^2 overflows: J is inf, not singular
+            (1.0, 1e5, 1e-9 * A_B, False),  # 1 - S^4 rounds to 0
+        ]
+        B, E, A, valid = zip(*points)
+        rows = assert_same(GAAS, B, E, A)
+        assert [row is not None for row in rows] == list(valid)
+        bad = MaterialParams(effective_mass=-1.0, dielectric_const=13.1, confinement_energy=3.0)
+        assert assert_same(bad, B, E, A) == [None] * len(B)
+
+    def test_nan_argument_raises_like_scalar(self):
+        # d^2 overflows at b = 1, so x2 = inf * 0 is nan and I0 rejects it.
+        fields = FieldConfig(B=0.0, E=0.0, a=1e300)
+        with pytest.raises(InvalidArgumentError) as scalar:
+            exchange_energy_lab(GAAS, fields)
+        with pytest.raises(InvalidArgumentError) as array:
+            exchange_energy_arrays(GAAS, [1.0, 0.0], 0.0, [0.7 * A_B, 1e300])
+        assert str(array.value) == str(scalar.value)
+
+    def test_tiny_distance_is_singular_in_both(self):
+        with pytest.raises(SingularConfigurationError, match="1 - S"):
+            exchange_energy(1.0, 1e-9, 2.36, 0.0)
+        with pytest.raises(SingularConfigurationError):
+            exchange_energy(1.0, 1e-200, 2.36, 0.0)  # d^2 underflows to 0
+        cols = exchange_energy_arrays(GAAS, 0.0, 0.0, [1e-9 * A_B, 1e-200, 1e-7 * A_B])
+        assert cols.valid.tolist() == [False, False, True]
+
+
+def loop_sweep(spec):
+    """The per-point sweep that `sweep` replaced, kept as its reference."""
+    rows = []
+    for x in np.linspace(spec.start, spec.stop, spec.steps).tolist():
+        B, E, a = spec.fixed.B, spec.fixed.E, spec.fixed.a
+        if spec.vary == "B":
+            B = x
+        elif spec.vary == "E":
+            E = x
+        else:
+            a = x * bohr_radius_nm(spec.material)
+        try:
+            p = derive_parameters(spec.material, FieldConfig(B, E, a))
+            bd = exchange_energy(
+                p.b, p.d, p.c_coulomb, p.efield_ratio,
+                energy_scale_mev=spec.material.confinement_energy,
+            )
+        except (SingularConfigurationError, InvalidParameterError):
+            rows.append(SweepRow(x, math.nan, None, math.nan, math.nan, math.nan, singular=True))
+            continue
+        rows.append(SweepRow(x, bd.j_mev, bd, p.b, p.d, overlap(p.b, p.d)))
+    return rows
+
+
+class TestDriversMatchLoops:
+    @pytest.mark.parametrize(
+        "vary, start, stop, fixed",
+        [
+            ("B", -60.0, 60.0, (0.0, 3e5, 0.7)),
+            ("E", -1e7, 1e7, (2.0, 0.0, 0.7)),
+            ("d", 1e-9, 15.0, (1.5, 5e4, 0.7)),
+            ("B", 0.0, 3.0, (0.0, 0.0, 0.0)),
+            ("E", -1e12, 1e12, (1.0, 0.0, 0.7)),
+        ],
+    )
+    def test_sweep(self, vary, start, stop, fixed):
+        B, E, a_rel = fixed
+        spec = SweepSpec(vary=vary, start=start, stop=stop, steps=1601,
+                         fixed=FieldConfig(B, E, a_rel * A_B), material=GAAS)
+        assert repr(sweep(spec)) == repr(loop_sweep(spec))
+
+    def test_scan_prescan_makes_no_scalar_call(self, monkeypatch):
+        def scalar(*args):
+            raise AssertionError("scalar closed form called")
+
+        monkeypatch.setattr(dotx.sweeps, "exchange_energy_lab", scalar)
+        assert scan_switches("B", GAAS, FieldConfig(0.0, 0.0, 0.7 * A_B), 0.0, 0.5) == []
+
+    def test_scan_rejection_is_the_scalar_one(self):
+        fixed = FieldConfig(1.5, 0.0, 0.7 * A_B)
+        with pytest.raises(SingularConfigurationError, match="d=0"):
+            scan_switches("d", GAAS, fixed, 0.0, 1.5)
+        # Past d ~ 1e154 at B = 0 the array call itself raises; the scalar
+        # error still comes out.
+        with pytest.raises(InvalidArgumentError, match="NaN"):
+            scan_switches("d", GAAS, FieldConfig(0.0, 0.0, 0.7 * A_B), 1.0, 1e160)
+
+    @pytest.mark.parametrize("steps_per_phase", [1, 13, 40])
+    def test_scenario_phases(self, steps_per_phase):
+        a = 0.7 * A_B
+        result = switching_scenario(GAAS, a, b_operating=2.0, steps_per_phase=steps_per_phase)
+        e_stop = 1.25 * result.e_switch.value
+        plateau = max(2, steps_per_phase // 4)
+        path = (
+            [("A", x, 0.0) for x in np.linspace(0.0, 2.0, steps_per_phase).tolist()]
+            + [("B", 2.0, 0.0)] * plateau
+            + [("C", 2.0, x) for x in np.linspace(0.0, e_stop, steps_per_phase).tolist()]
+            + [("D", 2.0, e_stop)] * plateau
+        )
+        want = []
+        for phase, B, E in path:
+            j = exchange_energy_lab(GAAS, FieldConfig(B, E, a)).j_mev
+            want.append((phase, B, E, j, 0 if j == 0.0 else (1 if j > 0.0 else -1)))
+        got = [(s.phase, s.B, s.E, s.j_mev, s.sign) for s in result.steps]
+        assert repr(got) == repr(want)

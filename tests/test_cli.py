@@ -294,3 +294,40 @@ class TestErrorMapping:
         assert code == 2
         assert out == ""
         assert err == f"dotx: error: {message}\n"
+
+    @pytest.mark.parametrize("n", ["-5", "0", "1", "100001"])
+    def test_scan_steps_bounded_without_scan(self, capsys, n):
+        code, out, err = run(
+            capsys, "switch", "--vary", "B", "--from", "0.1", "--to", "3", "--scan-steps", n
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"dotx: error: scan needs between 2 and 100000 steps, got {n}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--vary", "E", "--from=-1e308", "--to", "1e308"],
+            ["sweep", "--vary", "B", "--from", "0", "--to", "inf"],
+            ["switch", "--vary", "E", "--scan", "--from=-inf", "--to", "1e6"],
+        ],
+    )
+    def test_non_finite_range(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("dotx: error: ") and "must be finite" in err
+        assert err.count("\n") == 1
+
+    def test_coincident_in_double_precision(self, capsys):
+        # 1 - S^4 rounds to 0 at d = 1e-9: a domain error, not a ZeroDivisionError
+        code, out, err = run(capsys, "eval", "--a-over-ab", "1e-9")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("dotx: error: singular configuration d=1e-09")
+        assert err.count("\n") == 1
+        code, out, _ = run(
+            capsys, "sweep", "--vary", "d", "--from", "1e-9", "--to", "1", "--steps", "3"
+        )
+        assert code == 0
+        assert out.splitlines()[-3] == "1e-09,nan,nan,nan,nan,nan,nan,nan,nan"

@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 import scipy.optimize
 
@@ -21,7 +22,7 @@ from dotx.sweeps import (
     sweep_csv_text,
     switching_scenario,
 )
-from dotx.units import FieldConfig, bohr_radius_nm
+from dotx.units import FieldConfig, bohr_radius_nm, derive_arrays
 
 from conftest import rel_err
 
@@ -102,6 +103,20 @@ class TestSweep:
             sweep(make_spec(gaas, vary="d", start=0.0, stop=1.0))
 
     @pytest.mark.parametrize(
+        "start, stop", [(-math.inf, 1.0), (0.0, math.inf), (-1e308, 1e308)]
+    )
+    def test_non_finite_range_rejected(self, gaas, start, stop):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            sweep(make_spec(gaas, vary="E", start=start, stop=stop))
+        with pytest.raises(InvalidParameterError, match="finite"):
+            scan_switches("E", gaas, make_spec(gaas).fixed, start, stop)
+
+    def test_tiny_distance_row_is_singular(self, gaas):
+        # 1 - S^4 rounds to 0 at d = 1e-9: singular, not a ZeroDivisionError
+        rows = sweep(make_spec(gaas, vary="d", start=1e-9, stop=1.0, steps=3))
+        assert [r.singular for r in rows] == [True, False, False]
+
+    @pytest.mark.parametrize(
         "vary, start, stop", [("B", 0.0, 8.0), ("E", -2e5, 2e5), ("d", 0.05, 4.0)]
     )
     def test_breakdown_equals_lab_evaluation(self, gaas, vary, start, stop):
@@ -114,10 +129,23 @@ class TestSweep:
                 cfg = replace(fixed, **{vary: row.x})
             assert row.breakdown == exchange_energy_lab(gaas, cfg)
 
-    def test_derives_each_point_once(self, gaas, count_derivations):
-        calls = count_derivations(dotx.sweeps, dotx.closed_form)
+    def test_derives_each_point_once(self, gaas, count_derivations, monkeypatch):
+        # All 31 points come from one array derivation; none is derived alone.
+        per_point = count_derivations(dotx.closed_form)
+        arrays = []
+
+        def counting(mat, B, E, a):
+            arrays.append(np.size(B))
+            return derive_arrays(mat, B, E, a)
+
+        def scalar(*args):
+            raise AssertionError("scalar closed form called")
+
+        monkeypatch.setattr(dotx.closed_form, "derive_arrays", counting)
+        monkeypatch.setattr(dotx.sweeps, "exchange_energy_lab", scalar)
         sweep(make_spec(gaas, steps=31))
-        assert len(calls) == 31
+        assert arrays == [31]
+        assert per_point == []
 
     def test_csv_text_layout(self, gaas):
         spec = make_spec(gaas, steps=5)
