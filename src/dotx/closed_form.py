@@ -18,13 +18,26 @@ equals 2 S^2 / (1 - S^4).  J > 0 favours the spin singlet
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParameterError, SingularConfigurationError
 from .special import bessel_i0e, bessel_i0e_array, libm
-from .units import FieldConfig, MaterialParams, derive_arrays, derive_parameters
+from .units import (
+    E_CHARGE,
+    NM_TO_M,
+    FieldConfig,
+    MaterialParams,
+    _material_constants,
+    derive_arrays,
+    derive_parameters,
+)
+
+#: The lab coordinates J is evaluated along: B (Tesla), E (V/m) and the
+#: half-distance d in units of a_B.
+AXES = ("B", "E", "d")
 
 
 @dataclass(frozen=True)
@@ -68,35 +81,17 @@ def exchange_energy(
     if not math.isfinite(efield_ratio):
         raise InvalidParameterError(f"efield_ratio must be finite, got {efield_ratio!r}")
 
-    d2 = d * d
-    x1 = b * d2
-    x2 = d2 * (b - 1.0 / b)
-    arg = 2.0 * (x1 + x2)  # 2 d^2 (2b - 1/b)
-    em = math.exp(-arg)
-    denominator = 1.0 - em * em  # 1 - S^4
-    if denominator == 0.0:
-        raise SingularConfigurationError(
-            f"singular configuration d={d!r}: 1 - S^4 rounds to 0, the two dots coincide"
-        )
-    csb = c * math.sqrt(b)
-
-    quartic_term = 0.75 / b * (1.0 + x1)
-    efield_term = 1.5 * (efield_ratio * efield_ratio) / d2
+    x2, arg, em, csb, i0e_x1, i0e_x2, quartic_term, efield_term, j_dimensionless = _terms(
+        b, d, c, efield_ratio
+    )
     # 1/sinh(arg) == 2 exp(-arg) to double precision once exp(-2 arg)
     # underflows; switching forms avoids overflowing sinh itself.
     prefactor = 1.0 / math.sinh(arg) if arg < 350.0 else 2.0 * em
     # The term as printed overflows through exp(x2) for extreme (b, d);
-    # report -inf there, while j below uses an overflow-free regrouping.
+    # report -inf there, while j uses an overflow-free regrouping.
     coulomb_term = (
-        csb * (bessel_i0e(x1) - math.exp(2.0 * x2) * bessel_i0e(x2))
-        if 2.0 * x2 < 700.0
-        else -math.inf
+        csb * (i0e_x1 - math.exp(2.0 * x2) * i0e_x2) if 2.0 * x2 < 700.0 else -math.inf
     )
-
-    j_dimensionless = (
-        2.0 * em * (csb * bessel_i0e(x1) + quartic_term + efield_term)
-        - 2.0 * csb * bessel_i0e(x2) * math.exp(-2.0 * x1)
-    ) / denominator
 
     return ExchangeBreakdown(
         prefactor=prefactor,
@@ -116,6 +111,75 @@ def exchange_energy_lab(mat: MaterialParams, fields: FieldConfig) -> ExchangeBre
     )
 
 
+def _terms(b: float, d: float, c: float, efield_ratio: float) -> tuple:
+    """The operations of J for checked (b, d, c, chi), in the one order every
+    scalar caller uses: (x2, arg, exp(-arg), c sqrt(b), I0e(x1), I0e(x2),
+    quartic_term, efield_term, j_dimensionless).
+
+    Raises where the distance makes J meaningless: d^2 overflowing, or
+    1 - S^4 rounding to 0.
+    """
+    d2 = d * d
+    if d2 == math.inf:
+        raise _distance_overflow(d)
+    x1 = b * d2
+    x2 = d2 * (b - 1.0 / b)
+    arg = 2.0 * (x1 + x2)  # 2 d^2 (2b - 1/b)
+    em = math.exp(-arg)
+    denominator = 1.0 - em * em  # 1 - S^4
+    if denominator == 0.0:
+        raise SingularConfigurationError(
+            f"singular configuration d={d!r}: 1 - S^4 rounds to 0, the two dots coincide"
+        )
+    csb = c * math.sqrt(b)
+    quartic_term = 0.75 / b * (1.0 + x1)
+    efield_term = 1.5 * (efield_ratio * efield_ratio) / d2
+    i0e_x1 = bessel_i0e(x1)
+    i0e_x2 = bessel_i0e(x2)
+    j_dimensionless = (
+        2.0 * em * (csb * i0e_x1 + quartic_term + efield_term)
+        - 2.0 * csb * i0e_x2 * math.exp(-2.0 * x1)
+    ) / denominator
+    return x2, arg, em, csb, i0e_x1, i0e_x2, quartic_term, efield_term, j_dimensionless
+
+
+def _distance_overflow(d: float) -> InvalidParameterError:
+    return InvalidParameterError(f"distance d={d!r} is too large: d^2 overflows")
+
+
+def exchange_energy_along(
+    mat: MaterialParams, fixed: FieldConfig, axis: str
+) -> Callable[[float], float]:
+    """J in meV as a function of one lab coordinate, the others from `fixed`.
+
+    axis is "B" (Tesla), "E" (V/m) or "d" (the half-distance in units of
+    a_B).  Each value has the bits `exchange_energy_lab(...).j_mev` gives:
+    the material is checked and its constants derived once, so a point
+    costs its own arithmetic and two I0e.  A point that fails a check goes
+    through `exchange_energy_lab`, which raises that path's error.
+    """
+    if axis not in AXES:
+        raise InvalidParameterError(f"axis must be one of {AXES}, got {axis!r}")
+    m, omega0, a_b, c, quantum = _material_constants(mat)  # c is finite and >= 0
+    two_m = 2.0 * m
+    scale = mat.confinement_energy
+    B0, E0, a0 = fixed.B, fixed.E, fixed.a
+    isfinite, hypot = math.isfinite, math.hypot
+
+    def j_mev(x: float) -> float:
+        B, E, a = (x, E0, a0) if axis == "B" else (B0, x, a0) if axis == "E" else (B0, E0, x * a_b)
+        # The checks of derive_parameters and exchange_energy, in their order.
+        if isfinite(a) and a > 0.0 and isfinite(B) and isfinite(E):
+            b = hypot(omega0, E_CHARGE * abs(B) / two_m) / omega0
+            d = a / a_b
+            chi = E_CHARGE * E * a * NM_TO_M / quantum
+            if isfinite(b) and b >= 1.0 - 1e-12 and isfinite(d) and d > 0.0 and isfinite(chi):
+                return _terms(b, d, c, chi)[-1] * scale
+        return exchange_energy_lab(mat, FieldConfig(B, E, a)).j_mev
+
+    return j_mev
+
+
 @dataclass(frozen=True)
 class ExchangeColumns:
     """`exchange_energy_lab` and `overlap` over 1-D arrays of lab points.
@@ -123,7 +187,8 @@ class ExchangeColumns:
     Each column holds, per point, the number the scalar functions give,
     bit for bit.  valid is False where `exchange_energy_lab` raises
     InvalidParameterError or SingularConfigurationError (the points a
-    sweep marks singular); every column is nan there.
+    sweep marks singular), except d^2 overflowing, which raises as the
+    scalar form does; every column is nan there.
     """
 
     b: np.ndarray
@@ -144,8 +209,7 @@ def exchange_energy_arrays(mat: MaterialParams, B, E, a) -> ExchangeColumns:
 
     Runs the operations of `exchange_energy` in the same order: the IEEE
     ones (+ - * /, sqrt) in numpy, exp and sinh through libm.  Like the
-    scalar form it raises InvalidArgumentError where a valid point sends
-    NaN into I0 (d^2 overflowing at b = 1).
+    scalar form it raises InvalidParameterError where d^2 overflows.
     """
     b, d, c, chi, valid = derive_arrays(mat, B, E, a)
     with np.errstate(all="ignore"):  # floats overflow silently; so do the columns
@@ -164,6 +228,9 @@ def exchange_energy_arrays(mat: MaterialParams, B, E, a) -> ExchangeColumns:
         )
         if not (math.isfinite(c) and c >= 0.0):
             valid[:] = False
+        overflow = valid & (d2 == math.inf)  # where the scalar form raises first
+        if overflow.any():
+            raise _distance_overflow(d[overflow][0].item())
         keep = slice(None) if valid.all() else valid  # a view when every point is valid
         b, d, chi, d2, x1, x2, arg, em, denominator = (
             v[keep] for v in (b, d, chi, d2, x1, x2, arg, em, denominator)

@@ -13,17 +13,20 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .closed_form import ExchangeBreakdown, exchange_energy_arrays, exchange_energy_lab
+from .closed_form import (
+    AXES,
+    ExchangeBreakdown,
+    exchange_energy_along,
+    exchange_energy_arrays,
+    exchange_energy_lab,
+)
 from .errors import (
-    InvalidArgumentError,
     InvalidParameterError,
     NoRootInBracketError,
     RootConvergenceError,
     ScenarioError,
 )
 from .units import FieldConfig, MaterialParams, bohr_radius_nm
-
-AXES = ("B", "E", "d")
 
 #: Bracket-width convergence targets per axis, in that axis's unit.
 AXIS_XTOL = {"B": 1e-6, "E": 1.0, "d": 1e-8}
@@ -98,6 +101,8 @@ class SwitchPoint:
     bracket: tuple
     residual: float
     direction: str  # "antiferro_to_ferro" or "ferro_to_antiferro"
+    iterations: int = 0  # Brent iterations
+    evaluations: int = 0  # J evaluations, each at a distinct point
 
 
 def _lab_point(material: MaterialParams, fixed: FieldConfig, axis: str, x):
@@ -107,14 +112,6 @@ def _lab_point(material: MaterialParams, fixed: FieldConfig, axis: str, x):
     if axis == "E":
         return fixed.B, x, fixed.a
     return fixed.B, fixed.E, x * bohr_radius_nm(material)
-
-
-def _j_of(material: MaterialParams, fixed: FieldConfig, axis: str):
-    def j(x: float) -> float:
-        fields = FieldConfig(*_lab_point(material, fixed, axis, x))
-        return exchange_energy_lab(material, fields).j_mev
-
-    return j
 
 
 def _j_values(material: MaterialParams, B, E, a) -> list:
@@ -127,7 +124,7 @@ def _j_values(material: MaterialParams, B, E, a) -> list:
         cols = exchange_energy_arrays(material, B, E, a)
         if cols.valid.all():
             return cols.j_mev.tolist()
-    except InvalidArgumentError:
+    except InvalidParameterError:  # d^2 overflowing; the scalar path may raise earlier
         pass
     points = zip(*(v.tolist() for v in np.broadcast_arrays(B, E, a)))
     return [exchange_energy_lab(material, FieldConfig(*point)).j_mev for point in points]
@@ -166,18 +163,21 @@ def sweep(spec: SweepSpec) -> list[SweepRow]:
     return rows
 
 
-def brent(f, a: float, b: float, xtol: float, max_iter: int = 200):
+def brent(f, a: float, b: float, xtol: float, max_iter: int = 200, fa: float | None = None):
     """Classic Brent zero finder on a sign-change bracket [a, b].
 
     Inverse quadratic interpolation with secant and bisection fallbacks.
-    Returns (root, f(root), (lo, hi), iterations) where (lo, hi) is the
-    final bracket.  Requires f(a) and f(b) of opposite sign.
+    Returns (root, f(root), (lo, hi), iterations, (f(lo), f(hi))) where
+    (lo, hi) is the final bracket.  Requires f(a) and f(b) of opposite
+    sign; `fa` is f(a) when the caller has it already.
     """
-    fa, fb = f(a), f(b)
+    if fa is None:
+        fa = f(a)
+    fb = f(b)
     if fa == 0.0:
-        return a, 0.0, (a, a), 0
+        return a, 0.0, (a, a), 0, (fa, fa)
     if fb == 0.0:
-        return b, 0.0, (b, b), 0
+        return b, 0.0, (b, b), 0, (fb, fb)
     if math.copysign(1.0, fa) == math.copysign(1.0, fb):
         raise NoRootInBracketError(f"no sign change on [{a}, {b}]: f={fa}, {fb}")
     c, fc = a, fa
@@ -190,8 +190,9 @@ def brent(f, a: float, b: float, xtol: float, max_iter: int = 200):
         tol = 2.0 * eps * abs(b) + 0.5 * xtol
         m = 0.5 * (c - b)
         if abs(m) <= tol or fb == 0.0:
-            lo, hi = (b, c) if b <= c else (c, b)
-            return b, fb, (lo, hi), it
+            if b <= c:
+                return b, fb, (b, c), it, (fb, fc)
+            return b, fb, (c, b), it, (fc, fb)
         if abs(e) < tol or abs(fa) <= abs(fb):
             e = d = m
         else:
@@ -225,9 +226,9 @@ def brent(f, a: float, b: float, xtol: float, max_iter: int = 200):
     )
 
 
-def _polish_residual(f, bracket, best_x, best_f, ftol, max_iter=200):
+def _polish_residual(f, bracket, f_bracket, best_x, best_f, ftol, max_iter=200):
     lo, hi = bracket
-    f_lo, f_hi = f(lo), f(hi)
+    f_lo, f_hi = f_bracket
     if abs(f_lo) <= abs(best_f):
         best_x, best_f = lo, f_lo
     if abs(f_hi) <= abs(best_f):
@@ -265,13 +266,24 @@ def find_switch(
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise InvalidParameterError("bracket must satisfy lo < hi")
-    j = _j_of(material, fixed, axis)
+    j_at = exchange_energy_along(material, fixed, axis)
+    evaluations = 0
+
+    def j(x: float) -> float:
+        nonlocal evaluations
+        evaluations += 1
+        return j_at(x)
+
     j_lo = j(lo)
-    root, j_root, final_bracket, _ = brent(j, lo, hi, AXIS_XTOL[axis])
+    root, j_root, final_bracket, iterations, j_bracket = brent(
+        j, lo, hi, AXIS_XTOL[axis], fa=j_lo
+    )
     if abs(j_root) > tol:
         # Brent stops on bracket width; bisect further until the residual
         # itself is under tol (J is smooth, so this converges fast).
-        root, j_root, final_bracket = _polish_residual(j, final_bracket, root, j_root, tol)
+        root, j_root, final_bracket = _polish_residual(
+            j, final_bracket, j_bracket, root, j_root, tol
+        )
     if abs(j_root) > tol:
         raise RootConvergenceError(
             f"|J(root)| = {abs(j_root)} meV exceeds tol {tol}", bracket=final_bracket
@@ -283,6 +295,8 @@ def find_switch(
         bracket=(lo, hi),
         residual=abs(j_root),
         direction=direction,
+        iterations=iterations,
+        evaluations=evaluations,
     )
 
 
@@ -351,8 +365,7 @@ def switching_scenario(
             f"scenario needs between 1 and {_MAX_STEPS} steps per phase, got {steps_per_phase!r}"
         )
     fixed = FieldConfig(B=0.0, E=0.0, a=a_nm)
-    j = _j_of(material, fixed, "B")
-    if j(b_operating) >= 0.0:
+    if exchange_energy_along(material, fixed, "B")(b_operating) >= 0.0:
         roots = scan_switches("B", material, fixed, 0.0, max(3.0, 2.0 * b_operating))
         threshold = f"{roots[0].value:.4g} T" if roots else "above the scanned range"
         raise ScenarioError(

@@ -20,6 +20,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -118,52 +119,74 @@ BUILTIN_MATERIALS = {"gaas": GAAS}
 MATERIAL_PATH_ENV = "DOTX_MATERIAL_PATH"
 
 
+class _Material(NamedTuple):
+    """The per-material constants every lab-to-model mapping uses."""
+
+    mass: float  # effective mass m, kg
+    omega0: float  # confinement frequency omega_0, rad/s
+    bohr_radius: float  # a_B = sqrt(hbar / (m omega_0)), nm
+    c: float  # dimensionless Coulomb strength
+    quantum: float  # confinement quantum hbar omega_0, J
+
+
+def _material_constants(mat: MaterialParams) -> _Material:
+    """Check the material and derive its constants, each formula written once.
+
+    c = sqrt(pi/2) * (e^2 / (4 pi eps0 kappa a_B)) / (hbar omega_0), i.e.
+    the screened interaction energy at the Bohr-radius scale measured
+    against the confinement quantum, unless the material overrides it.
+    """
+    mat.validate()
+    quantum = mat.confinement_energy * MEV_TO_J
+    m = mat.effective_mass * M_ELECTRON
+    omega0 = quantum / HBAR
+    a_b = math.sqrt(HBAR / (m * omega0)) / NM_TO_M
+    c = mat.c_override
+    if c is None:
+        screening = 4.0 * math.pi * EPS0 * mat.dielectric_const * (a_b * NM_TO_M)
+        # The product underflows to 0 for a tiny kappa: c is then infinite.
+        e_coul = E_CHARGE**2 / screening if screening > 0.0 else math.inf
+        c = math.sqrt(math.pi / 2.0) * e_coul / quantum
+        if not math.isfinite(c):
+            raise InvalidParameterError(
+                f"dielectric_const {mat.dielectric_const!r} gives a Coulomb strength "
+                "that is not finite"
+            )
+    return _Material(m, omega0, a_b, c, quantum)
+
+
 def confinement_frequency(mat: MaterialParams) -> float:
-    """omega_0 in rad/s."""
-    return mat.confinement_energy * MEV_TO_J / HBAR
+    """omega_0 in rad/s.  Like every constant below, it raises
+    InvalidParameterError for a material `_material_constants` rejects."""
+    return _material_constants(mat).omega0
 
 
 def bohr_radius_nm(mat: MaterialParams) -> float:
     """Effective Bohr radius sqrt(hbar / (m omega_0)) of one well, in nm."""
-    m = mat.effective_mass * M_ELECTRON
-    return math.sqrt(HBAR / (m * confinement_frequency(mat))) / NM_TO_M
+    return _material_constants(mat).bohr_radius
 
 
 def coulomb_strength(mat: MaterialParams) -> float:
-    """Dimensionless Coulomb strength for the material.
-
-    c = sqrt(pi/2) * (e^2 / (4 pi eps0 kappa a_B)) / (hbar omega_0),
-    i.e. the screened interaction energy at the Bohr-radius scale
-    measured against the confinement quantum.  GaAs with a 3 meV well
-    gives c close to 2.36.
+    """Dimensionless Coulomb strength for the material (see
+    `_material_constants`).  GaAs with a 3 meV well gives c close to 2.36.
     """
-    if mat.c_override is not None:
-        return mat.c_override
-    a_b = bohr_radius_nm(mat) * NM_TO_M
-    e_coul = E_CHARGE**2 / (4.0 * math.pi * EPS0 * mat.dielectric_const * a_b)
-    return math.sqrt(math.pi / 2.0) * e_coul / (mat.confinement_energy * MEV_TO_J)
+    return _material_constants(mat).c
 
 
 def derive_parameters(mat: MaterialParams, fields: FieldConfig) -> DerivedParams:
     """Map lab inputs to the dimensionless model parameters."""
-    mat.validate()
+    m, omega0, a_b, c, quantum = _material_constants(mat)
     fields.validate()
-    m = mat.effective_mass * M_ELECTRON
-    omega0 = confinement_frequency(mat)
     larmor = E_CHARGE * abs(fields.B) / (2.0 * m)
     fock_darwin = math.hypot(omega0, larmor)
-    b = fock_darwin / omega0
-    a_b = bohr_radius_nm(mat)
-    d = fields.a / a_b
-    chi = E_CHARGE * fields.E * fields.a * NM_TO_M / (mat.confinement_energy * MEV_TO_J)
     return DerivedParams(
         larmor=larmor,
         fock_darwin=fock_darwin,
-        b=b,
-        d=d,
+        b=fock_darwin / omega0,
+        d=fields.a / a_b,
         bohr_radius=a_b,
-        c_coulomb=coulomb_strength(mat),
-        efield_ratio=chi,
+        c_coulomb=c,
+        efield_ratio=E_CHARGE * fields.E * fields.a * NM_TO_M / quantum,
     )
 
 
@@ -171,13 +194,13 @@ def derive_arrays(mat: MaterialParams, B, E, a):
     """(b, d, c, efield_ratio, valid) for 1-D arrays of lab points (scalars
     broadcast), each point with the bits `derive_parameters` gives it.
 
-    The material is checked and omega_0, a_B and c computed once.  valid
-    is False where `derive_parameters` raises; b, d and efield_ratio are
-    nan or garbage there, and c is nan when no point is valid.
+    The material is checked and its constants derived once.  valid is
+    False where `derive_parameters` raises; b, d and efield_ratio are nan
+    or garbage there, and c is nan when no point is valid.
     """
     B, E, a = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float)) for v in (B, E, a)))
     try:
-        mat.validate()
+        m, omega0, a_b, c, quantum = _material_constants(mat)
     except InvalidParameterError:
         valid = np.zeros(B.shape, dtype=bool)
     else:
@@ -185,14 +208,12 @@ def derive_arrays(mat: MaterialParams, B, E, a):
     if not valid.any():
         nan = np.full(B.shape, math.nan)
         return nan, nan, math.nan, nan, valid
-    m = mat.effective_mass * M_ELECTRON
-    omega0 = confinement_frequency(mat)
     with np.errstate(all="ignore"):  # invalid points may overflow; floats would too
         larmor = E_CHARGE * np.abs(B) / (2.0 * m)
         b = libm(functools.partial(math.hypot, omega0), larmor) / omega0
-        d = a / bohr_radius_nm(mat)
-        chi = E_CHARGE * E * a * NM_TO_M / (mat.confinement_energy * MEV_TO_J)
-    return b, d, coulomb_strength(mat), chi, valid
+        d = a / a_b
+        chi = E_CHARGE * E * a * NM_TO_M / quantum
+    return b, d, c, chi, valid
 
 
 def to_dimensionless(mat: MaterialParams, fields: FieldConfig):
@@ -205,16 +226,14 @@ def fields_from_dimensionless(
     mat: MaterialParams, b: float, d: float, efield_ratio: float = 0.0
 ) -> FieldConfig:
     """Invert (b, d, chi) back to lab fields for the given material."""
-    mat.validate()
+    m, omega0, a_b, _, _ = _material_constants(mat)
     if not (math.isfinite(b) and b >= 1.0):
         raise InvalidParameterError(f"compression factor b must be >= 1, got {b!r}")
     if not (math.isfinite(d) and d > 0.0):
         raise InvalidParameterError(f"dimensionless distance d must be > 0, got {d!r}")
-    m = mat.effective_mass * M_ELECTRON
-    omega0 = confinement_frequency(mat)
     larmor = omega0 * math.sqrt(b * b - 1.0)
     B = 2.0 * m * larmor / E_CHARGE
-    a_nm = d * bohr_radius_nm(mat)
+    a_nm = d * a_b
     E = efield_ratio * mat.confinement_energy * MEV_TO_J / (E_CHARGE * a_nm * NM_TO_M)
     return FieldConfig(B=B, E=E, a=a_nm)
 

@@ -167,13 +167,16 @@ class TestKernelMatchesScalar:
         bad = MaterialParams(effective_mass=-1.0, dielectric_const=13.1, confinement_energy=3.0)
         assert assert_same(bad, B, E, A) == [None] * len(B)
 
-    def test_nan_argument_raises_like_scalar(self):
-        # d^2 overflows at b = 1, so x2 = inf * 0 is nan and I0 rejects it.
-        fields = FieldConfig(B=0.0, E=0.0, a=1e300)
-        with pytest.raises(InvalidArgumentError) as scalar:
+    @pytest.mark.parametrize("B", [0.0, 1.0])
+    def test_distance_overflow_raises_like_scalar(self, B):
+        # d^2 overflows: at b = 1 x2 = inf * 0 would be nan, at b > 1 J would
+        # be nan; both forms name the distance instead.
+        fields = FieldConfig(B=B, E=0.0, a=1e300)
+        with pytest.raises(InvalidParameterError, match=r"distance d=.*d\^2 overflows") as scalar:
             exchange_energy_lab(GAAS, fields)
-        with pytest.raises(InvalidArgumentError) as array:
-            exchange_energy_arrays(GAAS, [1.0, 0.0], 0.0, [0.7 * A_B, 1e300])
+        assert repr(fields.a / A_B) in str(scalar.value)
+        with pytest.raises(InvalidParameterError) as array:
+            exchange_energy_arrays(GAAS, [1.0, B, B], 0.0, [0.7 * A_B, 1e300, 1e301])
         assert str(array.value) == str(scalar.value)
 
     def test_tiny_distance_is_singular_in_both(self):
@@ -237,9 +240,9 @@ class TestDriversMatchLoops:
         fixed = FieldConfig(1.5, 0.0, 0.7 * A_B)
         with pytest.raises(SingularConfigurationError, match="d=0"):
             scan_switches("d", GAAS, fixed, 0.0, 1.5)
-        # Past d ~ 1e154 at B = 0 the array call itself raises; the scalar
-        # error still comes out.
-        with pytest.raises(InvalidArgumentError, match="NaN"):
+        # Past d ~ 1e154 the array call itself raises; the scalar error,
+        # which names the first such distance, still comes out.
+        with pytest.raises(InvalidParameterError, match=r"distance d=.*d\^2 overflows"):
             scan_switches("d", GAAS, FieldConfig(0.0, 0.0, 0.7 * A_B), 1.0, 1e160)
 
     @pytest.mark.parametrize("steps_per_phase", [1, 13, 40])

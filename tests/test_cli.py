@@ -331,3 +331,40 @@ class TestErrorMapping:
         )
         assert code == 0
         assert out.splitlines()[-3] == "1e-09,nan,nan,nan,nan,nan,nan,nan,nan"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval"],
+            ["eval", "--json"],
+            ["sweep", "--vary", "B", "--from", "0", "--to", "3", "--steps", "5"],
+            ["switch", "--vary", "B", "--from", "0.5", "--to", "3"],
+        ],
+    )
+    def test_coulomb_strength_underflow(self, capsys, tmp_path, argv):
+        # 4 pi eps0 kappa a_B underflows to 0: a domain error naming kappa,
+        # not a ZeroDivisionError traceback
+        mat = tmp_path / "material.json"
+        mat.write_text(
+            '{"effective_mass": 0.067, "dielectric_const": 1e-320, "confinement_energy_mev": 3.0}'
+        )
+        code, out, err = run(capsys, *argv, "--material-file", str(mat))
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "dotx: error: dielectric_const 1e-320 gives a Coulomb strength that is not finite\n"
+        )
+
+    def test_distance_overflow_is_named(self, capsys):
+        # d^2 overflows at d ~ 1.3e154: the error names the distance rather
+        # than the NaN that would reach I0
+        code, out, err = run(capsys, "eval", "--B", "0", "--a-over-ab", "1e155")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("dotx: error: distance d=") and "d^2 overflows" in err
+        assert err.count("\n") == 1
+        code, out, err = run(
+            capsys, "sweep", "--vary", "d", "--from", "1", "--to", "1e160", "--steps", "3"
+        )
+        assert code == 2
+        assert err == "dotx: error: distance d=5e+159 is too large: d^2 overflows\n"

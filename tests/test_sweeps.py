@@ -168,7 +168,7 @@ class TestBrent:
         ],
     )
     def test_against_scipy(self, f, a, b):
-        root, froot, bracket, _ = brent(f, a, b, 1e-12)
+        root, froot, bracket = brent(f, a, b, 1e-12)[:3]
         ref = scipy.optimize.brentq(f, a, b, xtol=1e-14)
         assert abs(root - ref) < 1e-10
         assert abs(froot) < 1e-10
@@ -179,7 +179,7 @@ class TestBrent:
             brent(lambda x: x * x + 1.0, -1.0, 1.0, 1e-10)
 
     def test_endpoint_root(self):
-        root, froot, _, _ = brent(lambda x: x, 0.0, 1.0, 1e-10)
+        root, froot = brent(lambda x: x, 0.0, 1.0, 1e-10)[:2]
         assert root == 0.0 and froot == 0.0
 
 

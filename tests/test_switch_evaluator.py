@@ -1,0 +1,196 @@
+"""The scalar evaluator of J along one axis, and the switch finder that uses it.
+
+`exchange_energy_along` derives the material's constants once and then
+runs only the per-point arithmetic; every value must still carry the bits
+of `exchange_energy_lab(...).j_mev`, and every rejected point its error.
+Values are compared by repr, which tells nan, -inf and -0.0 apart.
+"""
+
+import math
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import dotx.closed_form
+import dotx.sweeps
+from dotx.closed_form import exchange_energy_along, exchange_energy_lab
+from dotx.errors import InvalidParameterError
+from dotx.sweeps import brent, find_switch, switch_point_dict
+from dotx.units import GAAS, FieldConfig, MaterialParams, bohr_radius_nm
+
+A_B = bohr_radius_nm(GAAS)
+FIXED = FieldConfig(B=1.5, E=5e4, a=0.7 * A_B)
+REFERENCE = FieldConfig(B=0.0, E=0.0, a=0.7 * A_B)
+
+
+def lab_fields(fixed, axis, x):
+    if axis == "B":
+        return replace(fixed, B=x)
+    if axis == "E":
+        return replace(fixed, E=x)
+    return replace(fixed, a=x * A_B)
+
+
+def lab_outcome(mat, fields):
+    """repr of J from the lab path, or its error type and message."""
+    try:
+        return repr(exchange_energy_lab(mat, fields).j_mev)
+    except Exception as exc:  # the comparison is of whatever the path raises
+        return type(exc), str(exc)
+
+
+def along_outcome(mat, fixed, axis, x):
+    try:
+        return repr(exchange_energy_along(mat, fixed, axis)(x))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestMatchesLabPath:
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(
+        st.floats(-60.0, 60.0),
+        st.floats(-1e7, 1e7),
+        st.floats(1e-7, 8.0),
+        st.sampled_from(["B", "E", "d"]),
+    )
+    def test_random_points(self, B, E, d, axis):
+        fixed = FieldConfig(B=B, E=E, a=d * A_B)
+        x = {"B": B, "E": E, "d": d}[axis]
+        j = exchange_energy_along(GAAS, fixed, axis)
+        assert repr(j(x)) == repr(exchange_energy_lab(GAAS, lab_fields(fixed, axis, x)).j_mev)
+
+    @pytest.mark.parametrize(
+        "axis, x",
+        [
+            ("d", 0.0),  # coincident dots
+            ("d", -0.5),
+            ("d", 1e-9),  # 1 - S^4 rounds to 0
+            ("d", 1e-200),  # d^2 underflows to 0
+            ("d", 1e160),  # d^2 overflows
+            ("d", math.inf),
+            ("d", math.nan),
+            ("B", math.inf),
+            ("B", math.nan),
+            ("B", 1e300),  # b overflows
+            ("E", math.inf),
+            ("E", -math.inf),
+            ("E", math.nan),
+            ("E", 1e305),  # chi^2 overflows: J is inf, not an error
+        ],
+    )
+    def test_rejections_are_the_lab_ones(self, axis, x):
+        want = lab_outcome(GAAS, lab_fields(FIXED, axis, x))
+        assert along_outcome(GAAS, FIXED, axis, x) == want
+
+    @pytest.mark.parametrize(
+        "mat",
+        [
+            MaterialParams(effective_mass=-1.0, dielectric_const=13.1, confinement_energy=3.0),
+            MaterialParams(effective_mass=0.067, dielectric_const=math.nan, confinement_energy=3.0),
+            MaterialParams(effective_mass=0.067, dielectric_const=1e-320, confinement_energy=3.0),
+            replace(GAAS, c_override=-1.0),
+            replace(GAAS, c_override=math.inf),
+            replace(GAAS, c_override=0.0),
+            replace(GAAS, c_override=1.5),
+        ],
+    )
+    @pytest.mark.parametrize("axis", ["B", "E", "d"])
+    def test_material_and_c_override(self, mat, axis):
+        x = {"B": 2.0, "E": 1e5, "d": 0.8}[axis]
+        want = lab_outcome(mat, lab_fields(FIXED, axis, x))
+        assert along_outcome(mat, FIXED, axis, x) == want
+
+    def test_unknown_axis(self):
+        with pytest.raises(InvalidParameterError, match="axis must be one of"):
+            exchange_energy_along(GAAS, FIXED, "x")
+
+
+class TestFindSwitchEvaluations:
+    def test_valid_bracket_makes_no_lab_call(self, monkeypatch):
+        def lab(*args):
+            raise AssertionError("exchange_energy_lab called")
+
+        monkeypatch.setattr(dotx.closed_form, "exchange_energy_lab", lab)
+        monkeypatch.setattr(dotx.sweeps, "exchange_energy_lab", lab)
+        point = find_switch("B", GAAS, REFERENCE, (0.5, 3.0))
+        assert 1.2 <= point.value <= 1.5
+
+    @pytest.mark.parametrize(
+        "axis, fixed, bracket, tol, polished",
+        [
+            ("B", REFERENCE, (0.5, 3.0), 1e-9, False),
+            ("B", replace(REFERENCE, E=2e5), (0.2, 9.5), 1e-14, True),
+            ("E", replace(REFERENCE, B=2.0), (0.0, 2e5), 1e-9, True),
+            ("d", replace(REFERENCE, B=1.5), (0.3, 1.2), 1e-12, True),
+        ],
+    )
+    def test_counts_every_distinct_point_once(
+        self, monkeypatch, axis, fixed, bracket, tol, polished
+    ):
+        # Brent has f at both ends of its final bracket, and find_switch has
+        # f(lo): neither is evaluated again.
+        points = []
+
+        def recording(mat, fixed, axis):
+            j = exchange_energy_along(mat, fixed, axis)
+
+            def recorded(x):
+                points.append(x)
+                return j(x)
+
+            return recorded
+
+        iterations = []
+
+        def counting_brent(*args, **kwargs):
+            result = brent(*args, **kwargs)
+            iterations.append(result[3])
+            return result
+
+        polish = dotx.sweeps._polish_residual
+        polishes = []
+
+        def counting_polish(*args, **kwargs):
+            polishes.append(args[1])
+            return polish(*args, **kwargs)
+
+        monkeypatch.setattr(dotx.sweeps, "exchange_energy_along", recording)
+        monkeypatch.setattr(dotx.sweeps, "brent", counting_brent)
+        monkeypatch.setattr(dotx.sweeps, "_polish_residual", counting_polish)
+        point = find_switch(axis, GAAS, fixed, bracket, tol=tol)
+        assert point.evaluations == len(points) == len(set(points))
+        assert point.iterations == iterations[0] > 0
+        assert bool(polishes) == polished
+        assert point.residual <= tol
+
+    def test_switch_dict_keeps_its_keys(self):
+        point = find_switch("B", GAAS, REFERENCE, (0.5, 3.0))
+        assert point.evaluations > point.iterations > 0
+        assert list(switch_point_dict(point)) == [
+            "axis", "value", "bracket", "residual_mev", "direction"
+        ]
+
+
+class TestBrentKnownValues:
+    def test_known_fa_saves_one_call(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return math.cos(x) - x
+
+        plain = brent(f, 0.0, 1.5, 1e-12)
+        n_plain = len(calls)
+        calls.clear()
+        known = brent(f, 0.0, 1.5, 1e-12, fa=f(0.0))
+        assert repr(known) == repr(plain)
+        assert len(calls) == n_plain
+
+    def test_bracket_values_are_f_at_the_ends(self):
+        f = lambda x: x**3 - 2.0 * x - 5.0  # noqa: E731
+        _, _, (lo, hi), _, (f_lo, f_hi) = brent(f, 1.0, 3.0, 1e-6)
+        assert (f_lo, f_hi) == (f(lo), f(hi))
+        assert f_lo * f_hi <= 0.0
