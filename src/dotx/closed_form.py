@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,12 +41,14 @@ from .units import (
 AXES = ("B", "E", "d")
 
 
-@dataclass(frozen=True)
-class ExchangeBreakdown:
+class ExchangeBreakdown(NamedTuple):
     """Exchange energy and its term-by-term decomposition.
 
     j_dimensionless = prefactor * (coulomb_term + quartic_term + efield_term)
     and j_mev is the same number scaled by the confinement quantum.
+    coulomb_term is reported as -inf where 2 x2 = 2 d^2 (b - 1/b) >= 700,
+    because exp(2 x2) overflows there; j_dimensionless stays finite through
+    an overflow-free regrouping of the same sum.
     """
 
     prefactor: float
@@ -116,13 +119,13 @@ def _terms(b: float, d: float, c: float, efield_ratio: float) -> tuple:
     scalar caller uses: (x2, arg, exp(-arg), c sqrt(b), I0e(x1), I0e(x2),
     quartic_term, efield_term, j_dimensionless).
 
-    Raises where the distance makes J meaningless: d^2 overflowing, or
-    1 - S^4 rounding to 0.
+    Raises where the distance makes J meaningless: d^2 or b d^2 overflowing,
+    or 1 - S^4 rounding to 0.
     """
     d2 = d * d
-    if d2 == math.inf:
-        raise _distance_overflow(d)
     x1 = b * d2
+    if x1 == math.inf:  # d^2 itself, or b d^2 (J would be 0 * inf = nan)
+        raise _distance_overflow(b, d)
     x2 = d2 * (b - 1.0 / b)
     arg = 2.0 * (x1 + x2)  # 2 d^2 (2b - 1/b)
     em = math.exp(-arg)
@@ -143,8 +146,10 @@ def _terms(b: float, d: float, c: float, efield_ratio: float) -> tuple:
     return x2, arg, em, csb, i0e_x1, i0e_x2, quartic_term, efield_term, j_dimensionless
 
 
-def _distance_overflow(d: float) -> InvalidParameterError:
-    return InvalidParameterError(f"distance d={d!r} is too large: d^2 overflows")
+def _distance_overflow(b: float, d: float) -> InvalidParameterError:
+    if d * d == math.inf:
+        return InvalidParameterError(f"distance d={d!r} is too large: d^2 overflows")
+    return InvalidParameterError(f"distance d={d!r} is too large at b={b!r}: b*d^2 overflows")
 
 
 def exchange_energy_along(
@@ -187,8 +192,8 @@ class ExchangeColumns:
     Each column holds, per point, the number the scalar functions give,
     bit for bit.  valid is False where `exchange_energy_lab` raises
     InvalidParameterError or SingularConfigurationError (the points a
-    sweep marks singular), except d^2 overflowing, which raises as the
-    scalar form does; every column is nan there.
+    sweep marks singular), except d^2 or b d^2 overflowing, which raises
+    as the scalar form does; every column is nan there.
     """
 
     b: np.ndarray
@@ -209,7 +214,7 @@ def exchange_energy_arrays(mat: MaterialParams, B, E, a) -> ExchangeColumns:
 
     Runs the operations of `exchange_energy` in the same order: the IEEE
     ones (+ - * /, sqrt) in numpy, exp and sinh through libm.  Like the
-    scalar form it raises InvalidParameterError where d^2 overflows.
+    scalar form it raises InvalidParameterError where d^2 or b d^2 overflows.
     """
     b, d, c, chi, valid = derive_arrays(mat, B, E, a)
     with np.errstate(all="ignore"):  # floats overflow silently; so do the columns
@@ -228,9 +233,10 @@ def exchange_energy_arrays(mat: MaterialParams, B, E, a) -> ExchangeColumns:
         )
         if not (math.isfinite(c) and c >= 0.0):
             valid[:] = False
-        overflow = valid & (d2 == math.inf)  # where the scalar form raises first
+        overflow = valid & (x1 == math.inf)  # where the scalar form raises first
         if overflow.any():
-            raise _distance_overflow(d[overflow][0].item())
+            first = np.flatnonzero(overflow)[0]
+            raise _distance_overflow(b[first].item(), d[first].item())
         keep = slice(None) if valid.all() else valid  # a view when every point is valid
         b, d, chi, d2, x1, x2, arg, em, denominator = (
             v[keep] for v in (b, d, chi, d2, x1, x2, arg, em, denominator)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,8 +82,7 @@ def validate_scan_steps(scan_steps: int):
         )
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     x: float
     j_mev: float
     breakdown: ExchangeBreakdown | None
@@ -131,8 +131,8 @@ def _j_values(material: MaterialParams, B, E, a) -> list:
 
 
 def _row_columns(spec: SweepSpec) -> list:
-    # Per-point lists of grid, validity and the row's numbers; the arrays
-    # they come from are freed on return, before the rows are built.
+    # Per-point lists of grid and the row's numbers, then the invalid indices;
+    # the arrays they come from are freed on return, before the rows are built.
     grid = np.linspace(spec.start, spec.stop, spec.steps)
     cols = exchange_energy_arrays(
         spec.material, *_lab_point(spec.material, spec.fixed, spec.vary, grid)
@@ -140,8 +140,9 @@ def _row_columns(spec: SweepSpec) -> list:
     return [
         column.tolist()
         for column in (
-            grid, cols.valid, cols.prefactor, cols.coulomb_term, cols.quartic_term,
-            cols.efield_term, cols.j_dimensionless, cols.j_mev, cols.b, cols.d, cols.s_overlap,
+            grid, cols.prefactor, cols.coulomb_term, cols.quartic_term, cols.efield_term,
+            cols.j_dimensionless, cols.j_mev, cols.b, cols.d, cols.s_overlap,
+            np.flatnonzero(~cols.valid),
         )
     ]
 
@@ -149,17 +150,11 @@ def _row_columns(spec: SweepSpec) -> list:
 def sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate the exchange energy along a monotone grid, in one array call."""
     spec.validate()
-    rows = []
-    for x, valid, prefactor, coulomb, quartic, efield, j_dim, j_mev, b, d, s in zip(
-        *_row_columns(spec)
-    ):
-        if valid:
-            bd = ExchangeBreakdown(prefactor, coulomb, quartic, efield, j_dim, j_mev)
-            rows.append(SweepRow(x, j_mev, bd, b, d, s))
-        else:
-            rows.append(
-                SweepRow(x, math.nan, None, math.nan, math.nan, math.nan, singular=True)
-            )
+    x, prefactor, coulomb, quartic, efield, j_dim, j_mev, b, d, s, invalid = _row_columns(spec)
+    breakdowns = map(ExchangeBreakdown, prefactor, coulomb, quartic, efield, j_dim, j_mev)
+    rows = list(map(SweepRow, x, j_mev, breakdowns, b, d, s))
+    for i in invalid:
+        rows[i] = SweepRow(x[i], math.nan, None, math.nan, math.nan, math.nan, singular=True)
     return rows
 
 

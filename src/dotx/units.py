@@ -140,7 +140,13 @@ def _material_constants(mat: MaterialParams) -> _Material:
     quantum = mat.confinement_energy * MEV_TO_J
     m = mat.effective_mass * M_ELECTRON
     omega0 = quantum / HBAR
-    a_b = math.sqrt(HBAR / (m * omega0)) / NM_TO_M
+    m_omega0 = m * omega0  # 0 where the mass or the quantum underflows
+    a_b = math.sqrt(HBAR / m_omega0) / NM_TO_M if m_omega0 > 0.0 else math.inf
+    if not (math.isfinite(a_b) and a_b > 0.0):
+        raise InvalidParameterError(
+            f"effective_mass {mat.effective_mass!r} and confinement_energy_mev "
+            f"{mat.confinement_energy!r} give a Bohr radius that is not finite and > 0"
+        )
     c = mat.c_override
     if c is None:
         screening = 4.0 * math.pi * EPS0 * mat.dielectric_const * (a_b * NM_TO_M)

@@ -1,8 +1,13 @@
 import json
+import math
 import pathlib
 
+import numpy as np
 import pytest
 
+from dotx.closed_form import exchange_energy, overlap
+from dotx.errors import InvalidParameterError, SingularConfigurationError
+from dotx.sweeps import SweepRow
 from dotx.units import GAAS, FieldConfig, bohr_radius_nm, derive_parameters
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "pinned_values.json"
@@ -46,3 +51,27 @@ def count_derivations(monkeypatch):
 
 def rel_err(got, want):
     return abs(got - want) / max(abs(want), 1e-300)
+
+
+def loop_sweep(spec):
+    """The per-point sweep that `sweep` replaced, kept as its reference."""
+    rows = []
+    for x in np.linspace(spec.start, spec.stop, spec.steps).tolist():
+        B, E, a = spec.fixed.B, spec.fixed.E, spec.fixed.a
+        if spec.vary == "B":
+            B = x
+        elif spec.vary == "E":
+            E = x
+        else:
+            a = x * bohr_radius_nm(spec.material)
+        try:
+            p = derive_parameters(spec.material, FieldConfig(B, E, a))
+            bd = exchange_energy(
+                p.b, p.d, p.c_coulomb, p.efield_ratio,
+                energy_scale_mev=spec.material.confinement_energy,
+            )
+        except (SingularConfigurationError, InvalidParameterError):
+            rows.append(SweepRow(x, math.nan, None, math.nan, math.nan, math.nan, singular=True))
+            continue
+        rows.append(SweepRow(x, bd.j_mev, bd, p.b, p.d, overlap(p.b, p.d)))
+    return rows

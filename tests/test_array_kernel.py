@@ -19,7 +19,7 @@ import dotx.sweeps
 from dotx.closed_form import exchange_energy, exchange_energy_arrays, exchange_energy_lab, overlap
 from dotx.errors import InvalidArgumentError, InvalidParameterError, SingularConfigurationError
 from dotx.special import _I0_SPLIT, bessel_i0e, bessel_i0e_array
-from dotx.sweeps import SweepRow, SweepSpec, scan_switches, sweep, switching_scenario
+from dotx.sweeps import SweepSpec, scan_switches, sweep, switching_scenario
 from dotx.units import (
     GAAS,
     FieldConfig,
@@ -28,6 +28,8 @@ from dotx.units import (
     derive_parameters,
     fields_from_dimensionless,
 )
+
+from conftest import loop_sweep
 
 A_B = bohr_radius_nm(GAAS)
 
@@ -179,6 +181,18 @@ class TestKernelMatchesScalar:
             exchange_energy_arrays(GAAS, [1.0, B, B], 0.0, [0.7 * A_B, 1e300, 1e301])
         assert str(array.value) == str(scalar.value)
 
+    def test_scaled_distance_overflow_raises_like_scalar(self):
+        # b d^2 overflows while d^2 does not: J would be 0 * inf = nan in
+        # both forms; both name the distance and b at the first such point.
+        fields = FieldConfig(B=30.0, E=0.0, a=1.2e154 * A_B)
+        with pytest.raises(InvalidParameterError, match=r"b\*d\^2 overflows") as scalar:
+            exchange_energy_lab(GAAS, fields)
+        p = derive_parameters(GAAS, fields)
+        assert f"d={p.d!r}" in str(scalar.value) and f"b={p.b!r}" in str(scalar.value)
+        with pytest.raises(InvalidParameterError) as array:
+            exchange_energy_arrays(GAAS, 30.0, 0.0, [0.7 * A_B, fields.a, 1.3e154 * A_B])
+        assert str(array.value) == str(scalar.value)
+
     def test_tiny_distance_is_singular_in_both(self):
         with pytest.raises(SingularConfigurationError, match="1 - S"):
             exchange_energy(1.0, 1e-9, 2.36, 0.0)
@@ -186,30 +200,6 @@ class TestKernelMatchesScalar:
             exchange_energy(1.0, 1e-200, 2.36, 0.0)  # d^2 underflows to 0
         cols = exchange_energy_arrays(GAAS, 0.0, 0.0, [1e-9 * A_B, 1e-200, 1e-7 * A_B])
         assert cols.valid.tolist() == [False, False, True]
-
-
-def loop_sweep(spec):
-    """The per-point sweep that `sweep` replaced, kept as its reference."""
-    rows = []
-    for x in np.linspace(spec.start, spec.stop, spec.steps).tolist():
-        B, E, a = spec.fixed.B, spec.fixed.E, spec.fixed.a
-        if spec.vary == "B":
-            B = x
-        elif spec.vary == "E":
-            E = x
-        else:
-            a = x * bohr_radius_nm(spec.material)
-        try:
-            p = derive_parameters(spec.material, FieldConfig(B, E, a))
-            bd = exchange_energy(
-                p.b, p.d, p.c_coulomb, p.efield_ratio,
-                energy_scale_mev=spec.material.confinement_energy,
-            )
-        except (SingularConfigurationError, InvalidParameterError):
-            rows.append(SweepRow(x, math.nan, None, math.nan, math.nan, math.nan, singular=True))
-            continue
-        rows.append(SweepRow(x, bd.j_mev, bd, p.b, p.d, overlap(p.b, p.d)))
-    return rows
 
 
 class TestDriversMatchLoops:

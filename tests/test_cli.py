@@ -355,6 +355,49 @@ class TestErrorMapping:
             "dotx: error: dielectric_const 1e-320 gives a Coulomb strength that is not finite\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval"],
+            ["eval", "--json"],
+            ["sweep", "--vary", "B", "--from", "0", "--to", "3", "--steps", "5"],
+            ["switch", "--vary", "B", "--from", "0.5", "--to", "3"],
+        ],
+    )
+    def test_bohr_radius_not_finite(self, capsys, tmp_path, argv):
+        # m * omega_0 underflows to 0: a domain error naming the mass and the
+        # confinement energy, not a ZeroDivisionError traceback
+        mat = tmp_path / "material.json"
+        mat.write_text(
+            '{"effective_mass": 1e-300, "dielectric_const": 13.1, "confinement_energy_mev": 1e-20}'
+        )
+        code, out, err = run(capsys, *argv, "--material-file", str(mat))
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "dotx: error: effective_mass 1e-300 and confinement_energy_mev 1e-20 give a "
+            "Bohr radius that is not finite and > 0\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--a-over-ab", "1.2e154"],
+            ["eval", "--json", "--a-over-ab", "1.2e154"],
+            ["sweep", "--vary", "d", "--from", "1", "--to", "1.2e154", "--steps", "3"],
+            ["switch", "--vary", "d", "--from", "1", "--to", "1.2e154"],
+        ],
+    )
+    def test_scaled_distance_overflow_is_named(self, capsys, argv):
+        # At b > 1 and d ~ 1e154, b d^2 overflows while d^2 does not: an
+        # error naming d and b, not "J: nan meV" with exit 0
+        code, out, err = run(capsys, *argv, "--B", "30")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("dotx: error: distance d=")
+        assert "at b=8.697057808713865: b*d^2 overflows" in err
+        assert err.count("\n") == 1
+
     def test_distance_overflow_is_named(self, capsys):
         # d^2 overflows at d ~ 1.3e154: the error names the distance rather
         # than the NaN that would reach I0

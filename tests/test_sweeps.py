@@ -7,13 +7,14 @@ import scipy.optimize
 
 import dotx.closed_form
 import dotx.sweeps
-from dotx.closed_form import exchange_energy_lab
+from dotx.closed_form import ExchangeBreakdown, exchange_energy_lab
 from dotx.errors import (
     InvalidParameterError,
     NoRootInBracketError,
     ScenarioError,
 )
 from dotx.sweeps import (
+    SweepRow,
     SweepSpec,
     brent,
     find_switch,
@@ -24,7 +25,7 @@ from dotx.sweeps import (
 )
 from dotx.units import FieldConfig, bohr_radius_nm, derive_arrays
 
-from conftest import rel_err
+from conftest import loop_sweep, rel_err
 
 
 def make_spec(gaas, **kw):
@@ -157,6 +158,48 @@ class TestSweep:
         assert len(lines) == 3 + 5
 
 
+class TestRowContract:
+    """Rows and breakdowns are immutable records with fixed fields."""
+
+    def singular_start_spec(self, gaas):
+        # 1 - S^4 rounds to 0 below d ~ 5e-9: the first rows are singular
+        return make_spec(gaas, vary="d", start=1e-10, stop=2e-8, steps=41)
+
+    def test_fields_and_positional_constructors(self):
+        assert ExchangeBreakdown._fields == (
+            "prefactor", "coulomb_term", "quartic_term", "efield_term", "j_dimensionless", "j_mev"
+        )
+        assert SweepRow._fields == ("x", "j_mev", "breakdown", "b", "d", "s_overlap", "singular")
+        bd = ExchangeBreakdown(1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+        assert (bd.prefactor, bd.efield_term, bd.j_mev) == (1.0, 4.0, 6.0)
+        row = SweepRow(0.5, 6.0, bd, 1.5, 0.7, 0.2)
+        assert (row.x, row.breakdown, row.s_overlap, row.singular) == (0.5, bd, 0.2, False)
+        assert SweepRow(0.5, 6.0, None, 1.5, 0.7, 0.2, True).singular is True
+
+    def test_fields_are_read_only(self, gaas):
+        row = sweep(make_spec(gaas, steps=3))[0]
+        with pytest.raises(AttributeError):
+            row.j_mev = 0.0
+        with pytest.raises(AttributeError):
+            row.breakdown.j_mev = 0.0
+
+    def test_singular_rows(self, gaas):
+        rows = sweep(self.singular_start_spec(gaas))
+        singular = [r for r in rows if r.singular]
+        assert rows[0].singular and not rows[-1].singular
+        assert 0 < len(singular) < len(rows)
+        for r in singular:
+            assert r.singular is True and r.breakdown is None
+            assert all(math.isnan(v) for v in (r.j_mev, r.b, r.d, r.s_overlap))
+        assert all(r.singular is False and r.breakdown is not None for r in rows if not r.singular)
+
+    def test_singular_grid_is_deterministic_and_matches_loop(self, gaas):
+        spec = self.singular_start_spec(gaas)
+        rows = sweep(spec)
+        assert rows == sweep(spec)
+        assert repr(rows) == repr(loop_sweep(spec))
+
+
 class TestBrent:
     @pytest.mark.parametrize(
         "f,a,b",
@@ -191,7 +234,7 @@ class TestFindSwitch:
         assert point.direction == "antiferro_to_ferro"
 
     def test_bracket_endpoints_flank_root(self, gaas, gaas_fields):
-        from dotx.closed_form import exchange_energy_lab
+        from dotx.closed_form import ExchangeBreakdown, exchange_energy_lab
 
         point = find_switch("B", gaas, gaas_fields, (0.5, 3.0))
         j_lo = exchange_energy_lab(gaas, replace(gaas_fields, B=point.bracket[0])).j_mev
