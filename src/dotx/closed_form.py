@@ -28,6 +28,7 @@ from .errors import InvalidParameterError, SingularConfigurationError
 from .special import bessel_i0e, bessel_i0e_array, libm
 from .units import (
     E_CHARGE,
+    MEV_TO_J,
     NM_TO_M,
     FieldConfig,
     MaterialParams,
@@ -119,13 +120,13 @@ def _terms(b: float, d: float, c: float, efield_ratio: float) -> tuple:
     scalar caller uses: (x2, arg, exp(-arg), c sqrt(b), I0e(x1), I0e(x2),
     quartic_term, efield_term, j_dimensionless).
 
-    Raises where the distance makes J meaningless: d^2 or b d^2 overflowing,
-    or 1 - S^4 rounding to 0.
+    Raises where the inputs make J meaningless, in this order: d^2 or b d^2
+    overflowing, 1 - S^4 rounding to 0, or chi^2 / d^2 overflowing.
     """
     d2 = d * d
     x1 = b * d2
     if x1 == math.inf:  # d^2 itself, or b d^2 (J would be 0 * inf = nan)
-        raise _distance_overflow(b, d)
+        raise _overflow(b, d, efield_ratio)
     x2 = d2 * (b - 1.0 / b)
     arg = 2.0 * (x1 + x2)  # 2 d^2 (2b - 1/b)
     em = math.exp(-arg)
@@ -137,6 +138,8 @@ def _terms(b: float, d: float, c: float, efield_ratio: float) -> tuple:
     csb = c * math.sqrt(b)
     quartic_term = 0.75 / b * (1.0 + x1)
     efield_term = 1.5 * (efield_ratio * efield_ratio) / d2
+    if efield_term == math.inf:  # J would be inf
+        raise _overflow(b, d, efield_ratio)
     i0e_x1 = bessel_i0e(x1)
     i0e_x2 = bessel_i0e(x2)
     j_dimensionless = (
@@ -146,10 +149,42 @@ def _terms(b: float, d: float, c: float, efield_ratio: float) -> tuple:
     return x2, arg, em, csb, i0e_x1, i0e_x2, quartic_term, efield_term, j_dimensionless
 
 
-def _distance_overflow(b: float, d: float) -> InvalidParameterError:
+def _overflow(b: float, d: float, efield_ratio: float) -> InvalidParameterError:
+    """The error of the first overflow check `_terms` fails at this point."""
     if d * d == math.inf:
         return InvalidParameterError(f"distance d={d!r} is too large: d^2 overflows")
-    return InvalidParameterError(f"distance d={d!r} is too large at b={b!r}: b*d^2 overflows")
+    if b * d * d == math.inf:
+        return InvalidParameterError(
+            f"distance d={d!r} is too large at b={b!r}: b*d^2 overflows"
+        )
+    return InvalidParameterError(
+        f"electric field chi={efield_ratio!r} is too large at distance d={d!r}: "
+        "chi^2/d^2 overflows"
+    )
+
+
+def efield_switch(mat: MaterialParams, B: float, a: float) -> float:
+    """|E*| in V/m at which J(B, E*, a) = 0, or nan where no switch exists.
+
+    E enters J only through (3/2) chi^2 / d^2 under a positive prefactor, so
+    at fixed (B, a) the switch is chi*^2 = -(2/3) d^2 (coulomb + quartic),
+    which exists exactly where J(B, 0, a) < 0, and E* = chi* hbar omega_0 /
+    (e a).  exp(x2) is factored out of the square root, so exp(2 x2) is
+    never formed; E* is inf where exp(x2) alone overflows.  Raises what
+    `exchange_energy_lab` raises at (B, 0, a).
+    """
+    p = derive_parameters(mat, FieldConfig(B, 0.0, a))
+    _check_bd(p.b, p.d, allow_zero_d=False)
+    x2, _, _, csb, i0e_x1, i0e_x2, quartic_term, _, _ = _terms(p.b, p.d, p.c_coulomb, 0.0)
+    # -(coulomb + quartic) = exp(2 x2) * radicand
+    radicand = csb * i0e_x2 - (csb * i0e_x1 + quartic_term) * math.exp(-2.0 * x2)
+    if not radicand >= 0.0:
+        return math.nan
+    try:
+        chi = p.d * math.sqrt(radicand / 1.5) * math.exp(x2)
+    except OverflowError:
+        return math.inf
+    return chi * mat.confinement_energy * MEV_TO_J / (E_CHARGE * a * NM_TO_M)
 
 
 def exchange_energy_along(
@@ -192,8 +227,8 @@ class ExchangeColumns:
     Each column holds, per point, the number the scalar functions give,
     bit for bit.  valid is False where `exchange_energy_lab` raises
     InvalidParameterError or SingularConfigurationError (the points a
-    sweep marks singular), except d^2 or b d^2 overflowing, which raises
-    as the scalar form does; every column is nan there.
+    sweep marks singular), except d^2, b d^2 or chi^2 / d^2 overflowing,
+    which raises as the scalar form does; every column is nan there.
     """
 
     b: np.ndarray
@@ -214,7 +249,8 @@ def exchange_energy_arrays(mat: MaterialParams, B, E, a) -> ExchangeColumns:
 
     Runs the operations of `exchange_energy` in the same order: the IEEE
     ones (+ - * /, sqrt) in numpy, exp and sinh through libm.  Like the
-    scalar form it raises InvalidParameterError where d^2 or b d^2 overflows.
+    scalar form it raises InvalidParameterError for a material it rejects and
+    where d^2, b d^2 or chi^2 / d^2 overflows.
     """
     b, d, c, chi, valid = derive_arrays(mat, B, E, a)
     with np.errstate(all="ignore"):  # floats overflow silently; so do the columns
@@ -231,19 +267,17 @@ def exchange_energy_arrays(mat: MaterialParams, B, E, a) -> ExchangeColumns:
             & np.isfinite(chi)
             & (denominator != 0.0)
         )
-        if not (math.isfinite(c) and c >= 0.0):
-            valid[:] = False
-        overflow = valid & (x1 == math.inf)  # where the scalar form raises first
-        if overflow.any():
+        efield_term = 1.5 * (chi * chi) / d2
+        overflow = valid & ((x1 == math.inf) | (efield_term == math.inf))
+        if overflow.any():  # the first point where the scalar form raises
             first = np.flatnonzero(overflow)[0]
-            raise _distance_overflow(b[first].item(), d[first].item())
+            raise _overflow(b[first].item(), d[first].item(), chi[first].item())
         keep = slice(None) if valid.all() else valid  # a view when every point is valid
-        b, d, chi, d2, x1, x2, arg, em, denominator = (
-            v[keep] for v in (b, d, chi, d2, x1, x2, arg, em, denominator)
+        b, d, chi, d2, x1, x2, arg, em, denominator, efield_term = (
+            v[keep] for v in (b, d, chi, d2, x1, x2, arg, em, denominator, efield_term)
         )
         csb = c * np.sqrt(b)
         quartic_term = 0.75 / b * (1.0 + x1)
-        efield_term = 1.5 * (chi * chi) / d2
         i0e_x1 = bessel_i0e_array(x1)
         i0e_x2 = bessel_i0e_array(x2)
 

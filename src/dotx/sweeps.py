@@ -17,6 +17,7 @@ import numpy as np
 from .closed_form import (
     AXES,
     ExchangeBreakdown,
+    efield_switch,
     exchange_energy_along,
     exchange_energy_arrays,
     exchange_energy_lab,
@@ -29,7 +30,8 @@ from .errors import (
 )
 from .units import FieldConfig, MaterialParams, bohr_radius_nm
 
-#: Bracket-width convergence targets per axis, in that axis's unit.
+#: Root resolution per axis, in that axis's unit: Brent's bracket-width
+#: target on B and d.  E is solved in closed form, far inside its entry.
 AXIS_XTOL = {"B": 1e-6, "E": 1.0, "d": 1e-8}
 
 # Upper bound on every grid length a caller can ask for (sweep, pre-scan,
@@ -101,7 +103,7 @@ class SwitchPoint:
     bracket: tuple
     residual: float
     direction: str  # "antiferro_to_ferro" or "ferro_to_antiferro"
-    iterations: int = 0  # Brent iterations
+    iterations: int = 0  # Brent iterations; 0 on E, which is solved in closed form
     evaluations: int = 0  # J evaluations, each at a distinct point
 
 
@@ -169,12 +171,9 @@ def brent(f, a: float, b: float, xtol: float, max_iter: int = 200, fa: float | N
     if fa is None:
         fa = f(a)
     fb = f(b)
-    if fa == 0.0:
-        return a, 0.0, (a, a), 0, (fa, fa)
-    if fb == 0.0:
-        return b, 0.0, (b, b), 0, (fb, fb)
-    if math.copysign(1.0, fa) == math.copysign(1.0, fb):
-        raise NoRootInBracketError(f"no sign change on [{a}, {b}]: f={fa}, {fb}")
+    at_end = _root_at_end(a, b, fa, fb)
+    if at_end is not None:
+        return at_end
     c, fc = a, fa
     e = d = b - a
     eps = np.finfo(float).eps
@@ -221,6 +220,41 @@ def brent(f, a: float, b: float, xtol: float, max_iter: int = 200, fa: float | N
     )
 
 
+def _root_at_end(a: float, b: float, fa: float, fb: float):
+    """brent's result where an end of [a, b] is a root, else None; raises
+    NoRootInBracketError where f has the same sign at both ends."""
+    if fa == 0.0:
+        return a, 0.0, (a, a), 0, (fa, fa)
+    if fb == 0.0:
+        return b, 0.0, (b, b), 0, (fb, fb)
+    if math.copysign(1.0, fa) == math.copysign(1.0, fb):
+        raise NoRootInBracketError(f"no sign change on [{a}, {b}]: f={fa}, {fb}")
+    return None
+
+
+def _efield_root(j, lo: float, hi: float, j_lo: float, material, fixed: FieldConfig):
+    """brent's result on the E axis, from the closed-form switch `efield_switch`.
+
+    J at both ends decides the bracket exactly as in brent.  J is even in E,
+    so a sign change holds one of +-E*; J is evaluated there once, and the
+    half of the bracket that keeps the sign change is returned for the
+    polish.  Where rounding leaves E* nan or not strictly inside, the whole
+    bracket is returned with its lower end as the root.
+    """
+    j_hi = j(hi)
+    at_end = _root_at_end(lo, hi, j_lo, j_hi)
+    if at_end is not None:
+        return at_end
+    e_star = efield_switch(material, fixed.B, fixed.a)
+    root = e_star if lo < e_star < hi else -e_star
+    if not lo < root < hi:
+        return lo, j_lo, (lo, hi), 0, (j_lo, j_hi)
+    j_root = j(root)
+    if math.copysign(1.0, j_root) == math.copysign(1.0, j_lo):
+        return root, j_root, (root, hi), 0, (j_root, j_hi)
+    return root, j_root, (lo, root), 0, (j_lo, j_root)
+
+
 def _polish_residual(f, bracket, f_bracket, best_x, best_f, ftol, max_iter=200):
     lo, hi = bracket
     f_lo, f_hi = f_bracket
@@ -253,8 +287,12 @@ def find_switch(
 ) -> SwitchPoint:
     """Locate the sign switch of J inside a bracket along one axis.
 
-    `tol` bounds |J| at the root in meV; the bracket width converges to
-    the axis-appropriate resolution (1e-6 T, 1 V/m, 1e-8 in d).
+    `tol` bounds |J| at the root in meV.  Along B and d, Brent narrows the
+    bracket to the axis resolution (1e-6 T, 1e-8 in d).  Along E the root
+    is the closed form `efield_switch`, with no bracket iteration
+    (`iterations` is 0); where |J| there exceeds `tol`, or rounding puts
+    it outside the bracket, the residual polish bisects the half-bracket
+    that holds the sign change.
     """
     if axis not in AXES:
         raise InvalidParameterError(f"axis must be one of {AXES}, got {axis!r}")
@@ -270,12 +308,15 @@ def find_switch(
         return j_at(x)
 
     j_lo = j(lo)
-    root, j_root, final_bracket, iterations, j_bracket = brent(
-        j, lo, hi, AXIS_XTOL[axis], fa=j_lo
-    )
+    if axis == "E":
+        result = _efield_root(j, lo, hi, j_lo, material, fixed)
+    else:
+        result = brent(j, lo, hi, AXIS_XTOL[axis], fa=j_lo)
+    root, j_root, final_bracket, iterations, j_bracket = result
     if abs(j_root) > tol:
-        # Brent stops on bracket width; bisect further until the residual
-        # itself is under tol (J is smooth, so this converges fast).
+        # Brent stops on bracket width, and E* is off by its rounding;
+        # bisect until the residual itself is under tol (J is smooth, so
+        # this converges fast).
         root, j_root, final_bracket = _polish_residual(
             j, final_bracket, j_bracket, root, j_root, tol
         )

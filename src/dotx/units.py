@@ -200,20 +200,14 @@ def derive_arrays(mat: MaterialParams, B, E, a):
     """(b, d, c, efield_ratio, valid) for 1-D arrays of lab points (scalars
     broadcast), each point with the bits `derive_parameters` gives it.
 
-    The material is checked and its constants derived once.  valid is
-    False where `derive_parameters` raises; b, d and efield_ratio are nan
-    or garbage there, and c is nan when no point is valid.
+    The material is checked and its constants derived once; a material
+    `derive_parameters` rejects raises its error here too.  valid is False
+    where `derive_parameters` raises for the point; b, d and efield_ratio
+    are nan or garbage there.
     """
     B, E, a = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float)) for v in (B, E, a)))
-    try:
-        m, omega0, a_b, c, quantum = _material_constants(mat)
-    except InvalidParameterError:
-        valid = np.zeros(B.shape, dtype=bool)
-    else:
-        valid = np.isfinite(a) & (a > 0.0) & np.isfinite(B) & np.isfinite(E)
-    if not valid.any():
-        nan = np.full(B.shape, math.nan)
-        return nan, nan, math.nan, nan, valid
+    m, omega0, a_b, c, quantum = _material_constants(mat)
+    valid = np.isfinite(a) & (a > 0.0) & np.isfinite(B) & np.isfinite(E)
     with np.errstate(all="ignore"):  # invalid points may overflow; floats would too
         larmor = E_CHARGE * np.abs(B) / (2.0 * m)
         b = libm(functools.partial(math.hypot, omega0), larmor) / omega0

@@ -160,14 +160,55 @@ class TestKernelMatchesScalar:
             (1e300, 0.0, a, False),  # b overflows
             (-1e300, 0.0, a, False),
             (1.0, 0.0, -a, False),
-            (1.0, 1e305, a, True),  # chi^2 overflows: J is inf, not singular
             (1.0, 1e5, 1e-9 * A_B, False),  # 1 - S^4 rounds to 0
         ]
         B, E, A, valid = zip(*points)
         rows = assert_same(GAAS, B, E, A)
         assert [row is not None for row in rows] == list(valid)
-        bad = MaterialParams(effective_mass=-1.0, dielectric_const=13.1, confinement_energy=3.0)
-        assert assert_same(bad, B, E, A) == [None] * len(B)
+
+    def test_field_overflow_raises_like_scalar(self):
+        # chi^2 / d^2 overflows: J would be +inf; both forms name the field
+        # and the distance at the first such point, after the singular ones.
+        a = 0.7 * A_B
+        fields = FieldConfig(B=1.0, E=1e305, a=a)
+        overflows = r"chi=.*d=.*chi\^2/d\^2 overflows"
+        with pytest.raises(InvalidParameterError, match=overflows) as scalar:
+            exchange_energy_lab(GAAS, fields)
+        p = derive_parameters(GAAS, fields)
+        assert f"chi={p.efield_ratio!r}" in str(scalar.value) and f"d={p.d!r}" in str(scalar.value)
+        with pytest.raises(InvalidParameterError) as array:
+            exchange_energy_arrays(
+                GAAS, 1.0, [1e5, 1e305, math.inf, 1e306, 1e306], [a, a, a, a, 1e-9 * A_B]
+            )
+        assert type(array.value) is type(scalar.value) and str(array.value) == str(scalar.value)
+        cols = exchange_energy_arrays(GAAS, 1.0, [1e5, 1e306], [a, 1e-9 * A_B])
+        assert cols.valid.tolist() == [True, False]  # singular before it overflows
+
+    @pytest.mark.parametrize(
+        "mat",
+        [
+            MaterialParams(effective_mass=-1.0, dielectric_const=13.1, confinement_energy=3.0),
+            MaterialParams(effective_mass=0.067, dielectric_const=1e-320, confinement_energy=3.0),
+            MaterialParams(effective_mass=1e-300, dielectric_const=13.1, confinement_energy=1e-20),
+        ],
+    )
+    def test_bad_material_raises_like_scalar(self, mat):
+        a = 0.7 * A_B
+        with pytest.raises(InvalidParameterError) as scalar:
+            exchange_energy_lab(mat, FieldConfig(1.0, 0.0, a))
+        with pytest.raises(InvalidParameterError) as array:
+            exchange_energy_arrays(mat, [1.0, 0.0], 0.0, [a, 0.0])
+        assert str(array.value) == str(scalar.value)
+        spec = SweepSpec(vary="B", start=0.0, stop=3.0, steps=5, fixed=FieldConfig(0.0, 0.0, a),
+                         material=mat)
+        for run in (
+            lambda: sweep(spec),
+            lambda: scan_switches("E", mat, FieldConfig(2.0, 0.0, a), 0.0, 2e5),
+            lambda: switching_scenario(mat, a),
+        ):
+            with pytest.raises(InvalidParameterError) as raised:
+                run()
+            assert str(raised.value) == str(scalar.value)
 
     @pytest.mark.parametrize("B", [0.0, 1.0])
     def test_distance_overflow_raises_like_scalar(self, B):

@@ -6,6 +6,10 @@ import dotx.cli
 import dotx.closed_form
 import dotx.special
 from dotx.cli import main
+from dotx.sweeps import AXIS_XTOL
+from dotx.units import GAAS, bohr_radius_nm
+
+from conftest import efield_switch_mp
 
 
 def run(capsys, *argv):
@@ -135,6 +139,54 @@ class TestSwitchCommand:
         assert code == 0
         payload = json.loads(out.read_text())
         assert len(payload["switch_points"]) == 1
+
+
+@pytest.fixture(scope="module")
+def e_switch_at_2t():
+    """The 50-digit E-switch of GaAs at B = 2 T and the default a = 0.7 a_B."""
+    return efield_switch_mp(GAAS, 2.0, 0.7 * bohr_radius_nm(GAAS), 0.0, 2e5)
+
+
+class TestEfieldSwitchCommands:
+    @pytest.mark.parametrize("scan", [(), ("--scan",)])
+    def test_switch_along_e(self, capsys, tmp_path, e_switch_at_2t, scan):
+        out = tmp_path / "switch.json"
+        code, _, err = run(
+            capsys, "switch", "--vary", "E", "--B", "2", "--from", "0", "--to", "2e5",
+            *scan, "--out", str(out),
+        )
+        assert (code, err) == (0, "")
+        payload = json.loads(out.read_text())
+        points = payload["switch_points"] if scan else [payload["switch_point"]]
+        assert len(points) == 1
+        assert abs(points[0]["value"] - e_switch_at_2t) <= AXIS_XTOL["E"]
+        assert points[0]["direction"] == "ferro_to_antiferro"
+        assert points[0]["residual_mev"] <= 1e-9
+
+    def test_scenario(self, capsys, tmp_path, e_switch_at_2t):
+        out = tmp_path / "scenario.json"
+        code, _, err = run(capsys, "scenario", "--b-operating", "2.0", "--out", str(out))
+        assert (code, err) == (0, "")
+        e_switch = json.loads(out.read_text())["e_switch"]
+        assert abs(e_switch["value"] - e_switch_at_2t) <= AXIS_XTOL["E"]
+
+    @pytest.mark.parametrize(
+        "B, lo, hi, scan",
+        [
+            (2.0, 1e5, 2e5, ()),  # both ends above E*
+            (2.0, 1e5, 2e5, ("--scan",)),
+            (1.0, 0.0, 2e5, ()),  # below the B threshold: no E* at all
+            (1.0, 0.0, 2e5, ("--scan",)),
+            (2.0, -2e5, 2e5, ()),  # J is even in E: -E* and E* cancel out
+        ],
+    )
+    def test_no_sign_change_exits_two(self, capsys, B, lo, hi, scan):
+        code, out, err = run(
+            capsys, "switch", "--vary", "E", "--B", repr(B), f"--from={lo!r}", "--to", repr(hi),
+            *scan,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("dotx: error: no sign change") and err.count("\n") == 1
 
 
 class TestScenarioCommand:
@@ -411,3 +463,20 @@ class TestErrorMapping:
         )
         assert code == 2
         assert err == "dotx: error: distance d=5e+159 is too large: d^2 overflows\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--E", "1e305"],
+            ["eval", "--json", "--E", "1e305"],
+            ["sweep", "--vary", "E", "--from", "1e304", "--to", "1e305", "--steps", "2"],
+        ],
+    )
+    def test_field_overflow_is_named(self, capsys, argv):
+        # chi^2 / d^2 overflows: an error naming the field and the distance,
+        # not "J: inf meV" with exit 0
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("dotx: error: electric field chi=")
+        assert "at distance d=0.7: chi^2/d^2 overflows" in err
+        assert err.count("\n") == 1

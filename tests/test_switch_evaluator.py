@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 import dotx.closed_form
 import dotx.sweeps
-from dotx.closed_form import exchange_energy_along, exchange_energy_lab
+from dotx.closed_form import efield_switch, exchange_energy_along, exchange_energy_lab
 from dotx.errors import InvalidParameterError
-from dotx.sweeps import brent, find_switch, switch_point_dict
+from dotx.sweeps import AXIS_XTOL, brent, find_switch, switch_point_dict
 from dotx.units import GAAS, FieldConfig, MaterialParams, bohr_radius_nm
 
 A_B = bohr_radius_nm(GAAS)
@@ -78,7 +78,7 @@ class TestMatchesLabPath:
             ("E", math.inf),
             ("E", -math.inf),
             ("E", math.nan),
-            ("E", 1e305),  # chi^2 overflows: J is inf, not an error
+            ("E", 1e305),  # chi^2 / d^2 overflows: J would be inf
         ],
     )
     def test_rejections_are_the_lab_ones(self, axis, x):
@@ -108,6 +108,21 @@ class TestMatchesLabPath:
             exchange_energy_along(GAAS, FIXED, "x")
 
 
+def recording_along(points):
+    """`exchange_energy_along` that appends every point it evaluates to `points`."""
+
+    def along(mat, fixed, axis):
+        j = exchange_energy_along(mat, fixed, axis)
+
+        def recorded(x):
+            points.append(x)
+            return j(x)
+
+        return recorded
+
+    return along
+
+
 class TestFindSwitchEvaluations:
     def test_valid_bracket_makes_no_lab_call(self, monkeypatch):
         def lab(*args):
@@ -123,26 +138,18 @@ class TestFindSwitchEvaluations:
         [
             ("B", REFERENCE, (0.5, 3.0), 1e-9, False),
             ("B", replace(REFERENCE, E=2e5), (0.2, 9.5), 1e-14, True),
-            ("E", replace(REFERENCE, B=2.0), (0.0, 2e5), 1e-9, True),
+            ("E", replace(REFERENCE, B=2.0), (0.0, 2e5), 1e-9, False),
             ("d", replace(REFERENCE, B=1.5), (0.3, 1.2), 1e-12, True),
+            ("E", replace(REFERENCE, B=2.0), (0.0, 2e5), 1e-16, True),
         ],
     )
     def test_counts_every_distinct_point_once(
         self, monkeypatch, axis, fixed, bracket, tol, polished
     ):
         # Brent has f at both ends of its final bracket, and find_switch has
-        # f(lo): neither is evaluated again.
+        # f(lo): neither is evaluated again.  On E, J is evaluated at the two
+        # ends and at E*, and Brent does not run.
         points = []
-
-        def recording(mat, fixed, axis):
-            j = exchange_energy_along(mat, fixed, axis)
-
-            def recorded(x):
-                points.append(x)
-                return j(x)
-
-            return recorded
-
         iterations = []
 
         def counting_brent(*args, **kwargs):
@@ -157,12 +164,16 @@ class TestFindSwitchEvaluations:
             polishes.append(args[1])
             return polish(*args, **kwargs)
 
-        monkeypatch.setattr(dotx.sweeps, "exchange_energy_along", recording)
+        monkeypatch.setattr(dotx.sweeps, "exchange_energy_along", recording_along(points))
         monkeypatch.setattr(dotx.sweeps, "brent", counting_brent)
         monkeypatch.setattr(dotx.sweeps, "_polish_residual", counting_polish)
         point = find_switch(axis, GAAS, fixed, bracket, tol=tol)
         assert point.evaluations == len(points) == len(set(points))
-        assert point.iterations == iterations[0] > 0
+        if axis == "E":
+            assert point.iterations == 0 and iterations == []
+            assert point.evaluations == 3 or polished
+        else:
+            assert point.iterations == iterations[0] > 0
         assert bool(polishes) == polished
         assert point.residual <= tol
 
@@ -172,6 +183,106 @@ class TestFindSwitchEvaluations:
         assert list(switch_point_dict(point)) == [
             "axis", "value", "bracket", "residual_mev", "direction"
         ]
+
+
+def brent_switch(mat, fixed, lo, hi, tol):
+    """find_switch along E as it was before the closed form: Brent to the
+    1 V/m bracket width, then the residual polish.  (root, residual,
+    direction)."""
+    j = exchange_energy_along(mat, fixed, "E")
+    j_lo = j(lo)
+    root, j_root, bracket, _, j_bracket = brent(j, lo, hi, AXIS_XTOL["E"], fa=j_lo)
+    if abs(j_root) > tol:
+        root, j_root, _ = dotx.sweeps._polish_residual(j, bracket, j_bracket, root, j_root, tol)
+    return root, abs(j_root), "antiferro_to_ferro" if j_lo > 0.0 else "ferro_to_antiferro"
+
+
+def outcome(run, *args):
+    try:
+        return run(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def counted_switch(mat, fixed, bracket, tol=1e-9):
+    """find_switch along E, and the points J was evaluated at."""
+    points = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dotx.sweeps, "exchange_energy_along", recording_along(points))
+        return find_switch("E", mat, fixed, bracket, tol=tol), points
+
+
+class TestEfieldSwitch:
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(
+        # Each range is drawn as a fraction so that the values spread over
+        # it rather than crowd one end: B in [0, 10] T, a in [0.3, 1.5] a_B,
+        # and the bracket ends relative to the root (below).
+        st.floats(0.0, 1.0).map(lambda u: 10.0 * u),
+        st.floats(0.0, 1.0).map(lambda u: 0.3 + 1.2 * u),
+        st.just(0.0) | st.floats(0.005, 1.0).map(lambda u: -2.0 * u),
+        st.floats(0.0, 1.0).map(lambda u: 0.3 + 2.7 * u),
+        st.sampled_from([GAAS, replace(GAAS, c_override=1.5)]),
+    )
+    def test_matches_brent(self, B, a_rel, lo_rel, hi_rel, mat):
+        # The bracket is drawn relative to Brent's root on [0, 1e9] (1e5 V/m
+        # where there is none), so that it holds +E*, -E* or neither.
+        fixed = FieldConfig(B=B, E=0.0, a=a_rel * A_B)
+        wide = outcome(brent_switch, mat, fixed, 0.0, 1e9, 1e-9)
+        scale = 1e5 if isinstance(wide[0], type) else wide[0]
+        lo, hi = lo_rel * scale, hi_rel * scale
+        want = outcome(brent_switch, mat, fixed, lo, hi, 1e-9)
+        if isinstance(want[0], type):  # no sign change: the same error
+            assert outcome(find_switch, "E", mat, fixed, (lo, hi)) == want
+            return
+        point, points = counted_switch(mat, fixed, (lo, hi))
+        assert abs(point.value - want[0]) <= AXIS_XTOL["E"]
+        assert point.residual <= 1e-9 and point.direction == want[2]
+        assert point.iterations == 0
+        # J at both ends and at whichever of +-E* lies inside; no polish
+        assert point.evaluations == len(points) == len(set(points)) == 3
+
+    @pytest.mark.parametrize("lost", [math.nan, math.inf, 0.0, 2e5, 3e5, -7e4])
+    def test_polish_recovers_a_lost_closed_form(self, monkeypatch, lost):
+        # E* nan, on an end or outside the bracket: the polish bisects the
+        # whole bracket; E* off the root by 5 V/m: the polish starts from it.
+        fixed = replace(REFERENCE, B=2.0)
+        want = brent_switch(GAAS, fixed, 0.0, 2e5, 1e-9)[0]
+        monkeypatch.setattr(dotx.sweeps, "efield_switch", lambda *args: lost)
+        point, points = counted_switch(GAAS, fixed, (0.0, 2e5))
+        assert abs(point.value - want) <= AXIS_XTOL["E"] and point.residual <= 1e-9
+        assert point.evaluations == len(points) == len(set(points)) > 3
+        monkeypatch.setattr(dotx.sweeps, "efield_switch", lambda *args: want + 5.0)
+        point, points = counted_switch(GAAS, fixed, (0.0, 2e5))
+        assert abs(point.value - want) <= AXIS_XTOL["E"] and point.residual <= 1e-9
+        assert points[2] == want + 5.0 and len(points) == len(set(points)) > 3
+
+    @pytest.mark.parametrize(
+        "B, a",
+        [
+            (math.nan, 0.7), (math.inf, 0.7), (1e300, 0.7),
+            (2.0, math.inf), (2.0, math.nan), (2.0, 0.0), (2.0, -0.7), (2.0, 1e160),
+        ],
+    )
+    def test_rejected_fixed_fields_raise_like_brent(self, B, a):
+        fixed = FieldConfig(B=B, E=0.0, a=a * A_B)
+        want = outcome(brent_switch, GAAS, fixed, 0.0, 2e5, 1e-9)
+        assert isinstance(want[0], type)
+        assert outcome(find_switch, "E", GAAS, fixed, (0.0, 2e5)) == want
+        assert outcome(efield_switch, GAAS, B, a * A_B) == want
+
+    def test_closed_form_switch(self):
+        a = 0.7 * A_B
+        assert math.isnan(efield_switch(GAAS, 0.0, a))  # J(B=0, E) > 0 for every E
+        for B in (1.5, 2.0, 5.0, 9.0):
+            e_star = efield_switch(GAAS, B, a)
+            j = exchange_energy_along(GAAS, replace(REFERENCE, B=B), "E")
+            assert j(0.0) < 0.0 < j(1.01 * e_star) and abs(j(e_star)) <= 1e-14
+            assert j(-e_star) == j(e_star)
+        # 2 x2 = 1242 at B = 60 T, a = 6 a_B: exp(2 x2) would overflow, but
+        # only exp(x2) is formed; at a = 30 a_B exp(x2) itself overflows.
+        assert 1e274 < efield_switch(GAAS, 60.0, 6.0 * A_B) < 1e275
+        assert efield_switch(GAAS, 60.0, 30.0 * A_B) == math.inf
 
 
 class TestBrentKnownValues:
