@@ -3,6 +3,11 @@
 Closed-form Heitler-London result in the dimensionless parameters
 (b, d, c, chi), an independent quadrature oracle built from the dot
 orbitals, and sweep/switch tooling on top, all behind the `dotx` CLI.
+
+Importing the package does not import numpy: the array functions import it
+when first called.  The oracle works on arrays throughout, so the names
+it exports (`_ORACLE_NAMES`) are resolved from `dotx.oracle` on first
+access, and `from dotx import *` does not bring them.
 """
 
 from .closed_form import ExchangeBreakdown, exchange_energy, exchange_energy_lab, overlap
@@ -15,19 +20,6 @@ from .errors import (
     RootConvergenceError,
     ScenarioError,
     SingularConfigurationError,
-)
-from .oracle import (
-    HLBreakdown,
-    OrbitalSpec,
-    TermEstimate,
-    apply_hamiltonian,
-    assemble_oracle,
-    build_orbital,
-    eval_orbital,
-    overlap_numeric,
-    upsilon_coulomb,
-    upsilon_quartic,
-    upsilon_single,
 )
 from .special import (
     QuadratureSpec,
@@ -64,3 +56,16 @@ from .units import (
 )
 
 __version__ = "0.1.0"
+
+_ORACLE_NAMES = frozenset(
+    "HLBreakdown OrbitalSpec TermEstimate apply_hamiltonian assemble_oracle build_orbital"
+    " eval_orbital overlap_numeric upsilon_coulomb upsilon_quartic upsilon_single".split()
+)
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -24,7 +24,6 @@ from .errors import (
     ScenarioError,
     SingularConfigurationError,
 )
-from .oracle import _DEFAULT_COULOMB, _DEFAULT_SINGLE, assemble_oracle
 from .sweeps import (
     SweepSpec,
     find_switch,
@@ -356,6 +355,8 @@ def cmd_figure(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .oracle import _DEFAULT_COULOMB, _DEFAULT_SINGLE, assemble_oracle
+
     cfg = _resolve_config(args)
     overrides = {"order": args.quad_order, "rel_tol": args.quad_rel_tol}
     quad_single = replace(_DEFAULT_SINGLE, **{k: v for k, v in overrides.items() if v is not None})

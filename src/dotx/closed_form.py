@@ -20,9 +20,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InvalidParameterError, SingularConfigurationError
 from .special import bessel_i0e, bessel_i0e_array, libm
@@ -36,6 +34,9 @@ from .units import (
     derive_arrays,
     derive_parameters,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: The lab coordinates J is evaluated along: B (Tesla), E (V/m) and the
 #: half-distance d in units of a_B.
@@ -172,16 +173,24 @@ def efield_switch(mat: MaterialParams, B: float, a: float) -> float:
     (e a).  exp(x2) is factored out of the square root, so exp(2 x2) is
     never formed; E* is inf where exp(x2) alone overflows.  Raises what
     `exchange_energy_lab` raises at (B, 0, a).
+
+    b and d get the bits `derive_parameters` gives them, and the checks run
+    in its order, but no `DerivedParams` is built: on the E axis of
+    `find_switch` that was most of the switch's own cost.
     """
-    p = derive_parameters(mat, FieldConfig(B, 0.0, a))
-    _check_bd(p.b, p.d, allow_zero_d=False)
-    x2, _, _, csb, i0e_x1, i0e_x2, quartic_term, _, _ = _terms(p.b, p.d, p.c_coulomb, 0.0)
+    m, omega0, a_b, c, _ = _material_constants(mat)
+    if not (math.isfinite(a) and a > 0.0 and math.isfinite(B)):  # what validate accepts
+        FieldConfig(B, 0.0, a).validate()  # raises its error
+    b = math.hypot(omega0, E_CHARGE * abs(B) / (2.0 * m)) / omega0
+    d = a / a_b
+    _check_bd(b, d, allow_zero_d=False)
+    x2, _, _, csb, i0e_x1, i0e_x2, quartic_term, _, _ = _terms(b, d, c, 0.0)
     # -(coulomb + quartic) = exp(2 x2) * radicand
     radicand = csb * i0e_x2 - (csb * i0e_x1 + quartic_term) * math.exp(-2.0 * x2)
     if not radicand >= 0.0:
         return math.nan
     try:
-        chi = p.d * math.sqrt(radicand / 1.5) * math.exp(x2)
+        chi = d * math.sqrt(radicand / 1.5) * math.exp(x2)
     except OverflowError:
         return math.inf
     return chi * mat.confinement_energy * MEV_TO_J / (E_CHARGE * a * NM_TO_M)
@@ -252,6 +261,8 @@ def exchange_energy_arrays(mat: MaterialParams, B, E, a) -> ExchangeColumns:
     scalar form it raises InvalidParameterError for a material it rejects and
     where d^2, b d^2 or chi^2 / d^2 overflows.
     """
+    import numpy as np
+
     b, d, c, chi, valid = derive_arrays(mat, B, E, a)
     with np.errstate(all="ignore"):  # floats overflow silently; so do the columns
         d2 = d * d

@@ -7,18 +7,24 @@ for Coulomb kernels whose 1/r singularity is cancelled by the Jacobian.
 
 All quadratures are deterministic: nodes are cached per order and sums
 run in a fixed order, so identical inputs give bit-identical results.
+
+Only the array functions and the quadratures import numpy, when they are
+called, so the scalar functions run without it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InvalidArgumentError, QuadratureError
 
-_EPS = float(np.finfo(float).eps)
+if TYPE_CHECKING:
+    import numpy as np
+
+_EPS = sys.float_info.epsilon
 
 # Splice point between the power series and the large-argument expansion.
 _I0_SPLIT = 7.5
@@ -128,11 +134,15 @@ def libm(fn, x: np.ndarray) -> np.ndarray:
     a few percent of inputs; the array paths call libm so that they give
     the scalar functions' bits.
     """
+    import numpy as np
+
     return np.fromiter(map(fn, x.tolist()), float, x.size)
 
 
 def bessel_i0e_array(x: np.ndarray) -> np.ndarray:
     """`bessel_i0e` of each element of a 1-D float array, bit for bit."""
+    import numpy as np
+
     if np.isnan(x).any():
         raise InvalidArgumentError("bessel_i0e received NaN")
     x = np.abs(x)
@@ -190,6 +200,8 @@ _legendre_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 def _hermite_nodes(n: int):
     if n not in _hermite_cache:
+        import numpy as np
+
         t, w = np.polynomial.hermite.hermgauss(n)
         # Fold the exp(t^2) de-weighting into the weights via logs so very
         # high orders do not overflow intermediate factors; keep the tensor
@@ -201,11 +213,15 @@ def _hermite_nodes(n: int):
 
 def _legendre_nodes(n: int):
     if n not in _legendre_cache:
+        import numpy as np
+
         _legendre_cache[n] = np.polynomial.legendre.leggauss(n)
     return _legendre_cache[n]
 
 
 def _gauss_hermite_sample(f, n, center, scale):
+    import numpy as np
+
     t, weight = _hermite_nodes(n)
     x = center[0] + scale * t[:, None]
     y = center[1] + scale * t[None, :]
@@ -216,6 +232,8 @@ def _gauss_hermite_sample(f, n, center, scale):
 
 
 def _polar_sample(g, n, scale, r_peak, domain_cut, center=None, cartesian=False):
+    import numpy as np
+
     r_max = r_peak + domain_cut * scale
     t, w = _legendre_nodes(n)
     r = 0.5 * r_max * (t + 1.0)

@@ -4,15 +4,17 @@ These drive the datasets users actually plot: J against B, E, or d, the
 zero crossings that mark the antiferromagnetic/ferromagnetic transition,
 and the quasi-static switching trajectory that takes a dot pair across
 the transition and back with the magnetic field held constant.
+
+Only the grid functions import numpy, when they are called, so
+`find_switch` and `brent` run without it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import NamedTuple
-
-import numpy as np
 
 from .closed_form import (
     AXES,
@@ -122,6 +124,8 @@ def _j_values(material: MaterialParams, B, E, a) -> list:
     Where some point is rejected, the points are evaluated one by one, so
     that the error raised is the one the scalar path raises first.
     """
+    import numpy as np
+
     try:
         cols = exchange_energy_arrays(material, B, E, a)
         if cols.valid.all():
@@ -135,6 +139,8 @@ def _j_values(material: MaterialParams, B, E, a) -> list:
 def _row_columns(spec: SweepSpec) -> list:
     # Per-point lists of grid and the row's numbers, then the invalid indices;
     # the arrays they come from are freed on return, before the rows are built.
+    import numpy as np
+
     grid = np.linspace(spec.start, spec.stop, spec.steps)
     cols = exchange_energy_arrays(
         spec.material, *_lab_point(spec.material, spec.fixed, spec.vary, grid)
@@ -176,7 +182,7 @@ def brent(f, a: float, b: float, xtol: float, max_iter: int = 200, fa: float | N
         return at_end
     c, fc = a, fa
     e = d = b - a
-    eps = np.finfo(float).eps
+    eps = sys.float_info.epsilon
     for it in range(1, max_iter + 1):
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
@@ -232,14 +238,22 @@ def _root_at_end(a: float, b: float, fa: float, fb: float):
     return None
 
 
-def _efield_root(j, lo: float, hi: float, j_lo: float, material, fixed: FieldConfig):
+# Width, in ulps of E*, of the bracket the E-axis polish tries first: the
+# sign change of J lies within it for about 99% of closed-form roots.
+_E_PROBE_ULPS = 16
+
+
+def _efield_root(j, lo: float, hi: float, j_lo: float, tol: float, material, fixed: FieldConfig):
     """brent's result on the E axis, from the closed-form switch `efield_switch`.
 
     J at both ends decides the bracket exactly as in brent.  J is even in E,
-    so a sign change holds one of +-E*; J is evaluated there once, and the
-    half of the bracket that keeps the sign change is returned for the
-    polish.  Where rounding leaves E* nan or not strictly inside, the whole
-    bracket is returned with its lower end as the root.
+    so a sign change holds one of +-E*; J is evaluated there once.  Where
+    |J(E*)| <= tol, the half of the bracket that keeps the sign change is
+    returned.  Otherwise J is also evaluated `_E_PROBE_ULPS` ulps from E*
+    towards the sign change, and the bracket returned for the polish is the
+    few ulps between the two where J changes sign across them, else the
+    rest of the half-bracket.  Where rounding leaves E* nan or not strictly
+    inside, the whole bracket is returned with its lower end as the root.
     """
     j_hi = j(hi)
     at_end = _root_at_end(lo, hi, j_lo, j_hi)
@@ -250,9 +264,23 @@ def _efield_root(j, lo: float, hi: float, j_lo: float, material, fixed: FieldCon
     if not lo < root < hi:
         return lo, j_lo, (lo, hi), 0, (j_lo, j_hi)
     j_root = j(root)
+    # The end of the bracket across the sign change from E*.
     if math.copysign(1.0, j_root) == math.copysign(1.0, j_lo):
-        return root, j_root, (root, hi), 0, (j_root, j_hi)
-    return root, j_root, (lo, root), 0, (j_lo, j_root)
+        far, j_far = hi, j_hi
+    else:
+        far, j_far = lo, j_lo
+    inner, j_inner = root, j_root
+    if abs(j_root) > tol:
+        near = root + math.copysign(_E_PROBE_ULPS * math.ulp(root), far - root)
+        if abs(near - root) < abs(far - root):
+            j_near = j(near)
+            if j_near == 0.0 or math.copysign(1.0, j_near) != math.copysign(1.0, j_root):
+                far, j_far = near, j_near
+            else:
+                inner, j_inner = near, j_near
+    if inner < far:
+        return root, j_root, (inner, far), 0, (j_inner, j_far)
+    return root, j_root, (far, inner), 0, (j_far, j_inner)
 
 
 def _polish_residual(f, bracket, f_bracket, best_x, best_f, ftol, max_iter=200):
@@ -309,7 +337,7 @@ def find_switch(
 
     j_lo = j(lo)
     if axis == "E":
-        result = _efield_root(j, lo, hi, j_lo, material, fixed)
+        result = _efield_root(j, lo, hi, j_lo, tol, material, fixed)
     else:
         result = brent(j, lo, hi, AXIS_XTOL[axis], fa=j_lo)
     root, j_root, final_bracket, iterations, j_bracket = result
@@ -351,6 +379,8 @@ def scan_switches(
     axis, but nothing assumes that: each bracketed change is refined and
     reported in order.
     """
+    import numpy as np
+
     validate_scan_steps(scan_steps)
     _check_finite_range("scan", lo, hi)
     grid = np.linspace(lo, hi, scan_steps)
@@ -396,6 +426,8 @@ def switching_scenario(
     the recovered antiferro plateau.  Fails if the operating field sits
     below the switch threshold, in which case no E crossing exists.
     """
+    import numpy as np
+
     if not (1 <= steps_per_phase <= _MAX_STEPS):
         raise InvalidParameterError(
             f"scenario needs between 1 and {_MAX_STEPS} steps per phase, got {steps_per_phase!r}"

@@ -22,8 +22,6 @@ import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import InvalidParameterError, SingularConfigurationError
 from .special import libm
 
@@ -205,6 +203,8 @@ def derive_arrays(mat: MaterialParams, B, E, a):
     where `derive_parameters` raises for the point; b, d and efield_ratio
     are nan or garbage there.
     """
+    import numpy as np
+
     B, E, a = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float)) for v in (B, E, a)))
     m, omega0, a_b, c, quantum = _material_constants(mat)
     valid = np.isfinite(a) & (a > 0.0) & np.isfinite(B) & np.isfinite(E)

@@ -15,10 +15,11 @@ from hypothesis import strategies as st
 
 import dotx.closed_form
 import dotx.sweeps
+import dotx.units as units
 from dotx.closed_form import efield_switch, exchange_energy_along, exchange_energy_lab
-from dotx.errors import InvalidParameterError
+from dotx.errors import InvalidParameterError, RootConvergenceError
 from dotx.sweeps import AXIS_XTOL, brent, find_switch, switch_point_dict
-from dotx.units import GAAS, FieldConfig, MaterialParams, bohr_radius_nm
+from dotx.units import GAAS, FieldConfig, MaterialParams, bohr_radius_nm, derive_parameters
 
 A_B = bohr_radius_nm(GAAS)
 FIXED = FieldConfig(B=1.5, E=5e4, a=0.7 * A_B)
@@ -204,6 +205,24 @@ def outcome(run, *args):
         return type(exc), str(exc)
 
 
+def efield_switch_lab(mat, B, a):
+    """efield_switch written on `derive_parameters`, as it was before it took
+    b and d from the material constants: its result must keep these bits."""
+    p = derive_parameters(mat, FieldConfig(B, 0.0, a))
+    dotx.closed_form._check_bd(p.b, p.d, allow_zero_d=False)
+    x2, _, _, csb, i0e_x1, i0e_x2, quartic_term, _, _ = dotx.closed_form._terms(
+        p.b, p.d, p.c_coulomb, 0.0
+    )
+    radicand = csb * i0e_x2 - (csb * i0e_x1 + quartic_term) * math.exp(-2.0 * x2)
+    if not radicand >= 0.0:
+        return math.nan
+    try:
+        chi = p.d * math.sqrt(radicand / 1.5) * math.exp(x2)
+    except OverflowError:
+        return math.inf
+    return chi * mat.confinement_energy * units.MEV_TO_J / (units.E_CHARGE * a * units.NM_TO_M)
+
+
 def counted_switch(mat, fixed, bracket, tol=1e-9):
     """find_switch along E, and the points J was evaluated at."""
     points = []
@@ -283,6 +302,72 @@ class TestEfieldSwitch:
         # only exp(x2) is formed; at a = 30 a_B exp(x2) itself overflows.
         assert 1e274 < efield_switch(GAAS, 60.0, 6.0 * A_B) < 1e275
         assert efield_switch(GAAS, 60.0, 30.0 * A_B) == math.inf
+
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(
+        st.floats(-60.0, 60.0),
+        st.floats(0.0, 1.0).map(lambda u: 0.05 + 30.0 * u),
+        st.sampled_from(
+            [
+                GAAS,
+                replace(GAAS, c_override=1.5),
+                MaterialParams(effective_mass=0.023, dielectric_const=15.15, confinement_energy=3.0),
+            ]
+        ),
+    )
+    def test_closed_form_switch_keeps_the_lab_bits(self, B, a_rel, mat):
+        assert repr(efield_switch(mat, B, a_rel * A_B)) == repr(efield_switch_lab(mat, B, a_rel * A_B))
+
+    @pytest.mark.parametrize(
+        "B, a",
+        [
+            (math.nan, 0.7), (math.inf, 0.7), (1e300, 0.7), (-2.0, 0.7),
+            (2.0, math.inf), (2.0, math.nan), (2.0, 0.0), (2.0, -0.7), (2.0, 1e160),
+            (2.0, 1e-9), (2.0, 1e-200),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "mat",
+        [
+            GAAS,
+            MaterialParams(effective_mass=-1.0, dielectric_const=13.1, confinement_energy=3.0),
+            MaterialParams(effective_mass=1e-300, dielectric_const=13.1, confinement_energy=1e-20),
+        ],
+    )
+    def test_closed_form_switch_rejects_like_the_lab_path(self, B, a, mat):
+        assert outcome(efield_switch, mat, B, a * A_B) == outcome(
+            efield_switch_lab, mat, B, a * A_B
+        )
+
+    def test_switch_derives_no_parameters(self, count_derivations):
+        calls = count_derivations(dotx.closed_form, units)
+        for B in (1.5, 2.0, 5.0, 9.0):
+            point = find_switch("E", GAAS, replace(REFERENCE, B=B), (0.0, 1.5e6))
+            assert point.evaluations == 3
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "B, a_rel", [(2.0, 0.7), (1.5, 1.3), (2.5, 0.5), (5.0, 0.5), (5.0, 0.7), (9.0, 0.7)]
+    )
+    def test_polish_starts_a_few_ulps_from_the_closed_form(self, B, a_rel):
+        # At tol 1e-16 E* misses by an ulp or a few; bisecting the half-bracket
+        # took about 55 evaluations to get there (53 to 59 on these points).
+        fixed = FieldConfig(B=B, E=0.0, a=a_rel * A_B)
+        e_star = efield_switch(GAAS, B, fixed.a)
+        point, points = counted_switch(GAAS, fixed, (0.0, 1.5e6), tol=1e-16)
+        assert point.residual <= 1e-16
+        assert point.evaluations == len(points) == len(set(points)) <= 10
+        assert abs(point.value - e_star) <= 16 * math.ulp(e_star)
+
+    def test_polish_that_cannot_reach_tol_stops_early(self):
+        fixed = FieldConfig(B=1.5, E=0.0, a=0.7 * A_B)
+        points = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dotx.sweeps, "exchange_energy_along", recording_along(points))
+            with pytest.raises(RootConvergenceError, match="exceeds tol 1e-16"):
+                find_switch("E", GAAS, fixed, (0.0, 1.5e6), tol=1e-16)
+        assert len(points) == len(set(points)) <= 10
 
 
 class TestBrentKnownValues:
