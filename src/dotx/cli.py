@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -357,6 +358,10 @@ def cmd_figure(args) -> int:
 def cmd_oracle(args) -> int:
     from .oracle import _DEFAULT_COULOMB, _DEFAULT_SINGLE, assemble_oracle
 
+    if not 0.0 <= args.threshold < math.inf:
+        print(f"dotx: error: --threshold must be finite and >= 0, got {args.threshold!r}",
+              file=sys.stderr)
+        return EXIT_USAGE
     cfg = _resolve_config(args)
     overrides = {"order": args.quad_order, "rel_tol": args.quad_rel_tol}
     quad_single = replace(_DEFAULT_SINGLE, **{k: v for k, v in overrides.items() if v is not None})

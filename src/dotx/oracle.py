@@ -24,14 +24,22 @@ the 1/r singularity.  Assembling them with the numerically computed
 overlap S gives a value of J that shares no code path with the closed
 form beyond the raw inputs.
 
-The 13 single-particle brackets share one Gaussian width and only three
-node centres (each dot and their midpoint), so one point's working set
-(`_Point`) derives the parameters once and evaluates each orbital once
-per node grid; every bracket still runs its own `integrate_2d`
-refinement and reads phi_A/phi_B from there.  Each integrand keeps its
-expression and grouping, and the element lists are summed in a fixed
-order: floating-point sums are not associative, so regrouping or
-reordering them would move the last bits of the report.
+Every single-particle integrand factors as X(x) Y(y) (P(x) + Q(y)):
+X = conj(phi_bra,x) phi_ket,x is a real Gaussian carrying the b/pi
+amplitude, Y = conj(phi_bra,y) phi_ket,y is complex and carries both
+phase slopes, and the operator acts on the ket as P + Q.  For H_j, with
+the ket's g = grad(phi)/phi, x g_y - y g_x = i k x - b c_x y splits the
+angular term (f is the field shift, s_j the well centre):
+
+    P(x) = b - g_x^2/2 + lambda k x + lambda^2 x^2/2 + f x + (x - s_j)^2/2
+    Q(y) = -g_y^2/2 + i lambda b c_x y + lambda^2 y^2/2 + y^2/2
+
+For W, P = W_1 + W_2 and Q = 0.  The tensor Gauss-Hermite sum is then
+exactly (sum w X P)(sum w Y) + (sum w X)(sum w Y Q) on the same nodes,
+refinement and error estimate.  Q stays complex: its imaginary part
+cancels only because each ket is an eigenstate of its own well, which
+the oracle keeps measuring by folding |imag| into the error.  Element
+lists are summed in a fixed order, so a report repeats bit for bit.
 """
 
 from __future__ import annotations
@@ -43,8 +51,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .closed_form import exchange_energy
-from .errors import QuadratureError
-from .special import QuadratureSpec, integrate_2d, integrate_coulomb_relative
+from .errors import QuadratureError, SingularConfigurationError
+from .special import QuadratureSpec, _integrate_separable, integrate_coulomb_relative
 from .units import FieldConfig, MaterialParams, derive_parameters
 
 #: Relative-discrepancy denominators never drop below this (in units of
@@ -179,25 +187,6 @@ def eval_orbital(spec: OrbitalSpec, x, y):
     )
 
 
-def _polynomial_prefix(spec: OrbitalSpec, fr: _Frame, x, y):
-    """kinetic + angular + diamagnetic + dipole: the part of H_j's
-    polynomial on `spec` that does not depend on the well j."""
-    beta = spec.compression
-    lam = fr.lam
-    gx = -beta * (x - spec.center_x)
-    gy = 1j * spec.phase_slope - beta * y
-    kinetic = beta - 0.5 * (gx * gx + gy * gy)
-    angular = -1j * lam * (x * gy - y * gx)
-    diamagnetic = 0.5 * lam * lam * (x * x + y * y)
-    dipole = fr.fshift * x
-    return kinetic + angular + diamagnetic + dipole
-
-
-def _well(s_well: float, x, y):
-    dxw = x - s_well
-    return 0.5 * (dxw * dxw + y * y)
-
-
 def apply_hamiltonian(
     spec: OrbitalSpec, j: int, mat: MaterialParams, fields: FieldConfig
 ) -> Callable:
@@ -210,44 +199,28 @@ def apply_hamiltonian(
     """
     fr = _frame(mat, fields)
     s_well = fr.well_center(j)
+    beta, lam = spec.compression, fr.lam
 
     def field(x, y):
-        return (_polynomial_prefix(spec, fr, x, y) + _well(s_well, x, y)) * eval_orbital(spec, x, y)
+        gx = -beta * (x - spec.center_x)
+        gy = 1j * spec.phase_slope - beta * y
+        kinetic = beta - 0.5 * (gx * gx + gy * gy)
+        angular = -1j * lam * (x * gy - y * gx)
+        diamagnetic = 0.5 * lam * lam * (x * x + y * y)
+        dxw = x - s_well
+        well = 0.5 * (dxw * dxw + y * y)
+        return (kinetic + angular + diamagnetic + fr.fshift * x + well) * eval_orbital(spec, x, y)
 
     return field
 
 
 class _Point:
-    """Working set of one oracle point.
-
-    Holds the frame, both orbitals and each orbital's values on every node
-    grid a bracket sampled, so the brackets that share a grid read phi_A
-    and phi_B instead of evaluating them again.  A grid is named by
-    (quadrature spec, centre, scale, node-array shape); its orbital values
-    live as long as the point.  A ket's j-independent polynomial on a grid
-    is kept only until its second reader (H_1 and H_2 share it) takes it.
-    """
+    """Working set of one oracle point: the frame and both orbitals."""
 
     def __init__(self, mat: MaterialParams, fields: FieldConfig):
         self.frame = _frame(mat, fields)
         self.orb1 = _orbital(self.frame, 1)
         self.orb2 = _orbital(self.frame, 2)
-        self._phi = {}
-        self._prefix = {}
-
-    def phi(self, spec: OrbitalSpec, grid, x, y):
-        key = (spec, grid)
-        values = self._phi.get(key)
-        if values is None:
-            values = self._phi[key] = eval_orbital(spec, x, y)
-        return values
-
-    def prefix(self, spec: OrbitalSpec, grid, x, y):
-        key = (spec, grid)
-        values = self._prefix.pop(key, None)
-        if values is None:
-            values = self._prefix[key] = _polynomial_prefix(spec, self.frame, x, y)
-        return values
 
 
 def _integrate(integrator, f, quad, failures, label, **hints):
@@ -264,25 +237,30 @@ def _integrate(integrator, f, quad, failures, label, **hints):
         return value, err
 
 
-def _bracket(bra, ket, f, quad, failures, label):
-    """Integrate f(grid, x, y), the integrand of <bra|...|ket>, on nodes
-    centred between the two orbitals at the bra's Gaussian width.  `grid`
-    names the node set (x, y) belongs to, so f can read values kept for it."""
+def _bracket(bra, ket, poly, quad, failures, label):
+    """<bra| P(x) + Q(y) |ket> with (P, Q) = poly(x, y), on nodes centred
+    between the two orbitals at the bra's Gaussian width."""
     center = (0.5 * (bra.center_x + ket.center_x), 0.0)
-    scale = 1.0 / math.sqrt(bra.compression)
+    beta = bra.compression  # the two orbitals of a point share their width
+    scale = 1.0 / math.sqrt(beta)
+    kappa = ket.phase_slope - bra.phase_slope
 
-    def integrand(x, y):
-        return f((quad, center, scale, np.shape(x)), x, y)
+    def factors(x, y):
+        # X = conj(phi_bra,x) phi_ket,x and Y = conj(phi_bra,y) phi_ket,y
+        dx_bra, dx_ket = x - bra.center_x, x - ket.center_x
+        x_factor = beta / math.pi * np.exp(-0.5 * beta * (dx_bra * dx_bra + dx_ket * dx_ket))
+        y_factor = np.exp(1j * kappa * y - beta * y * y)
+        p, q = poly(x, y)
+        return x_factor, p, y_factor, q
 
-    return _integrate(integrate_2d, integrand, quad, failures, label, center=center, scale=scale)
+    return _integrate(
+        _integrate_separable, factors, quad, failures, label, center=center, scale=scale
+    )
 
 
 def orbital_norm(spec: OrbitalSpec, quad: QuadratureSpec | None = None):
     """Quadrature of the orbital density (should be 1)."""
-    return _bracket(
-        spec, spec, lambda grid, x, y: np.abs(eval_orbital(spec, x, y)) ** 2,
-        quad or _DEFAULT_SINGLE, None, "norm",
-    )
+    return _bracket(spec, spec, lambda x, y: (1.0, 0.0), quad or _DEFAULT_SINGLE, None, "norm")
 
 
 def overlap_numeric(
@@ -296,25 +274,35 @@ def overlap_numeric(
 
 
 def _overlap(pt: _Point, quad, failures):
-    orb1, orb2 = pt.orb1, pt.orb2
-    value, err = _bracket(
-        orb2, orb1,
-        lambda grid, x, y: np.conj(pt.phi(orb2, grid, x, y)) * pt.phi(orb1, grid, x, y),
-        quad, failures, "overlap",
-    )
+    value, err = _bracket(pt.orb2, pt.orb1, lambda x, y: (1.0, 0.0), quad, failures, "overlap")
     value = complex(value)
     return value.real, err + abs(value.imag)
 
 
+def _weight_overlap(pt: _Point, quad, failures):
+    """S for the 1/S^2 weights, which an S whose square underflows leaves undefined."""
+    s_num, _ = _overlap(pt, quad, failures)
+    if s_num * s_num == 0.0:
+        b_d2 = pt.frame.b * pt.frame.d * pt.frame.d
+        raise SingularConfigurationError(f"overlap S = {s_num!r} squares to 0 at b*d^2 = {b_d2!r}")
+    return s_num
+
+
 def _h_element(pt: _Point, bra, j, ket, quad, failures=None, label="h-element"):
-    """<bra | H_j | ket> as a (complex value, error) pair."""
-    s_well = pt.frame.well_center(j)
+    """<bra | H_j | ket> as a (complex value, error) pair; H_j acts on the
+    ket as P(x) + Q(y) of the module docstring."""
+    fr = pt.frame
+    beta, k, cx, lam = ket.compression, ket.phase_slope, ket.center_x, fr.lam
+    s_well = fr.well_center(j)
 
-    def f(grid, x, y):
-        h_ket = (pt.prefix(ket, grid, x, y) + _well(s_well, x, y)) * pt.phi(ket, grid, x, y)
-        return np.conj(pt.phi(bra, grid, x, y)) * h_ket
+    def poly(x, y):
+        gx = -beta * (x - cx)
+        gy = 1j * k - beta * y
+        p = beta - 0.5 * gx * gx + lam * k * x + 0.5 * lam * lam * x * x + fr.fshift * x
+        q = -0.5 * gy * gy + 1j * lam * beta * cx * y + 0.5 * lam * lam * y * y
+        return p + 0.5 * (x - s_well) ** 2, q + 0.5 * y * y
 
-    return _bracket(bra, ket, f, quad, failures, label)
+    return _bracket(bra, ket, poly, quad, failures, label)
 
 
 def _w_element(pt: _Point, bra, ket, quad, failures=None, label="w-element"):
@@ -332,11 +320,7 @@ def _w_element(pt: _Point, bra, ket, quad, failures=None, label="w-element"):
         w2 = 0.5 * (q * q / (4.0 * d * d) - (x - d) ** 2)
         return w1 + w2
 
-    return _bracket(
-        bra, ket,
-        lambda grid, x, y: np.conj(pt.phi(bra, grid, x, y)) * w_sum(x) * pt.phi(ket, grid, x, y),
-        quad, failures, label,
-    )
+    return _bracket(bra, ket, lambda x, y: (w_sum(x), 0.0), quad, failures, label)
 
 
 def _sum_elements(parts):
@@ -463,7 +447,7 @@ def upsilon_quartic(
 def _quartic(pt: _Point, quad, s_num, failures):
     a, b = pt.orb1, pt.orb2
     if s_num is None:
-        s_num, _ = _overlap(pt, quad, failures)
+        s_num = _weight_overlap(pt, quad, failures)
     diag = _sum_elements(
         [
             _w_element(pt, a, a, quad, failures, "u5 <A|W|A>"),
@@ -499,7 +483,7 @@ def assemble_oracle(
     fr = pt.frame
 
     failures: list = []
-    s_num, _ = _overlap(pt, quad_single, failures)
+    s_num = _weight_overlap(pt, quad_single, failures)
     u1, u2 = _single(pt, quad_single, s_num, failures)
     u3, u4 = _coulomb(pt, quad_coulomb, failures)
     u5 = _quartic(pt, quad_single, s_num, failures)

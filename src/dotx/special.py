@@ -161,8 +161,10 @@ def bessel_i0e_array(x: np.ndarray) -> np.ndarray:
     return out
 
 
-# Refinement samples up to 12x this order per axis, so 128 already means
-# 1536^2 complex nodes (about 38 MB per array).
+# Refinement samples up to 12x this order per axis.  The oracle's
+# Gauss-Hermite brackets sum 1-D factors, so its n^2 complex arrays remain
+# only in the polar rules, where 128 already means 1536^2 nodes (about
+# 38 MB per array).
 _MAX_ORDER = 128
 
 
@@ -204,10 +206,8 @@ def _hermite_nodes(n: int):
 
         t, w = np.polynomial.hermite.hermgauss(n)
         # Fold the exp(t^2) de-weighting into the weights via logs so very
-        # high orders do not overflow intermediate factors; keep the tensor
-        # weight matrix that every 2D sample of this order uses.
-        w = np.exp(np.log(w) + t * t)
-        _hermite_cache[n] = (t, w[:, None] * w[None, :])
+        # high orders do not overflow intermediate factors.
+        _hermite_cache[n] = (t, np.exp(np.log(w) + t * t))
     return _hermite_cache[n]
 
 
@@ -222,13 +222,32 @@ def _legendre_nodes(n: int):
 def _gauss_hermite_sample(f, n, center, scale):
     import numpy as np
 
-    t, weight = _hermite_nodes(n)
+    t, w = _hermite_nodes(n)
+    weight = w[:, None] * w[None, :]
     x = center[0] + scale * t[:, None]
     y = center[1] + scale * t[None, :]
     vals = np.broadcast_to(np.asarray(f(x, y)), (n, n))
     value = complex(np.sum(weight * vals)) * scale * scale
     l1 = float(np.sum(weight * np.abs(vals))) * scale * scale
     return value, l1
+
+
+def _separable_sample(factors, n, center, scale):
+    # The tensor rule's sum of X(x) Y(y) (P(x) + Q(y)) as 1-D sums on its
+    # nodes; l1 stays the tensor sum of |f|, which factors where Q is constant.
+    import numpy as np
+
+    t, w = _hermite_nodes(n)
+    x_factor, p, y_factor, q = factors(center[0] + scale * t, center[1] + scale * t)
+    wx = w * x_factor
+    wy = w * y_factor
+    value = (wx * p).sum() * wy.sum() + wx.sum() * (wy * q).sum()
+    if np.ndim(q):  # |P_i + Q_j| in real arithmetic: complex abs is slower
+        re = np.add.outer(p, q.real)
+        l1 = np.abs(wx) @ np.sqrt(re * re + q.imag * q.imag) @ np.abs(wy)
+    else:
+        l1 = np.abs(wx * (p + q)).sum() * np.abs(wy).sum()
+    return complex(value) * scale * scale, float(l1) * scale * scale
 
 
 def _polar_sample(g, n, scale, r_peak, domain_cut, center=None, cartesian=False):
@@ -289,6 +308,20 @@ def integrate_2d(f, spec: QuadratureSpec | None = None, center=(0.0, 0.0), scale
         spec,
         "integrate_2d",
     )
+
+
+def _integrate_separable(factors, spec: QuadratureSpec, center, scale):
+    """`integrate_2d` of X(x) Y(y) (P(x) + Q(y)), where factors(x, y) gives
+    (X, P, Y, Q) elementwise; Q, and with it P, may be a constant.  The tensor
+    rule samples only the 1-D factors; the polar rule takes the product."""
+    if spec.rule == "tensor_gauss_hermite":
+        return _refine(lambda n: _separable_sample(factors, n, center, scale), spec, "integrate_2d")
+
+    def f(x, y):
+        x_factor, p, y_factor, q = factors(x, y)
+        return x_factor * y_factor * (p + q)
+
+    return integrate_2d(f, spec, center, scale)
 
 
 def integrate_coulomb_relative(g, spec: QuadratureSpec | None = None, scale=1.0, r_peak=0.0):

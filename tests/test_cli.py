@@ -318,6 +318,24 @@ class TestErrorMapping:
         assert out == ""
         assert err.startswith("dotx: error: ") and message in err
 
+    @pytest.mark.parametrize("grid_b, grid_d", [("0", "20"), ("1e6", "0.7")])
+    def test_underflowing_overlap_is_domain_error(self, capsys, grid_b, grid_d):
+        code, out, err = run(capsys, "oracle", "--grid-b", grid_b, "--grid-d", grid_d)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("dotx: error: overlap S = ") and "b*d^2" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("threshold", ["nan", "-1", "inf"])
+    def test_unusable_threshold_is_usage_error(self, capsys, threshold):
+        code, out, err = run(
+            capsys, "oracle", "--grid-b", "1", "--grid-d", "0.7", "--threshold", threshold
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("dotx: error: --threshold must be finite and >= 0")
+        assert err.count("\n") == 1
+
     def test_huge_quadrature_order_fails_before_any_node(self, capsys, monkeypatch):
         def no_nodes(n):
             raise AssertionError(f"built {n} quadrature nodes")

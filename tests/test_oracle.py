@@ -7,7 +7,7 @@ import pytest
 
 import dotx.oracle
 from dotx.closed_form import exchange_energy_lab, overlap
-from dotx.errors import QuadratureError
+from dotx.errors import QuadratureError, SingularConfigurationError
 from dotx.oracle import (
     apply_hamiltonian,
     assemble_oracle,
@@ -19,6 +19,7 @@ from dotx.oracle import (
     upsilon_quartic,
     upsilon_single,
 )
+import dotx.special
 from dotx.oracle import _Point, _h_element  # noqa: internal, exercised directly
 from dotx.special import QuadratureSpec, integrate_2d
 from dotx.units import FieldConfig, bohr_radius_nm, derive_parameters
@@ -175,9 +176,12 @@ class TestHamiltonian:
 
 
 class TestUpsilonTerms:
-    def test_overlap_numeric_matches_closed_form(self, gaas, fields_1t):
+    @pytest.mark.parametrize(
+        "quad", [None, QuadratureSpec(rule="adaptive_polar", rel_tol=1e-10)], ids=["hermite", "polar"]
+    )
+    def test_overlap_numeric_matches_closed_form(self, gaas, fields_1t, quad):
         p = derive_parameters(gaas, fields_1t)
-        s, err = overlap_numeric(gaas, fields_1t)
+        s, err = overlap_numeric(gaas, fields_1t, quad)
         assert rel_err(s, overlap(p.b, p.d)) < 1e-10
         assert err < 1e-10
 
@@ -281,6 +285,15 @@ class TestAssemble:
         assert hb.failures
         assert math.isfinite(hb.j_oracle)  # assembled from best estimates
 
+    @pytest.mark.parametrize("B, d", [(0.0, 20.0), (1e6, 0.7)])
+    def test_underflowing_overlap_is_singular(self, gaas, B, d):
+        # S^2 underflows to 0, which would leave the 1/S^2 weights undefined
+        fields = FieldConfig(B=B, E=0.0, a=d * bohr_radius_nm(gaas))
+        with pytest.raises(SingularConfigurationError, match=r"overlap S = .* b\*d\^2 = "):
+            assemble_oracle(gaas, fields)
+        with pytest.raises(SingularConfigurationError):
+            upsilon_quartic(gaas, fields)
+
     def test_monte_carlo_4d_secondary_check(self, gaas, fields_1t):
         """Slow sanity check of the analytic center-of-mass reduction:
         sample both electron coordinates from the orbital densities and
@@ -370,9 +383,41 @@ def loop_oracle(mat, fields, quad):
     return s, upsilon, failures, samples
 
 
-class TestSharedGridValues:
-    """assemble_oracle evaluates each orbital once per node grid; every
-    bracket must still come out bit for bit as if integrated on its own."""
+@pytest.fixture()
+def factored_samples(monkeypatch):
+    """Orders sampled by each factored bracket, one list per bracket."""
+    samples = []
+    integrate, sample = dotx.oracle._integrate_separable, dotx.special._separable_sample
+
+    def integrate_counted(*args, **kwargs):
+        samples.append([])
+        return integrate(*args, **kwargs)
+
+    def sample_counted(factors, n, center, scale):
+        samples[-1].append(n)
+        return sample(factors, n, center, scale)
+
+    monkeypatch.setattr(dotx.oracle, "_integrate_separable", integrate_counted)
+    monkeypatch.setattr(dotx.special, "_separable_sample", sample_counted)
+    return samples
+
+
+def assert_agrees(hb, s, upsilon, s_error):
+    """S, u1, u2 and u5 within 1e-12 relative of the loop's and within the
+    oracle's own error estimate."""
+    assert abs(hb.s_num - s) <= min(1e-12 * abs(s), s_error)
+    for key in ("u1", "u2", "u5"):
+        value, error = hb.upsilon[key]
+        want = upsilon[key][0]
+        assert abs(value - want) <= min(1e-12 * abs(want), error)
+
+
+class TestFactoredBrackets:
+    """assemble_oracle sums each single-particle bracket as 1-D factors of
+    the tensor Gauss-Hermite rule.  Floating-point sums regroup, so the
+    result agrees with the n^2 tensor sum of integrate_2d within the
+    oracle's error bar instead of bit for bit; the refinement, and so the
+    failures and the samples taken, are the same."""
 
     @pytest.mark.parametrize(
         "quad, B, E, d",
@@ -380,45 +425,48 @@ class TestSharedGridValues:
             (QuadratureSpec(), 1.0, 0.0, 0.7),
             (QuadratureSpec(order=8), 3.0, 1e5, 1.0),
             (QuadratureSpec(), 2.0, -3e5, 0.5),
+            (QuadratureSpec(), 8.0, 2e5, 1.5),
         ],
-        ids=["default", "refined", "efield"],
+        ids=["default", "refined", "efield", "far"],
     )
-    def test_matches_per_bracket_loop(self, gaas, quad, B, E, d):
+    def test_matches_per_bracket_loop(self, gaas, quad, B, E, d, factored_samples):
         fields = FieldConfig(B=B, E=E, a=d * bohr_radius_nm(gaas))
         s, upsilon, failures, samples = loop_oracle(gaas, fields, quad)
         hb = assemble_oracle(gaas, fields, quad_single=quad)
+        assert factored_samples == [[shape[0] for shape in calls] for calls in samples]
         assert not failures and not hb.incomplete
-        assert hb.s_num == s
-        for key in ("u1", "u2", "u5"):
-            assert tuple(hb.upsilon[key]) == upsilon[key]
+        s_num, s_error = overlap_numeric(gaas, fields, quad)
+        assert s_num == hb.s_num
+        assert_agrees(hb, s, upsilon, s_error)
         u3, u4 = upsilon_coulomb(gaas, fields)
         assert hb.upsilon["u3"] == u3 and hb.upsilon["u4"] == u4
         if quad.order == 8:  # some bracket must go past the first level
             assert max(len(calls) for calls in samples) > 2
 
-    def test_failures_keep_their_order(self, gaas, fields_1t):
+    def test_failures_keep_their_order(self, gaas, fields_1t, factored_samples):
         impossible = QuadratureSpec(order=4, rel_tol=1e-15)
-        s, upsilon, failures, _ = loop_oracle(gaas, fields_1t, impossible)
+        s, upsilon, failures, samples = loop_oracle(gaas, fields_1t, impossible)
         hb = assemble_oracle(gaas, fields_1t, quad_single=impossible)
+        assert factored_samples == [[shape[0] for shape in calls] for calls in samples]
         assert failures
         assert list(hb.failures) == failures
-        assert hb.s_num == s
-        for key in ("u1", "u2", "u5"):
-            assert tuple(hb.upsilon[key]) == upsilon[key]
+        _, s_error = overlap_numeric(gaas, fields_1t, impossible, failures=[])
+        assert_agrees(hb, s, upsilon, s_error)
 
-    def test_each_orbital_evaluated_once_per_grid(self, gaas, fields_1t, monkeypatch):
+    def test_no_orbital_evaluated_on_a_grid(self, gaas, fields_1t, monkeypatch):
         calls = []
 
-        def counting(spec, x, y):
-            calls.append(spec)
-            return eval_orbital(spec, x, y)
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
 
-        monkeypatch.setattr(dotx.oracle, "eval_orbital", counting)
+            return counted
+
+        monkeypatch.setattr(dotx.oracle, "eval_orbital", counting("eval_orbital", eval_orbital))
+        monkeypatch.setattr(dotx.special, "integrate_2d", counting("integrate_2d", integrate_2d))
         assemble_oracle(gaas, fields_1t)
-        # two orbitals on the middle grid, one on each own-centre grid,
-        # at the two orders of the first refinement level
-        assert len(calls) <= 8
-
+        assert calls == []
     def test_frame_derived_once_per_point(self, gaas, fields_1t, count_derivations):
         calls = count_derivations(dotx.oracle)
         assemble_oracle(gaas, fields_1t)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from dotx.errors import InvalidArgumentError, QuadratureError
-from dotx.special import (
+from dotx.special import (  # noqa: the samplers are internal, compared directly
     QuadratureSpec,
+    _gauss_hermite_sample,
+    _separable_sample,
     bessel_i0,
     bessel_i0e,
     integrate_2d,
@@ -144,6 +146,27 @@ class TestIntegrate2D:
         assert QuadratureSpec(order=128).order == 128
         with pytest.raises(InvalidArgumentError, match="order must be <= 128"):
             QuadratureSpec(order=129)
+
+
+class TestSeparableSample:
+    """The 1-D factored sum against the tensor sum it stands for."""
+
+    @pytest.mark.parametrize("q_kind", ["complex", "zero"])
+    @pytest.mark.parametrize("n", [8, 64, 96])
+    def test_matches_tensor_sum(self, q_kind, n):
+        def factors(x, y):
+            q = 0.5 * y * y - 0.3 + 0.2j * y if q_kind == "complex" else 0.0
+            return np.exp(-((x - 0.4) ** 2)), x * x - 1.0, np.exp(1.3j * y - y * y), q
+
+        def product(x, y):
+            x_factor, p, y_factor, q = factors(x, y)
+            return x_factor * y_factor * (p + q)
+
+        center, scale = (0.2, -0.1), 0.8
+        value, l1 = _separable_sample(factors, n, center, scale)
+        want, want_l1 = _gauss_hermite_sample(product, n, center, scale)
+        assert abs(value - want) <= 1e-14 * want_l1
+        assert rel_err(l1, want_l1) < 1e-13
 
 
 class TestCoulombRelative:
