@@ -32,14 +32,25 @@ the ket's g = grad(phi)/phi, x g_y - y g_x = i k x - b c_x y splits the
 angular term (f is the field shift, s_j the well centre):
 
     P(x) = b - g_x^2/2 + lambda k x + lambda^2 x^2/2 + f x + (x - s_j)^2/2
+         = c2 x^2 + (b^2 c_x + lambda k + f - s_j) x + b - b^2 c_x^2/2 + s_j^2/2
     Q(y) = -g_y^2/2 + i lambda b c_x y + lambda^2 y^2/2 + y^2/2
+         = c2 y^2 + i b (k + lambda c_x) y + k^2/2
 
-For W, P = W_1 + W_2 and Q = 0.  The tensor Gauss-Hermite sum is then
-exactly (sum w X P)(sum w Y) + (sum w X)(sum w Y Q) on the same nodes,
-refinement and error estimate.  Q stays complex: its imaginary part
-cancels only because each ket is an eigenstate of its own well, which
-the oracle keeps measuring by folding |imag| into the error.  Element
-lists are summed in a fixed order, so a report repeats bit for bit.
+with c2 = (1 + lambda^2 - b^2)/2; the brackets evaluate these quadratics
+from their coefficients.  For W, Q = 0 and
+
+    P(x) = W_1 + W_2 = x^4/(4 d^2) - 3 x^2/2 - 3 d^2/4.
+
+The tensor Gauss-Hermite sum is then exactly
+(sum w X P)(sum w Y) + (sum w X)(sum w Y Q) on the same nodes,
+refinement and error estimate.  Q's linear coefficient is taken from
+the ket's own k and c_x, not assumed: it vanishes where the ket is an
+eigenstate of its own well (k = -lambda c_x, exactly so in floating
+point for the orbitals built here), which keeps Q and the n^2 pass over
+|P + Q| real, and any other ket gets a complex Q.  Whatever imaginary
+part a bracket sum keeps, the element lists fold into the error as
+|imag|.  Element lists are summed in a fixed order, so a report repeats
+bit for bit.
 """
 
 from __future__ import annotations
@@ -280,11 +291,17 @@ def _overlap(pt: _Point, quad, failures):
 
 
 def _weight_overlap(pt: _Point, quad, failures):
-    """S for the 1/S^2 weights, which an S whose square underflows leaves undefined."""
+    """S for the 1/S^2 and S^2/(1 - S^4) weights, which an S whose square
+    underflows, or whose fourth power rounds to 1, leaves undefined."""
     s_num, _ = _overlap(pt, quad, failures)
-    if s_num * s_num == 0.0:
-        b_d2 = pt.frame.b * pt.frame.d * pt.frame.d
+    s2 = s_num * s_num
+    b_d2 = pt.frame.b * pt.frame.d * pt.frame.d
+    if s2 == 0.0:
         raise SingularConfigurationError(f"overlap S = {s_num!r} squares to 0 at b*d^2 = {b_d2!r}")
+    if 1.0 - s2 * s2 == 0.0:
+        raise SingularConfigurationError(
+            f"overlap S = {s_num!r} leaves 1 - S^4 = 0 at b*d^2 = {b_d2!r}: the two dots coincide"
+        )
     return s_num
 
 
@@ -294,13 +311,14 @@ def _h_element(pt: _Point, bra, j, ket, quad, failures=None, label="h-element"):
     fr = pt.frame
     beta, k, cx, lam = ket.compression, ket.phase_slope, ket.center_x, fr.lam
     s_well = fr.well_center(j)
+    c2 = 0.5 * (1.0 + lam * lam - beta * beta)  # shared by P and Q
+    p1 = beta * beta * cx + lam * k + fr.fshift - s_well
+    p0 = beta - 0.5 * beta * beta * cx * cx + 0.5 * s_well * s_well
+    q1 = 1j * beta * (k + lam * cx) or 0.0  # a real zero keeps Q real
+    q0 = 0.5 * k * k
 
     def poly(x, y):
-        gx = -beta * (x - cx)
-        gy = 1j * k - beta * y
-        p = beta - 0.5 * gx * gx + lam * k * x + 0.5 * lam * lam * x * x + fr.fshift * x
-        q = -0.5 * gy * gy + 1j * lam * beta * cx * y + 0.5 * lam * lam * y * y
-        return p + 0.5 * (x - s_well) ** 2, q + 0.5 * y * y
+        return (c2 * x + p1) * x + p0, (c2 * y + q1) * y + q0
 
     return _bracket(bra, ket, poly, quad, failures, label)
 
@@ -312,13 +330,13 @@ def _w_element(pt: _Point, bra, ket, quad, failures=None, label="w-element"):
     harmonic well s to the smooth quartic double well, so the sum over
     both wells is what every two-particle bracket sees.
     """
-    d = pt.frame.d
+    d2 = pt.frame.d * pt.frame.d
+    c4 = 0.25 / d2  # W_1 + W_2 = x^4 / (4 d^2) - 3 x^2 / 2 - 3 d^2 / 4
+    c0 = -0.75 * d2
 
     def w_sum(x):
-        q = x * x - d * d
-        w1 = 0.5 * (q * q / (4.0 * d * d) - (x + d) ** 2)
-        w2 = 0.5 * (q * q / (4.0 * d * d) - (x - d) ** 2)
-        return w1 + w2
+        x2 = x * x
+        return (c4 * x2 - 1.5) * x2 + c0
 
     return _bracket(bra, ket, lambda x, y: (w_sum(x), 0.0), quad, failures, label)
 
@@ -387,6 +405,12 @@ def upsilon_coulomb(
     exponent b/2 centered at the center separation; the exchange version
     picks up the phase mismatch exp(i kappa y) and the static attenuation
     exp(-b Delta^2 / 2).
+
+    The exchange kernel is integrated as its real part cos(kappa y), with
+    y = r sin(theta).  Its imaginary part sin(kappa y) is odd under the
+    fold theta -> 2 pi - theta, which maps the periodic trapezoid nodes
+    onto themselves, so its sum is 0 up to roundoff; the radial factor is
+    formed once per radius.
     """
     return _coulomb(_Point(mat, fields), quad or _DEFAULT_COULOMB, failures)
 
@@ -409,9 +433,9 @@ def _coulomb(pt: _Point, quad, failures):
     attenuation = math.exp(-0.5 * beta * delta * delta)
 
     def g_exchange(r, theta):
-        y = r * np.sin(theta)
-        gauss = attenuation * np.exp(-0.5 * beta * r * r)
-        return norm * v0 * gauss * np.exp(1j * kappa * y) / r
+        # the real part of exp(i kappa y): the imaginary part is odd in theta
+        radial = norm * v0 * attenuation * np.exp(-0.5 * beta * r * r) / r
+        return radial * np.cos((kappa * r) * np.sin(theta))
 
     direct, err3 = _integrate(
         integrate_coulomb_relative, g_direct, quad, failures, "u3 direct coulomb",
@@ -421,11 +445,8 @@ def _coulomb(pt: _Point, quad, failures):
         integrate_coulomb_relative, g_exchange, quad, failures, "u4 exchange coulomb",
         scale=width, r_peak=0.0,
     )
-    direct = complex(direct)
-    exchange = complex(exchange)
-    u3 = TermEstimate(2.0 * direct.real, 2.0 * (err3 + abs(direct.imag)))
-    u4 = TermEstimate(2.0 * exchange.real, 2.0 * (err4 + abs(exchange.imag)))
-    return u3, u4
+    # both kernels are real, so the integrals are too
+    return TermEstimate(2.0 * direct, 2.0 * err3), TermEstimate(2.0 * exchange, 2.0 * err4)
 
 
 def upsilon_quartic(

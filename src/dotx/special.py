@@ -148,23 +148,26 @@ def bessel_i0e_array(x: np.ndarray) -> np.ndarray:
     x = np.abs(x)
     out = np.empty_like(x)
     small = x < _I0_SPLIT
-    xs = x[small]
-    q = 0.25 * xs * xs
-    total = np.ones_like(xs)
-    term = np.ones_like(xs)
-    for k in range(1, _I0_SERIES_TERMS + 1):
-        term *= q / (k * k)
-        total += term
-    out[small] = libm(math.exp, -xs) * total
-    with np.errstate(over="ignore"):  # 2 pi x is inf near x = 1e308, as in float
-        out[~small] = _i0e_large(x[~small], np.sqrt)
+    xs, xl = x[small], x[~small]
+    if xs.size:  # each branch runs only on a non-empty part
+        q = 0.25 * xs * xs
+        total = np.ones_like(xs)
+        term = np.ones_like(xs)
+        for k in range(1, _I0_SERIES_TERMS + 1):
+            term *= q / (k * k)
+            total += term
+        out[small] = libm(math.exp, -xs) * total
+    if xl.size:
+        with np.errstate(over="ignore"):  # 2 pi x is inf near x = 1e308, as in float
+            out[~small] = _i0e_large(xl, np.sqrt)
     return out
 
 
-# Refinement samples up to 12x this order per axis.  The oracle's
-# Gauss-Hermite brackets sum 1-D factors, so its n^2 complex arrays remain
-# only in the polar rules, where 128 already means 1536^2 nodes (about
-# 38 MB per array).
+# The polar rule's refinement samples up to 12x this order per axis, so 128
+# already means 1536^2 nodes (about 38 MB per complex array).  The
+# Gauss-Hermite rule stops earlier, at the first order float64 cannot hold
+# (371 with numpy's rule, see `_hermite_nodes`); the oracle's brackets sum
+# its 1-D factors, so its n^2 arrays stay small.
 _MAX_ORDER = 128
 
 
@@ -196,30 +199,48 @@ class QuadratureSpec:
             raise InvalidArgumentError("domain_cut must be >= 4")
 
 
-_hermite_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-_legendre_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_hermite_cache: dict[int, tuple[np.ndarray, np.ndarray] | None] = {}
+_legendre_cache: dict[int, tuple[np.ndarray, np.ndarray] | None] = {}
+
+
+def _finite_rule(t, w):
+    """(t, w), or None unless every node is finite and every weight finite
+    and positive, as a Gauss rule's weights are."""
+    import numpy as np
+
+    return (t, w) if np.isfinite(t).all() and ((0.0 < w) & (w < np.inf)).all() else None
 
 
 def _hermite_nodes(n: int):
+    """Nodes and de-weighted weights of the order-n Gauss-Hermite rule, or
+    None where float64 cannot hold them: numpy's weights all underflow to 0
+    at n = 371 and turn nan from n = 372."""
     if n not in _hermite_cache:
         import numpy as np
 
-        t, w = np.polynomial.hermite.hermgauss(n)
-        # Fold the exp(t^2) de-weighting into the weights via logs so very
-        # high orders do not overflow intermediate factors.
-        _hermite_cache[n] = (t, np.exp(np.log(w) + t * t))
+        with np.errstate(all="ignore"):  # the finiteness check below decides
+            t, w = np.polynomial.hermite.hermgauss(n)
+            # Fold the exp(t^2) de-weighting into the weights via logs so very
+            # high orders do not overflow intermediate factors.
+            _hermite_cache[n] = _finite_rule(t, np.exp(np.log(w) + t * t))
     return _hermite_cache[n]
 
 
 def _legendre_nodes(n: int):
+    """Gauss-Legendre nodes and weights of order n, or None where not finite."""
     if n not in _legendre_cache:
         import numpy as np
 
-        _legendre_cache[n] = np.polynomial.legendre.leggauss(n)
+        with np.errstate(all="ignore"):
+            _legendre_cache[n] = _finite_rule(*np.polynomial.legendre.leggauss(n))
     return _legendre_cache[n]
 
 
-def _gauss_hermite_sample(f, n, center, scale):
+# Each sampler returns (value, l1) at order n, where l1 is the same rule's
+# sum of |f|; with with_l1 false it skips that pass and l1 is None.
+
+
+def _gauss_hermite_sample(f, n, center, scale, with_l1):
     import numpy as np
 
     t, w = _hermite_nodes(n)
@@ -228,11 +249,12 @@ def _gauss_hermite_sample(f, n, center, scale):
     y = center[1] + scale * t[None, :]
     vals = np.broadcast_to(np.asarray(f(x, y)), (n, n))
     value = complex(np.sum(weight * vals)) * scale * scale
-    l1 = float(np.sum(weight * np.abs(vals))) * scale * scale
-    return value, l1
+    if not with_l1:
+        return value, None
+    return value, float(np.sum(weight * np.abs(vals))) * scale * scale
 
 
-def _separable_sample(factors, n, center, scale):
+def _separable_sample(factors, n, center, scale, with_l1):
     # The tensor rule's sum of X(x) Y(y) (P(x) + Q(y)) as 1-D sums on its
     # nodes; l1 stays the tensor sum of |f|, which factors where Q is constant.
     import numpy as np
@@ -241,16 +263,17 @@ def _separable_sample(factors, n, center, scale):
     x_factor, p, y_factor, q = factors(center[0] + scale * t, center[1] + scale * t)
     wx = w * x_factor
     wy = w * y_factor
-    value = (wx * p).sum() * wy.sum() + wx.sum() * (wy * q).sum()
-    if np.ndim(q):  # |P_i + Q_j| in real arithmetic: complex abs is slower
-        re = np.add.outer(p, q.real)
-        l1 = np.abs(wx) @ np.sqrt(re * re + q.imag * q.imag) @ np.abs(wy)
+    value = complex((wx * p).sum() * wy.sum() + wx.sum() * (wy * q).sum()) * scale * scale
+    if not with_l1:
+        return value, None
+    if np.ndim(q):  # a real Q keeps |P_i + Q_j| in real arithmetic
+        l1 = np.abs(wx) @ np.abs(np.add.outer(p, q)) @ np.abs(wy)
     else:
         l1 = np.abs(wx * (p + q)).sum() * np.abs(wy).sum()
-    return complex(value) * scale * scale, float(l1) * scale * scale
+    return value, float(l1) * scale * scale
 
 
-def _polar_sample(g, n, scale, r_peak, domain_cut, center=None, cartesian=False):
+def _polar_sample(g, n, scale, r_peak, domain_cut, with_l1, center=None, cartesian=False):
     import numpy as np
 
     r_max = r_peak + domain_cut * scale
@@ -268,25 +291,49 @@ def _polar_sample(g, n, scale, r_peak, domain_cut, center=None, cartesian=False)
     vals = np.broadcast_to(vals, (len(r), len(theta)))
     weight = (wr * r)[:, None] * wt  # Jacobian r cancels a 1/r singularity
     value = complex(np.sum(weight * vals))
-    l1 = float(np.sum(weight * np.abs(vals)))
-    return value, l1
+    if not with_l1:
+        return value, None
+    return value, float(np.sum(weight * np.abs(vals)))
 
 
-def _refine(sample, spec: QuadratureSpec, label: str):
-    """Run `sample(order)` at increasing order until the change between
-    consecutive levels drops under rel_tol of the integrand mass."""
+def _refine(sample, nodes, spec: QuadratureSpec, label: str):
+    """Run `sample(order, with_l1)` at increasing order until the change
+    between consecutive levels drops under rel_tol of the integrand mass.
+
+    Only the higher level of each round takes the integral of |f|.  `nodes`
+    is the rule's node function: a round at an order it has no rule for is
+    not sampled, and the error carries the last sampled level's value and
+    error.
+    """
+    import numpy as np
+
     n = spec.order
-    for _ in range(4):
-        v_lo, _ = sample(n)
-        v_hi, l1 = sample(n + max(2, n // 2))
-        err = max(abs(v_hi - v_lo), 16.0 * _EPS * l1)
-        if err <= spec.rel_tol * max(abs(v_hi), l1):
-            value = v_hi if isinstance(v_hi, complex) else complex(v_hi)
-            return (value.real if value.imag == 0.0 else value), err
-        n *= 2
+    value = err = None
+    # An integrand past the float range samples to inf or nan, which fails
+    # the error test: the QuadratureError reports it, not a numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(4):
+            n_hi = n + max(2, n // 2)
+            if nodes(n) is None or nodes(n_hi) is None:
+                raise QuadratureError(
+                    f"{label} did not converge to rel_tol={spec.rel_tol}: no rule of order "
+                    f"{n if nodes(n) is None else n_hi} with finite nodes and positive weights",
+                    value=value,
+                    error_estimate=err,
+                )
+            v_lo, _ = sample(n, False)
+            v_hi, l1 = sample(n_hi, True)
+            # hypot, unlike complex abs, gives inf past the float range instead of raising
+            diff = math.hypot(v_hi.real - v_lo.real, v_hi.imag - v_lo.imag)
+            err = max(diff, 16.0 * _EPS * l1)
+            value = v_hi.real if v_hi.imag == 0.0 else v_hi
+            # a bound past the float range certifies nothing
+            if err <= spec.rel_tol * max(math.hypot(v_hi.real, v_hi.imag), l1) < math.inf:
+                return value, err
+            n *= 2
     raise QuadratureError(
         f"{label} did not converge to rel_tol={spec.rel_tol} by order {n}",
-        value=(v_hi.real if v_hi.imag == 0.0 else v_hi),
+        value=value,
         error_estimate=err,
     )
 
@@ -302,9 +349,17 @@ def integrate_2d(f, spec: QuadratureSpec | None = None, center=(0.0, 0.0), scale
     """
     spec = spec or QuadratureSpec()
     if spec.rule == "tensor_gauss_hermite":
-        return _refine(lambda n: _gauss_hermite_sample(f, n, center, scale), spec, "integrate_2d")
+        return _refine(
+            lambda n, l1: _gauss_hermite_sample(f, n, center, scale, l1),
+            _hermite_nodes,
+            spec,
+            "integrate_2d",
+        )
     return _refine(
-        lambda n: _polar_sample(f, n, scale, 0.0, spec.domain_cut, center=center, cartesian=True),
+        lambda n, l1: _polar_sample(
+            f, n, scale, 0.0, spec.domain_cut, l1, center=center, cartesian=True
+        ),
+        _legendre_nodes,
         spec,
         "integrate_2d",
     )
@@ -315,7 +370,12 @@ def _integrate_separable(factors, spec: QuadratureSpec, center, scale):
     (X, P, Y, Q) elementwise; Q, and with it P, may be a constant.  The tensor
     rule samples only the 1-D factors; the polar rule takes the product."""
     if spec.rule == "tensor_gauss_hermite":
-        return _refine(lambda n: _separable_sample(factors, n, center, scale), spec, "integrate_2d")
+        return _refine(
+            lambda n, l1: _separable_sample(factors, n, center, scale, l1),
+            _hermite_nodes,
+            spec,
+            "integrate_2d",
+        )
 
     def f(x, y):
         x_factor, p, y_factor, q = factors(x, y)
@@ -335,7 +395,8 @@ def integrate_coulomb_relative(g, spec: QuadratureSpec | None = None, scale=1.0,
     """
     spec = spec or QuadratureSpec(rule="adaptive_polar", rel_tol=1e-8)
     return _refine(
-        lambda n: _polar_sample(g, n, scale, r_peak, spec.domain_cut),
+        lambda n, l1: _polar_sample(g, n, scale, r_peak, spec.domain_cut, l1),
+        _legendre_nodes,
         spec,
         "integrate_coulomb_relative",
     )

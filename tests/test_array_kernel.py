@@ -83,6 +83,30 @@ class TestBesselArray:
         want = [bessel_i0e(v) for v in x.tolist()]
         assert repr(got) == repr(want)
 
+    @pytest.mark.parametrize(
+        "x, large_calls",
+        [
+            ([0.0, 1.5, -7.0, math.nextafter(_I0_SPLIT, 0.0)], 0),
+            ([_I0_SPLIT, 12.0, -800.0, 1e300, math.inf], 1),
+            ([0.3, _I0_SPLIT, -2.0, 40.0], 1),
+            ([], 0),
+        ],
+        ids=["all-small", "all-large", "mixed", "empty"],
+    )
+    def test_branches_run_only_on_their_arguments(self, monkeypatch, x, large_calls):
+        calls = []
+        large = dotx.special._i0e_large
+
+        def counted(values, *args):
+            calls.append(np.size(values))
+            return large(values, *args)
+
+        monkeypatch.setattr(dotx.special, "_i0e_large", counted)
+        got = bessel_i0e_array(np.array(x, dtype=float)).tolist()
+        assert len(calls) == large_calls and 0 not in calls
+        monkeypatch.undo()
+        assert repr(got) == repr([bessel_i0e(v) for v in x])
+
     def test_nan_rejected(self):
         with pytest.raises(InvalidArgumentError):
             bessel_i0e_array(np.array([1.0, math.nan]))

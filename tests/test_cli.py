@@ -326,6 +326,32 @@ class TestErrorMapping:
         assert err.startswith("dotx: error: overlap S = ") and "b*d^2" in err
         assert err.count("\n") == 1
 
+    def test_coinciding_dots_are_domain_error(self, capsys):
+        # 1 - S^4 rounds to 0 at d = 1e-9: a domain error, not a ZeroDivisionError
+        code, out, err = run(capsys, "oracle", "--grid-b", "1", "--grid-d", "1e-9")
+        assert (code, out) == (2, "")
+        assert err.startswith("dotx: error: overlap S = 1.0 leaves 1 - S^4 = 0")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("efield", ["1e15", "1e100"])
+    def test_unconverged_brackets_are_listed(self, capsys, tmp_path, efield):
+        # no bracket converges by order 192, and numpy's Gauss-Hermite rule
+        # is unusable at 384; each is reported instead of an OverflowError
+        out = tmp_path / "report.json"
+        code, _, err = run(
+            capsys, "oracle", "--grid-b", "1", "--grid-d", "0.7", "--E", efield, "--out", str(out)
+        )
+        assert (code, err) == (4, "")
+        failures = json.loads(out.read_text())["points"][0]["failures"]
+        assert len(failures) == 13
+        assert all("no rule of order 384 with finite nodes" in line for line in failures)
+
+    def test_field_overflow_after_quadrature_is_named(self, capsys):
+        code, out, err = run(capsys, "oracle", "--grid-b", "1", "--grid-d", "0.7", "--E", "1e300")
+        assert (code, out) == (2, "")
+        assert err.startswith("dotx: error: electric field chi=")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("threshold", ["nan", "-1", "inf"])
     def test_unusable_threshold_is_usage_error(self, capsys, threshold):
         code, out, err = run(

@@ -21,7 +21,7 @@ from dotx.oracle import (
 )
 import dotx.special
 from dotx.oracle import _Point, _h_element  # noqa: internal, exercised directly
-from dotx.special import QuadratureSpec, integrate_2d
+from dotx.special import QuadratureSpec, integrate_2d, integrate_coulomb_relative
 from dotx.units import FieldConfig, bohr_radius_nm, derive_parameters
 
 from conftest import rel_err
@@ -294,6 +294,12 @@ class TestAssemble:
         with pytest.raises(SingularConfigurationError):
             upsilon_quartic(gaas, fields)
 
+    def test_coinciding_dots_are_singular(self, gaas):
+        # S rounds to 1, so 1 - S^4 = 0 would divide the weight S^2/(1 - S^4) by 0
+        fields = FieldConfig(B=1.0, E=0.0, a=1e-9 * bohr_radius_nm(gaas))
+        with pytest.raises(SingularConfigurationError, match=r"overlap S = 1\.0 leaves 1 - S\^4 = 0"):
+            assemble_oracle(gaas, fields)
+
     def test_monte_carlo_4d_secondary_check(self, gaas, fields_1t):
         """Slow sanity check of the analytic center-of-mass reduction:
         sample both electron coordinates from the orbital densities and
@@ -393,13 +399,55 @@ def factored_samples(monkeypatch):
         samples.append([])
         return integrate(*args, **kwargs)
 
-    def sample_counted(factors, n, center, scale):
+    def sample_counted(factors, n, center, scale, with_l1):
         samples[-1].append(n)
-        return sample(factors, n, center, scale)
+        return sample(factors, n, center, scale, with_l1)
 
     monkeypatch.setattr(dotx.oracle, "_integrate_separable", integrate_counted)
     monkeypatch.setattr(dotx.special, "_separable_sample", sample_counted)
     return samples
+
+
+@pytest.fixture()
+def refinements(monkeypatch):
+    """Per quadrature, one (order, |f| summed) pair per sampled level."""
+    runs = []
+    refine = dotx.special._refine
+
+    def refine_counted(sample, *args):
+        runs.append([])
+
+        def counted(n, with_l1):
+            value, l1 = sample(n, with_l1)
+            runs[-1].append((n, l1 is not None))
+            return value, l1
+
+        return refine(counted, *args)
+
+    monkeypatch.setattr(dotx.special, "_refine", refine_counted)
+    return runs
+
+
+def complex_kernel_u4(mat, fields):
+    """u4 from the full kernel exp(i kappa y) with its imaginary part, whose
+    roundoff the error folds in; the oracle integrates its real part."""
+    p = derive_parameters(mat, fields)
+    a, b = build_orbital(1, mat, fields), build_orbital(2, mat, fields)
+    beta = p.b
+    delta = a.center_x - b.center_x
+    kappa = b.phase_slope - a.phase_slope
+    prefactor = beta / (2.0 * math.pi) * p.c_coulomb * math.sqrt(2.0 / math.pi)
+    attenuation = math.exp(-0.5 * beta * delta * delta)
+
+    def g(r, theta):
+        gauss = attenuation * np.exp(-0.5 * beta * r * r)
+        return prefactor * gauss * np.exp(1j * kappa * r * np.sin(theta)) / r
+
+    value, err = integrate_coulomb_relative(
+        g, dotx.oracle._DEFAULT_COULOMB, scale=math.sqrt(2.0 / beta), r_peak=0.0
+    )
+    value = complex(value)
+    return 2.0 * value.real, 2.0 * (err + abs(value.imag))
 
 
 def assert_agrees(hb, s, upsilon, s_error):
@@ -442,6 +490,23 @@ class TestFactoredBrackets:
         assert hb.upsilon["u3"] == u3 and hb.upsilon["u4"] == u4
         if quad.order == 8:  # some bracket must go past the first level
             assert max(len(calls) for calls in samples) > 2
+        want, want_error = complex_kernel_u4(gaas, fields)
+        assert abs(u4.value - want) <= min(1e-12 * abs(want), u4.error, want_error)
+
+    @pytest.mark.parametrize(
+        "quad", [QuadratureSpec(order=8), QuadratureSpec(order=4, rel_tol=1e-15)],
+        ids=["refined", "failing"],
+    )
+    def test_one_abs_pass_per_round(self, gaas, quad, refinements):
+        # |f| is summed on the higher level of each round only, for each of
+        # the 13 brackets and both polar Coulomb integrals
+        assemble_oracle(gaas, FieldConfig(B=3.0, E=1e5, a=bohr_radius_nm(gaas)), quad_single=quad)
+        assert len(refinements) == 15
+        for levels in refinements:
+            assert [with_l1 for _, with_l1 in levels] == [False, True] * (len(levels) // 2)
+            lows, highs = [n for n, _ in levels[::2]], [n for n, _ in levels[1::2]]
+            assert highs == [n + max(2, n // 2) for n in lows]
+        assert max(map(len, refinements)) > 2
 
     def test_failures_keep_their_order(self, gaas, fields_1t, factored_samples):
         impossible = QuadratureSpec(order=4, rel_tol=1e-15)

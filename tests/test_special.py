@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import dotx.special
 from dotx.errors import InvalidArgumentError, QuadratureError
 from dotx.special import (  # noqa: the samplers are internal, compared directly
     QuadratureSpec,
     _gauss_hermite_sample,
+    _hermite_nodes,
+    _refine,
     _separable_sample,
     bessel_i0,
     bessel_i0e,
@@ -163,10 +166,80 @@ class TestSeparableSample:
             return x_factor * y_factor * (p + q)
 
         center, scale = (0.2, -0.1), 0.8
-        value, l1 = _separable_sample(factors, n, center, scale)
-        want, want_l1 = _gauss_hermite_sample(product, n, center, scale)
+        value, l1 = _separable_sample(factors, n, center, scale, True)
+        want, want_l1 = _gauss_hermite_sample(product, n, center, scale, True)
         assert abs(value - want) <= 1e-14 * want_l1
         assert rel_err(l1, want_l1) < 1e-13
+        assert _separable_sample(factors, n, center, scale, False) == (value, None)
+
+
+class TestRefinement:
+    """The refinement loop on its own, with a scripted sampler."""
+
+    @staticmethod
+    def scripted(values, log):
+        def sample(n, with_l1):
+            log.append((n, with_l1))
+            return values(n), (1.0 if with_l1 else None)
+
+        return sample
+
+    def test_one_abs_pass_per_round(self):
+        log = []
+        sample = self.scripted(lambda n: complex(1.0 / n), log)
+        with pytest.raises(QuadratureError):
+            _refine(sample, lambda n: (), QuadratureSpec(order=8, rel_tol=1e-12), "scripted")
+        assert log == [(8, False), (12, True), (16, False), (24, True),
+                       (32, False), (48, True), (64, False), (96, True)]
+
+    def test_stops_before_an_order_without_a_rule(self):
+        # the round (32, 48) has no finite nodes: nothing is sampled there and
+        # the error carries the value and error of the round before
+        log = []
+        sample = self.scripted(lambda n: complex(1.0 / n, 0.5 / n), log)
+        nodes = lambda n: None if n >= 40 else ()  # noqa: E731
+        with pytest.raises(QuadratureError, match="no rule of order 48 with finite nodes") as excinfo:
+            _refine(sample, nodes, QuadratureSpec(order=8, rel_tol=1e-12), "scripted")
+        assert [n for n, _ in log] == [8, 12, 16, 24]
+        assert excinfo.value.value == complex(1.0 / 24, 0.5 / 24)
+        assert excinfo.value.error_estimate == abs(complex(1.0 / 24 - 1.0 / 16, 0.5 / 24 - 0.5 / 16))
+
+    def test_difference_past_float_range_is_an_infinite_error(self):
+        # complex abs raises OverflowError on a finite difference this large
+        huge = complex(1.5e308, 1.5e308)
+        sample = self.scripted(lambda n: huge if n % 3 == 0 else 0j, [])
+        with pytest.raises(QuadratureError) as excinfo:
+            _refine(sample, lambda n: (), QuadratureSpec(order=8), "scripted")
+        assert excinfo.value.value == huge
+        assert excinfo.value.error_estimate == math.inf
+
+
+class TestHermiteRule:
+    def test_non_finite_orders_give_no_rule(self):
+        for n in (4, 96, 192, 288, 370):
+            t, w = _hermite_nodes(n)
+            assert np.isfinite(t).all() and np.isfinite(w).all() and (w > 0.0).all()
+        for n in (371, 372, 384, 768):  # all weights 0 at 371, some nan above
+            assert _hermite_nodes(n) is None
+
+    def test_refinement_ends_at_the_last_finite_level(self, monkeypatch):
+        # at order 128 the second round would need order 384
+        orders = []
+        sample = dotx.special._gauss_hermite_sample
+
+        def counted(f, n, *args):
+            orders.append(n)
+            return sample(f, n, *args)
+
+        monkeypatch.setattr(dotx.special, "_gauss_hermite_sample", counted)
+
+        def wiggly(x, y):
+            return np.cos(200.0 * y) * np.exp(-(x * x + y * y))
+
+        with pytest.raises(QuadratureError, match="no rule of order 384 with finite nodes") as excinfo:
+            integrate_2d(wiggly, QuadratureSpec(order=128, rel_tol=1e-12))
+        assert orders == [128, 192]
+        assert math.isfinite(excinfo.value.value) and math.isfinite(excinfo.value.error_estimate)
 
 
 class TestCoulombRelative:
