@@ -41,16 +41,17 @@ from their coefficients.  For W, Q = 0 and
 
     P(x) = W_1 + W_2 = x^4/(4 d^2) - 3 x^2/2 - 3 d^2/4.
 
-The tensor Gauss-Hermite sum is then exactly
-(sum w X P)(sum w Y) + (sum w X)(sum w Y Q) on the same nodes,
-refinement and error estimate.  Q's linear coefficient is taken from
-the ket's own k and c_x, not assumed: it vanishes where the ket is an
-eigenstate of its own well (k = -lambda c_x, exactly so in floating
-point for the orbitals built here), which keeps Q and the n^2 pass over
-|P + Q| real, and any other ket gets a complex Q.  Whatever imaginary
-part a bracket sum keeps, the element lists fold into the error as
-|imag|.  Element lists are summed in a fixed order, so a report repeats
-bit for bit.
+The tensor Gauss-Hermite sum of a bracket is then exactly
+(sum w X P)(sum w Y) + (sum w X)(sum w Y Q) on the same nodes.  A point's
+brackets share one stacked pass per refinement level, which builds X and
+Y once per (bra, ket) pair and P and Q once per open bracket and takes
+each sum as a row sum; each bracket refines on its own.  Q's linear
+coefficient comes from the ket's own k and c_x: it vanishes where the
+ket is an eigenstate of its own well (k = -lambda c_x, exactly so in
+floating point for the orbitals built here), which keeps Q and the n^2
+pass over |P + Q| real; any other ket gets a complex Q.  Whatever
+imaginary part a bracket sum keeps, the element lists fold into the error
+as |imag|; summed in a fixed order, a report repeats bit for bit.
 """
 
 from __future__ import annotations
@@ -63,7 +64,9 @@ import numpy as np
 
 from .closed_form import exchange_energy
 from .errors import QuadratureError, SingularConfigurationError
-from .special import QuadratureSpec, _integrate_separable, integrate_coulomb_relative
+from .special import (
+    QuadratureSpec, _hermite_nodes, _refine_many, integrate_2d, integrate_coulomb_relative,
+)
 from .units import FieldConfig, MaterialParams, derive_parameters
 
 #: Relative-discrepancy denominators never drop below this (in units of
@@ -234,44 +237,131 @@ class _Point:
         self.orb2 = _orbital(self.frame, 2)
 
 
-def _integrate(integrator, f, quad, failures, label, **hints):
-    """Run one quadrature; with a `failures` list, a QuadratureError is
-    recorded there and its best estimate returned instead of raised."""
+def _attempt(integrator, f, quad, **hints):
+    """A quadrature's (value, error), or the QuadratureError it failed with."""
     try:
         return integrator(f, quad, **hints)
     except QuadratureError as exc:
-        if failures is None:
-            raise
-        failures.append(f"{label}: {exc}")
-        value = exc.value if exc.value is not None else math.nan
-        err = exc.error_estimate if exc.error_estimate is not None else math.inf
-        return value, err
+        return exc
 
 
-def _bracket(bra, ket, poly, quad, failures, label):
-    """<bra| P(x) + Q(y) |ket> with (P, Q) = poly(x, y), on nodes centred
-    between the two orbitals at the bra's Gaussian width."""
-    center = (0.5 * (bra.center_x + ket.center_x), 0.0)
-    beta = bra.compression  # the two orbitals of a point share their width
+def _settle(result, failures, label):
+    """A quadrature result as (value, error).  A QuadratureError is raised,
+    or with a `failures` list recorded there and its best estimate kept."""
+    if not isinstance(result, QuadratureError):
+        return result
+    if failures is None:
+        raise result
+    failures.append(f"{label}: {result}")
+    value = result.value if result.value is not None else math.nan
+    return value, result.error_estimate if result.error_estimate is not None else math.inf
+
+
+class _Bracket(NamedTuple):
+    """<bra| P(x) + Q(y) |ket> with P = (a u + b) u + c for p = (a, b, c),
+    u = x^2 if quartic else x, and Q = (a y + b) y + c for q, or Q = 0."""
+
+    bra: OrbitalSpec
+    ket: OrbitalSpec
+    p: tuple
+    quartic: bool = False
+    q: tuple | None = None
+
+
+def _quadratic(a, b, c, u):
+    return (a * u + b) * u + c
+
+
+def _stacked_sampler(brackets):
+    """`_refine_many`'s sample(n, with_l1, open_) for the stacked sums of `brackets`."""
+    pairs = list(dict.fromkeys((br.bra, br.ket) for br in brackets))
+    pair = np.array([pairs.index((br.bra, br.ket)) for br in brackets])
+    u_row = pair + len(pairs) * np.array([br.quartic for br in brackets])
+    p_coef = np.array([br.p for br in brackets])
+    q_coef = np.array([br.q or (0.0, 0.0, 0.0) for br in brackets])
+    bra_x, ket_x = (np.array([[orb.center_x] for orb in side]) for side in zip(*pairs))
+    center = 0.5 * (bra_x + ket_x)  # nodes centred between the two orbitals
+    i_kappa = np.array([[1j * (ket.phase_slope - bra.phase_slope)] for bra, ket in pairs])
+    beta = brackets[0].bra.compression  # the orbitals of a point share their width
     scale = 1.0 / math.sqrt(beta)
-    kappa = ket.phase_slope - bra.phase_slope
 
-    def factors(x, y):
-        # X = conj(phi_bra,x) phi_ket,x and Y = conj(phi_bra,y) phi_ket,y
-        dx_bra, dx_ket = x - bra.center_x, x - ket.center_x
-        x_factor = beta / math.pi * np.exp(-0.5 * beta * (dx_bra * dx_bra + dx_ket * dx_ket))
-        y_factor = np.exp(1j * kappa * y - beta * y * y)
-        p, q = poly(x, y)
-        return x_factor, p, y_factor, q
+    def sample(n, with_l1, open_):
+        t, w = _hermite_nodes(n)
+        st = scale * t
+        x, y = center + st, 0.0 + st
+        dx_bra, dx_ket = x - bra_x, x - ket_x  # X and Y of the module docstring, times w
+        wx = w * (beta / math.pi * np.exp(-0.5 * beta * (dx_bra * dx_bra + dx_ket * dx_ket)))
+        wy, rows = w * np.exp(i_kappa * y - beta * y * y), pair[open_]
+        p = _quadratic(*p_coef[open_].T[..., None], np.concatenate((x, x * x))[u_row[open_]])
+        q = _quadratic(*q_coef[open_].T[..., None], y)
+        wx_p = wx[rows] * p
+        sums = zip(wx_p.sum(1), wy.sum(1)[rows], wx.sum(1)[rows], (wy[rows] * q).sum(1))
+        values = [complex(a * b + c * d) * scale * scale for a, b, c, d in sums]
+        if not with_l1:
+            return [(value, None) for value in values]
+        abs_wx, abs_wy = np.abs(wx), np.abs(wy)
+        l1s = np.abs(wx_p).sum(1) * abs_wy.sum(1)[rows]  # |f| factors where Q = 0
+        for j, i in enumerate(open_):
+            if brackets[i].q is not None:  # a real Q keeps |P_i + Q_j| in real arithmetic
+                l1s[j] = abs_wx[rows[j]] @ np.abs(np.add.outer(p[j], q[j])) @ abs_wy[rows[j]]
+        return [(value, float(l1) * scale * scale) for value, l1 in zip(values, l1s)]
 
-    return _integrate(
-        _integrate_separable, factors, quad, failures, label, center=center, scale=scale
-    )
+    return sample
+
+
+def _integrate_brackets(brackets, quad):
+    """(value, error) or QuadratureError per bracket; polar takes each product alone."""
+    if quad.rule == "tensor_gauss_hermite":
+        sample = _stacked_sampler(brackets)
+        return _refine_many(sample, len(brackets), _hermite_nodes, quad, "integrate_2d")
+    results, beta = [], brackets[0].bra.compression
+    for br in brackets:
+        def f(x, y, br=br):  # conj(phi_bra) (P(x) + Q(y)) phi_ket
+            p = _quadratic(*br.p, x * x if br.quartic else x) + _quadratic(*(br.q or (0, 0, 0)), y)
+            return np.conj(eval_orbital(br.bra, x, y)) * p * eval_orbital(br.ket, x, y)
+        center = (0.5 * (br.bra.center_x + br.ket.center_x), 0.0)
+        results.append(_attempt(integrate_2d, f, quad, center=center, scale=1.0 / math.sqrt(beta)))
+    return results
 
 
 def orbital_norm(spec: OrbitalSpec, quad: QuadratureSpec | None = None):
     """Quadrature of the orbital density (should be 1)."""
-    return _bracket(spec, spec, lambda x, y: (1.0, 0.0), quad or _DEFAULT_SINGLE, None, "norm")
+    (result,) = _integrate_brackets([_Bracket(spec, spec, (0.0, 0.0, 1.0))], quad or _DEFAULT_SINGLE)
+    return _settle(result, None, "norm")
+
+
+# The single-particle brackets, in the order their failures are reported
+_U1 = ("u1 <A|H1|A>", "u1 <B|H2|B>", "u1 <B|H1|B>", "u1 <A|H2|A>")
+_U2 = ("u2 <A|H1|B>", "u2 <B|H2|A>", "u2 <B|H1|A>", "u2 <A|H2|B>")
+_U5 = ("u5 <A|W|A>", "u5 <B|W|B>", "u5 <B|W|A>", "u5 <A|W|B>")
+
+
+def _bracket(pt: _Point, label):
+    """The bracket `label` names: "overlap" is <B|A>, and "uN <bra|op|ket>"
+    applies H_j (P + Q of the module docstring) or W = W_1 + W_2 to the ket,
+    for A dot 1's orbital and B dot 2's.  W_s(x) = 1/2 [ (x^2 - d^2)^2 / (4 d^2)
+    - (x - s d)^2 ] completes the harmonic well s to the smooth quartic double
+    well, so the sum over both wells is what every two-particle bracket sees."""
+    bra, op, ket = label[4:-1].split("|") if label != "overlap" else ("B", "1", "A")
+    bra, ket = (pt.orb1 if side == "A" else pt.orb2 for side in (bra, ket))
+    fr, d2 = pt.frame, pt.frame.d * pt.frame.d
+    if op == "1":
+        return _Bracket(bra, ket, (0.0, 0.0, 1.0))
+    if op == "W":  # W_1 + W_2 = x^4 / (4 d^2) - 3 x^2 / 2 - 3 d^2 / 4
+        return _Bracket(bra, ket, (0.25 / d2, -1.5, -0.75 * d2), quartic=True)
+    beta, k, cx, lam = ket.compression, ket.phase_slope, ket.center_x, fr.lam
+    s_well = fr.well_center(int(op[1]))
+    c2 = 0.5 * (1.0 + lam * lam - beta * beta)  # shared by P and Q
+    p1 = beta * beta * cx + lam * k + fr.fshift - s_well
+    p0 = beta - 0.5 * beta * beta * cx * cx + 0.5 * s_well * s_well
+    q1 = 1j * beta * (k + lam * cx) or 0.0  # a real zero keeps Q real
+    return _Bracket(bra, ket, (c2, p1, p0), q=(c2, q1, 0.5 * k * k))
+
+
+def _brackets(pt: _Point, quad, labels):
+    """{label: (value, error) or QuadratureError} for the point's brackets
+    named in `labels`, integrated together."""
+    return dict(zip(labels, _integrate_brackets([_bracket(pt, label) for label in labels], quad)))
 
 
 def overlap_numeric(
@@ -281,19 +371,14 @@ def overlap_numeric(
     failures: list | None = None,
 ):
     """Overlap <phi_2|phi_1> by quadrature; returns (value, error)."""
-    return _overlap(_Point(mat, fields), quad or _DEFAULT_SINGLE, failures)
+    res = _brackets(_Point(mat, fields), quad or _DEFAULT_SINGLE, ["overlap"])
+    return _sum_elements(res, ["overlap"], failures)
 
 
-def _overlap(pt: _Point, quad, failures):
-    value, err = _bracket(pt.orb2, pt.orb1, lambda x, y: (1.0, 0.0), quad, failures, "overlap")
-    value = complex(value)
-    return value.real, err + abs(value.imag)
-
-
-def _weight_overlap(pt: _Point, quad, failures):
+def _weight_overlap(pt: _Point, res, failures):
     """S for the 1/S^2 and S^2/(1 - S^4) weights, which an S whose square
     underflows, or whose fourth power rounds to 1, leaves undefined."""
-    s_num, _ = _overlap(pt, quad, failures)
+    s_num, _ = _sum_elements(res, ["overlap"], failures)
     s2 = s_num * s_num
     b_d2 = pt.frame.b * pt.frame.d * pt.frame.d
     if s2 == 0.0:
@@ -305,46 +390,10 @@ def _weight_overlap(pt: _Point, quad, failures):
     return s_num
 
 
-def _h_element(pt: _Point, bra, j, ket, quad, failures=None, label="h-element"):
-    """<bra | H_j | ket> as a (complex value, error) pair; H_j acts on the
-    ket as P(x) + Q(y) of the module docstring."""
-    fr = pt.frame
-    beta, k, cx, lam = ket.compression, ket.phase_slope, ket.center_x, fr.lam
-    s_well = fr.well_center(j)
-    c2 = 0.5 * (1.0 + lam * lam - beta * beta)  # shared by P and Q
-    p1 = beta * beta * cx + lam * k + fr.fshift - s_well
-    p0 = beta - 0.5 * beta * beta * cx * cx + 0.5 * s_well * s_well
-    q1 = 1j * beta * (k + lam * cx) or 0.0  # a real zero keeps Q real
-    q0 = 0.5 * k * k
-
-    def poly(x, y):
-        return (c2 * x + p1) * x + p0, (c2 * y + q1) * y + q0
-
-    return _bracket(bra, ket, poly, quad, failures, label)
-
-
-def _w_element(pt: _Point, bra, ket, quad, failures=None, label="w-element"):
-    """<bra | W_1 + W_2 | ket> with the double-well quartic correction.
-
-    W_s(x) = 1/2 [ (x^2 - d^2)^2 / (4 d^2) - (x - s d)^2 ] completes the
-    harmonic well s to the smooth quartic double well, so the sum over
-    both wells is what every two-particle bracket sees.
-    """
-    d2 = pt.frame.d * pt.frame.d
-    c4 = 0.25 / d2  # W_1 + W_2 = x^4 / (4 d^2) - 3 x^2 / 2 - 3 d^2 / 4
-    c0 = -0.75 * d2
-
-    def w_sum(x):
-        x2 = x * x
-        return (c4 * x2 - 1.5) * x2 + c0
-
-    return _bracket(bra, ket, lambda x, y: (w_sum(x), 0.0), quad, failures, label)
-
-
-def _sum_elements(parts):
-    total = 0.0 + 0.0j
-    err = 0.0
-    for value, e in parts:
+def _sum_elements(res, labels, failures):
+    total, err = 0.0 + 0.0j, 0.0
+    for label in labels:
+        value, e = _settle(res[label], failures, label)
         total += complex(value)
         err += e
     return TermEstimate(total.real, err + abs(total.imag))
@@ -363,29 +412,15 @@ def upsilon_single(
     norms are 1); u2 the cross elements, each weighted by the spectator
     overlap S.
     """
-    return _single(_Point(mat, fields), quad or _DEFAULT_SINGLE, s_num, failures)
+    labels = _U1 + _U2 if s_num is not None else ("overlap",) + _U1 + _U2
+    return _single(_brackets(_Point(mat, fields), quad or _DEFAULT_SINGLE, labels), s_num, failures)
 
 
-def _single(pt: _Point, quad, s_num, failures):
-    a, b = pt.orb1, pt.orb2
+def _single(res, s_num, failures):
     if s_num is None:
-        s_num, _ = _overlap(pt, quad, failures)
-    u1 = _sum_elements(
-        [
-            _h_element(pt, a, 1, a, quad, failures, "u1 <A|H1|A>"),
-            _h_element(pt, b, 2, b, quad, failures, "u1 <B|H2|B>"),
-            _h_element(pt, b, 1, b, quad, failures, "u1 <B|H1|B>"),
-            _h_element(pt, a, 2, a, quad, failures, "u1 <A|H2|A>"),
-        ]
-    )
-    cross = _sum_elements(
-        [
-            _h_element(pt, a, 1, b, quad, failures, "u2 <A|H1|B>"),
-            _h_element(pt, b, 2, a, quad, failures, "u2 <B|H2|A>"),
-            _h_element(pt, b, 1, a, quad, failures, "u2 <B|H1|A>"),
-            _h_element(pt, a, 2, b, quad, failures, "u2 <A|H2|B>"),
-        ]
-    )
+        s_num, _ = _sum_elements(res, ["overlap"], failures)
+    u1 = _sum_elements(res, _U1, failures)
+    cross = _sum_elements(res, _U2, failures)
     u2 = TermEstimate(s_num * cross.value, abs(s_num) * cross.error)
     return u1, u2
 
@@ -437,13 +472,13 @@ def _coulomb(pt: _Point, quad, failures):
         radial = norm * v0 * attenuation * np.exp(-0.5 * beta * r * r) / r
         return radial * np.cos((kappa * r) * np.sin(theta))
 
-    direct, err3 = _integrate(
-        integrate_coulomb_relative, g_direct, quad, failures, "u3 direct coulomb",
-        scale=width, r_peak=abs(delta),
+    direct, err3 = _settle(
+        _attempt(integrate_coulomb_relative, g_direct, quad, scale=width, r_peak=abs(delta)),
+        failures, "u3 direct coulomb",
     )
-    exchange, err4 = _integrate(
-        integrate_coulomb_relative, g_exchange, quad, failures, "u4 exchange coulomb",
-        scale=width, r_peak=0.0,
+    exchange, err4 = _settle(
+        _attempt(integrate_coulomb_relative, g_exchange, quad, scale=width, r_peak=0.0),
+        failures, "u4 exchange coulomb",
     )
     # both kernels are real, so the integrals are too
     return TermEstimate(2.0 * direct, 2.0 * err3), TermEstimate(2.0 * exchange, 2.0 * err4)
@@ -462,25 +497,16 @@ def upsilon_quartic(
     one spectator overlap S and the overall 1/S^2 of the exchange
     channel, leaving a net -1/S weight.
     """
-    return _quartic(_Point(mat, fields), quad or _DEFAULT_SINGLE, s_num, failures)
+    pt = _Point(mat, fields)
+    labels = _U5 if s_num is not None else ("overlap",) + _U5
+    return _quartic(pt, _brackets(pt, quad or _DEFAULT_SINGLE, labels), s_num, failures)
 
 
-def _quartic(pt: _Point, quad, s_num, failures):
-    a, b = pt.orb1, pt.orb2
+def _quartic(pt: _Point, res, s_num, failures):
     if s_num is None:
-        s_num = _weight_overlap(pt, quad, failures)
-    diag = _sum_elements(
-        [
-            _w_element(pt, a, a, quad, failures, "u5 <A|W|A>"),
-            _w_element(pt, b, b, quad, failures, "u5 <B|W|B>"),
-        ]
-    )
-    cross = _sum_elements(
-        [
-            _w_element(pt, b, a, quad, failures, "u5 <B|W|A>"),
-            _w_element(pt, a, b, quad, failures, "u5 <A|W|B>"),
-        ]
-    )
+        s_num = _weight_overlap(pt, res, failures)
+    diag = _sum_elements(res, _U5[:2], failures)
+    cross = _sum_elements(res, _U5[2:], failures)
     value = diag.value - cross.value / s_num
     error = diag.error + cross.error / abs(s_num)
     return TermEstimate(value, error)
@@ -503,11 +529,12 @@ def assemble_oracle(
     pt = _Point(mat, fields)
     fr = pt.frame
 
+    res = _brackets(pt, quad_single, ("overlap",) + _U1 + _U2 + _U5)
     failures: list = []
-    s_num = _weight_overlap(pt, quad_single, failures)
-    u1, u2 = _single(pt, quad_single, s_num, failures)
+    s_num = _weight_overlap(pt, res, failures)
+    u1, u2 = _single(res, s_num, failures)
     u3, u4 = _coulomb(pt, quad_coulomb, failures)
-    u5 = _quartic(pt, quad_single, s_num, failures)
+    u5 = _quartic(pt, res, s_num, failures)
 
     s2 = s_num * s_num
     weight = s2 / (1.0 - s2 * s2)

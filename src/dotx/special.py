@@ -254,25 +254,6 @@ def _gauss_hermite_sample(f, n, center, scale, with_l1):
     return value, float(np.sum(weight * np.abs(vals))) * scale * scale
 
 
-def _separable_sample(factors, n, center, scale, with_l1):
-    # The tensor rule's sum of X(x) Y(y) (P(x) + Q(y)) as 1-D sums on its
-    # nodes; l1 stays the tensor sum of |f|, which factors where Q is constant.
-    import numpy as np
-
-    t, w = _hermite_nodes(n)
-    x_factor, p, y_factor, q = factors(center[0] + scale * t, center[1] + scale * t)
-    wx = w * x_factor
-    wy = w * y_factor
-    value = complex((wx * p).sum() * wy.sum() + wx.sum() * (wy * q).sum()) * scale * scale
-    if not with_l1:
-        return value, None
-    if np.ndim(q):  # a real Q keeps |P_i + Q_j| in real arithmetic
-        l1 = np.abs(wx) @ np.abs(np.add.outer(p, q)) @ np.abs(wy)
-    else:
-        l1 = np.abs(wx * (p + q)).sum() * np.abs(wy).sum()
-    return value, float(l1) * scale * scale
-
-
 def _polar_sample(g, n, scale, r_peak, domain_cut, with_l1, center=None, cartesian=False):
     import numpy as np
 
@@ -296,46 +277,57 @@ def _polar_sample(g, n, scale, r_peak, domain_cut, with_l1, center=None, cartesi
     return value, float(np.sum(weight * np.abs(vals)))
 
 
-def _refine(sample, nodes, spec: QuadratureSpec, label: str):
-    """Run `sample(order, with_l1)` at increasing order until the change
-    between consecutive levels drops under rel_tol of the integrand mass.
+def _refine_many(sample, count, nodes, spec: QuadratureSpec, label: str):
+    """Refine `count` integrals in lockstep at increasing order, each until the
+    change between consecutive levels drops under rel_tol of its integrand
+    mass; returns (value, error), or the QuadratureError, of each.
 
-    Only the higher level of each round takes the integral of |f|.  `nodes`
-    is the rule's node function: a round at an order it has no rule for is
-    not sampled, and the error carries the last sampled level's value and
-    error.
+    `sample(n, with_l1, open_)` gives a (value, l1) pair per integral in
+    `open_`, those not yet converged; l1 is the sum of |f|, on the higher
+    level of each round only.  A round at an order for which `nodes` has no
+    rule is not sampled: its QuadratureError carries the last sampled level.
     """
     import numpy as np
 
     n = spec.order
-    value = err = None
+    results = [(None, None)] * count
+    open_ = list(range(count))
     # An integrand past the float range samples to inf or nan, which fails
     # the error test: the QuadratureError reports it, not a numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(4):
             n_hi = n + max(2, n // 2)
             if nodes(n) is None or nodes(n_hi) is None:
-                raise QuadratureError(
-                    f"{label} did not converge to rel_tol={spec.rel_tol}: no rule of order "
-                    f"{n if nodes(n) is None else n_hi} with finite nodes and positive weights",
-                    value=value,
-                    error_estimate=err,
-                )
-            v_lo, _ = sample(n, False)
-            v_hi, l1 = sample(n_hi, True)
-            # hypot, unlike complex abs, gives inf past the float range instead of raising
-            diff = math.hypot(v_hi.real - v_lo.real, v_hi.imag - v_lo.imag)
-            err = max(diff, 16.0 * _EPS * l1)
-            value = v_hi.real if v_hi.imag == 0.0 else v_hi
-            # a bound past the float range certifies nothing
-            if err <= spec.rel_tol * max(math.hypot(v_hi.real, v_hi.imag), l1) < math.inf:
-                return value, err
+                n_bad = n if nodes(n) is None else n_hi
+                reason = f": no rule of order {n_bad} with finite nodes and positive weights"
+                break
+            levels = zip(open_, sample(n, False, open_), sample(n_hi, True, open_))
+            open_ = []
+            for i, (v_lo, _), (v_hi, l1) in levels:
+                # hypot, unlike complex abs, gives inf past the float range instead of raising
+                diff = math.hypot(v_hi.real - v_lo.real, v_hi.imag - v_lo.imag)
+                err = max(diff, 16.0 * _EPS * l1)
+                results[i] = v_hi.real if v_hi.imag == 0.0 else v_hi, err
+                # a bound past the float range certifies nothing
+                if not err <= spec.rel_tol * max(math.hypot(v_hi.real, v_hi.imag), l1) < math.inf:
+                    open_.append(i)
+            if not open_:
+                return results
             n *= 2
-    raise QuadratureError(
-        f"{label} did not converge to rel_tol={spec.rel_tol} by order {n}",
-        value=value,
-        error_estimate=err,
-    )
+        else:
+            reason = f" by order {n}"
+    message = f"{label} did not converge to rel_tol={spec.rel_tol}{reason}"
+    for i in open_:
+        results[i] = QuadratureError(message, value=results[i][0], error_estimate=results[i][1])
+    return results
+
+
+def _refine(sample, nodes, spec: QuadratureSpec, label: str):
+    """`_refine_many` of one integral, `sample(n, with_l1)`; raises on failure."""
+    (result,) = _refine_many(lambda n, with_l1, _: [sample(n, with_l1)], 1, nodes, spec, label)
+    if isinstance(result, QuadratureError):
+        raise result
+    return result
 
 
 def integrate_2d(f, spec: QuadratureSpec | None = None, center=(0.0, 0.0), scale=1.0):
@@ -363,25 +355,6 @@ def integrate_2d(f, spec: QuadratureSpec | None = None, center=(0.0, 0.0), scale
         spec,
         "integrate_2d",
     )
-
-
-def _integrate_separable(factors, spec: QuadratureSpec, center, scale):
-    """`integrate_2d` of X(x) Y(y) (P(x) + Q(y)), where factors(x, y) gives
-    (X, P, Y, Q) elementwise; Q, and with it P, may be a constant.  The tensor
-    rule samples only the 1-D factors; the polar rule takes the product."""
-    if spec.rule == "tensor_gauss_hermite":
-        return _refine(
-            lambda n, l1: _separable_sample(factors, n, center, scale, l1),
-            _hermite_nodes,
-            spec,
-            "integrate_2d",
-        )
-
-    def f(x, y):
-        x_factor, p, y_factor, q = factors(x, y)
-        return x_factor * y_factor * (p + q)
-
-    return integrate_2d(f, spec, center, scale)
 
 
 def integrate_coulomb_relative(g, spec: QuadratureSpec | None = None, scale=1.0, r_peak=0.0):

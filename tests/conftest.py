@@ -31,6 +31,30 @@ def gaas_fields():
 
 
 @pytest.fixture()
+def factored_samples(monkeypatch):
+    """Orders sampled by each stacked single-particle bracket, one list per
+    bracket, in the order the oracle integrates them."""
+    import dotx.oracle
+
+    samples = []
+    refine = dotx.oracle._refine_many
+
+    def refine_counted(sample, count, *args):
+        orders = [[] for _ in range(count)]
+        samples.extend(orders)
+
+        def counted(n, with_l1, open_):
+            for i in open_:
+                orders[i].append(n)
+            return sample(n, with_l1, open_)
+
+        return refine(counted, count, *args)
+
+    monkeypatch.setattr(dotx.oracle, "_refine_many", refine_counted)
+    return samples
+
+
+@pytest.fixture()
 def count_derivations(monkeypatch):
     """Install a counting derive_parameters in the given modules; the
     returned list gets one entry per call."""

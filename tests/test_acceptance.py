@@ -12,7 +12,7 @@ import pytest
 from dotx.cli import main as cli_main
 from dotx.closed_form import exchange_energy, exchange_energy_lab, overlap
 from dotx.oracle import assemble_oracle, build_orbital, orbital_norm, overlap_numeric
-from dotx.oracle import _Point, _h_element
+from dotx.oracle import _Point, _brackets
 from dotx.special import QuadratureSpec, bessel_i0
 from dotx.sweeps import find_switch, scan_switches
 from dotx.units import (
@@ -161,8 +161,8 @@ def test_ac6_special_functions(golden):
     for idx in (1, 2):
         value, _ = orbital_norm(build_orbital(idx, GAAS, REFERENCE_FIELDS))
         norm_worst = max(norm_worst, abs(value - 1.0))
-    orb = build_orbital(1, GAAS, REFERENCE_FIELDS)
-    energy, _ = _h_element(_Point(GAAS, REFERENCE_FIELDS), orb, 1, orb, QuadratureSpec())
+    label = "u1 <A|H1|A>"  # dot 1's orbital under its own well's Hamiltonian
+    energy, _ = _brackets(_Point(GAAS, REFERENCE_FIELDS), QuadratureSpec(), [label])[label]
     energy_err = rel_err(complex(energy).real, 1.0)
     ok = worst_i0 <= 1e-13 and norm_worst <= 1e-8 and energy_err <= 1e-8
     report(

@@ -20,7 +20,7 @@ from dotx.oracle import (
     upsilon_single,
 )
 import dotx.special
-from dotx.oracle import _Point, _h_element  # noqa: internal, exercised directly
+from dotx.oracle import _Point, _brackets  # noqa: internal, exercised directly
 from dotx.special import QuadratureSpec, integrate_2d, integrate_coulomb_relative
 from dotx.units import FieldConfig, bohr_radius_nm, derive_parameters
 
@@ -30,6 +30,12 @@ from conftest import rel_err
 @pytest.fixture()
 def fields_1t(gaas):
     return FieldConfig(B=1.0, E=0.0, a=0.7 * bohr_radius_nm(gaas))
+
+
+def bracket(mat, fields, label, quad=None):
+    """The point's single-particle bracket `label` as (value, error); A is
+    dot 1's orbital and B dot 2's."""
+    return _brackets(_Point(mat, fields), quad or QuadratureSpec(), [label])[label]
 
 
 class TestOrbitals:
@@ -112,12 +118,10 @@ class TestHamiltonian:
             assert abs(ratio - p.b) < 1e-10  # Fock-Darwin ground level
 
     def test_expectation_values(self, gaas, gaas_fields, fields_1t):
-        orb0 = build_orbital(1, gaas, gaas_fields)
-        value, _ = _h_element(_Point(gaas, gaas_fields), orb0, 1, orb0, QuadratureSpec())
+        value, _ = bracket(gaas, gaas_fields, "u1 <A|H1|A>")
         assert rel_err(complex(value).real, 1.0) < 1e-8
         p = derive_parameters(gaas, fields_1t)
-        orb1 = build_orbital(1, gaas, fields_1t)
-        value, _ = _h_element(_Point(gaas, fields_1t), orb1, 1, orb1, QuadratureSpec())
+        value, _ = bracket(gaas, fields_1t, "u1 <A|H1|A>")
         assert rel_err(complex(value).real, p.b) < 1e-8
 
     def test_finite_difference_cross_check(self, gaas, fields_1t):
@@ -167,11 +171,8 @@ class TestHamiltonian:
             assert abs(got - want) / abs(want) < 1e-5
 
     def test_hermitian_cross_elements(self, gaas, fields_1t):
-        quad = QuadratureSpec()
-        a = build_orbital(1, gaas, fields_1t)
-        b = build_orbital(2, gaas, fields_1t)
-        ab, err_ab = _h_element(_Point(gaas, fields_1t), a, 1, b, quad)
-        ba, err_ba = _h_element(_Point(gaas, fields_1t), b, 1, a, quad)
+        ab, err_ab = bracket(gaas, fields_1t, "u2 <A|H1|B>")
+        ba, err_ba = bracket(gaas, fields_1t, "u2 <B|H1|A>")
         assert abs(complex(ab) - complex(ba).conjugate()) <= err_ab + err_ba + 1e-12
 
 
@@ -190,15 +191,24 @@ class TestUpsilonTerms:
         # twice the sum of one own-well and one opposite-well element
         quad = QuadratureSpec()
         u1, _ = upsilon_single(gaas, fields_1t, quad)
-        a = build_orbital(1, gaas, fields_1t)
-        b = build_orbital(2, gaas, fields_1t)
-        own_a = complex(_h_element(_Point(gaas, fields_1t), a, 1, a, quad)[0]).real
-        own_b = complex(_h_element(_Point(gaas, fields_1t), b, 2, b, quad)[0]).real
-        opp_a = complex(_h_element(_Point(gaas, fields_1t), a, 2, a, quad)[0]).real
-        opp_b = complex(_h_element(_Point(gaas, fields_1t), b, 1, b, quad)[0]).real
+        own_a = complex(bracket(gaas, fields_1t, "u1 <A|H1|A>", quad)[0]).real
+        own_b = complex(bracket(gaas, fields_1t, "u1 <B|H2|B>", quad)[0]).real
+        opp_a = complex(bracket(gaas, fields_1t, "u1 <A|H2|A>", quad)[0]).real
+        opp_b = complex(bracket(gaas, fields_1t, "u1 <B|H1|B>", quad)[0]).real
         assert rel_err(own_a, own_b) < 1e-12
         assert rel_err(opp_a, opp_b) < 1e-12
         assert rel_err(u1.value, 2.0 * (own_a + opp_b)) < 1e-10
+
+    def test_polar_brackets_agree_with_hermite(self, gaas):
+        # the polar rule integrates each H and W bracket's product on its own
+        fields = FieldConfig(B=1.0, E=2e5, a=0.7 * bohr_radius_nm(gaas))
+        polar = QuadratureSpec(rule="adaptive_polar", rel_tol=1e-10)
+        s, _ = overlap_numeric(gaas, fields)
+        got = upsilon_single(gaas, fields, polar, s_num=s)
+        got += (upsilon_quartic(gaas, fields, polar, s_num=s),)
+        want = upsilon_single(gaas, fields, s_num=s) + (upsilon_quartic(gaas, fields, s_num=s),)
+        for p_est, h_est in zip(got, want):
+            assert abs(p_est.value - h_est.value) <= p_est.error + h_est.error
 
     def test_single_particle_difference_is_geometric(self, gaas):
         # u1 - u2/S^2 equals 4 d^2 for any fields: the well offsets are the
@@ -390,41 +400,26 @@ def loop_oracle(mat, fields, quad):
 
 
 @pytest.fixture()
-def factored_samples(monkeypatch):
-    """Orders sampled by each factored bracket, one list per bracket."""
-    samples = []
-    integrate, sample = dotx.oracle._integrate_separable, dotx.special._separable_sample
-
-    def integrate_counted(*args, **kwargs):
-        samples.append([])
-        return integrate(*args, **kwargs)
-
-    def sample_counted(factors, n, center, scale, with_l1):
-        samples[-1].append(n)
-        return sample(factors, n, center, scale, with_l1)
-
-    monkeypatch.setattr(dotx.oracle, "_integrate_separable", integrate_counted)
-    monkeypatch.setattr(dotx.special, "_separable_sample", sample_counted)
-    return samples
-
-
-@pytest.fixture()
 def refinements(monkeypatch):
-    """Per quadrature, one (order, |f| summed) pair per sampled level."""
+    """Per integral, one (order, |f| summed) pair per sampled level, from
+    the stacked brackets' refinement and every single-integral one."""
     runs = []
-    refine = dotx.special._refine
+    refine = dotx.special._refine_many
 
-    def refine_counted(sample, *args):
-        runs.append([])
+    def refine_counted(sample, count, *args):
+        levels = [[] for _ in range(count)]
+        runs.extend(levels)
 
-        def counted(n, with_l1):
-            value, l1 = sample(n, with_l1)
-            runs[-1].append((n, l1 is not None))
-            return value, l1
+        def counted(n, with_l1, open_):
+            results = sample(n, with_l1, open_)
+            for i, (_, l1) in zip(open_, results):
+                levels[i].append((n, l1 is not None))
+            return results
 
-        return refine(counted, *args)
+        return refine(counted, count, *args)
 
-    monkeypatch.setattr(dotx.special, "_refine", refine_counted)
+    monkeypatch.setattr(dotx.special, "_refine_many", refine_counted)
+    monkeypatch.setattr(dotx.oracle, "_refine_many", refine_counted)
     return runs
 
 
@@ -462,10 +457,11 @@ def assert_agrees(hb, s, upsilon, s_error):
 
 class TestFactoredBrackets:
     """assemble_oracle sums each single-particle bracket as 1-D factors of
-    the tensor Gauss-Hermite rule.  Floating-point sums regroup, so the
-    result agrees with the n^2 tensor sum of integrate_2d within the
-    oracle's error bar instead of bit for bit; the refinement, and so the
-    failures and the samples taken, are the same."""
+    the tensor Gauss-Hermite rule, all brackets of a point in one stacked
+    pass per level.  Floating-point sums regroup, so the result agrees with
+    the n^2 tensor sum of integrate_2d within the oracle's error bar instead
+    of bit for bit; the refinement of each bracket, and so the failures and
+    the samples taken, are the same."""
 
     @pytest.mark.parametrize(
         "quad, B, E, d",
@@ -500,13 +496,16 @@ class TestFactoredBrackets:
     def test_one_abs_pass_per_round(self, gaas, quad, refinements):
         # |f| is summed on the higher level of each round only, for each of
         # the 13 brackets and both polar Coulomb integrals
-        assemble_oracle(gaas, FieldConfig(B=3.0, E=1e5, a=bohr_radius_nm(gaas)), quad_single=quad)
+        hb = assemble_oracle(gaas, FieldConfig(B=3.0, E=1e5, a=bohr_radius_nm(gaas)), quad_single=quad)
         assert len(refinements) == 15
         for levels in refinements:
             assert [with_l1 for _, with_l1 in levels] == [False, True] * (len(levels) // 2)
             lows, highs = [n for n, _ in levels[::2]], [n for n, _ in levels[1::2]]
             assert highs == [n + max(2, n // 2) for n in lows]
         assert max(map(len, refinements)) > 2
+        # a bracket that converged is not sampled again, though others are
+        sampled = [len(levels) for levels in refinements[:13]]
+        assert sampled == ([8] * 13 if hb.incomplete else [4, 2, 2, 2, 2, 4, 4, 4, 4, 2, 2, 4, 4])
 
     def test_failures_keep_their_order(self, gaas, fields_1t, factored_samples):
         impossible = QuadratureSpec(order=4, rel_tol=1e-15)
@@ -530,6 +529,7 @@ class TestFactoredBrackets:
 
         monkeypatch.setattr(dotx.oracle, "eval_orbital", counting("eval_orbital", eval_orbital))
         monkeypatch.setattr(dotx.special, "integrate_2d", counting("integrate_2d", integrate_2d))
+        monkeypatch.setattr(dotx.oracle, "integrate_2d", counting("integrate_2d", integrate_2d))
         assemble_oracle(gaas, fields_1t)
         assert calls == []
     def test_frame_derived_once_per_point(self, gaas, fields_1t, count_derivations):

@@ -1,16 +1,18 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 import dotx.special
 from dotx.errors import InvalidArgumentError, QuadratureError
+from dotx.oracle import OrbitalSpec, _Bracket, _stacked_sampler  # noqa: internal
 from dotx.special import (  # noqa: the samplers are internal, compared directly
     QuadratureSpec,
     _gauss_hermite_sample,
     _hermite_nodes,
     _refine,
-    _separable_sample,
+    _refine_many,
     bessel_i0,
     bessel_i0e,
     integrate_2d,
@@ -152,25 +154,29 @@ class TestIntegrate2D:
 
 
 class TestSeparableSample:
-    """The 1-D factored sum against the tensor sum it stands for."""
+    """The oracle's stacked 1-D factored sum against the tensor sum it
+    stands for, for a bracket with two orbitals of different centres and
+    phase slopes, P = x^2 - 1 and a complex or zero Q."""
 
     @pytest.mark.parametrize("q_kind", ["complex", "zero"])
     @pytest.mark.parametrize("n", [8, 64, 96])
     def test_matches_tensor_sum(self, q_kind, n):
-        def factors(x, y):
-            q = 0.5 * y * y - 0.3 + 0.2j * y if q_kind == "complex" else 0.0
-            return np.exp(-((x - 0.4) ** 2)), x * x - 1.0, np.exp(1.3j * y - y * y), q
+        bra = OrbitalSpec(center_x=-0.3, compression=1.4, phase_slope=0.5, dot_index=1)
+        ket = OrbitalSpec(center_x=0.5, compression=1.4, phase_slope=-0.8, dot_index=2)
+        q = (0.5, 0.2j, -0.3) if q_kind == "complex" else None
+        sample = _stacked_sampler([_Bracket(bra, ket, (1.0, 0.0, -1.0), q=q)])
 
         def product(x, y):
-            x_factor, p, y_factor, q = factors(x, y)
-            return x_factor * y_factor * (p + q)
+            x_factor = 1.4 / math.pi * np.exp(-0.7 * ((x + 0.3) ** 2 + (x - 0.5) ** 2))
+            y_factor = np.exp(-1.3j * y - 1.4 * y * y)
+            return x_factor * y_factor * (x * x - 1.0 + ((0.5 * y + 0.2j) * y - 0.3 if q else 0.0))
 
-        center, scale = (0.2, -0.1), 0.8
-        value, l1 = _separable_sample(factors, n, center, scale, True)
+        center, scale = (0.1, 0.0), 1.0 / math.sqrt(1.4)
+        [(value, l1)] = sample(n, True, [0])
         want, want_l1 = _gauss_hermite_sample(product, n, center, scale, True)
         assert abs(value - want) <= 1e-14 * want_l1
         assert rel_err(l1, want_l1) < 1e-13
-        assert _separable_sample(factors, n, center, scale, False) == (value, None)
+        assert sample(n, False, [0]) == [(value, None)]
 
 
 class TestRefinement:
@@ -191,6 +197,22 @@ class TestRefinement:
             _refine(sample, lambda n: (), QuadratureSpec(order=8, rel_tol=1e-12), "scripted")
         assert log == [(8, False), (12, True), (16, False), (24, True),
                        (32, False), (48, True), (64, False), (96, True)]
+
+    def test_converged_integral_is_not_sampled_again(self):
+        # integral 0 converges in the first round and keeps that round's
+        # value and error; integral 1 never converges
+        log = []
+
+        def sample(n, with_l1, open_):
+            log.append((n, list(open_)))
+            values = {0: complex(1.0), 1: complex(1.0 / n)}
+            return [(values[i], 1.0 if with_l1 else None) for i in open_]
+
+        first, second = _refine_many(sample, 2, lambda n: (), QuadratureSpec(order=8), "scripted")
+        assert log == [(8, [0, 1]), (12, [0, 1]), (16, [1]), (24, [1]), (32, [1]), (48, [1]),
+                       (64, [1]), (96, [1])]
+        assert first == (1.0, 16.0 * sys.float_info.epsilon)
+        assert isinstance(second, QuadratureError) and second.value == 1.0 / 96
 
     def test_stops_before_an_order_without_a_rule(self):
         # the round (32, 48) has no finite nodes: nothing is sampled there and
