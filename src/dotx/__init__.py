@@ -4,6 +4,9 @@ Closed-form Heitler-London result in the dimensionless parameters
 (b, d, c, chi), an independent quadrature oracle built from the dot
 orbitals, and sweep/switch tooling on top, all behind the `dotx` CLI.
 
+The oracle's one computing entry point is `assemble_oracle`.  Its result
+holds the numerical overlap `s_num`, the sums u1..u5 (`upsilon`) and J.
+
 Importing the package does not import numpy: the array functions import it
 when first called.  The oracle works on arrays throughout, so the names
 it exports (`_ORACLE_NAMES`) are resolved from `dotx.oracle` on first
@@ -52,14 +55,13 @@ from .units import (
     fields_from_dimensionless,
     load_material,
     material_by_name,
-    to_dimensionless,
 )
 
 __version__ = "0.1.0"
 
 _ORACLE_NAMES = frozenset(
     "HLBreakdown OrbitalSpec TermEstimate apply_hamiltonian assemble_oracle build_orbital"
-    " eval_orbital overlap_numeric upsilon_coulomb upsilon_quartic upsilon_single".split()
+    " eval_orbital".split()
 )
 
 

@@ -30,6 +30,7 @@ from .units import (
     NM_TO_M,
     FieldConfig,
     MaterialParams,
+    _lab_point,
     _material_constants,
     derive_arrays,
     derive_parameters,
@@ -80,12 +81,6 @@ def exchange_energy(
     callers working in lab units pass the material value (see
     `exchange_energy_lab`), dimensionless callers can leave the default.
     """
-    _check_bd(b, d, allow_zero_d=False)
-    if not (math.isfinite(c) and c >= 0.0):
-        raise InvalidParameterError(f"coulomb strength c must be finite and >= 0, got {c!r}")
-    if not math.isfinite(efield_ratio):
-        raise InvalidParameterError(f"efield_ratio must be finite, got {efield_ratio!r}")
-
     x2, arg, em, csb, i0e_x1, i0e_x2, quartic_term, efield_term, j_dimensionless = _terms(
         b, d, c, efield_ratio
     )
@@ -117,13 +112,23 @@ def exchange_energy_lab(mat: MaterialParams, fields: FieldConfig) -> ExchangeBre
 
 
 def _terms(b: float, d: float, c: float, efield_ratio: float) -> tuple:
-    """The operations of J for checked (b, d, c, chi), in the one order every
-    scalar caller uses: (x2, arg, exp(-arg), c sqrt(b), I0e(x1), I0e(x2),
+    """The operations of J for (b, d, c, chi), in the one order every scalar
+    caller uses: (x2, arg, exp(-arg), c sqrt(b), I0e(x1), I0e(x2),
     quartic_term, efield_term, j_dimensionless).
 
-    Raises where the inputs make J meaningless, in this order: d^2 or b d^2
-    overflowing, 1 - S^4 rounding to 0, or chi^2 / d^2 overflowing.
+    Raises where the inputs make J meaningless, in this order: b, d, c or
+    chi out of range (the checks of `_check_bd`, then c, then chi), d^2 or
+    b d^2 overflowing, 1 - S^4 rounding to 0, or chi^2 / d^2 overflowing.
     """
+    isfinite = math.isfinite
+    if not (
+        isfinite(b) and b >= 1.0 - 1e-12 and isfinite(d) and d > 0.0
+        and isfinite(c) and c >= 0.0 and isfinite(efield_ratio)
+    ):
+        _check_bd(b, d, allow_zero_d=False)
+        if not (isfinite(c) and c >= 0.0):
+            raise InvalidParameterError(f"coulomb strength c must be finite and >= 0, got {c!r}")
+        raise InvalidParameterError(f"efield_ratio must be finite, got {efield_ratio!r}")
     d2 = d * d
     x1 = b * d2
     if x1 == math.inf:  # d^2 itself, or b d^2 (J would be 0 * inf = nan)
@@ -174,17 +179,14 @@ def efield_switch(mat: MaterialParams, B: float, a: float) -> float:
     never formed; E* is inf where exp(x2) alone overflows.  Raises what
     `exchange_energy_lab` raises at (B, 0, a).
 
-    b and d get the bits `derive_parameters` gives them, and the checks run
-    in its order, but no `DerivedParams` is built: on the E axis of
+    b and d come from `units._lab_point`, with the bits and the checks of
+    `derive_parameters`, but no `DerivedParams` is built: on the E axis of
     `find_switch` that was most of the switch's own cost.
     """
-    m, omega0, a_b, c, _ = _material_constants(mat)
-    if not (math.isfinite(a) and a > 0.0 and math.isfinite(B)):  # what validate accepts
-        FieldConfig(B, 0.0, a).validate()  # raises its error
-    b = math.hypot(omega0, E_CHARGE * abs(B) / (2.0 * m)) / omega0
-    d = a / a_b
-    _check_bd(b, d, allow_zero_d=False)
-    x2, _, _, csb, i0e_x1, i0e_x2, quartic_term, _, _ = _terms(b, d, c, 0.0)
+    const = _material_constants(mat)
+    _, fock_darwin, d, _ = _lab_point(const, B, 0.0, a)
+    b = fock_darwin / const.omega0
+    x2, _, _, csb, i0e_x1, i0e_x2, quartic_term, _, _ = _terms(b, d, const.c, 0.0)
     # -(coulomb + quartic) = exp(2 x2) * radicand
     radicand = csb * i0e_x2 - (csb * i0e_x1 + quartic_term) * math.exp(-2.0 * x2)
     if not radicand >= 0.0:
@@ -202,29 +204,21 @@ def exchange_energy_along(
     """J in meV as a function of one lab coordinate, the others from `fixed`.
 
     axis is "B" (Tesla), "E" (V/m) or "d" (the half-distance in units of
-    a_B).  Each value has the bits `exchange_energy_lab(...).j_mev` gives:
-    the material is checked and its constants derived once, so a point
-    costs its own arithmetic and two I0e.  A point that fails a check goes
-    through `exchange_energy_lab`, which raises that path's error.
+    a_B).  Each value has the bits `exchange_energy_lab(...).j_mev` gives,
+    and a point raises the error that path raises: the material is checked
+    and its constants derived once, so a point costs `units._lab_point`,
+    `_terms` and nothing else.
     """
     if axis not in AXES:
         raise InvalidParameterError(f"axis must be one of {AXES}, got {axis!r}")
-    m, omega0, a_b, c, quantum = _material_constants(mat)  # c is finite and >= 0
-    two_m = 2.0 * m
-    scale = mat.confinement_energy
+    const = _material_constants(mat)
+    omega0, a_b, c, scale = const.omega0, const.bohr_radius, const.c, mat.confinement_energy
     B0, E0, a0 = fixed.B, fixed.E, fixed.a
-    isfinite, hypot = math.isfinite, math.hypot
 
     def j_mev(x: float) -> float:
         B, E, a = (x, E0, a0) if axis == "B" else (B0, x, a0) if axis == "E" else (B0, E0, x * a_b)
-        # The checks of derive_parameters and exchange_energy, in their order.
-        if isfinite(a) and a > 0.0 and isfinite(B) and isfinite(E):
-            b = hypot(omega0, E_CHARGE * abs(B) / two_m) / omega0
-            d = a / a_b
-            chi = E_CHARGE * E * a * NM_TO_M / quantum
-            if isfinite(b) and b >= 1.0 - 1e-12 and isfinite(d) and d > 0.0 and isfinite(chi):
-                return _terms(b, d, c, chi)[-1] * scale
-        return exchange_energy_lab(mat, FieldConfig(B, E, a)).j_mev
+        _, fock_darwin, d, chi = _lab_point(const, B, E, a)
+        return _terms(fock_darwin / omega0, d, c, chi)[-1] * scale
 
     return j_mev
 
@@ -330,7 +324,7 @@ def exchange_energy_arrays(mat: MaterialParams, B, E, a) -> ExchangeColumns:
 
 def _check_bd(b: float, d: float, allow_zero_d: bool):
     if not (math.isfinite(b) and b >= 1.0 - 1e-12):
-        raise InvalidParameterError(f"compression factor b must be >= 1, got {b!r}")
+        raise InvalidParameterError(f"compression factor b must be finite and >= 1, got {b!r}")
     if not math.isfinite(d) or d < 0.0:
         raise InvalidParameterError(f"distance d must be finite and >= 0, got {d!r}")
     if d == 0.0 and not allow_zero_d:

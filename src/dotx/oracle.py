@@ -123,10 +123,6 @@ class HLBreakdown:
     incomplete: bool
     failures: tuple
 
-    @property
-    def per_term_report(self):
-        return {name: (est.value, est.error) for name, est in self.upsilon.items()}
-
     def to_report_dict(self, params: dict | None = None) -> dict:
         out = {
             "params": params or {},
@@ -364,20 +360,9 @@ def _brackets(pt: _Point, quad, labels):
     return dict(zip(labels, _integrate_brackets([_bracket(pt, label) for label in labels], quad)))
 
 
-def overlap_numeric(
-    mat: MaterialParams,
-    fields: FieldConfig,
-    quad: QuadratureSpec | None = None,
-    failures: list | None = None,
-):
-    """Overlap <phi_2|phi_1> by quadrature; returns (value, error)."""
-    res = _brackets(_Point(mat, fields), quad or _DEFAULT_SINGLE, ["overlap"])
-    return _sum_elements(res, ["overlap"], failures)
-
-
 def _weight_overlap(pt: _Point, res, failures):
-    """S for the 1/S^2 and S^2/(1 - S^4) weights, which an S whose square
-    underflows, or whose fourth power rounds to 1, leaves undefined."""
+    """S = <phi_2|phi_1> by quadrature, for the 1/S^2 and S^2/(1 - S^4) weights,
+    which an S whose square underflows, or whose S^4 rounds to 1, leaves undefined."""
     s_num, _ = _sum_elements(res, ["overlap"], failures)
     s2 = s_num * s_num
     b_d2 = pt.frame.b * pt.frame.d * pt.frame.d
@@ -399,38 +384,20 @@ def _sum_elements(res, labels, failures):
     return TermEstimate(total.real, err + abs(total.imag))
 
 
-def upsilon_single(
-    mat: MaterialParams,
-    fields: FieldConfig,
-    quad: QuadratureSpec | None = None,
-    s_num: float | None = None,
-    failures: list | None = None,
-):
+def _single(res, s_num, failures):
     """Single-particle direct and exchange sums (u1, u2).
 
     u1 collects the four diagonal elements <orb|H_j|orb> (the spectator
     norms are 1); u2 the cross elements, each weighted by the spectator
     overlap S.
     """
-    labels = _U1 + _U2 if s_num is not None else ("overlap",) + _U1 + _U2
-    return _single(_brackets(_Point(mat, fields), quad or _DEFAULT_SINGLE, labels), s_num, failures)
-
-
-def _single(res, s_num, failures):
-    if s_num is None:
-        s_num, _ = _sum_elements(res, ["overlap"], failures)
     u1 = _sum_elements(res, _U1, failures)
     cross = _sum_elements(res, _U2, failures)
     u2 = TermEstimate(s_num * cross.value, abs(s_num) * cross.error)
     return u1, u2
 
 
-def upsilon_coulomb(
-    mat: MaterialParams,
-    fields: FieldConfig,
-    quad: QuadratureSpec | None = None,
-    failures: list | None = None,
-):
+def _coulomb(pt: _Point, quad, failures):
     """Coulomb direct and exchange sums (u3, u4).
 
     Both are 4D integrals over two electron coordinates; the Gaussian
@@ -447,10 +414,6 @@ def upsilon_coulomb(
     onto themselves, so its sum is 0 up to roundoff; the radial factor is
     formed once per radius.
     """
-    return _coulomb(_Point(mat, fields), quad or _DEFAULT_COULOMB, failures)
-
-
-def _coulomb(pt: _Point, quad, failures):
     fr = pt.frame
     a, b_orb = pt.orb1, pt.orb2
     beta = fr.b
@@ -484,27 +447,13 @@ def _coulomb(pt: _Point, quad, failures):
     return TermEstimate(2.0 * direct, 2.0 * err3), TermEstimate(2.0 * exchange, 2.0 * err4)
 
 
-def upsilon_quartic(
-    mat: MaterialParams,
-    fields: FieldConfig,
-    quad: QuadratureSpec | None = None,
-    s_num: float | None = None,
-    failures: list | None = None,
-):
+def _quartic(res, s_num, failures):
     """Quartic tunnelling-correction sum u5.
 
     Diagonal brackets enter directly; the translated cross brackets carry
     one spectator overlap S and the overall 1/S^2 of the exchange
     channel, leaving a net -1/S weight.
     """
-    pt = _Point(mat, fields)
-    labels = _U5 if s_num is not None else ("overlap",) + _U5
-    return _quartic(pt, _brackets(pt, quad or _DEFAULT_SINGLE, labels), s_num, failures)
-
-
-def _quartic(pt: _Point, res, s_num, failures):
-    if s_num is None:
-        s_num = _weight_overlap(pt, res, failures)
     diag = _sum_elements(res, _U5[:2], failures)
     cross = _sum_elements(res, _U5[2:], failures)
     value = diag.value - cross.value / s_num
@@ -534,7 +483,7 @@ def assemble_oracle(
     s_num = _weight_overlap(pt, res, failures)
     u1, u2 = _single(res, s_num, failures)
     u3, u4 = _coulomb(pt, quad_coulomb, failures)
-    u5 = _quartic(pt, res, s_num, failures)
+    u5 = _quartic(res, s_num, failures)
 
     s2 = s_num * s_num
     weight = s2 / (1.0 - s2 * s2)

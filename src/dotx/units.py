@@ -159,14 +159,21 @@ def _material_constants(mat: MaterialParams) -> _Material:
     return _Material(m, omega0, a_b, c, quantum)
 
 
-def confinement_frequency(mat: MaterialParams) -> float:
-    """omega_0 in rad/s.  Like every constant below, it raises
-    InvalidParameterError for a material `_material_constants` rejects."""
-    return _material_constants(mat).omega0
+def _lab_point(const: _Material, B: float, E: float, a: float) -> tuple:
+    """(larmor, fock_darwin, d, efield_ratio) of the lab point (B, E, a) for
+    the material's constants.  This is the one scalar map from lab fields to
+    the model; a point `FieldConfig.validate` rejects raises its error."""
+    if not (math.isfinite(a) and a > 0.0 and math.isfinite(B) and math.isfinite(E)):
+        FieldConfig(B, E, a).validate()  # raises: the accept condition above fails
+    larmor = E_CHARGE * abs(B) / (2.0 * const.mass)
+    chi = E_CHARGE * E * a * NM_TO_M / const.quantum
+    return larmor, math.hypot(const.omega0, larmor), a / const.bohr_radius, chi
 
 
 def bohr_radius_nm(mat: MaterialParams) -> float:
-    """Effective Bohr radius sqrt(hbar / (m omega_0)) of one well, in nm."""
+    """Effective Bohr radius sqrt(hbar / (m omega_0)) of one well, in nm.
+    Like every constant below, it raises InvalidParameterError for a
+    material `_material_constants` rejects."""
     return _material_constants(mat).bohr_radius
 
 
@@ -179,19 +186,10 @@ def coulomb_strength(mat: MaterialParams) -> float:
 
 def derive_parameters(mat: MaterialParams, fields: FieldConfig) -> DerivedParams:
     """Map lab inputs to the dimensionless model parameters."""
-    m, omega0, a_b, c, quantum = _material_constants(mat)
-    fields.validate()
-    larmor = E_CHARGE * abs(fields.B) / (2.0 * m)
-    fock_darwin = math.hypot(omega0, larmor)
-    return DerivedParams(
-        larmor=larmor,
-        fock_darwin=fock_darwin,
-        b=fock_darwin / omega0,
-        d=fields.a / a_b,
-        bohr_radius=a_b,
-        c_coulomb=c,
-        efield_ratio=E_CHARGE * fields.E * fields.a * NM_TO_M / quantum,
-    )
+    const = _material_constants(mat)
+    larmor, fock_darwin, d, chi = _lab_point(const, fields.B, fields.E, fields.a)
+    b = fock_darwin / const.omega0
+    return DerivedParams(larmor, fock_darwin, b, d, const.bohr_radius, const.c, chi)
 
 
 def derive_arrays(mat: MaterialParams, B, E, a):
@@ -216,19 +214,13 @@ def derive_arrays(mat: MaterialParams, B, E, a):
     return b, d, c, chi, valid
 
 
-def to_dimensionless(mat: MaterialParams, fields: FieldConfig):
-    """(b, d, c, efield_ratio) for the given configuration."""
-    p = derive_parameters(mat, fields)
-    return p.b, p.d, p.c_coulomb, p.efield_ratio
-
-
 def fields_from_dimensionless(
     mat: MaterialParams, b: float, d: float, efield_ratio: float = 0.0
 ) -> FieldConfig:
     """Invert (b, d, chi) back to lab fields for the given material."""
     m, omega0, a_b, _, _ = _material_constants(mat)
     if not (math.isfinite(b) and b >= 1.0):
-        raise InvalidParameterError(f"compression factor b must be >= 1, got {b!r}")
+        raise InvalidParameterError(f"compression factor b must be finite and >= 1, got {b!r}")
     if not (math.isfinite(d) and d > 0.0):
         raise InvalidParameterError(f"dimensionless distance d must be > 0, got {d!r}")
     larmor = omega0 * math.sqrt(b * b - 1.0)

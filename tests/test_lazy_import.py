@@ -16,7 +16,7 @@ import dotx
 
 SRC = str(pathlib.Path(dotx.__file__).resolve().parents[1])
 
-# Every public name of `dotx/__init__`; the oracle's 11 are resolved on
+# Every public name of `dotx/__init__`; the oracle's 7 are resolved on
 # first access.
 PUBLIC_NAMES = [
     "BUILTIN_MATERIALS", "DerivedParams", "DotxError", "ExchangeBreakdown", "FieldConfig",
@@ -28,14 +28,17 @@ PUBLIC_NAMES = [
     "brent", "build_orbital", "coulomb_strength", "derive_parameters", "eval_orbital",
     "exchange_energy", "exchange_energy_lab", "fields_from_dimensionless", "find_switch",
     "integrate_2d", "integrate_coulomb_relative", "load_material", "material_by_name",
-    "overlap", "overlap_numeric", "scan_switches", "sweep", "switching_scenario",
-    "to_dimensionless", "upsilon_coulomb", "upsilon_quartic", "upsilon_single",
+    "overlap", "scan_switches", "sweep", "switching_scenario",
 ]
 
 ORACLE_NAMES = [
     "HLBreakdown", "OrbitalSpec", "TermEstimate", "apply_hamiltonian", "assemble_oracle",
-    "build_orbital", "eval_orbital", "overlap_numeric", "upsilon_coulomb", "upsilon_quartic",
-    "upsilon_single",
+    "build_orbital", "eval_orbital",
+]
+
+# Second entry points that `assemble_oracle` and `derive_parameters` cover.
+REMOVED_NAMES = [
+    "overlap_numeric", "to_dimensionless", "upsilon_coulomb", "upsilon_quartic", "upsilon_single",
 ]
 
 
@@ -121,6 +124,12 @@ def test_oracle_names_are_the_oracle_objects():
     assert set(ORACLE_NAMES) <= set(PUBLIC_NAMES)
     with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
         dotx.not_a_name  # noqa: B018
+
+
+@pytest.mark.parametrize("name", REMOVED_NAMES)
+def test_removed_names_are_gone(name):
+    with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
+        getattr(dotx, name)
 
 
 def test_star_import_leaves_out_the_oracle_names(tmp_path):

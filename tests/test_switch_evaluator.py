@@ -64,26 +64,29 @@ class TestMatchesLabPath:
         assert repr(j(x)) == repr(exchange_energy_lab(GAAS, lab_fields(fixed, axis, x)).j_mev)
 
     @pytest.mark.parametrize(
-        "axis, x",
+        "axis, x, message",
         [
-            ("d", 0.0),  # coincident dots
-            ("d", -0.5),
-            ("d", 1e-9),  # 1 - S^4 rounds to 0
-            ("d", 1e-200),  # d^2 underflows to 0
-            ("d", 1e160),  # d^2 overflows
-            ("d", math.inf),
-            ("d", math.nan),
-            ("B", math.inf),
-            ("B", math.nan),
-            ("B", 1e300),  # b overflows
-            ("E", math.inf),
-            ("E", -math.inf),
-            ("E", math.nan),
-            ("E", 1e305),  # chi^2 / d^2 overflows: J would be inf
+            ("d", 0.0, None),  # coincident dots
+            ("d", -0.5, None),
+            ("d", 1e-9, None),  # 1 - S^4 rounds to 0
+            ("d", 1e-200, None),  # d^2 underflows to 0
+            ("d", 1e160, None),  # d^2 overflows
+            ("d", math.inf, None),
+            ("d", math.nan, None),
+            ("B", math.inf, None),
+            ("B", math.nan, None),
+            ("B", 1e300, "compression factor b must be finite and >= 1, got inf"),  # b overflows
+            ("E", math.inf, None),
+            ("E", -math.inf, None),
+            ("E", math.nan, None),
+            ("E", 1e305, None),  # chi^2 / d^2 overflows: J would be inf
         ],
     )
-    def test_rejections_are_the_lab_ones(self, axis, x):
+    def test_rejections_are_the_lab_ones(self, axis, x, message):
         want = lab_outcome(GAAS, lab_fields(FIXED, axis, x))
+        if message is not None:
+            with pytest.raises(InvalidParameterError, match=message):
+                exchange_energy_along(GAAS, FIXED, axis)(x)
         assert along_outcome(GAAS, FIXED, axis, x) == want
 
     @pytest.mark.parametrize(

@@ -18,7 +18,6 @@ from dotx.units import (
     fields_from_dimensionless,
     load_material,
     material_by_name,
-    to_dimensionless,
 )
 
 from conftest import rel_err
@@ -49,17 +48,17 @@ def test_coulomb_strength_override(gaas):
     assert coulomb_strength(replace(gaas, c_override=2.36)) == 2.36
 
 
-def test_to_dimensionless_trivials(gaas, gaas_fields):
-    b, d, c, chi = to_dimensionless(gaas, gaas_fields)
-    assert (b, chi) == (1.0, 0.0)
-    assert math.isclose(d, 0.7, rel_tol=1e-14)
-    assert c == coulomb_strength(gaas)
+def test_derive_parameters_trivials(gaas, gaas_fields):
+    p = derive_parameters(gaas, gaas_fields)
+    assert (p.b, p.efield_ratio) == (1.0, 0.0)
+    assert math.isclose(p.d, 0.7, rel_tol=1e-14)
+    assert p.c_coulomb == coulomb_strength(gaas)
     for B in (0.5, 2.0, 7.0):
-        assert to_dimensionless(gaas, replace(gaas_fields, B=B))[3] == 0.0
+        assert derive_parameters(gaas, replace(gaas_fields, B=B)).efield_ratio == 0.0
 
 
 def test_efield_ratio_pinned(gaas, golden):
-    _, _, _, chi = to_dimensionless(gaas, FieldConfig(B=0.0, E=1e5, a=13.65))
+    chi = derive_parameters(gaas, FieldConfig(B=0.0, E=1e5, a=13.65)).efield_ratio
     assert rel_err(chi, golden["efield_ratio_e1e5_a13p65nm"]) < 1e-12
 
 
