@@ -5,8 +5,10 @@ zero crossings that mark the antiferromagnetic/ferromagnetic transition,
 and the quasi-static switching trajectory that takes a dot pair across
 the transition and back with the magnetic field held constant.
 
-Only the grid functions import numpy, when they are called, so
-`find_switch` and `brent` run without it.
+Only `sweep` imports numpy, when it is called: it evaluates its whole
+grid in one call of the array kernel.  The switch pre-scan and the
+scenario phases map the scalar J over a pure-Python grid, so they,
+`find_switch` and `brent` run without numpy.
 """
 
 from __future__ import annotations
@@ -78,6 +80,24 @@ def _check_finite_range(what: str, start: float, stop: float):
         )
 
 
+def _grid(start: float, stop: float, n: int) -> list:
+    """`np.linspace(start, stop, n).tolist()`, bit for bit, without numpy."""
+    start, stop = float(start), float(stop)
+    delta = stop - start
+    if n == 1:
+        return [0.0 * delta + start]
+    div = n - 1
+    step = delta / div
+    if step == 0.0:  # numpy's branch for equal ends and a step that underflows
+        return [i / div * delta + start for i in range(div)] + [stop]
+    return [i * step + start for i in range(div)] + [stop]
+
+
+def _check_tol(tol: float):
+    if not 0.0 <= tol < math.inf:
+        raise InvalidParameterError(f"tol must be finite and >= 0, got {tol!r}")
+
+
 def validate_scan_steps(scan_steps: int):
     """Bound the pre-scan grid of `scan_switches`."""
     if not (2 <= scan_steps <= _MAX_STEPS):
@@ -110,30 +130,12 @@ class SwitchPoint:
 
 
 def _lab_point(material: MaterialParams, fixed: FieldConfig, axis: str, x):
-    """(B, E, a) with `x` (a float or an array) on `axis`, the rest from `fixed`."""
+    """(B, E, a) with the grid array `x` on `axis`, the rest from `fixed`."""
     if axis == "B":
         return x, fixed.E, fixed.a
     if axis == "E":
         return fixed.B, x, fixed.a
     return fixed.B, fixed.E, x * bohr_radius_nm(material)
-
-
-def _j_values(material: MaterialParams, B, E, a) -> list:
-    """J in meV at every lab point, from one array evaluation.
-
-    Where some point is rejected, the points are evaluated one by one, so
-    that the error raised is the one the scalar path raises first.
-    """
-    import numpy as np
-
-    try:
-        cols = exchange_energy_arrays(material, B, E, a)
-        if cols.valid.all():
-            return cols.j_mev.tolist()
-    except InvalidParameterError:  # d^2 overflowing; the scalar path may raise earlier
-        pass
-    points = zip(*(v.tolist() for v in np.broadcast_arrays(B, E, a)))
-    return [exchange_energy_lab(material, FieldConfig(*point)).j_mev for point in points]
 
 
 def _row_columns(spec: SweepSpec) -> list:
@@ -327,6 +329,7 @@ def find_switch(
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise InvalidParameterError("bracket must satisfy lo < hi")
+    _check_tol(tol)
     j_at = exchange_energy_along(material, fixed, axis)
     evaluations = 0
 
@@ -379,13 +382,13 @@ def scan_switches(
     axis, but nothing assumes that: each bracketed change is refined and
     reported in order.
     """
-    import numpy as np
-
     validate_scan_steps(scan_steps)
     _check_finite_range("scan", lo, hi)
-    grid = np.linspace(lo, hi, scan_steps)
-    values = _j_values(material, *_lab_point(material, fixed, axis, grid))
-    grid = grid.tolist()
+    if not lo < hi:
+        raise InvalidParameterError("scan range must satisfy lo < hi")
+    _check_tol(tol)
+    grid = _grid(lo, hi, scan_steps)
+    values = list(map(exchange_energy_along(material, fixed, axis), grid))
     points = []
     for left, right, j_left, j_right in zip(grid[:-1], grid[1:], values[:-1], values[1:]):
         if j_left == 0.0 or math.copysign(1.0, j_left) != math.copysign(1.0, j_right):
@@ -426,12 +429,12 @@ def switching_scenario(
     the recovered antiferro plateau.  Fails if the operating field sits
     below the switch threshold, in which case no E crossing exists.
     """
-    import numpy as np
-
     if not (1 <= steps_per_phase <= _MAX_STEPS):
         raise InvalidParameterError(
             f"scenario needs between 1 and {_MAX_STEPS} steps per phase, got {steps_per_phase!r}"
         )
+    if not (math.isfinite(b_operating) and b_operating > 0.0):
+        raise InvalidParameterError(f"operating field {b_operating!r} T must be finite and > 0")
     fixed = FieldConfig(B=0.0, E=0.0, a=a_nm)
     if exchange_energy_along(material, fixed, "B")(b_operating) >= 0.0:
         roots = scan_switches("B", material, fixed, 0.0, max(3.0, 2.0 * b_operating))
@@ -453,21 +456,17 @@ def switching_scenario(
     e_switch = e_points[0]
     e_stop = 1.25 * e_switch.value
 
-    ramp_b = np.linspace(0.0, b_operating, steps_per_phase).tolist()
-    ramp_e = np.linspace(0.0, e_stop, steps_per_phase).tolist()
     plateau = max(2, steps_per_phase // 4)
     path = (
-        [("A", x, 0.0) for x in ramp_b]
+        [("A", x, 0.0) for x in _grid(0.0, b_operating, steps_per_phase)]
         + [("B", b_operating, 0.0)] * plateau
-        + [("C", b_operating, x) for x in ramp_e]
+        + [("C", b_operating, x) for x in _grid(0.0, e_stop, steps_per_phase)]
         + [("D", b_operating, e_stop)] * plateau
     )
-    _, B, E = zip(*path)
-    values = _j_values(material, np.array(B, dtype=float), np.array(E, dtype=float), a_nm)
-    steps = [
-        ScenarioStep(phase, b, e, value, 0 if value == 0.0 else (1 if value > 0.0 else -1))
-        for (phase, b, e), value in zip(path, values)
-    ]
+    steps = []
+    for phase, b, e in path:
+        j = exchange_energy_lab(material, FieldConfig(b, e, a_nm)).j_mev
+        steps.append(ScenarioStep(phase, b, e, j, 0 if j == 0.0 else (1 if j > 0.0 else -1)))
 
     return ScenarioResult(steps=steps, b_switch=b_switch, e_switch=e_switch)
 

@@ -1,8 +1,9 @@
 """The array closed form against the scalar one, bit for bit.
 
-Every grid driver (sweep, the switch pre-scan, the scenario phases)
-evaluates J through `exchange_energy_arrays`; the point evaluators and
-Brent use `exchange_energy_lab`.  These tests keep the two from drifting:
+`sweep` (and with it `figure`) evaluates J through
+`exchange_energy_arrays`; the point evaluators, Brent, the switch
+pre-scan and the scenario phases use the scalar closed form.  These
+tests keep the two from drifting:
 each array row is compared with the scalar call by repr, which tells
 nan, -inf and -0.0 apart.
 """
@@ -284,19 +285,20 @@ class TestDriversMatchLoops:
                          fixed=FieldConfig(B, E, a_rel * A_B), material=GAAS)
         assert repr(sweep(spec)) == repr(loop_sweep(spec))
 
-    def test_scan_prescan_makes_no_scalar_call(self, monkeypatch):
-        def scalar(*args):
-            raise AssertionError("scalar closed form called")
+    def test_scan_prescan_makes_no_array_call(self, monkeypatch):
+        def array(*args):
+            raise AssertionError("array closed form called")
 
-        monkeypatch.setattr(dotx.sweeps, "exchange_energy_lab", scalar)
-        assert scan_switches("B", GAAS, FieldConfig(0.0, 0.0, 0.7 * A_B), 0.0, 0.5) == []
+        monkeypatch.setattr(dotx.sweeps, "exchange_energy_arrays", array)
+        fixed = FieldConfig(0.0, 0.0, 0.7 * A_B)
+        assert scan_switches("B", GAAS, fixed, 0.0, 0.5) == []
+        assert [point.axis for point in scan_switches("B", GAAS, fixed, 0.5, 3.0)] == ["B"]
 
     def test_scan_rejection_is_the_scalar_one(self):
         fixed = FieldConfig(1.5, 0.0, 0.7 * A_B)
         with pytest.raises(SingularConfigurationError, match="d=0"):
             scan_switches("d", GAAS, fixed, 0.0, 1.5)
-        # Past d ~ 1e154 the array call itself raises; the scalar error,
-        # which names the first such distance, still comes out.
+        # Past d ~ 1e154 d^2 overflows; the error names the first such distance.
         with pytest.raises(InvalidParameterError, match=r"distance d=.*d\^2 overflows"):
             scan_switches("d", GAAS, FieldConfig(0.0, 0.0, 0.7 * A_B), 1.0, 1e160)
 

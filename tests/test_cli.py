@@ -391,6 +391,23 @@ class TestErrorMapping:
         assert out == ""
         assert err == f"dotx: error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["switch", "--vary", "B", "--from", "0", "--to", "3", "--tol", tol],
+          f"tol must be finite and >= 0, got {tol}") for tol in ("nan", "-1.0", "inf")]
+        + [(["switch", "--vary", "B", "--scan", "--from", "0", "--to", "3", "--tol", "nan"],
+            "tol must be finite and >= 0, got nan")]
+        + [(["switch", "--vary", "B", "--scan", "--from", lo, "--to", hi],
+            "scan range must satisfy lo < hi") for lo, hi in (("3", "2"), ("4", "0.3"))]
+        + [(["scenario", "--b-operating", b], f"operating field {b} T must be finite and > 0")
+           for b in ("-3.0", "0.0", "nan")],
+    )
+    def test_unusable_switch_and_scenario_inputs(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"dotx: error: {message}\n"
+
     @pytest.mark.parametrize("n", ["-5", "0", "1", "100001"])
     def test_scan_steps_bounded_without_scan(self, capsys, n):
         code, out, err = run(

@@ -1,5 +1,5 @@
 """numpy loads on the first array call: importing dotx, and the commands
-that only evaluate J at points or find a switch, run without it.
+that evaluate J at points, find a switch or run the scenario, run without it.
 
 Each check runs in a fresh interpreter, since this one has numpy loaded.
 """
@@ -81,6 +81,8 @@ def test_import_loads_no_numpy(tmp_path, modules):
         ["switch", "--vary", "B", "--from", "0.5", "--to", "3"],
         ["switch", "--vary", "E", "--B", "2", "--from", "0", "--to", "2e5"],
         ["switch", "--vary", "d", "--B", "1.5", "--from", "0.3", "--to", "1.2"],
+        ["switch", "--vary", "B", "--scan", "--from", "0.3", "--to", "4"],
+        ["scenario"],
     ],
 )
 def test_scalar_commands_run_without_numpy(tmp_path, argv):
@@ -90,7 +92,7 @@ def test_scalar_commands_run_without_numpy(tmp_path, argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["switch", "--vary", "B", "--scan", "--from", "0.3", "--to", "4"],
+        ["sweep", "--vary", "B", "--from", "0", "--to", "3", "--steps", "11"],
         ["oracle", "--grid-b", "1", "--grid-d", "0.7"],
     ],
 )

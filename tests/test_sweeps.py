@@ -4,6 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dotx.closed_form
 import dotx.sweeps
@@ -16,6 +18,7 @@ from dotx.errors import (
 from dotx.sweeps import (
     SweepRow,
     SweepSpec,
+    _grid,
     brent,
     find_switch,
     scan_switches,
@@ -274,6 +277,11 @@ class TestFindSwitch:
         with pytest.raises(InvalidParameterError):
             find_switch("B", gaas, gaas_fields, (2.0, 1.0))
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+    def test_unusable_tol_rejected(self, gaas, gaas_fields, tol):
+        with pytest.raises(InvalidParameterError, match=f"tol must be finite and >= 0, got {tol}"):
+            find_switch("B", gaas, gaas_fields, (0.5, 3.0), tol=tol)
+
     def test_b_star_nondecreasing_in_efield(self, gaas, gaas_fields):
         stars = []
         for e_field in (0.0, 2.5e5, 5e5, 7.5e5):
@@ -292,6 +300,55 @@ class TestScanSwitches:
 
     def test_no_crossing_empty(self, gaas, gaas_fields):
         assert scan_switches("B", gaas, gaas_fields, 0.0, 0.5) == []
+
+    def test_unknown_axis_rejected(self, gaas):
+        fixed = FieldConfig(1.5, 0.0, 0.7 * bohr_radius_nm(gaas))
+        with pytest.raises(InvalidParameterError, match="axis must be one of"):
+            scan_switches("T", gaas, fixed, 0.3, 0.5)
+
+    @pytest.mark.parametrize("lo, hi", [(3.0, 2.0), (4.0, 0.3), (1.0, 1.0)])
+    def test_range_must_increase(self, gaas, gaas_fields, lo, hi):
+        with pytest.raises(InvalidParameterError, match="scan range must satisfy lo < hi"):
+            scan_switches("B", gaas, gaas_fields, lo, hi)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+    def test_unusable_tol_rejected(self, gaas, gaas_fields, tol):
+        # [0, 0.5] holds no sign change, so no find_switch call would see tol.
+        with pytest.raises(InvalidParameterError, match=f"tol must be finite and >= 0, got {tol}"):
+            scan_switches("B", gaas, gaas_fields, 0.0, 0.5, tol=tol)
+
+
+class TestGrid:
+    """`_grid`, the pre-scan and scenario grid, is `np.linspace(...).tolist()`
+    bit for bit; float.hex tells -0.0 and the last bit apart."""
+
+    @staticmethod
+    def check(start, stop, n):
+        want = [x.hex() for x in np.linspace(start, stop, n).tolist()]
+        assert [x.hex() for x in _grid(start, stop, n)] == want
+
+    @settings(derandomize=True, database=None, max_examples=500, deadline=None)
+    @given(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300), st.integers(1, 300))
+    def test_matches_linspace(self, start, stop, n):
+        self.check(start, stop, n)
+
+    @pytest.mark.parametrize(
+        "start, stop, n",
+        [
+            (0.0, 2.0, 1),
+            (-0.0, -0.0, 1),
+            (0.0, 2.0, 2),
+            (0.3, 0.1, 2),
+            (1.5, 1.5, 7),  # equal ends
+            (-0.0, -0.0, 3),
+            (0.0, 1e-310, 11),  # subnormal step
+            (0.0, 4 * 5e-324, 1000),  # the step underflows to 0
+            (1.0, 1.0 + 2**-52, 1000),  # the step is below an ulp of the points
+            (0.0, 3, 121),  # integer ends
+        ],
+    )
+    def test_edge_cases(self, start, stop, n):
+        self.check(start, stop, n)
 
 
 class TestScenario:
@@ -313,3 +370,9 @@ class TestScenario:
     def test_below_threshold_rejected(self, gaas, gaas_fields):
         with pytest.raises(ScenarioError, match="threshold"):
             switching_scenario(gaas, gaas_fields.a, b_operating=1.0)
+
+    @pytest.mark.parametrize("b_operating", [-3.0, 0.0, math.nan, math.inf])
+    def test_operating_field_must_be_finite_and_positive(self, gaas, gaas_fields, b_operating):
+        message = f"operating field {b_operating!r} T must be finite and > 0"
+        with pytest.raises(InvalidParameterError, match=message):
+            switching_scenario(gaas, gaas_fields.a, b_operating=b_operating)
