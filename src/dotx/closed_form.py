@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InvalidParameterError, SingularConfigurationError
-from .special import bessel_i0e, bessel_i0e_array, libm
+from .special import bessel_i0e, bessel_i0e_array
 from .units import (
     E_CHARGE,
     MEV_TO_J,
@@ -82,7 +82,7 @@ def exchange_energy(
     `exchange_energy_lab`), dimensionless callers can leave the default.
     """
     x2, arg, em, csb, i0e_x1, i0e_x2, quartic_term, efield_term, j_dimensionless = _terms(
-        b, d, c, efield_ratio
+        b, d, c, efield_ratio, energy_scale_mev
     )
     # 1/sinh(arg) == 2 exp(-arg) to double precision once exp(-2 arg)
     # underflows; switching forms avoids overflowing sinh itself.
@@ -111,14 +111,15 @@ def exchange_energy_lab(mat: MaterialParams, fields: FieldConfig) -> ExchangeBre
     )
 
 
-def _terms(b: float, d: float, c: float, efield_ratio: float) -> tuple:
+def _terms(b: float, d: float, c: float, efield_ratio: float, scale: float = 1.0) -> tuple:
     """The operations of J for (b, d, c, chi), in the one order every scalar
     caller uses: (x2, arg, exp(-arg), c sqrt(b), I0e(x1), I0e(x2),
     quartic_term, efield_term, j_dimensionless).
 
     Raises where the inputs make J meaningless, in this order: b, d, c or
     chi out of range (the checks of `_check_bd`, then c, then chi), d^2 or
-    b d^2 overflowing, 1 - S^4 rounding to 0, or chi^2 / d^2 overflowing.
+    b d^2 overflowing, 1 - S^4 rounding to 0, chi^2 / d^2 overflowing, or
+    J, or J times the energy `scale` the caller reports it in, overflowing.
     """
     isfinite = math.isfinite
     if not (
@@ -136,7 +137,7 @@ def _terms(b: float, d: float, c: float, efield_ratio: float) -> tuple:
     x2 = d2 * (b - 1.0 / b)
     arg = 2.0 * (x1 + x2)  # 2 d^2 (2b - 1/b)
     em = math.exp(-arg)
-    denominator = 1.0 - em * em  # 1 - S^4
+    denominator = -math.expm1(-2.0 * arg)  # 1 - S^4, without cancelling at small d
     if denominator == 0.0:
         raise SingularConfigurationError(
             f"singular configuration d={d!r}: 1 - S^4 rounds to 0, the two dots coincide"
@@ -152,6 +153,11 @@ def _terms(b: float, d: float, c: float, efield_ratio: float) -> tuple:
         2.0 * em * (csb * i0e_x1 + quartic_term + efield_term)
         - 2.0 * csb * i0e_x2 * math.exp(-2.0 * x1)
     ) / denominator
+    if abs(j_dimensionless * scale) == math.inf:  # e.g. 1 - S^4 subnormal, d below ~1e-154
+        raise SingularConfigurationError(
+            f"J overflows at d={d!r}, chi={efield_ratio!r}: the two dots all but coincide, "
+            "or the field is too strong"
+        )
     return x2, arg, em, csb, i0e_x1, i0e_x2, quartic_term, efield_term, j_dimensionless
 
 
@@ -186,7 +192,9 @@ def efield_switch(mat: MaterialParams, B: float, a: float) -> float:
     const = _material_constants(mat)
     _, fock_darwin, d, _ = _lab_point(const, B, 0.0, a)
     b = fock_darwin / const.omega0
-    x2, _, _, csb, i0e_x1, i0e_x2, quartic_term, _, _ = _terms(b, d, const.c, 0.0)
+    x2, _, _, csb, i0e_x1, i0e_x2, quartic_term, _, _ = _terms(
+        b, d, const.c, 0.0, mat.confinement_energy
+    )
     # -(coulomb + quartic) = exp(2 x2) * radicand
     radicand = csb * i0e_x2 - (csb * i0e_x1 + quartic_term) * math.exp(-2.0 * x2)
     if not radicand >= 0.0:
@@ -218,7 +226,7 @@ def exchange_energy_along(
     def j_mev(x: float) -> float:
         B, E, a = (x, E0, a0) if axis == "B" else (B0, x, a0) if axis == "E" else (B0, E0, x * a_b)
         _, fock_darwin, d, chi = _lab_point(const, B, E, a)
-        return _terms(fock_darwin / omega0, d, c, chi)[-1] * scale
+        return _terms(fock_darwin / omega0, d, c, chi, scale)[-1] * scale
 
     return j_mev
 
@@ -227,11 +235,13 @@ def exchange_energy_along(
 class ExchangeColumns:
     """`exchange_energy_lab` and `overlap` over 1-D arrays of lab points.
 
-    Each column holds, per point, the number the scalar functions give,
-    bit for bit.  valid is False where `exchange_energy_lab` raises
-    InvalidParameterError or SingularConfigurationError (the points a
-    sweep marks singular), except d^2, b d^2 or chi^2 / d^2 overflowing,
-    which raises as the scalar form does; every column is nan there.
+    Each column holds the scalar functions' number, up to numpy's exp,
+    expm1, sinh and hypot rounding unlike the C library's: b and the quartic
+    term within a few eps, S and the prefactor within a few eps (1 + arg), J
+    within a few eps (1 + arg) M, M the size of the terms that cancel in it.
+    valid is False where `exchange_energy_lab` raises InvalidParameterError or
+    SingularConfigurationError (the points a sweep marks singular), except d^2,
+    b d^2 or chi^2 / d^2 overflowing, which raises; every column is nan there.
     """
 
     b: np.ndarray
@@ -250,10 +260,10 @@ class ExchangeColumns:
 def exchange_energy_arrays(mat: MaterialParams, B, E, a) -> ExchangeColumns:
     """Exchange splitting over lab arrays (Tesla, V/m, nm), broadcast to 1-D.
 
-    Runs the operations of `exchange_energy` in the same order: the IEEE
-    ones (+ - * /, sqrt) in numpy, exp and sinh through libm.  Like the
-    scalar form it raises InvalidParameterError for a material it rejects and
-    where d^2, b d^2 or chi^2 / d^2 overflows.
+    Runs the operations of `exchange_energy` in the same order, each as a
+    numpy ufunc (`ExchangeColumns` says how far that moves the values).
+    Like the scalar form it raises InvalidParameterError for a material it
+    rejects and where d^2, b d^2 or chi^2 / d^2 overflows.
     """
     import numpy as np
 
@@ -263,8 +273,8 @@ def exchange_energy_arrays(mat: MaterialParams, B, E, a) -> ExchangeColumns:
         x1 = b * d2
         x2 = d2 * (b - 1.0 / b)
         arg = 2.0 * (x1 + x2)
-        em = libm(math.exp, -arg)  # arg >= 0 or nan, so exp never overflows
-        denominator = 1.0 - em * em
+        em = np.exp(-arg)  # arg >= 0 or nan, so exp never overflows
+        denominator = -np.expm1(-2.0 * arg)
         valid = (
             valid
             & np.isfinite(b) & (b >= 1.0 - 1e-12)
@@ -288,38 +298,30 @@ def exchange_energy_arrays(mat: MaterialParams, B, E, a) -> ExchangeColumns:
 
         prefactor = 2.0 * em
         near = arg < 350.0
-        prefactor[near] = 1.0 / libm(math.sinh, arg[near])
+        prefactor[near] = 1.0 / np.sinh(arg[near])
         coulomb_term = np.full_like(arg, -math.inf)
         finite = 2.0 * x2 < 700.0
         coulomb_term[finite] = csb[finite] * (
-            i0e_x1[finite] - libm(math.exp, 2.0 * x2[finite]) * i0e_x2[finite]
+            i0e_x1[finite] - np.exp(2.0 * x2[finite]) * i0e_x2[finite]
         )
         j_dimensionless = (
             2.0 * em * (csb * i0e_x1 + quartic_term + efield_term)
-            - 2.0 * csb * i0e_x2 * libm(math.exp, -2.0 * x1)
+            - 2.0 * csb * i0e_x2 * np.exp(-2.0 * x1)
         ) / denominator
-        s_overlap = libm(math.exp, -d * d * (2.0 * b - 1.0 / b))
+        s_overlap = np.exp(-d * d * (2.0 * b - 1.0 / b))
+        j_mev = j_dimensionless * mat.confinement_energy
+        ok = np.isfinite(j_mev)  # singular where J overflows, as `_terms` raises there
+        valid[np.flatnonzero(valid)[~ok]] = False
 
     def column(values):
-        if keep is not valid:
+        if valid.all():
             return values
         out = np.full(valid.shape, math.nan)
-        out[valid] = values
+        out[valid] = values[ok]
         return out
 
-    return ExchangeColumns(
-        b=column(b),
-        d=column(d),
-        efield_ratio=column(chi),
-        prefactor=column(prefactor),
-        coulomb_term=column(coulomb_term),
-        quartic_term=column(quartic_term),
-        efield_term=column(efield_term),
-        j_dimensionless=column(j_dimensionless),
-        j_mev=column(j_dimensionless * mat.confinement_energy),
-        s_overlap=column(s_overlap),
-        valid=valid,
-    )
+    columns = (b, d, chi, prefactor, coulomb_term, quartic_term, efield_term, j_dimensionless)
+    return ExchangeColumns(*map(column, columns + (j_mev, s_overlap)), valid)
 
 
 def _check_bd(b: float, d: float, allow_zero_d: bool):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import NamedTuple
 
 from .closed_form import (
@@ -160,9 +161,11 @@ def _row_columns(spec: SweepSpec) -> list:
 def sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate the exchange energy along a monotone grid, in one array call."""
     spec.validate()
-    x, prefactor, coulomb, quartic, efield, j_dim, j_mev, b, d, s, invalid = _row_columns(spec)
-    breakdowns = map(ExchangeBreakdown, prefactor, coulomb, quartic, efield, j_dim, j_mev)
-    rows = list(map(SweepRow, x, j_mev, breakdowns, b, d, s))
+    x, *terms, j_mev, b, d, s, invalid = _row_columns(spec)
+    # tuple.__new__ skips each record's Python __new__ and defaults: singular is given.
+    new = tuple.__new__
+    breakdowns = map(new, repeat(ExchangeBreakdown), zip(*terms, j_mev))
+    rows = list(map(new, repeat(SweepRow), zip(x, j_mev, breakdowns, b, d, s, repeat(False))))
     for i in invalid:
         rows[i] = SweepRow(x[i], math.nan, None, math.nan, math.nan, math.nan, singular=True)
     return rows
@@ -435,8 +438,16 @@ def switching_scenario(
         )
     if not (math.isfinite(b_operating) and b_operating > 0.0):
         raise InvalidParameterError(f"operating field {b_operating!r} T must be finite and > 0")
+    if not (math.isfinite(e_limit) and e_limit > 0.0):
+        raise InvalidParameterError(f"e_limit {e_limit!r} V/m must be finite and > 0")
     fixed = FieldConfig(B=0.0, E=0.0, a=a_nm)
-    if exchange_energy_along(material, fixed, "B")(b_operating) >= 0.0:
+    j_operating = exchange_energy_along(material, fixed, "B")(b_operating)
+    if j_operating == 0.0:
+        raise ScenarioError(
+            f"J underflows to 0 at the operating field {b_operating} T, so its sign "
+            "is unknown there; choose a smaller field or distance"
+        )
+    if j_operating > 0.0:
         roots = scan_switches("B", material, fixed, 0.0, max(3.0, 2.0 * b_operating))
         threshold = f"{roots[0].value:.4g} T" if roots else "above the scanned range"
         raise ScenarioError(

@@ -15,7 +15,6 @@ The physical constants are CODATA 2022 (the doubles scipy.constants holds).
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -23,7 +22,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InvalidParameterError, SingularConfigurationError
-from .special import libm
 
 E_CHARGE = 1.602176634e-19  # C
 EPS0 = 8.8541878188e-12  # F/m
@@ -194,7 +192,7 @@ def derive_parameters(mat: MaterialParams, fields: FieldConfig) -> DerivedParams
 
 def derive_arrays(mat: MaterialParams, B, E, a):
     """(b, d, c, efield_ratio, valid) for 1-D arrays of lab points (scalars
-    broadcast), each point with the bits `derive_parameters` gives it.
+    broadcast), by the operations of `derive_parameters` (b via numpy's hypot).
 
     The material is checked and its constants derived once; a material
     `derive_parameters` rejects raises its error here too.  valid is False
@@ -208,7 +206,7 @@ def derive_arrays(mat: MaterialParams, B, E, a):
     valid = np.isfinite(a) & (a > 0.0) & np.isfinite(B) & np.isfinite(E)
     with np.errstate(all="ignore"):  # invalid points may overflow; floats would too
         larmor = E_CHARGE * np.abs(B) / (2.0 * m)
-        b = libm(functools.partial(math.hypot, omega0), larmor) / omega0
+        b = np.hypot(omega0, larmor) / omega0
         d = a / a_b
         chi = E_CHARGE * E * a * NM_TO_M / quantum
     return b, d, c, chi, valid

@@ -1,12 +1,14 @@
 import json
 import math
 import pathlib
+import sys
 
 import numpy as np
 import pytest
 
 from dotx.closed_form import exchange_energy, overlap
 from dotx.errors import InvalidParameterError, SingularConfigurationError
+from dotx.special import bessel_i0e
 from dotx.sweeps import SweepRow
 from dotx.units import GAAS, FieldConfig, bohr_radius_nm, derive_parameters
 
@@ -75,6 +77,119 @@ def count_derivations(monkeypatch):
 
 def rel_err(got, want):
     return abs(got - want) / max(abs(want), 1e-300)
+
+
+EPS = sys.float_info.epsilon
+
+# Below this |J| is out of the normal float range, or near it, and its error
+# is set by underflow: J is held to it as an absolute bound there.
+J_FLOOR = 1e-306
+
+
+def j_size(b, d, c, efield_term):
+    """(M, arg) at a point: M = (|2 S^2 (c sqrt(b) I0e(x1) + quartic + efield)|
+    + |2 c sqrt(b) I0e(x2) exp(-2 x1)|) / (1 - S^4) is the size of the two
+    terms that cancel in J, and arg = 2 d^2 (2b - 1/b) the exponent of S^2."""
+    d2 = d * d
+    x1, x2 = b * d2, d2 * (b - 1.0 / b)
+    arg = 2.0 * (x1 + x2)
+    csb = c * math.sqrt(b)
+    quartic = 0.75 / b * (1.0 + x1)
+    size = (
+        abs(2.0 * math.exp(-arg) * (csb * bessel_i0e(x1) + quartic + efield_term))
+        + abs(2.0 * csb * bessel_i0e(x2) * math.exp(-2.0 * x1))
+    ) / -math.expm1(-2.0 * arg)
+    return size, arg
+
+
+def j_bound(k, b, d, c, efield_term):
+    """k eps (1 + arg) M + J_FLOOR, the bound J is held to at a point.  The
+    (1 + arg) is the condition of exp(-arg): an ulp of b or d moves J by
+    about arg eps M."""
+    size, arg = j_size(b, d, c, efield_term)
+    return k * EPS * (1.0 + arg) * size + J_FLOOR
+
+
+def kernel_bounds(want: dict, c: float, scale: float) -> dict:
+    """Absolute bound per column of the array kernel against the scalar
+    values `want` (a dict of column -> float) at one valid point.
+
+    numpy's exp, expm1, sinh and hypot may round the other way from the C
+    library's.  b then moves by an ulp for a few points in a thousand, and
+    every column that depends on it moves by its condition, which grows
+    with arg = 2 d^2 (2b - 1/b).  Each constant is 5 to 9 times the largest
+    ratio seen on 80 000 random lab points (|B| up to 60 T, a/a_B from 1e-8
+    to 8): b 1.04 eps, quartic 1.66 eps, the prefactor 3.2 eps (1 + arg),
+    S 1.8 eps (1 + arg), coulomb 1.0 eps (1 + 2 arg) Mc with Mc the size of
+    its two terms, J 2.9 eps (1 + arg) M and j_mev 3.0 eps (1 + arg) M
+    scale (`j_size`).  d, chi and efield_term are exact.
+    """
+    b, d, efield = want["b"], want["d"], want["efield_term"]
+    d2 = d * d
+    x2 = d2 * (b - 1.0 / b)
+    arg = 2.0 * (b * d2 + x2)
+    csb = c * math.sqrt(b)
+    bounds = {
+        "x": 0.0, "d": 0.0, "efield_ratio": 0.0, "efield_term": 0.0,
+        "b": 8.0 * EPS * b,
+        "quartic_term": 8.0 * EPS * want["quartic_term"],
+        "prefactor": 16.0 * EPS * (1.0 + arg) * want["prefactor"],
+        "s_overlap": 16.0 * EPS * (1.0 + arg) * want["s_overlap"],
+        "j_dimensionless": j_bound(16.0, b, d, c, efield),
+    }
+    bounds["j_mev"] = bounds["j_dimensionless"] * scale
+    if math.isfinite(want["coulomb_term"]):
+        coulomb_size = csb * (bessel_i0e(b * d2) + math.exp(2.0 * x2) * bessel_i0e(x2))
+        bounds["coulomb_term"] = 8.0 * EPS * (1.0 + 2.0 * arg) * coulomb_size
+    return bounds
+
+
+def assert_kernel_close(got: dict, want: dict, c: float, scale: float, where=None):
+    """Each column of `got` (the kernel) within `kernel_bounds` of `want`;
+    a column bounded by 0, or not finite in `want`, must match by repr."""
+    bounds = kernel_bounds(want, c, scale)
+    for name, w in want.items():
+        g, bound = got[name], bounds.get(name, 0.0)
+        if bound == 0.0 or not math.isfinite(w):
+            assert repr(g) == repr(w), (name, g, w, where)
+        else:
+            assert abs(g - w) <= bound, (name, g, w, abs(g - w) / bound, where)
+
+
+def row_columns(row) -> dict:
+    extra = {"x": row.x, "b": row.b, "d": row.d, "s_overlap": row.s_overlap}
+    return {**row.breakdown._asdict(), **extra}
+
+
+def assert_rows_close(got: list, want: list, material):
+    """Sweep rows against `loop_sweep`'s: the same singular rows, equal by
+    repr, and every valid row's columns within `kernel_bounds`."""
+    from dotx.units import coulomb_strength
+
+    c = coulomb_strength(material)
+    assert [r.singular for r in got] == [r.singular for r in want]
+    for i, (g, w) in enumerate(zip(got, want)):
+        if w.singular:
+            assert repr(g) == repr(w), i
+            continue
+        assert type(g) is SweepRow and g.singular is False and g.j_mev == g.breakdown.j_mev
+        assert_kernel_close(row_columns(g), row_columns(w), c, material.confinement_energy, i)
+
+
+def j_mp(b, d, c, chi):
+    """Dimensionless J in 50-digit arithmetic at the floats (b, d, c, chi)."""
+    from mpmath import mp, mpf
+
+    with mp.workdps(50):
+        b, d, c, chi = (mpf(repr(float(v))) for v in (b, d, c, chi))
+        d2 = d * d
+        x1, x2 = b * d2, d2 * (b - 1 / b)
+        bracket = (
+            c * mp.sqrt(b) * (mp.exp(-x1) * mp.besseli(0, x1) - mp.exp(x2) * mp.besseli(0, x2))
+            + mpf(3) / (4 * b) * (1 + x1)
+            + mpf(3) / 2 * chi * chi / d2
+        )
+        return bracket / mp.sinh(2 * d2 * (2 * b - 1 / b))
 
 
 def loop_sweep(spec):

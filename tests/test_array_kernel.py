@@ -1,11 +1,13 @@
-"""The array closed form against the scalar one, bit for bit.
+"""The array closed form against the scalar one, and both against mpmath.
 
 `sweep` (and with it `figure`) evaluates J through
 `exchange_energy_arrays`; the point evaluators, Brent, the switch
-pre-scan and the scenario phases use the scalar closed form.  These
-tests keep the two from drifting:
-each array row is compared with the scalar call by repr, which tells
-nan, -inf and -0.0 apart.
+pre-scan and the scenario phases use the scalar closed form.  The kernel
+runs the scalar operations as numpy ufuncs, whose exp, expm1, sinh and
+hypot may round differently from the C library's, so each array row is
+held to the scalar one within the per-column bounds of
+`conftest.kernel_bounds`; which points are valid, and the errors raised,
+match exactly.  Both forms are held to a 50-digit J.
 """
 
 import math
@@ -26,18 +28,23 @@ from dotx.units import (
     FieldConfig,
     MaterialParams,
     bohr_radius_nm,
+    coulomb_strength,
     derive_parameters,
     fields_from_dimensionless,
 )
 
-from conftest import loop_sweep
+from conftest import EPS, assert_kernel_close, assert_rows_close, j_bound, j_mp, loop_sweep
 
 A_B = bohr_radius_nm(GAAS)
 
 
+COLUMNS = ("b", "d", "efield_ratio", "prefactor", "coulomb_term", "quartic_term",
+           "efield_term", "j_dimensionless", "j_mev", "s_overlap")
+
+
 def scalar_rows(mat, B, E, a):
-    """Per point: the scalar (b, d, chi, breakdown..., S), or None where it raises
-    the error a sweep turns into a singular row."""
+    """Per point: the scalar columns (b, d, chi, breakdown..., S), or None where
+    it raises the error a sweep turns into a singular row."""
     rows = []
     for point in zip(B, E, a):
         fields = FieldConfig(*map(float, point))
@@ -47,30 +54,43 @@ def scalar_rows(mat, B, E, a):
         except (InvalidParameterError, SingularConfigurationError):
             rows.append(None)
             continue
-        rows.append(
-            (p.b, p.d, p.efield_ratio, bd.prefactor, bd.coulomb_term, bd.quartic_term,
-             bd.efield_term, bd.j_dimensionless, bd.j_mev, overlap(p.b, p.d))
-        )
+        rows.append(dict(zip(COLUMNS, (
+            p.b, p.d, p.efield_ratio, bd.prefactor, bd.coulomb_term, bd.quartic_term,
+            bd.efield_term, bd.j_dimensionless, bd.j_mev, overlap(p.b, p.d),
+        ))))
     return rows
 
 
 def array_rows(mat, B, E, a):
     cols = exchange_energy_arrays(mat, *(np.asarray(v, dtype=float) for v in (B, E, a)))
-    names = ("b", "d", "efield_ratio", "prefactor", "coulomb_term", "quartic_term",
-             "efield_term", "j_dimensionless", "j_mev", "s_overlap")
-    columns = [getattr(cols, name).tolist() for name in names]
+    columns = [getattr(cols, name).tolist() for name in COLUMNS]
     return [
-        tuple(column[i] for column in columns) if valid else None
+        dict(zip(COLUMNS, (column[i] for column in columns))) if valid else None
         for i, valid in enumerate(cols.valid.tolist())
     ]
 
 
-def assert_same(mat, B, E, a):
+def assert_close(mat, B, E, a):
+    """The same valid points in both forms, each within `kernel_bounds`."""
     got, want = array_rows(mat, B, E, a), scalar_rows(mat, B, E, a)
-    assert len(got) == len(want)
+    assert [g is not None for g in got] == [w is not None for w in want]
+    c = coulomb_strength(mat)
     for i, (g, w) in enumerate(zip(got, want)):
-        assert repr(g) == repr(w), (i, B[i], E[i], a[i])
+        if w is not None:
+            assert_kernel_close(g, w, c, mat.confinement_energy, (B[i], E[i], a[i]))
     return got
+
+
+def assert_i0e_close(got, x):
+    """`bessel_i0e_array` against `bessel_i0e`: the large-argument branch
+    exactly, the series branch, whose exp(-x) is numpy's, within 4 eps
+    (1.77 eps at most on 240 000 points)."""
+    for g, v in zip(got, x):
+        w = bessel_i0e(v)
+        if abs(v) >= _I0_SPLIT:
+            assert repr(g) == repr(w), v
+        else:
+            assert abs(g - w) <= 4.0 * EPS * w, v
 
 
 class TestBesselArray:
@@ -80,9 +100,7 @@ class TestBesselArray:
             np.linspace(-50.0, 800.0, 20001),
             [math.nextafter(_I0_SPLIT, 0.0), _I0_SPLIT, 5e-324, 1e-300, 1e300, math.inf, -math.inf],
         ])
-        got = bessel_i0e_array(x).tolist()
-        want = [bessel_i0e(v) for v in x.tolist()]
-        assert repr(got) == repr(want)
+        assert_i0e_close(bessel_i0e_array(x).tolist(), x.tolist())
 
     @pytest.mark.parametrize(
         "x, large_calls",
@@ -106,7 +124,7 @@ class TestBesselArray:
         got = bessel_i0e_array(np.array(x, dtype=float)).tolist()
         assert len(calls) == large_calls and 0 not in calls
         monkeypatch.undo()
-        assert repr(got) == repr([bessel_i0e(v) for v in x])
+        assert_i0e_close(got, x)
 
     def test_nan_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -143,7 +161,7 @@ class TestKernelMatchesScalar:
     )
     def test_random_lab_points(self, points):
         B, E, a_rel = zip(*points)
-        assert_same(GAAS, B, E, [x * A_B for x in a_rel])
+        assert_close(GAAS, B, E, [x * A_B for x in a_rel])
 
     def test_branch_thresholds(self):
         # Lab points whose x1 = b d^2 straddles the I0 splice at 7.5, whose
@@ -166,13 +184,13 @@ class TestKernelMatchesScalar:
                 B.append(fields.B)
                 E.append(fields.E)
                 a.append(fields.a)
-        rows = assert_same(GAAS, B, E, a)
-        b, d = np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+        rows = assert_close(GAAS, B, E, a)
+        b, d = np.array([r["b"] for r in rows]), np.array([r["d"] for r in rows])
         x1, x2 = b * d * d, d * d * (b - 1.0 / b)
         arg = 2.0 * (x1 + x2)
         for value, threshold in ((x1, _I0_SPLIT), (x2, _I0_SPLIT), (arg, 350.0), (2.0 * x2, 700.0)):
             assert (value < threshold).any() and (value >= threshold).any()
-        assert any(r[4] == -math.inf for r in rows)
+        assert any(r["coulomb_term"] == -math.inf for r in rows)
 
     def test_singular_inputs(self):
         a = 0.7 * A_B
@@ -185,10 +203,12 @@ class TestKernelMatchesScalar:
             (1e300, 0.0, a, False),  # b overflows
             (-1e300, 0.0, a, False),
             (1.0, 0.0, -a, False),
-            (1.0, 1e5, 1e-9 * A_B, False),  # 1 - S^4 rounds to 0
+            (1.0, 1e5, 1e-9 * A_B, True),  # 1 - S^4 = 8e-18, from expm1
+            (1.0, 1e5, 1e-158 * A_B, False),  # 1 - S^4 is subnormal: J overflows
+            (1.0, 1e5, 1e-170 * A_B, False),  # d^2, and with it 1 - S^4, rounds to 0
         ]
         B, E, A, valid = zip(*points)
-        rows = assert_same(GAAS, B, E, A)
+        rows = assert_close(GAAS, B, E, A)
         assert [row is not None for row in rows] == list(valid)
 
     def test_field_overflow_raises_like_scalar(self):
@@ -203,10 +223,10 @@ class TestKernelMatchesScalar:
         assert f"chi={p.efield_ratio!r}" in str(scalar.value) and f"d={p.d!r}" in str(scalar.value)
         with pytest.raises(InvalidParameterError) as array:
             exchange_energy_arrays(
-                GAAS, 1.0, [1e5, 1e305, math.inf, 1e306, 1e306], [a, a, a, a, 1e-9 * A_B]
+                GAAS, 1.0, [1e5, 1e305, math.inf, 1e306, 1e306], [a, a, a, a, 1e-170 * A_B]
             )
         assert type(array.value) is type(scalar.value) and str(array.value) == str(scalar.value)
-        cols = exchange_energy_arrays(GAAS, 1.0, [1e5, 1e306], [a, 1e-9 * A_B])
+        cols = exchange_energy_arrays(GAAS, 1.0, [1e5, 1e306], [a, 1e-170 * A_B])
         assert cols.valid.tolist() == [True, False]  # singular before it overflows
 
     @pytest.mark.parametrize(
@@ -260,12 +280,68 @@ class TestKernelMatchesScalar:
         assert str(array.value) == str(scalar.value)
 
     def test_tiny_distance_is_singular_in_both(self):
+        # 1 - S^4 comes from expm1, so it rounds to 0 only where d^2 does,
+        # below d ~ 1e-162; J at d = 1e-9 is finite and accurate.
+        j = exchange_energy(1.0, 1e-9, 2.36, 0.0).j_dimensionless
+        assert abs(j - float(j_mp(1.0, 1e-9, 2.36, 0.0))) <= j_bound(MP_BOUND, 1.0, 1e-9, 2.36, 0.0)
+        with pytest.raises(SingularConfigurationError, match="J overflows"):
+            exchange_energy(1.0, 1e-158, 2.36, 0.0)  # 1 - S^4 is subnormal
         with pytest.raises(SingularConfigurationError, match="1 - S"):
-            exchange_energy(1.0, 1e-9, 2.36, 0.0)
+            exchange_energy(1.0, 1e-170, 2.36, 0.0)
         with pytest.raises(SingularConfigurationError):
-            exchange_energy(1.0, 1e-200, 2.36, 0.0)  # d^2 underflows to 0
-        cols = exchange_energy_arrays(GAAS, 0.0, 0.0, [1e-9 * A_B, 1e-200, 1e-7 * A_B])
-        assert cols.valid.tolist() == [False, False, True]
+            exchange_energy(1.0, 1e-200, 2.36, 0.0)
+        cols = exchange_energy_arrays(
+            GAAS, 0.0, 0.0, [1e-9 * A_B, 1e-158 * A_B, 1e-170 * A_B, 1e-200, 1e-7 * A_B]
+        )
+        assert cols.valid.tolist() == [True, False, False, False, True]
+        assert np.isnan(cols.j_mev[1:4]).all() and np.isnan(cols.prefactor[1:4]).all()
+
+
+# (b, d, chi) over b in [1, 50], d in [1e-8, 6] (log-uniform) and |chi| <= 10.
+DIMENSIONLESS_POINTS = st.tuples(
+    st.floats(1.0, 50.0),
+    st.floats(-8.0, math.log10(6.0)).map(lambda t: min(10.0**t, 6.0)),
+    st.floats(-10.0, 10.0),
+)
+
+# J within 32 eps (1 + arg) M of the 50-digit J at the same floats (`j_bound`):
+# the largest ratio seen on 8000 random points was 5.4, at b - 1 = 2e-7,
+# where b - 1/b cancels in x2.  arg, the condition of exp(-arg), reaches
+# about 1400 where J leaves the normal range; plain eps M would need
+# about 650 there.
+MP_BOUND = 32.0
+
+
+class TestAgainstMpmath:
+    """Both forms of J against `j_mp`, the formula in 50-digit arithmetic;
+    with 1 - S^4 from expm1, small d no longer cancels."""
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(DIMENSIONLESS_POINTS)
+    def test_scalar(self, point):
+        b, d, chi = point
+        c = coulomb_strength(GAAS)
+        got = exchange_energy(b, d, c, chi).j_dimensionless
+        efield = 1.5 * chi * chi / (d * d)
+        assert abs(got - float(j_mp(b, d, c, chi))) <= j_bound(MP_BOUND, b, d, c, efield)
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(st.lists(DIMENSIONLESS_POINTS, min_size=1, max_size=20))
+    def test_array(self, points):
+        # Each point goes to the lab and back; the kernel is held to the
+        # 50-digit J at its own (b, d, chi).
+        fields = [fields_from_dimensionless(GAAS, *point) for point in points]
+        cols = exchange_energy_arrays(
+            GAAS, *(np.array([getattr(f, name) for f in fields]) for name in ("B", "E", "a"))
+        )
+        assert cols.valid.all()
+        c = coulomb_strength(GAAS)
+        for b, d, chi, j in zip(
+            cols.b.tolist(), cols.d.tolist(), cols.efield_ratio.tolist(),
+            cols.j_dimensionless.tolist(),
+        ):
+            efield = 1.5 * chi * chi / (d * d)
+            assert abs(j - float(j_mp(b, d, c, chi))) <= j_bound(MP_BOUND, b, d, c, efield)
 
 
 class TestDriversMatchLoops:
@@ -283,7 +359,7 @@ class TestDriversMatchLoops:
         B, E, a_rel = fixed
         spec = SweepSpec(vary=vary, start=start, stop=stop, steps=1601,
                          fixed=FieldConfig(B, E, a_rel * A_B), material=GAAS)
-        assert repr(sweep(spec)) == repr(loop_sweep(spec))
+        assert_rows_close(sweep(spec), loop_sweep(spec), GAAS)
 
     def test_scan_prescan_makes_no_array_call(self, monkeypatch):
         def array(*args):

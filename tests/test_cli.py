@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -400,7 +401,10 @@ class TestErrorMapping:
         + [(["switch", "--vary", "B", "--scan", "--from", lo, "--to", hi],
             "scan range must satisfy lo < hi") for lo, hi in (("3", "2"), ("4", "0.3"))]
         + [(["scenario", "--b-operating", b], f"operating field {b} T must be finite and > 0")
-           for b in ("-3.0", "0.0", "nan")],
+           for b in ("-3.0", "0.0", "nan")]
+        + [(["scenario", "--b-operating", "1e5"],
+            "J underflows to 0 at the operating field 100000.0 T, so its sign is unknown there; "
+            "choose a smaller field or distance")],
     )
     def test_unusable_switch_and_scenario_inputs(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
@@ -433,17 +437,38 @@ class TestErrorMapping:
         assert err.count("\n") == 1
 
     def test_coincident_in_double_precision(self, capsys):
-        # 1 - S^4 rounds to 0 at d = 1e-9: a domain error, not a ZeroDivisionError
+        # 1 - S^4 comes from expm1: at d = 1e-9 J is finite; it rounds to 0
+        # at d = 1e-170, a domain error, not a ZeroDivisionError
         code, out, err = run(capsys, "eval", "--a-over-ab", "1e-9")
+        assert code == 0 and err == ""
+        assert math.isfinite(float(out.split("J: ")[1].split()[0]))
+        code, out, err = run(capsys, "eval", "--a-over-ab", "1e-170")
         assert code == 2
         assert out == ""
-        assert err.startswith("dotx: error: singular configuration d=1e-09")
+        assert err.startswith("dotx: error: singular configuration d=1e-170")
         assert err.count("\n") == 1
         code, out, _ = run(
-            capsys, "sweep", "--vary", "d", "--from", "1e-9", "--to", "1", "--steps", "3"
+            capsys, "sweep", "--vary", "d", "--from", "1e-170", "--to", "1", "--steps", "3"
         )
         assert code == 0
-        assert out.splitlines()[-3] == "1e-09,nan,nan,nan,nan,nan,nan,nan,nan"
+        assert out.splitlines()[-3] == "1e-170,nan,nan,nan,nan,nan,nan,nan,nan"
+
+    @pytest.mark.parametrize(
+        "argv, d, chi",
+        [
+            (["--a-over-ab", "1e-158"], "1e-158", "0.0"),  # 1 - S^4 is subnormal
+            (["--E", "1.5e159", "--a-over-ab", "0.1"], "0.1", "9.735279883095482e+152"),
+        ],
+    )
+    def test_overflowing_j(self, capsys, argv, d, chi):
+        # J past the float range used to print as inf with exit 0
+        code, out, err = run(capsys, "eval", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"dotx: error: J overflows at d={d}, chi={chi}: the two dots all but coincide, "
+            "or the field is too strong\n"
+        )
 
     @pytest.mark.parametrize(
         "argv",

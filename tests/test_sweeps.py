@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import dotx.closed_form
 import dotx.sweeps
-from dotx.closed_form import ExchangeBreakdown, exchange_energy_lab
+from dotx.closed_form import ExchangeBreakdown, exchange_energy_lab, overlap
 from dotx.errors import (
     InvalidParameterError,
     NoRootInBracketError,
@@ -26,9 +27,15 @@ from dotx.sweeps import (
     sweep_csv_text,
     switching_scenario,
 )
-from dotx.units import FieldConfig, bohr_radius_nm, derive_arrays
+from dotx.units import (
+    FieldConfig,
+    bohr_radius_nm,
+    coulomb_strength,
+    derive_arrays,
+    derive_parameters,
+)
 
-from conftest import loop_sweep, rel_err
+from conftest import assert_kernel_close, assert_rows_close, loop_sweep, rel_err, row_columns
 
 
 def make_spec(gaas, **kw):
@@ -116,8 +123,8 @@ class TestSweep:
             scan_switches("E", gaas, make_spec(gaas).fixed, start, stop)
 
     def test_tiny_distance_row_is_singular(self, gaas):
-        # 1 - S^4 rounds to 0 at d = 1e-9: singular, not a ZeroDivisionError
-        rows = sweep(make_spec(gaas, vary="d", start=1e-9, stop=1.0, steps=3))
+        # 1 - S^4 rounds to 0 at d = 1e-170: singular, not a ZeroDivisionError
+        rows = sweep(make_spec(gaas, vary="d", start=1e-170, stop=1.0, steps=3))
         assert [r.singular for r in rows] == [True, False, False]
 
     @pytest.mark.parametrize(
@@ -131,7 +138,12 @@ class TestSweep:
                 cfg = replace(fixed, a=row.x * bohr_radius_nm(gaas))
             else:
                 cfg = replace(fixed, **{vary: row.x})
-            assert row.breakdown == exchange_energy_lab(gaas, cfg)
+            p = derive_parameters(gaas, cfg)
+            want = {**exchange_energy_lab(gaas, cfg)._asdict(), "x": row.x, "b": p.b, "d": p.d,
+                    "s_overlap": overlap(p.b, p.d)}
+            assert_kernel_close(
+                row_columns(row), want, coulomb_strength(gaas), gaas.confinement_energy, row.x
+            )
 
     def test_derives_each_point_once(self, gaas, count_derivations, monkeypatch):
         # All 31 points come from one array derivation; none is derived alone.
@@ -165,8 +177,9 @@ class TestRowContract:
     """Rows and breakdowns are immutable records with fixed fields."""
 
     def singular_start_spec(self, gaas):
-        # 1 - S^4 rounds to 0 below d ~ 5e-9: the first rows are singular
-        return make_spec(gaas, vary="d", start=1e-10, stop=2e-8, steps=41)
+        # J overflows below d ~ 1e-154 and 1 - S^4 rounds to 0 below d ~ 1e-162:
+        # the first rows are singular
+        return make_spec(gaas, vary="d", start=1e-170, stop=2e-153, steps=41)
 
     def test_fields_and_positional_constructors(self):
         assert ExchangeBreakdown._fields == (
@@ -178,6 +191,16 @@ class TestRowContract:
         row = SweepRow(0.5, 6.0, bd, 1.5, 0.7, 0.2)
         assert (row.x, row.breakdown, row.s_overlap, row.singular) == (0.5, bd, 0.2, False)
         assert SweepRow(0.5, 6.0, None, 1.5, 0.7, 0.2, True).singular is True
+
+    def test_rows_are_exact_record_types(self, gaas):
+        # sweep builds its records with tuple.__new__; they must still be the
+        # named types, with singular given, not left to the field default.
+        rows = sweep(make_spec(gaas, steps=5))
+        for row in rows:
+            assert type(row) is SweepRow and type(row.breakdown) is ExchangeBreakdown
+            assert row.singular is False and len(row) == len(SweepRow._fields)
+        assert repr(rows[0]).startswith("SweepRow(x=0.0, j_mev=")
+        assert "breakdown=ExchangeBreakdown(prefactor=" in repr(rows[0])
 
     def test_fields_are_read_only(self, gaas):
         row = sweep(make_spec(gaas, steps=3))[0]
@@ -199,8 +222,8 @@ class TestRowContract:
     def test_singular_grid_is_deterministic_and_matches_loop(self, gaas):
         spec = self.singular_start_spec(gaas)
         rows = sweep(spec)
-        assert rows == sweep(spec)
-        assert repr(rows) == repr(loop_sweep(spec))
+        assert repr(rows) == repr(sweep(spec))
+        assert_rows_close(rows, loop_sweep(spec), gaas)
 
 
 class TestBrent:
@@ -237,7 +260,7 @@ class TestFindSwitch:
         assert point.direction == "antiferro_to_ferro"
 
     def test_bracket_endpoints_flank_root(self, gaas, gaas_fields):
-        from dotx.closed_form import ExchangeBreakdown, exchange_energy_lab
+        from dotx.closed_form import ExchangeBreakdown, exchange_energy_lab, overlap
 
         point = find_switch("B", gaas, gaas_fields, (0.5, 3.0))
         j_lo = exchange_energy_lab(gaas, replace(gaas_fields, B=point.bracket[0])).j_mev
@@ -375,4 +398,18 @@ class TestScenario:
     def test_operating_field_must_be_finite_and_positive(self, gaas, gaas_fields, b_operating):
         message = f"operating field {b_operating!r} T must be finite and > 0"
         with pytest.raises(InvalidParameterError, match=message):
+            switching_scenario(gaas, gaas_fields.a, b_operating=b_operating)
+
+    @pytest.mark.parametrize("e_limit", [-1.0, 0.0, math.nan, math.inf])
+    def test_e_limit_must_be_finite_and_positive(self, gaas, gaas_fields, e_limit):
+        message = f"e_limit {e_limit!r} V/m must be finite and > 0"
+        with pytest.raises(InvalidParameterError, match=message):
+            switching_scenario(gaas, gaas_fields.a, e_limit=e_limit)
+
+    @pytest.mark.parametrize("b_operating", [1e5, 1e20])
+    def test_underflowed_operating_j_rejected(self, gaas, gaas_fields, b_operating):
+        # J is exactly 0 there, neither antiferromagnetic nor ferromagnetic
+        assert exchange_energy_lab(gaas, replace(gaas_fields, B=b_operating)).j_mev == 0.0
+        message = f"J underflows to 0 at the operating field {b_operating} T"
+        with pytest.raises(ScenarioError, match=re.escape(message)):
             switching_scenario(gaas, gaas_fields.a, b_operating=b_operating)

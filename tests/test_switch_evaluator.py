@@ -327,7 +327,7 @@ class TestEfieldSwitch:
         [
             (math.nan, 0.7), (math.inf, 0.7), (1e300, 0.7), (-2.0, 0.7),
             (2.0, math.inf), (2.0, math.nan), (2.0, 0.0), (2.0, -0.7), (2.0, 1e160),
-            (2.0, 1e-9), (2.0, 1e-200),
+            (2.0, 1e-170), (2.0, 1e-200),
         ],
     )
     @pytest.mark.parametrize(
