@@ -118,8 +118,8 @@ def _terms(b: float, d: float, c: float, efield_ratio: float, scale: float = 1.0
 
     Raises where the inputs make J meaningless, in this order: b, d, c or
     chi out of range (the checks of `_check_bd`, then c, then chi), d^2 or
-    b d^2 overflowing, 1 - S^4 rounding to 0, chi^2 / d^2 overflowing, or
-    J, or J times the energy `scale` the caller reports it in, overflowing.
+    b d^2 overflowing, 1 - S^4 rounding to 0, chi^2 / d^2 overflowing, J (or
+    J times the energy `scale` it is reported in) or 1/sinh(arg) overflowing.
     """
     isfinite = math.isfinite
     if not (
@@ -157,6 +157,11 @@ def _terms(b: float, d: float, c: float, efield_ratio: float, scale: float = 1.0
         raise SingularConfigurationError(
             f"J overflows at d={d!r}, chi={efield_ratio!r}: the two dots all but coincide, "
             "or the field is too strong"
+        )
+    if 1.0 / arg == math.inf:  # the prefactor 1/sinh(arg) = 1/arg overflows, J need not
+        raise SingularConfigurationError(
+            f"prefactor 1/sinh(2 d^2 (2b - 1/b)) overflows at d={d!r}, b={b!r}: "
+            "the two dots all but coincide"
         )
     return x2, arg, em, csb, i0e_x1, i0e_x2, quartic_term, efield_term, j_dimensionless
 
@@ -310,7 +315,7 @@ def exchange_energy_arrays(mat: MaterialParams, B, E, a) -> ExchangeColumns:
         ) / denominator
         s_overlap = np.exp(-d * d * (2.0 * b - 1.0 / b))
         j_mev = j_dimensionless * mat.confinement_energy
-        ok = np.isfinite(j_mev)  # singular where J overflows, as `_terms` raises there
+        ok = np.isfinite(j_mev) & np.isfinite(prefactor)  # singular where `_terms` raises
         valid[np.flatnonzero(valid)[~ok]] = False
 
     def column(values):

@@ -45,13 +45,15 @@ The tensor Gauss-Hermite sum of a bracket is then exactly
 (sum w X P)(sum w Y) + (sum w X)(sum w Y Q) on the same nodes.  A point's
 brackets share one stacked pass per refinement level, which builds X and
 Y once per (bra, ket) pair and P and Q once per open bracket and takes
-each sum as a row sum; each bracket refines on its own.  Q's linear
-coefficient comes from the ket's own k and c_x: it vanishes where the
-ket is an eigenstate of its own well (k = -lambda c_x, exactly so in
-floating point for the orbitals built here), which keeps Q and the n^2
-pass over |P + Q| real; any other ket gets a complex Q.  Whatever
-imaginary part a bracket sum keeps, the element lists fold into the error
-as |imag|; summed in a fixed order, a report repeats bit for bit.
+each sum as a row sum; each bracket refines on its own.  The sum of |f|
+that floors the error is bounded by 1-D sums too, through |P + Q| <=
+|P + q0| + |q2| y^2 + |q1| |y| for Q = (q2 y + q1) y + q0: exactly the
+tensor sum where Q = 0, and within a few eps of its n^2 pass for kets that
+are eigenstates of their own well (k = -lambda c_x, exactly so in floating
+point for the orbitals built here), as q1 = 0 and c2 = 0 up to rounding
+(b^2 = 1 + lambda^2).  Any other ket gets a complex Q, still bounded.
+Whatever imaginary part a bracket sum keeps, the element lists fold into
+the error as |imag|; summed in a fixed order, a report repeats bit for bit.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ import numpy as np
 from .closed_form import exchange_energy
 from .errors import QuadratureError, SingularConfigurationError
 from .special import (
-    QuadratureSpec, _hermite_nodes, _refine_many, integrate_2d, integrate_coulomb_relative,
+    QuadratureSpec, _hermite_nodes, _legendre_nodes, _polar_radii, _refine_many, integrate_2d,
 )
 from .units import FieldConfig, MaterialParams, derive_parameters
 
@@ -233,14 +235,6 @@ class _Point:
         self.orb2 = _orbital(self.frame, 2)
 
 
-def _attempt(integrator, f, quad, **hints):
-    """A quadrature's (value, error), or the QuadratureError it failed with."""
-    try:
-        return integrator(f, quad, **hints)
-    except QuadratureError as exc:
-        return exc
-
-
 def _settle(result, failures, label):
     """A quadrature result as (value, error).  A QuadratureError is raised,
     or with a `failures` list recorded there and its best estimate kept."""
@@ -254,11 +248,10 @@ def _settle(result, failures, label):
 
 
 class _Bracket(NamedTuple):
-    """<bra| P(x) + Q(y) |ket> with P = (a u + b) u + c for p = (a, b, c),
-    u = x^2 if quartic else x, and Q = (a y + b) y + c for q, or Q = 0."""
+    """<bra| P(x) + Q(y) |ket> for (bra, ket) = pairs[pair], P = (a u + b) u + c
+    for p = (a, b, c), u = x^2 if quartic else x, and Q likewise in y, or 0."""
 
-    bra: OrbitalSpec
-    ket: OrbitalSpec
+    pair: int
     p: tuple
     quartic: bool = False
     q: tuple | None = None
@@ -268,17 +261,16 @@ def _quadratic(a, b, c, u):
     return (a * u + b) * u + c
 
 
-def _stacked_sampler(brackets):
-    """`_refine_many`'s sample(n, with_l1, open_) for the stacked sums of `brackets`."""
-    pairs = list(dict.fromkeys((br.bra, br.ket) for br in brackets))
-    pair = np.array([pairs.index((br.bra, br.ket)) for br in brackets])
+def _stacked_sampler(pairs, brackets):
+    """`_refine_many`'s sample(n, with_l1, open_) for the stacked `brackets`."""
+    pair = np.array([br.pair for br in brackets])
     u_row = pair + len(pairs) * np.array([br.quartic for br in brackets])
     p_coef = np.array([br.p for br in brackets])
     q_coef = np.array([br.q or (0.0, 0.0, 0.0) for br in brackets])
     bra_x, ket_x = (np.array([[orb.center_x] for orb in side]) for side in zip(*pairs))
     center = 0.5 * (bra_x + ket_x)  # nodes centred between the two orbitals
     i_kappa = np.array([[1j * (ket.phase_slope - bra.phase_slope)] for bra, ket in pairs])
-    beta = brackets[0].bra.compression  # the orbitals of a point share their width
+    beta = pairs[0][0].compression  # the orbitals of a point share their width
     scale = 1.0 / math.sqrt(beta)
 
     def sample(n, with_l1, open_):
@@ -289,40 +281,46 @@ def _stacked_sampler(brackets):
         wx = w * (beta / math.pi * np.exp(-0.5 * beta * (dx_bra * dx_bra + dx_ket * dx_ket)))
         wy, rows = w * np.exp(i_kappa * y - beta * y * y), pair[open_]
         p = _quadratic(*p_coef[open_].T[..., None], np.concatenate((x, x * x))[u_row[open_]])
-        q = _quadratic(*q_coef[open_].T[..., None], y)
-        wx_p = wx[rows] * p
-        sums = zip(wx_p.sum(1), wy.sum(1)[rows], wx.sum(1)[rows], (wy[rows] * q).sum(1))
+        q2, q1, q0 = q_coef[open_].T[..., None]
+        wx_p, wy_q = wx[rows] * p, wy[rows] * _quadratic(q2, q1, q0, y)
+        sums = zip(wx_p.sum(1), wy.sum(1)[rows], wx.sum(1)[rows], wy_q.sum(1))
         values = [complex(a * b + c * d) * scale * scale for a, b, c, d in sums]
         if not with_l1:
             return [(value, None) for value in values]
-        abs_wx, abs_wy = np.abs(wx), np.abs(wy)
-        l1s = np.abs(wx_p).sum(1) * abs_wy.sum(1)[rows]  # |f| factors where Q = 0
-        for j, i in enumerate(open_):
-            if brackets[i].q is not None:  # a real Q keeps |P_i + Q_j| in real arithmetic
-                l1s[j] = abs_wx[rows[j]] @ np.abs(np.add.outer(p[j], q[j])) @ abs_wy[rows[j]]
+        # |P + Q| <= |P + q0| + |q2| y^2 + |q1| |y| (module docstring)
+        abs_wy = np.abs(wy)[rows]
+        l1s = np.abs(wx[rows] * (p + q0)).sum(1) * abs_wy.sum(1) + np.abs(wx)[rows].sum(1) * (
+            abs_wy * (np.abs(q2) * (y * y) + np.abs(q1) * np.abs(y))
+        ).sum(1)
         return [(value, float(l1) * scale * scale) for value, l1 in zip(values, l1s)]
 
     return sample
 
 
-def _integrate_brackets(brackets, quad):
+def _integrate_brackets(pairs, brackets, quad):
     """(value, error) or QuadratureError per bracket; polar takes each product alone."""
     if quad.rule == "tensor_gauss_hermite":
-        sample = _stacked_sampler(brackets)
+        sample = _stacked_sampler(pairs, brackets)
         return _refine_many(sample, len(brackets), _hermite_nodes, quad, "integrate_2d")
-    results, beta = [], brackets[0].bra.compression
+    results, beta = [], pairs[0][0].compression
     for br in brackets:
-        def f(x, y, br=br):  # conj(phi_bra) (P(x) + Q(y)) phi_ket
+        bra, ket = pairs[br.pair]
+
+        def f(x, y, br=br, bra=bra, ket=ket):  # conj(phi_bra) (P(x) + Q(y)) phi_ket
             p = _quadratic(*br.p, x * x if br.quartic else x) + _quadratic(*(br.q or (0, 0, 0)), y)
-            return np.conj(eval_orbital(br.bra, x, y)) * p * eval_orbital(br.ket, x, y)
-        center = (0.5 * (br.bra.center_x + br.ket.center_x), 0.0)
-        results.append(_attempt(integrate_2d, f, quad, center=center, scale=1.0 / math.sqrt(beta)))
+            return np.conj(eval_orbital(bra, x, y)) * p * eval_orbital(ket, x, y)
+        center = (0.5 * (bra.center_x + ket.center_x), 0.0)
+        try:
+            results.append(integrate_2d(f, quad, center=center, scale=1.0 / math.sqrt(beta)))
+        except QuadratureError as exc:
+            results.append(exc)
     return results
 
 
 def orbital_norm(spec: OrbitalSpec, quad: QuadratureSpec | None = None):
     """Quadrature of the orbital density (should be 1)."""
-    (result,) = _integrate_brackets([_Bracket(spec, spec, (0.0, 0.0, 1.0))], quad or _DEFAULT_SINGLE)
+    quad = quad or _DEFAULT_SINGLE
+    (result,) = _integrate_brackets([(spec, spec)], [_Bracket(0, (0.0, 0.0, 1.0))], quad)
     return _settle(result, None, "norm")
 
 
@@ -332,32 +330,43 @@ _U2 = ("u2 <A|H1|B>", "u2 <B|H2|A>", "u2 <B|H1|A>", "u2 <A|H2|B>")
 _U5 = ("u5 <A|W|A>", "u5 <B|W|B>", "u5 <B|W|A>", "u5 <A|W|B>")
 
 
-def _bracket(pt: _Point, label):
-    """The bracket `label` names: "overlap" is <B|A>, and "uN <bra|op|ket>"
-    applies H_j (P + Q of the module docstring) or W = W_1 + W_2 to the ket,
-    for A dot 1's orbital and B dot 2's.  W_s(x) = 1/2 [ (x^2 - d^2)^2 / (4 d^2)
-    - (x - s d)^2 ] completes the harmonic well s to the smooth quartic double
-    well, so the sum over both wells is what every two-particle bracket sees."""
-    bra, op, ket = label[4:-1].split("|") if label != "overlap" else ("B", "1", "A")
-    bra, ket = (pt.orb1 if side == "A" else pt.orb2 for side in (bra, ket))
-    fr, d2 = pt.frame, pt.frame.d * pt.frame.d
+# The brackets' (bra, ket) pairs as dot indices, and each label's pair number and
+# operator: "overlap" is <B|1|A>; in "uN <bra|op|ket>" A is dot 1's orbital, B dot 2's
+_PAIRS = ((2, 1), (1, 1), (2, 2), (1, 2))
+_PLAN = {
+    label: (_PAIRS.index(("AB".index(bra) + 1, "AB".index(ket) + 1)), op)
+    for label in ("overlap",) + _U1 + _U2 + _U5
+    for bra, op, ket in [label[4:-1].split("|") if label != "overlap" else ("B", "1", "A")]
+}
+
+
+def _bracket(fr: _Frame, pair, op, ket: OrbitalSpec):
+    """The bracket of `op` on `ket` for the orbital pair number `pair`: "1",
+    H_j as "Hj" (P + Q of the module docstring), or "W" for W = W_1 + W_2.
+    W_s(x) = 1/2 [ (x^2 - d^2)^2 / (4 d^2) - (x - s d)^2 ] completes the
+    harmonic well s to the smooth quartic double well, so the sum over both
+    wells is what every two-particle bracket sees."""
+    d2 = fr.d * fr.d
     if op == "1":
-        return _Bracket(bra, ket, (0.0, 0.0, 1.0))
+        return _Bracket(pair, (0.0, 0.0, 1.0))
     if op == "W":  # W_1 + W_2 = x^4 / (4 d^2) - 3 x^2 / 2 - 3 d^2 / 4
-        return _Bracket(bra, ket, (0.25 / d2, -1.5, -0.75 * d2), quartic=True)
+        return _Bracket(pair, (0.25 / d2, -1.5, -0.75 * d2), quartic=True)
     beta, k, cx, lam = ket.compression, ket.phase_slope, ket.center_x, fr.lam
     s_well = fr.well_center(int(op[1]))
     c2 = 0.5 * (1.0 + lam * lam - beta * beta)  # shared by P and Q
     p1 = beta * beta * cx + lam * k + fr.fshift - s_well
     p0 = beta - 0.5 * beta * beta * cx * cx + 0.5 * s_well * s_well
     q1 = 1j * beta * (k + lam * cx) or 0.0  # a real zero keeps Q real
-    return _Bracket(bra, ket, (c2, p1, p0), q=(c2, q1, 0.5 * k * k))
+    return _Bracket(pair, (c2, p1, p0), q=(c2, q1, 0.5 * k * k))
 
 
 def _brackets(pt: _Point, quad, labels):
-    """{label: (value, error) or QuadratureError} for the point's brackets
-    named in `labels`, integrated together."""
-    return dict(zip(labels, _integrate_brackets([_bracket(pt, label) for label in labels], quad)))
+    """{label: (value, error) or QuadratureError} of the point's `labels`, integrated together."""
+    orbs = (None, pt.orb1, pt.orb2)
+    pairs = [(orbs[bra], orbs[ket]) for bra, ket in _PAIRS]
+    plan = [_PLAN[label] for label in labels]
+    brackets = [_bracket(pt.frame, pair, op, pairs[pair][1]) for pair, op in plan]
+    return dict(zip(labels, _integrate_brackets(pairs, brackets, quad)))
 
 
 def _weight_overlap(pt: _Point, res, failures):
@@ -384,19 +393,6 @@ def _sum_elements(res, labels, failures):
     return TermEstimate(total.real, err + abs(total.imag))
 
 
-def _single(res, s_num, failures):
-    """Single-particle direct and exchange sums (u1, u2).
-
-    u1 collects the four diagonal elements <orb|H_j|orb> (the spectator
-    norms are 1); u2 the cross elements, each weighted by the spectator
-    overlap S.
-    """
-    u1 = _sum_elements(res, _U1, failures)
-    cross = _sum_elements(res, _U2, failures)
-    u2 = TermEstimate(s_num * cross.value, abs(s_num) * cross.error)
-    return u1, u2
-
-
 def _coulomb(pt: _Point, quad, failures):
     """Coulomb direct and exchange sums (u3, u4).
 
@@ -409,56 +405,47 @@ def _coulomb(pt: _Point, quad, failures):
     exp(-b Delta^2 / 2).
 
     The exchange kernel is integrated as its real part cos(kappa y), with
-    y = r sin(theta).  Its imaginary part sin(kappa y) is odd under the
-    fold theta -> 2 pi - theta, which maps the periodic trapezoid nodes
-    onto themselves, so its sum is 0 up to roundoff; the radial factor is
-    formed once per radius.
+    y = r sin(theta): its imaginary part is odd in theta, so on the periodic
+    trapezoid nodes theta_k = 2 pi k / n it sums to 0 up to roundoff.  Both
+    kernels are even in theta, so the sum runs over k = 0..n/2 only, each
+    node counted twice but theta = 0 and, for even n, theta = pi.  The two
+    integrals refine in lockstep, each on its own radial domain.
     """
-    fr = pt.frame
-    a, b_orb = pt.orb1, pt.orb2
-    beta = fr.b
-    delta = a.center_x - b_orb.center_x  # -2d
-    kappa = b_orb.phase_slope - a.phase_slope
-    v0 = fr.c * math.sqrt(2.0 / math.pi)  # dimensionless Coulomb prefactor
-    norm = beta / (2.0 * math.pi)
-    width = math.sqrt(2.0 / beta)
-
-    def g_direct(r, theta):
-        x = r * np.cos(theta) - delta
-        y = r * np.sin(theta)
-        return norm * v0 * np.exp(-0.5 * beta * (x * x + y * y)) / r
-
+    beta = pt.frame.b
+    delta = pt.orb1.center_x - pt.orb2.center_x  # -2d
+    kappa = pt.orb2.phase_slope - pt.orb1.phase_slope
+    amplitude = beta / (2.0 * math.pi) * (pt.frame.c * math.sqrt(2.0 / math.pi))  # density norm, v0
     attenuation = math.exp(-0.5 * beta * delta * delta)
 
-    def g_exchange(r, theta):
-        # the real part of exp(i kappa y): the imaginary part is odd in theta
-        radial = norm * v0 * attenuation * np.exp(-0.5 * beta * r * r) / r
-        return radial * np.cos((kappa * r) * np.sin(theta))
+    def g_direct(r, cos, sin):
+        x = r * cos - delta
+        y = r * sin
+        return amplitude * np.exp(-0.5 * beta * (x * x + y * y)) / r
 
-    direct, err3 = _settle(
-        _attempt(integrate_coulomb_relative, g_direct, quad, scale=width, r_peak=abs(delta)),
-        failures, "u3 direct coulomb",
-    )
-    exchange, err4 = _settle(
-        _attempt(integrate_coulomb_relative, g_exchange, quad, scale=width, r_peak=0.0),
-        failures, "u4 exchange coulomb",
-    )
-    # both kernels are real, so the integrals are too
+    def g_exchange(r, cos, sin):
+        radial = amplitude * attenuation * np.exp(-0.5 * beta * r * r) / r
+        return radial * np.cos((kappa * r) * sin)
+
+    r_cut = quad.domain_cut * math.sqrt(2.0 / beta)
+    kernels = ((g_direct, abs(delta) + r_cut), (g_exchange, r_cut))
+
+    def sample(n, with_l1, open_):
+        k = np.arange(n // 2 + 1)
+        theta = 2.0 * math.pi * k / n
+        w_theta = np.where((k == 0) | (2 * k == n), 2.0, 4.0) * math.pi / n
+        cos, sin = np.cos(theta), np.sin(theta)
+        out = []
+        for g, r_max in (kernels[i] for i in open_):
+            r, wr_r = _polar_radii(n, r_max)
+            vals = g(r[:, None], cos, sin)
+            l1 = float(wr_r @ np.abs(vals) @ w_theta) if with_l1 else None
+            out.append((float(wr_r @ vals @ w_theta), l1))
+        return out
+
+    direct, exchange = _refine_many(sample, 2, _legendre_nodes, quad, "integrate_coulomb_relative")
+    direct, err3 = _settle(direct, failures, "u3 direct coulomb")
+    exchange, err4 = _settle(exchange, failures, "u4 exchange coulomb")
     return TermEstimate(2.0 * direct, 2.0 * err3), TermEstimate(2.0 * exchange, 2.0 * err4)
-
-
-def _quartic(res, s_num, failures):
-    """Quartic tunnelling-correction sum u5.
-
-    Diagonal brackets enter directly; the translated cross brackets carry
-    one spectator overlap S and the overall 1/S^2 of the exchange
-    channel, leaving a net -1/S weight.
-    """
-    diag = _sum_elements(res, _U5[:2], failures)
-    cross = _sum_elements(res, _U5[2:], failures)
-    value = diag.value - cross.value / s_num
-    error = diag.error + cross.error / abs(s_num)
-    return TermEstimate(value, error)
 
 
 def assemble_oracle(
@@ -481,16 +468,20 @@ def assemble_oracle(
     res = _brackets(pt, quad_single, ("overlap",) + _U1 + _U2 + _U5)
     failures: list = []
     s_num = _weight_overlap(pt, res, failures)
-    u1, u2 = _single(res, s_num, failures)
+    # u1 sums the diagonal elements <orb|H_j|orb> (the spectator norms are 1),
+    # u2 the cross elements, each weighted by the spectator overlap S
+    u1, cross = _sum_elements(res, _U1, failures), _sum_elements(res, _U2, failures)
+    u2 = TermEstimate(s_num * cross.value, abs(s_num) * cross.error)
     u3, u4 = _coulomb(pt, quad_coulomb, failures)
-    u5 = _quartic(res, s_num, failures)
+    # u5: the diagonal quartic brackets enter directly; the cross ones carry one
+    # spectator S and the exchange channel's overall 1/S^2, a net -1/S weight
+    diag, cross = _sum_elements(res, _U5[:2], failures), _sum_elements(res, _U5[2:], failures)
+    u5 = TermEstimate(diag.value - cross.value / s_num, diag.error + cross.error / abs(s_num))
 
     s2 = s_num * s_num
     weight = s2 / (1.0 - s2 * s2)
     j_oracle = weight * (u1.value - u2.value / s2 + u3.value - u4.value / s2 + u5.value)
-    j_error = abs(weight) * (
-        u1.error + u2.error / s2 + u3.error + u4.error / s2 + u5.error
-    )
+    j_error = abs(weight) * (u1.error + u2.error / s2 + u3.error + u4.error / s2 + u5.error)
 
     j_closed = exchange_energy(fr.b, fr.d, fr.c, fr.chi).j_dimensionless
     denom = max(abs(j_oracle), abs(j_closed), NOISE_FLOOR)

@@ -243,13 +243,17 @@ def _gauss_hermite_sample(f, n, center, scale, with_l1):
     return value, float(np.sum(weight * np.abs(vals))) * scale * scale
 
 
+def _polar_radii(n, r_max):
+    """Order-n Gauss-Legendre radii on [0, r_max], and their weights times r."""
+    t, w = _legendre_nodes(n)
+    r = 0.5 * r_max * (t + 1.0)
+    return r, 0.5 * r_max * w * r
+
+
 def _polar_sample(g, n, scale, r_peak, domain_cut, with_l1, center=None, cartesian=False):
     import numpy as np
 
-    r_max = r_peak + domain_cut * scale
-    t, w = _legendre_nodes(n)
-    r = 0.5 * r_max * (t + 1.0)
-    wr = 0.5 * r_max * w
+    r, wr_r = _polar_radii(n, r_peak + domain_cut * scale)
     theta = 2.0 * math.pi * np.arange(n) / n  # periodic trapezoid
     wt = 2.0 * math.pi / n
     if cartesian:
@@ -259,7 +263,7 @@ def _polar_sample(g, n, scale, r_peak, domain_cut, with_l1, center=None, cartesi
     else:
         vals = np.asarray(g(r[:, None], theta[None, :]))
     vals = np.broadcast_to(vals, (len(r), len(theta)))
-    weight = (wr * r)[:, None] * wt  # Jacobian r cancels a 1/r singularity
+    weight = wr_r[:, None] * wt
     value = complex(np.sum(weight * vals))
     if not with_l1:
         return value, None

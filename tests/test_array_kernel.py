@@ -33,7 +33,7 @@ from dotx.units import (
     fields_from_dimensionless,
 )
 
-from conftest import EPS, assert_kernel_close, assert_rows_close, j_bound, j_mp, loop_sweep
+from conftest import EPS, assert_kernel_close, assert_rows_close, j_bound, j_mp, loop_sweep, rel_err
 
 A_B = bohr_radius_nm(GAAS)
 
@@ -206,6 +206,8 @@ class TestKernelMatchesScalar:
             (1.0, 1e5, 1e-9 * A_B, True),  # 1 - S^4 = 8e-18, from expm1
             (1.0, 1e5, 1e-158 * A_B, False),  # 1 - S^4 is subnormal: J overflows
             (1.0, 1e5, 1e-170 * A_B, False),  # d^2, and with it 1 - S^4, rounds to 0
+            (30.0, 0.0, 1e-155 * A_B, False),  # J is finite, 1/sinh(arg) overflows
+            (30.0, 0.0, 2e-155 * A_B, True),
         ]
         B, E, A, valid = zip(*points)
         rows = assert_close(GAAS, B, E, A)
@@ -295,6 +297,24 @@ class TestKernelMatchesScalar:
         )
         assert cols.valid.tolist() == [True, False, False, False, True]
         assert np.isnan(cols.j_mev[1:4]).all() and np.isnan(cols.prefactor[1:4]).all()
+
+    def test_overflowing_prefactor_is_singular_in_both(self):
+        # 1/sinh(arg) = 1/arg overflows for arg <= 1/DBL_MAX, where J, about
+        # 3/(4 b arg), can still be finite: such a point is singular, so that
+        # J = prefactor * (coulomb + quartic + efield) holds wherever J is given
+        with pytest.raises(SingularConfigurationError, match=r"prefactor 1/sinh.* at d=1e-155, b=10.0"):
+            exchange_energy(10.0, 1e-155, 2.36, 0.0)
+        bd = exchange_energy(10.0, 1.2e-155, 2.36, 0.0)  # arg just past 1/DBL_MAX
+        assert math.isfinite(bd.prefactor) and bd.prefactor > 1e308
+        terms = bd.coulomb_term + bd.quartic_term + bd.efield_term
+        assert rel_err(bd.prefactor * terms, bd.j_dimensionless) < 1e-14
+        ds = [1e-155 * A_B, 2e-155 * A_B, 0.7 * A_B]
+        cols = exchange_energy_arrays(GAAS, 30.0, 0.0, ds)
+        assert cols.valid.tolist() == [False, True, True]
+        assert np.isnan(cols.j_mev[0]) and np.isnan(cols.prefactor[0])
+        assert np.isfinite(cols.prefactor[1:]).all()
+        with pytest.raises(SingularConfigurationError, match="prefactor"):
+            exchange_energy_lab(GAAS, FieldConfig(B=30.0, E=0.0, a=ds[0]))
 
 
 # (b, d, chi) over b in [1, 50], d in [1e-8, 6] (log-uniform) and |chi| <= 10.

@@ -453,6 +453,22 @@ class TestErrorMapping:
         assert code == 0
         assert out.splitlines()[-3] == "1e-170,nan,nan,nan,nan,nan,nan,nan,nan"
 
+    def test_overflowing_prefactor(self, capsys):
+        # J is finite but 1/sinh(arg) is not: the breakdown used to print
+        # "prefactor: inf" next to a finite J, with exit 0
+        code, out, err = run(capsys, "eval", "--B", "30", "--a-over-ab", "1e-155")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "dotx: error: prefactor 1/sinh(2 d^2 (2b - 1/b)) overflows at d=1e-155, "
+            "b=8.697057808713865: the two dots all but coincide\n"
+        )
+        code, out, _ = run(
+            capsys, "sweep", "--vary", "d", "--B", "30", "--from", "1e-155", "--to", "1", "--steps", "2"
+        )
+        assert code == 0
+        assert out.splitlines()[-2] == "1e-155,nan,nan,nan,nan,nan,nan,nan,nan"
+
     @pytest.mark.parametrize(
         "argv, d, chi",
         [

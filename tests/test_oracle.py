@@ -538,3 +538,56 @@ class TestFactoredBrackets:
         calls = count_derivations(dotx.oracle)
         assemble_oracle(gaas, fields_1t)
         assert len(calls) == 1
+
+
+def full_circle_coulomb(mat, fields, quad):
+    """u3 and u4 as the generic polar rule gives them, each refined on its
+    own over the full circle of trapezoid angles, as (u3, u4, failures)."""
+    a, b = build_orbital(1, mat, fields), build_orbital(2, mat, fields)
+    p = derive_parameters(mat, fields)
+    beta = p.b
+    delta = a.center_x - b.center_x
+    kappa = b.phase_slope - a.phase_slope
+    amplitude = beta / (2.0 * math.pi) * (p.c_coulomb * math.sqrt(2.0 / math.pi))
+    attenuation = math.exp(-0.5 * beta * delta * delta)
+
+    def g_direct(r, theta):
+        x = r * np.cos(theta) - delta
+        y = r * np.sin(theta)
+        return amplitude * np.exp(-0.5 * beta * (x * x + y * y)) / r
+
+    def g_exchange(r, theta):
+        radial = amplitude * attenuation * np.exp(-0.5 * beta * r * r) / r
+        return radial * np.cos((kappa * r) * np.sin(theta))
+
+    failures, terms = [], []
+    for g, r_peak, label in ((g_direct, abs(delta), "u3 direct coulomb"), (g_exchange, 0.0, "u4 exchange coulomb")):
+        try:
+            value, error = integrate_coulomb_relative(g, quad, scale=math.sqrt(2.0 / beta), r_peak=r_peak)
+        except QuadratureError as exc:
+            failures.append(f"{label}: {exc}")
+            value, error = exc.value, exc.error_estimate
+        terms.append((2.0 * value, 2.0 * error))
+    return terms[0], terms[1], failures
+
+
+class TestHalfCircleCoulomb:
+    """The oracle sums both Coulomb kernels, which are even in theta, over
+    the half circle of trapezoid angles, each node but theta = 0 and (for an
+    even order) theta = pi counted twice.  The generic full-circle rule gives
+    the same numbers up to roundoff, and the same failures."""
+
+    @pytest.mark.parametrize("order", [4, 5, 8, 64])
+    @pytest.mark.parametrize("B, d, E", [(1.0, 0.7, 0.0), (3.0, 1.0, 1e5), (0.0, 0.5, 0.0), (8.0, 1.5, 2e5)])
+    def test_matches_full_circle(self, gaas, B, d, E, order, refinements):
+        fields = FieldConfig(B=B, E=E, a=d * bohr_radius_nm(gaas))
+        quad = QuadratureSpec(rule="adaptive_polar", order=order, rel_tol=1e-8)
+        failures = []
+        got = _coulomb(_Point(gaas, fields), quad, failures)
+        *want, want_failures = full_circle_coulomb(gaas, fields, quad)
+        assert failures == want_failures
+        for (value, _), (want_value, want_error) in zip(got, want):
+            assert abs(value - want_value) <= min(4e-15 * abs(want_value), want_error)
+        if order == 5:  # odd levels have no node at theta = pi
+            for levels in refinements[:2]:
+                assert {7, 15} <= {n for n, _ in levels}
