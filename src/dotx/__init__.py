@@ -24,13 +24,7 @@ from .errors import (
     ScenarioError,
     SingularConfigurationError,
 )
-from .special import (
-    QuadratureSpec,
-    bessel_i0,
-    bessel_i0e,
-    integrate_2d,
-    integrate_coulomb_relative,
-)
+from .special import QuadratureSpec, bessel_i0, bessel_i0e, integrate_2d
 from .sweeps import (
     ScenarioResult,
     ScenarioStep,
@@ -59,10 +53,7 @@ from .units import (
 
 __version__ = "0.1.0"
 
-_ORACLE_NAMES = frozenset(
-    "HLBreakdown OrbitalSpec TermEstimate apply_hamiltonian assemble_oracle build_orbital"
-    " eval_orbital".split()
-)
+_ORACLE_NAMES = frozenset(("HLBreakdown", "TermEstimate", "assemble_oracle"))
 
 
 def __getattr__(name: str):

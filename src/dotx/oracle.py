@@ -60,14 +60,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .closed_form import exchange_energy
 from .errors import QuadratureError, SingularConfigurationError
 from .special import (
-    QuadratureSpec, _hermite_nodes, _legendre_nodes, _polar_radii, _refine_many, integrate_2d,
+    _DOMAIN_CUT, QuadratureSpec, _hermite_nodes, _legendre_nodes, _polar_radii, _refine_many,
 )
 from .units import FieldConfig, MaterialParams, derive_parameters
 
@@ -77,8 +77,8 @@ NOISE_FLOOR = 1e-6
 
 _WELL_SIGN = {1: -1.0, 2: +1.0}
 
-_DEFAULT_SINGLE = QuadratureSpec(rule="tensor_gauss_hermite", order=64, rel_tol=1e-10)
-_DEFAULT_COULOMB = QuadratureSpec(rule="adaptive_polar", order=64, rel_tol=1e-8)
+_DEFAULT_SINGLE = QuadratureSpec(order=64, rel_tol=1e-10)
+_DEFAULT_COULOMB = QuadratureSpec(order=64, rel_tol=1e-8)
 
 
 class TermEstimate(NamedTuple):
@@ -87,13 +87,12 @@ class TermEstimate(NamedTuple):
 
 
 @dataclass(frozen=True)
-class OrbitalSpec:
+class _Orbital:
     """One translated ground-state orbital, in a_B / hbar*omega_0 units.
 
     center_x     orbital center on the x axis
     compression  Gaussian exponent parameter (equals b), units 1/a_B^2
     phase_slope  coefficient k of the linear phase exp(i k y), units 1/a_B
-    dot_index    1 (well at -d) or 2 (well at +d)
 
     The amplitude sqrt(b/pi) normalizes |phi|^2 to 1 exactly; the modulus
     does not depend on phase_slope.
@@ -102,7 +101,6 @@ class OrbitalSpec:
     center_x: float
     compression: float
     phase_slope: float
-    dot_index: int
 
 
 @dataclass(frozen=True)
@@ -173,57 +171,9 @@ def _frame(mat: MaterialParams, fields: FieldConfig) -> _Frame:
     )
 
 
-def _orbital(fr: _Frame, dot_index: int) -> OrbitalSpec:
+def _orbital(fr: _Frame, dot_index: int) -> _Orbital:
     center = fr.well_center(dot_index) - fr.fshift
-    return OrbitalSpec(
-        center_x=center,
-        compression=fr.b,
-        phase_slope=-fr.lam * center,
-        dot_index=dot_index,
-    )
-
-
-def build_orbital(dot_index: int, mat: MaterialParams, fields: FieldConfig) -> OrbitalSpec:
-    """Ground-state orbital of one dot under the applied fields."""
-    if dot_index not in _WELL_SIGN:
-        raise ValueError(f"dot_index must be 1 or 2, got {dot_index!r}")
-    return _orbital(_frame(mat, fields), dot_index)
-
-
-def eval_orbital(spec: OrbitalSpec, x, y):
-    """Complex orbital amplitude at (x, y); accepts arrays."""
-    beta = spec.compression
-    dx = x - spec.center_x
-    return math.sqrt(beta / math.pi) * np.exp(
-        1j * spec.phase_slope * y - 0.5 * beta * (dx * dx + y * y)
-    )
-
-
-def apply_hamiltonian(
-    spec: OrbitalSpec, j: int, mat: MaterialParams, fields: FieldConfig
-) -> Callable:
-    """Pointwise action of the single-well Hamiltonian j on the orbital.
-
-    Because the orbital is exp(quadratic + linear imaginary), the kinetic
-    term with the symmetric-gauge vector potential, the dipole term and
-    the harmonic well all act as multiplication by a second-degree
-    polynomial; the returned field is that polynomial times the orbital.
-    """
-    fr = _frame(mat, fields)
-    s_well = fr.well_center(j)
-    beta, lam = spec.compression, fr.lam
-
-    def field(x, y):
-        gx = -beta * (x - spec.center_x)
-        gy = 1j * spec.phase_slope - beta * y
-        kinetic = beta - 0.5 * (gx * gx + gy * gy)
-        angular = -1j * lam * (x * gy - y * gx)
-        diamagnetic = 0.5 * lam * lam * (x * x + y * y)
-        dxw = x - s_well
-        well = 0.5 * (dxw * dxw + y * y)
-        return (kinetic + angular + diamagnetic + fr.fshift * x + well) * eval_orbital(spec, x, y)
-
-    return field
+    return _Orbital(center_x=center, compression=fr.b, phase_slope=-fr.lam * center)
 
 
 class _Point:
@@ -236,12 +186,10 @@ class _Point:
 
 
 def _settle(result, failures, label):
-    """A quadrature result as (value, error).  A QuadratureError is raised,
-    or with a `failures` list recorded there and its best estimate kept."""
+    """A quadrature result as (value, error); a QuadratureError is recorded
+    in the `failures` list and its best estimate kept."""
     if not isinstance(result, QuadratureError):
         return result
-    if failures is None:
-        raise result
     failures.append(f"{label}: {result}")
     value = result.value if result.value is not None else math.nan
     return value, result.error_estimate if result.error_estimate is not None else math.inf
@@ -297,33 +245,6 @@ def _stacked_sampler(pairs, brackets):
     return sample
 
 
-def _integrate_brackets(pairs, brackets, quad):
-    """(value, error) or QuadratureError per bracket; polar takes each product alone."""
-    if quad.rule == "tensor_gauss_hermite":
-        sample = _stacked_sampler(pairs, brackets)
-        return _refine_many(sample, len(brackets), _hermite_nodes, quad, "integrate_2d")
-    results, beta = [], pairs[0][0].compression
-    for br in brackets:
-        bra, ket = pairs[br.pair]
-
-        def f(x, y, br=br, bra=bra, ket=ket):  # conj(phi_bra) (P(x) + Q(y)) phi_ket
-            p = _quadratic(*br.p, x * x if br.quartic else x) + _quadratic(*(br.q or (0, 0, 0)), y)
-            return np.conj(eval_orbital(bra, x, y)) * p * eval_orbital(ket, x, y)
-        center = (0.5 * (bra.center_x + ket.center_x), 0.0)
-        try:
-            results.append(integrate_2d(f, quad, center=center, scale=1.0 / math.sqrt(beta)))
-        except QuadratureError as exc:
-            results.append(exc)
-    return results
-
-
-def orbital_norm(spec: OrbitalSpec, quad: QuadratureSpec | None = None):
-    """Quadrature of the orbital density (should be 1)."""
-    quad = quad or _DEFAULT_SINGLE
-    (result,) = _integrate_brackets([(spec, spec)], [_Bracket(0, (0.0, 0.0, 1.0))], quad)
-    return _settle(result, None, "norm")
-
-
 # The single-particle brackets, in the order their failures are reported
 _U1 = ("u1 <A|H1|A>", "u1 <B|H2|B>", "u1 <B|H1|B>", "u1 <A|H2|A>")
 _U2 = ("u2 <A|H1|B>", "u2 <B|H2|A>", "u2 <B|H1|A>", "u2 <A|H2|B>")
@@ -340,7 +261,7 @@ _PLAN = {
 }
 
 
-def _bracket(fr: _Frame, pair, op, ket: OrbitalSpec):
+def _bracket(fr: _Frame, pair, op, ket: _Orbital):
     """The bracket of `op` on `ket` for the orbital pair number `pair`: "1",
     H_j as "Hj" (P + Q of the module docstring), or "W" for W = W_1 + W_2.
     W_s(x) = 1/2 [ (x^2 - d^2)^2 / (4 d^2) - (x - s d)^2 ] completes the
@@ -366,7 +287,9 @@ def _brackets(pt: _Point, quad, labels):
     pairs = [(orbs[bra], orbs[ket]) for bra, ket in _PAIRS]
     plan = [_PLAN[label] for label in labels]
     brackets = [_bracket(pt.frame, pair, op, pairs[pair][1]) for pair, op in plan]
-    return dict(zip(labels, _integrate_brackets(pairs, brackets, quad)))
+    sample = _stacked_sampler(pairs, brackets)
+    results = _refine_many(sample, len(brackets), _hermite_nodes, quad, "integrate_2d")
+    return dict(zip(labels, results))
 
 
 def _weight_overlap(pt: _Point, res, failures):
@@ -426,7 +349,7 @@ def _coulomb(pt: _Point, quad, failures):
         radial = amplitude * attenuation * np.exp(-0.5 * beta * r * r) / r
         return radial * np.cos((kappa * r) * sin)
 
-    r_cut = quad.domain_cut * math.sqrt(2.0 / beta)
+    r_cut = _DOMAIN_CUT * math.sqrt(2.0 / beta)
     kernels = ((g_direct, abs(delta) + r_cut), (g_exchange, r_cut))
 
     def sample(n, with_l1, open_):
@@ -442,7 +365,7 @@ def _coulomb(pt: _Point, quad, failures):
             out.append((float(wr_r @ vals @ w_theta), l1))
         return out
 
-    direct, exchange = _refine_many(sample, 2, _legendre_nodes, quad, "integrate_coulomb_relative")
+    direct, exchange = _refine_many(sample, 2, _legendre_nodes, quad, "polar Coulomb rule")
     direct, err3 = _settle(direct, failures, "u3 direct coulomb")
     exchange, err4 = _settle(exchange, failures, "u4 exchange coulomb")
     return TermEstimate(2.0 * direct, 2.0 * err3), TermEstimate(2.0 * exchange, 2.0 * err4)

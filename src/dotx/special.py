@@ -2,8 +2,9 @@
 
 Only what the exchange-energy formula and its numerical cross-check need:
 I0 (plus its exponentially scaled variant), a tensor Gauss-Hermite rule
-for Gaussian-times-polynomial integrands over the plane, and a polar rule
-for Coulomb kernels whose 1/r singularity is cancelled by the Jacobian.
+for Gaussian-times-polynomial integrands over the plane, the refinement
+loop the oracle drives its integrals with, and the Gauss-Legendre radii of
+its polar Coulomb rule, whose Jacobian cancels the kernels' 1/r.
 
 All quadratures are deterministic: nodes are cached per order and sums
 run in a fixed order, so identical inputs give bit-identical results.
@@ -152,11 +153,12 @@ def bessel_i0e_array(x: np.ndarray) -> np.ndarray:
     return out
 
 
-# The polar rule's refinement samples up to 12x this order per axis, so 128
-# already means 1536^2 nodes (about 38 MB per complex array).  The
-# Gauss-Hermite rule stops earlier, at the first order float64 cannot hold
-# (371 with numpy's rule, see `_hermite_nodes`); the oracle's brackets sum
-# its 1-D factors, so its n^2 arrays stay small.
+# The oracle's polar Coulomb rule samples up to 12x this order on its
+# radii and 6x on its half circle of angles, so 128 already means
+# 1536 x 769 nodes (about 9 MB per float array).  The Gauss-Hermite rule
+# stops earlier, at the first order float64 cannot hold (371 with numpy's
+# rule, see `_hermite_nodes`); the oracle's brackets sum its 1-D factors,
+# so its n^2 arrays stay small.
 _MAX_ORDER = 128
 
 
@@ -164,28 +166,22 @@ _MAX_ORDER = 128
 class QuadratureSpec:
     """Controls one family of 2D integrals.
 
-    rule        "tensor_gauss_hermite" or "adaptive_polar"
-    order       points per axis at the first refinement level, 4..128
+    order       points per axis at the first refinement level, an int 4..128
     rel_tol     target relative error (against the integral of |f|)
-    domain_cut  truncation radius in units of the Gaussian width
     """
 
-    rule: str = "tensor_gauss_hermite"
     order: int = 64
     rel_tol: float = 1e-10
-    domain_cut: float = 8.0
 
     def __post_init__(self):
-        if self.rule not in ("tensor_gauss_hermite", "adaptive_polar"):
-            raise InvalidArgumentError(f"unknown quadrature rule {self.rule!r}")
+        if not isinstance(self.order, int) or isinstance(self.order, bool):
+            raise InvalidArgumentError(f"quadrature order must be an integer, got {self.order!r}")
         if self.order < 4:
             raise InvalidArgumentError("quadrature order must be >= 4")
         if self.order > _MAX_ORDER:
             raise InvalidArgumentError(f"quadrature order must be <= {_MAX_ORDER}")
         if not (0.0 < self.rel_tol < 1.0):
             raise InvalidArgumentError("rel_tol must lie in (0, 1)")
-        if self.domain_cut < 4.0:
-            raise InvalidArgumentError("domain_cut must be >= 4")
 
 
 _hermite_cache: dict[int, tuple[np.ndarray, np.ndarray] | None] = {}
@@ -243,31 +239,16 @@ def _gauss_hermite_sample(f, n, center, scale, with_l1):
     return value, float(np.sum(weight * np.abs(vals))) * scale * scale
 
 
+# Radial truncation of the polar Coulomb rule, in units of the kernel's
+# Gaussian width, beyond the radius where its mass peaks
+_DOMAIN_CUT = 8.0
+
+
 def _polar_radii(n, r_max):
     """Order-n Gauss-Legendre radii on [0, r_max], and their weights times r."""
     t, w = _legendre_nodes(n)
     r = 0.5 * r_max * (t + 1.0)
     return r, 0.5 * r_max * w * r
-
-
-def _polar_sample(g, n, scale, r_peak, domain_cut, with_l1, center=None, cartesian=False):
-    import numpy as np
-
-    r, wr_r = _polar_radii(n, r_peak + domain_cut * scale)
-    theta = 2.0 * math.pi * np.arange(n) / n  # periodic trapezoid
-    wt = 2.0 * math.pi / n
-    if cartesian:
-        x = center[0] + r[:, None] * np.cos(theta)[None, :]
-        y = center[1] + r[:, None] * np.sin(theta)[None, :]
-        vals = np.asarray(g(x, y))
-    else:
-        vals = np.asarray(g(r[:, None], theta[None, :]))
-    vals = np.broadcast_to(vals, (len(r), len(theta)))
-    weight = wr_r[:, None] * wt
-    value = complex(np.sum(weight * vals))
-    if not with_l1:
-        return value, None
-    return value, float(np.sum(weight * np.abs(vals)))
 
 
 def _refine_many(sample, count, nodes, spec: QuadratureSpec, label: str):
@@ -324,7 +305,7 @@ def _refine(sample, nodes, spec: QuadratureSpec, label: str):
 
 
 def integrate_2d(f, spec: QuadratureSpec | None = None, center=(0.0, 0.0), scale=1.0):
-    """Integrate f(x, y) over the plane.
+    """Integrate f(x, y) over the plane by the tensor Gauss-Hermite rule.
 
     The integrand must decay at least as fast as a Gaussian of width
     `scale` around `center`; those two hints let the rule place its nodes.
@@ -332,37 +313,9 @@ def integrate_2d(f, spec: QuadratureSpec | None = None, center=(0.0, 0.0), scale
     change between two refinement levels, floored at roundoff of the
     integral of |f|.
     """
-    spec = spec or QuadratureSpec()
-    if spec.rule == "tensor_gauss_hermite":
-        return _refine(
-            lambda n, l1: _gauss_hermite_sample(f, n, center, scale, l1),
-            _hermite_nodes,
-            spec,
-            "integrate_2d",
-        )
     return _refine(
-        lambda n, l1: _polar_sample(
-            f, n, scale, 0.0, spec.domain_cut, l1, center=center, cartesian=True
-        ),
-        _legendre_nodes,
-        spec,
+        lambda n, l1: _gauss_hermite_sample(f, n, center, scale, l1),
+        _hermite_nodes,
+        spec or QuadratureSpec(),
         "integrate_2d",
-    )
-
-
-def integrate_coulomb_relative(g, spec: QuadratureSpec | None = None, scale=1.0, r_peak=0.0):
-    """Integrate g(r, theta) * r over the polar plane.
-
-    Meant for Coulomb kernels: g may carry a 1/r singularity, which the
-    polar Jacobian cancels (nodes never touch r = 0).  `scale` is the
-    radial Gaussian width of g and `r_peak` an optional radius where the
-    integrand mass is concentrated; the radial domain is truncated at
-    r_peak + domain_cut * scale.
-    """
-    spec = spec or QuadratureSpec(rule="adaptive_polar", rel_tol=1e-8)
-    return _refine(
-        lambda n, l1: _polar_sample(g, n, scale, r_peak, spec.domain_cut, l1),
-        _legendre_nodes,
-        spec,
-        "integrate_coulomb_relative",
     )

@@ -8,7 +8,10 @@ import pytest
 
 from dotx.closed_form import exchange_energy, overlap
 from dotx.errors import InvalidParameterError, SingularConfigurationError
-from dotx.special import bessel_i0e
+from dotx.oracle import _Point
+from dotx.special import (
+    QuadratureSpec, _legendre_nodes, _polar_radii, _refine, bessel_i0e, integrate_2d,
+)
 from dotx.sweeps import SweepRow
 from dotx.units import GAAS, FieldConfig, bohr_radius_nm, derive_parameters
 
@@ -253,3 +256,109 @@ def efield_switch_mp(mat, B, a_nm, lo, hi, width=1e-6):
             else:
                 hi = mid
     return 0.5 * (lo + hi)
+
+
+# Reference orbital and quadrature code.  The oracle sums its brackets as
+# 1-D factors of a stacked Gauss-Hermite rule and its Coulomb pair on the
+# half circle; the tests hold it against the pointwise integrands and the
+# generic polar rules below, which share only the refinement loop with it.
+
+# Polar radial domain, in Gaussian widths beyond the radius of peak mass
+POLAR_DOMAIN_CUT = 8.0
+
+
+def build_orbital(dot_index, mat, fields):
+    """The oracle's orbital of dot 1 (well at -d) or dot 2 (well at +d)."""
+    pt = _Point(mat, fields)
+    return {1: pt.orb1, 2: pt.orb2}[dot_index]
+
+
+def eval_orbital(orb, x, y):
+    """Complex amplitude sqrt(b/pi) exp(i k y - (b/2) [(x - x_c)^2 + y^2]) of
+    the orbital at (x, y); accepts arrays."""
+    beta = orb.compression
+    dx = x - orb.center_x
+    phase = 1j * orb.phase_slope * y
+    return math.sqrt(beta / math.pi) * np.exp(phase - 0.5 * beta * (dx * dx + y * y))
+
+
+def apply_hamiltonian(orb, j, mat, fields):
+    """Pointwise action of the single-well Hamiltonian j on the orbital.
+
+    Because the orbital is exp(quadratic + linear imaginary), the kinetic
+    term with the symmetric-gauge vector potential, the dipole term and
+    the harmonic well all act as multiplication by a second-degree
+    polynomial; the returned field is that polynomial times the orbital.
+    """
+    p = derive_parameters(mat, fields)
+    lam = p.larmor / (p.fock_darwin / p.b)  # omega_L / omega_0
+    fshift = p.efield_ratio / p.d
+    s_well = {1: -p.d, 2: p.d}[j]
+    beta = orb.compression
+
+    def field(x, y):
+        gx = -beta * (x - orb.center_x)
+        gy = 1j * orb.phase_slope - beta * y
+        kinetic = beta - 0.5 * (gx * gx + gy * gy)
+        angular = -1j * lam * (x * gy - y * gx)
+        diamagnetic = 0.5 * lam * lam * (x * x + y * y)
+        dxw = x - s_well
+        well = 0.5 * (dxw * dxw + y * y)
+        return (kinetic + angular + diamagnetic + fshift * x + well) * eval_orbital(orb, x, y)
+
+    return field
+
+
+def orbital_norm(orb, quad=None):
+    """Tensor Gauss-Hermite quadrature of the orbital density, as (value,
+    error); the value should be 1."""
+    density = lambda x, y: np.abs(eval_orbital(orb, x, y)) ** 2  # noqa: E731
+    scale = 1.0 / math.sqrt(orb.compression)
+    return integrate_2d(density, quad, center=(orb.center_x, 0.0), scale=scale)
+
+
+def polar_sample(g, n, r_max, with_l1, center=None):
+    """(value, sum of |g|) of the order-n polar rule on the disc of radius
+    r_max: Gauss-Legendre radii weighted by r, periodic trapezoid angles on
+    the full circle.  g takes (x, y) around `center`, or (r, theta) if
+    `center` is None; l1 is None unless `with_l1`."""
+    r, wr_r = _polar_radii(n, r_max)
+    theta = 2.0 * math.pi * np.arange(n) / n
+    if center is None:
+        vals = np.asarray(g(r[:, None], theta[None, :]))
+    else:
+        x = center[0] + r[:, None] * np.cos(theta)[None, :]
+        y = center[1] + r[:, None] * np.sin(theta)[None, :]
+        vals = np.asarray(g(x, y))
+    vals = np.broadcast_to(vals, (n, n))
+    weight = wr_r[:, None] * (2.0 * math.pi / n)
+    value = complex(np.sum(weight * vals))
+    return value, float(np.sum(weight * np.abs(vals))) if with_l1 else None
+
+
+def integrate_polar_2d(f, quad=None, center=(0.0, 0.0), scale=1.0):
+    """f(x, y) over the plane by the polar rule around `center`, refined as
+    `integrate_2d` is; `scale` is the Gaussian width of f."""
+    return _refine(
+        lambda n, l1: polar_sample(f, n, POLAR_DOMAIN_CUT * scale, l1, center),
+        _legendre_nodes,
+        quad or QuadratureSpec(),
+        "polar rule",
+    )
+
+
+def integrate_coulomb_relative(g, quad=None, scale=1.0, r_peak=0.0):
+    """g(r, theta) * r over the polar plane, on the full circle of angles.
+
+    Meant for Coulomb kernels: g may carry a 1/r singularity, which the
+    polar Jacobian cancels (nodes never touch r = 0).  `scale` is the
+    radial Gaussian width of g and `r_peak` a radius where its mass is
+    concentrated; the radial domain ends at r_peak + 8 scale.  Failures
+    carry the label of the oracle's half-circle Coulomb pair.
+    """
+    return _refine(
+        lambda n, l1: polar_sample(g, n, r_peak + POLAR_DOMAIN_CUT * scale, l1),
+        _legendre_nodes,
+        quad or QuadratureSpec(rel_tol=1e-8),
+        "polar Coulomb rule",
+    )

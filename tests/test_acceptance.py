@@ -11,7 +11,7 @@ import pytest
 
 from dotx.cli import main as cli_main
 from dotx.closed_form import exchange_energy, exchange_energy_lab, overlap
-from dotx.oracle import assemble_oracle, build_orbital, orbital_norm
+from dotx.oracle import assemble_oracle
 from dotx.oracle import _Point, _brackets
 from dotx.special import QuadratureSpec, bessel_i0
 from dotx.sweeps import find_switch, scan_switches
@@ -24,7 +24,7 @@ from dotx.units import (
     fields_from_dimensionless,
 )
 
-from conftest import rel_err
+from conftest import build_orbital, orbital_norm, rel_err
 
 A_B = bohr_radius_nm(GAAS)
 GAAS_C236 = replace(GAAS, c_override=2.36)

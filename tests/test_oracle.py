@@ -8,19 +8,23 @@ import pytest
 import dotx.oracle
 from dotx.closed_form import exchange_energy_lab, overlap
 from dotx.errors import QuadratureError, SingularConfigurationError
-from dotx.oracle import (
-    apply_hamiltonian,
-    assemble_oracle,
-    build_orbital,
-    eval_orbital,
-    orbital_norm,
-)
+from dotx.oracle import assemble_oracle
 import dotx.special
 from dotx.oracle import _Point, _brackets, _coulomb, _sum_elements  # noqa: internal, exercised directly
-from dotx.special import QuadratureSpec, integrate_2d, integrate_coulomb_relative
+from dotx.special import QuadratureSpec, integrate_2d
 from dotx.units import FieldConfig, bohr_radius_nm, derive_parameters
 
-from conftest import rel_err
+from conftest import (
+    apply_hamiltonian,
+    build_orbital,
+    eval_orbital,
+    integrate_coulomb_relative,
+    integrate_polar_2d,
+    orbital_norm,
+    rel_err,
+)
+
+POLAR = QuadratureSpec(rel_tol=1e-10)
 
 
 @pytest.fixture()
@@ -34,15 +38,15 @@ def bracket(mat, fields, label, quad=None):
     return _brackets(_Point(mat, fields), quad or QuadratureSpec(), [label])[label]
 
 
-def overlap_estimate(mat, fields, quad=None, failures=None):
+def overlap_estimate(mat, fields, quad=None):
     """The numerical overlap S as (value, error), summed as the oracle sums it."""
     res = _brackets(_Point(mat, fields), quad or QuadratureSpec(), ["overlap"])
-    return _sum_elements(res, ["overlap"], failures)
+    return _sum_elements(res, ["overlap"], [])
 
 
 def coulomb_terms(mat, fields):
     """(u3, u4) integrated on their own, with the oracle's default rule."""
-    return _coulomb(_Point(mat, fields), dotx.oracle._DEFAULT_COULOMB, None)
+    return _coulomb(_Point(mat, fields), dotx.oracle._DEFAULT_COULOMB, [])
 
 
 class TestOrbitals:
@@ -184,12 +188,13 @@ class TestHamiltonian:
 
 
 class TestUpsilonTerms:
-    @pytest.mark.parametrize(
-        "quad", [None, QuadratureSpec(rule="adaptive_polar", rel_tol=1e-10)], ids=["hermite", "polar"]
-    )
-    def test_overlap_estimate_matches_closed_form(self, gaas, fields_1t, quad):
+    @pytest.mark.parametrize("rule", ["hermite", "polar"])
+    def test_overlap_estimate_matches_closed_form(self, gaas, fields_1t, rule):
         p = derive_parameters(gaas, fields_1t)
-        s, err = overlap_estimate(gaas, fields_1t, quad)
+        if rule == "hermite":
+            s, err = overlap_estimate(gaas, fields_1t)
+        else:  # the reference polar rule on the pointwise product
+            (s, err), *_ = loop_oracle(gaas, fields_1t, POLAR, integrate_polar_2d)
         assert rel_err(s, overlap(p.b, p.d)) < 1e-10
         assert err < 1e-10
 
@@ -207,13 +212,13 @@ class TestUpsilonTerms:
         assert rel_err(u1.value, 2.0 * (own_a + opp_b)) < 1e-10
 
     def test_polar_brackets_agree_with_hermite(self, gaas):
-        # the polar rule integrates each H and W bracket's product on its own
+        # the reference polar rule integrates each H and W bracket's product on its own
         fields = FieldConfig(B=1.0, E=2e5, a=0.7 * bohr_radius_nm(gaas))
-        polar = QuadratureSpec(rule="adaptive_polar", rel_tol=1e-10)
-        got = assemble_oracle(gaas, fields, quad_single=polar).upsilon
+        _, got, failures, _ = loop_oracle(gaas, fields, POLAR, integrate_polar_2d)
         want = assemble_oracle(gaas, fields).upsilon
-        for p_est, h_est in ((got[key], want[key]) for key in ("u1", "u2", "u5")):
-            assert abs(p_est.value - h_est.value) <= p_est.error + h_est.error
+        assert not failures
+        for (value, error), h_est in ((got[key], want[key]) for key in ("u1", "u2", "u5")):
+            assert abs(value - h_est.value) <= error + h_est.error
 
     def test_single_particle_difference_is_geometric(self, gaas):
         # u1 - u2/S^2 equals 4 d^2 for any fields: the well offsets are the
@@ -331,11 +336,12 @@ class TestAssemble:
         assert rel_err(mc, u3.value / 2.0) < 0.01
 
 
-def loop_oracle(mat, fields, quad):
-    """s_num, u1, u2, u5 and the failures of the 13 single-particle
-    brackets, each integrated on its own by integrate_2d with fresh
-    eval_orbital / apply_hamiltonian integrands, summed in the oracle's
-    order.  Also returns the integrand calls per bracket."""
+def loop_oracle(mat, fields, quad, integrate=integrate_2d):
+    """S as (value, error), u1, u2, u5 and the failures of the 13
+    single-particle brackets, each integrated on its own by `integrate`
+    with fresh reference eval_orbital / apply_hamiltonian integrands,
+    summed in the oracle's order.  Also returns the integrand calls per
+    bracket."""
     a, b = build_orbital(1, mat, fields), build_orbital(2, mat, fields)
     d = derive_parameters(mat, fields).d
     failures, samples = [], []
@@ -351,7 +357,7 @@ def loop_oracle(mat, fields, quad):
         center = (0.5 * (bra.center_x + ket.center_x), 0.0)
         try:
             scale = 1.0 / math.sqrt(bra.compression)
-            return integrate_2d(counted, quad, center=center, scale=scale)
+            return integrate(counted, quad, center=center, scale=scale)
         except QuadratureError as exc:
             failures.append(f"{label}: {exc}")
             return exc.value, exc.error_estimate
@@ -379,10 +385,9 @@ def loop_oracle(mat, fields, quad):
             err += e
         return value.real, err + abs(value.imag)
 
-    s_value, _ = bracket(
+    s, s_error = total([bracket(
         "overlap", b, a, lambda x, y: np.conj(eval_orbital(b, x, y)) * eval_orbital(a, x, y)
-    )
-    s = complex(s_value).real
+    )])
     u1 = total([
         h("u1 <A|H1|A>", a, 1, a), h("u1 <B|H2|B>", b, 2, b),
         h("u1 <B|H1|B>", b, 1, b), h("u1 <A|H2|A>", a, 2, a),
@@ -398,7 +403,7 @@ def loop_oracle(mat, fields, quad):
         "u2": (s * cross[0], abs(s) * cross[1]),
         "u5": (diag[0] - w_cross[0] / s, diag[1] + w_cross[1] / abs(s)),
     }
-    return s, upsilon, failures, samples
+    return (s, s_error), upsilon, failures, samples
 
 
 @pytest.fixture()
@@ -477,7 +482,7 @@ class TestFactoredBrackets:
     )
     def test_matches_per_bracket_loop(self, gaas, quad, B, E, d, factored_samples):
         fields = FieldConfig(B=B, E=E, a=d * bohr_radius_nm(gaas))
-        s, upsilon, failures, samples = loop_oracle(gaas, fields, quad)
+        (s, _), upsilon, failures, samples = loop_oracle(gaas, fields, quad)
         hb = assemble_oracle(gaas, fields, quad_single=quad)
         assert factored_samples == [[shape[0] for shape in calls] for calls in samples]
         assert not failures and not hb.incomplete
@@ -511,15 +516,16 @@ class TestFactoredBrackets:
 
     def test_failures_keep_their_order(self, gaas, fields_1t, factored_samples):
         impossible = QuadratureSpec(order=4, rel_tol=1e-15)
-        s, upsilon, failures, samples = loop_oracle(gaas, fields_1t, impossible)
+        (s, _), upsilon, failures, samples = loop_oracle(gaas, fields_1t, impossible)
         hb = assemble_oracle(gaas, fields_1t, quad_single=impossible)
         assert factored_samples == [[shape[0] for shape in calls] for calls in samples]
         assert failures
         assert list(hb.failures) == failures
-        _, s_error = overlap_estimate(gaas, fields_1t, impossible, failures=[])
+        _, s_error = overlap_estimate(gaas, fields_1t, impossible)
         assert_agrees(hb, s, upsilon, s_error)
 
     def test_no_orbital_evaluated_on_a_grid(self, gaas, fields_1t, monkeypatch):
+        # the oracle holds no pointwise orbital and takes no n^2 tensor sum
         calls = []
 
         def counting(name, fn):
@@ -529,11 +535,12 @@ class TestFactoredBrackets:
 
             return counted
 
-        monkeypatch.setattr(dotx.oracle, "eval_orbital", counting("eval_orbital", eval_orbital))
-        monkeypatch.setattr(dotx.special, "integrate_2d", counting("integrate_2d", integrate_2d))
-        monkeypatch.setattr(dotx.oracle, "integrate_2d", counting("integrate_2d", integrate_2d))
+        for name in ("integrate_2d", "_gauss_hermite_sample"):
+            monkeypatch.setattr(dotx.special, name, counting(name, getattr(dotx.special, name)))
         assemble_oracle(gaas, fields_1t)
         assert calls == []
+        assert not {"eval_orbital", "integrate_2d", "_gauss_hermite_sample"} & set(vars(dotx.oracle))
+
     def test_frame_derived_once_per_point(self, gaas, fields_1t, count_derivations):
         calls = count_derivations(dotx.oracle)
         assemble_oracle(gaas, fields_1t)
@@ -581,7 +588,7 @@ class TestHalfCircleCoulomb:
     @pytest.mark.parametrize("B, d, E", [(1.0, 0.7, 0.0), (3.0, 1.0, 1e5), (0.0, 0.5, 0.0), (8.0, 1.5, 2e5)])
     def test_matches_full_circle(self, gaas, B, d, E, order, refinements):
         fields = FieldConfig(B=B, E=E, a=d * bohr_radius_nm(gaas))
-        quad = QuadratureSpec(rule="adaptive_polar", order=order, rel_tol=1e-8)
+        quad = QuadratureSpec(order=order, rel_tol=1e-8)
         failures = []
         got = _coulomb(_Point(gaas, fields), quad, failures)
         *want, want_failures = full_circle_coulomb(gaas, fields, quad)
