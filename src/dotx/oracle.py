@@ -288,7 +288,9 @@ def _brackets(pt: _Point, quad, labels):
     plan = [_PLAN[label] for label in labels]
     brackets = [_bracket(pt.frame, pair, op, pairs[pair][1]) for pair, op in plan]
     sample = _stacked_sampler(pairs, brackets)
-    results = _refine_many(sample, len(brackets), _hermite_nodes, quad, "integrate_2d")
+    results = _refine_many(
+        sample, len(brackets), _hermite_nodes, quad, "Gauss-Hermite bracket rule"
+    )
     return dict(zip(labels, results))
 
 

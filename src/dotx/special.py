@@ -70,25 +70,28 @@ _I0_LARGE_CHEB = (
 )
 
 
+# Upper bound on the terms the series adds below the splice (the longest
+# early-exit loop on [0, 7.5] stops at k = 20): past it a term can no longer
+# change the rounded sum, so a fixed-length sum gives the same bits.
+_I0_SERIES_TERMS = 20
+
+# The series' k^2 as floats: a division by one has the bits of one by int k * k.
+_K_SQUARED = tuple(float(k * k) for k in range(1, _I0_SERIES_TERMS + 1))
+
+
 def _i0_series(x: float) -> float:
     # All terms positive, so the sum is benign at any argument; the term
-    # recurrence t_k = t_{k-1} * (x^2/4) / k^2 stops at float convergence.
+    # recurrence t_k = t_{k-1} * (x^2/4) / k^2 stops at float convergence,
+    # which it reaches within the table for every x up to the splice.
     q = 0.25 * x * x
     total = term = 1.0
-    k = 0
-    while True:
-        k += 1
-        term *= q / (k * k)
+    for k2 in _K_SQUARED:
+        term *= q / k2
         updated = total + term
         if updated == total:
-            return total
+            break
         total = updated
-
-
-# Upper bound on the terms `_i0_series` adds below the splice (the longest
-# loop on [0, 7.5) stops at k = 20): past it a term can no longer change
-# the rounded sum, so a fixed-length sum gives the same bits.
-_I0_SERIES_TERMS = 20
+    return total
 
 
 def _i0e_large(x, sqrt=math.sqrt):
@@ -143,8 +146,8 @@ def bessel_i0e_array(x: np.ndarray) -> np.ndarray:
         q = 0.25 * xs * xs
         total = np.ones_like(xs)
         term = np.ones_like(xs)
-        for k in range(1, _I0_SERIES_TERMS + 1):
-            term *= q / (k * k)
+        for k2 in _K_SQUARED:
+            term *= q / k2
             total += term
         out[small] = np.exp(-xs) * total
     if xl.size:

@@ -33,10 +33,10 @@ from .errors import (
     RootConvergenceError,
     ScenarioError,
 )
-from .units import FieldConfig, MaterialParams, bohr_radius_nm
+from .units import FieldConfig, MaterialParams, _material_constants, bohr_radius_nm
 
-#: Root resolution per axis, in that axis's unit: Brent's bracket-width
-#: target on B and d.  E is solved in closed form, far inside its entry.
+#: Root resolution per axis, in that axis's unit: Brent's bracket-width target.
+#: E is solved in closed form, far inside its entry, with Brent only where it misses tol.
 AXIS_XTOL = {"B": 1e-6, "E": 1.0, "d": 1e-8}
 
 # Upper bound on every grid length a caller can ask for (sweep, pre-scan,
@@ -126,8 +126,9 @@ class SwitchPoint:
     bracket: tuple
     residual: float
     direction: str  # "antiferro_to_ferro" or "ferro_to_antiferro"
-    iterations: int = 0  # Brent iterations; 0 on E, which is solved in closed form
+    iterations: int = 0  # Brent iterations; on E, 0 unless E* misses tol
     evaluations: int = 0  # J evaluations, each at a distinct point
+    final_bracket: tuple = ()  # the last sign-change bracket (lo, hi) around value
 
 
 def _lab_point(material: MaterialParams, fixed: FieldConfig, axis: str, x):
@@ -171,17 +172,24 @@ def sweep(spec: SweepSpec) -> list[SweepRow]:
     return rows
 
 
-def brent(f, a: float, b: float, xtol: float, max_iter: int = 200, fa: float | None = None):
+def brent(
+    f, a: float, b: float, xtol: float, max_iter: int = 200,
+    fa: float | None = None, ftol: float = math.inf, fb: float | None = None,
+):
     """Classic Brent zero finder on a sign-change bracket [a, b].
 
-    Inverse quadratic interpolation with secant and bisection fallbacks.
-    Returns (root, f(root), (lo, hi), iterations, (f(lo), f(hi))) where
-    (lo, hi) is the final bracket.  Requires f(a) and f(b) of opposite
-    sign; `fa` is f(a) when the caller has it already.
+    Inverse quadratic interpolation with secant and bisection fallbacks,
+    until the bracket is `xtol` wide (plus 4 eps of the root) and |f| at its
+    best end is at most `ftol` (default inf: the width alone); past that
+    width, steps of at least an ulp go on until |f| <= ftol or the ends are
+    adjacent floats.  Returns (root, f(root), (lo, hi), iterations, (f(lo),
+    f(hi))) where (lo, hi) is the final bracket.  Requires f(a) and f(b) of
+    opposite sign; `fa` and `fb` are f(a) and f(b) when the caller has them.
     """
     if fa is None:
         fa = f(a)
-    fb = f(b)
+    if fb is None:
+        fb = f(b)
     at_end = _root_at_end(a, b, fa, fb)
     if at_end is not None:
         return at_end
@@ -194,7 +202,13 @@ def brent(f, a: float, b: float, xtol: float, max_iter: int = 200, fa: float | N
             fa, fb, fc = fb, fc, fb
         tol = 2.0 * eps * abs(b) + 0.5 * xtol
         m = 0.5 * (c - b)
-        if abs(m) <= tol or fb == 0.0:
+        done = abs(m) <= tol
+        if done and abs(fb) > ftol:
+            # Narrow enough, but |f| is not small enough: narrow on with
+            # steps of at least one ulp until the ends are adjacent floats.
+            tol = math.ulp(min(abs(b), abs(c)))
+            done = b + m in (b, c)
+        if done or fb == 0.0:
             if b <= c:
                 return b, fb, (b, c), it, (fb, fc)
             return b, fb, (c, b), it, (fc, fb)
@@ -248,67 +262,42 @@ def _root_at_end(a: float, b: float, fa: float, fb: float):
 _E_PROBE_ULPS = 16
 
 
-def _efield_root(j, lo: float, hi: float, j_lo: float, tol: float, material, fixed: FieldConfig):
-    """brent's result on the E axis, from the closed-form switch `efield_switch`.
+def _efield_root(j, lo: float, hi: float, j_lo: float, j_hi: float, tol: float, e_star):
+    """brent's result on the E axis, from the closed-form switch `e_star`.
 
     J at both ends decides the bracket exactly as in brent.  J is even in E,
     so a sign change holds one of +-E*; J is evaluated there once.  Where
-    |J(E*)| <= tol, the half of the bracket that keeps the sign change is
-    returned.  Otherwise J is also evaluated `_E_PROBE_ULPS` ulps from E*
-    towards the sign change, and the bracket returned for the polish is the
-    few ulps between the two where J changes sign across them, else the
-    rest of the half-bracket.  Where rounding leaves E* nan or not strictly
-    inside, the whole bracket is returned with its lower end as the root.
+    |J(E*)| <= tol, E* is the root, in the half of the bracket that keeps
+    the sign change.  Otherwise J is also evaluated `_E_PROBE_ULPS` ulps
+    from E* towards the sign change, and brent narrows the few ulps between
+    the two where J changes sign across them, else the rest of the
+    half-bracket, to 1 V/m and `tol`.  Where rounding leaves E* nan or not
+    strictly inside, brent searches the whole bracket.
     """
-    j_hi = j(hi)
     at_end = _root_at_end(lo, hi, j_lo, j_hi)
     if at_end is not None:
         return at_end
-    e_star = efield_switch(material, fixed.B, fixed.a)
     root = e_star if lo < e_star < hi else -e_star
     if not lo < root < hi:
-        return lo, j_lo, (lo, hi), 0, (j_lo, j_hi)
+        return brent(j, lo, hi, AXIS_XTOL["E"], fa=j_lo, ftol=tol, fb=j_hi)
     j_root = j(root)
     # The end of the bracket across the sign change from E*.
     if math.copysign(1.0, j_root) == math.copysign(1.0, j_lo):
         far, j_far = hi, j_hi
     else:
         far, j_far = lo, j_lo
-    inner, j_inner = root, j_root
-    if abs(j_root) > tol:
-        near = root + math.copysign(_E_PROBE_ULPS * math.ulp(root), far - root)
-        if abs(near - root) < abs(far - root):
-            j_near = j(near)
-            if j_near == 0.0 or math.copysign(1.0, j_near) != math.copysign(1.0, j_root):
-                far, j_far = near, j_near
-            else:
-                inner, j_inner = near, j_near
-    if inner < far:
-        return root, j_root, (inner, far), 0, (j_inner, j_far)
-    return root, j_root, (far, inner), 0, (j_far, j_inner)
-
-
-def _polish_residual(f, bracket, f_bracket, best_x, best_f, ftol, max_iter=200):
-    lo, hi = bracket
-    f_lo, f_hi = f_bracket
-    if abs(f_lo) <= abs(best_f):
-        best_x, best_f = lo, f_lo
-    if abs(f_hi) <= abs(best_f):
-        best_x, best_f = hi, f_hi
-    for _ in range(max_iter):
-        if abs(best_f) <= ftol or hi - lo <= math.ulp(max(abs(lo), abs(hi))):
-            break
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if abs(f_mid) < abs(best_f):
-            best_x, best_f = mid, f_mid
-        if f_mid == 0.0:
-            break
-        if math.copysign(1.0, f_mid) == math.copysign(1.0, f_lo):
-            lo, f_lo = mid, f_mid
+    if abs(j_root) <= tol:
+        if root < far:
+            return root, j_root, (root, far), 0, (j_root, j_far)
+        return root, j_root, (far, root), 0, (j_far, j_root)
+    near = root + math.copysign(_E_PROBE_ULPS * math.ulp(root), far - root)
+    if abs(near - root) < abs(far - root):
+        j_near = j(near)
+        if j_near == 0.0 or math.copysign(1.0, j_near) != math.copysign(1.0, j_root):
+            far, j_far = near, j_near
         else:
-            hi, f_hi = mid, f_mid
-    return best_x, best_f, (lo, hi)
+            root, j_root = near, j_near
+    return brent(j, root, far, AXIS_XTOL["E"], fa=j_root, ftol=tol, fb=j_far)
 
 
 def find_switch(
@@ -321,11 +310,13 @@ def find_switch(
     """Locate the sign switch of J inside a bracket along one axis.
 
     `tol` bounds |J| at the root in meV.  Along B and d, Brent narrows the
-    bracket to the axis resolution (1e-6 T, 1e-8 in d).  Along E the root
-    is the closed form `efield_switch`, with no bracket iteration
-    (`iterations` is 0); where |J| there exceeds `tol`, or rounding puts
-    it outside the bracket, the residual polish bisects the half-bracket
-    that holds the sign change.
+    bracket to the axis resolution (1e-6 T, 1e-8 in d), and on until |J|
+    at its best end is at most `tol`.  Along E the root is the closed form
+    `efield_switch`, with no bracket iteration (`iterations` is 0); where
+    |J| there exceeds `tol`, or rounding puts it outside the bracket,
+    Brent narrows the sign change to 1 V/m and `tol` (see `_efield_root`).
+    The direction is read from the first end of the bracket where J is
+    not 0; where J is 0 at both ends there is no switch to find.
     """
     if axis not in AXES:
         raise InvalidParameterError(f"axis must be one of {AXES}, got {axis!r}")
@@ -333,7 +324,8 @@ def find_switch(
     if not lo < hi:
         raise InvalidParameterError("bracket must satisfy lo < hi")
     _check_tol(tol)
-    j_at = exchange_energy_along(material, fixed, axis)
+    const = _material_constants(material)
+    j_at = exchange_energy_along(material, fixed, axis, const=const)
     evaluations = 0
 
     def j(x: float) -> float:
@@ -341,32 +333,29 @@ def find_switch(
         evaluations += 1
         return j_at(x)
 
-    j_lo = j(lo)
+    j_lo, j_hi = j(lo), j(hi)
+    if j_lo == 0.0 and j_hi == 0.0:  # e.g. J underflowing: no sign, so no switch
+        raise NoRootInBracketError(f"J is 0 at both ends of [{lo}, {hi}]: no sign change")
     if axis == "E":
-        result = _efield_root(j, lo, hi, j_lo, tol, material, fixed)
+        e_star = efield_switch(material, fixed.B, fixed.a, const=const)
+        result = _efield_root(j, lo, hi, j_lo, j_hi, tol, e_star)
     else:
-        result = brent(j, lo, hi, AXIS_XTOL[axis], fa=j_lo)
-    root, j_root, final_bracket, iterations, j_bracket = result
-    if abs(j_root) > tol:
-        # Brent stops on bracket width, and E* is off by its rounding;
-        # bisect until the residual itself is under tol (J is smooth, so
-        # this converges fast).
-        root, j_root, final_bracket = _polish_residual(
-            j, final_bracket, j_bracket, root, j_root, tol
-        )
+        result = brent(j, lo, hi, AXIS_XTOL[axis], fa=j_lo, ftol=tol, fb=j_hi)
+    root, j_root, final_bracket, iterations, _ = result
     if abs(j_root) > tol:
         raise RootConvergenceError(
             f"|J(root)| = {abs(j_root)} meV exceeds tol {tol}", bracket=final_bracket
         )
-    direction = "antiferro_to_ferro" if j_lo > 0.0 else "ferro_to_antiferro"
+    antiferro = j_lo > 0.0 if j_lo != 0.0 else j_hi < 0.0
     return SwitchPoint(
         axis=axis,
         value=root,
         bracket=(lo, hi),
         residual=abs(j_root),
-        direction=direction,
+        direction="antiferro_to_ferro" if antiferro else "ferro_to_antiferro",
         iterations=iterations,
         evaluations=evaluations,
+        final_bracket=final_bracket,
     )
 
 
@@ -381,9 +370,11 @@ def scan_switches(
 ) -> list[SwitchPoint]:
     """Pre-scan [lo, hi] on a uniform grid and refine every sign change.
 
-    The closed form is not expected to produce more than one crossing per
-    axis, but nothing assumes that: each bracketed change is refined and
-    reported in order.
+    A sign change lies between consecutive nonzero samples of opposite
+    sign, with any samples where J is exactly 0 (a root on the grid, or
+    underflow) between them, and is refined and reported once.  The
+    closed form is not expected to produce more than one crossing per
+    axis, but nothing assumes that: each is reported in order.
     """
     validate_scan_steps(scan_steps)
     _check_finite_range("scan", lo, hi)
@@ -391,14 +382,13 @@ def scan_switches(
         raise InvalidParameterError("scan range must satisfy lo < hi")
     _check_tol(tol)
     grid = _grid(lo, hi, scan_steps)
-    values = list(map(exchange_energy_along(material, fixed, axis), grid))
-    points = []
-    for left, right, j_left, j_right in zip(grid[:-1], grid[1:], values[:-1], values[1:]):
-        if j_left == 0.0 or math.copysign(1.0, j_left) != math.copysign(1.0, j_right):
-            if j_left == 0.0 and j_right == 0.0:
-                continue
-            points.append(find_switch(axis, material, fixed, (left, right), tol=tol))
-    return points
+    values = map(exchange_energy_along(material, fixed, axis), grid)
+    signed = [(x, j_x) for x, j_x in zip(grid, values) if j_x != 0.0]
+    return [
+        find_switch(axis, material, fixed, (left, right), tol=tol)
+        for (left, j_left), (right, j_right) in zip(signed, signed[1:])
+        if (j_left > 0.0) != (j_right > 0.0)
+    ]
 
 
 @dataclass(frozen=True)

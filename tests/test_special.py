@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dotx.special
 from dotx.errors import InvalidArgumentError, QuadratureError
@@ -22,7 +24,32 @@ from dotx.special import (  # noqa: the samplers are internal, compared directly
 from conftest import integrate_coulomb_relative, rel_err
 
 
+def i0_series_loop(x):
+    """The I0 power series as an open loop with int k * k divisors, as
+    `special._i0_series` ran before its table: the reference for its bits."""
+    q = 0.25 * x * x
+    total = term = 1.0
+    k = 0
+    while True:
+        k += 1
+        term *= q / (k * k)
+        updated = total + term
+        if updated == total:
+            return total
+        total = updated
+
+
 class TestBesselI0:
+    @settings(derandomize=True, database=None, max_examples=2000, deadline=None)
+    @given(st.floats(0.0, 7.5, exclude_max=True) | st.sampled_from([7.5, 1e-300, 5e-324]))
+    def test_series_keeps_the_loop_bits(self, x):
+        assert repr(dotx.special._i0_series(x)) == repr(i0_series_loop(x))
+
+    def test_series_table_is_float_k_squared(self):
+        table = dotx.special._K_SQUARED
+        assert len(table) == dotx.special._I0_SERIES_TERMS
+        assert all(type(k2) is float and k2 == k * k for k, k2 in enumerate(table, 1))
+
     def test_zero(self):
         assert bessel_i0(0.0) == 1.0
 

@@ -106,7 +106,7 @@ def reference_bracket(factors, center, scale, quad, orders):
         return separable_sample(factors, n, center, scale, with_l1)
 
     try:
-        return refine(sample, _hermite_nodes, quad, "integrate_2d")
+        return refine(sample, _hermite_nodes, quad, "Gauss-Hermite bracket rule")
     except QuadratureError as exc:
         return exc
 

@@ -10,13 +10,20 @@ from hypothesis import strategies as st
 
 import dotx.closed_form
 import dotx.sweeps
-from dotx.closed_form import ExchangeBreakdown, exchange_energy_lab, overlap
+from dotx.closed_form import (
+    ExchangeBreakdown,
+    exchange_energy_along,
+    exchange_energy_lab,
+    overlap,
+)
 from dotx.errors import (
     InvalidParameterError,
     NoRootInBracketError,
+    RootConvergenceError,
     ScenarioError,
 )
 from dotx.sweeps import (
+    AXIS_XTOL,
     SweepRow,
     SweepSpec,
     _grid,
@@ -28,6 +35,7 @@ from dotx.sweeps import (
     switching_scenario,
 )
 from dotx.units import (
+    GAAS,
     FieldConfig,
     bohr_radius_nm,
     coulomb_strength,
@@ -35,7 +43,14 @@ from dotx.units import (
     derive_parameters,
 )
 
-from conftest import assert_kernel_close, assert_rows_close, loop_sweep, rel_err, row_columns
+from conftest import (
+    EPS,
+    assert_kernel_close,
+    assert_rows_close,
+    loop_sweep,
+    rel_err,
+    row_columns,
+)
 
 
 def make_spec(gaas, **kw):
@@ -226,6 +241,65 @@ class TestRowContract:
         assert_rows_close(rows, loop_sweep(spec), gaas)
 
 
+def brent_width_only(f, a, b, xtol, max_iter=200, fa=None):
+    """`brent` as it was before its residual stop: it stopped on the bracket
+    width alone.  Kept as the reference its default must still reproduce."""
+    if fa is None:
+        fa = f(a)
+    fb = f(b)
+    if fa == 0.0:
+        return a, 0.0, (a, a), 0, (fa, fa)
+    if fb == 0.0:
+        return b, 0.0, (b, b), 0, (fb, fb)
+    if math.copysign(1.0, fa) == math.copysign(1.0, fb):
+        raise NoRootInBracketError(f"no sign change on [{a}, {b}]: f={fa}, {fb}")
+    c, fc = a, fa
+    e = d = b - a
+    for it in range(1, max_iter + 1):
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = 2.0 * EPS * abs(b) + 0.5 * xtol
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or fb == 0.0:
+            if b <= c:
+                return b, fb, (b, c), it, (fb, fc)
+            return b, fb, (c, b), it, (fc, fb)
+        if abs(e) < tol or abs(fa) <= abs(fb):
+            e = d = m
+        else:
+            s = fb / fa
+            if a == c:
+                p = 2.0 * m * s
+                q = 1.0 - s
+            else:
+                q = fa / fc
+                r = fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            s, e = e, d
+            if 2.0 * p < 3.0 * m * q - abs(tol * q) and p < abs(0.5 * s * q):
+                d = p / q
+            else:
+                e = d = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            e = d = b - a
+    raise RootConvergenceError(f"root refinement exceeded {max_iter} iterations")
+
+
+def opposite_signs(u, v):
+    """A sign change of J between u and v, counting an exact 0 at either."""
+    return u == 0.0 or v == 0.0 or (u > 0.0) != (v > 0.0)
+
+
 class TestBrent:
     @pytest.mark.parametrize(
         "f,a,b",
@@ -250,6 +324,88 @@ class TestBrent:
     def test_endpoint_root(self):
         root, froot = brent(lambda x: x, 0.0, 1.0, 1e-10)[:2]
         assert root == 0.0 and froot == 0.0
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(
+        st.floats(-5.0, 5.0),
+        st.floats(0.05, 20.0),
+        st.floats(0.0, 3.0),
+        st.floats(1e-3, 10.0),
+        st.floats(1e-3, 10.0),
+        st.sampled_from([1e-14, 1e-10, 1e-6, 1e-3]),
+        st.booleans(),
+    )
+    def test_width_stop_keeps_its_bits(self, r, k, c, left, right, xtol, known_fa):
+        # Without ftol, brent evaluates the points the width-only Brent did
+        # and returns its result bit for bit.
+        def f(x):
+            return math.tanh(k * (x - r)) + c * (x - r) ** 3
+
+        a, b = r - left, r + right
+        outcomes = []
+        for run in (brent_width_only, brent):
+            points = []
+
+            def recorded(x):
+                points.append(x)
+                return f(x)
+
+            result = run(recorded, a, b, xtol, fa=f(a) if known_fa else None)
+            outcomes.append((repr(result), points))
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize(
+        "f, a, b, xtol, ftol",
+        [
+            (lambda x: x * x - 2.0, 0.0, 2.0, 1e-3, 1e-12),
+            (lambda x: math.cos(x) - x, 0.0, 1.5, 1e-2, 1e-15),
+            (lambda x: 1e3 * (x**3 - 2.0 * x - 5.0), 1.0, 3.0, 1e-4, 1e-10),
+            (lambda x: math.exp(x) - 3.0 * x * x, -1.0, 0.0, 1e-6, 1e-13),
+        ],
+    )
+    def test_residual_stop(self, f, a, b, xtol, ftol):
+        points = []
+
+        def recorded(x):
+            points.append(x)
+            return f(x)
+
+        root, f_root, (lo, hi), _, (f_lo, f_hi) = brent(recorded, a, b, xtol, ftol=ftol)
+        assert abs(f_root) <= ftol and f_root == f(root) and root in (lo, hi)
+        assert hi - lo <= xtol + 4.0 * EPS * abs(root)
+        assert (f_lo, f_hi) == (f(lo), f(hi)) and (f_lo > 0.0) != (f_hi > 0.0)
+        assert len(points) == len(set(points))
+        # The width-only stop leaves a residual above ftol on these brackets.
+        assert abs(brent(f, a, b, xtol)[1]) > ftol
+
+    def test_unreachable_residual_stops_at_adjacent_floats(self):
+        # |f| > 0 at every float, so ftol = 0 is out of reach: brent stops
+        # where no float lies between the ends, each evaluated once.
+        points = []
+
+        def f(x):
+            points.append(x)
+            return x * x - 2.0
+
+        root, f_root, (lo, hi), _, _ = brent(f, 1.0, 2.0, 1e-6, ftol=0.0)
+        assert hi == math.nextafter(lo, math.inf) and root in (lo, hi) and f_root != 0.0
+        assert lo <= math.sqrt(2.0) <= hi
+        assert len(points) == len(set(points)) < 20
+        with pytest.raises(RootConvergenceError):
+            brent(lambda x: x * x - 2.0, 1.0, 2.0, 1e-6, max_iter=5, ftol=0.0)
+
+    def test_known_fb_saves_one_call(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return math.cos(x) - x
+
+        plain = brent(f, 0.0, 1.5, 1e-12, ftol=1e-15)
+        n_plain = len(calls)
+        calls.clear()
+        known = brent(f, 0.0, 1.5, 1e-12, fa=math.cos(0.0), ftol=1e-15, fb=math.cos(1.5) - 1.5)
+        assert repr(known) == repr(plain) and len(calls) == n_plain - 2
 
 
 class TestFindSwitch:
@@ -313,6 +469,118 @@ class TestFindSwitch:
             assert len(points) == 1
             stars.append(points[0].value)
         assert all(s2 >= s1 for s1, s2 in zip(stars[:-1], stars[1:]))
+
+
+class TestFindSwitchAgainstBrentq:
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(["B", "d"]),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+        st.sampled_from([1e-6, 1e-9, 1e-12]),
+    )
+    def test_root_residual_and_direction(self, axis, u, v, tol):
+        a_b = bohr_radius_nm(GAAS)
+        if axis == "B":  # B*(E), as on the switch curves
+            fixed, (lo, hi) = FieldConfig(0.0, 3e5 * u, (0.5 + 0.4 * v) * a_b), (0.2, 9.5)
+        else:  # d*(B): the pair turns ferromagnetic as the dots move apart
+            fixed, (lo, hi) = FieldConfig(1.2 + 3.8 * u, 4e4 * v, a_b), (0.3, 1.5)
+        j = exchange_energy_along(GAAS, fixed, axis)
+        j_lo, j_hi = j(lo), j(hi)
+        if not opposite_signs(j_lo, j_hi):
+            with pytest.raises(NoRootInBracketError):
+                find_switch(axis, GAAS, fixed, (lo, hi), tol=tol)
+            return
+        want = scipy.optimize.brentq(j, lo, hi, xtol=1e-14)
+        point = find_switch(axis, GAAS, fixed, (lo, hi), tol=tol)
+        assert abs(point.value - want) <= AXIS_XTOL[axis]
+        assert point.residual == abs(j(point.value)) <= tol
+        assert point.direction == ("antiferro_to_ferro" if j_lo > 0.0 else "ferro_to_antiferro")
+        # brentq's root may sit a few ulps outside it, where J's rounding
+        # makes it a root too: the final bracket is checked on its own.
+        f_lo, f_hi = point.final_bracket
+        assert f_lo <= point.value <= f_hi
+        assert f_hi - f_lo <= AXIS_XTOL[axis] + 4.0 * EPS * f_hi
+        assert opposite_signs(j(f_lo), j(f_hi))
+
+    def test_domain_holds_both_outcomes(self):
+        # The d draws above hold brackets with a sign change (low B) and
+        # without one (high B, where J < 0 at every d in the bracket).
+        a_b = bohr_radius_nm(GAAS)
+        along = [exchange_energy_along(GAAS, FieldConfig(b, 0.0, a_b), "d") for b in (1.2, 5.0)]
+        changes = [opposite_signs(j(0.3), j(1.5)) for j in along]
+        assert changes == [True, False]
+
+
+def fixed_along(monkeypatch, j):
+    """Make every J find_switch and scan_switches evaluate the function j."""
+    monkeypatch.setattr(dotx.sweeps, "exchange_energy_along", lambda *args, **const: j)
+
+
+class TestExactZeros:
+    """J exactly 0 at a sample: a root on the grid, or J underflowing."""
+
+    @pytest.mark.parametrize(
+        "j, want",
+        [
+            # 0 on a grid point between opposite signs: one switch, across it
+            (lambda x: 1.0 - x, [(1.0, (0.5, 1.5), "antiferro_to_ferro")]),
+            (lambda x: x - 1.0, [(1.0, (0.5, 1.5), "ferro_to_antiferro")]),
+            # J falls to 0 and stays there, as where it underflows: no switch
+            (lambda x: min(0.0, x - 1.0), []),
+            (lambda x: max(0.0, 1.0 - x), []),
+            # J leaves 0 with no nonzero sample before it: no switch
+            (lambda x: min(0.0, 1.0 - x), []),
+            # zeros over several samples between opposite signs: one switch
+            (
+                lambda x: 0.0 if abs(x - 1.0) < 0.6 else x - 1.0,
+                [(None, (0.0, 2.0), "ferro_to_antiferro")],
+            ),
+        ],
+    )
+    def test_scan_reports_each_sign_change_once(self, monkeypatch, j, want):
+        fixed_along(monkeypatch, j)
+        points = scan_switches("B", GAAS, FieldConfig(0.0, 0.0, 10.0), 0.0, 2.0, scan_steps=5)
+        assert [(p.bracket, p.direction) for p in points] == [w[1:] for w in want]
+        for point, (value, _, _) in zip(points, want):
+            assert j(point.value) == 0.0 and value in (None, point.value)
+
+    @pytest.mark.parametrize(
+        "j, bracket, direction",
+        [
+            (lambda x: 1.0 - x, (1.0, 2.0), "antiferro_to_ferro"),
+            (lambda x: x - 1.0, (1.0, 2.0), "ferro_to_antiferro"),
+            (lambda x: 1.0 - x, (0.0, 1.0), "antiferro_to_ferro"),
+            (lambda x: x - 1.0, (0.0, 1.0), "ferro_to_antiferro"),
+        ],
+    )
+    def test_direction_from_the_first_nonzero_end(self, monkeypatch, j, bracket, direction):
+        fixed_along(monkeypatch, j)
+        point = find_switch("B", GAAS, FieldConfig(0.0, 0.0, 10.0), bracket)
+        assert (point.value, point.residual, point.direction) == (1.0, 0.0, direction)
+
+    def test_zero_at_both_ends_is_no_switch(self, monkeypatch):
+        # J underflows to 0 over [60, 100] T at a = 5 a_B; the bracket's
+        # lower end was reported as a ferro-to-antiferro switch.
+        fixed = FieldConfig(0.0, 0.0, 5.0 * bohr_radius_nm(GAAS))
+        with pytest.raises(NoRootInBracketError, match="J is 0 at both ends"):
+            find_switch("B", GAAS, fixed, (60.0, 100.0))
+        fixed_along(monkeypatch, lambda x: 0.0)
+        with pytest.raises(NoRootInBracketError, match="J is 0 at both ends"):
+            find_switch("E", GAAS, fixed, (0.0, 1e5))
+
+    def test_underflow_is_not_a_switch(self):
+        # At a = 5 a_B, J < 0 past the switch near 0.88 T underflows to 0
+        # between two pre-scan samples (at 51.67 T), which was reported as a
+        # second, ferro-to-antiferro switch.
+        fixed = FieldConfig(0.0, 0.0, 5.0 * bohr_radius_nm(GAAS))
+        grid = _grid(0.0, 100.0, 121)
+        values = list(map(exchange_energy_along(GAAS, fixed, "B"), grid))
+        first_zero = values.index(0.0)
+        assert grid[first_zero] == pytest.approx(51.67, abs=0.01) and values[first_zero - 1] < 0.0
+        points = scan_switches("B", GAAS, fixed, 0.0, 100.0)
+        assert [p.direction for p in points] == ["antiferro_to_ferro"]
+        assert 0.8 < points[0].value < 0.9
 
 
 class TestScanSwitches:

@@ -21,6 +21,8 @@ from dotx.errors import InvalidParameterError, RootConvergenceError
 from dotx.sweeps import AXIS_XTOL, brent, find_switch, switch_point_dict
 from dotx.units import GAAS, FieldConfig, MaterialParams, bohr_radius_nm, derive_parameters
 
+from conftest import EPS
+
 A_B = bohr_radius_nm(GAAS)
 FIXED = FieldConfig(B=1.5, E=5e4, a=0.7 * A_B)
 REFERENCE = FieldConfig(B=0.0, E=0.0, a=0.7 * A_B)
@@ -115,8 +117,8 @@ class TestMatchesLabPath:
 def recording_along(points):
     """`exchange_energy_along` that appends every point it evaluates to `points`."""
 
-    def along(mat, fixed, axis):
-        j = exchange_energy_along(mat, fixed, axis)
+    def along(mat, fixed, axis, **const):
+        j = exchange_energy_along(mat, fixed, axis, **const)
 
         def recorded(x):
             points.append(x)
@@ -138,9 +140,9 @@ class TestFindSwitchEvaluations:
         assert 1.2 <= point.value <= 1.5
 
     @pytest.mark.parametrize(
-        "axis, fixed, bracket, tol, polished",
+        "axis, fixed, bracket, tol, brent_runs",
         [
-            ("B", REFERENCE, (0.5, 3.0), 1e-9, False),
+            ("B", REFERENCE, (0.5, 3.0), 1e-9, True),
             ("B", replace(REFERENCE, E=2e5), (0.2, 9.5), 1e-14, True),
             ("E", replace(REFERENCE, B=2.0), (0.0, 2e5), 1e-9, False),
             ("d", replace(REFERENCE, B=1.5), (0.3, 1.2), 1e-12, True),
@@ -148,11 +150,12 @@ class TestFindSwitchEvaluations:
         ],
     )
     def test_counts_every_distinct_point_once(
-        self, monkeypatch, axis, fixed, bracket, tol, polished
+        self, monkeypatch, axis, fixed, bracket, tol, brent_runs
     ):
-        # Brent has f at both ends of its final bracket, and find_switch has
-        # f(lo): neither is evaluated again.  On E, J is evaluated at the two
-        # ends and at E*, and Brent does not run.
+        # find_switch evaluates J at both ends and hands both to Brent (or to
+        # the E axis's closed form, which evaluates E* and runs Brent only
+        # where |J(E*)| > tol): no point is evaluated twice, also while
+        # Brent narrows on for the residual, and |J| at the root is <= tol.
         points = []
         iterations = []
 
@@ -161,25 +164,21 @@ class TestFindSwitchEvaluations:
             iterations.append(result[3])
             return result
 
-        polish = dotx.sweeps._polish_residual
-        polishes = []
-
-        def counting_polish(*args, **kwargs):
-            polishes.append(args[1])
-            return polish(*args, **kwargs)
-
         monkeypatch.setattr(dotx.sweeps, "exchange_energy_along", recording_along(points))
         monkeypatch.setattr(dotx.sweeps, "brent", counting_brent)
-        monkeypatch.setattr(dotx.sweeps, "_polish_residual", counting_polish)
         point = find_switch(axis, GAAS, fixed, bracket, tol=tol)
         assert point.evaluations == len(points) == len(set(points))
-        if axis == "E":
-            assert point.iterations == 0 and iterations == []
-            assert point.evaluations == 3 or polished
-        else:
-            assert point.iterations == iterations[0] > 0
-        assert bool(polishes) == polished
         assert point.residual <= tol
+        assert point.iterations == sum(iterations) and bool(iterations) == brent_runs
+        if not brent_runs:
+            assert point.evaluations == 3 and point.iterations == 0
+        # The final bracket is a sign change of J that holds the root, and
+        # wherever Brent ran it is no wider than the axis resolution.
+        lo, hi = point.final_bracket
+        j = exchange_energy_along(GAAS, fixed, axis)
+        assert lo <= point.value <= hi and (j(lo) > 0.0) != (j(hi) > 0.0)
+        if brent_runs:
+            assert hi - lo <= AXIS_XTOL[axis] + 4.0 * EPS * abs(point.value)
 
     def test_switch_dict_keeps_its_keys(self):
         point = find_switch("B", GAAS, REFERENCE, (0.5, 3.0))
@@ -189,15 +188,41 @@ class TestFindSwitchEvaluations:
         ]
 
 
+def polish_residual(f, bracket, f_bracket, best_x, best_f, ftol, max_iter=200):
+    """The residual polish find_switch ran after a width-only Brent: bisect
+    the final bracket until |f| at the best point seen is at most ftol, or
+    the ends are adjacent floats.  (best_x, f(best_x), final bracket)."""
+    lo, hi = bracket
+    f_lo, f_hi = f_bracket
+    if abs(f_lo) <= abs(best_f):
+        best_x, best_f = lo, f_lo
+    if abs(f_hi) <= abs(best_f):
+        best_x, best_f = hi, f_hi
+    for _ in range(max_iter):
+        if abs(best_f) <= ftol or hi - lo <= math.ulp(max(abs(lo), abs(hi))):
+            break
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if abs(f_mid) < abs(best_f):
+            best_x, best_f = mid, f_mid
+        if f_mid == 0.0:
+            break
+        if math.copysign(1.0, f_mid) == math.copysign(1.0, f_lo):
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
+    return best_x, best_f, (lo, hi)
+
+
 def brent_switch(mat, fixed, lo, hi, tol):
-    """find_switch along E as it was before the closed form: Brent to the
-    1 V/m bracket width, then the residual polish.  (root, residual,
-    direction)."""
+    """find_switch along E as it was before the closed form and the residual
+    stop: a width-only Brent to the 1 V/m bracket width, then the residual
+    polish.  (root, residual, direction)."""
     j = exchange_energy_along(mat, fixed, "E")
     j_lo = j(lo)
     root, j_root, bracket, _, j_bracket = brent(j, lo, hi, AXIS_XTOL["E"], fa=j_lo)
     if abs(j_root) > tol:
-        root, j_root, _ = dotx.sweeps._polish_residual(j, bracket, j_bracket, root, j_root, tol)
+        root, j_root, _ = polish_residual(j, bracket, j_bracket, root, j_root, tol)
     return root, abs(j_root), "antiferro_to_ferro" if j_lo > 0.0 else "ferro_to_antiferro"
 
 
@@ -270,11 +295,11 @@ class TestEfieldSwitch:
         # whole bracket; E* off the root by 5 V/m: the polish starts from it.
         fixed = replace(REFERENCE, B=2.0)
         want = brent_switch(GAAS, fixed, 0.0, 2e5, 1e-9)[0]
-        monkeypatch.setattr(dotx.sweeps, "efield_switch", lambda *args: lost)
+        monkeypatch.setattr(dotx.sweeps, "efield_switch", lambda *args, **const: lost)
         point, points = counted_switch(GAAS, fixed, (0.0, 2e5))
         assert abs(point.value - want) <= AXIS_XTOL["E"] and point.residual <= 1e-9
         assert point.evaluations == len(points) == len(set(points)) > 3
-        monkeypatch.setattr(dotx.sweeps, "efield_switch", lambda *args: want + 5.0)
+        monkeypatch.setattr(dotx.sweeps, "efield_switch", lambda *args, **const: want + 5.0)
         point, points = counted_switch(GAAS, fixed, (0.0, 2e5))
         assert abs(point.value - want) <= AXIS_XTOL["E"] and point.residual <= 1e-9
         assert points[2] == want + 5.0 and len(points) == len(set(points)) > 3
