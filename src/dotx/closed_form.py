@@ -31,7 +31,6 @@ from .units import (
     FieldConfig,
     MaterialParams,
     _lab_point,
-    _Material,
     _material_constants,
     derive_arrays,
     derive_parameters,
@@ -181,7 +180,7 @@ def _overflow(b: float, d: float, efield_ratio: float) -> InvalidParameterError:
     )
 
 
-def efield_switch(mat: MaterialParams, B: float, a: float, const: _Material | None = None) -> float:
+def efield_switch(mat: MaterialParams, B: float, a: float) -> float:
     """|E*| in V/m at which J(B, E*, a) = 0, or nan where no switch exists.
 
     E enters J only through (3/2) chi^2 / d^2 under a positive prefactor, so
@@ -193,11 +192,9 @@ def efield_switch(mat: MaterialParams, B: float, a: float, const: _Material | No
 
     b and d come from `units._lab_point`, with the bits and the checks of
     `derive_parameters`, but no `DerivedParams` is built: on the E axis of
-    `find_switch` that was most of the switch's own cost.  `const` is
-    `units._material_constants(mat)` when the caller has it already.
+    `find_switch` that was most of the switch's own cost.
     """
-    if const is None:
-        const = _material_constants(mat)
+    const = _material_constants(mat)
     _, fock_darwin, d, _ = _lab_point(const, B, 0.0, a)
     b = fock_darwin / const.omega0
     x2, _, _, csb, i0e_x1, i0e_x2, quartic_term, _, _ = _terms(
@@ -215,21 +212,19 @@ def efield_switch(mat: MaterialParams, B: float, a: float, const: _Material | No
 
 
 def exchange_energy_along(
-    mat: MaterialParams, fixed: FieldConfig, axis: str, const: _Material | None = None
+    mat: MaterialParams, fixed: FieldConfig, axis: str
 ) -> Callable[[float], float]:
     """J in meV as a function of one lab coordinate, the others from `fixed`.
 
     axis is "B" (Tesla), "E" (V/m) or "d" (the half-distance in units of
     a_B).  Each value has the bits `exchange_energy_lab(...).j_mev` gives,
     and a point raises the error that path raises: the material is checked
-    and its constants derived once (or passed in as `const`, as for
-    `efield_switch`), so a point costs `units._lab_point`, `_terms` and
-    nothing else.
+    and its constants derived once, so a point costs `units._lab_point`,
+    `_terms` and nothing else.
     """
     if axis not in AXES:
         raise InvalidParameterError(f"axis must be one of {AXES}, got {axis!r}")
-    if const is None:
-        const = _material_constants(mat)
+    const = _material_constants(mat)
     omega0, a_b, c, scale = const.omega0, const.bohr_radius, const.c, mat.confinement_energy
     B0, E0, a0 = fixed.B, fixed.E, fixed.a
 

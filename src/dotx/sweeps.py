@@ -33,7 +33,7 @@ from .errors import (
     RootConvergenceError,
     ScenarioError,
 )
-from .units import FieldConfig, MaterialParams, _material_constants, bohr_radius_nm
+from .units import FieldConfig, MaterialParams, bohr_radius_nm
 
 #: Root resolution per axis, in that axis's unit: Brent's bracket-width target.
 #: E is solved in closed form, far inside its entry, with Brent only where it misses tol.
@@ -181,7 +181,7 @@ def brent(
     Inverse quadratic interpolation with secant and bisection fallbacks,
     until the bracket is `xtol` wide (plus 4 eps of the root) and |f| at its
     best end is at most `ftol` (default inf: the width alone); past that
-    width, steps of at least an ulp go on until |f| <= ftol or the ends are
+    width, steps of at least one float go on until |f| <= ftol or the ends are
     adjacent floats.  Returns (root, f(root), (lo, hi), iterations, (f(lo),
     f(hi))) where (lo, hi) is the final bracket.  Requires f(a) and f(b) of
     opposite sign; `fa` and `fb` are f(a) and f(b) when the caller has them.
@@ -203,9 +203,10 @@ def brent(
         tol = 2.0 * eps * abs(b) + 0.5 * xtol
         m = 0.5 * (c - b)
         done = abs(m) <= tol
-        if done and abs(fb) > ftol:
-            # Narrow enough, but |f| is not small enough: narrow on with
-            # steps of at least one ulp until the ends are adjacent floats.
+        fine = done and abs(fb) > ftol
+        if fine:
+            # Narrow enough, but |f| is not small enough: narrow on, at least
+            # one float per step, until the ends are adjacent floats.
             tol = math.ulp(min(abs(b), abs(c)))
             done = b + m in (b, c)
         if done or fb == 0.0:
@@ -235,6 +236,8 @@ def brent(
                 e = d = m
         a, fa = b, fb
         b += d if abs(d) > tol else math.copysign(tol, m)
+        if fine and b in (a, c):  # rounded back onto an end
+            b = math.nextafter(a, c)
         fb = f(b)
         if (fb > 0.0) == (fc > 0.0):
             c, fc = a, fa
@@ -324,8 +327,7 @@ def find_switch(
     if not lo < hi:
         raise InvalidParameterError("bracket must satisfy lo < hi")
     _check_tol(tol)
-    const = _material_constants(material)
-    j_at = exchange_energy_along(material, fixed, axis, const=const)
+    j_at = exchange_energy_along(material, fixed, axis)
     evaluations = 0
 
     def j(x: float) -> float:
@@ -337,7 +339,7 @@ def find_switch(
     if j_lo == 0.0 and j_hi == 0.0:  # e.g. J underflowing: no sign, so no switch
         raise NoRootInBracketError(f"J is 0 at both ends of [{lo}, {hi}]: no sign change")
     if axis == "E":
-        e_star = efield_switch(material, fixed.B, fixed.a, const=const)
+        e_star = efield_switch(material, fixed.B, fixed.a)
         result = _efield_root(j, lo, hi, j_lo, j_hi, tol, e_star)
     else:
         result = brent(j, lo, hi, AXIS_XTOL[axis], fa=j_lo, ftol=tol, fb=j_hi)

@@ -394,6 +394,25 @@ class TestBrent:
         with pytest.raises(RootConvergenceError):
             brent(lambda x: x * x - 2.0, 1.0, 2.0, 1e-6, max_iter=5, ftol=0.0)
 
+    @pytest.mark.parametrize("quarter_ulps", range(-8, 9))
+    def test_root_next_to_two_evaluates_each_point_once(self, quarter_ulps):
+        # Below 2.0 the floats are twice as dense as above it, so a one-ulp
+        # step of the lower binade from an end above 2.0 can round back onto
+        # that end; every step must still reach a new float.  |f| >= 1e-6
+        # everywhere, so brent narrows to adjacent floats around r.
+        r = 2.0 + quarter_ulps * math.ulp(2.0) / 4
+        for slope in (1.5e10, 3e12, 1e15):
+            for a, b in ((1.27, 2.0012), (1.99825, 2.00269), (1.757, 2.005), (1.4164, 2.00122)):
+                points = []
+
+                def f(x):
+                    points.append(x)
+                    return (x - r) * slope + (1e-6 if x > r else -1.0)
+
+                _, _, (lo, hi), _, _ = brent(f, a, b, 1e-6, ftol=0.0)
+                assert hi == math.nextafter(lo, math.inf) and lo <= r <= hi
+                assert len(points) == len(set(points)), (slope, a, b)
+
     def test_known_fb_saves_one_call(self):
         calls = []
 
@@ -514,7 +533,7 @@ class TestFindSwitchAgainstBrentq:
 
 def fixed_along(monkeypatch, j):
     """Make every J find_switch and scan_switches evaluate the function j."""
-    monkeypatch.setattr(dotx.sweeps, "exchange_energy_along", lambda *args, **const: j)
+    monkeypatch.setattr(dotx.sweeps, "exchange_energy_along", lambda *args: j)
 
 
 class TestExactZeros:

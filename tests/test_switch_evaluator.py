@@ -117,8 +117,8 @@ class TestMatchesLabPath:
 def recording_along(points):
     """`exchange_energy_along` that appends every point it evaluates to `points`."""
 
-    def along(mat, fixed, axis, **const):
-        j = exchange_energy_along(mat, fixed, axis, **const)
+    def along(mat, fixed, axis):
+        j = exchange_energy_along(mat, fixed, axis)
 
         def recorded(x):
             points.append(x)
@@ -295,11 +295,11 @@ class TestEfieldSwitch:
         # whole bracket; E* off the root by 5 V/m: the polish starts from it.
         fixed = replace(REFERENCE, B=2.0)
         want = brent_switch(GAAS, fixed, 0.0, 2e5, 1e-9)[0]
-        monkeypatch.setattr(dotx.sweeps, "efield_switch", lambda *args, **const: lost)
+        monkeypatch.setattr(dotx.sweeps, "efield_switch", lambda *args: lost)
         point, points = counted_switch(GAAS, fixed, (0.0, 2e5))
         assert abs(point.value - want) <= AXIS_XTOL["E"] and point.residual <= 1e-9
         assert point.evaluations == len(points) == len(set(points)) > 3
-        monkeypatch.setattr(dotx.sweeps, "efield_switch", lambda *args, **const: want + 5.0)
+        monkeypatch.setattr(dotx.sweeps, "efield_switch", lambda *args: want + 5.0)
         point, points = counted_switch(GAAS, fixed, (0.0, 2e5))
         assert abs(point.value - want) <= AXIS_XTOL["E"] and point.residual <= 1e-9
         assert points[2] == want + 5.0 and len(points) == len(set(points)) > 3
