@@ -135,7 +135,8 @@ def _float_list(text: str) -> list:
 
 
 def _add_quadrature_args(p):
-    p.add_argument("--quad-order", type=int, default=None, help="quadrature order override")
+    p.add_argument("--quad-order", type=int, default=None, help="first-level nodes per axis, 4..128 (default "
+                   "64); Gauss-Hermite ends at order 370, so a larger order leaves fewer refinement rounds")
     p.add_argument("--quad-rel-tol", type=float, default=None, help="quadrature rel_tol override")
 
 

@@ -43,9 +43,10 @@ from their coefficients.  For W, Q = 0 and
 
 The tensor Gauss-Hermite sum of a bracket is then exactly
 (sum w X P)(sum w Y) + (sum w X)(sum w Y Q) on the same nodes.  A point's
-brackets share one stacked pass per refinement level, which builds X and
-Y once per (bra, ket) pair and P and Q once per open bracket and takes
-each sum as a row sum; each bracket refines on its own.  The sum of |f|
+brackets share one stacked pass per refinement round, over the nodes of
+its two levels side by side: it builds X and Y once per (bra, ket) pair
+and P and Q once per open bracket and takes each level's sums as row sums
+over its own columns; each bracket refines on its own.  The sum of |f|
 that floors the error is bounded by 1-D sums too, through |P + Q| <=
 |P + q0| + |q2| y^2 + |q1| |y| for Q = (q2 y + q1) y + q0: exactly the
 tensor sum where Q = 0, and within a few eps of its n^2 pass for kets that
@@ -210,7 +211,9 @@ def _quadratic(a, b, c, u):
 
 
 def _stacked_sampler(pairs, brackets):
-    """`_refine_many`'s sample(n, with_l1, open_) for the stacked `brackets`."""
+    """`_refine_many`'s sample(n, n_hi, open_) for the stacked `brackets`: one
+    pass over the order-n and order-n_hi nodes side by side, whose columns
+    [:n] and [n:] give each level's row sums, and |f| on the [n:] part only."""
     pair = np.array([br.pair for br in brackets])
     u_row = pair + len(pairs) * np.array([br.quartic for br in brackets])
     p_coef = np.array([br.p for br in brackets])
@@ -221,8 +224,8 @@ def _stacked_sampler(pairs, brackets):
     beta = pairs[0][0].compression  # the orbitals of a point share their width
     scale = 1.0 / math.sqrt(beta)
 
-    def sample(n, with_l1, open_):
-        t, w = _hermite_nodes(n)
+    def sample(n, n_hi, open_):
+        t, w = (np.concatenate(level) for level in zip(_hermite_nodes(n), _hermite_nodes(n_hi)))
         st = scale * t
         x, y = center + st, 0.0 + st
         dx_bra, dx_ket = x - bra_x, x - ket_x  # X and Y of the module docstring, times w
@@ -231,16 +234,18 @@ def _stacked_sampler(pairs, brackets):
         p = _quadratic(*p_coef[open_].T[..., None], np.concatenate((x, x * x))[u_row[open_]])
         q2, q1, q0 = q_coef[open_].T[..., None]
         wx_p, wy_q = wx[rows] * p, wy[rows] * _quadratic(q2, q1, q0, y)
-        sums = zip(wx_p.sum(1), wy.sum(1)[rows], wx.sum(1)[rows], wy_q.sum(1))
-        values = [complex(a * b + c * d) * scale * scale for a, b, c, d in sums]
-        if not with_l1:
-            return [(value, None) for value in values]
-        # |P + Q| <= |P + q0| + |q2| y^2 + |q1| |y| (module docstring)
-        abs_wy = np.abs(wy)[rows]
-        l1s = np.abs(wx[rows] * (p + q0)).sum(1) * abs_wy.sum(1) + np.abs(wx)[rows].sum(1) * (
+        lo, hi = (  # each level's sums, over its own columns
+            [complex(a * b + c * d) * scale * scale for a, b, c, d in zip(
+                wx_p[:, s].sum(1), wy[:, s].sum(1)[rows], wx[:, s].sum(1)[rows], wy_q[:, s].sum(1)
+            )]
+            for s in (slice(n), slice(n, None))
+        )
+        # |P + Q| <= |P + q0| + |q2| y^2 + |q1| |y| (module docstring), on the higher level
+        wx_hi, abs_wy, y = wx[rows, n:], np.abs(wy[rows, n:]), y[n:]
+        l1s = np.abs(wx_hi * (p[:, n:] + q0)).sum(1) * abs_wy.sum(1) + np.abs(wx_hi).sum(1) * (
             abs_wy * (np.abs(q2) * (y * y) + np.abs(q1) * np.abs(y))
         ).sum(1)
-        return [(value, float(l1) * scale * scale) for value, l1 in zip(values, l1s)]
+        return [(v, None) for v in lo], [(v, float(l1) * scale * scale) for v, l1 in zip(hi, l1s)]
 
     return sample
 
@@ -318,6 +323,28 @@ def _sum_elements(res, labels, failures):
     return TermEstimate(total.real, err + abs(total.imag))
 
 
+_angle_cache: dict = {}
+
+
+def _angles(n):
+    """The order-n periodic trapezoid angles theta_k = 2 pi k / n that
+    `_coulomb` sums on, as ((cos, sin), weights) of the direct kernel's half
+    circle k = 0..n/2 and ((sin,), weights) of the exchange kernel's nodes:
+    for even n the quarter circle k = 0..n/4, each node carrying the weights
+    of k and n/2 - k, once where the two coincide.  Cached per order."""
+    if n not in _angle_cache:
+        k = np.arange(n // 2 + 1)
+        theta = 2.0 * math.pi * k / n
+        w = np.where((k == 0) | (2 * k == n), 2.0, 4.0) * math.pi / n
+        sin = np.sin(theta)
+        exchange = ((sin,), w)
+        if n % 2 == 0:
+            k = k[: n // 4 + 1]
+            exchange = ((sin[k],), np.where((k == 0) | (4 * k == n), 4.0, 8.0) * math.pi / n)
+        _angle_cache[n] = ((np.cos(theta), sin), w), exchange
+    return _angle_cache[n]
+
+
 def _coulomb(pt: _Point, quad, failures):
     """Coulomb direct and exchange sums (u3, u4).
 
@@ -333,8 +360,11 @@ def _coulomb(pt: _Point, quad, failures):
     y = r sin(theta): its imaginary part is odd in theta, so on the periodic
     trapezoid nodes theta_k = 2 pi k / n it sums to 0 up to roundoff.  Both
     kernels are even in theta, so the sum runs over k = 0..n/2 only, each
-    node counted twice but theta = 0 and, for even n, theta = pi.  The two
-    integrals refine in lockstep, each on its own radial domain.
+    node counted twice but theta = 0 and, for even n, theta = pi.  For even
+    n the exchange kernel, which depends on theta through sin(theta) only,
+    takes the same value at k and n/2 - k, so its sum runs over the quarter
+    circle k = 0..n/4 (`_angles`).  The two integrals refine in lockstep,
+    each on its own radial domain.
     """
     beta = pt.frame.b
     delta = pt.orb1.center_x - pt.orb2.center_x  # -2d
@@ -347,25 +377,25 @@ def _coulomb(pt: _Point, quad, failures):
         y = r * sin
         return amplitude * np.exp(-0.5 * beta * (x * x + y * y)) / r
 
-    def g_exchange(r, cos, sin):
+    def g_exchange(r, sin):
         radial = amplitude * attenuation * np.exp(-0.5 * beta * r * r) / r
         return radial * np.cos((kappa * r) * sin)
 
     r_cut = _DOMAIN_CUT * math.sqrt(2.0 / beta)
     kernels = ((g_direct, abs(delta) + r_cut), (g_exchange, r_cut))
 
-    def sample(n, with_l1, open_):
-        k = np.arange(n // 2 + 1)
-        theta = 2.0 * math.pi * k / n
-        w_theta = np.where((k == 0) | (2 * k == n), 2.0, 4.0) * math.pi / n
-        cos, sin = np.cos(theta), np.sin(theta)
+    def level(n, with_l1, open_):
         out = []
-        for g, r_max in (kernels[i] for i in open_):
+        for i in open_:
+            (g, r_max), (angles, w_theta) = kernels[i], _angles(n)[i]
             r, wr_r = _polar_radii(n, r_max)
-            vals = g(r[:, None], cos, sin)
+            vals = g(r[:, None], *angles)
             l1 = float(wr_r @ np.abs(vals) @ w_theta) if with_l1 else None
             out.append((float(wr_r @ vals @ w_theta), l1))
         return out
+
+    def sample(n, n_hi, open_):
+        return level(n, False, open_), level(n_hi, True, open_)
 
     direct, exchange = _refine_many(sample, 2, _legendre_nodes, quad, "polar Coulomb rule")
     direct, err3 = _settle(direct, failures, "u3 direct coulomb")

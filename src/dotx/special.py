@@ -259,10 +259,12 @@ def _refine_many(sample, count, nodes, spec: QuadratureSpec, label: str):
     change between consecutive levels drops under rel_tol of its integrand
     mass; returns (value, error), or the QuadratureError, of each.
 
-    `sample(n, with_l1, open_)` gives a (value, l1) pair per integral in
-    `open_`, those not yet converged; l1 is the sum of |f|, on the higher
-    level of each round only.  A round at an order for which `nodes` has no
-    rule is not sampled: its QuadratureError carries the last sampled level.
+    A round samples both its levels at once: `sample(n, n_hi, open_)` gives
+    (lo, hi), lists of a (value, None) and a (value, l1) pair per integral in
+    `open_`, those not yet converged; l1 is the sum of |f| at order n_hi.  A
+    round at an order for which `nodes` has no rule is not sampled: its
+    QuadratureError carries the last sampled level.  Past the last round it
+    names the last order sampled.
     """
     import numpy as np
 
@@ -278,7 +280,7 @@ def _refine_many(sample, count, nodes, spec: QuadratureSpec, label: str):
                 n_bad = n if nodes(n) is None else n_hi
                 reason = f": no rule of order {n_bad} with finite nodes and positive weights"
                 break
-            levels = zip(open_, sample(n, False, open_), sample(n_hi, True, open_))
+            levels = zip(open_, *sample(n, n_hi, open_))
             open_ = []
             for i, (v_lo, _), (v_hi, l1) in levels:
                 # hypot, unlike complex abs, gives inf past the float range instead of raising
@@ -292,7 +294,7 @@ def _refine_many(sample, count, nodes, spec: QuadratureSpec, label: str):
                 return results
             n *= 2
         else:
-            reason = f" by order {n}"
+            reason = f" by order {n_hi}"
     message = f"{label} did not converge to rel_tol={spec.rel_tol}{reason}"
     for i in open_:
         results[i] = QuadratureError(message, value=results[i][0], error_estimate=results[i][1])
@@ -300,8 +302,9 @@ def _refine_many(sample, count, nodes, spec: QuadratureSpec, label: str):
 
 
 def _refine(sample, nodes, spec: QuadratureSpec, label: str):
-    """`_refine_many` of one integral, `sample(n, with_l1)`; raises on failure."""
-    (result,) = _refine_many(lambda n, with_l1, _: [sample(n, with_l1)], 1, nodes, spec, label)
+    """`_refine_many` of one integral, a level at a time by `sample(n, with_l1)`; raises on failure."""
+    rounds = lambda n, n_hi, _: ([sample(n, False)], [sample(n_hi, True)])  # noqa: E731
+    (result,) = _refine_many(rounds, 1, nodes, spec, label)
     if isinstance(result, QuadratureError):
         raise result
     return result

@@ -51,10 +51,10 @@ def factored_samples(monkeypatch):
         orders = [[] for _ in range(count)]
         samples.extend(orders)
 
-        def counted(n, with_l1, open_):
+        def counted(n, n_hi, open_):
             for i in open_:
-                orders[i].append(n)
-            return sample(n, with_l1, open_)
+                orders[i] += [n, n_hi]
+            return sample(n, n_hi, open_)
 
         return refine(counted, count, *args)
 

@@ -417,11 +417,11 @@ def refinements(monkeypatch):
         levels = [[] for _ in range(count)]
         runs.extend(levels)
 
-        def counted(n, with_l1, open_):
-            results = sample(n, with_l1, open_)
-            for i, (_, l1) in zip(open_, results):
-                levels[i].append((n, l1 is not None))
-            return results
+        def counted(n, n_hi, open_):
+            lo, hi = sample(n, n_hi, open_)
+            for i, (_, l1_lo), (_, l1_hi) in zip(open_, lo, hi):
+                levels[i] += [(n, l1_lo is not None), (n_hi, l1_hi is not None)]
+            return lo, hi
 
         return refine(counted, count, *args)
 
@@ -580,23 +580,125 @@ def full_circle_coulomb(mat, fields, quad):
     return terms[0], terms[1], failures
 
 
+def unfolded_sampler(pt):
+    """The oracle's polar Coulomb sampler as it was before the exchange
+    kernel was folded onto the quarter circle: sample(n, with_l1, open_)
+    sums both kernels over the half circle k = 0..n/2, its angle tables
+    built at every level."""
+    beta = pt.frame.b
+    delta = pt.orb1.center_x - pt.orb2.center_x
+    kappa = pt.orb2.phase_slope - pt.orb1.phase_slope
+    amplitude = beta / (2.0 * math.pi) * (pt.frame.c * math.sqrt(2.0 / math.pi))
+    attenuation = math.exp(-0.5 * beta * delta * delta)
+
+    def g_direct(r, cos, sin):
+        x = r * cos - delta
+        y = r * sin
+        return amplitude * np.exp(-0.5 * beta * (x * x + y * y)) / r
+
+    def g_exchange(r, cos, sin):
+        radial = amplitude * attenuation * np.exp(-0.5 * beta * r * r) / r
+        return radial * np.cos((kappa * r) * sin)
+
+    r_cut = dotx.special._DOMAIN_CUT * math.sqrt(2.0 / beta)
+    kernels = ((g_direct, abs(delta) + r_cut), (g_exchange, r_cut))
+
+    def sample(n, with_l1, open_):
+        k = np.arange(n // 2 + 1)
+        theta = 2.0 * math.pi * k / n
+        w_theta = np.where((k == 0) | (2 * k == n), 2.0, 4.0) * math.pi / n
+        cos, sin = np.cos(theta), np.sin(theta)
+        out = []
+        for g, r_max in (kernels[i] for i in open_):
+            r, wr_r = dotx.special._polar_radii(n, r_max)
+            vals = g(r[:, None], cos, sin)
+            l1 = float(wr_r @ np.abs(vals) @ w_theta) if with_l1 else None
+            out.append((float(wr_r @ vals @ w_theta), l1))
+        return out
+
+    return sample
+
+
+def unfolded_coulomb(pt, quad):
+    """u3 and u4 refined on `unfolded_sampler`, as (u3, u4, failures)."""
+    level = unfolded_sampler(pt)
+    results = dotx.special._refine_many(
+        lambda n, n_hi, open_: (level(n, False, open_), level(n_hi, True, open_)),
+        2, dotx.special._legendre_nodes, quad, "polar Coulomb rule",
+    )
+    failures, terms = [], []
+    for result, label in zip(results, ("u3 direct coulomb", "u4 exchange coulomb")):
+        value, error = dotx.oracle._settle(result, failures, label)
+        terms.append((2.0 * value, 2.0 * error))
+    return terms[0], terms[1], failures
+
+
+def coulomb_sampler(pt, monkeypatch):
+    """The round sampler `_coulomb` builds for the point."""
+    captured = []
+    monkeypatch.setattr(dotx.oracle, "_refine_many", lambda sample, count, *_: captured.append(sample) or [(0.0, 0.0)] * count)
+    _coulomb(pt, dotx.oracle._DEFAULT_COULOMB, [])
+    return captured[0]
+
+
+HALF_CIRCLE_POINTS = [(1.0, 0.7, 0.0), (3.0, 1.0, 1e5), (0.0, 0.5, 0.0), (0.0, 0.7, 1e5), (8.0, 1.5, 2e5)]
+
+
 class TestHalfCircleCoulomb:
     """The oracle sums both Coulomb kernels, which are even in theta, over
     the half circle of trapezoid angles, each node but theta = 0 and (for an
-    even order) theta = pi counted twice.  The generic full-circle rule gives
-    the same numbers up to roundoff, and the same failures."""
+    even order) theta = pi counted twice; at an even order the exchange
+    kernel, a function of sin(theta), is folded once more onto the quarter
+    circle.  The generic full-circle rule gives the same numbers up to
+    roundoff, and the same failures; the unfolded half-circle sum gives u3,
+    and u4 at odd orders, bit for bit.  B = 0 (kappa = 0) makes the
+    exchange kernel constant in theta."""
 
-    @pytest.mark.parametrize("order", [4, 5, 8, 64])
-    @pytest.mark.parametrize("B, d, E", [(1.0, 0.7, 0.0), (3.0, 1.0, 1e5), (0.0, 0.5, 0.0), (8.0, 1.5, 2e5)])
+    @pytest.mark.parametrize("order", [4, 5, 6, 8, 30, 64, 96, 128])
+    @pytest.mark.parametrize("B, d, E", HALF_CIRCLE_POINTS)
     def test_matches_full_circle(self, gaas, B, d, E, order, refinements):
         fields = FieldConfig(B=B, E=E, a=d * bohr_radius_nm(gaas))
         quad = QuadratureSpec(order=order, rel_tol=1e-8)
         failures = []
-        got = _coulomb(_Point(gaas, fields), quad, failures)
-        *want, want_failures = full_circle_coulomb(gaas, fields, quad)
+        pt = _Point(gaas, fields)
+        u3, u4 = _coulomb(pt, quad, failures)
+        want_u3, want_u4, want_failures = full_circle_coulomb(gaas, fields, quad)
         assert failures == want_failures
-        for (value, _), (want_value, want_error) in zip(got, want):
-            assert abs(value - want_value) <= min(4e-15 * abs(want_value), want_error)
+        for (value, error), (want_value, want_error) in ((u3, want_u3), (u4, want_u4)):
+            assert abs(value - want_value) <= min(4e-15 * abs(want_value), want_error, error)
         if order == 5:  # odd levels have no node at theta = pi
             for levels in refinements[:2]:
                 assert {7, 15} <= {n for n, _ in levels}
+        unfolded_u3, unfolded_u4, unfolded_failures = unfolded_coulomb(pt, quad)
+        assert (u3, failures) == (unfolded_u3, unfolded_failures)
+        assert abs(u4.value - unfolded_u4[0]) <= min(4e-15 * abs(u4.value), u4.error)
+
+    @pytest.mark.parametrize("B, d, E", HALF_CIRCLE_POINTS)
+    def test_fold_moves_even_exchange_levels_only(self, gaas, B, d, E, monkeypatch):
+        pt = _Point(gaas, FieldConfig(B=B, E=E, a=d * bohr_radius_nm(gaas)))
+        sample, unfolded = coulomb_sampler(pt, monkeypatch), unfolded_sampler(pt)
+        for n in (4, 5, 6, 7, 8, 15, 30, 45, 64, 67, 96, 128, 192):
+            lo, hi = sample(n, n, [0, 1])
+            want_lo, want_hi = unfolded(n, False, [0, 1]), unfolded(n, True, [0, 1])
+            assert (lo[0], hi[0]) == (want_lo[0], want_hi[0])  # the direct kernel
+            if n % 2:
+                assert (lo[1], hi[1]) == (want_lo[1], want_hi[1])
+            else:
+                (value, l1), (want, want_l1) = hi[1], want_hi[1]
+                assert lo[1][0] == value and lo[1][1] is None
+                assert abs(value - want) <= 4e-15 * abs(want) and abs(l1 - want_l1) <= 4e-15 * want_l1
+        assert sample(8, 12, [1]) == (sample(8, 8, [1])[0], sample(12, 12, [1])[1])
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 8, 30, 64, 96, 128])
+    def test_quarter_circle_weights(self, n):
+        # the folded weights sum to the half circle's, and each exchange node
+        # carries the weights of k and n/2 - k (once where they coincide)
+        (_, w), ((sin,), w_fold) = dotx.oracle._angles(n)
+        assert math.isclose(w_fold.sum(), w.sum(), rel_tol=1e-15) and math.isclose(w.sum(), 2.0 * math.pi, rel_tol=1e-15)
+        if n % 2:
+            assert w_fold is w
+            return
+        m = n // 4 + 1
+        assert len(sin) == len(w_fold) == m
+        want = [w[k] + (w[n // 2 - k] if n // 2 - k != k else 0.0) for k in range(m)]
+        assert w_fold.tolist() == want

@@ -196,31 +196,54 @@ class TestSeparableSample:
             return x_factor * y_factor * (x * x - 1.0 + ((0.5 * y + 0.2j) * y - 0.3 if q else 0.0))
 
         center, scale = (0.1, 0.0), 1.0 / math.sqrt(1.4)
-        [(value, l1)] = sample(n, True, [0])
+        _, [(value, l1)] = sample(n // 2, n, [0])
         want, want_l1 = _gauss_hermite_sample(product, n, center, scale, True)
         assert abs(value - want) <= 1e-14 * want_l1
         if q:
             assert want_l1 < l1 < 2.0 * want_l1
         else:
             assert rel_err(l1, want_l1) < 1e-13
-        assert sample(n, False, [0]) == [(value, None)]
+        assert sample(n, n + max(2, n // 2), [0])[0] == [(value, None)]
 
 
 class TestRefinement:
-    """The refinement loop on its own, with a scripted sampler."""
+    """The refinement loop on its own, with a scripted round sampler."""
 
     @staticmethod
     def scripted(values, log):
-        def sample(n, with_l1):
-            log.append((n, with_l1))
-            return values(n), (1.0 if with_l1 else None)
+        """A round sampler of one integral; logs (order, |f| summed) per level."""
+
+        def sample(n, n_hi, open_):
+            assert open_ == [0]
+            log.extend([(n, False), (n_hi, True)])
+            return [(values(n), None)], [(values(n_hi), 1.0)]
 
         return sample
+
+    @staticmethod
+    def refine_one(sample, nodes, spec):
+        (result,) = _refine_many(sample, 1, nodes, spec, "scripted")
+        return result
 
     def test_one_abs_pass_per_round(self):
         log = []
         sample = self.scripted(lambda n: complex(1.0 / n), log)
-        with pytest.raises(QuadratureError):
+        result = self.refine_one(sample, lambda n: (), QuadratureSpec(order=8, rel_tol=1e-12))
+        assert isinstance(result, QuadratureError)
+        assert log == [(8, False), (12, True), (16, False), (24, True),
+                       (32, False), (48, True), (64, False), (96, True)]
+        # the last order sampled, not the next round's lower order
+        assert str(result) == "scripted did not converge to rel_tol=1e-12 by order 96"
+
+    def test_refine_samples_one_level_at_a_time(self):
+        # `_refine` runs a one-level sampler(n, with_l1) through the same rounds
+        log = []
+
+        def sample(n, with_l1):
+            log.append((n, with_l1))
+            return complex(1.0 / n), (1.0 if with_l1 else None)
+
+        with pytest.raises(QuadratureError, match="by order 96$"):
             _refine(sample, lambda n: (), QuadratureSpec(order=8, rel_tol=1e-12), "scripted")
         assert log == [(8, False), (12, True), (16, False), (24, True),
                        (32, False), (48, True), (64, False), (96, True)]
@@ -229,15 +252,14 @@ class TestRefinement:
         # integral 0 converges in the first round and keeps that round's
         # value and error; integral 1 never converges
         log = []
+        values = {0: lambda n: complex(1.0), 1: lambda n: complex(1.0 / n)}
 
-        def sample(n, with_l1, open_):
-            log.append((n, list(open_)))
-            values = {0: complex(1.0), 1: complex(1.0 / n)}
-            return [(values[i], 1.0 if with_l1 else None) for i in open_]
+        def sample(n, n_hi, open_):
+            log.append((n, n_hi, list(open_)))
+            return [(values[i](n), None) for i in open_], [(values[i](n_hi), 1.0) for i in open_]
 
         first, second = _refine_many(sample, 2, lambda n: (), QuadratureSpec(order=8), "scripted")
-        assert log == [(8, [0, 1]), (12, [0, 1]), (16, [1]), (24, [1]), (32, [1]), (48, [1]),
-                       (64, [1]), (96, [1])]
+        assert log == [(8, 12, [0, 1]), (16, 24, [1]), (32, 48, [1]), (64, 96, [1])]
         assert first == (1.0, 16.0 * sys.float_info.epsilon)
         assert isinstance(second, QuadratureError) and second.value == 1.0 / 96
 
@@ -247,20 +269,21 @@ class TestRefinement:
         log = []
         sample = self.scripted(lambda n: complex(1.0 / n, 0.5 / n), log)
         nodes = lambda n: None if n >= 40 else ()  # noqa: E731
-        with pytest.raises(QuadratureError, match="no rule of order 48 with finite nodes") as excinfo:
-            _refine(sample, nodes, QuadratureSpec(order=8, rel_tol=1e-12), "scripted")
+        result = self.refine_one(sample, nodes, QuadratureSpec(order=8, rel_tol=1e-12))
+        assert isinstance(result, QuadratureError)
+        assert "no rule of order 48 with finite nodes" in str(result)
         assert [n for n, _ in log] == [8, 12, 16, 24]
-        assert excinfo.value.value == complex(1.0 / 24, 0.5 / 24)
-        assert excinfo.value.error_estimate == abs(complex(1.0 / 24 - 1.0 / 16, 0.5 / 24 - 0.5 / 16))
+        assert result.value == complex(1.0 / 24, 0.5 / 24)
+        assert result.error_estimate == abs(complex(1.0 / 24 - 1.0 / 16, 0.5 / 24 - 0.5 / 16))
 
     def test_difference_past_float_range_is_an_infinite_error(self):
         # complex abs raises OverflowError on a finite difference this large
         huge = complex(1.5e308, 1.5e308)
         sample = self.scripted(lambda n: huge if n % 3 == 0 else 0j, [])
-        with pytest.raises(QuadratureError) as excinfo:
-            _refine(sample, lambda n: (), QuadratureSpec(order=8), "scripted")
-        assert excinfo.value.value == huge
-        assert excinfo.value.error_estimate == math.inf
+        result = self.refine_one(sample, lambda n: (), QuadratureSpec(order=8))
+        assert isinstance(result, QuadratureError)
+        assert result.value == huge
+        assert result.error_estimate == math.inf
 
 
 class TestHermiteRule:

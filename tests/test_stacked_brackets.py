@@ -15,7 +15,7 @@ import pytest
 
 from dotx.errors import QuadratureError
 import dotx.oracle
-from dotx.oracle import _U1, _U2, _U5, _Point, _brackets, assemble_oracle
+from dotx.oracle import _U1, _U2, _U5, _Point, _brackets, _quadratic, assemble_oracle
 from dotx.special import _EPS, QuadratureSpec, _hermite_nodes
 from dotx.units import GAAS, FieldConfig, bohr_radius_nm
 
@@ -45,7 +45,7 @@ def refine(sample, nodes, spec, label):
                 return value, err
             n *= 2
     raise QuadratureError(
-        f"{label} did not converge to rel_tol={spec.rel_tol} by order {n}",
+        f"{label} did not converge to rel_tol={spec.rel_tol} by order {n_hi}",
         value=value,
         error_estimate=err,
     )
@@ -237,12 +237,69 @@ def test_failing_spec(B, d, factored_samples):
     assert all(isinstance(result, QuadratureError) for result, _ in ref.values())
 
 
+def one_level_sampler(pairs, brackets):
+    """The stacked sampler as it was before a round took both levels in one
+    pass: sample(n, with_l1, open_) builds X, Y, P and Q on the order-n
+    nodes alone, the reference for each level's bits."""
+    pair = np.array([br.pair for br in brackets])
+    u_row = pair + len(pairs) * np.array([br.quartic for br in brackets])
+    p_coef = np.array([br.p for br in brackets])
+    q_coef = np.array([br.q or (0.0, 0.0, 0.0) for br in brackets])
+    bra_x, ket_x = (np.array([[orb.center_x] for orb in side]) for side in zip(*pairs))
+    center = 0.5 * (bra_x + ket_x)
+    i_kappa = np.array([[1j * (ket.phase_slope - bra.phase_slope)] for bra, ket in pairs])
+    beta = pairs[0][0].compression
+    scale = 1.0 / math.sqrt(beta)
+
+    def sample(n, with_l1, open_):
+        t, w = _hermite_nodes(n)
+        st = scale * t
+        x, y = center + st, 0.0 + st
+        dx_bra, dx_ket = x - bra_x, x - ket_x
+        wx = w * (beta / math.pi * np.exp(-0.5 * beta * (dx_bra * dx_bra + dx_ket * dx_ket)))
+        wy, rows = w * np.exp(i_kappa * y - beta * y * y), pair[open_]
+        p = _quadratic(*p_coef[open_].T[..., None], np.concatenate((x, x * x))[u_row[open_]])
+        q2, q1, q0 = q_coef[open_].T[..., None]
+        wx_p, wy_q = wx[rows] * p, wy[rows] * _quadratic(q2, q1, q0, y)
+        sums = zip(wx_p.sum(1), wy.sum(1)[rows], wx.sum(1)[rows], wy_q.sum(1))
+        values = [complex(a * b + c * d) * scale * scale for a, b, c, d in sums]
+        if not with_l1:
+            return [(value, None) for value in values]
+        abs_wy = np.abs(wy)[rows]
+        l1s = np.abs(wx[rows] * (p + q0)).sum(1) * abs_wy.sum(1) + np.abs(wx)[rows].sum(1) * (
+            abs_wy * (np.abs(q2) * (y * y) + np.abs(q1) * np.abs(y))
+        ).sum(1)
+        return [(value, float(l1) * scale * scale) for value, l1 in zip(values, l1s)]
+
+    return sample
+
+
 def stacked_sample(pt, monkeypatch):
-    """The stacked sampler `_brackets` builds for the point's 13 brackets."""
+    """The stacked round sampler `_brackets` builds for the point's 13
+    brackets, and the one-level reference sampler of the same brackets."""
     captured = []
+    build = dotx.oracle._stacked_sampler
+    monkeypatch.setattr(dotx.oracle, "_stacked_sampler", lambda *args: captured.append(args) or build(*args))
     monkeypatch.setattr(dotx.oracle, "_refine_many", lambda sample, count, *_: captured.append(sample) or [None] * count)
     _brackets(pt, QuadratureSpec(), LABELS)
-    return captured[0]
+    args, sample = captured
+    return sample, one_level_sampler(*args)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 8, 30, 64, 96, 128, 192])
+@pytest.mark.parametrize(
+    "B, d, E", [(0.0, 0.7, 0.0), (1.0, 0.5, 1e5), (3.0, 1.0, 1e5), (30.0, 2.0, 0.0), (1.0, 0.7, 1e15)]
+)
+def test_round_pass_matches_two_levels(B, d, E, n, monkeypatch):
+    # one pass over the nodes of both levels gives each level the bits of its
+    # own pass, whichever brackets are still open
+    sample, one_level = stacked_sample(_Point(GAAS, FieldConfig(B=B, E=E, a=d * A_B)), monkeypatch)
+    n_hi = n + max(2, n // 2)
+    with np.errstate(over="ignore", invalid="ignore"):  # E = 1e15 samples to inf and nan
+        for open_ in (list(range(len(LABELS))), [0, 4, 5, 9, 12], [7]):
+            lo, hi = sample(n, n_hi, open_)
+            assert repr(lo) == repr(one_level(n, False, open_))
+            assert repr(hi) == repr(one_level(n_hi, True, open_))
 
 
 @pytest.mark.parametrize("n", [8, 64, 96, 192])
@@ -256,7 +313,7 @@ def test_l1_bound_against_tensor_sum(B, d, E, n, monkeypatch):
     # the bound exceeds the n^2 sum by at most 2 |c2| sum|X| sum|Y| y^2, and
     # the two sums round P + Q apart by a few eps of sum |X| |Y| (|P| + |Q|).
     pt = _Point(GAAS, FieldConfig(B=B, E=E, a=d * A_B))
-    got = stacked_sample(pt, monkeypatch)(n, True, list(range(len(LABELS))))
+    _, got = stacked_sample(pt, monkeypatch)[0](n // 2, n, list(range(len(LABELS))))
     t, w = _hermite_nodes(n)
     for label, (_, l1) in zip(LABELS, got):
         factors, center, scale = point_factors(pt)[label]
@@ -280,7 +337,7 @@ def test_l1_bound_covers_complex_q(n, monkeypatch):
     # gets a complex Q, whose |f| the 1-D sums bound from above
     pt = _Point(GAAS, FieldConfig(B=2.0, E=1e5, a=0.7 * A_B))
     pt.orb2 = dataclasses.replace(pt.orb2, phase_slope=pt.orb2.phase_slope + 0.3)
-    got = stacked_sample(pt, monkeypatch)(n, True, list(range(len(LABELS))))
+    _, got = stacked_sample(pt, monkeypatch)[0](n // 2, n, list(range(len(LABELS))))
     t = _hermite_nodes(n)[0]
     complex_q = []
     for label, (_, l1) in zip(LABELS, got):
