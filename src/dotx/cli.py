@@ -8,11 +8,11 @@ Exit codes: 0 success, 1 usage, 2 domain error, 3 convergence error,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from typing import NamedTuple
 
 from .closed_form import exchange_energy
 from .errors import (
@@ -24,17 +24,6 @@ from .errors import (
     RootConvergenceError,
     ScenarioError,
     SingularConfigurationError,
-)
-from .sweeps import (
-    SweepSpec,
-    find_switch,
-    scan_switches,
-    scenario_dict,
-    sweep,
-    sweep_csv_text,
-    switch_point_dict,
-    switching_scenario,
-    validate_scan_steps,
 )
 from .units import (
     DerivedParams,
@@ -89,8 +78,7 @@ FIGURES = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Resolved common CLI state."""
 
     material: MaterialParams
@@ -193,6 +181,8 @@ def _write_text(path: str, text: str):
 
 
 def _json_text(payload: dict) -> str:
+    import json
+
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
@@ -228,6 +218,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .sweeps import SweepSpec, sweep, sweep_csv_text
+
     cfg = _resolve_config(args)
     spec = SweepSpec(
         vary=args.vary,
@@ -265,6 +257,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_switch(args) -> int:
+    from .sweeps import find_switch, scan_switches, switch_point_dict, validate_scan_steps
+
     cfg = _resolve_config(args)
     validate_scan_steps(args.scan_steps)
     lo, hi = getattr(args, "from"), args.to
@@ -298,6 +292,8 @@ def cmd_switch(args) -> int:
 
 
 def cmd_scenario(args) -> int:
+    from .sweeps import scenario_dict, switching_scenario
+
     cfg = _resolve_config(args)
     result = switching_scenario(
         cfg.material,
@@ -321,6 +317,8 @@ def cmd_scenario(args) -> int:
 
 
 def cmd_figure(args) -> int:
+    from .sweeps import SweepSpec, sweep
+
     cfg = _resolve_config(args)
     layout = FIGURES[args.id]
     curves = layout["curves"]
@@ -411,78 +409,87 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="dotx", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+def _eval_args(p):
+    p.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
-    p_eval = sub.add_parser("eval", help="print J and its term breakdown at one point")
-    _add_material_args(p_eval)
-    _add_field_args(p_eval)
-    p_eval.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    p_eval.set_defaults(func=cmd_eval)
 
-    p_sweep = sub.add_parser("sweep", help="scan J along B, E, or d")
-    _add_material_args(p_sweep)
-    _add_field_args(p_sweep)
-    p_sweep.add_argument("--vary", required=True, choices=("B", "E", "d"))
-    p_sweep.add_argument("--from", type=float, required=True, dest="from")
-    p_sweep.add_argument("--to", type=float, required=True)
-    p_sweep.add_argument("--steps", type=int, default=101)
-    p_sweep.add_argument("--out", default=None)
-    p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_sweep.set_defaults(func=cmd_sweep)
+def _sweep_args(p):
+    p.add_argument("--vary", required=True, choices=("B", "E", "d"))
+    p.add_argument("--from", type=float, required=True, dest="from")
+    p.add_argument("--to", type=float, required=True)
+    p.add_argument("--steps", type=int, default=101)
+    p.add_argument("--out", default=None)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    p_switch = sub.add_parser("switch", help="locate the sign change of J")
-    _add_material_args(p_switch)
-    _add_field_args(p_switch)
-    p_switch.add_argument("--vary", required=True, choices=("B", "E", "d"))
-    p_switch.add_argument("--from", type=float, required=True, dest="from")
-    p_switch.add_argument("--to", type=float, required=True)
-    p_switch.add_argument("--tol", type=float, default=1e-9, help="|J| tolerance at root, meV")
-    p_switch.add_argument(
-        "--scan",
-        action="store_true",
-        help="pre-scan the range for every sign change instead of treating it as one bracket",
-    )
-    p_switch.add_argument("--scan-steps", type=int, default=121)
-    p_switch.add_argument("--out", default=None)
-    p_switch.set_defaults(func=cmd_switch)
 
-    p_scen = sub.add_parser("scenario", help="four-phase switching trajectory")
-    _add_material_args(p_scen)
-    _add_field_args(p_scen)
-    p_scen.add_argument("--b-operating", type=float, default=2.0, help="plateau field, Tesla")
-    p_scen.add_argument("--steps-per-phase", type=int, default=13)
-    p_scen.add_argument("--out", default=None)
-    p_scen.set_defaults(func=cmd_scenario)
+def _switch_args(p):
+    p.add_argument("--vary", required=True, choices=("B", "E", "d"))
+    p.add_argument("--from", type=float, required=True, dest="from")
+    p.add_argument("--to", type=float, required=True)
+    p.add_argument("--tol", type=float, default=1e-9, help="|J| tolerance at root, meV")
+    p.add_argument("--scan", action="store_true", help="pre-scan the range for every sign change "
+                   "instead of treating it as one bracket")
+    p.add_argument("--scan-steps", type=int, default=121)
+    p.add_argument("--out", default=None)
 
-    p_fig = sub.add_parser("figure", help="emit figure datasets")
-    _add_material_args(p_fig)
-    _add_field_args(p_fig)
-    p_fig.add_argument("--id", required=True, choices=sorted(FIGURES))
-    p_fig.add_argument("--out", default=".", help="output directory")
-    p_fig.set_defaults(func=cmd_figure)
 
-    p_oracle = sub.add_parser("oracle", help="closed form vs quadrature comparison report")
-    _add_material_args(p_oracle)
-    _add_field_args(p_oracle)
-    _add_quadrature_args(p_oracle)
-    p_oracle.add_argument(
+def _scenario_args(p):
+    p.add_argument("--b-operating", type=float, default=2.0, help="plateau field, Tesla")
+    p.add_argument("--steps-per-phase", type=int, default=13)
+    p.add_argument("--out", default=None)
+
+
+def _figure_args(p):
+    p.add_argument("--id", required=True, choices=sorted(FIGURES))
+    p.add_argument("--out", default=".", help="output directory")
+
+
+def _oracle_args(p):
+    _add_quadrature_args(p)
+    p.add_argument(
         "--grid-b", type=_float_list, default="0,1,1.5,2,3", help="comma-separated B values, T"
     )
-    p_oracle.add_argument(
+    p.add_argument(
         "--grid-d", type=_float_list, default="0.5,0.6,0.7,0.85,1.0",
         help="comma-separated d values",
     )
-    p_oracle.add_argument("--threshold", type=float, default=0.01)
-    p_oracle.add_argument("--out", default=None)
-    p_oracle.set_defaults(func=cmd_oracle)
+    p.add_argument("--threshold", type=float, default=0.01)
+    p.add_argument("--out", default=None)
 
+
+#: Subcommand name -> (help, its own arguments after the material and field
+#: ones, handler).
+_COMMANDS = {
+    "eval": ("print J and its term breakdown at one point", _eval_args, cmd_eval),
+    "sweep": ("scan J along B, E, or d", _sweep_args, cmd_sweep),
+    "switch": ("locate the sign change of J", _switch_args, cmd_switch),
+    "scenario": ("four-phase switching trajectory", _scenario_args, cmd_scenario),
+    "figure": ("emit figure datasets", _figure_args, cmd_figure),
+    "oracle": ("closed form vs quadrature comparison report", _oracle_args, cmd_oracle),
+}
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The `dotx` parser.  Every subcommand is listed, so the top-level help
+    and errors do not change, but only `command`'s subparser (every one's
+    when None) gets its arguments."""
+    parser = _Parser(prog="dotx", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_args, func) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command is None or name == command:
+            _add_material_args(p)
+            _add_field_args(p)
+            add_args(p)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse runs the first argument not led by "-" as the command, or
+    # rejects one before it, so only that subparser needs its arguments.
+    parser = build_parser(next((a for a in argv if not a.startswith("-")), ""))
     try:
         args = parser.parse_args(argv)
         return args.func(args)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InvalidParameterError, SingularConfigurationError
@@ -236,8 +235,7 @@ def exchange_energy_along(
     return j_mev
 
 
-@dataclass(frozen=True)
-class ExchangeColumns:
+class ExchangeColumns(NamedTuple):
     """`exchange_energy_lab` and `overlap` over 1-D arrays of lab points.
 
     Each column holds the scalar functions' number, up to numpy's exp,

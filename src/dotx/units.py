@@ -15,7 +15,6 @@ The physical constants are CODATA 2022 (the doubles scipy.constants holds).
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -234,6 +233,8 @@ def load_material(path: str) -> MaterialParams:
     Required keys: effective_mass, dielectric_const, confinement_energy_mev.
     Optional: c_override.
     """
+    import json
+
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)

@@ -1,5 +1,7 @@
 import json
 import math
+import pathlib
+import sys
 
 import pytest
 
@@ -73,6 +75,32 @@ class TestUsage:
     def test_bad_choice(self, capsys):
         code, _, _ = run(capsys, "sweep", "--vary", "Q", "--from", "0", "--to", "1")
         assert code == 1
+
+
+PARSER_TEXT = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "cli_parser_text.json").read_text(encoding="utf-8")
+)["cases"]
+
+
+@pytest.mark.skipif(
+    sys.version_info >= (3, 12), reason="pinned from the argparse of Python 3.10-3.11 (CI)"
+)
+class TestParserText:
+    """Help and usage-error text, byte for byte: each command builds only
+    its own subparser's arguments, and that must not show."""
+
+    @pytest.mark.parametrize("case", PARSER_TEXT, ids=lambda c: " ".join(c["argv"]) or "no-args")
+    def test_main_prints_the_pinned_text(self, capsys, monkeypatch, case):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run(capsys, *case["argv"]) == (case["exit"], case["stdout"], case["stderr"])
+
+    @pytest.mark.parametrize("case", [c for c in PARSER_TEXT if "--help" in c["argv"]],
+                             ids=lambda c: " ".join(c["argv"]))
+    def test_full_parser_prints_the_same_help(self, capsys, monkeypatch, case):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit, match="0"):
+            dotx.cli.build_parser().parse_args(case["argv"])
+        assert capsys.readouterr().out == case["stdout"]
 
 
 class TestSweepCommand:

@@ -1,5 +1,8 @@
 """numpy loads on the first array call: importing dotx, and the commands
 that evaluate J at points, find a switch or run the scenario, run without it.
+The drivers load on first use too: importing dotx or dotx.cli loads neither
+`dotx.sweeps` nor `dotx.oracle` (nor json), and each command loads only the
+one it runs.
 
 Each check runs in a fresh interpreter, since this one has numpy loaded.
 """
@@ -32,6 +35,15 @@ PUBLIC_NAMES = [
 
 ORACLE_NAMES = ["HLBreakdown", "TermEstimate", "assemble_oracle"]
 
+# The driver modules each command loads.
+DRIVERS = {
+    "eval": [], "sweep": ["dotx.sweeps"], "switch": ["dotx.sweeps"], "scenario": ["dotx.sweeps"],
+    "figure": ["dotx.sweeps"], "oracle": ["dotx.oracle"],
+}
+
+# Modules that `import dotx` and `import dotx.cli` leave unloaded.
+DEFERRED_MODULES = ["numpy", "json", "dotx.sweeps", "dotx.oracle"]
+
 # Second entry points that `assemble_oracle` and `derive_parameters` cover,
 # and the orbital and polar-rule helpers only the tests called (the tests
 # keep their own reference copies).
@@ -56,21 +68,28 @@ def run_python(code: str, cwd) -> list:
 
 
 def run_cli(argv: list, cwd) -> tuple:
-    """(exit code, numpy loaded) of `dotx.cli.main(argv)` in a fresh interpreter."""
+    """(exit code, numpy loaded, driver modules loaded) of `dotx.cli.main(argv)`
+    in a fresh interpreter."""
     code = (
         "import json, sys\n"
         "import dotx.cli\n"
         f"code = dotx.cli.main({argv!r})\n"
+        "drivers = [m for m in ('dotx.sweeps', 'dotx.oracle') if m in sys.modules]\n"
         "print()\n"
-        "print(json.dumps([code, 'numpy' in sys.modules]))\n"
+        "print(json.dumps([code, 'numpy' in sys.modules, drivers]))\n"
     )
     return tuple(run_python(code, cwd))
 
 
 @pytest.mark.parametrize("modules", ["dotx", "dotx.cli"])
 def test_import_loads_no_numpy(tmp_path, modules):
-    code = f"import json, sys, {modules}\nprint(json.dumps('numpy' in sys.modules))"
-    assert run_python(code, tmp_path) is False
+    code = (
+        f"import sys, {modules}\n"
+        f"loaded = [m for m in {DEFERRED_MODULES!r} if m in sys.modules]\n"
+        "import json\n"
+        "print(json.dumps(loaded))\n"
+    )
+    assert run_python(code, tmp_path) == []
 
 
 @pytest.mark.parametrize(
@@ -86,7 +105,7 @@ def test_import_loads_no_numpy(tmp_path, modules):
     ],
 )
 def test_scalar_commands_run_without_numpy(tmp_path, argv):
-    assert run_cli(argv, tmp_path) == (0, False)
+    assert run_cli(argv, tmp_path) == (0, False, DRIVERS[argv[0]])
 
 
 @pytest.mark.parametrize(
@@ -94,10 +113,21 @@ def test_scalar_commands_run_without_numpy(tmp_path, argv):
     [
         ["sweep", "--vary", "B", "--from", "0", "--to", "3", "--steps", "11"],
         ["oracle", "--grid-b", "1", "--grid-d", "0.7"],
+        ["figure", "--id", "1"],
     ],
 )
 def test_array_commands_load_numpy_and_succeed(tmp_path, argv):
-    assert run_cli(argv, tmp_path) == (0, True)
+    assert run_cli(argv, tmp_path) == (0, True, DRIVERS[argv[0]])
+
+
+def test_driver_modules_resolve_after_a_bare_import(tmp_path):
+    code = (
+        "import json, sys\n"
+        "import dotx\n"
+        "print(json.dumps([dotx.sweeps is sys.modules['dotx.sweeps'],\n"
+        "                  dotx.oracle is sys.modules['dotx.oracle']]))\n"
+    )
+    assert run_python(code, tmp_path) == [True, True]
 
 
 def test_public_names_resolve(tmp_path):
@@ -142,3 +172,13 @@ def test_star_import_leaves_out_the_oracle_names(tmp_path):
         " 'numpy' in sys.modules]))\n"
     )
     assert run_python(code, tmp_path) == [[], False]
+
+
+def test_star_import_brings_every_other_public_name(tmp_path):
+    code = (
+        "from dotx import *\n"
+        "names = sorted(n for n in globals() if not n.startswith('_'))\n"
+        "import json\n"
+        "print(json.dumps(names))\n"
+    )
+    assert run_python(code, tmp_path) == sorted(set(PUBLIC_NAMES) - set(ORACLE_NAMES))
