@@ -18,12 +18,9 @@ from .closed_form import exchange_energy
 from .errors import (
     DotxError,
     InvalidArgumentError,
-    InvalidParameterError,
     NoRootInBracketError,
     QuadratureError,
     RootConvergenceError,
-    ScenarioError,
-    SingularConfigurationError,
 )
 from .units import (
     DerivedParams,
@@ -41,13 +38,6 @@ EXIT_DOMAIN = 2
 EXIT_CONVERGENCE = 3
 EXIT_ORACLE = 4
 
-_DOMAIN_ERRORS = (
-    InvalidParameterError,
-    InvalidArgumentError,
-    SingularConfigurationError,
-    NoRootInBracketError,
-    ScenarioError,
-)
 _CONVERGENCE_ERRORS = (RootConvergenceError, QuadratureError)
 
 #: Default per-figure curve sets; the published plots do not state their
@@ -495,9 +485,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:  # argparse usage errors come through here
         return exc.code if exc.code is not None else EXIT_OK
-    except _DOMAIN_ERRORS as exc:
-        print(f"dotx: error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except _CONVERGENCE_ERRORS as exc:
         print(f"dotx: error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE

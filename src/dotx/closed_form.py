@@ -111,47 +111,35 @@ def exchange_energy_lab(mat: MaterialParams, fields: FieldConfig) -> ExchangeBre
 
 
 def _terms(b: float, d: float, c: float, efield_ratio: float, scale: float = 1.0) -> tuple:
-    """The operations of J for (b, d, c, chi), in the one order every scalar
-    caller uses: (x2, arg, exp(-arg), c sqrt(b), I0e(x1), I0e(x2),
-    quartic_term, efield_term, j_dimensionless).
+    """`_formula` of (b, d, c, chi), checked.
 
     Raises where the inputs make J meaningless, in this order: b, d, c or
     chi out of range (the checks of `_check_bd`, then c, then chi), d^2 or
-    b d^2 overflowing, 1 - S^4 rounding to 0, chi^2 / d^2 overflowing, J (or
-    J times the energy `scale` it is reported in) or 1/sinh(arg) overflowing.
+    b d^2 overflowing, 1 - S^4 rounding to 0 (exactly where d^2 does),
+    chi^2 / d^2 overflowing, J (or J times the energy `scale` it is reported
+    in) or 1/sinh(arg) overflowing.
     """
     isfinite = math.isfinite
+    d2 = d * d
     if not (
         isfinite(b) and b >= 1.0 - 1e-12 and isfinite(d) and d > 0.0
         and isfinite(c) and c >= 0.0 and isfinite(efield_ratio)
+        and 0.0 < d2 and b * d2 < math.inf
     ):
         _check_bd(b, d, allow_zero_d=False)
         if not (isfinite(c) and c >= 0.0):
             raise InvalidParameterError(f"coulomb strength c must be finite and >= 0, got {c!r}")
-        raise InvalidParameterError(f"efield_ratio must be finite, got {efield_ratio!r}")
-    d2 = d * d
-    x1 = b * d2
-    if x1 == math.inf:  # d^2 itself, or b d^2 (J would be 0 * inf = nan)
-        raise _overflow(b, d, efield_ratio)
-    x2 = d2 * (b - 1.0 / b)
-    arg = 2.0 * (x1 + x2)  # 2 d^2 (2b - 1/b)
-    em = math.exp(-arg)
-    denominator = -math.expm1(-2.0 * arg)  # 1 - S^4, without cancelling at small d
-    if denominator == 0.0:
+        if not isfinite(efield_ratio):
+            raise InvalidParameterError(f"efield_ratio must be finite, got {efield_ratio!r}")
+        if b * d2 == math.inf:  # J would be 0 * inf = nan
+            raise _overflow(b, d, efield_ratio)
         raise SingularConfigurationError(
             f"singular configuration d={d!r}: 1 - S^4 rounds to 0, the two dots coincide"
         )
-    csb = c * math.sqrt(b)
-    quartic_term = 0.75 / b * (1.0 + x1)
-    efield_term = 1.5 * (efield_ratio * efield_ratio) / d2
+    terms = _formula(b, d2, c, efield_ratio, bessel_i0e)
+    _, arg, _, _, _, _, _, efield_term, j_dimensionless = terms
     if efield_term == math.inf:  # J would be inf
         raise _overflow(b, d, efield_ratio)
-    i0e_x1 = bessel_i0e(x1)
-    i0e_x2 = bessel_i0e(x2)
-    j_dimensionless = (
-        2.0 * em * (csb * i0e_x1 + quartic_term + efield_term)
-        - 2.0 * csb * i0e_x2 * math.exp(-2.0 * x1)
-    ) / denominator
     if abs(j_dimensionless * scale) == math.inf:  # e.g. 1 - S^4 subnormal, d below ~1e-154
         raise SingularConfigurationError(
             f"J overflows at d={d!r}, chi={efield_ratio!r}: the two dots all but coincide, "
@@ -162,6 +150,29 @@ def _terms(b: float, d: float, c: float, efield_ratio: float, scale: float = 1.0
             f"prefactor 1/sinh(2 d^2 (2b - 1/b)) overflows at d={d!r}, b={b!r}: "
             "the two dots all but coincide"
         )
+    return terms
+
+
+def _formula(b, d2, c, chi, i0e, exp=math.exp, expm1=math.expm1, sqrt=math.sqrt):
+    """The operations of J for (b, d^2, c, chi), unchecked: (x2, arg, exp(-arg),
+    c sqrt(b), I0e(x1), I0e(x2), quartic_term, efield_term, j), for floats or,
+    with `bessel_i0e_array` and numpy's exp, expm1 and sqrt, arrays.  The
+    callers' checks, b >= 1 - 1e-12 and 0 < d^2, b d^2 < inf, make 1 - S^4 > 0;
+    i0e comes per call, so a wrapper on the module attribute sees each call."""
+    x1 = b * d2
+    x2 = d2 * (b - 1.0 / b)
+    arg = 2.0 * (x1 + x2)  # 2 d^2 (2b - 1/b)
+    em = exp(-arg)
+    denominator = -expm1(-2.0 * arg)  # 1 - S^4, without cancelling at small d
+    csb = c * sqrt(b)
+    quartic_term = 0.75 / b * (1.0 + x1)
+    efield_term = 1.5 * (chi * chi) / d2
+    i0e_x1 = i0e(x1)
+    i0e_x2 = i0e(x2)
+    j_dimensionless = (
+        2.0 * em * (csb * i0e_x1 + quartic_term + efield_term)
+        - 2.0 * csb * i0e_x2 * exp(-2.0 * x1)
+    ) / denominator
     return x2, arg, em, csb, i0e_x1, i0e_x2, quartic_term, efield_term, j_dimensionless
 
 
@@ -169,7 +180,7 @@ def _overflow(b: float, d: float, efield_ratio: float) -> InvalidParameterError:
     """The error of the first overflow check `_terms` fails at this point."""
     if d * d == math.inf:
         return InvalidParameterError(f"distance d={d!r} is too large: d^2 overflows")
-    if b * d * d == math.inf:
+    if b * (d * d) == math.inf:  # as the checks form it, not (b d) d
         return InvalidParameterError(
             f"distance d={d!r} is too large at b={b!r}: b*d^2 overflows"
         )
@@ -263,41 +274,32 @@ class ExchangeColumns(NamedTuple):
 def exchange_energy_arrays(mat: MaterialParams, B, E, a) -> ExchangeColumns:
     """Exchange splitting over lab arrays (Tesla, V/m, nm), broadcast to 1-D.
 
-    Runs the operations of `exchange_energy` in the same order, each as a
-    numpy ufunc (`ExchangeColumns` says how far that moves the values).
-    Like the scalar form it raises InvalidParameterError for a material it
-    rejects and where d^2, b d^2 or chi^2 / d^2 overflows.
+    Runs `_formula`, the scalar form's operations, with numpy's ufuncs
+    (`ExchangeColumns` says how far that moves the values) on the points
+    its mask keeps.  Like the scalar form it raises InvalidParameterError
+    for a material it rejects and where d^2, b d^2 or chi^2 / d^2 overflows.
     """
     import numpy as np
 
     b, d, c, chi, valid = derive_arrays(mat, B, E, a)
     with np.errstate(all="ignore"):  # floats overflow silently; so do the columns
         d2 = d * d
-        x1 = b * d2
-        x2 = d2 * (b - 1.0 / b)
-        arg = 2.0 * (x1 + x2)
-        em = np.exp(-arg)  # arg >= 0 or nan, so exp never overflows
-        denominator = -np.expm1(-2.0 * arg)
         valid = (
             valid
             & np.isfinite(b) & (b >= 1.0 - 1e-12)
             & np.isfinite(d) & (d > 0.0)
             & np.isfinite(chi)
-            & (denominator != 0.0)
+            & (d2 != 0.0)  # where 1 - S^4 rounds to 0, as in `_terms`
         )
-        efield_term = 1.5 * (chi * chi) / d2
-        overflow = valid & ((x1 == math.inf) | (efield_term == math.inf))
+        overflow = valid & ((b * d2 == math.inf) | (1.5 * (chi * chi) / d2 == math.inf))
         if overflow.any():  # the first point where the scalar form raises
             first = np.flatnonzero(overflow)[0]
             raise _overflow(b[first].item(), d[first].item(), chi[first].item())
         keep = slice(None) if valid.all() else valid  # a view when every point is valid
-        b, d, chi, d2, x1, x2, arg, em, denominator, efield_term = (
-            v[keep] for v in (b, d, chi, d2, x1, x2, arg, em, denominator, efield_term)
+        b, d, d2, chi = b[keep], d[keep], d2[keep], chi[keep]
+        x2, arg, em, csb, i0e_x1, i0e_x2, quartic_term, efield_term, j_dimensionless = _formula(
+            b, d2, c, chi, bessel_i0e_array, np.exp, np.expm1, np.sqrt
         )
-        csb = c * np.sqrt(b)
-        quartic_term = 0.75 / b * (1.0 + x1)
-        i0e_x1 = bessel_i0e_array(x1)
-        i0e_x2 = bessel_i0e_array(x2)
 
         prefactor = 2.0 * em
         near = arg < 350.0
@@ -307,10 +309,6 @@ def exchange_energy_arrays(mat: MaterialParams, B, E, a) -> ExchangeColumns:
         coulomb_term[finite] = csb[finite] * (
             i0e_x1[finite] - np.exp(2.0 * x2[finite]) * i0e_x2[finite]
         )
-        j_dimensionless = (
-            2.0 * em * (csb * i0e_x1 + quartic_term + efield_term)
-            - 2.0 * csb * i0e_x2 * np.exp(-2.0 * x1)
-        ) / denominator
         s_overlap = np.exp(-d * d * (2.0 * b - 1.0 / b))
         j_mev = j_dimensionless * mat.confinement_energy
         ok = np.isfinite(j_mev) & np.isfinite(prefactor)  # singular where `_terms` raises

@@ -110,15 +110,21 @@ def bessel_i0(x: float) -> float:
 
     Power series below 7.5, fitted inverse-argument expansion above;
     the two branches agree at the splice to machine precision.  Extended
-    to negative arguments by evenness.  Overflows to inf near x ~ 710,
-    where exp(x) leaves double range; use `bessel_i0e` there.
+    to negative arguments by evenness.  Past 709, where exp(x) leaves
+    double range, exp(x/2) is applied twice; I0 itself overflows to inf
+    near x ~ 713.99, where `bessel_i0e` still serves.
     """
     if math.isnan(x):
         raise InvalidArgumentError("bessel_i0 received NaN")
     x = abs(x)
     if x < _I0_SPLIT:
         return _i0_series(x)
-    return math.exp(x) * _i0e_large(x) if x < 709.0 else math.inf
+    if x < 709.0:
+        return math.exp(x) * _i0e_large(x)
+    if x < 714.0:
+        half = math.exp(0.5 * x)
+        return half * (half * _i0e_large(x))  # inf past I0's own overflow
+    return math.inf
 
 
 def bessel_i0e(x: float) -> float:

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dotx.closed_form
 import dotx.special
 import dotx.sweeps
 from dotx.closed_form import exchange_energy, exchange_energy_arrays, exchange_energy_lab, overlap
@@ -280,6 +281,12 @@ class TestKernelMatchesScalar:
         with pytest.raises(InvalidParameterError) as array:
             exchange_energy_arrays(GAAS, 30.0, 0.0, [0.7 * A_B, fields.a, 1.3e154 * A_B])
         assert str(array.value) == str(scalar.value)
+        # b (d d), which the checks form, overflows but (b d) d does not: the
+        # error still names b d^2, not the field, which is 0
+        b, d = 36.47438656052323, 2.2200552445553755e153
+        assert b * (d * d) == math.inf and b * d * d < math.inf
+        with pytest.raises(InvalidParameterError, match=r"b\*d\^2 overflows"):
+            exchange_energy(b, d, 2.36, 0.0)
 
     def test_tiny_distance_is_singular_in_both(self):
         # 1 - S^4 comes from expm1, so it rounds to 0 only where d^2 does,
@@ -297,6 +304,29 @@ class TestKernelMatchesScalar:
         )
         assert cols.valid.tolist() == [True, False, False, False, True]
         assert np.isnan(cols.j_mev[1:4]).all() and np.isnan(cols.prefactor[1:4]).all()
+
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(st.floats(1.0 - 1e-12, 1e3), st.floats(-170.0, -150.0).map(lambda t: 10.0**t))
+    def test_singular_exactly_where_one_minus_s4_rounds_to_0(self, b, d):
+        # Both forms check 0 < d^2 in place of 1 - S^4 != 0: the same points for b >= 1 - 1e-12
+        def rounds_to_0(b, d):
+            d2 = d * d
+            return -math.expm1(-2.0 * (2.0 * (b * d2 + d2 * (b - 1.0 / b)))) == 0.0
+
+        def singular(f, *args):
+            try:
+                f(*args)
+            except SingularConfigurationError as exc:
+                return str(exc)
+            return ""
+
+        terms = singular(dotx.closed_form._terms, b, d, 2.36, 0.0)
+        assert ("1 - S^4 rounds to 0" in terms) == rounds_to_0(b, d)
+        fields = fields_from_dimensionless(GAAS, max(b, 1.0), d)
+        p = derive_parameters(GAAS, fields)
+        lab = singular(exchange_energy_lab, GAAS, fields)
+        assert ("1 - S^4 rounds to 0" in lab) == rounds_to_0(p.b, p.d)
+        assert exchange_energy_arrays(GAAS, fields.B, fields.E, fields.a).valid.tolist() == [not lab]
 
     def test_overflowing_prefactor_is_singular_in_both(self):
         # 1/sinh(arg) = 1/arg overflows for arg <= 1/DBL_MAX, where J, about

@@ -61,6 +61,17 @@ class TestBesselI0:
         for x in (0.3, 2.0, 12.0):
             assert bessel_i0(-x) == bessel_i0(x)
 
+    def test_finite_past_exp_overflow(self):
+        # exp(x) leaves double range at 709.78, I0(x) only near 713.99
+        from mpmath import besseli, mp
+
+        with mp.workdps(30):
+            for x in (709.0, 710.0, 712.0, 713.9):
+                assert rel_err(bessel_i0(x), float(besseli(0, x))) <= 1e-13, x
+                assert bessel_i0(-x) == bessel_i0(x)
+        for x in (714.0, math.inf):
+            assert bessel_i0(x) == bessel_i0(-x) == math.inf
+
     def test_nan_rejected(self):
         with pytest.raises(InvalidArgumentError):
             bessel_i0(math.nan)
