@@ -75,8 +75,18 @@ class RunConfig(NamedTuple):
     material_name: str
     c_is_override: bool
     fields: FieldConfig
-    output_path: str | None
-    format: str
+
+
+class _Output(NamedTuple):
+    """A command's `text`, printed, or written to `path` with a "wrote" line
+    ending in `wrote`; the summary lines `before` and `after` it, if any."""
+
+    text: str
+    path: str | None = None
+    wrote: str = ""
+    before: str = ""
+    after: str = ""
+    code: int = EXIT_OK
 
 
 class _Parser(argparse.ArgumentParser):
@@ -119,27 +129,12 @@ def _add_quadrature_args(p):
 
 
 def _resolve_config(args) -> RunConfig:
-    if getattr(args, "material_file", None):
-        mat = load_material(args.material_file)
-        name = args.material_file
-    else:
-        mat = material_by_name(args.material)
-        name = args.material
-    c_override = getattr(args, "c_override", None)
-    if c_override is not None:
-        mat = replace(mat, c_override=c_override)
-    a_nm = getattr(args, "a_nm", None)
-    if a_nm is None:
-        a_nm = getattr(args, "a_over_ab", 0.7) * bohr_radius_nm(mat)
-    fields = FieldConfig(B=getattr(args, "B", 0.0), E=getattr(args, "E", 0.0), a=a_nm)
-    return RunConfig(
-        material=mat,
-        material_name=name,
-        c_is_override=c_override is not None or mat.c_override is not None,
-        fields=fields,
-        output_path=getattr(args, "out", None),
-        format=getattr(args, "format", "csv"),
-    )
+    name = args.material_file or args.material
+    mat = load_material(name) if args.material_file else material_by_name(name)
+    if args.c_override is not None:
+        mat = replace(mat, c_override=args.c_override)
+    a_nm = args.a_over_ab * bohr_radius_nm(mat) if args.a_nm is None else args.a_nm
+    return RunConfig(mat, name, mat.c_override is not None, FieldConfig(args.B, args.E, a_nm))
 
 
 def _provenance(cfg: RunConfig, extra: dict | None = None, p: DerivedParams | None = None) -> dict:
@@ -176,14 +171,42 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def cmd_eval(args) -> int:
-    cfg = _resolve_config(args)
+def _csv_lines(title: str, provenance: dict) -> list:
+    """The CSV header: a title line, then one comment line per provenance key."""
+    return [f"# dotx {title}"] + [f"# {key} = {provenance[key]!r}" for key in sorted(provenance)]
+
+
+def _sweep_csv(rows: list, provenance: dict) -> str:
+    lines = _csv_lines("sweep", provenance)
+    lines.append("x,J_meV,prefactor,coulomb_term,quartic_term,efield_term,b,d,S")
+    for row in rows:
+        if row.singular or row.breakdown is None:
+            lines.append(f"{row.x!r},nan,nan,nan,nan,nan,nan,nan,nan")
+            continue
+        bd = row.breakdown
+        values = (row.x, row.j_mev, bd.prefactor, bd.coulomb_term, bd.quartic_term,
+                  bd.efield_term, row.b, row.d, row.s_overlap)
+        lines.append(",".join(repr(float(v)) for v in values))
+    return "\n".join(lines) + "\n"
+
+
+def _switch_point_dict(point) -> dict:
+    return {
+        "axis": point.axis,
+        "value": point.value,
+        "bracket": list(point.bracket),
+        "residual_mev": point.residual,
+        "direction": point.direction,
+    }
+
+
+def cmd_eval(args, cfg: RunConfig) -> _Output:
     p = derive_parameters(cfg.material, cfg.fields)
     bd = exchange_energy(
         p.b, p.d, p.c_coulomb, p.efield_ratio, energy_scale_mev=cfg.material.confinement_energy
     )
-    if getattr(args, "json", False):
-        payload = {
+    if args.json:
+        return _Output(_json_text({
             "params": _provenance(cfg, {"b": p.b, "d": p.d, "efield_ratio": p.efield_ratio}, p),
             "prefactor": bd.prefactor,
             "coulomb_term": bd.coulomb_term,
@@ -191,175 +214,120 @@ def cmd_eval(args) -> int:
             "efield_term": bd.efield_term,
             "j_dimensionless": bd.j_dimensionless,
             "J_meV": bd.j_mev,
-        }
-        print(_json_text(payload), end="")
-        return EXIT_OK
-    print(f"material: {cfg.material_name}")
-    print(f"B: {cfg.fields.B!r} T   E: {cfg.fields.E!r} V/m   a: {cfg.fields.a!r} nm")
-    print(f"b: {p.b!r}   d: {p.d!r}   efield_ratio: {p.efield_ratio!r}")
-    print(f"c: {'override' if cfg.c_is_override else 'derived'} ({p.c_coulomb!r})")
-    print(f"prefactor:    {bd.prefactor!r}")
-    print(f"coulomb_term: {bd.coulomb_term!r}")
-    print(f"quartic_term: {bd.quartic_term!r}")
-    print(f"efield_term:  {bd.efield_term!r}")
-    print(f"J/(hbar*omega0): {bd.j_dimensionless!r}")
-    print(f"J: {bd.j_mev!r} meV")
-    return EXIT_OK
-
-
-def cmd_sweep(args) -> int:
-    from .sweeps import SweepSpec, sweep, sweep_csv_text
-
-    cfg = _resolve_config(args)
-    spec = SweepSpec(
-        vary=args.vary,
-        start=getattr(args, "from"),
-        stop=args.to,
-        steps=args.steps,
-        fixed=cfg.fields,
-        material=cfg.material,
+        }))
+    return _Output(
+        f"material: {cfg.material_name}\n"
+        f"B: {cfg.fields.B!r} T   E: {cfg.fields.E!r} V/m   a: {cfg.fields.a!r} nm\n"
+        f"b: {p.b!r}   d: {p.d!r}   efield_ratio: {p.efield_ratio!r}\n"
+        f"c: {'override' if cfg.c_is_override else 'derived'} ({p.c_coulomb!r})\n"
+        f"prefactor:    {bd.prefactor!r}\n"
+        f"coulomb_term: {bd.coulomb_term!r}\n"
+        f"quartic_term: {bd.quartic_term!r}\n"
+        f"efield_term:  {bd.efield_term!r}\n"
+        f"J/(hbar*omega0): {bd.j_dimensionless!r}\n"
+        f"J: {bd.j_mev!r} meV\n"
     )
+
+
+def cmd_sweep(args, cfg: RunConfig) -> _Output:
+    from .sweeps import SweepSpec, sweep
+
+    spec = SweepSpec(args.vary, getattr(args, "from"), args.to, args.steps, cfg.fields,
+                     cfg.material)
     rows = sweep(spec)
-    extra = {"vary": spec.vary, "from": spec.start, "to": spec.stop, "steps": spec.steps}
-    if cfg.format == "json":
-        payload = {
-            "params": _provenance(cfg, extra),
+    prov = _provenance(
+        cfg, {"vary": spec.vary, "from": spec.start, "to": spec.stop, "steps": spec.steps}
+    )
+    if args.format == "json":
+        text = _json_text({
+            "params": prov,
             "rows": [
                 {"x": r.x, "J_meV": r.j_mev, "b": r.b, "d": r.d, "S": r.s_overlap,
                  "singular": r.singular}
                 for r in rows
             ],
-        }
-        text = _json_text(payload)
+        })
     else:
-        text = sweep_csv_text(spec, rows, _provenance(cfg, extra))
-    if cfg.output_path:
-        _write_text(cfg.output_path, text)
-        n_sign = sum(
-            1
-            for r1, r2 in zip(rows[:-1], rows[1:])
-            if not (r1.singular or r2.singular) and (r1.j_mev > 0) != (r2.j_mev > 0)
-        )
-        print(f"wrote {cfg.output_path} ({len(rows)} rows, {n_sign} sign change(s))")
-    else:
-        print(text, end="")
-    return EXIT_OK
+        text = _sweep_csv(rows, prov)
+    if not args.out:
+        return _Output(text)
+    n_sign = sum(not (r1.singular or r2.singular) and (r1.j_mev > 0) != (r2.j_mev > 0)
+                 for r1, r2 in zip(rows, rows[1:]))
+    return _Output(text, args.out, wrote=f" ({len(rows)} rows, {n_sign} sign change(s))")
 
 
-def cmd_switch(args) -> int:
-    from .sweeps import find_switch, scan_switches, switch_point_dict, validate_scan_steps
+def cmd_switch(args, cfg: RunConfig) -> _Output:
+    from .sweeps import find_switch, scan_switches, validate_scan_steps
 
-    cfg = _resolve_config(args)
     validate_scan_steps(args.scan_steps)
     lo, hi = getattr(args, "from"), args.to
     if args.scan:
-        points = scan_switches(
-            args.vary, cfg.material, cfg.fields, lo, hi, scan_steps=args.scan_steps,
-            tol=args.tol,
-        )
+        points = scan_switches(args.vary, cfg.material, cfg.fields, lo, hi,
+                               scan_steps=args.scan_steps, tol=args.tol)
         if not points:
             raise NoRootInBracketError(f"no sign change of J on [{lo}, {hi}] along {args.vary}")
         payload = {
             "params": _provenance(cfg),
-            "switch_points": [switch_point_dict(pt) for pt in points],
+            "switch_points": [_switch_point_dict(pt) for pt in points],
         }
     else:
         point = find_switch(args.vary, cfg.material, cfg.fields, (lo, hi), tol=args.tol)
-        payload = {"params": _provenance(cfg), "switch_point": switch_point_dict(point)}
+        payload = {"params": _provenance(cfg), "switch_point": _switch_point_dict(point)}
         points = [point]
-    text = _json_text(payload)
-    if cfg.output_path:
-        _write_text(cfg.output_path, text)
-    print(
-        f"{len(points)} switch point(s): "
-        + ", ".join(f"{args.vary}={pt.value!r} ({pt.direction})" for pt in points)
+    summary = f"{len(points)} switch point(s): " + ", ".join(
+        f"{args.vary}={pt.value!r} ({pt.direction})" for pt in points
     )
-    if cfg.output_path:
-        print(f"wrote {cfg.output_path}")
-    else:
-        print(text, end="")
-    return EXIT_OK
+    return _Output(_json_text(payload), args.out, before=summary)
 
 
-def cmd_scenario(args) -> int:
-    from .sweeps import scenario_dict, switching_scenario
+def cmd_scenario(args, cfg: RunConfig) -> _Output:
+    from .sweeps import switching_scenario
 
-    cfg = _resolve_config(args)
-    result = switching_scenario(
-        cfg.material,
-        cfg.fields.a,
-        b_operating=args.b_operating,
-        steps_per_phase=args.steps_per_phase,
-    )
-    payload = {"params": _provenance(cfg, {"b_operating_T": args.b_operating})}
-    payload.update(scenario_dict(result))
-    text = _json_text(payload)
-    if cfg.output_path:
-        _write_text(cfg.output_path, text)
-        print(f"wrote {cfg.output_path}")
-    else:
-        print(text, end="")
-    print(
-        f"B switch at {result.b_switch.value!r} T, "
-        f"E switch at {result.e_switch.value!r} V/m"
-    )
-    return EXIT_OK
+    result = switching_scenario(cfg.material, cfg.fields.a, args.b_operating,
+                                steps_per_phase=args.steps_per_phase)
+    payload = {
+        "params": _provenance(cfg, {"b_operating_T": args.b_operating}),
+        "b_switch": _switch_point_dict(result.b_switch),
+        "e_switch": _switch_point_dict(result.e_switch),
+        "steps": [
+            {"phase": s.phase, "B_T": s.B, "E_Vm": s.E, "J_meV": s.j_mev, "sign": s.sign}
+            for s in result.steps
+        ],
+    }
+    summary = f"B switch at {result.b_switch.value!r} T, E switch at {result.e_switch.value!r} V/m"
+    return _Output(_json_text(payload), args.out, after=summary)
 
 
-def cmd_figure(args) -> int:
+def cmd_figure(args, cfg: RunConfig) -> _Output:
     from .sweeps import SweepSpec, sweep
 
-    cfg = _resolve_config(args)
     layout = FIGURES[args.id]
-    curves = layout["curves"]
     columns = []
-    for key, value in curves:
+    for key, value in layout["curves"]:
         fixed = replace(cfg.fields, **({"B": value} if key == "B_T" else {"E": value}))
-        spec = SweepSpec(
-            vary=layout["vary"],
-            start=layout["start"],
-            stop=layout["stop"],
-            steps=layout["steps"],
-            fixed=fixed,
-            material=cfg.material,
-        )
+        spec = SweepSpec(layout["vary"], layout["start"], layout["stop"], layout["steps"], fixed,
+                         cfg.material)
         columns.append(((key, value), sweep(spec)))
-    xs = [row.x for row in columns[0][1]]
-    lines = [f"# dotx figure {args.id}"]
-    prov = _provenance(cfg, {"vary": layout["vary"], "steps": layout["steps"]})
-    for key in sorted(prov):
-        lines.append(f"# {key} = {prov[key]!r}")
-    header = ["x"] + [f"J_meV_{key}={value!r}" for (key, value), _ in columns]
-    lines.append(",".join(header))
-    for i, x in enumerate(xs):
-        vals = [repr(float(x))]
-        for _, rows in columns:
-            vals.append(repr(float(rows[i].j_mev)))
-        lines.append(",".join(vals))
-    text = "\n".join(lines) + "\n"
-    out_dir = cfg.output_path or "."
-    path = os.path.join(out_dir, f"fig{args.id}.csv")
-    _write_text(path, text)
-    print(f"wrote {path}")
-    return EXIT_OK
+    lines = _csv_lines(
+        f"figure {args.id}", _provenance(cfg, {"vary": layout["vary"], "steps": layout["steps"]})
+    )
+    lines.append(",".join(["x"] + [f"J_meV_{key}={value!r}" for (key, value), _ in columns]))
+    for i, row in enumerate(columns[0][1]):
+        values = [row.x] + [rows[i].j_mev for _, rows in columns]
+        lines.append(",".join(repr(float(v)) for v in values))
+    path = os.path.join(args.out or ".", f"fig{args.id}.csv")
+    return _Output("\n".join(lines) + "\n", path)
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args, cfg: RunConfig) -> _Output:
     from .oracle import _DEFAULT_COULOMB, _DEFAULT_SINGLE, assemble_oracle
 
-    if not 0.0 <= args.threshold < math.inf:
-        print(f"dotx: error: --threshold must be finite and >= 0, got {args.threshold!r}",
-              file=sys.stderr)
-        return EXIT_USAGE
-    cfg = _resolve_config(args)
     overrides = {"order": args.quad_order, "rel_tol": args.quad_rel_tol}
     quad_single = replace(_DEFAULT_SINGLE, **{k: v for k, v in overrides.items() if v is not None})
     rel_tol = max(quad_single.rel_tol, _DEFAULT_COULOMB.rel_tol)
     quad_coulomb = replace(_DEFAULT_COULOMB, order=quad_single.order, rel_tol=rel_tol)
     a_b = bohr_radius_nm(cfg.material)
-    records = []
-    worst = 0.0
-    any_incomplete = False
+    records, worst, any_incomplete = [], 0.0, False
     for b_field in args.grid_b:
         for d in args.grid_d:
             fields = FieldConfig(B=b_field, E=cfg.fields.E, a=d * a_b)
@@ -367,36 +335,49 @@ def cmd_oracle(args) -> int:
             breakdown = assemble_oracle(
                 cfg.material, fields, quad_single=quad_single, quad_coulomb=quad_coulomb
             )
-            params = {
-                "B_T": b_field,
-                "E_Vm": cfg.fields.E,
-                "a_nm": fields.a,
-                "b": p.b,
-                "d": p.d,
+            records.append(breakdown.to_report_dict({
+                "B_T": b_field, "E_Vm": cfg.fields.E, "a_nm": fields.a, "b": p.b, "d": p.d,
                 "c": p.c_coulomb,
-            }
-            records.append(breakdown.to_report_dict(params))
+            }))
             if breakdown.incomplete:
                 any_incomplete = True
             else:
                 worst = max(worst, breakdown.rel_discrepancy)
+    failed = worst > args.threshold or any_incomplete
     payload = {
         "params": _provenance(cfg, {"grid_B_T": args.grid_b, "grid_d": args.grid_d}),
         "threshold": args.threshold,
         "max_rel_discrepancy": worst,
-        "all_within_threshold": worst <= args.threshold and not any_incomplete,
+        "all_within_threshold": not failed,
         "points": records,
     }
-    text = _json_text(payload)
-    if cfg.output_path:
-        _write_text(cfg.output_path, text)
-        print(f"wrote {cfg.output_path}")
+    return _Output(
+        _json_text(payload), args.out,
+        after=f"max relative discrepancy: {worst!r} (threshold {args.threshold!r})",
+        code=EXIT_ORACLE if failed else EXIT_OK,
+    )
+
+
+def _run(args) -> int:
+    """Resolve the config, run the command, then write `--out` or print the
+    text, with the command's summary lines around it; returns the exit code."""
+    if args.command == "oracle" and not 0.0 <= args.threshold < math.inf:
+        # a usage error, reported ahead of any material error
+        print(f"dotx: error: --threshold must be finite and >= 0, got {args.threshold!r}",
+              file=sys.stderr)
+        return EXIT_USAGE
+    text, path, wrote, before, after, code = args.func(args, _resolve_config(args))
+    if path:
+        _write_text(path, text)
+    if before:
+        print(before)
+    if path:
+        print(f"wrote {path}{wrote}")
     else:
         print(text, end="")
-    print(f"max relative discrepancy: {worst!r} (threshold {args.threshold!r})")
-    if worst > args.threshold or any_incomplete:
-        return EXIT_ORACLE
-    return EXIT_OK
+    if after:
+        print(after)
+    return code
 
 
 def _eval_args(p):
@@ -481,8 +462,7 @@ def main(argv=None) -> int:
     # rejects one before it, so only that subparser needs its arguments.
     parser = build_parser(next((a for a in argv if not a.startswith("-")), ""))
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        return _run(parser.parse_args(argv))
     except SystemExit as exc:  # argparse usage errors come through here
         return exc.code if exc.code is not None else EXIT_OK
     except _CONVERGENCE_ERRORS as exc:

@@ -419,6 +419,10 @@ def assemble_oracle(
     quad_coulomb = quad_coulomb or _DEFAULT_COULOMB
     pt = _Point(mat, fields)
     fr = pt.frame
+    if fr.d * fr.d == 0.0:  # the closed form's error; the W brackets would divide by d^2
+        raise SingularConfigurationError(
+            f"singular configuration d={fr.d!r}: 1 - S^4 rounds to 0, the two dots coincide"
+        )
 
     res = _brackets(pt, quad_single, ("overlap",) + _U1 + _U2 + _U5)
     failures: list = []

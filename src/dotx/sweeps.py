@@ -146,9 +146,9 @@ def _row_columns(spec: SweepSpec) -> list:
     import numpy as np
 
     grid = np.linspace(spec.start, spec.stop, spec.steps)
-    cols = exchange_energy_arrays(
-        spec.material, *_lab_point(spec.material, spec.fixed, spec.vary, grid)
-    )
+    with np.errstate(over="ignore"):  # a d grid overflowing to a = inf is marked invalid
+        lab = _lab_point(spec.material, spec.fixed, spec.vary, grid)
+    cols = exchange_energy_arrays(spec.material, *lab)
     return [
         column.tolist()
         for column in (
@@ -449,6 +449,11 @@ def switching_scenario(
         )
 
     b_points = scan_switches("B", material, fixed, 0.0, b_operating)
+    if not b_points:  # J < 0 at b_operating and no sign change below it
+        raise ScenarioError(
+            f"J is already ferromagnetic at B = 0: no sign change of J on [0, {b_operating}] T, "
+            "so no B-driven switch exists"
+        )
     b_switch = b_points[0]
     fixed_b = replace(fixed, B=b_operating)
     e_points = scan_switches("E", material, fixed_b, 0.0, e_limit)
@@ -472,57 +477,3 @@ def switching_scenario(
         steps.append(ScenarioStep(phase, b, e, j, 0 if j == 0.0 else (1 if j > 0.0 else -1)))
 
     return ScenarioResult(steps=steps, b_switch=b_switch, e_switch=e_switch)
-
-
-# ---------------------------------------------------------------------------
-# serialization helpers (CSV / JSON payloads; file writing lives in the CLI)
-
-
-def sweep_csv_text(spec: SweepSpec, rows: list, provenance: dict) -> str:
-    lines = ["# dotx sweep"]
-    for key in sorted(provenance):
-        lines.append(f"# {key} = {provenance[key]!r}")
-    lines.append("x,J_meV,prefactor,coulomb_term,quartic_term,efield_term,b,d,S")
-    for row in rows:
-        if row.singular or row.breakdown is None:
-            lines.append(f"{row.x!r},nan,nan,nan,nan,nan,nan,nan,nan")
-            continue
-        bd = row.breakdown
-        lines.append(
-            ",".join(
-                repr(float(v))
-                for v in (
-                    row.x,
-                    row.j_mev,
-                    bd.prefactor,
-                    bd.coulomb_term,
-                    bd.quartic_term,
-                    bd.efield_term,
-                    row.b,
-                    row.d,
-                    row.s_overlap,
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def switch_point_dict(point: SwitchPoint) -> dict:
-    return {
-        "axis": point.axis,
-        "value": point.value,
-        "bracket": list(point.bracket),
-        "residual_mev": point.residual,
-        "direction": point.direction,
-    }
-
-
-def scenario_dict(result: ScenarioResult) -> dict:
-    return {
-        "b_switch": switch_point_dict(result.b_switch),
-        "e_switch": switch_point_dict(result.e_switch),
-        "steps": [
-            {"phase": s.phase, "B_T": s.B, "E_Vm": s.E, "J_meV": s.j_mev, "sign": s.sign}
-            for s in result.steps
-        ],
-    }

@@ -610,3 +610,36 @@ class TestErrorMapping:
         assert err.startswith("dotx: error: electric field chi=")
         assert "at distance d=0.7: chi^2/d^2 overflows" in err
         assert err.count("\n") == 1
+
+    def test_scenario_ferromagnetic_at_zero_field(self, capsys):
+        # At c = 8, J < 0 on all of [0, 2] T, so the B scan finds no switch:
+        # this used to end in an IndexError traceback
+        code, out, err = run(capsys, "scenario", "--c-override", "8")
+        assert (code, out) == (2, "")
+        assert err == (
+            "dotx: error: J is already ferromagnetic at B = 0: no sign change of J on "
+            "[0, 2.0] T, so no B-driven switch exists\n"
+        )
+
+    def test_oracle_distance_squared_underflow(self, capsys):
+        # d^2 underflows to 0: the closed form's error, raised before any
+        # bracket divides by d^2 (a ZeroDivisionError traceback before)
+        code, out, err = run(capsys, "oracle", "--grid-b", "1", "--grid-d", "1e-300")
+        assert (code, out) == (2, "")
+        assert err == (
+            "dotx: error: singular configuration d=1e-300: 1 - S^4 rounds to 0, "
+            "the two dots coincide\n"
+        )
+
+    @pytest.mark.parametrize("extra, code", [([], 2), (["--B", "1e300", "--c-override", "1e5"], 0)])
+    def test_sweep_distance_overflow_warns_nothing(self, capsys, extra, code):
+        # d * a_B overflows to a = inf on the grid: the kernel marks that row
+        # invalid, with no numpy RuntimeWarning (an error under pytest)
+        argv = ["sweep", "--vary", "d", "--from", "0.3", "--to", "1e308", *extra]
+        got, out, err = run(capsys, *argv)
+        assert got == code
+        if code == 2:
+            assert out == ""
+            assert err == "dotx: error: distance d=1e+306 is too large: d^2 overflows\n"
+        else:
+            assert err == "" and out.splitlines()[-1] == "1e+308,nan,nan,nan,nan,nan,nan,nan,nan"

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import dotx.closed_form
 import dotx.sweeps
+from dotx.cli import _sweep_csv
 from dotx.closed_form import (
     ExchangeBreakdown,
     exchange_energy_along,
@@ -31,7 +32,6 @@ from dotx.sweeps import (
     find_switch,
     scan_switches,
     sweep,
-    sweep_csv_text,
     switching_scenario,
 )
 from dotx.units import (
@@ -180,7 +180,7 @@ class TestSweep:
 
     def test_csv_text_layout(self, gaas):
         spec = make_spec(gaas, steps=5)
-        text = sweep_csv_text(spec, sweep(spec), {"material": "gaas"})
+        text = _sweep_csv(sweep(spec), {"material": "gaas"})
         lines = text.splitlines()
         assert lines[0] == "# dotx sweep"
         assert lines[1] == "# material = 'gaas'"

@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 import dotx.closed_form
 import dotx.sweeps
 import dotx.units as units
+from dotx.cli import _switch_point_dict
 from dotx.closed_form import efield_switch, exchange_energy_along, exchange_energy_lab
 from dotx.errors import InvalidParameterError, RootConvergenceError
-from dotx.sweeps import AXIS_XTOL, brent, find_switch, switch_point_dict
+from dotx.sweeps import AXIS_XTOL, brent, find_switch
 from dotx.units import GAAS, FieldConfig, MaterialParams, bohr_radius_nm, derive_parameters
 
 from conftest import EPS
@@ -183,7 +184,7 @@ class TestFindSwitchEvaluations:
     def test_switch_dict_keeps_its_keys(self):
         point = find_switch("B", GAAS, REFERENCE, (0.5, 3.0))
         assert point.evaluations > point.iterations > 0
-        assert list(switch_point_dict(point)) == [
+        assert list(_switch_point_dict(point)) == [
             "axis", "value", "bracket", "residual_mev", "direction"
         ]
 
