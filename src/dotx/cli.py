@@ -11,7 +11,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
 from typing import NamedTuple
 
 from .closed_form import exchange_energy
@@ -132,7 +131,7 @@ def _resolve_config(args) -> RunConfig:
     name = args.material_file or args.material
     mat = load_material(name) if args.material_file else material_by_name(name)
     if args.c_override is not None:
-        mat = replace(mat, c_override=args.c_override)
+        mat = mat._replace(c_override=args.c_override)
     a_nm = args.a_over_ab * bohr_radius_nm(mat) if args.a_nm is None else args.a_nm
     return RunConfig(mat, name, mat.c_override is not None, FieldConfig(args.B, args.E, a_nm))
 
@@ -251,8 +250,9 @@ def cmd_sweep(args, cfg: RunConfig) -> _Output:
         text = _sweep_csv(rows, prov)
     if not args.out:
         return _Output(text)
-    n_sign = sum(not (r1.singular or r2.singular) and (r1.j_mev > 0) != (r2.j_mev > 0)
-                 for r1, r2 in zip(rows, rows[1:]))
+    # as scan_switches counts them: J = 0 (a root on the grid, or underflow) has no sign
+    signs = [r.j_mev > 0.0 for r in rows if not r.singular and r.j_mev != 0.0]
+    n_sign = sum(s1 != s2 for s1, s2 in zip(signs, signs[1:]))
     return _Output(text, args.out, wrote=f" ({len(rows)} rows, {n_sign} sign change(s))")
 
 
@@ -304,7 +304,7 @@ def cmd_figure(args, cfg: RunConfig) -> _Output:
     layout = FIGURES[args.id]
     columns = []
     for key, value in layout["curves"]:
-        fixed = replace(cfg.fields, **({"B": value} if key == "B_T" else {"E": value}))
+        fixed = cfg.fields._replace(**({"B": value} if key == "B_T" else {"E": value}))
         spec = SweepSpec(layout["vary"], layout["start"], layout["stop"], layout["steps"], fixed,
                          cfg.material)
         columns.append(((key, value), sweep(spec)))
@@ -323,9 +323,10 @@ def cmd_oracle(args, cfg: RunConfig) -> _Output:
     from .oracle import _DEFAULT_COULOMB, _DEFAULT_SINGLE, assemble_oracle
 
     overrides = {"order": args.quad_order, "rel_tol": args.quad_rel_tol}
-    quad_single = replace(_DEFAULT_SINGLE, **{k: v for k, v in overrides.items() if v is not None})
+    quad_single = _DEFAULT_SINGLE._replace(**{k: v for k, v in overrides.items() if v is not None})
     rel_tol = max(quad_single.rel_tol, _DEFAULT_COULOMB.rel_tol)
-    quad_coulomb = replace(_DEFAULT_COULOMB, order=quad_single.order, rel_tol=rel_tol)
+    quad_coulomb = _DEFAULT_COULOMB._replace(order=quad_single.order, rel_tol=rel_tol)
+    quad_single.validate()  # and so quad_coulomb: the same order, a rel_tol no smaller
     a_b = bohr_radius_nm(cfg.material)
     records, worst, any_incomplete = [], 0.0, False
     for b_field in args.grid_b:

@@ -60,7 +60,6 @@ the error as |imag|; summed in a fixed order, a report repeats bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -87,8 +86,7 @@ class TermEstimate(NamedTuple):
     error: float
 
 
-@dataclass(frozen=True)
-class _Orbital:
+class _Orbital(NamedTuple):
     """One translated ground-state orbital, in a_B / hbar*omega_0 units.
 
     center_x     orbital center on the x axis
@@ -104,8 +102,7 @@ class _Orbital:
     phase_slope: float
 
 
-@dataclass(frozen=True)
-class HLBreakdown:
+class HLBreakdown(NamedTuple):
     """Quadrature-side exchange energy with its per-term report.
 
     upsilon maps u1..u5 to (value, error) in units of the confinement
@@ -144,8 +141,7 @@ class HLBreakdown:
         return out
 
 
-@dataclass(frozen=True)
-class _Frame:
+class _Frame(NamedTuple):
     """Dimensionless working set shared by all matrix elements."""
 
     b: float
@@ -417,6 +413,8 @@ def assemble_oracle(
     """
     quad_single = quad_single or _DEFAULT_SINGLE
     quad_coulomb = quad_coulomb or _DEFAULT_COULOMB
+    quad_single.validate()
+    quad_coulomb.validate()
     pt = _Point(mat, fields)
     fr = pt.frame
     if fr.d * fr.d == 0.0:  # the closed form's error; the W brackets would divide by d^2

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InvalidArgumentError, QuadratureError
 
@@ -171,9 +170,9 @@ def bessel_i0e_array(x: np.ndarray) -> np.ndarray:
 _MAX_ORDER = 128
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Controls one family of 2D integrals.
+class QuadratureSpec(NamedTuple):
+    """Controls one family of 2D integrals, checked by `validate`, which
+    `integrate_2d` and `assemble_oracle` call before they sample a node.
 
     order       points per axis at the first refinement level, an int 4..128
     rel_tol     target relative error (against the integral of |f|)
@@ -182,7 +181,7 @@ class QuadratureSpec:
     order: int = 64
     rel_tol: float = 1e-10
 
-    def __post_init__(self):
+    def validate(self):
         if not isinstance(self.order, int) or isinstance(self.order, bool):
             raise InvalidArgumentError(f"quadrature order must be an integer, got {self.order!r}")
         if self.order < 4:
@@ -325,9 +324,7 @@ def integrate_2d(f, spec: QuadratureSpec | None = None, center=(0.0, 0.0), scale
     change between two refinement levels, floored at roundoff of the
     integral of |f|.
     """
-    return _refine(
-        lambda n, l1: _gauss_hermite_sample(f, n, center, scale, l1),
-        _hermite_nodes,
-        spec or QuadratureSpec(),
-        "integrate_2d",
-    )
+    spec = spec or QuadratureSpec()
+    spec.validate()
+    sample = lambda n, l1: _gauss_hermite_sample(f, n, center, scale, l1)  # noqa: E731
+    return _refine(sample, _hermite_nodes, spec, "integrate_2d")

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
 from itertools import repeat
 from typing import NamedTuple
 
@@ -44,8 +43,7 @@ AXIS_XTOL = {"B": 1e-6, "E": 1.0, "d": 1e-8}
 _MAX_STEPS = 100_000
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(NamedTuple):
     """One-dimensional scan description.
 
     vary is "B" (Tesla), "E" (V/m) or "d" (dimensionless half-distance);
@@ -117,8 +115,7 @@ class SweepRow(NamedTuple):
     singular: bool = False
 
 
-@dataclass(frozen=True)
-class SwitchPoint:
+class SwitchPoint(NamedTuple):
     """A located zero crossing of J along one axis."""
 
     axis: str
@@ -393,8 +390,7 @@ def scan_switches(
     ]
 
 
-@dataclass(frozen=True)
-class ScenarioStep:
+class ScenarioStep(NamedTuple):
     phase: str  # "A" ramp-B, "B" ferro plateau, "C" ramp-E, "D" antiferro plateau
     B: float
     E: float
@@ -402,8 +398,7 @@ class ScenarioStep:
     sign: int
 
 
-@dataclass(frozen=True)
-class ScenarioResult:
+class ScenarioResult(NamedTuple):
     steps: list
     b_switch: SwitchPoint
     e_switch: SwitchPoint
@@ -455,7 +450,7 @@ def switching_scenario(
             "so no B-driven switch exists"
         )
     b_switch = b_points[0]
-    fixed_b = replace(fixed, B=b_operating)
+    fixed_b = fixed._replace(B=b_operating)
     e_points = scan_switches("E", material, fixed_b, 0.0, e_limit)
     if not e_points:
         raise ScenarioError(

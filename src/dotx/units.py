@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InvalidParameterError, SingularConfigurationError
@@ -30,8 +29,7 @@ MEV_TO_J = 1e-3 * E_CHARGE
 NM_TO_M = 1e-9
 
 
-@dataclass(frozen=True)
-class MaterialParams:
+class MaterialParams(NamedTuple):
     """Host material and confinement description.
 
     effective_mass        electron mass as a multiple of the bare mass
@@ -57,8 +55,7 @@ class MaterialParams:
             raise InvalidParameterError(f"c_override must be finite and >= 0, got {self.c_override!r}")
 
 
-@dataclass(frozen=True)
-class FieldConfig:
+class FieldConfig(NamedTuple):
     """Applied fields and geometry.
 
     B   magnetic flux density in Tesla, along z (sign irrelevant: enters
@@ -84,8 +81,7 @@ class FieldConfig:
             raise InvalidParameterError(f"E must be finite, got {self.E!r}")
 
 
-@dataclass(frozen=True)
-class DerivedParams:
+class DerivedParams(NamedTuple):
     """Dimensionless model inputs plus the frequencies they come from.
 
     larmor        omega_L = e B / (2 m), rad/s
@@ -214,7 +210,8 @@ def derive_arrays(mat: MaterialParams, B, E, a):
 def fields_from_dimensionless(
     mat: MaterialParams, b: float, d: float, efield_ratio: float = 0.0
 ) -> FieldConfig:
-    """Invert (b, d, chi) back to lab fields for the given material."""
+    """Invert (b, d, chi) back to lab fields for the given material.  Fields
+    that `FieldConfig.validate` rejects raise InvalidParameterError with its message."""
     m, omega0, a_b, _, _ = _material_constants(mat)
     if not (math.isfinite(b) and b >= 1.0):
         raise InvalidParameterError(f"compression factor b must be finite and >= 1, got {b!r}")
@@ -223,8 +220,16 @@ def fields_from_dimensionless(
     larmor = omega0 * math.sqrt(b * b - 1.0)
     B = 2.0 * m * larmor / E_CHARGE
     a_nm = d * a_b
-    E = efield_ratio * mat.confinement_energy * MEV_TO_J / (E_CHARGE * a_nm * NM_TO_M)
-    return FieldConfig(B=B, E=E, a=a_nm)
+    E = efield_ratio * mat.confinement_energy * MEV_TO_J  # chi = 0 gives E = 0 undivided
+    if efield_ratio != 0.0:
+        e_a = E_CHARGE * a_nm * NM_TO_M  # 0 where a tiny a underflows: E is then inf
+        E = E / e_a if e_a > 0.0 else math.inf
+    fields = FieldConfig(B=B, E=E, a=a_nm)
+    try:  # a nan chi, or fields past the float range, fail here
+        fields.validate()
+    except SingularConfigurationError as exc:  # d a_B underflows to a = 0
+        raise InvalidParameterError(str(exc)) from None
+    return fields
 
 
 def load_material(path: str) -> MaterialParams:

@@ -4,7 +4,6 @@ line.  Run with `pytest tests/test_acceptance.py -v -s` to see them.
 
 import json
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +26,7 @@ from dotx.units import (
 from conftest import build_orbital, orbital_norm, rel_err
 
 A_B = bohr_radius_nm(GAAS)
-GAAS_C236 = replace(GAAS, c_override=2.36)
+GAAS_C236 = GAAS._replace(c_override=2.36)
 REFERENCE_FIELDS = FieldConfig(B=0.0, E=0.0, a=0.7 * A_B)
 
 
@@ -43,7 +42,7 @@ def test_ac1_sign_switch_in_b():
     j0 = exchange_energy_lab(GAAS_C236, REFERENCE_FIELDS).j_mev
     grid = np.linspace(1e-3, 3.0, 301)
     signs = [
-        exchange_energy_lab(GAAS_C236, replace(REFERENCE_FIELDS, B=float(B))).j_mev > 0.0
+        exchange_energy_lab(GAAS_C236, REFERENCE_FIELDS._replace(B=float(B))).j_mev > 0.0
         for B in grid
     ]
     flips = sum(1 for s1, s2 in zip(signs[:-1], signs[1:]) if s1 != s2)
@@ -123,13 +122,13 @@ def test_ac4_efield_properties():
 
     stars = []
     for e_field in (0.0, 2.5e5, 5e5, 7.5e5):
-        fixed = replace(REFERENCE_FIELDS, E=e_field)
+        fixed = REFERENCE_FIELDS._replace(E=e_field)
         points = scan_switches("B", GAAS_C236, fixed, 0.1, 15.0, scan_steps=150)
         stars.append(points[0].value)
     monotone = all(s2 >= s1 for s1, s2 in zip(stars[:-1], stars[1:]))
 
-    at_2t = scan_switches("E", GAAS_C236, replace(REFERENCE_FIELDS, B=2.0), 0.0, 2e6)
-    at_1t = scan_switches("E", GAAS_C236, replace(REFERENCE_FIELDS, B=1.0), 0.0, 2e6)
+    at_2t = scan_switches("E", GAAS_C236, REFERENCE_FIELDS._replace(B=2.0), 0.0, 2e6)
+    at_1t = scan_switches("E", GAAS_C236, REFERENCE_FIELDS._replace(B=1.0), 0.0, 2e6)
     crossing_ok = (
         len(at_2t) == 1
         and at_2t[0].direction == "ferro_to_antiferro"
@@ -251,7 +250,7 @@ def test_ac7_figure_data(tmp_path, capsys):
 
 def test_ac8_pinned_value_regression(golden):
     """AC-8: every independently derived golden value reproduced to 1e-6."""
-    p1 = derive_parameters(GAAS, replace(REFERENCE_FIELDS, B=1.0))
+    p1 = derive_parameters(GAAS, REFERENCE_FIELDS._replace(B=1.0))
     hbar_larmor_mev = p1.larmor * 1.0545718176461565e-34 / 1.602176634e-22
     checks = {
         "bohr_radius_gaas_nm": bohr_radius_nm(GAAS),
@@ -264,7 +263,7 @@ def test_ac8_pinned_value_regression(golden):
         "j_dimensionless_b1_d0p7_c2p36": exchange_energy(1.0, 0.7, 2.36, 0.0).j_dimensionless,
         "j_mev_gaas_b0_a0p7ab": exchange_energy_lab(GAAS, REFERENCE_FIELDS).j_mev,
         "j_mev_gaas_1t_a0p7ab": exchange_energy_lab(
-            GAAS, replace(REFERENCE_FIELDS, B=1.0)
+            GAAS, REFERENCE_FIELDS._replace(B=1.0)
         ).j_mev,
         "overlap_b1_d0p7": overlap(1.0, 0.7),
         "overlap_b1p0406_d0p7": overlap(1.0406, 0.7),

@@ -133,6 +133,26 @@ class TestSweepCommand:
         assert len(payload["rows"]) == 9
         assert payload["params"]["vary"] == "d"
 
+    def test_underflow_to_zero_is_no_sign_change(self, capsys, tmp_path):
+        # J > 0 decays to exactly 0 from d = 20 on: no switch, as `switch --scan` finds
+        out = tmp_path / "s.csv"
+        argv = ("--vary", "d", "--from", "1", "--to", "40")
+        code, stdout, _ = run(capsys, "sweep", *argv, "--steps", "40", "--out", str(out))
+        assert (code, stdout) == (0, f"wrote {out} (40 rows, 0 sign change(s))\n")
+        j = [float(line.split(",")[1]) for line in out.read_text().splitlines()[-40:]]
+        assert min(j[:19]) > 0.0 and set(j[19:]) == {0.0}
+        code, _, err = run(capsys, "switch", *argv, "--scan")
+        assert code == 2 and "no sign change" in err
+
+    def test_one_switch_is_one_sign_change(self, capsys, tmp_path):
+        # 8 steps on [0, 3] T cross the B switch near 1.4 T once
+        out = tmp_path / "s.csv"
+        code, stdout, _ = run(
+            capsys, "sweep", "--vary", "B", "--from", "0", "--to", "3", "--steps", "8",
+            "--out", str(out),
+        )
+        assert (code, stdout) == (0, f"wrote {out} (8 rows, 1 sign change(s))\n")
+
     def test_domain_error_exit(self, capsys):
         code, _, err = run(capsys, "sweep", "--vary", "B", "--from", "3", "--to", "1")
         assert code == 2

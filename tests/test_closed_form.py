@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -107,18 +106,18 @@ class TestExchangeEnergyLab:
     def test_composition_pins(self, gaas, gaas_fields, golden):
         bd = exchange_energy_lab(gaas, gaas_fields)
         assert rel_err(bd.j_mev, golden["j_mev_gaas_b0_a0p7ab"]) < 1e-12
-        bd1 = exchange_energy_lab(gaas, replace(gaas_fields, B=1.0))
+        bd1 = exchange_energy_lab(gaas, gaas_fields._replace(B=1.0))
         assert rel_err(bd1.j_mev, golden["j_mev_gaas_1t_a0p7ab"]) < 1e-12
 
     def test_even_in_b(self, gaas, gaas_fields):
-        plus = exchange_energy_lab(gaas, replace(gaas_fields, B=1.5))
-        minus = exchange_energy_lab(gaas, replace(gaas_fields, B=-1.5))
+        plus = exchange_energy_lab(gaas, gaas_fields._replace(B=1.5))
+        minus = exchange_energy_lab(gaas, gaas_fields._replace(B=-1.5))
         assert plus == minus
 
     def test_sign_change_once_in_b(self, gaas, gaas_fields):
         grid = np.linspace(0.01, 3.0, 300)
         signs = [
-            exchange_energy_lab(gaas, replace(gaas_fields, B=float(B))).j_mev > 0.0
+            exchange_energy_lab(gaas, gaas_fields._replace(B=float(B))).j_mev > 0.0
             for B in grid
         ]
         flips = sum(1 for s1, s2 in zip(signs[:-1], signs[1:]) if s1 != s2)
@@ -127,7 +126,7 @@ class TestExchangeEnergyLab:
 
     def test_strong_field_ferromagnetic_and_fading(self, gaas, gaas_fields):
         values = [
-            exchange_energy_lab(gaas, replace(gaas_fields, B=B)).j_mev
+            exchange_energy_lab(gaas, gaas_fields._replace(B=B)).j_mev
             for B in (6.0, 7.0, 8.0, 10.0)
         ]
         assert all(v < 0.0 for v in values)

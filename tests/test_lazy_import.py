@@ -2,7 +2,7 @@
 that evaluate J at points, find a switch or run the scenario, run without it.
 The drivers load on first use too: importing dotx or dotx.cli loads neither
 `dotx.sweeps` nor `dotx.oracle` (nor json), and each command loads only the
-one it runs.
+one it runs.  No dotx process loads `dataclasses`: every record is a NamedTuple.
 
 Each check runs in a fresh interpreter, since this one has numpy loaded.
 """
@@ -42,7 +42,7 @@ DRIVERS = {
 }
 
 # Modules that `import dotx` and `import dotx.cli` leave unloaded.
-DEFERRED_MODULES = ["numpy", "json", "dotx.sweeps", "dotx.oracle"]
+DEFERRED_MODULES = ["numpy", "json", "dotx.sweeps", "dotx.oracle", "dataclasses"]
 
 # Second entry points that `assemble_oracle` and `derive_parameters` cover,
 # and the orbital and polar-rule helpers only the tests called (the tests
@@ -68,15 +68,15 @@ def run_python(code: str, cwd) -> list:
 
 
 def run_cli(argv: list, cwd) -> tuple:
-    """(exit code, numpy loaded, driver modules loaded) of `dotx.cli.main(argv)`
-    in a fresh interpreter."""
+    """(exit code, numpy loaded, driver modules loaded, dataclasses loaded) of
+    `dotx.cli.main(argv)` in a fresh interpreter."""
     code = (
         "import json, sys\n"
         "import dotx.cli\n"
         f"code = dotx.cli.main({argv!r})\n"
         "drivers = [m for m in ('dotx.sweeps', 'dotx.oracle') if m in sys.modules]\n"
         "print()\n"
-        "print(json.dumps([code, 'numpy' in sys.modules, drivers]))\n"
+        "print(json.dumps([code, 'numpy' in sys.modules, drivers, 'dataclasses' in sys.modules]))\n"
     )
     return tuple(run_python(code, cwd))
 
@@ -105,7 +105,7 @@ def test_import_loads_no_numpy(tmp_path, modules):
     ],
 )
 def test_scalar_commands_run_without_numpy(tmp_path, argv):
-    assert run_cli(argv, tmp_path) == (0, False, DRIVERS[argv[0]])
+    assert run_cli(argv, tmp_path) == (0, False, DRIVERS[argv[0]], False)
 
 
 @pytest.mark.parametrize(
@@ -117,7 +117,7 @@ def test_scalar_commands_run_without_numpy(tmp_path, argv):
     ],
 )
 def test_array_commands_load_numpy_and_succeed(tmp_path, argv):
-    assert run_cli(argv, tmp_path) == (0, True, DRIVERS[argv[0]])
+    assert run_cli(argv, tmp_path) == (0, True, DRIVERS[argv[0]], False)
 
 
 def test_driver_modules_resolve_after_a_bare_import(tmp_path):

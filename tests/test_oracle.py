@@ -1,6 +1,5 @@
 import cmath
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -72,7 +71,7 @@ class TestOrbitals:
         assert o1.phase_slope > 0.0
 
     def test_efield_shifts_both_centers_together(self, gaas, gaas_fields):
-        shifted = replace(gaas_fields, E=5e5)
+        shifted = gaas_fields._replace(E=5e5)
         p = derive_parameters(gaas, shifted)
         o1 = build_orbital(1, gaas, shifted)
         o2 = build_orbital(2, gaas, shifted)
@@ -87,7 +86,7 @@ class TestOrbitals:
 
     def test_modulus_independent_of_phase(self, gaas, fields_1t):
         orb = build_orbital(1, gaas, fields_1t)
-        flat = replace(orb, phase_slope=0.0)
+        flat = orb._replace(phase_slope=0.0)
         xs = np.linspace(-2.0, 2.0, 7)
         for x in xs:
             for y in xs:
@@ -140,7 +139,7 @@ class TestHamiltonian:
         differences at 1e-6 step; agreement well under 1e-5 relative."""
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 40
-        fields = replace(fields_1t, E=3e5)
+        fields = fields_1t._replace(E=3e5)
         p = derive_parameters(gaas, fields)
         orb = build_orbital(1, gaas, fields)
         h_field = apply_hamiltonian(orb, 1, gaas, fields)

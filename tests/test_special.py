@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import sys
 
@@ -7,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dotx.oracle
 import dotx.special
 from dotx.errors import InvalidArgumentError, QuadratureError
 from dotx.oracle import _Bracket, _Orbital, _stacked_sampler  # noqa: internal
@@ -20,6 +20,7 @@ from dotx.special import (  # noqa: the samplers are internal, compared directly
     bessel_i0e,
     integrate_2d,
 )
+from dotx.units import GAAS, FieldConfig
 
 from conftest import integrate_coulomb_relative, rel_err
 
@@ -172,19 +173,31 @@ class TestIntegrate2D:
         assert excinfo.value.value is not None
         assert excinfo.value.error_estimate > 0.0
 
-    def test_spec_validation(self):
-        with pytest.raises(InvalidArgumentError):
-            QuadratureSpec(order=2)
-        with pytest.raises(InvalidArgumentError):
-            QuadratureSpec(rel_tol=0.0)
-        assert QuadratureSpec(order=128).order == 128
-        with pytest.raises(InvalidArgumentError, match="order must be <= 128"):
-            QuadratureSpec(order=129)
-        # a non-integer order would reach numpy's node builders as a bare TypeError
-        for order in (8.0, 64.5, True, "64"):
-            with pytest.raises(InvalidArgumentError, match="order must be an integer"):
-                QuadratureSpec(order=order)
-        assert tuple(f.name for f in dataclasses.fields(QuadratureSpec)) == ("order", "rel_tol")
+    def test_spec_validation(self, monkeypatch):
+        # a spec is built unchecked, and checked where it is used, before any node
+        cases = [
+            (QuadratureSpec(order=2), "order must be >= 4"),
+            (QuadratureSpec(rel_tol=0.0), "rel_tol must lie in"),
+            (QuadratureSpec(order=129), "order must be <= 128"),
+            # a non-integer order would reach numpy's node builders as a bare TypeError
+            *((QuadratureSpec(order=order), "order must be an integer")
+              for order in (8.0, 64.5, True, "64")),
+        ]
+        sampled = []
+        monkeypatch.setattr(dotx.oracle, "_hermite_nodes", sampled.append)
+        monkeypatch.setattr(dotx.oracle, "_legendre_nodes", sampled.append)
+        singular = FieldConfig(B=1.0, E=0.0, a=0.0)  # its point raises when derived
+        for spec, message in cases:
+            with pytest.raises(InvalidArgumentError, match=message):
+                spec.validate()
+            with pytest.raises(InvalidArgumentError, match=message):
+                integrate_2d(lambda x, y: sampled.append(x), spec)
+            for kind in ("quad_single", "quad_coulomb"):
+                with pytest.raises(InvalidArgumentError, match=message):
+                    dotx.oracle.assemble_oracle(GAAS, singular, **{kind: spec})
+        assert sampled == []
+        QuadratureSpec(order=128).validate()
+        assert QuadratureSpec._fields == ("order", "rel_tol")
 
 
 class TestSeparableSample:

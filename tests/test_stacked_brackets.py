@@ -7,7 +7,6 @@ of |f| both take is a bound from 1-D sums, checked here against the n x n
 tensor sum it replaced.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -336,7 +335,7 @@ def test_l1_bound_covers_complex_q(n, monkeypatch):
     # a ket that is not an eigenstate of its own well (k != -lambda c_x)
     # gets a complex Q, whose |f| the 1-D sums bound from above
     pt = _Point(GAAS, FieldConfig(B=2.0, E=1e5, a=0.7 * A_B))
-    pt.orb2 = dataclasses.replace(pt.orb2, phase_slope=pt.orb2.phase_slope + 0.3)
+    pt.orb2 = pt.orb2._replace(phase_slope=pt.orb2.phase_slope + 0.3)
     _, got = stacked_sample(pt, monkeypatch)[0](n // 2, n, list(range(len(LABELS))))
     t = _hermite_nodes(n)[0]
     complex_q = []

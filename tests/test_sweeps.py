@@ -1,6 +1,5 @@
 import math
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -150,9 +149,9 @@ class TestSweep:
         spec = make_spec(gaas, vary=vary, start=start, stop=stop, steps=41, fixed=fixed)
         for row in sweep(spec):
             if vary == "d":
-                cfg = replace(fixed, a=row.x * bohr_radius_nm(gaas))
+                cfg = fixed._replace(a=row.x * bohr_radius_nm(gaas))
             else:
-                cfg = replace(fixed, **{vary: row.x})
+                cfg = fixed._replace(**{vary: row.x})
             p = derive_parameters(gaas, cfg)
             want = {**exchange_energy_lab(gaas, cfg)._asdict(), "x": row.x, "b": p.b, "d": p.d,
                     "s_overlap": overlap(p.b, p.d)}
@@ -438,8 +437,8 @@ class TestFindSwitch:
         from dotx.closed_form import ExchangeBreakdown, exchange_energy_lab, overlap
 
         point = find_switch("B", gaas, gaas_fields, (0.5, 3.0))
-        j_lo = exchange_energy_lab(gaas, replace(gaas_fields, B=point.bracket[0])).j_mev
-        j_hi = exchange_energy_lab(gaas, replace(gaas_fields, B=point.bracket[1])).j_mev
+        j_lo = exchange_energy_lab(gaas, gaas_fields._replace(B=point.bracket[0])).j_mev
+        j_hi = exchange_energy_lab(gaas, gaas_fields._replace(B=point.bracket[1])).j_mev
         assert (j_lo > 0.0) != (j_hi > 0.0)
 
     def test_no_root_in_bracket(self, gaas, gaas_fields):
@@ -447,7 +446,7 @@ class TestFindSwitch:
             find_switch("B", gaas, gaas_fields, (0.0, 0.5))
 
     def test_e_switch_above_threshold_field(self, gaas, gaas_fields):
-        fixed = replace(gaas_fields, B=2.0)
+        fixed = gaas_fields._replace(B=2.0)
         point = find_switch("E", gaas, fixed, (0.0, 2e5))
         assert point.direction == "ferro_to_antiferro"
         assert 1e4 < point.value < 2e5
@@ -464,7 +463,7 @@ class TestFindSwitch:
         assert cell[0].x <= point.value <= cell[1].x
 
     def test_d_axis(self, gaas, gaas_fields):
-        fixed = replace(gaas_fields, B=1.5)
+        fixed = gaas_fields._replace(B=1.5)
         point = find_switch("d", gaas, fixed, (0.3, 1.2))
         assert 0.5 < point.value < 0.9
         assert point.direction == "antiferro_to_ferro"
@@ -483,7 +482,7 @@ class TestFindSwitch:
     def test_b_star_nondecreasing_in_efield(self, gaas, gaas_fields):
         stars = []
         for e_field in (0.0, 2.5e5, 5e5, 7.5e5):
-            fixed = replace(gaas_fields, E=e_field)
+            fixed = gaas_fields._replace(E=e_field)
             points = scan_switches("B", gaas, fixed, 0.1, 15.0, scan_steps=150)
             assert len(points) == 1
             stars.append(points[0].value)
@@ -696,7 +695,7 @@ class TestScenario:
     @pytest.mark.parametrize("b_operating", [1e5, 1e20])
     def test_underflowed_operating_j_rejected(self, gaas, gaas_fields, b_operating):
         # J is exactly 0 there, neither antiferromagnetic nor ferromagnetic
-        assert exchange_energy_lab(gaas, replace(gaas_fields, B=b_operating)).j_mev == 0.0
+        assert exchange_energy_lab(gaas, gaas_fields._replace(B=b_operating)).j_mev == 0.0
         message = f"J underflows to 0 at the operating field {b_operating} T"
         with pytest.raises(ScenarioError, match=re.escape(message)):
             switching_scenario(gaas, gaas_fields.a, b_operating=b_operating)

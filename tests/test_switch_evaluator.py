@@ -7,7 +7,6 @@ Values are compared by repr, which tells nan, -inf and -0.0 apart.
 """
 
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -31,10 +30,10 @@ REFERENCE = FieldConfig(B=0.0, E=0.0, a=0.7 * A_B)
 
 def lab_fields(fixed, axis, x):
     if axis == "B":
-        return replace(fixed, B=x)
+        return fixed._replace(B=x)
     if axis == "E":
-        return replace(fixed, E=x)
-    return replace(fixed, a=x * A_B)
+        return fixed._replace(E=x)
+    return fixed._replace(a=x * A_B)
 
 
 def lab_outcome(mat, fields):
@@ -98,10 +97,10 @@ class TestMatchesLabPath:
             MaterialParams(effective_mass=-1.0, dielectric_const=13.1, confinement_energy=3.0),
             MaterialParams(effective_mass=0.067, dielectric_const=math.nan, confinement_energy=3.0),
             MaterialParams(effective_mass=0.067, dielectric_const=1e-320, confinement_energy=3.0),
-            replace(GAAS, c_override=-1.0),
-            replace(GAAS, c_override=math.inf),
-            replace(GAAS, c_override=0.0),
-            replace(GAAS, c_override=1.5),
+            GAAS._replace(c_override=-1.0),
+            GAAS._replace(c_override=math.inf),
+            GAAS._replace(c_override=0.0),
+            GAAS._replace(c_override=1.5),
         ],
     )
     @pytest.mark.parametrize("axis", ["B", "E", "d"])
@@ -144,10 +143,10 @@ class TestFindSwitchEvaluations:
         "axis, fixed, bracket, tol, brent_runs",
         [
             ("B", REFERENCE, (0.5, 3.0), 1e-9, True),
-            ("B", replace(REFERENCE, E=2e5), (0.2, 9.5), 1e-14, True),
-            ("E", replace(REFERENCE, B=2.0), (0.0, 2e5), 1e-9, False),
-            ("d", replace(REFERENCE, B=1.5), (0.3, 1.2), 1e-12, True),
-            ("E", replace(REFERENCE, B=2.0), (0.0, 2e5), 1e-16, True),
+            ("B", REFERENCE._replace(E=2e5), (0.2, 9.5), 1e-14, True),
+            ("E", REFERENCE._replace(B=2.0), (0.0, 2e5), 1e-9, False),
+            ("d", REFERENCE._replace(B=1.5), (0.3, 1.2), 1e-12, True),
+            ("E", REFERENCE._replace(B=2.0), (0.0, 2e5), 1e-16, True),
         ],
     )
     def test_counts_every_distinct_point_once(
@@ -270,7 +269,7 @@ class TestEfieldSwitch:
         st.floats(0.0, 1.0).map(lambda u: 0.3 + 1.2 * u),
         st.just(0.0) | st.floats(0.005, 1.0).map(lambda u: -2.0 * u),
         st.floats(0.0, 1.0).map(lambda u: 0.3 + 2.7 * u),
-        st.sampled_from([GAAS, replace(GAAS, c_override=1.5)]),
+        st.sampled_from([GAAS, GAAS._replace(c_override=1.5)]),
     )
     def test_matches_brent(self, B, a_rel, lo_rel, hi_rel, mat):
         # The bracket is drawn relative to Brent's root on [0, 1e9] (1e5 V/m
@@ -294,7 +293,7 @@ class TestEfieldSwitch:
     def test_polish_recovers_a_lost_closed_form(self, monkeypatch, lost):
         # E* nan, on an end or outside the bracket: the polish bisects the
         # whole bracket; E* off the root by 5 V/m: the polish starts from it.
-        fixed = replace(REFERENCE, B=2.0)
+        fixed = REFERENCE._replace(B=2.0)
         want = brent_switch(GAAS, fixed, 0.0, 2e5, 1e-9)[0]
         monkeypatch.setattr(dotx.sweeps, "efield_switch", lambda *args: lost)
         point, points = counted_switch(GAAS, fixed, (0.0, 2e5))
@@ -324,7 +323,7 @@ class TestEfieldSwitch:
         assert math.isnan(efield_switch(GAAS, 0.0, a))  # J(B=0, E) > 0 for every E
         for B in (1.5, 2.0, 5.0, 9.0):
             e_star = efield_switch(GAAS, B, a)
-            j = exchange_energy_along(GAAS, replace(REFERENCE, B=B), "E")
+            j = exchange_energy_along(GAAS, REFERENCE._replace(B=B), "E")
             assert j(0.0) < 0.0 < j(1.01 * e_star) and abs(j(e_star)) <= 1e-14
             assert j(-e_star) == j(e_star)
         # 2 x2 = 1242 at B = 60 T, a = 6 a_B: exp(2 x2) would overflow, but
@@ -340,7 +339,7 @@ class TestEfieldSwitch:
         st.sampled_from(
             [
                 GAAS,
-                replace(GAAS, c_override=1.5),
+                GAAS._replace(c_override=1.5),
                 MaterialParams(effective_mass=0.023, dielectric_const=15.15, confinement_energy=3.0),
             ]
         ),
@@ -372,7 +371,7 @@ class TestEfieldSwitch:
     def test_switch_derives_no_parameters(self, count_derivations):
         calls = count_derivations(dotx.closed_form, units)
         for B in (1.5, 2.0, 5.0, 9.0):
-            point = find_switch("E", GAAS, replace(REFERENCE, B=B), (0.0, 1.5e6))
+            point = find_switch("E", GAAS, REFERENCE._replace(B=B), (0.0, 1.5e6))
             assert point.evaluations == 3
         assert calls == []
 
