@@ -31,7 +31,6 @@ from .units import (
     MaterialParams,
     _lab_point,
     _material_constants,
-    derive_arrays,
     derive_parameters,
 )
 
@@ -205,8 +204,7 @@ def efield_switch(mat: MaterialParams, B: float, a: float) -> float:
     `find_switch` that was most of the switch's own cost.
     """
     const = _material_constants(mat)
-    _, fock_darwin, d, _ = _lab_point(const, B, 0.0, a)
-    b = fock_darwin / const.omega0
+    _, _, b, d, _ = _lab_point(const, B, 0.0, a)
     x2, _, _, csb, i0e_x1, i0e_x2, quartic_term, _, _ = _terms(
         b, d, const.c, 0.0, mat.confinement_energy
     )
@@ -235,13 +233,13 @@ def exchange_energy_along(
     if axis not in AXES:
         raise InvalidParameterError(f"axis must be one of {AXES}, got {axis!r}")
     const = _material_constants(mat)
-    omega0, a_b, c, scale = const.omega0, const.bohr_radius, const.c, mat.confinement_energy
+    a_b, c, scale = const.bohr_radius, const.c, mat.confinement_energy
     B0, E0, a0 = fixed.B, fixed.E, fixed.a
 
     def j_mev(x: float) -> float:
         B, E, a = (x, E0, a0) if axis == "B" else (B0, x, a0) if axis == "E" else (B0, E0, x * a_b)
-        _, fock_darwin, d, chi = _lab_point(const, B, E, a)
-        return _terms(fock_darwin / omega0, d, c, chi, scale)[-1] * scale
+        _, _, b, d, chi = _lab_point(const, B, E, a)
+        return _terms(b, d, c, chi, scale)[-1] * scale
 
     return j_mev
 
@@ -274,18 +272,25 @@ class ExchangeColumns(NamedTuple):
 def exchange_energy_arrays(mat: MaterialParams, B, E, a) -> ExchangeColumns:
     """Exchange splitting over lab arrays (Tesla, V/m, nm), broadcast to 1-D.
 
-    Runs `_formula`, the scalar form's operations, with numpy's ufuncs
-    (`ExchangeColumns` says how far that moves the values) on the points
-    its mask keeps.  Like the scalar form it raises InvalidParameterError
-    for a material it rejects and where d^2, b d^2 or chi^2 / d^2 overflows.
+    Maps the points to (b, d, chi) by `units._lab_point`'s formulas (b via
+    numpy's hypot) and runs `_formula`, the scalar form's operations, with
+    numpy's ufuncs (`ExchangeColumns` says how far that moves the values)
+    on the points its mask keeps.  Like the scalar form it raises
+    InvalidParameterError for a material it rejects and where d^2, b d^2
+    or chi^2 / d^2 overflows.
     """
     import numpy as np
 
-    b, d, c, chi, valid = derive_arrays(mat, B, E, a)
+    B, E, a = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float)) for v in (B, E, a)))
+    m, omega0, a_b, c, quantum = _material_constants(mat)
     with np.errstate(all="ignore"):  # floats overflow silently; so do the columns
+        larmor = E_CHARGE * np.abs(B) / (2.0 * m)
+        b = np.hypot(omega0, larmor) / omega0
+        d = a / a_b
+        chi = E_CHARGE * E * a * NM_TO_M / quantum
         d2 = d * d
         valid = (
-            valid
+            np.isfinite(a) & (a > 0.0) & np.isfinite(B) & np.isfinite(E)  # `_lab_point`'s check
             & np.isfinite(b) & (b >= 1.0 - 1e-12)
             & np.isfinite(d) & (d > 0.0)
             & np.isfinite(chi)

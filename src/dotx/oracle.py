@@ -59,6 +59,7 @@ the error as |imag|; summed in a fixed order, a report repeats bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -74,8 +75,6 @@ from .units import FieldConfig, MaterialParams, derive_parameters
 #: Relative-discrepancy denominators never drop below this (in units of
 #: the confinement quantum), so comparisons near sign changes stay sane.
 NOISE_FLOOR = 1e-6
-
-_WELL_SIGN = {1: -1.0, 2: +1.0}
 
 _DEFAULT_SINGLE = QuadratureSpec(order=64, rel_tol=1e-10)
 _DEFAULT_COULOMB = QuadratureSpec(order=64, rel_tol=1e-8)
@@ -141,45 +140,29 @@ class HLBreakdown(NamedTuple):
         return out
 
 
-class _Frame(NamedTuple):
-    """Dimensionless working set shared by all matrix elements."""
+class _Point(NamedTuple):
+    """Dimensionless working set of one oracle point, shared by all matrix
+    elements: the closed form's (b, d, chi, c), lam = omega_L / omega_0, the
+    common E-field center displacement fshift = chi / d (a_B units), and the
+    orbitals of dot 1 (well center -d) and dot 2 (well center +d)."""
 
     b: float
     d: float
-    lam: float  # omega_L / omega_0
-    fshift: float  # common E-field center displacement, a_B units
+    lam: float
+    fshift: float
     chi: float
     c: float
+    orb1: _Orbital
+    orb2: _Orbital
 
-    def well_center(self, dot_index: int) -> float:
-        return _WELL_SIGN[dot_index] * self.d
 
-
-def _frame(mat: MaterialParams, fields: FieldConfig) -> _Frame:
+def _point(mat: MaterialParams, fields: FieldConfig) -> _Point:
     p = derive_parameters(mat, fields)
-    omega0 = p.fock_darwin / p.b
-    return _Frame(
-        b=p.b,
-        d=p.d,
-        lam=p.larmor / omega0,
-        fshift=p.efield_ratio / p.d,
-        chi=p.efield_ratio,
-        c=p.c_coulomb,
-    )
-
-
-def _orbital(fr: _Frame, dot_index: int) -> _Orbital:
-    center = fr.well_center(dot_index) - fr.fshift
-    return _Orbital(center_x=center, compression=fr.b, phase_slope=-fr.lam * center)
-
-
-class _Point:
-    """Working set of one oracle point: the frame and both orbitals."""
-
-    def __init__(self, mat: MaterialParams, fields: FieldConfig):
-        self.frame = _frame(mat, fields)
-        self.orb1 = _orbital(self.frame, 1)
-        self.orb2 = _orbital(self.frame, 2)
+    # omega_0 as Omega / b, which misses the material's by an ulp at ~0.1% of fields
+    lam = p.larmor / (p.fock_darwin / p.b)
+    fshift = p.efield_ratio / p.d
+    orb1, orb2 = (_Orbital(x, p.b, -lam * x) for x in (-p.d - fshift, p.d - fshift))
+    return _Point(p.b, p.d, lam, fshift, p.efield_ratio, p.c_coulomb, orb1, orb2)
 
 
 def _settle(result, failures, label):
@@ -262,21 +245,21 @@ _PLAN = {
 }
 
 
-def _bracket(fr: _Frame, pair, op, ket: _Orbital):
+def _bracket(pt: _Point, pair, op, ket: _Orbital):
     """The bracket of `op` on `ket` for the orbital pair number `pair`: "1",
     H_j as "Hj" (P + Q of the module docstring), or "W" for W = W_1 + W_2.
     W_s(x) = 1/2 [ (x^2 - d^2)^2 / (4 d^2) - (x - s d)^2 ] completes the
     harmonic well s to the smooth quartic double well, so the sum over both
     wells is what every two-particle bracket sees."""
-    d2 = fr.d * fr.d
+    d2 = pt.d * pt.d
     if op == "1":
         return _Bracket(pair, (0.0, 0.0, 1.0))
     if op == "W":  # W_1 + W_2 = x^4 / (4 d^2) - 3 x^2 / 2 - 3 d^2 / 4
         return _Bracket(pair, (0.25 / d2, -1.5, -0.75 * d2), quartic=True)
-    beta, k, cx, lam = ket.compression, ket.phase_slope, ket.center_x, fr.lam
-    s_well = fr.well_center(int(op[1]))
+    beta, k, cx, lam = ket.compression, ket.phase_slope, ket.center_x, pt.lam
+    s_well = pt.d if op == "H2" else -pt.d
     c2 = 0.5 * (1.0 + lam * lam - beta * beta)  # shared by P and Q
-    p1 = beta * beta * cx + lam * k + fr.fshift - s_well
+    p1 = beta * beta * cx + lam * k + pt.fshift - s_well
     p0 = beta - 0.5 * beta * beta * cx * cx + 0.5 * s_well * s_well
     q1 = 1j * beta * (k + lam * cx) or 0.0  # a real zero keeps Q real
     return _Bracket(pair, (c2, p1, p0), q=(c2, q1, 0.5 * k * k))
@@ -287,7 +270,7 @@ def _brackets(pt: _Point, quad, labels):
     orbs = (None, pt.orb1, pt.orb2)
     pairs = [(orbs[bra], orbs[ket]) for bra, ket in _PAIRS]
     plan = [_PLAN[label] for label in labels]
-    brackets = [_bracket(pt.frame, pair, op, pairs[pair][1]) for pair, op in plan]
+    brackets = [_bracket(pt, pair, op, pairs[pair][1]) for pair, op in plan]
     sample = _stacked_sampler(pairs, brackets)
     results = _refine_many(
         sample, len(brackets), _hermite_nodes, quad, "Gauss-Hermite bracket rule"
@@ -300,7 +283,7 @@ def _weight_overlap(pt: _Point, res, failures):
     which an S whose square underflows, or whose S^4 rounds to 1, leaves undefined."""
     s_num, _ = _sum_elements(res, ["overlap"], failures)
     s2 = s_num * s_num
-    b_d2 = pt.frame.b * pt.frame.d * pt.frame.d
+    b_d2 = pt.b * pt.d * pt.d
     if s2 == 0.0:
         raise SingularConfigurationError(f"overlap S = {s_num!r} squares to 0 at b*d^2 = {b_d2!r}")
     if 1.0 - s2 * s2 == 0.0:
@@ -319,26 +302,22 @@ def _sum_elements(res, labels, failures):
     return TermEstimate(total.real, err + abs(total.imag))
 
 
-_angle_cache: dict = {}
-
-
+@functools.cache
 def _angles(n):
     """The order-n periodic trapezoid angles theta_k = 2 pi k / n that
     `_coulomb` sums on, as ((cos, sin), weights) of the direct kernel's half
     circle k = 0..n/2 and ((sin,), weights) of the exchange kernel's nodes:
     for even n the quarter circle k = 0..n/4, each node carrying the weights
     of k and n/2 - k, once where the two coincide.  Cached per order."""
-    if n not in _angle_cache:
-        k = np.arange(n // 2 + 1)
-        theta = 2.0 * math.pi * k / n
-        w = np.where((k == 0) | (2 * k == n), 2.0, 4.0) * math.pi / n
-        sin = np.sin(theta)
-        exchange = ((sin,), w)
-        if n % 2 == 0:
-            k = k[: n // 4 + 1]
-            exchange = ((sin[k],), np.where((k == 0) | (4 * k == n), 4.0, 8.0) * math.pi / n)
-        _angle_cache[n] = ((np.cos(theta), sin), w), exchange
-    return _angle_cache[n]
+    k = np.arange(n // 2 + 1)
+    theta = 2.0 * math.pi * k / n
+    w = np.where((k == 0) | (2 * k == n), 2.0, 4.0) * math.pi / n
+    sin = np.sin(theta)
+    exchange = ((sin,), w)
+    if n % 2 == 0:
+        k = k[: n // 4 + 1]
+        exchange = ((sin[k],), np.where((k == 0) | (4 * k == n), 4.0, 8.0) * math.pi / n)
+    return ((np.cos(theta), sin), w), exchange
 
 
 def _coulomb(pt: _Point, quad, failures):
@@ -362,10 +341,10 @@ def _coulomb(pt: _Point, quad, failures):
     circle k = 0..n/4 (`_angles`).  The two integrals refine in lockstep,
     each on its own radial domain.
     """
-    beta = pt.frame.b
+    beta = pt.b
     delta = pt.orb1.center_x - pt.orb2.center_x  # -2d
     kappa = pt.orb2.phase_slope - pt.orb1.phase_slope
-    amplitude = beta / (2.0 * math.pi) * (pt.frame.c * math.sqrt(2.0 / math.pi))  # density norm, v0
+    amplitude = beta / (2.0 * math.pi) * (pt.c * math.sqrt(2.0 / math.pi))  # density norm, v0
     attenuation = math.exp(-0.5 * beta * delta * delta)
 
     def g_direct(r, cos, sin):
@@ -415,11 +394,10 @@ def assemble_oracle(
     quad_coulomb = quad_coulomb or _DEFAULT_COULOMB
     quad_single.validate()
     quad_coulomb.validate()
-    pt = _Point(mat, fields)
-    fr = pt.frame
-    if fr.d * fr.d == 0.0:  # the closed form's error; the W brackets would divide by d^2
+    pt = _point(mat, fields)
+    if pt.d * pt.d == 0.0:  # the closed form's error; the W brackets would divide by d^2
         raise SingularConfigurationError(
-            f"singular configuration d={fr.d!r}: 1 - S^4 rounds to 0, the two dots coincide"
+            f"singular configuration d={pt.d!r}: 1 - S^4 rounds to 0, the two dots coincide"
         )
 
     res = _brackets(pt, quad_single, ("overlap",) + _U1 + _U2 + _U5)
@@ -440,7 +418,7 @@ def assemble_oracle(
     j_oracle = weight * (u1.value - u2.value / s2 + u3.value - u4.value / s2 + u5.value)
     j_error = abs(weight) * (u1.error + u2.error / s2 + u3.error + u4.error / s2 + u5.error)
 
-    j_closed = exchange_energy(fr.b, fr.d, fr.c, fr.chi).j_dimensionless
+    j_closed = exchange_energy(pt.b, pt.d, pt.c, pt.chi).j_dimensionless
     denom = max(abs(j_oracle), abs(j_closed), NOISE_FLOOR)
     rel = abs(j_oracle - j_closed) / denom
 

@@ -15,6 +15,7 @@ called, so the scalar functions run without it.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from typing import TYPE_CHECKING, NamedTuple
@@ -192,10 +193,6 @@ class QuadratureSpec(NamedTuple):
             raise InvalidArgumentError("rel_tol must lie in (0, 1)")
 
 
-_hermite_cache: dict[int, tuple[np.ndarray, np.ndarray] | None] = {}
-_legendre_cache: dict[int, tuple[np.ndarray, np.ndarray] | None] = {}
-
-
 def _finite_rule(t, w):
     """(t, w), or None unless every node is finite and every weight finite
     and positive, as a Gauss rule's weights are."""
@@ -204,29 +201,27 @@ def _finite_rule(t, w):
     return (t, w) if np.isfinite(t).all() and ((0.0 < w) & (w < np.inf)).all() else None
 
 
+@functools.cache
 def _hermite_nodes(n: int):
     """Nodes and de-weighted weights of the order-n Gauss-Hermite rule, or
     None where float64 cannot hold them: numpy's weights all underflow to 0
     at n = 371 and turn nan from n = 372."""
-    if n not in _hermite_cache:
-        import numpy as np
+    import numpy as np
 
-        with np.errstate(all="ignore"):  # the finiteness check below decides
-            t, w = np.polynomial.hermite.hermgauss(n)
-            # Fold the exp(t^2) de-weighting into the weights via logs so very
-            # high orders do not overflow intermediate factors.
-            _hermite_cache[n] = _finite_rule(t, np.exp(np.log(w) + t * t))
-    return _hermite_cache[n]
+    with np.errstate(all="ignore"):  # the finiteness check below decides
+        t, w = np.polynomial.hermite.hermgauss(n)
+        # Fold the exp(t^2) de-weighting into the weights via logs so very
+        # high orders do not overflow intermediate factors.
+        return _finite_rule(t, np.exp(np.log(w) + t * t))
 
 
+@functools.cache
 def _legendre_nodes(n: int):
     """Gauss-Legendre nodes and weights of order n, or None where not finite."""
-    if n not in _legendre_cache:
-        import numpy as np
+    import numpy as np
 
-        with np.errstate(all="ignore"):
-            _legendre_cache[n] = _finite_rule(*np.polynomial.legendre.leggauss(n))
-    return _legendre_cache[n]
+    with np.errstate(all="ignore"):
+        return _finite_rule(*np.polynomial.legendre.leggauss(n))
 
 
 # Each sampler returns (value, l1) at order n, where l1 is the same rule's

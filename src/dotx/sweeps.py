@@ -14,6 +14,7 @@ scenario phases map the scalar J over a pure-Python grid, so they,
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from itertools import repeat
 from typing import NamedTuple
@@ -63,12 +64,20 @@ class SweepSpec(NamedTuple):
         if not (self.start < self.stop):
             raise InvalidParameterError("sweep range must satisfy start < stop")
         _check_finite_range("sweep", self.start, self.stop)
-        if not (2 <= self.steps <= _MAX_STEPS):
+        if not _is_count(self.steps, 2):
             raise InvalidParameterError(
                 f"sweep needs between 2 and {_MAX_STEPS} steps, got {self.steps!r}"
             )
         if self.vary == "d" and self.start <= 0.0:
             raise InvalidParameterError("d sweeps must start above 0")
+
+
+def _is_count(n, low: int) -> bool:
+    """Whether `n` is an int (numpy's too, not a bool) in [low, _MAX_STEPS]."""
+    try:
+        return not isinstance(n, bool) and low <= operator.index(n) <= _MAX_STEPS
+    except TypeError:  # a float, or anything else that is not an integer
+        return False
 
 
 def _check_finite_range(what: str, start: float, stop: float):
@@ -99,7 +108,7 @@ def _check_tol(tol: float):
 
 def validate_scan_steps(scan_steps: int):
     """Bound the pre-scan grid of `scan_switches`."""
-    if not (2 <= scan_steps <= _MAX_STEPS):
+    if not _is_count(scan_steps, 2):
         raise InvalidParameterError(
             f"scan needs between 2 and {_MAX_STEPS} steps, got {scan_steps!r}"
         )
@@ -128,7 +137,7 @@ class SwitchPoint(NamedTuple):
     final_bracket: tuple = ()  # the last sign-change bracket (lo, hi) around value
 
 
-def _lab_point(material: MaterialParams, fixed: FieldConfig, axis: str, x):
+def _axis_fields(material: MaterialParams, fixed: FieldConfig, axis: str, x):
     """(B, E, a) with the grid array `x` on `axis`, the rest from `fixed`."""
     if axis == "B":
         return x, fixed.E, fixed.a
@@ -144,7 +153,7 @@ def _row_columns(spec: SweepSpec) -> list:
 
     grid = np.linspace(spec.start, spec.stop, spec.steps)
     with np.errstate(over="ignore"):  # a d grid overflowing to a = inf is marked invalid
-        lab = _lab_point(spec.material, spec.fixed, spec.vary, grid)
+        lab = _axis_fields(spec.material, spec.fixed, spec.vary, grid)
     cols = exchange_energy_arrays(spec.material, *lab)
     return [
         column.tolist()
@@ -419,7 +428,7 @@ def switching_scenario(
     the recovered antiferro plateau.  Fails if the operating field sits
     below the switch threshold, in which case no E crossing exists.
     """
-    if not (1 <= steps_per_phase <= _MAX_STEPS):
+    if not _is_count(steps_per_phase, 1):
         raise InvalidParameterError(
             f"scenario needs between 1 and {_MAX_STEPS} steps per phase, got {steps_per_phase!r}"
         )

@@ -153,14 +153,15 @@ def _material_constants(mat: MaterialParams) -> _Material:
 
 
 def _lab_point(const: _Material, B: float, E: float, a: float) -> tuple:
-    """(larmor, fock_darwin, d, efield_ratio) of the lab point (B, E, a) for
+    """(larmor, fock_darwin, b, d, efield_ratio) of the lab point (B, E, a) for
     the material's constants.  This is the one scalar map from lab fields to
     the model; a point `FieldConfig.validate` rejects raises its error."""
     if not (math.isfinite(a) and a > 0.0 and math.isfinite(B) and math.isfinite(E)):
         FieldConfig(B, E, a).validate()  # raises: the accept condition above fails
     larmor = E_CHARGE * abs(B) / (2.0 * const.mass)
+    fock_darwin = math.hypot(const.omega0, larmor)
     chi = E_CHARGE * E * a * NM_TO_M / const.quantum
-    return larmor, math.hypot(const.omega0, larmor), a / const.bohr_radius, chi
+    return larmor, fock_darwin, fock_darwin / const.omega0, a / const.bohr_radius, chi
 
 
 def bohr_radius_nm(mat: MaterialParams) -> float:
@@ -180,31 +181,8 @@ def coulomb_strength(mat: MaterialParams) -> float:
 def derive_parameters(mat: MaterialParams, fields: FieldConfig) -> DerivedParams:
     """Map lab inputs to the dimensionless model parameters."""
     const = _material_constants(mat)
-    larmor, fock_darwin, d, chi = _lab_point(const, fields.B, fields.E, fields.a)
-    b = fock_darwin / const.omega0
+    larmor, fock_darwin, b, d, chi = _lab_point(const, fields.B, fields.E, fields.a)
     return DerivedParams(larmor, fock_darwin, b, d, const.bohr_radius, const.c, chi)
-
-
-def derive_arrays(mat: MaterialParams, B, E, a):
-    """(b, d, c, efield_ratio, valid) for 1-D arrays of lab points (scalars
-    broadcast), by the operations of `derive_parameters` (b via numpy's hypot).
-
-    The material is checked and its constants derived once; a material
-    `derive_parameters` rejects raises its error here too.  valid is False
-    where `derive_parameters` raises for the point; b, d and efield_ratio
-    are nan or garbage there.
-    """
-    import numpy as np
-
-    B, E, a = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float)) for v in (B, E, a)))
-    m, omega0, a_b, c, quantum = _material_constants(mat)
-    valid = np.isfinite(a) & (a > 0.0) & np.isfinite(B) & np.isfinite(E)
-    with np.errstate(all="ignore"):  # invalid points may overflow; floats would too
-        larmor = E_CHARGE * np.abs(B) / (2.0 * m)
-        b = np.hypot(omega0, larmor) / omega0
-        d = a / a_b
-        chi = E_CHARGE * E * a * NM_TO_M / quantum
-    return b, d, c, chi, valid
 
 
 def fields_from_dimensionless(

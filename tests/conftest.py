@@ -8,7 +8,7 @@ import pytest
 
 from dotx.closed_form import exchange_energy, overlap
 from dotx.errors import InvalidParameterError, SingularConfigurationError
-from dotx.oracle import _Point
+from dotx.oracle import _point
 from dotx.special import (
     QuadratureSpec, _legendre_nodes, _polar_radii, _refine, bessel_i0e, integrate_2d,
 )
@@ -269,7 +269,7 @@ POLAR_DOMAIN_CUT = 8.0
 
 def build_orbital(dot_index, mat, fields):
     """The oracle's orbital of dot 1 (well at -d) or dot 2 (well at +d)."""
-    pt = _Point(mat, fields)
+    pt = _point(mat, fields)
     return {1: pt.orb1, 2: pt.orb2}[dot_index]
 
 

@@ -11,7 +11,7 @@ import pytest
 from dotx.cli import main as cli_main
 from dotx.closed_form import exchange_energy, exchange_energy_lab, overlap
 from dotx.oracle import assemble_oracle
-from dotx.oracle import _Point, _brackets
+from dotx.oracle import _brackets, _point
 from dotx.special import QuadratureSpec, bessel_i0
 from dotx.sweeps import find_switch, scan_switches
 from dotx.units import (
@@ -161,7 +161,7 @@ def test_ac6_special_functions(golden):
         value, _ = orbital_norm(build_orbital(idx, GAAS, REFERENCE_FIELDS))
         norm_worst = max(norm_worst, abs(value - 1.0))
     label = "u1 <A|H1|A>"  # dot 1's orbital under its own well's Hamiltonian
-    energy, _ = _brackets(_Point(GAAS, REFERENCE_FIELDS), QuadratureSpec(), [label])[label]
+    energy, _ = _brackets(_point(GAAS, REFERENCE_FIELDS), QuadratureSpec(), [label])[label]
     energy_err = rel_err(complex(energy).real, 1.0)
     ok = worst_i0 <= 1e-13 and norm_worst <= 1e-8 and energy_err <= 1e-8
     report(

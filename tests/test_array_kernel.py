@@ -39,6 +39,13 @@ from conftest import EPS, assert_kernel_close, assert_rows_close, j_bound, j_mp,
 A_B = bohr_radius_nm(GAAS)
 
 
+# Any float, with the lab map's edges drawn often: nan, +-inf, +-0, a
+# negative distance, the smallest subnormal, and values near both ends.
+ANY_FLOAT = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -0.7 * A_B, 5e-324, 1e-300, 1e308]),
+    st.floats(),
+)
+
 COLUMNS = ("b", "d", "efield_ratio", "prefactor", "coulomb_term", "quartic_term",
            "efield_term", "j_dimensionless", "j_mev", "s_overlap")
 
@@ -163,6 +170,29 @@ class TestKernelMatchesScalar:
     def test_random_lab_points(self, points):
         B, E, a_rel = zip(*points)
         assert_close(GAAS, B, E, [x * A_B for x in a_rel])
+
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(st.lists(st.tuples(ANY_FLOAT, ANY_FLOAT, ANY_FLOAT), min_size=1, max_size=20))
+    def test_mask_over_the_whole_float_domain(self, points):
+        # valid is False exactly where the scalar path raises an error that
+        # is not an overflow; where a point overflows, the kernel raises the
+        # scalar path's error of the first such point.
+        valid, overflow = [], None
+        for point in points:
+            try:
+                exchange_energy_lab(GAAS, FieldConfig(*point))
+            except (InvalidParameterError, SingularConfigurationError) as exc:
+                valid.append(False)
+                if type(exc) is InvalidParameterError and str(exc).endswith("overflows"):
+                    overflow = overflow or exc
+            else:
+                valid.append(True)
+        if overflow is None:
+            assert exchange_energy_arrays(GAAS, *zip(*points)).valid.tolist() == valid
+        else:
+            with pytest.raises(InvalidParameterError) as raised:
+                exchange_energy_arrays(GAAS, *zip(*points))
+            assert str(raised.value) == str(overflow)
 
     def test_branch_thresholds(self):
         # Lab points whose x1 = b d^2 straddles the I0 splice at 7.5, whose

@@ -9,7 +9,7 @@ from dotx.closed_form import exchange_energy_lab, overlap
 from dotx.errors import QuadratureError, SingularConfigurationError
 from dotx.oracle import assemble_oracle
 import dotx.special
-from dotx.oracle import _Point, _brackets, _coulomb, _sum_elements  # noqa: internal, exercised directly
+from dotx.oracle import _brackets, _coulomb, _point, _sum_elements  # noqa: internal, exercised directly
 from dotx.special import QuadratureSpec, integrate_2d
 from dotx.units import FieldConfig, bohr_radius_nm, derive_parameters
 
@@ -34,18 +34,18 @@ def fields_1t(gaas):
 def bracket(mat, fields, label, quad=None):
     """The point's single-particle bracket `label` as (value, error); A is
     dot 1's orbital and B dot 2's."""
-    return _brackets(_Point(mat, fields), quad or QuadratureSpec(), [label])[label]
+    return _brackets(_point(mat, fields), quad or QuadratureSpec(), [label])[label]
 
 
 def overlap_estimate(mat, fields, quad=None):
     """The numerical overlap S as (value, error), summed as the oracle sums it."""
-    res = _brackets(_Point(mat, fields), quad or QuadratureSpec(), ["overlap"])
+    res = _brackets(_point(mat, fields), quad or QuadratureSpec(), ["overlap"])
     return _sum_elements(res, ["overlap"], [])
 
 
 def coulomb_terms(mat, fields):
     """(u3, u4) integrated on their own, with the oracle's default rule."""
-    return _coulomb(_Point(mat, fields), dotx.oracle._DEFAULT_COULOMB, [])
+    return _coulomb(_point(mat, fields), dotx.oracle._DEFAULT_COULOMB, [])
 
 
 class TestOrbitals:
@@ -584,10 +584,10 @@ def unfolded_sampler(pt):
     kernel was folded onto the quarter circle: sample(n, with_l1, open_)
     sums both kernels over the half circle k = 0..n/2, its angle tables
     built at every level."""
-    beta = pt.frame.b
+    beta = pt.b
     delta = pt.orb1.center_x - pt.orb2.center_x
     kappa = pt.orb2.phase_slope - pt.orb1.phase_slope
-    amplitude = beta / (2.0 * math.pi) * (pt.frame.c * math.sqrt(2.0 / math.pi))
+    amplitude = beta / (2.0 * math.pi) * (pt.c * math.sqrt(2.0 / math.pi))
     attenuation = math.exp(-0.5 * beta * delta * delta)
 
     def g_direct(r, cos, sin):
@@ -659,7 +659,7 @@ class TestHalfCircleCoulomb:
         fields = FieldConfig(B=B, E=E, a=d * bohr_radius_nm(gaas))
         quad = QuadratureSpec(order=order, rel_tol=1e-8)
         failures = []
-        pt = _Point(gaas, fields)
+        pt = _point(gaas, fields)
         u3, u4 = _coulomb(pt, quad, failures)
         want_u3, want_u4, want_failures = full_circle_coulomb(gaas, fields, quad)
         assert failures == want_failures
@@ -674,7 +674,7 @@ class TestHalfCircleCoulomb:
 
     @pytest.mark.parametrize("B, d, E", HALF_CIRCLE_POINTS)
     def test_fold_moves_even_exchange_levels_only(self, gaas, B, d, E, monkeypatch):
-        pt = _Point(gaas, FieldConfig(B=B, E=E, a=d * bohr_radius_nm(gaas)))
+        pt = _point(gaas, FieldConfig(B=B, E=E, a=d * bohr_radius_nm(gaas)))
         sample, unfolded = coulomb_sampler(pt, monkeypatch), unfolded_sampler(pt)
         for n in (4, 5, 6, 7, 8, 15, 30, 45, 64, 67, 96, 128, 192):
             lo, hi = sample(n, n, [0, 1])

@@ -14,7 +14,7 @@ import pytest
 
 from dotx.errors import QuadratureError
 import dotx.oracle
-from dotx.oracle import _U1, _U2, _U5, _Point, _brackets, _quadratic, assemble_oracle
+from dotx.oracle import _U1, _U2, _U5, _brackets, _point, _quadratic, assemble_oracle
 from dotx.special import _EPS, QuadratureSpec, _hermite_nodes
 from dotx.units import GAAS, FieldConfig, bohr_radius_nm
 
@@ -112,12 +112,12 @@ def reference_bracket(factors, center, scale, quad, orders):
 
 def point_factors(pt):
     """{label: (factors, center, scale)} for the point's 13 brackets."""
-    fr, a, b = pt.frame, pt.orb1, pt.orb2
+    fr, a, b = pt, pt.orb1, pt.orb2
     d2 = fr.d * fr.d
 
     def h_poly(j, ket):
         beta, k, cx, lam = ket.compression, ket.phase_slope, ket.center_x, fr.lam
-        s_well = fr.well_center(j)
+        s_well = -fr.d if j == 1 else fr.d
         c2 = 0.5 * (1.0 + lam * lam - beta * beta)
         p1 = beta * beta * cx + lam * k + fr.fshift - s_well
         p0 = beta - 0.5 * beta * beta * cx * cx + 0.5 * s_well * s_well
@@ -195,7 +195,7 @@ def same(got, want):
 
 
 def assert_stacked_matches(quad, fields, factored_samples):
-    pt = _Point(GAAS, fields)
+    pt = _point(GAAS, fields)
     ref = reference_brackets(pt, quad)
     got = _brackets(pt, quad, LABELS)
     assert factored_samples == [orders for _, orders in ref.values()]
@@ -292,7 +292,7 @@ def stacked_sample(pt, monkeypatch):
 def test_round_pass_matches_two_levels(B, d, E, n, monkeypatch):
     # one pass over the nodes of both levels gives each level the bits of its
     # own pass, whichever brackets are still open
-    sample, one_level = stacked_sample(_Point(GAAS, FieldConfig(B=B, E=E, a=d * A_B)), monkeypatch)
+    sample, one_level = stacked_sample(_point(GAAS, FieldConfig(B=B, E=E, a=d * A_B)), monkeypatch)
     n_hi = n + max(2, n // 2)
     with np.errstate(over="ignore", invalid="ignore"):  # E = 1e15 samples to inf and nan
         for open_ in (list(range(len(LABELS))), [0, 4, 5, 9, 12], [7]):
@@ -311,7 +311,7 @@ def test_l1_bound_against_tensor_sum(B, d, E, n, monkeypatch):
     # exactly 0 and c2 = (1 + lambda^2 - b^2)/2 only a rounding residue, so
     # the bound exceeds the n^2 sum by at most 2 |c2| sum|X| sum|Y| y^2, and
     # the two sums round P + Q apart by a few eps of sum |X| |Y| (|P| + |Q|).
-    pt = _Point(GAAS, FieldConfig(B=B, E=E, a=d * A_B))
+    pt = _point(GAAS, FieldConfig(B=B, E=E, a=d * A_B))
     _, got = stacked_sample(pt, monkeypatch)[0](n // 2, n, list(range(len(LABELS))))
     t, w = _hermite_nodes(n)
     for label, (_, l1) in zip(LABELS, got):
@@ -334,8 +334,8 @@ def test_l1_bound_against_tensor_sum(B, d, E, n, monkeypatch):
 def test_l1_bound_covers_complex_q(n, monkeypatch):
     # a ket that is not an eigenstate of its own well (k != -lambda c_x)
     # gets a complex Q, whose |f| the 1-D sums bound from above
-    pt = _Point(GAAS, FieldConfig(B=2.0, E=1e5, a=0.7 * A_B))
-    pt.orb2 = pt.orb2._replace(phase_slope=pt.orb2.phase_slope + 0.3)
+    pt = _point(GAAS, FieldConfig(B=2.0, E=1e5, a=0.7 * A_B))
+    pt = pt._replace(orb2=pt.orb2._replace(phase_slope=pt.orb2.phase_slope + 0.3))
     _, got = stacked_sample(pt, monkeypatch)[0](n // 2, n, list(range(len(LABELS))))
     t = _hermite_nodes(n)[0]
     complex_q = []

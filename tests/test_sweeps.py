@@ -38,7 +38,6 @@ from dotx.units import (
     FieldConfig,
     bohr_radius_nm,
     coulomb_strength,
-    derive_arrays,
     derive_parameters,
 )
 
@@ -127,6 +126,13 @@ class TestSweep:
         with pytest.raises(InvalidParameterError):
             sweep(make_spec(gaas, vary="d", start=0.0, stop=1.0))
 
+    @pytest.mark.parametrize("steps", [5.0, np.float64(5.0), True], ids=["float", "numpy", "bool"])
+    def test_step_count_must_be_an_integer(self, gaas, steps):
+        message = f"sweep needs between 2 and 100000 steps, got {steps!r}"
+        with pytest.raises(InvalidParameterError, match=re.escape(message)):
+            sweep(make_spec(gaas, steps=steps))
+        assert len(sweep(make_spec(gaas, steps=np.int64(5)))) == 5  # numpy ints are integers
+
     @pytest.mark.parametrize(
         "start, stop", [(-math.inf, 1.0), (0.0, math.inf), (-1e308, 1e308)]
     )
@@ -160,18 +166,19 @@ class TestSweep:
             )
 
     def test_derives_each_point_once(self, gaas, count_derivations, monkeypatch):
-        # All 31 points come from one array derivation; none is derived alone.
+        # All 31 points come from one array kernel call; none is derived alone.
         per_point = count_derivations(dotx.closed_form)
         arrays = []
+        kernel = dotx.sweeps.exchange_energy_arrays
 
         def counting(mat, B, E, a):
-            arrays.append(np.size(B))
-            return derive_arrays(mat, B, E, a)
+            arrays.append(np.broadcast(B, E, a).size)
+            return kernel(mat, B, E, a)
 
         def scalar(*args):
             raise AssertionError("scalar closed form called")
 
-        monkeypatch.setattr(dotx.closed_form, "derive_arrays", counting)
+        monkeypatch.setattr(dotx.sweeps, "exchange_energy_arrays", counting)
         monkeypatch.setattr(dotx.sweeps, "exchange_energy_lab", scalar)
         sweep(make_spec(gaas, steps=31))
         assert arrays == [31]
@@ -627,6 +634,15 @@ class TestScanSwitches:
             scan_switches("B", gaas, gaas_fields, 0.0, 0.5, tol=tol)
 
 
+    @pytest.mark.parametrize("scan_steps", [13.0, np.float64(13.0), True], ids=["float", "numpy", "bool"])
+    def test_step_count_must_be_an_integer(self, gaas, gaas_fields, scan_steps):
+        message = f"scan needs between 2 and 100000 steps, got {scan_steps!r}"
+        with pytest.raises(InvalidParameterError, match=re.escape(message)):
+            scan_switches("B", gaas, gaas_fields, 0.1, 3.0, scan_steps=scan_steps)
+        want = scan_switches("B", gaas, gaas_fields, 0.1, 3.0, scan_steps=13)
+        assert scan_switches("B", gaas, gaas_fields, 0.1, 3.0, scan_steps=np.int64(13)) == want
+
+
 class TestGrid:
     """`_grid`, the pre-scan and scenario grid, is `np.linspace(...).tolist()`
     bit for bit; float.hex tells -0.0 and the last bit apart."""
@@ -691,6 +707,16 @@ class TestScenario:
         message = f"e_limit {e_limit!r} V/m must be finite and > 0"
         with pytest.raises(InvalidParameterError, match=message):
             switching_scenario(gaas, gaas_fields.a, e_limit=e_limit)
+
+    @pytest.mark.parametrize(
+        "steps_per_phase", [5.0, np.float64(5.0), True], ids=["float", "numpy", "bool"]
+    )
+    def test_step_count_must_be_an_integer(self, gaas, gaas_fields, steps_per_phase):
+        message = f"scenario needs between 1 and 100000 steps per phase, got {steps_per_phase!r}"
+        with pytest.raises(InvalidParameterError, match=re.escape(message)):
+            switching_scenario(gaas, gaas_fields.a, steps_per_phase=steps_per_phase)
+        want = switching_scenario(gaas, gaas_fields.a, steps_per_phase=5)
+        assert switching_scenario(gaas, gaas_fields.a, steps_per_phase=np.int64(5)) == want
 
     @pytest.mark.parametrize("b_operating", [1e5, 1e20])
     def test_underflowed_operating_j_rejected(self, gaas, gaas_fields, b_operating):
