@@ -21,6 +21,7 @@ from .errors import (
     QuadratureError,
     RootConvergenceError,
 )
+from .special import QuadratureSpec
 from .units import (
     DerivedParams,
     FieldConfig,
@@ -72,7 +73,6 @@ class RunConfig(NamedTuple):
 
     material: MaterialParams
     material_name: str
-    c_is_override: bool
     fields: FieldConfig
 
 
@@ -133,7 +133,7 @@ def _resolve_config(args) -> RunConfig:
     if args.c_override is not None:
         mat = mat._replace(c_override=args.c_override)
     a_nm = args.a_over_ab * bohr_radius_nm(mat) if args.a_nm is None else args.a_nm
-    return RunConfig(mat, name, mat.c_override is not None, FieldConfig(args.B, args.E, a_nm))
+    return RunConfig(mat, name, FieldConfig(args.B, args.E, a_nm))
 
 
 def _provenance(cfg: RunConfig, extra: dict | None = None, p: DerivedParams | None = None) -> dict:
@@ -144,7 +144,7 @@ def _provenance(cfg: RunConfig, extra: dict | None = None, p: DerivedParams | No
         "dielectric_const": cfg.material.dielectric_const,
         "confinement_energy_mev": cfg.material.confinement_energy,
         "c_coulomb": p.c_coulomb,
-        "c_source": "override" if cfg.c_is_override else "derived",
+        "c_source": "derived" if cfg.material.c_override is None else "override",
         "bohr_radius_nm": p.bohr_radius,
         "B_T": cfg.fields.B,
         "E_Vm": cfg.fields.E,
@@ -218,7 +218,7 @@ def cmd_eval(args, cfg: RunConfig) -> _Output:
         f"material: {cfg.material_name}\n"
         f"B: {cfg.fields.B!r} T   E: {cfg.fields.E!r} V/m   a: {cfg.fields.a!r} nm\n"
         f"b: {p.b!r}   d: {p.d!r}   efield_ratio: {p.efield_ratio!r}\n"
-        f"c: {'override' if cfg.c_is_override else 'derived'} ({p.c_coulomb!r})\n"
+        f"c: {'derived' if cfg.material.c_override is None else 'override'} ({p.c_coulomb!r})\n"
         f"prefactor:    {bd.prefactor!r}\n"
         f"coulomb_term: {bd.coulomb_term!r}\n"
         f"quartic_term: {bd.quartic_term!r}\n"
@@ -320,22 +320,18 @@ def cmd_figure(args, cfg: RunConfig) -> _Output:
 
 
 def cmd_oracle(args, cfg: RunConfig) -> _Output:
-    from .oracle import _DEFAULT_COULOMB, _DEFAULT_SINGLE, assemble_oracle
+    from .oracle import assemble_oracle
 
     overrides = {"order": args.quad_order, "rel_tol": args.quad_rel_tol}
-    quad_single = _DEFAULT_SINGLE._replace(**{k: v for k, v in overrides.items() if v is not None})
-    rel_tol = max(quad_single.rel_tol, _DEFAULT_COULOMB.rel_tol)
-    quad_coulomb = _DEFAULT_COULOMB._replace(order=quad_single.order, rel_tol=rel_tol)
-    quad_single.validate()  # and so quad_coulomb: the same order, a rel_tol no smaller
+    quad = QuadratureSpec(**{k: v for k, v in overrides.items() if v is not None})
+    quad.validate()  # a bad order or rel_tol is reported ahead of a bad material or grid
     a_b = bohr_radius_nm(cfg.material)
     records, worst, any_incomplete = [], 0.0, False
     for b_field in args.grid_b:
         for d in args.grid_d:
             fields = FieldConfig(B=b_field, E=cfg.fields.E, a=d * a_b)
             p = derive_parameters(cfg.material, fields)
-            breakdown = assemble_oracle(
-                cfg.material, fields, quad_single=quad_single, quad_coulomb=quad_coulomb
-            )
+            breakdown = assemble_oracle(cfg.material, fields, quad)
             records.append(breakdown.to_report_dict({
                 "B_T": b_field, "E_Vm": cfg.fields.E, "a_nm": fields.a, "b": p.b, "d": p.d,
                 "c": p.c_coulomb,
@@ -441,27 +437,21 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> _Parser:
-    """The `dotx` parser.  Every subcommand is listed, so the top-level help
-    and errors do not change, but only `command`'s subparser (every one's
-    when None) gets its arguments."""
+def build_parser() -> _Parser:
+    """The `dotx` parser, with every subcommand and its arguments."""
     parser = _Parser(prog="dotx", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_args, func) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        if command is None or name == command:
-            _add_material_args(p)
-            _add_field_args(p)
-            add_args(p)
-            p.set_defaults(func=func)
+        _add_material_args(p)
+        _add_field_args(p)
+        add_args(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # argparse runs the first argument not led by "-" as the command, or
-    # rejects one before it, so only that subparser needs its arguments.
-    parser = build_parser(next((a for a in argv if not a.startswith("-")), ""))
+    parser = build_parser()
     try:
         return _run(parser.parse_args(argv))
     except SystemExit as exc:  # argparse usage errors come through here

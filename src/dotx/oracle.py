@@ -34,10 +34,11 @@ angular term (f is the field shift, s_j the well centre):
     P(x) = b - g_x^2/2 + lambda k x + lambda^2 x^2/2 + f x + (x - s_j)^2/2
          = c2 x^2 + (b^2 c_x + lambda k + f - s_j) x + b - b^2 c_x^2/2 + s_j^2/2
     Q(y) = -g_y^2/2 + i lambda b c_x y + lambda^2 y^2/2 + y^2/2
-         = c2 y^2 + i b (k + lambda c_x) y + k^2/2
+         = c2 y^2 + k^2/2
 
-with c2 = (1 + lambda^2 - b^2)/2; the brackets evaluate these quadratics
-from their coefficients.  For W, Q = 0 and
+with c2 = (1 + lambda^2 - b^2)/2, as k + lambda c_x = 0 for every ket (exactly
+so in floating point: (-lambda) x_c is -(lambda x_c)); the brackets evaluate
+these quadratics from their coefficients.  For W, Q = 0 and
 
     P(x) = W_1 + W_2 = x^4/(4 d^2) - 3 x^2/2 - 3 d^2/4.
 
@@ -48,13 +49,11 @@ its two levels side by side: it builds X and Y once per (bra, ket) pair
 and P and Q once per open bracket and takes each level's sums as row sums
 over its own columns; each bracket refines on its own.  The sum of |f|
 that floors the error is bounded by 1-D sums too, through |P + Q| <=
-|P + q0| + |q2| y^2 + |q1| |y| for Q = (q2 y + q1) y + q0: exactly the
-tensor sum where Q = 0, and within a few eps of its n^2 pass for kets that
-are eigenstates of their own well (k = -lambda c_x, exactly so in floating
-point for the orbitals built here), as q1 = 0 and c2 = 0 up to rounding
-(b^2 = 1 + lambda^2).  Any other ket gets a complex Q, still bounded.
-Whatever imaginary part a bracket sum keeps, the element lists fold into
-the error as |imag|; summed in a fixed order, a report repeats bit for bit.
+|P + q0| + |q2| y^2 for Q = q2 y^2 + q0: exactly the tensor sum where
+Q = 0, and within a few eps of its n^2 pass for the H brackets, as c2 = 0
+up to rounding (b^2 = 1 + lambda^2).  Whatever imaginary part a bracket
+sum keeps, the element lists fold into the error as |imag|; summed in a
+fixed order, a report repeats bit for bit.
 """
 
 from __future__ import annotations
@@ -76,29 +75,13 @@ from .units import FieldConfig, MaterialParams, derive_parameters
 #: the confinement quantum), so comparisons near sign changes stay sane.
 NOISE_FLOOR = 1e-6
 
-_DEFAULT_SINGLE = QuadratureSpec(order=64, rel_tol=1e-10)
-_DEFAULT_COULOMB = QuadratureSpec(order=64, rel_tol=1e-8)
+#: The Coulomb pair runs at the single-particle order, to no tighter a rel_tol than this.
+_COULOMB_REL_TOL = 1e-8
 
 
 class TermEstimate(NamedTuple):
     value: float
     error: float
-
-
-class _Orbital(NamedTuple):
-    """One translated ground-state orbital, in a_B / hbar*omega_0 units.
-
-    center_x     orbital center on the x axis
-    compression  Gaussian exponent parameter (equals b), units 1/a_B^2
-    phase_slope  coefficient k of the linear phase exp(i k y), units 1/a_B
-
-    The amplitude sqrt(b/pi) normalizes |phi|^2 to 1 exactly; the modulus
-    does not depend on phase_slope.
-    """
-
-    center_x: float
-    compression: float
-    phase_slope: float
 
 
 class HLBreakdown(NamedTuple):
@@ -143,8 +126,10 @@ class HLBreakdown(NamedTuple):
 class _Point(NamedTuple):
     """Dimensionless working set of one oracle point, shared by all matrix
     elements: the closed form's (b, d, chi, c), lam = omega_L / omega_0, the
-    common E-field center displacement fshift = chi / d (a_B units), and the
-    orbitals of dot 1 (well center -d) and dot 2 (well center +d)."""
+    common E-field center displacement fshift = chi / d (a_B units), and
+    the orbitals of dot 1 (well center -d) and dot 2 (well center +d) as
+    their centers x[j] and phase slopes k[j] = -lam x[j] (index 0 unused).
+    Every orbital has width b (module docstring)."""
 
     b: float
     d: float
@@ -152,17 +137,20 @@ class _Point(NamedTuple):
     fshift: float
     chi: float
     c: float
-    orb1: _Orbital
-    orb2: _Orbital
+    x: tuple
+    k: tuple
 
 
 def _point(mat: MaterialParams, fields: FieldConfig) -> _Point:
     p = derive_parameters(mat, fields)
+    if p.d * p.d == 0.0:  # the closed form's check raises; fshift and W would divide by d
+        exchange_energy(p.b, p.d, p.c_coulomb, p.efield_ratio)
     # omega_0 as Omega / b, which misses the material's by an ulp at ~0.1% of fields
     lam = p.larmor / (p.fock_darwin / p.b)
     fshift = p.efield_ratio / p.d
-    orb1, orb2 = (_Orbital(x, p.b, -lam * x) for x in (-p.d - fshift, p.d - fshift))
-    return _Point(p.b, p.d, lam, fshift, p.efield_ratio, p.c_coulomb, orb1, orb2)
+    x = (None, -p.d - fshift, p.d - fshift)
+    k = (None, -lam * x[1], -lam * x[2])
+    return _Point(p.b, p.d, lam, fshift, p.efield_ratio, p.c_coulomb, x, k)
 
 
 def _settle(result, failures, label):
@@ -176,8 +164,9 @@ def _settle(result, failures, label):
 
 
 class _Bracket(NamedTuple):
-    """<bra| P(x) + Q(y) |ket> for (bra, ket) = pairs[pair], P = (a u + b) u + c
-    for p = (a, b, c), u = x^2 if quartic else x, and Q likewise in y, or 0."""
+    """<bra| P(x) + Q(y) |ket> for (bra, ket) = _PAIRS[pair], P = (a u + b) u + c
+    for p = (a, b, c), u = x^2 if quartic else x, and Q = q2 y^2 + q0 for
+    q = (q2, q0), or 0."""
 
     pair: int
     p: tuple
@@ -189,18 +178,18 @@ def _quadratic(a, b, c, u):
     return (a * u + b) * u + c
 
 
-def _stacked_sampler(pairs, brackets):
-    """`_refine_many`'s sample(n, n_hi, open_) for the stacked `brackets`: one
-    pass over the order-n and order-n_hi nodes side by side, whose columns
+def _stacked_sampler(pt: _Point, brackets):
+    """`_refine_many`'s sample(n, n_hi, open_) for the point's stacked `brackets`:
+    one pass over the order-n and order-n_hi nodes side by side, whose columns
     [:n] and [n:] give each level's row sums, and |f| on the [n:] part only."""
     pair = np.array([br.pair for br in brackets])
-    u_row = pair + len(pairs) * np.array([br.quartic for br in brackets])
+    u_row = pair + len(_PAIRS) * np.array([br.quartic for br in brackets])
     p_coef = np.array([br.p for br in brackets])
-    q_coef = np.array([br.q or (0.0, 0.0, 0.0) for br in brackets])
-    bra_x, ket_x = (np.array([[orb.center_x] for orb in side]) for side in zip(*pairs))
+    q_coef = np.array([br.q or (0.0, 0.0) for br in brackets])
+    bra_x, ket_x = (np.array([[pt.x[j]] for j in side]) for side in zip(*_PAIRS))
     center = 0.5 * (bra_x + ket_x)  # nodes centred between the two orbitals
-    i_kappa = np.array([[1j * (ket.phase_slope - bra.phase_slope)] for bra, ket in pairs])
-    beta = pairs[0][0].compression  # the orbitals of a point share their width
+    i_kappa = np.array([[1j * (pt.k[ket] - pt.k[bra])] for bra, ket in _PAIRS])
+    beta = pt.b  # the orbitals of a point share their width
     scale = 1.0 / math.sqrt(beta)
 
     def sample(n, n_hi, open_):
@@ -211,18 +200,18 @@ def _stacked_sampler(pairs, brackets):
         wx = w * (beta / math.pi * np.exp(-0.5 * beta * (dx_bra * dx_bra + dx_ket * dx_ket)))
         wy, rows = w * np.exp(i_kappa * y - beta * y * y), pair[open_]
         p = _quadratic(*p_coef[open_].T[..., None], np.concatenate((x, x * x))[u_row[open_]])
-        q2, q1, q0 = q_coef[open_].T[..., None]
-        wx_p, wy_q = wx[rows] * p, wy[rows] * _quadratic(q2, q1, q0, y)
+        q2, q0 = q_coef[open_].T[..., None]
+        wx_p, wy_q = wx[rows] * p, wy[rows] * (q2 * y * y + q0)
         lo, hi = (  # each level's sums, over its own columns
             [complex(a * b + c * d) * scale * scale for a, b, c, d in zip(
                 wx_p[:, s].sum(1), wy[:, s].sum(1)[rows], wx[:, s].sum(1)[rows], wy_q[:, s].sum(1)
             )]
             for s in (slice(n), slice(n, None))
         )
-        # |P + Q| <= |P + q0| + |q2| y^2 + |q1| |y| (module docstring), on the higher level
+        # |P + Q| <= |P + q0| + |q2| y^2 (module docstring), on the higher level
         wx_hi, abs_wy, y = wx[rows, n:], np.abs(wy[rows, n:]), y[n:]
         l1s = np.abs(wx_hi * (p[:, n:] + q0)).sum(1) * abs_wy.sum(1) + np.abs(wx_hi).sum(1) * (
-            abs_wy * (np.abs(q2) * (y * y) + np.abs(q1) * np.abs(y))
+            abs_wy * (np.abs(q2) * (y * y))
         ).sum(1)
         return [(v, None) for v in lo], [(v, float(l1) * scale * scale) for v, l1 in zip(hi, l1s)]
 
@@ -245,8 +234,8 @@ _PLAN = {
 }
 
 
-def _bracket(pt: _Point, pair, op, ket: _Orbital):
-    """The bracket of `op` on `ket` for the orbital pair number `pair`: "1",
+def _bracket(pt: _Point, pair, op):
+    """The bracket of `op` on the ket of the orbital pair number `pair`: "1",
     H_j as "Hj" (P + Q of the module docstring), or "W" for W = W_1 + W_2.
     W_s(x) = 1/2 [ (x^2 - d^2)^2 / (4 d^2) - (x - s d)^2 ] completes the
     harmonic well s to the smooth quartic double well, so the sum over both
@@ -256,22 +245,19 @@ def _bracket(pt: _Point, pair, op, ket: _Orbital):
         return _Bracket(pair, (0.0, 0.0, 1.0))
     if op == "W":  # W_1 + W_2 = x^4 / (4 d^2) - 3 x^2 / 2 - 3 d^2 / 4
         return _Bracket(pair, (0.25 / d2, -1.5, -0.75 * d2), quartic=True)
-    beta, k, cx, lam = ket.compression, ket.phase_slope, ket.center_x, pt.lam
+    ket = _PAIRS[pair][1]
+    beta, k, cx, lam = pt.b, pt.k[ket], pt.x[ket], pt.lam
     s_well = pt.d if op == "H2" else -pt.d
     c2 = 0.5 * (1.0 + lam * lam - beta * beta)  # shared by P and Q
     p1 = beta * beta * cx + lam * k + pt.fshift - s_well
     p0 = beta - 0.5 * beta * beta * cx * cx + 0.5 * s_well * s_well
-    q1 = 1j * beta * (k + lam * cx) or 0.0  # a real zero keeps Q real
-    return _Bracket(pair, (c2, p1, p0), q=(c2, q1, 0.5 * k * k))
+    return _Bracket(pair, (c2, p1, p0), q=(c2, 0.5 * k * k))
 
 
 def _brackets(pt: _Point, quad, labels):
     """{label: (value, error) or QuadratureError} of the point's `labels`, integrated together."""
-    orbs = (None, pt.orb1, pt.orb2)
-    pairs = [(orbs[bra], orbs[ket]) for bra, ket in _PAIRS]
-    plan = [_PLAN[label] for label in labels]
-    brackets = [_bracket(pt, pair, op, pairs[pair][1]) for pair, op in plan]
-    sample = _stacked_sampler(pairs, brackets)
+    brackets = [_bracket(pt, *_PLAN[label]) for label in labels]
+    sample = _stacked_sampler(pt, brackets)
     results = _refine_many(
         sample, len(brackets), _hermite_nodes, quad, "Gauss-Hermite bracket rule"
     )
@@ -342,8 +328,8 @@ def _coulomb(pt: _Point, quad, failures):
     each on its own radial domain.
     """
     beta = pt.b
-    delta = pt.orb1.center_x - pt.orb2.center_x  # -2d
-    kappa = pt.orb2.phase_slope - pt.orb1.phase_slope
+    delta = pt.x[1] - pt.x[2]  # -2d
+    kappa = pt.k[2] - pt.k[1]
     amplitude = beta / (2.0 * math.pi) * (pt.c * math.sqrt(2.0 / math.pi))  # density norm, v0
     attenuation = math.exp(-0.5 * beta * delta * delta)
 
@@ -381,33 +367,28 @@ def _coulomb(pt: _Point, quad, failures):
 def assemble_oracle(
     mat: MaterialParams,
     fields: FieldConfig,
-    quad_single: QuadratureSpec | None = None,
-    quad_coulomb: QuadratureSpec | None = None,
+    quad: QuadratureSpec | None = None,
 ) -> HLBreakdown:
     """Full quadrature evaluation of the exchange energy.
 
     J = S^2/(1 - S^4) [u1 - u2/S^2 + u3 - u4/S^2 + u5], all in units of
-    the confinement quantum, with S taken from quadrature as well.  Any
+    the confinement quantum, with S taken from quadrature as well.  `quad`
+    (default `QuadratureSpec()`) sets the single-particle brackets' rule;
+    the Coulomb pair runs at its order, to a rel_tol of at least 1e-8.  Any
     failed sub-integral keeps its best estimate and flags the report.
     """
-    quad_single = quad_single or _DEFAULT_SINGLE
-    quad_coulomb = quad_coulomb or _DEFAULT_COULOMB
-    quad_single.validate()
-    quad_coulomb.validate()
+    quad = quad or QuadratureSpec()
+    quad.validate()
     pt = _point(mat, fields)
-    if pt.d * pt.d == 0.0:  # the closed form's error; the W brackets would divide by d^2
-        raise SingularConfigurationError(
-            f"singular configuration d={pt.d!r}: 1 - S^4 rounds to 0, the two dots coincide"
-        )
 
-    res = _brackets(pt, quad_single, ("overlap",) + _U1 + _U2 + _U5)
+    res = _brackets(pt, quad, ("overlap",) + _U1 + _U2 + _U5)
     failures: list = []
     s_num = _weight_overlap(pt, res, failures)
     # u1 sums the diagonal elements <orb|H_j|orb> (the spectator norms are 1),
     # u2 the cross elements, each weighted by the spectator overlap S
     u1, cross = _sum_elements(res, _U1, failures), _sum_elements(res, _U2, failures)
     u2 = TermEstimate(s_num * cross.value, abs(s_num) * cross.error)
-    u3, u4 = _coulomb(pt, quad_coulomb, failures)
+    u3, u4 = _coulomb(pt, quad._replace(rel_tol=max(quad.rel_tol, _COULOMB_REL_TOL)), failures)
     # u5: the diagonal quartic brackets enter directly; the cross ones carry one
     # spectator S and the exchange channel's overall 1/S^2, a net -1/S weight
     diag, cross = _sum_elements(res, _U5[:2], failures), _sum_elements(res, _U5[2:], failures)

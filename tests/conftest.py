@@ -2,6 +2,7 @@ import json
 import math
 import pathlib
 import sys
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -267,10 +268,37 @@ def efield_switch_mp(mat, B, a_nm, lo, hi, width=1e-6):
 POLAR_DOMAIN_CUT = 8.0
 
 
+class Orbital(NamedTuple):
+    """One translated ground-state orbital, in a_B / hbar*omega_0 units.
+
+    center_x     orbital center on the x axis
+    compression  Gaussian exponent parameter (equals b), units 1/a_B^2
+    phase_slope  coefficient k of the linear phase exp(i k y), units 1/a_B
+
+    The amplitude sqrt(b/pi) normalizes |phi|^2 to 1 exactly; the modulus
+    does not depend on phase_slope.
+    """
+
+    center_x: float
+    compression: float
+    phase_slope: float
+
+
+def point_orbital(pt, dot_index):
+    """The orbital of dot 1 (well at -d) or dot 2 (well at +d) at an oracle
+    point, which holds it as its center x[j] and phase slope k[j]."""
+    return Orbital(pt.x[dot_index], pt.b, pt.k[dot_index])
+
+
 def build_orbital(dot_index, mat, fields):
-    """The oracle's orbital of dot 1 (well at -d) or dot 2 (well at +d)."""
-    pt = _point(mat, fields)
-    return {1: pt.orb1, 2: pt.orb2}[dot_index]
+    """The oracle's orbital of dot 1 or dot 2 at (mat, fields)."""
+    return point_orbital(_point(mat, fields), dot_index)
+
+
+def coulomb_spec(quad):
+    """The rule `assemble_oracle` runs its Coulomb pair at for the
+    single-particle spec `quad`: its order, a rel_tol no tighter than 1e-8."""
+    return quad._replace(rel_tol=max(quad.rel_tol, 1e-8))
 
 
 def eval_orbital(orb, x, y):

@@ -3,23 +3,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dotx.oracle
 from dotx.closed_form import exchange_energy_lab, overlap
-from dotx.errors import QuadratureError, SingularConfigurationError
+from dotx.errors import DotxError, QuadratureError, SingularConfigurationError
 from dotx.oracle import assemble_oracle
 import dotx.special
 from dotx.oracle import _brackets, _coulomb, _point, _sum_elements  # noqa: internal, exercised directly
 from dotx.special import QuadratureSpec, integrate_2d
-from dotx.units import FieldConfig, bohr_radius_nm, derive_parameters
+from dotx.units import GAAS, FieldConfig, MaterialParams, bohr_radius_nm, derive_parameters
 
 from conftest import (
     apply_hamiltonian,
     build_orbital,
+    coulomb_spec,
     eval_orbital,
     integrate_coulomb_relative,
     integrate_polar_2d,
     orbital_norm,
+    point_orbital,
     rel_err,
 )
 
@@ -43,9 +47,18 @@ def overlap_estimate(mat, fields, quad=None):
     return _sum_elements(res, ["overlap"], [])
 
 
-def coulomb_terms(mat, fields):
-    """(u3, u4) integrated on their own, with the oracle's default rule."""
-    return _coulomb(_point(mat, fields), dotx.oracle._DEFAULT_COULOMB, [])
+def coulomb_terms(mat, fields, quad=None):
+    """(u3, u4) integrated on their own, at the rule `assemble_oracle` derives
+    from the single-particle spec `quad`."""
+    return _coulomb(_point(mat, fields), coulomb_spec(quad or QuadratureSpec()), [])
+
+
+# GaAs, an InSb-like material and a Si-like one with its Coulomb strength fixed
+MATERIALS = [
+    GAAS,
+    MaterialParams(effective_mass=0.014, dielectric_const=16.8, confinement_energy=1.5),
+    MaterialParams(effective_mass=0.19, dielectric_const=11.7, confinement_energy=5.0, c_override=3.0),
+]
 
 
 class TestOrbitals:
@@ -109,6 +122,24 @@ class TestOrbitals:
         for idx in (1, 2):
             value, _ = orbital_norm(build_orbital(idx, gaas, fields))
             assert abs(value - 1.0) < 1e-8
+
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(
+        st.sampled_from(MATERIALS),
+        st.one_of(st.floats(-100.0, 100.0), st.floats()),
+        st.one_of(st.floats(-1e7, 1e7), st.floats()),
+        st.one_of(st.floats(1e-3, 1e3), st.floats()),
+    )
+    def test_each_ket_is_an_eigenstate_of_its_own_well(self, mat, B, E, a):
+        # k = -lambda x_c exactly wherever the point is finite, so the H
+        # brackets' Q(y) has no term linear in y and stays real
+        try:
+            pt = _point(mat, FieldConfig(B, E, a))
+        except DotxError:
+            return
+        for j in (1, 2):
+            if math.isfinite(pt.lam) and math.isfinite(pt.x[j]) and math.isfinite(pt.k[j]):
+                assert pt.k[j] + pt.lam * pt.x[j] == 0.0, (j, pt)
 
 
 class TestHamiltonian:
@@ -201,7 +232,7 @@ class TestUpsilonTerms:
         # at E = 0 the two dots are mirror images, so u1 collapses to
         # twice the sum of one own-well and one opposite-well element
         quad = QuadratureSpec()
-        u1 = assemble_oracle(gaas, fields_1t, quad_single=quad).upsilon["u1"]
+        u1 = assemble_oracle(gaas, fields_1t, quad).upsilon["u1"]
         own_a = complex(bracket(gaas, fields_1t, "u1 <A|H1|A>", quad)[0]).real
         own_b = complex(bracket(gaas, fields_1t, "u1 <B|H2|B>", quad)[0]).real
         opp_a = complex(bracket(gaas, fields_1t, "u1 <A|H2|A>", quad)[0]).real
@@ -298,7 +329,7 @@ class TestAssemble:
     def test_quadrature_failure_flags_incomplete(self, gaas, fields_1t):
         # rel_tol below the roundoff floor can never be certified
         impossible = QuadratureSpec(order=4, rel_tol=1e-15)
-        hb = assemble_oracle(gaas, fields_1t, quad_single=impossible)
+        hb = assemble_oracle(gaas, fields_1t, impossible)
         assert hb.incomplete
         assert hb.failures
         assert math.isfinite(hb.j_oracle)  # assembled from best estimates
@@ -309,6 +340,29 @@ class TestAssemble:
         fields = FieldConfig(B=B, E=0.0, a=d * bohr_radius_nm(gaas))
         with pytest.raises(SingularConfigurationError, match=r"overlap S = .* b\*d\^2 = "):
             assemble_oracle(gaas, fields)
+
+    @pytest.mark.parametrize("a", [5e-324, 1e-200])
+    def test_vanishing_distance_raises_the_closed_form_error(self, gaas, a):
+        # d = a / a_B underflows to 0 (5e-324 nm), or its square does: the
+        # closed form's own error, not a ZeroDivisionError from chi / d
+        fields = FieldConfig(B=1.0, E=1.0, a=a)
+        with pytest.raises(SingularConfigurationError) as want:
+            exchange_energy_lab(gaas, fields)
+        with pytest.raises(SingularConfigurationError) as got:
+            assemble_oracle(gaas, fields)
+        assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+    def test_coulomb_spec_derived_from_quad(self, gaas, fields_1t, monkeypatch):
+        # the Coulomb pair runs at the spec's order, to a rel_tol no tighter than 1e-8
+        specs = []
+        coulomb = dotx.oracle._coulomb
+        monkeypatch.setattr(
+            dotx.oracle, "_coulomb", lambda pt, quad, failures: specs.append(quad) or coulomb(pt, quad, failures)
+        )
+        assemble_oracle(gaas, fields_1t, QuadratureSpec(96, 1e-12))
+        assemble_oracle(gaas, fields_1t)
+        assert specs == [(96, 1e-8), (64, 1e-8)]
+        assert all(type(spec) is QuadratureSpec for spec in specs)
 
     def test_coinciding_dots_are_singular(self, gaas):
         # S rounds to 1, so 1 - S^4 = 0 would divide the weight S^2/(1 - S^4) by 0
@@ -429,9 +483,10 @@ def refinements(monkeypatch):
     return runs
 
 
-def complex_kernel_u4(mat, fields):
+def complex_kernel_u4(mat, fields, quad):
     """u4 from the full kernel exp(i kappa y) with its imaginary part, whose
-    roundoff the error folds in; the oracle integrates its real part."""
+    roundoff the error folds in, refined at `quad`; the oracle integrates
+    its real part."""
     p = derive_parameters(mat, fields)
     a, b = build_orbital(1, mat, fields), build_orbital(2, mat, fields)
     beta = p.b
@@ -445,7 +500,7 @@ def complex_kernel_u4(mat, fields):
         return prefactor * gauss * np.exp(1j * kappa * r * np.sin(theta)) / r
 
     value, err = integrate_coulomb_relative(
-        g, dotx.oracle._DEFAULT_COULOMB, scale=math.sqrt(2.0 / beta), r_peak=0.0
+        g, quad, scale=math.sqrt(2.0 / beta), r_peak=0.0
     )
     value = complex(value)
     return 2.0 * value.real, 2.0 * (err + abs(value.imag))
@@ -482,17 +537,17 @@ class TestFactoredBrackets:
     def test_matches_per_bracket_loop(self, gaas, quad, B, E, d, factored_samples):
         fields = FieldConfig(B=B, E=E, a=d * bohr_radius_nm(gaas))
         (s, _), upsilon, failures, samples = loop_oracle(gaas, fields, quad)
-        hb = assemble_oracle(gaas, fields, quad_single=quad)
+        hb = assemble_oracle(gaas, fields, quad)
         assert factored_samples == [[shape[0] for shape in calls] for calls in samples]
         assert not failures and not hb.incomplete
         s_num, s_error = overlap_estimate(gaas, fields, quad)
         assert s_num == hb.s_num
         assert_agrees(hb, s, upsilon, s_error)
-        u3, u4 = coulomb_terms(gaas, fields)
+        u3, u4 = coulomb_terms(gaas, fields, quad)
         assert hb.upsilon["u3"] == u3 and hb.upsilon["u4"] == u4
         if quad.order == 8:  # some bracket must go past the first level
             assert max(len(calls) for calls in samples) > 2
-        want, want_error = complex_kernel_u4(gaas, fields)
+        want, want_error = complex_kernel_u4(gaas, fields, coulomb_spec(quad))
         assert abs(u4.value - want) <= min(1e-12 * abs(want), u4.error, want_error)
 
     @pytest.mark.parametrize(
@@ -502,7 +557,8 @@ class TestFactoredBrackets:
     def test_one_abs_pass_per_round(self, gaas, quad, refinements):
         # |f| is summed on the higher level of each round only, for each of
         # the 13 brackets and both polar Coulomb integrals
-        hb = assemble_oracle(gaas, FieldConfig(B=3.0, E=1e5, a=bohr_radius_nm(gaas)), quad_single=quad)
+        fields = FieldConfig(B=3.0, E=1e5, a=bohr_radius_nm(gaas))
+        hb = assemble_oracle(gaas, fields, quad)
         assert len(refinements) == 15
         for levels in refinements:
             assert [with_l1 for _, with_l1 in levels] == [False, True] * (len(levels) // 2)
@@ -512,11 +568,12 @@ class TestFactoredBrackets:
         # a bracket that converged is not sampled again, though others are
         sampled = [len(levels) for levels in refinements[:13]]
         assert sampled == ([8] * 13 if hb.incomplete else [4, 2, 2, 2, 2, 4, 4, 4, 4, 2, 2, 4, 4])
+        assert (hb.upsilon["u3"], hb.upsilon["u4"]) == coulomb_terms(gaas, fields, quad)
 
     def test_failures_keep_their_order(self, gaas, fields_1t, factored_samples):
         impossible = QuadratureSpec(order=4, rel_tol=1e-15)
         (s, _), upsilon, failures, samples = loop_oracle(gaas, fields_1t, impossible)
-        hb = assemble_oracle(gaas, fields_1t, quad_single=impossible)
+        hb = assemble_oracle(gaas, fields_1t, impossible)
         assert factored_samples == [[shape[0] for shape in calls] for calls in samples]
         assert failures
         # The reference's messages name integrate_2d, the oracle's the rule it runs.
@@ -524,6 +581,7 @@ class TestFactoredBrackets:
         assert list(hb.failures) == [f.replace("integrate_2d", rule) for f in failures]
         _, s_error = overlap_estimate(gaas, fields_1t, impossible)
         assert_agrees(hb, s, upsilon, s_error)
+        assert (hb.upsilon["u3"], hb.upsilon["u4"]) == coulomb_terms(gaas, fields_1t, impossible)
 
     def test_no_orbital_evaluated_on_a_grid(self, gaas, fields_1t, monkeypatch):
         # the oracle holds no pointwise orbital and takes no n^2 tensor sum
@@ -584,9 +642,10 @@ def unfolded_sampler(pt):
     kernel was folded onto the quarter circle: sample(n, with_l1, open_)
     sums both kernels over the half circle k = 0..n/2, its angle tables
     built at every level."""
+    a, b = point_orbital(pt, 1), point_orbital(pt, 2)
     beta = pt.b
-    delta = pt.orb1.center_x - pt.orb2.center_x
-    kappa = pt.orb2.phase_slope - pt.orb1.phase_slope
+    delta = a.center_x - b.center_x
+    kappa = b.phase_slope - a.phase_slope
     amplitude = beta / (2.0 * math.pi) * (pt.c * math.sqrt(2.0 / math.pi))
     attenuation = math.exp(-0.5 * beta * delta * delta)
 
@@ -636,7 +695,7 @@ def coulomb_sampler(pt, monkeypatch):
     """The round sampler `_coulomb` builds for the point."""
     captured = []
     monkeypatch.setattr(dotx.oracle, "_refine_many", lambda sample, count, *_: captured.append(sample) or [(0.0, 0.0)] * count)
-    _coulomb(pt, dotx.oracle._DEFAULT_COULOMB, [])
+    _coulomb(pt, coulomb_spec(QuadratureSpec()), [])
     return captured[0]
 
 

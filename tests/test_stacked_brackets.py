@@ -14,9 +14,13 @@ import pytest
 
 from dotx.errors import QuadratureError
 import dotx.oracle
-from dotx.oracle import _U1, _U2, _U5, _brackets, _point, _quadratic, assemble_oracle
+from dotx.oracle import (
+    _PAIRS, _U1, _U2, _U5, _brackets, _coulomb, _point, _quadratic, assemble_oracle,
+)
 from dotx.special import _EPS, QuadratureSpec, _hermite_nodes
 from dotx.units import GAAS, FieldConfig, bohr_radius_nm
+
+from conftest import coulomb_spec, point_orbital
 
 LABELS = ("overlap",) + _U1 + _U2 + _U5
 
@@ -52,20 +56,20 @@ def refine(sample, nodes, spec, label):
 
 def separable_sample(factors, n, center, scale, with_l1):
     """The tensor rule's sum of X(x) Y(y) (P(x) + Q(y)) as 1-D sums, with
-    Q = (q2 y + q1) y + q0, and the sum of |f| bounded by 1-D sums through
-    |P + Q| <= |P + q0| + |q2| y^2 + |q1| |y|."""
+    Q = q2 y^2 + q0, and the sum of |f| bounded by 1-D sums through
+    |P + Q| <= |P + q0| + |q2| y^2."""
     t, w = _hermite_nodes(n)
     x, y = center[0] + scale * t, center[1] + scale * t
-    x_factor, p, y_factor, (q2, q1, q0) = factors(x, y)
+    x_factor, p, y_factor, (q2, q0) = factors(x, y)
     wx = w * x_factor
     wy = w * y_factor
-    q = (q2 * y + q1) * y + q0
+    q = q2 * y * y + q0
     value = complex((wx * p).sum() * wy.sum() + wx.sum() * (wy * q).sum()) * scale * scale
     if not with_l1:
         return value, None
     abs_wy = np.abs(wy)
     l1 = np.abs(wx * (p + q0)).sum() * abs_wy.sum() + np.abs(wx).sum() * (
-        abs_wy * (abs(q2) * (y * y) + abs(q1) * np.abs(y))
+        abs_wy * (abs(q2) * (y * y))
     ).sum()
     return value, float(l1) * scale * scale
 
@@ -74,14 +78,14 @@ def exact_l1(factors, n, center, scale):
     """The tensor rule's sum of |f|, an n x n pass over |P_i + Q_j|."""
     t, w = _hermite_nodes(n)
     x, y = center[0] + scale * t, center[1] + scale * t
-    x_factor, p, y_factor, (q2, q1, q0) = factors(x, y)
-    p_plus_q = np.add.outer(p + 0.0 * x, (q2 * y + q1) * y + q0)
+    x_factor, p, y_factor, (q2, q0) = factors(x, y)
+    p_plus_q = np.add.outer(p + 0.0 * x, q2 * y * y + q0)
     return float(np.abs(w * x_factor) @ np.abs(p_plus_q) @ np.abs(w * y_factor)) * scale * scale
 
 
 def bracket_factors(bra, ket, poly):
     """(factors, center, scale) of <bra| P(x) + Q(y) |ket>, with poly(x)
-    giving P(x) and Q's coefficients (q2, q1, q0)."""
+    giving P(x) and Q's coefficients (q2, q0)."""
     center = (0.5 * (bra.center_x + ket.center_x), 0.0)
     beta = bra.compression
     kappa = ket.phase_slope - bra.phase_slope
@@ -112,7 +116,7 @@ def reference_bracket(factors, center, scale, quad, orders):
 
 def point_factors(pt):
     """{label: (factors, center, scale)} for the point's 13 brackets."""
-    fr, a, b = pt, pt.orb1, pt.orb2
+    fr, a, b = pt, point_orbital(pt, 1), point_orbital(pt, 2)
     d2 = fr.d * fr.d
 
     def h_poly(j, ket):
@@ -121,18 +125,17 @@ def point_factors(pt):
         c2 = 0.5 * (1.0 + lam * lam - beta * beta)
         p1 = beta * beta * cx + lam * k + fr.fshift - s_well
         p0 = beta - 0.5 * beta * beta * cx * cx + 0.5 * s_well * s_well
-        q1 = 1j * beta * (k + lam * cx) or 0.0
         q0 = 0.5 * k * k
-        return lambda x: ((c2 * x + p1) * x + p0, (c2, q1, q0))
+        return lambda x: ((c2 * x + p1) * x + p0, (c2, q0))
 
     c4, c0 = 0.25 / d2, -0.75 * d2
 
     def w_poly(x):
         x2 = x * x
-        return (c4 * x2 - 1.5) * x2 + c0, (0.0, 0.0, 0.0)
+        return (c4 * x2 - 1.5) * x2 + c0, (0.0, 0.0)
 
     orb = {"A": a, "B": b}
-    out = {"overlap": bracket_factors(b, a, lambda x: (1.0, (0.0, 0.0, 0.0)))}
+    out = {"overlap": bracket_factors(b, a, lambda x: (1.0, (0.0, 0.0)))}
     for label in _U1 + _U2:
         bra, op, ket = label[4:-1].split("|")
         out[label] = bracket_factors(orb[bra], orb[ket], h_poly(int(op[1]), orb[ket]))
@@ -202,13 +205,16 @@ def assert_stacked_matches(quad, fields, factored_samples):
     for label in LABELS:
         assert same(got[label], ref[label][0]), label
     del factored_samples[:]
-    hb = assemble_oracle(GAAS, fields, quad_single=quad)
+    hb = assemble_oracle(GAAS, fields, quad)
     assert len(factored_samples) == len(LABELS)
     s, upsilon, failures = reference_terms(ref)
     assert hb.s_num == s
     for key, want in upsilon.items():
         assert tuple(hb.upsilon[key]) == want, key
-    # the Coulomb integrals use their own rule, which these specs do not fail
+    # the Coulomb integrals run at the rule derived from quad, which these specs do not fail
+    coulomb_failures = []
+    u3, u4 = _coulomb(pt, coulomb_spec(quad), coulomb_failures)
+    assert (hb.upsilon["u3"], hb.upsilon["u4"]) == (u3, u4) and coulomb_failures == []
     assert list(hb.failures) == failures
     return ref
 
@@ -236,14 +242,15 @@ def test_failing_spec(B, d, factored_samples):
     assert all(isinstance(result, QuadratureError) for result, _ in ref.values())
 
 
-def one_level_sampler(pairs, brackets):
+def one_level_sampler(pt, brackets):
     """The stacked sampler as it was before a round took both levels in one
     pass: sample(n, with_l1, open_) builds X, Y, P and Q on the order-n
     nodes alone, the reference for each level's bits."""
+    pairs = [(point_orbital(pt, bra), point_orbital(pt, ket)) for bra, ket in _PAIRS]
     pair = np.array([br.pair for br in brackets])
     u_row = pair + len(pairs) * np.array([br.quartic for br in brackets])
     p_coef = np.array([br.p for br in brackets])
-    q_coef = np.array([br.q or (0.0, 0.0, 0.0) for br in brackets])
+    q_coef = np.array([br.q or (0.0, 0.0) for br in brackets])
     bra_x, ket_x = (np.array([[orb.center_x] for orb in side]) for side in zip(*pairs))
     center = 0.5 * (bra_x + ket_x)
     i_kappa = np.array([[1j * (ket.phase_slope - bra.phase_slope)] for bra, ket in pairs])
@@ -258,15 +265,15 @@ def one_level_sampler(pairs, brackets):
         wx = w * (beta / math.pi * np.exp(-0.5 * beta * (dx_bra * dx_bra + dx_ket * dx_ket)))
         wy, rows = w * np.exp(i_kappa * y - beta * y * y), pair[open_]
         p = _quadratic(*p_coef[open_].T[..., None], np.concatenate((x, x * x))[u_row[open_]])
-        q2, q1, q0 = q_coef[open_].T[..., None]
-        wx_p, wy_q = wx[rows] * p, wy[rows] * _quadratic(q2, q1, q0, y)
+        q2, q0 = q_coef[open_].T[..., None]
+        wx_p, wy_q = wx[rows] * p, wy[rows] * (q2 * y * y + q0)
         sums = zip(wx_p.sum(1), wy.sum(1)[rows], wx.sum(1)[rows], wy_q.sum(1))
         values = [complex(a * b + c * d) * scale * scale for a, b, c, d in sums]
         if not with_l1:
             return [(value, None) for value in values]
         abs_wy = np.abs(wy)[rows]
         l1s = np.abs(wx[rows] * (p + q0)).sum(1) * abs_wy.sum(1) + np.abs(wx)[rows].sum(1) * (
-            abs_wy * (np.abs(q2) * (y * y) + np.abs(q1) * np.abs(y))
+            abs_wy * (np.abs(q2) * (y * y))
         ).sum(1)
         return [(value, float(l1) * scale * scale) for value, l1 in zip(values, l1s)]
 
@@ -307,8 +314,8 @@ def test_round_pass_matches_two_levels(B, d, E, n, monkeypatch):
 )
 def test_l1_bound_against_tensor_sum(B, d, E, n, monkeypatch):
     # Q = 0: the factored sum of |X P| times that of |Y|, bit for bit.  The H
-    # brackets: their ket is an eigenstate of its own well, which makes q1
-    # exactly 0 and c2 = (1 + lambda^2 - b^2)/2 only a rounding residue, so
+    # brackets: their ket is an eigenstate of its own well, which makes
+    # c2 = (1 + lambda^2 - b^2)/2 only a rounding residue, so
     # the bound exceeds the n^2 sum by at most 2 |c2| sum|X| sum|Y| y^2, and
     # the two sums round P + Q apart by a few eps of sum |X| |Y| (|P| + |Q|).
     pt = _point(GAAS, FieldConfig(B=B, E=E, a=d * A_B))
@@ -317,10 +324,10 @@ def test_l1_bound_against_tensor_sum(B, d, E, n, monkeypatch):
     for label, (_, l1) in zip(LABELS, got):
         factors, center, scale = point_factors(pt)[label]
         y = scale * t
-        x_factor, p, y_factor, (q2, q1, q0) = factors(center[0] + y, y)
+        x_factor, p, y_factor, (q2, q0) = factors(center[0] + y, y)
         abs_wx, abs_wy = np.abs(w * x_factor), np.abs(w * y_factor)
         if label.startswith(("u1", "u2")):
-            assert q1 == 0.0 and abs(q2) < 1e-14
+            assert abs(q2) < 1e-14
             want = exact_l1(factors, n, center, scale)
             slack = 2.0 * abs(q2) * abs_wx.sum() * (abs_wy * y * y).sum() * scale * scale
             mass = abs_wx @ np.add.outer(np.abs(p), np.abs((q2 * y) * y + q0)) @ abs_wy * scale * scale
@@ -329,23 +336,3 @@ def test_l1_bound_against_tensor_sum(B, d, E, n, monkeypatch):
             want = np.abs(w * x_factor * p).sum() * abs_wy.sum()
             assert l1 == float(want) * scale * scale, label
 
-
-@pytest.mark.parametrize("n", [8, 96])
-def test_l1_bound_covers_complex_q(n, monkeypatch):
-    # a ket that is not an eigenstate of its own well (k != -lambda c_x)
-    # gets a complex Q, whose |f| the 1-D sums bound from above
-    pt = _point(GAAS, FieldConfig(B=2.0, E=1e5, a=0.7 * A_B))
-    pt = pt._replace(orb2=pt.orb2._replace(phase_slope=pt.orb2.phase_slope + 0.3))
-    _, got = stacked_sample(pt, monkeypatch)[0](n // 2, n, list(range(len(LABELS))))
-    t = _hermite_nodes(n)[0]
-    complex_q = []
-    for label, (_, l1) in zip(LABELS, got):
-        factors, center, scale = point_factors(pt)[label]
-        q1 = factors(center[0] + scale * t, scale * t)[3][1]
-        want = exact_l1(factors, n, center, scale)
-        if q1 != 0.0:
-            complex_q.append(label)
-            assert l1 >= want, label
-        else:
-            assert abs(l1 - want) <= 4.0 * _EPS * want, label
-    assert complex_q == ["u1 <B|H2|B>", "u1 <B|H1|B>", "u2 <A|H1|B>", "u2 <A|H2|B>"]
