@@ -179,12 +179,11 @@ def _sweep_csv(rows: list, provenance: dict) -> str:
     lines = _csv_lines("sweep", provenance)
     lines.append("x,J_meV,prefactor,coulomb_term,quartic_term,efield_term,b,d,S")
     for row in rows:
-        if row.singular or row.breakdown is None:
+        if row.singular:
             lines.append(f"{row.x!r},nan,nan,nan,nan,nan,nan,nan,nan")
             continue
-        bd = row.breakdown
-        values = (row.x, row.j_mev, bd.prefactor, bd.coulomb_term, bd.quartic_term,
-                  bd.efield_term, row.b, row.d, row.s_overlap)
+        values = (row.x, row.j_mev, row.prefactor, row.coulomb_term, row.quartic_term,
+                  row.efield_term, row.b, row.d, row.s_overlap)
         lines.append(",".join(repr(float(v)) for v in values))
     return "\n".join(lines) + "\n"
 

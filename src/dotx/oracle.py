@@ -129,7 +129,8 @@ class _Point(NamedTuple):
     common E-field center displacement fshift = chi / d (a_B units), and
     the orbitals of dot 1 (well center -d) and dot 2 (well center +d) as
     their centers x[j] and phase slopes k[j] = -lam x[j] (index 0 unused).
-    Every orbital has width b (module docstring)."""
+    Every orbital has width b (module docstring).  j_closed is the closed
+    form's dimensionless J at the point."""
 
     b: float
     d: float
@@ -139,18 +140,20 @@ class _Point(NamedTuple):
     c: float
     x: tuple
     k: tuple
+    j_closed: float
 
 
 def _point(mat: MaterialParams, fields: FieldConfig) -> _Point:
     p = derive_parameters(mat, fields)
-    if p.d * p.d == 0.0:  # the closed form's check raises; fshift and W would divide by d
-        exchange_energy(p.b, p.d, p.c_coulomb, p.efield_ratio)
+    # First, so a point the closed form rejects (d = 0 among them, where fshift
+    # and W would divide by d) raises before any quadrature runs.
+    j_closed = exchange_energy(p.b, p.d, p.c_coulomb, p.efield_ratio).j_dimensionless
     # omega_0 as Omega / b, which misses the material's by an ulp at ~0.1% of fields
     lam = p.larmor / (p.fock_darwin / p.b)
     fshift = p.efield_ratio / p.d
     x = (None, -p.d - fshift, p.d - fshift)
     k = (None, -lam * x[1], -lam * x[2])
-    return _Point(p.b, p.d, lam, fshift, p.efield_ratio, p.c_coulomb, x, k)
+    return _Point(p.b, p.d, lam, fshift, p.efield_ratio, p.c_coulomb, x, k, j_closed)
 
 
 def _settle(result, failures, label):
@@ -399,16 +402,15 @@ def assemble_oracle(
     j_oracle = weight * (u1.value - u2.value / s2 + u3.value - u4.value / s2 + u5.value)
     j_error = abs(weight) * (u1.error + u2.error / s2 + u3.error + u4.error / s2 + u5.error)
 
-    j_closed = exchange_energy(pt.b, pt.d, pt.c, pt.chi).j_dimensionless
-    denom = max(abs(j_oracle), abs(j_closed), NOISE_FLOOR)
-    rel = abs(j_oracle - j_closed) / denom
+    denom = max(abs(j_oracle), abs(pt.j_closed), NOISE_FLOOR)
+    rel = abs(j_oracle - pt.j_closed) / denom
 
     return HLBreakdown(
         s_num=s_num,
         upsilon={"u1": u1, "u2": u2, "u3": u3, "u4": u4, "u5": u5},
         j_oracle=j_oracle,
         j_error=j_error,
-        j_closed_form=j_closed,
+        j_closed_form=pt.j_closed,
         rel_discrepancy=rel,
         incomplete=bool(failures),
         failures=tuple(failures),

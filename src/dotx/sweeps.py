@@ -115,13 +115,28 @@ def validate_scan_steps(scan_steps: int):
 
 
 class SweepRow(NamedTuple):
+    """One sweep point: x, J in meV, (b, d, S) and J's terms as `ExchangeBreakdown`
+    names them; a singular row (the closed form rejects the point) is nan past x."""
+
     x: float
     j_mev: float
-    breakdown: ExchangeBreakdown | None
     b: float
     d: float
     s_overlap: float
+    prefactor: float
+    coulomb_term: float
+    quartic_term: float
+    efield_term: float
+    j_dimensionless: float
     singular: bool = False
+
+    @property
+    def breakdown(self) -> ExchangeBreakdown | None:
+        """J's terms as one record, built on each read; None where singular."""
+        if self.singular:
+            return None
+        return ExchangeBreakdown(self.prefactor, self.coulomb_term, self.quartic_term,
+                                 self.efield_term, self.j_dimensionless, self.j_mev)
 
 
 class SwitchPoint(NamedTuple):
@@ -147,8 +162,8 @@ def _axis_fields(material: MaterialParams, fixed: FieldConfig, axis: str, x):
 
 
 def _row_columns(spec: SweepSpec) -> list:
-    # Per-point lists of grid and the row's numbers, then the invalid indices;
-    # the arrays they come from are freed on return, before the rows are built.
+    # Per-point lists in SweepRow's field order, then the invalid indices; the
+    # arrays they come from are freed on return, before the rows are built.
     import numpy as np
 
     grid = np.linspace(spec.start, spec.stop, spec.steps)
@@ -158,8 +173,8 @@ def _row_columns(spec: SweepSpec) -> list:
     return [
         column.tolist()
         for column in (
-            grid, cols.prefactor, cols.coulomb_term, cols.quartic_term, cols.efield_term,
-            cols.j_dimensionless, cols.j_mev, cols.b, cols.d, cols.s_overlap,
+            grid, cols.j_mev, cols.b, cols.d, cols.s_overlap, cols.prefactor,
+            cols.coulomb_term, cols.quartic_term, cols.efield_term, cols.j_dimensionless,
             np.flatnonzero(~cols.valid),
         )
     ]
@@ -168,13 +183,11 @@ def _row_columns(spec: SweepSpec) -> list:
 def sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate the exchange energy along a monotone grid, in one array call."""
     spec.validate()
-    x, *terms, j_mev, b, d, s, invalid = _row_columns(spec)
-    # tuple.__new__ skips each record's Python __new__ and defaults: singular is given.
-    new = tuple.__new__
-    breakdowns = map(new, repeat(ExchangeBreakdown), zip(*terms, j_mev))
-    rows = list(map(new, repeat(SweepRow), zip(x, j_mev, breakdowns, b, d, s, repeat(False))))
+    *columns, invalid = _row_columns(spec)
+    # tuple.__new__ skips the record's Python __new__ and defaults: singular is given.
+    rows = list(map(tuple.__new__, repeat(SweepRow), zip(*columns, repeat(False))))
     for i in invalid:
-        rows[i] = SweepRow(x[i], math.nan, None, math.nan, math.nan, math.nan, singular=True)
+        rows[i] = SweepRow(columns[0][i], *[math.nan] * 9, singular=True)
     return rows
 
 

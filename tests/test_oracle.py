@@ -352,6 +352,21 @@ class TestAssemble:
             assemble_oracle(gaas, fields)
         assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
 
+    def test_closed_form_rejects_before_any_quadrature(self, gaas, monkeypatch):
+        # chi^2/d^2 overflows: the closed form's error, raised before any bracket
+        # samples the point's inf and nan values
+        def no_brackets(*args):
+            raise AssertionError("quadrature ran on a point the closed form rejects")
+
+        monkeypatch.setattr(dotx.oracle, "_brackets", no_brackets)
+        fields = FieldConfig(B=1.0, E=1e300, a=1e10)
+        with pytest.raises(DotxError) as want:
+            exchange_energy_lab(gaas, fields)
+        with pytest.raises(DotxError) as got:
+            assemble_oracle(gaas, fields)
+        assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+        assert "chi^2/d^2 overflows" in str(got.value)
+
     def test_coulomb_spec_derived_from_quad(self, gaas, fields_1t, monkeypatch):
         # the Coulomb pair runs at the spec's order, to a rel_tol no tighter than 1e-8
         specs = []

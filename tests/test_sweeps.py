@@ -13,6 +13,7 @@ from dotx.cli import _sweep_csv
 from dotx.closed_form import (
     ExchangeBreakdown,
     exchange_energy_along,
+    exchange_energy_arrays,
     exchange_energy_lab,
     overlap,
 )
@@ -206,12 +207,17 @@ class TestRowContract:
         assert ExchangeBreakdown._fields == (
             "prefactor", "coulomb_term", "quartic_term", "efield_term", "j_dimensionless", "j_mev"
         )
-        assert SweepRow._fields == ("x", "j_mev", "breakdown", "b", "d", "s_overlap", "singular")
+        assert SweepRow._fields == (
+            "x", "j_mev", "b", "d", "s_overlap", "prefactor", "coulomb_term", "quartic_term",
+            "efield_term", "j_dimensionless", "singular",
+        )
         bd = ExchangeBreakdown(1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
         assert (bd.prefactor, bd.efield_term, bd.j_mev) == (1.0, 4.0, 6.0)
-        row = SweepRow(0.5, 6.0, bd, 1.5, 0.7, 0.2)
+        row = SweepRow(0.5, 6.0, 1.5, 0.7, 0.2, 1.0, 2.0, 3.0, 4.0, 5.0)
         assert (row.x, row.breakdown, row.s_overlap, row.singular) == (0.5, bd, 0.2, False)
-        assert SweepRow(0.5, 6.0, None, 1.5, 0.7, 0.2, True).singular is True
+        assert type(row.breakdown) is ExchangeBreakdown and row.breakdown is not row.breakdown
+        singular = SweepRow(0.5, *[math.nan] * 9, True)
+        assert singular.singular is True and singular.breakdown is None
 
     def test_rows_are_exact_record_types(self, gaas):
         # sweep builds its records with tuple.__new__; they must still be the
@@ -221,12 +227,16 @@ class TestRowContract:
             assert type(row) is SweepRow and type(row.breakdown) is ExchangeBreakdown
             assert row.singular is False and len(row) == len(SweepRow._fields)
         assert repr(rows[0]).startswith("SweepRow(x=0.0, j_mev=")
-        assert "breakdown=ExchangeBreakdown(prefactor=" in repr(rows[0])
+        assert type(rows[0].breakdown) is ExchangeBreakdown
 
     def test_fields_are_read_only(self, gaas):
         row = sweep(make_spec(gaas, steps=3))[0]
         with pytest.raises(AttributeError):
             row.j_mev = 0.0
+        with pytest.raises(AttributeError):
+            row.prefactor = 0.0
+        with pytest.raises(AttributeError):
+            row.breakdown = None
         with pytest.raises(AttributeError):
             row.breakdown.j_mev = 0.0
 
@@ -239,6 +249,31 @@ class TestRowContract:
             assert r.singular is True and r.breakdown is None
             assert all(math.isnan(v) for v in (r.j_mev, r.b, r.d, r.s_overlap))
         assert all(r.singular is False and r.breakdown is not None for r in rows if not r.singular)
+
+    @pytest.mark.parametrize("axis", ["B", "E", "d", "singular-start"])
+    def test_breakdown_is_the_kernel_columns(self, gaas, axis):
+        # Each row's breakdown is built from its own fields: bit for bit the
+        # kernel's columns at its index, and None exactly on singular rows.
+        if axis == "singular-start":
+            spec = self.singular_start_spec(gaas)
+        else:
+            start, stop = {"B": (-60.0, 60.0), "E": (-1e12, 1e12), "d": (1e-9, 15.0)}[axis]
+            fixed = FieldConfig(B=1.5, E=5e4, a=0.7 * bohr_radius_nm(gaas))
+            spec = make_spec(gaas, vary=axis, start=start, stop=stop, steps=41, fixed=fixed)
+        rows = sweep(spec)
+        grid = np.linspace(spec.start, spec.stop, spec.steps)
+        with np.errstate(over="ignore"):
+            lab = dotx.sweeps._axis_fields(gaas, spec.fixed, spec.vary, grid)
+        cols = exchange_energy_arrays(gaas, *lab)
+        singular = [r.singular for r in rows]
+        assert singular == (~cols.valid).tolist()
+        assert [r.breakdown is None for r in rows] == singular
+        assert (0 < sum(singular) < len(rows)) == (axis == "singular-start")
+        for i, row in enumerate(rows):
+            assert not any(isinstance(v, tuple) for v in row)
+            if not row.singular:
+                want = [getattr(cols, name)[i].item() for name in ExchangeBreakdown._fields]
+                assert repr(row.breakdown) == repr(ExchangeBreakdown(*want)), i
 
     def test_singular_grid_is_deterministic_and_matches_loop(self, gaas):
         spec = self.singular_start_spec(gaas)
