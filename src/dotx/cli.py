@@ -122,8 +122,8 @@ def _float_list(text: str) -> list:
 
 
 def _add_quadrature_args(p):
-    p.add_argument("--quad-order", type=int, default=None, help="first-level nodes per axis, 4..128 (default "
-                   "64); Gauss-Hermite ends at order 370, so a larger order leaves fewer refinement rounds")
+    p.add_argument("--quad-order", type=int, default=None, help="first level of the Coulomb trapezoid sums, "
+                   "in intervals, 4..128 (default 64); the single-particle brackets are exact at a fixed order")
     p.add_argument("--quad-rel-tol", type=float, default=None, help="quadrature rel_tol override")
 
 
@@ -329,11 +329,10 @@ def cmd_oracle(args, cfg: RunConfig) -> _Output:
     for b_field in args.grid_b:
         for d in args.grid_d:
             fields = FieldConfig(B=b_field, E=cfg.fields.E, a=d * a_b)
-            p = derive_parameters(cfg.material, fields)
             breakdown = assemble_oracle(cfg.material, fields, quad)
             records.append(breakdown.to_report_dict({
-                "B_T": b_field, "E_Vm": cfg.fields.E, "a_nm": fields.a, "b": p.b, "d": p.d,
-                "c": p.c_coulomb,
+                "B_T": b_field, "E_Vm": cfg.fields.E, "a_nm": fields.a, "b": breakdown.b,
+                "d": breakdown.d, "c": breakdown.c,
             }))
             if breakdown.incomplete:
                 any_incomplete = True

@@ -13,22 +13,18 @@ k = -lambda * x_c where lambda = omega_L / omega_0.  The electric field
 shifts both centers the same way, so it enters the exchange energy only
 through the quartic cross terms.
 
-The five matrix-element groups entering the exchange splitting (single
-particle direct/exchange, Coulomb direct/exchange, quartic tunnelling
-correction) are evaluated by quadrature: single-particle operators are
-applied analytically (polynomial times Gaussian, no discretization), the
-two-body Coulomb integrals are reduced from 4D to 2D by integrating the
-Gaussian center-of-mass coordinate in closed form, leaving a relative
-coordinate integral done in polar coordinates where the Jacobian cancels
-the 1/r singularity.  Assembling them with the numerically computed
-overlap S gives a value of J that shares no code path with the closed
-form beyond the raw inputs.
+The five matrix-element groups of the exchange splitting (single particle
+direct/exchange, Coulomb direct/exchange, quartic tunnelling correction)
+are evaluated by quadrature in plain Python, with the single-particle
+operators applied analytically.  Assembled with the numerically computed
+overlap S, they give a J that shares no code path with the closed form
+beyond the raw inputs.
 
 Every single-particle integrand factors as X(x) Y(y) (P(x) + Q(y)):
 X = conj(phi_bra,x) phi_ket,x is a real Gaussian carrying the b/pi
-amplitude, Y = conj(phi_bra,y) phi_ket,y is complex and carries both
-phase slopes, and the operator acts on the ket as P + Q.  For H_j, with
-the ket's g = grad(phi)/phi, x g_y - y g_x = i k x - b c_x y splits the
+amplitude, Y = conj(phi_bra,y) phi_ket,y = exp(i kappa y - b y^2) with
+kappa = k_ket - k_bra, and the operator acts on the ket as P + Q.  For H_j,
+with the ket's g = grad(phi)/phi, x g_y - y g_x = i k x - b c_x y splits the
 angular term (f is the field shift, s_j the well centre):
 
     P(x) = b - g_x^2/2 + lambda k x + lambda^2 x^2/2 + f x + (x - s_j)^2/2
@@ -37,45 +33,63 @@ angular term (f is the field shift, s_j the well centre):
          = c2 y^2 + k^2/2
 
 with c2 = (1 + lambda^2 - b^2)/2, as k + lambda c_x = 0 for every ket (exactly
-so in floating point: (-lambda) x_c is -(lambda x_c)); the brackets evaluate
-these quadratics from their coefficients.  For W, Q = 0 and
+so in floating point: (-lambda) x_c is -(lambda x_c)).  For W, Q = 0 and
 
     P(x) = W_1 + W_2 = x^4/(4 d^2) - 3 x^2/2 - 3 d^2/4.
 
-The tensor Gauss-Hermite sum of a bracket is then exactly
-(sum w X P)(sum w Y) + (sum w X)(sum w Y Q) on the same nodes.  A point's
-brackets share one stacked pass per refinement round, over the nodes of
-its two levels side by side: it builds X and Y once per (bra, ket) pair
-and P and Q once per open bracket and takes each level's sums as row sums
-over its own columns; each bracket refines on its own.  The sum of |f|
-that floors the error is bounded by 1-D sums too, through |P + Q| <=
-|P + q0| + |q2| y^2 for Q = q2 y^2 + q0: exactly the tensor sum where
-Q = 0, and within a few eps of its n^2 pass for the H brackets, as c2 = 0
-up to rounding (b^2 = 1 + lambda^2).  Whatever imaginary part a bracket
-sum keeps, the element lists fold into the error as |imag|; summed in a
-fixed order, a report repeats bit for bit.
+A bracket is then (int X P)(int Y) + (int X)(int Y Q), summed from the
+moments of X and Y at the nodes.  The x nodes sit midway between the two
+orbitals.  On the real line Y oscillates, and its size exp(-kappa^2/4b)
+would have to come out of cancelling O(1) sums, so the y nodes sit on the
+line y = i kappa/(2b) + t through Y's saddle point: the integrand is entire
+and decays like a Gaussian in the strip between, so by Cauchy's theorem the
+integral is the same, and there Y = exp(-kappa^2/4b) exp(-b t^2) comes out
+pointwise.  Each factor is then a Gaussian of the Gauss-Hermite weight's
+width times a polynomial of degree <= 4, which the rules of orders 3 and 4
+(exact to degrees 5 and 7) both integrate exactly.  Their difference is
+rounding; with the sum of |f| at order 4, bounded through |P + Q| <=
+|a| |u|^2 + |b| |u| + |c + q0| + |q2| |y|^2 for P = (a u + b) u + c and
+Q = q2 y^2 + q0, it gives the error by the test `_refine_many` accepts a
+level with.  Whatever imaginary part a sum keeps joins the error.
+
+The Coulomb pair goes through the Gaussian transform 1/r = (2/sqrt(pi))
+int_0^inf exp(-r^2 t^2) dt (Boys, Proc. R. Soc. A 200, 542 (1950)).  The
+relative coordinate of two width-b densities is a Gaussian of exponent
+a = b/2 about their separation delta; the exchange density also carries
+exp(i kappa y) and exp(-a delta^2).  Each plane integral is then Gaussian,
+and t = sqrt(a) tan(phi) leaves, with P = 2 amplitude 2 sqrt(pi)/sqrt(a),
+
+    u3 = P int_0^{pi/2} exp(-a delta^2 sin^2 phi) dphi
+    u4 = P exp(-a delta^2) int_0^{pi/2} exp(-(kappa^2/4a) cos^2 phi) dphi
+
+Both integrands are pi-periodic and entire, so the trapezoid rule converges
+geometrically (Trefethen & Weideman, SIAM Review 56 (2014) 385); phi ->
+pi/2 - phi maps its nodes onto themselves, so the cos^2 integral is summed
+as a sin^2 one.  That integral is exp(-z) I0(z) up to a factor, which the
+closed form tabulates, but the oracle takes z from its own orbitals (delta,
+kappa and b).  So it still checks the closed form's Coulomb arguments and
+prefactors, the Heitler-London assembly and `bessel_i0e` by quadrature; the
+2-D -> 1-D reduction is exact analysis, which it no longer checks
+numerically.  Summed in a fixed order, a report repeats bit for bit.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from .closed_form import exchange_energy
 from .errors import QuadratureError, SingularConfigurationError
-from .special import (
-    _DOMAIN_CUT, QuadratureSpec, _hermite_nodes, _legendre_nodes, _polar_radii, _refine_many,
-)
+from .special import QuadratureSpec, _compare_levels, _refine_many
 from .units import FieldConfig, MaterialParams, derive_parameters
 
 #: Relative-discrepancy denominators never drop below this (in units of
 #: the confinement quantum), so comparisons near sign changes stay sane.
 NOISE_FLOOR = 1e-6
 
-#: The Coulomb pair runs at the single-particle order, to no tighter a rel_tol than this.
+#: The Coulomb pair's trapezoid sums refine from the spec's order, to no tighter a rel_tol than this.
 _COULOMB_REL_TOL = 1e-8
 
 
@@ -91,7 +105,9 @@ class HLBreakdown(NamedTuple):
     quantum; j_oracle is their assembly through the overlap S_num, and
     rel_discrepancy compares against the closed form with a noise-floored
     denominator.  `incomplete` flags any term whose quadrature failed
-    (its best estimate is still used).
+    (its best estimate is still used).  b, d and c are the point's
+    dimensionless compression, half-distance and Coulomb strength, as
+    `derive_parameters` gives them.
     """
 
     s_num: float
@@ -102,6 +118,9 @@ class HLBreakdown(NamedTuple):
     rel_discrepancy: float
     incomplete: bool
     failures: tuple
+    b: float
+    d: float
+    c: float
 
     def to_report_dict(self, params: dict | None = None) -> dict:
         out = {
@@ -125,7 +144,7 @@ class HLBreakdown(NamedTuple):
 
 class _Point(NamedTuple):
     """Dimensionless working set of one oracle point, shared by all matrix
-    elements: the closed form's (b, d, chi, c), lam = omega_L / omega_0, the
+    elements: the closed form's (b, d, c), lam = omega_L / omega_0, the
     common E-field center displacement fshift = chi / d (a_B units), and
     the orbitals of dot 1 (well center -d) and dot 2 (well center +d) as
     their centers x[j] and phase slopes k[j] = -lam x[j] (index 0 unused).
@@ -136,7 +155,6 @@ class _Point(NamedTuple):
     d: float
     lam: float
     fshift: float
-    chi: float
     c: float
     x: tuple
     k: tuple
@@ -153,7 +171,7 @@ def _point(mat: MaterialParams, fields: FieldConfig) -> _Point:
     fshift = p.efield_ratio / p.d
     x = (None, -p.d - fshift, p.d - fshift)
     k = (None, -lam * x[1], -lam * x[2])
-    return _Point(p.b, p.d, lam, fshift, p.efield_ratio, p.c_coulomb, x, k, j_closed)
+    return _Point(p.b, p.d, lam, fshift, p.c_coulomb, x, k, j_closed)
 
 
 def _settle(result, failures, label):
@@ -177,48 +195,70 @@ class _Bracket(NamedTuple):
     q: tuple | None = None
 
 
-def _quadratic(a, b, c, u):
-    return (a * u + b) * u + c
+_SQRT_PI, _SQRT_6 = math.sqrt(math.pi), math.sqrt(6.0)
+
+# The Gauss-Hermite rules of orders 3 and 4 in closed form, as (node t,
+# weight times exp(t^2)) pairs, the integrand's own Gaussian formed at the
+# nodes: t = 0, +-sqrt(3/2), and t^2 = (3 -+ sqrt(6))/2 with weight
+# sqrt(pi)/(4 (3 -+ sqrt(6))).
+_RULES = tuple(
+    tuple((t, w * math.exp(t * t)) for t, w in rule)
+    for rule in (
+        [(0.0, 2.0 * _SQRT_PI / 3.0)] + [(s * math.sqrt(1.5), _SQRT_PI / 6.0) for s in (-1.0, 1.0)],
+        [(s * math.sqrt(0.5 * (3.0 + r)), _SQRT_PI / (4.0 * (3.0 + r)))
+         for s in (-1.0, 1.0) for r in (-_SQRT_6, _SQRT_6)],
+    )
+)
 
 
-def _stacked_sampler(pt: _Point, brackets):
-    """`_refine_many`'s sample(n, n_hi, open_) for the point's stacked `brackets`:
-    one pass over the order-n and order-n_hi nodes side by side, whose columns
-    [:n] and [n:] give each level's row sums, and |f| on the [n:] part only."""
-    pair = np.array([br.pair for br in brackets])
-    u_row = pair + len(_PAIRS) * np.array([br.quartic for br in brackets])
-    p_coef = np.array([br.p for br in brackets])
-    q_coef = np.array([br.q or (0.0, 0.0) for br in brackets])
-    bra_x, ket_x = (np.array([[pt.x[j]] for j in side]) for side in zip(*_PAIRS))
-    center = 0.5 * (bra_x + ket_x)  # nodes centred between the two orbitals
-    i_kappa = np.array([[1j * (pt.k[ket] - pt.k[bra])] for bra, ket in _PAIRS])
+def _pair_levels(pt: _Point, pair):
+    """Per rule in `_RULES`, the sums over the nodes of the orbital pair number
+    `pair`: the moments mx[k] = sum w X x^k and ax[k] = sum w X |x|^k of X for
+    k = 0..4, and my = (sum w Y, sum w Y y^2) and (sum |w Y|, sum |w Y| |y|^2)
+    of Y on the contour through its saddle point."""
+    bra, ket = _PAIRS[pair]
     beta = pt.b  # the orbitals of a point share their width
     scale = 1.0 / math.sqrt(beta)
+    center = 0.5 * (pt.x[bra] + pt.x[ket])  # nodes centred between the two orbitals
+    # Half the centres' separation, and kappa = -lambda (x_ket - x_bra), from the
+    # wells at -d and +d: the field moves both centres by the same fshift, and
+    # taking the separation from the centres would only add their rounding.
+    half = (ket - bra) * pt.d
+    i_kappa = 1j * (-pt.lam * (2.0 * half))
+    saddle = i_kappa / (2.0 * beta)
+    levels = []
+    for rule in _RULES:
+        mx, ax, my, abs_my = [0.0] * 5, [0.0] * 5, [0.0, 0.0], [0.0, 0.0]
+        for t, w in rule:
+            st = scale * t
+            x, y = center + st, saddle + st
+            # X and Y of the module docstring, times the weight
+            wx = w * (beta / math.pi * math.exp(-0.5 * beta * ((st + half) ** 2 + (st - half) ** 2)))
+            for k in range(5):
+                mx[k] += wx
+                ax[k] += abs(wx)
+                wx *= x
+            wy = w * cmath.exp(i_kappa * y - beta * y * y)
+            my[0] += wy
+            my[1] += wy * y * y
+            abs_my[0] += abs(wy)
+            abs_my[1] += abs(wy) * abs(y) ** 2
+        levels.append((mx, ax, my, abs_my))
+    return levels
 
-    def sample(n, n_hi, open_):
-        t, w = (np.concatenate(level) for level in zip(_hermite_nodes(n), _hermite_nodes(n_hi)))
-        st = scale * t
-        x, y = center + st, 0.0 + st
-        dx_bra, dx_ket = x - bra_x, x - ket_x  # X and Y of the module docstring, times w
-        wx = w * (beta / math.pi * np.exp(-0.5 * beta * (dx_bra * dx_bra + dx_ket * dx_ket)))
-        wy, rows = w * np.exp(i_kappa * y - beta * y * y), pair[open_]
-        p = _quadratic(*p_coef[open_].T[..., None], np.concatenate((x, x * x))[u_row[open_]])
-        q2, q0 = q_coef[open_].T[..., None]
-        wx_p, wy_q = wx[rows] * p, wy[rows] * (q2 * y * y + q0)
-        lo, hi = (  # each level's sums, over its own columns
-            [complex(a * b + c * d) * scale * scale for a, b, c, d in zip(
-                wx_p[:, s].sum(1), wy[:, s].sum(1)[rows], wx[:, s].sum(1)[rows], wy_q[:, s].sum(1)
-            )]
-            for s in (slice(n), slice(n, None))
-        )
-        # |P + Q| <= |P + q0| + |q2| y^2 (module docstring), on the higher level
-        wx_hi, abs_wy, y = wx[rows, n:], np.abs(wy[rows, n:]), y[n:]
-        l1s = np.abs(wx_hi * (p[:, n:] + q0)).sum(1) * abs_wy.sum(1) + np.abs(wx_hi).sum(1) * (
-            abs_wy * (np.abs(q2) * (y * y))
-        ).sum(1)
-        return [(v, None) for v in lo], [(v, float(l1) * scale * scale) for v, l1 in zip(hi, l1s)]
 
-    return sample
+def _bracket_sum(br: _Bracket, level):
+    """The bracket's sum at one level from the pair's moments, and the bound
+    on its sum of |f| of the module docstring, both still to be multiplied
+    by the squared node scale 1/b."""
+    a, b, c = br.p
+    q2, q0 = br.q or (0.0, 0.0)
+    hi, lo = (4, 2) if br.quartic else (2, 1)  # the powers of x in u^2 and u
+    mx, ax, (my0, my2), (abs_my0, abs_my2) = level
+    c0 = c + q0  # first, as P's and Q's constants cancel in the H brackets
+    value = (a * mx[hi] + b * mx[lo]) * my0 + mx[0] * (c0 * my0 + q2 * my2)
+    l1 = (abs(a) * ax[hi] + abs(b) * ax[lo] + abs(c0) * ax[0]) * abs_my0 + ax[0] * abs(q2) * abs_my2
+    return complex(value), l1
 
 
 # The single-particle brackets, in the order their failures are reported
@@ -258,26 +298,38 @@ def _bracket(pt: _Point, pair, op):
 
 
 def _brackets(pt: _Point, quad, labels):
-    """{label: (value, error) or QuadratureError} of the point's `labels`, integrated together."""
-    brackets = [_bracket(pt, *_PLAN[label]) for label in labels]
-    sample = _stacked_sampler(pt, brackets)
-    results = _refine_many(
-        sample, len(brackets), _hermite_nodes, quad, "Gauss-Hermite bracket rule"
-    )
-    return dict(zip(labels, results))
+    """{label: (value, error) or QuadratureError} of the point's `labels`,
+    each summed at orders 3 and 4 and accepted at quad.rel_tol."""
+    levels, out = {}, {}
+    scale2 = 1.0 / pt.b  # the squared node scale
+    for label in labels:
+        br = _bracket(pt, *_PLAN[label])
+        if br.pair not in levels:
+            levels[br.pair] = _pair_levels(pt, br.pair)
+        (v_lo, _), (v_hi, l1) = (_bracket_sum(br, level) for level in levels[br.pair])
+        out[label], converged = _compare_levels(v_lo * scale2, v_hi * scale2, l1 * scale2, quad.rel_tol)
+        if not converged:
+            value, error = out[label]
+            message = f"Gauss-Hermite bracket rule did not converge to rel_tol={quad.rel_tol} by order 4"
+            out[label] = QuadratureError(message, value=value, error_estimate=error)
+    return out
 
 
 def _weight_overlap(pt: _Point, res, failures):
     """S = <phi_2|phi_1> by quadrature, for the 1/S^2 and S^2/(1 - S^4) weights,
-    which an S whose square underflows, or whose S^4 rounds to 1, leaves undefined."""
-    s_num, _ = _sum_elements(res, ["overlap"], failures)
+    which an S whose square underflows, or whose 1 - S^4 lies within its
+    error of 0 (the dots coincide to the quadrature's precision), leaves
+    undefined."""
+    s_num, s_error = _sum_elements(res, ["overlap"], failures)
     s2 = s_num * s_num
     b_d2 = pt.b * pt.d * pt.d
     if s2 == 0.0:
         raise SingularConfigurationError(f"overlap S = {s_num!r} squares to 0 at b*d^2 = {b_d2!r}")
-    if 1.0 - s2 * s2 == 0.0:
+    one_minus_s4, error = 1.0 - s2 * s2, 4.0 * s_error
+    if abs(one_minus_s4) <= error:
         raise SingularConfigurationError(
-            f"overlap S = {s_num!r} leaves 1 - S^4 = 0 at b*d^2 = {b_d2!r}: the two dots coincide"
+            f"overlap S = {s_num!r} leaves 1 - S^4 = {one_minus_s4!r} within its error {error!r} "
+            f"of 0 at b*d^2 = {b_d2!r}: the two dots coincide"
         )
     return s_num
 
@@ -292,79 +344,38 @@ def _sum_elements(res, labels, failures):
 
 
 @functools.cache
-def _angles(n):
-    """The order-n periodic trapezoid angles theta_k = 2 pi k / n that
-    `_coulomb` sums on, as ((cos, sin), weights) of the direct kernel's half
-    circle k = 0..n/2 and ((sin,), weights) of the exchange kernel's nodes:
-    for even n the quarter circle k = 0..n/4, each node carrying the weights
-    of k and n/2 - k, once where the two coincide.  Cached per order."""
-    k = np.arange(n // 2 + 1)
-    theta = 2.0 * math.pi * k / n
-    w = np.where((k == 0) | (2 * k == n), 2.0, 4.0) * math.pi / n
-    sin = np.sin(theta)
-    exchange = ((sin,), w)
-    if n % 2 == 0:
-        k = k[: n // 4 + 1]
-        exchange = ((sin[k],), np.where((k == 0) | (4 * k == n), 4.0, 8.0) * math.pi / n)
-    return ((np.cos(theta), sin), w), exchange
+def _sin_squared(n):
+    """sin^2 at the n + 1 trapezoid nodes phi_k = k pi / (2 n) of [0, pi/2]."""
+    h = 0.5 * math.pi / n
+    return tuple(math.sin(k * h) ** 2 for k in range(n + 1))
+
+
+def _phi_integral(z, n):
+    """The n-interval trapezoid sum of exp(-z sin^2 phi) over [0, pi/2]."""
+    f = [math.exp(-z * s2) for s2 in _sin_squared(n)]
+    return 0.5 * math.pi / n * (sum(f) - 0.5 * (f[0] + f[-1]))
 
 
 def _coulomb(pt: _Point, quad, failures):
-    """Coulomb direct and exchange sums (u3, u4).
-
-    Both are 4D integrals over two electron coordinates; the Gaussian
-    center-of-mass factor integrates out in closed form and the remaining
-    relative-coordinate integral runs in polar coordinates.  For two
-    width-b Gaussian densities the relative coordinate is Gaussian with
-    exponent b/2 centered at the center separation; the exchange version
-    picks up the phase mismatch exp(i kappa y) and the static attenuation
-    exp(-b Delta^2 / 2).
-
-    The exchange kernel is integrated as its real part cos(kappa y), with
-    y = r sin(theta): its imaginary part is odd in theta, so on the periodic
-    trapezoid nodes theta_k = 2 pi k / n it sums to 0 up to roundoff.  Both
-    kernels are even in theta, so the sum runs over k = 0..n/2 only, each
-    node counted twice but theta = 0 and, for even n, theta = pi.  For even
-    n the exchange kernel, which depends on theta through sin(theta) only,
-    takes the same value at k and n/2 - k, so its sum runs over the quarter
-    circle k = 0..n/4 (`_angles`).  The two integrals refine in lockstep,
-    each on its own radial domain.
-    """
-    beta = pt.b
-    delta = pt.x[1] - pt.x[2]  # -2d
-    kappa = pt.k[2] - pt.k[1]
-    amplitude = beta / (2.0 * math.pi) * (pt.c * math.sqrt(2.0 / math.pi))  # density norm, v0
-    attenuation = math.exp(-0.5 * beta * delta * delta)
-
-    def g_direct(r, cos, sin):
-        x = r * cos - delta
-        y = r * sin
-        return amplitude * np.exp(-0.5 * beta * (x * x + y * y)) / r
-
-    def g_exchange(r, sin):
-        radial = amplitude * attenuation * np.exp(-0.5 * beta * r * r) / r
-        return radial * np.cos((kappa * r) * sin)
-
-    r_cut = _DOMAIN_CUT * math.sqrt(2.0 / beta)
-    kernels = ((g_direct, abs(delta) + r_cut), (g_exchange, r_cut))
-
-    def level(n, with_l1, open_):
-        out = []
-        for i in open_:
-            (g, r_max), (angles, w_theta) = kernels[i], _angles(n)[i]
-            r, wr_r = _polar_radii(n, r_max)
-            vals = g(r[:, None], *angles)
-            l1 = float(wr_r @ np.abs(vals) @ w_theta) if with_l1 else None
-            out.append((float(wr_r @ vals @ w_theta), l1))
-        return out
+    """Coulomb direct and exchange sums (u3, u4), as the two trapezoid sums
+    of the module docstring, refined in lockstep; their integrands are
+    positive, so each sum of |f| is its value."""
+    a = 0.5 * pt.b  # exponent of the relative coordinate's Gaussian
+    delta = -2.0 * pt.d  # x[1] - x[2], as in `_pair_levels`
+    kappa = -pt.lam * (2.0 * pt.d)  # k[2] - k[1]
+    amplitude = pt.b / (2.0 * math.pi) * (pt.c * math.sqrt(2.0 / math.pi))  # density norm, v0
+    z = (a * delta * delta, kappa * kappa / (4.0 * a))
 
     def sample(n, n_hi, open_):
-        return level(n, False, open_), level(n_hi, True, open_)
+        hi = [_phi_integral(z[i], n_hi) for i in open_]
+        return [(_phi_integral(z[i], n), None) for i in open_], [(v, v) for v in hi]
 
-    direct, exchange = _refine_many(sample, 2, _legendre_nodes, quad, "polar Coulomb rule")
+    direct, exchange = _refine_many(sample, 2, _sin_squared, quad, "Coulomb trapezoid rule")
     direct, err3 = _settle(direct, failures, "u3 direct coulomb")
     exchange, err4 = _settle(exchange, failures, "u4 exchange coulomb")
-    return TermEstimate(2.0 * direct, 2.0 * err3), TermEstimate(2.0 * exchange, 2.0 * err4)
+    p3 = 2.0 * amplitude * 2.0 * _SQRT_PI / math.sqrt(a)  # P of the module docstring
+    p4 = p3 * math.exp(-a * delta * delta)
+    return TermEstimate(p3 * direct, p3 * err3), TermEstimate(p4 * exchange, p4 * err4)
 
 
 def assemble_oracle(
@@ -376,9 +387,11 @@ def assemble_oracle(
 
     J = S^2/(1 - S^4) [u1 - u2/S^2 + u3 - u4/S^2 + u5], all in units of
     the confinement quantum, with S taken from quadrature as well.  `quad`
-    (default `QuadratureSpec()`) sets the single-particle brackets' rule;
-    the Coulomb pair runs at its order, to a rel_tol of at least 1e-8.  Any
-    failed sub-integral keeps its best estimate and flags the report.
+    (default `QuadratureSpec()`) sets the rel_tol the fixed-order
+    single-particle brackets are accepted at, and the first level of the
+    Coulomb pair's trapezoid sums, which refine to a rel_tol of at least
+    1e-8.  Any failed sub-integral keeps its best estimate and flags the
+    report.
     """
     quad = quad or QuadratureSpec()
     quad.validate()
@@ -414,4 +427,7 @@ def assemble_oracle(
         rel_discrepancy=rel,
         incomplete=bool(failures),
         failures=tuple(failures),
+        b=pt.b,
+        d=pt.d,
+        c=pt.c,
     )

@@ -1,16 +1,17 @@
-"""Modified Bessel function I0 and the 2D quadrature primitives.
+"""Modified Bessel function I0 and the quadrature primitives.
 
 Only what the exchange-energy formula and its numerical cross-check need:
 I0 (plus its exponentially scaled variant), a tensor Gauss-Hermite rule
-for Gaussian-times-polynomial integrands over the plane, the refinement
-loop the oracle drives its integrals with, and the Gauss-Legendre radii of
-its polar Coulomb rule, whose Jacobian cancels the kernels' 1/r.
+for Gaussian-times-polynomial integrands over the plane, and the
+refinement loop that `integrate_2d` and the oracle's Coulomb trapezoid
+sums run on, with the test by which it, and the oracle's fixed-order
+brackets, accept a level.
 
 All quadratures are deterministic: nodes are cached per order and sums
 run in a fixed order, so identical inputs give bit-identical results.
 
-Only the array functions and the quadratures import numpy, when they are
-called, so the scalar functions run without it.
+Only the array functions and `integrate_2d` import numpy, when they are
+called, so the scalar functions and the refinement loop run without it.
 """
 
 from __future__ import annotations
@@ -162,21 +163,21 @@ def bessel_i0e_array(x: np.ndarray) -> np.ndarray:
     return out
 
 
-# The oracle's polar Coulomb rule samples up to 12x this order on its
-# radii and 6x on its half circle of angles, so 128 already means
-# 1536 x 769 nodes (about 9 MB per float array).  The Gauss-Hermite rule
-# stops earlier, at the first order float64 cannot hold (371 with numpy's
-# rule, see `_hermite_nodes`); the oracle's brackets sum its 1-D factors,
-# so its n^2 arrays stay small.
+# The oracle's Coulomb trapezoid sums reach 12x this order by their fourth
+# round (1536 intervals from 128); integrate_2d's Gauss-Hermite rule stops
+# earlier, at the first order float64 cannot hold (`_HERMITE_END`).
 _MAX_ORDER = 128
 
 
 class QuadratureSpec(NamedTuple):
-    """Controls one family of 2D integrals, checked by `validate`, which
+    """Controls one refined quadrature, checked by `validate`, which
     `integrate_2d` and `assemble_oracle` call before they sample a node.
 
-    order       points per axis at the first refinement level, an int 4..128
-    rel_tol     target relative error (against the integral of |f|)
+    order       first refinement level, an int 4..128: points per axis of
+                `integrate_2d`'s tensor rule, and intervals of the oracle's
+                Coulomb trapezoid sums on [0, pi/2]
+    rel_tol     target relative error (against the integral of |f|); the
+                oracle's fixed-order brackets are accepted against it too
     """
 
     order: int = 64
@@ -193,71 +194,61 @@ class QuadratureSpec(NamedTuple):
             raise InvalidArgumentError("rel_tol must lie in (0, 1)")
 
 
-def _finite_rule(t, w):
-    """(t, w), or None unless every node is finite and every weight finite
-    and positive, as a Gauss rule's weights are."""
-    import numpy as np
-
-    return (t, w) if np.isfinite(t).all() and ((0.0 < w) & (w < np.inf)).all() else None
+# numpy's Gauss-Hermite weights all underflow to 0 at this order and turn
+# nan above it; every lower order gives finite nodes and positive weights.
+_HERMITE_END = 371
 
 
 @functools.cache
 def _hermite_nodes(n: int):
     """Nodes and de-weighted weights of the order-n Gauss-Hermite rule, or
-    None where float64 cannot hold them: numpy's weights all underflow to 0
-    at n = 371 and turn nan from n = 372."""
+    None from order `_HERMITE_END` on, where float64 cannot hold them."""
+    if n >= _HERMITE_END:
+        return None
     import numpy as np
 
-    with np.errstate(all="ignore"):  # the finiteness check below decides
-        t, w = np.polynomial.hermite.hermgauss(n)
-        # Fold the exp(t^2) de-weighting into the weights via logs so very
-        # high orders do not overflow intermediate factors.
-        return _finite_rule(t, np.exp(np.log(w) + t * t))
-
-
-@functools.cache
-def _legendre_nodes(n: int):
-    """Gauss-Legendre nodes and weights of order n, or None where not finite."""
-    import numpy as np
-
-    with np.errstate(all="ignore"):
-        return _finite_rule(*np.polynomial.legendre.leggauss(n))
-
-
-# Each sampler returns (value, l1) at order n, where l1 is the same rule's
-# sum of |f|; with with_l1 false it skips that pass and l1 is None.
+    t, w = np.polynomial.hermite.hermgauss(n)
+    # Fold the exp(t^2) de-weighting into the weights via logs so very
+    # high orders do not overflow intermediate factors.
+    return t, np.exp(np.log(w) + t * t)
 
 
 def _gauss_hermite_sample(f, n, center, scale, with_l1):
+    """(value, sum of |f|) of the order-n tensor rule; l1 is None unless
+    `with_l1`."""
     import numpy as np
 
     t, w = _hermite_nodes(n)
     weight = w[:, None] * w[None, :]
     x = center[0] + scale * t[:, None]
     y = center[1] + scale * t[None, :]
-    vals = np.broadcast_to(np.asarray(f(x, y)), (n, n))
-    value = complex(np.sum(weight * vals)) * scale * scale
-    if not with_l1:
-        return value, None
-    return value, float(np.sum(weight * np.abs(vals))) * scale * scale
+    # An integrand past the float range samples to inf or nan, which fails
+    # the error test: the QuadratureError reports it, not a numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.broadcast_to(np.asarray(f(x, y)), (n, n))
+        value = complex(np.sum(weight * vals)) * scale * scale
+        if not with_l1:
+            return value, None
+        return value, float(np.sum(weight * np.abs(vals))) * scale * scale
 
 
-# Radial truncation of the polar Coulomb rule, in units of the kernel's
-# Gaussian width, beyond the radius where its mass peaks
-_DOMAIN_CUT = 8.0
-
-
-def _polar_radii(n, r_max):
-    """Order-n Gauss-Legendre radii on [0, r_max], and their weights times r."""
-    t, w = _legendre_nodes(n)
-    r = 0.5 * r_max * (t + 1.0)
-    return r, 0.5 * r_max * w * r
+def _compare_levels(v_lo, v_hi, l1, rel_tol):
+    """The higher of two levels as (value, error), and whether the error
+    certifies it: the change between the levels, floored at the roundoff
+    16 eps of the sum of |f| `l1`, within rel_tol of the larger of |value|
+    and l1.  A value with no imaginary part is returned as a float."""
+    # hypot, unlike complex abs, gives inf past the float range instead of raising
+    diff = math.hypot(v_hi.real - v_lo.real, v_hi.imag - v_lo.imag)
+    err = max(diff, 16.0 * _EPS * l1)
+    value = v_hi.real if v_hi.imag == 0.0 else v_hi
+    # a bound past the float range certifies nothing
+    return (value, err), err <= rel_tol * max(math.hypot(v_hi.real, v_hi.imag), l1) < math.inf
 
 
 def _refine_many(sample, count, nodes, spec: QuadratureSpec, label: str):
-    """Refine `count` integrals in lockstep at increasing order, each until the
-    change between consecutive levels drops under rel_tol of its integrand
-    mass; returns (value, error), or the QuadratureError, of each.
+    """Refine `count` integrals in lockstep at increasing order, each until
+    `_compare_levels` certifies its round; returns (value, error), or the
+    QuadratureError, of each.
 
     A round samples both its levels at once: `sample(n, n_hi, open_)` gives
     (lo, hi), lists of a (value, None) and a (value, l1) pair per integral in
@@ -266,35 +257,26 @@ def _refine_many(sample, count, nodes, spec: QuadratureSpec, label: str):
     QuadratureError carries the last sampled level.  Past the last round it
     names the last order sampled.
     """
-    import numpy as np
-
     n = spec.order
     results = [(None, None)] * count
     open_ = list(range(count))
-    # An integrand past the float range samples to inf or nan, which fails
-    # the error test: the QuadratureError reports it, not a numpy warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(4):
-            n_hi = n + max(2, n // 2)
-            if nodes(n) is None or nodes(n_hi) is None:
-                n_bad = n if nodes(n) is None else n_hi
-                reason = f": no rule of order {n_bad} with finite nodes and positive weights"
-                break
-            levels = zip(open_, *sample(n, n_hi, open_))
-            open_ = []
-            for i, (v_lo, _), (v_hi, l1) in levels:
-                # hypot, unlike complex abs, gives inf past the float range instead of raising
-                diff = math.hypot(v_hi.real - v_lo.real, v_hi.imag - v_lo.imag)
-                err = max(diff, 16.0 * _EPS * l1)
-                results[i] = v_hi.real if v_hi.imag == 0.0 else v_hi, err
-                # a bound past the float range certifies nothing
-                if not err <= spec.rel_tol * max(math.hypot(v_hi.real, v_hi.imag), l1) < math.inf:
-                    open_.append(i)
-            if not open_:
-                return results
-            n *= 2
-        else:
-            reason = f" by order {n_hi}"
+    for _ in range(4):
+        n_hi = n + max(2, n // 2)
+        if nodes(n) is None or nodes(n_hi) is None:
+            n_bad = n if nodes(n) is None else n_hi
+            reason = f": no rule of order {n_bad} with finite nodes and positive weights"
+            break
+        levels = zip(open_, *sample(n, n_hi, open_))
+        open_ = []
+        for i, (v_lo, _), (v_hi, l1) in levels:
+            results[i], converged = _compare_levels(v_lo, v_hi, l1, spec.rel_tol)
+            if not converged:
+                open_.append(i)
+        if not open_:
+            return results
+        n *= 2
+    else:
+        reason = f" by order {n_hi}"
     message = f"{label} did not converge to rel_tol={spec.rel_tol}{reason}"
     for i in open_:
         results[i] = QuadratureError(message, value=results[i][0], error_estimate=results[i][1])

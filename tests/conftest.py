@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import pathlib
@@ -10,9 +11,7 @@ import pytest
 from dotx.closed_form import exchange_energy, overlap
 from dotx.errors import InvalidParameterError, SingularConfigurationError
 from dotx.oracle import _point
-from dotx.special import (
-    QuadratureSpec, _legendre_nodes, _polar_radii, _refine, bessel_i0e, integrate_2d,
-)
+from dotx.special import QuadratureSpec, _refine, bessel_i0e, integrate_2d
 from dotx.sweeps import SweepRow
 from dotx.units import GAAS, FieldConfig, bohr_radius_nm, derive_parameters
 
@@ -34,33 +33,6 @@ def golden():
 def gaas_fields():
     """GaAs reference geometry: a = 0.7 a_B, no applied fields."""
     return FieldConfig(B=0.0, E=0.0, a=0.7 * bohr_radius_nm(GAAS))
-
-
-@pytest.fixture()
-def factored_samples(monkeypatch):
-    """Orders sampled by each stacked single-particle bracket, one list per
-    bracket, in the order the oracle integrates them; the polar Coulomb
-    pair, which refines on Gauss-Legendre radii, is not recorded."""
-    import dotx.oracle
-
-    samples = []
-    refine = dotx.oracle._refine_many
-
-    def refine_counted(sample, count, *args):
-        if args[0] is not dotx.oracle._hermite_nodes:
-            return refine(sample, count, *args)
-        orders = [[] for _ in range(count)]
-        samples.extend(orders)
-
-        def counted(n, n_hi, open_):
-            for i in open_:
-                orders[i] += [n, n_hi]
-            return sample(n, n_hi, open_)
-
-        return refine(counted, count, *args)
-
-    monkeypatch.setattr(dotx.oracle, "_refine_many", refine_counted)
-    return samples
 
 
 @pytest.fixture()
@@ -261,10 +233,11 @@ def efield_switch_mp(mat, B, a_nm, lo, hi, width=1e-6):
     return 0.5 * (lo + hi)
 
 
-# Reference orbital and quadrature code.  The oracle sums its brackets as
-# 1-D factors of a stacked Gauss-Hermite rule and its Coulomb pair on the
-# half circle; the tests hold it against the pointwise integrands and the
-# generic polar rules below, which share only the refinement loop with it.
+# Reference orbital and quadrature code.  The oracle sums its brackets from
+# Gaussian moments on the saddle-point contour and its Coulomb pair as 1-D
+# trapezoid sums; the tests hold it against the pointwise integrands on the
+# real line and the generic polar rules below, which share only the
+# refinement loop with it.
 
 # Polar radial domain, in Gaussian widths beyond the radius of peak mass
 POLAR_DOMAIN_CUT = 8.0
@@ -286,15 +259,12 @@ class Orbital(NamedTuple):
     phase_slope: float
 
 
-def point_orbital(pt, dot_index):
-    """The orbital of dot 1 (well at -d) or dot 2 (well at +d) at an oracle
-    point, which holds it as its center x[j] and phase slope k[j]."""
-    return Orbital(pt.x[dot_index], pt.b, pt.k[dot_index])
-
-
 def build_orbital(dot_index, mat, fields):
-    """The oracle's orbital of dot 1 or dot 2 at (mat, fields)."""
-    return point_orbital(_point(mat, fields), dot_index)
+    """The oracle's orbital of dot 1 (well at -d) or dot 2 (well at +d) at
+    (mat, fields), which its point holds as the center x[j] and phase slope
+    k[j]."""
+    pt = _point(mat, fields)
+    return Orbital(pt.x[dot_index], pt.b, pt.k[dot_index])
 
 
 def coulomb_spec(quad):
@@ -347,12 +317,20 @@ def orbital_norm(orb, quad=None):
     return integrate_2d(density, quad, center=(orb.center_x, 0.0), scale=scale)
 
 
+@functools.cache
+def legendre_nodes(n):
+    """Gauss-Legendre nodes and weights of order n on [-1, 1]."""
+    return np.polynomial.legendre.leggauss(n)
+
+
 def polar_sample(g, n, r_max, with_l1, center=None):
     """(value, sum of |g|) of the order-n polar rule on the disc of radius
     r_max: Gauss-Legendre radii weighted by r, periodic trapezoid angles on
     the full circle.  g takes (x, y) around `center`, or (r, theta) if
     `center` is None; l1 is None unless `with_l1`."""
-    r, wr_r = _polar_radii(n, r_max)
+    t, w = legendre_nodes(n)
+    r = 0.5 * r_max * (t + 1.0)
+    wr_r = 0.5 * r_max * w * r
     theta = 2.0 * math.pi * np.arange(n) / n
     if center is None:
         vals = np.asarray(g(r[:, None], theta[None, :]))
@@ -371,7 +349,7 @@ def integrate_polar_2d(f, quad=None, center=(0.0, 0.0), scale=1.0):
     `integrate_2d` is; `scale` is the Gaussian width of f."""
     return _refine(
         lambda n, l1: polar_sample(f, n, POLAR_DOMAIN_CUT * scale, l1, center),
-        _legendre_nodes,
+        legendre_nodes,
         quad or QuadratureSpec(),
         "polar rule",
     )
@@ -383,12 +361,11 @@ def integrate_coulomb_relative(g, quad=None, scale=1.0, r_peak=0.0):
     Meant for Coulomb kernels: g may carry a 1/r singularity, which the
     polar Jacobian cancels (nodes never touch r = 0).  `scale` is the
     radial Gaussian width of g and `r_peak` a radius where its mass is
-    concentrated; the radial domain ends at r_peak + 8 scale.  Failures
-    carry the label of the oracle's half-circle Coulomb pair.
+    concentrated; the radial domain ends at r_peak + 8 scale.
     """
     return _refine(
         lambda n, l1: polar_sample(g, n, r_peak + POLAR_DOMAIN_CUT * scale, l1),
-        _legendre_nodes,
+        legendre_nodes,
         quad or QuadratureSpec(rel_tol=1e-8),
         "polar Coulomb rule",
     )

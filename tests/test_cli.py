@@ -8,6 +8,7 @@ import pytest
 import dotx.cli
 import dotx.closed_form
 import dotx.special
+import dotx.units
 from dotx.cli import main
 from dotx.sweeps import AXIS_XTOL
 from dotx.units import GAAS, bohr_radius_nm
@@ -290,6 +291,21 @@ class TestOracleCommand:
         assert code == 4
         assert out.exists()  # report still written
 
+    def test_each_grid_point_derived_once(self, capsys, tmp_path, count_derivations):
+        # one derivation for the provenance, one per grid point, whose b, d and
+        # c the report takes from the oracle's own point
+        import dotx.oracle
+
+        calls = count_derivations(dotx.cli, dotx.oracle)
+        out = tmp_path / "report.json"
+        code, _, _ = run(capsys, "oracle", "--grid-b", "0,1,2", "--grid-d", "0.5,0.7", "--out", str(out))
+        assert code == 0
+        assert len(calls) == 1 + 6
+        for record in json.loads(out.read_text())["points"]:
+            params = record["params"]
+            p = dotx.units.derive_parameters(GAAS, dotx.units.FieldConfig(params["B_T"], 0.0, params["a_nm"]))
+            assert (params["b"], params["d"], params["c"]) == (p.b, p.d, p.c_coulomb)
+
     def test_far_separated_point_flagged_not_failed(self, capsys, tmp_path):
         out = tmp_path / "report.json"
         code, _, _ = run(
@@ -376,24 +392,41 @@ class TestErrorMapping:
         assert err.count("\n") == 1
 
     def test_coinciding_dots_are_domain_error(self, capsys):
-        # 1 - S^4 rounds to 0 at d = 1e-9: a domain error, not a ZeroDivisionError
+        # 1 - S^4 lies within its error of 0 at d = 1e-9: a domain error, not a ZeroDivisionError
         code, out, err = run(capsys, "oracle", "--grid-b", "1", "--grid-d", "1e-9")
         assert (code, out) == (2, "")
-        assert err.startswith("dotx: error: overlap S = 1.0 leaves 1 - S^4 = 0")
+        assert err.startswith("dotx: error: overlap S = 0.99999999999999")
+        assert "within its error" in err and err.endswith(": the two dots coincide\n")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("efield", ["1e15", "1e100"])
-    def test_unconverged_brackets_are_listed(self, capsys, tmp_path, efield):
-        # no bracket converges by order 192, and numpy's Gauss-Hermite rule
-        # is unusable at 384; each is reported instead of an OverflowError
+    def test_unresolvable_quartic_term_exits_four(self, capsys, tmp_path):
+        # at E = 1e15 V/m the quartic brackets, of size (chi/d)^4 ~ 1e39, cancel
+        # down to J ~ 5e19: every bracket converges, but u5's error estimate
+        # exceeds its value, and the discrepancy exceeds the threshold
         out = tmp_path / "report.json"
         code, _, err = run(
-            capsys, "oracle", "--grid-b", "1", "--grid-d", "0.7", "--E", efield, "--out", str(out)
+            capsys, "oracle", "--grid-b", "1", "--grid-d", "0.7", "--E", "1e15", "--out", str(out)
+        )
+        assert (code, err) == (4, "")
+        record = json.loads(out.read_text())["points"][0]
+        assert "failures" not in record
+        assert record["rel_discrepancy"] > 0.01
+        assert record["upsilon"]["u5"]["error"] > abs(record["upsilon"]["u5"]["value"])
+
+    def test_unconverged_brackets_are_listed(self, capsys, tmp_path):
+        # at E = 1e100 V/m x^4 overflows in the quartic brackets; each is
+        # reported instead of an OverflowError
+        out = tmp_path / "report.json"
+        code, _, err = run(
+            capsys, "oracle", "--grid-b", "1", "--grid-d", "0.7", "--E", "1e100", "--out", str(out)
         )
         assert (code, err) == (4, "")
         failures = json.loads(out.read_text())["points"][0]["failures"]
-        assert len(failures) == 13
-        assert all("no rule of order 384 with finite nodes" in line for line in failures)
+        assert [line.split(":")[0] for line in failures] == [
+            "u5 <A|W|A>", "u5 <B|W|B>", "u5 <B|W|A>", "u5 <A|W|B>",
+        ]
+        assert all(line.endswith("Gauss-Hermite bracket rule did not converge to rel_tol=1e-10 by order 4")
+                   for line in failures)
 
     def test_field_overflow_after_quadrature_is_named(self, capsys):
         code, out, err = run(capsys, "oracle", "--grid-b", "1", "--grid-d", "0.7", "--E", "1e300")
@@ -415,8 +448,10 @@ class TestErrorMapping:
         def no_nodes(n):
             raise AssertionError(f"built {n} quadrature nodes")
 
+        import dotx.oracle
+
         monkeypatch.setattr(dotx.special, "_hermite_nodes", no_nodes)
-        monkeypatch.setattr(dotx.special, "_legendre_nodes", no_nodes)
+        monkeypatch.setattr(dotx.oracle, "_sin_squared", no_nodes)
         code, out, err = run(
             capsys, "oracle", "--grid-b", "1", "--grid-d", "0.7", "--quad-order", "100000"
         )

@@ -1,5 +1,6 @@
-"""numpy loads on the first array call: importing dotx, and the commands
-that evaluate J at points, find a switch or run the scenario, run without it.
+"""numpy loads on the first array call: importing dotx or dotx.oracle, and
+the commands that evaluate J at points, find a switch, run the scenario or
+compare with the oracle, run without it.
 The drivers load on first use too: importing dotx or dotx.cli loads neither
 `dotx.sweeps` nor `dotx.oracle` (nor json), and each command loads only the
 one it runs.  No dotx process loads `dataclasses`: every record is a NamedTuple.
@@ -92,6 +93,11 @@ def test_import_loads_no_numpy(tmp_path, modules):
     assert run_python(code, tmp_path) == []
 
 
+def test_oracle_import_loads_no_numpy(tmp_path):
+    code = "import json, sys, dotx.oracle\nprint(json.dumps('numpy' in sys.modules))\n"
+    assert run_python(code, tmp_path) is False
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -102,6 +108,7 @@ def test_import_loads_no_numpy(tmp_path, modules):
         ["switch", "--vary", "d", "--B", "1.5", "--from", "0.3", "--to", "1.2"],
         ["switch", "--vary", "B", "--scan", "--from", "0.3", "--to", "4"],
         ["scenario"],
+        ["oracle", "--grid-b", "1", "--grid-d", "0.7"],
     ],
 )
 def test_scalar_commands_run_without_numpy(tmp_path, argv):
@@ -112,7 +119,6 @@ def test_scalar_commands_run_without_numpy(tmp_path, argv):
     "argv",
     [
         ["sweep", "--vary", "B", "--from", "0", "--to", "3", "--steps", "11"],
-        ["oracle", "--grid-b", "1", "--grid-d", "0.7"],
         ["figure", "--id", "1"],
     ],
 )

@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 import dotx.oracle
 import dotx.special
 from dotx.errors import InvalidArgumentError, QuadratureError
-from dotx.oracle import _Bracket, _point, _stacked_sampler  # noqa: internal
-from dotx.special import (  # noqa: the samplers are internal, compared directly
+from dotx.special import (  # noqa: the refinement loop is internal, exercised directly
     QuadratureSpec,
-    _gauss_hermite_sample,
     _hermite_nodes,
     _refine,
     _refine_many,
@@ -20,7 +18,7 @@ from dotx.special import (  # noqa: the samplers are internal, compared directly
     bessel_i0e,
     integrate_2d,
 )
-from dotx.units import GAAS, FieldConfig, bohr_radius_nm
+from dotx.units import GAAS, FieldConfig
 
 from conftest import integrate_coulomb_relative, rel_err
 
@@ -184,8 +182,8 @@ class TestIntegrate2D:
               for order in (8.0, 64.5, True, "64")),
         ]
         sampled = []
-        monkeypatch.setattr(dotx.oracle, "_hermite_nodes", sampled.append)
-        monkeypatch.setattr(dotx.oracle, "_legendre_nodes", sampled.append)
+        monkeypatch.setattr(dotx.oracle, "_pair_levels", lambda *args: sampled.append(args))
+        monkeypatch.setattr(dotx.oracle, "_sin_squared", sampled.append)
         singular = FieldConfig(B=1.0, E=0.0, a=0.0)  # its point raises when derived
         for spec, message in cases:
             with pytest.raises(InvalidArgumentError, match=message):
@@ -197,39 +195,6 @@ class TestIntegrate2D:
         assert sampled == []
         QuadratureSpec(order=128).validate()
         assert QuadratureSpec._fields == ("order", "rel_tol")
-
-
-class TestSeparableSample:
-    """The oracle's stacked 1-D factored sum against the tensor sum it
-    stands for, for a bracket <dot 2| P(x) + Q(y) |dot 1> with orbitals of
-    different centres and phase slopes, P = x^2 - 1 and a real or zero Q.
-    The sum of |f| is a bound from 1-D sums: exact where Q = 0, never below
-    the tensor sum."""
-
-    @pytest.mark.parametrize("q_kind", ["real", "zero"])
-    @pytest.mark.parametrize("n", [8, 64, 96])
-    def test_matches_tensor_sum(self, q_kind, n):
-        pt = _point(GAAS, FieldConfig(B=2.0, E=1e5, a=0.7 * bohr_radius_nm(GAAS)))
-        q = (0.5, -0.3) if q_kind == "real" else None
-        if q is None:  # orbitals no point builds: the sampler reads only b, x and k
-            pt = pt._replace(b=1.4, x=(None, 0.5, -0.3), k=(None, -0.8, 0.5))
-        sample = _stacked_sampler(pt, [_Bracket(0, (1.0, 0.0, -1.0), q=q)])
-        beta, bra_x, ket_x, kappa = pt.b, pt.x[2], pt.x[1], pt.k[1] - pt.k[2]
-
-        def product(x, y):
-            x_factor = beta / math.pi * np.exp(-0.5 * beta * ((x - bra_x) ** 2 + (x - ket_x) ** 2))
-            y_factor = np.exp(1j * kappa * y - beta * y * y)
-            return x_factor * y_factor * (x * x - 1.0 + (0.5 * y * y - 0.3 if q else 0.0))
-
-        center, scale = (0.5 * (bra_x + ket_x), 0.0), 1.0 / math.sqrt(beta)
-        _, [(value, l1)] = sample(n // 2, n, [0])
-        want, want_l1 = _gauss_hermite_sample(product, n, center, scale, True)
-        assert abs(value - want) <= 1e-14 * want_l1
-        if q:
-            assert want_l1 < l1 < 2.0 * want_l1
-        else:
-            assert rel_err(l1, want_l1) < 1e-13
-        assert sample(n, n + max(2, n // 2), [0])[0] == [(value, None)]
 
 
 class TestRefinement:
@@ -319,6 +284,19 @@ class TestHermiteRule:
             assert np.isfinite(t).all() and np.isfinite(w).all() and (w > 0.0).all()
         for n in (371, 372, 384, 768):  # all weights 0 at 371, some nan above
             assert _hermite_nodes(n) is None
+
+    def test_no_rule_is_built_past_the_last_finite_order(self, monkeypatch):
+        # numpy's rule of order 371 or more is not built only to be thrown away
+        asked = []
+        hermgauss = np.polynomial.hermite.hermgauss
+        monkeypatch.setattr(np.polynomial.hermite, "hermgauss", lambda n: asked.append(n) or hermgauss(n))
+        _hermite_nodes.cache_clear()
+        try:
+            for n in (370, 371, 384, 768):
+                _hermite_nodes(n)
+        finally:
+            _hermite_nodes.cache_clear()
+        assert asked == [370]
 
     def test_refinement_ends_at_the_last_finite_level(self, monkeypatch):
         # at order 128 the second round would need order 384
