@@ -164,10 +164,23 @@ def _write_text(path: str, text: str):
         raise InvalidArgumentError(f"cannot write {path}: {exc}") from exc
 
 
+def _finite(value):
+    """`value` with every float in it that is not finite (nan, +-inf) as None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(item) for item in value]
+    return value
+
+
 def _json_text(payload: dict) -> str:
+    """`payload` as strict JSON, which every parser reads: a float that is
+    not finite is written as null, never as a bare NaN or Infinity token."""
     import json
 
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(_finite(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _csv_lines(title: str, provenance: dict) -> list:

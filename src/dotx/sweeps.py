@@ -5,9 +5,11 @@ zero crossings that mark the antiferromagnetic/ferromagnetic transition,
 and the quasi-static switching trajectory that takes a dot pair across
 the transition and back with the magnetic field held constant.
 
-Only `sweep` imports numpy, when it is called: it evaluates its whole
-grid in one call of the array kernel.  The switch pre-scan and the
-scenario phases map the scalar J over a pure-Python grid, so they,
+Only `sweep` imports numpy, and only for a grid of more than
+`_SCALAR_MAX_STEPS` points, which it evaluates in one call of the array
+kernel.  A shorter grid, like the switch pre-scan and the scenario
+phases, maps the scalar closed form over a pure-Python grid: numpy's
+import would cost more than the array call saves there.  So these,
 `find_switch` and `brent` run without numpy.
 """
 
@@ -23,17 +25,20 @@ from .closed_form import (
     AXES,
     ExchangeBreakdown,
     efield_switch,
+    exchange_energy,
     exchange_energy_along,
     exchange_energy_arrays,
     exchange_energy_lab,
+    overlap,
 )
 from .errors import (
     InvalidParameterError,
     NoRootInBracketError,
     RootConvergenceError,
     ScenarioError,
+    SingularConfigurationError,
 )
-from .units import FieldConfig, MaterialParams, bohr_radius_nm
+from .units import FieldConfig, MaterialParams, _lab_point, _material_constants, bohr_radius_nm
 
 #: Root resolution per axis, in that axis's unit: Brent's bracket-width target.
 #: E is solved in closed form, far inside its entry, with Brent only where it misses tol.
@@ -42,6 +47,12 @@ AXIS_XTOL = {"B": 1e-6, "E": 1.0, "d": 1e-8}
 # Upper bound on every grid length a caller can ask for (sweep, pre-scan,
 # scenario phase), so a mistyped count fails before any allocation.
 _MAX_STEPS = 100_000
+
+# The longest grid `sweep` evaluates point by point with the scalar closed
+# form.  In a process that has numpy loaded, the array kernel is faster from
+# a few dozen points on (at 512 points about 0.7 ms against 3-5 ms), but a
+# fresh process pays about 100 ms to import numpy.
+_SCALAR_MAX_STEPS = 512
 
 
 class SweepSpec(NamedTuple):
@@ -152,13 +163,14 @@ class SwitchPoint(NamedTuple):
     final_bracket: tuple = ()  # the last sign-change bracket (lo, hi) around value
 
 
-def _axis_fields(material: MaterialParams, fixed: FieldConfig, axis: str, x):
-    """(B, E, a) with the grid array `x` on `axis`, the rest from `fixed`."""
+def _axis_fields(fixed: FieldConfig, axis: str, x, a_b: float):
+    """(B, E, a) with `x` (a grid value or the grid array) on `axis`, the rest
+    from `fixed`; a d value is scaled by the Bohr radius `a_b`, in nm."""
     if axis == "B":
         return x, fixed.E, fixed.a
     if axis == "E":
         return fixed.B, x, fixed.a
-    return fixed.B, fixed.E, x * bohr_radius_nm(material)
+    return fixed.B, fixed.E, x * a_b
 
 
 def _row_columns(spec: SweepSpec) -> list:
@@ -168,7 +180,7 @@ def _row_columns(spec: SweepSpec) -> list:
 
     grid = np.linspace(spec.start, spec.stop, spec.steps)
     with np.errstate(over="ignore"):  # a d grid overflowing to a = inf is marked invalid
-        lab = _axis_fields(spec.material, spec.fixed, spec.vary, grid)
+        lab = _axis_fields(spec.fixed, spec.vary, grid, bohr_radius_nm(spec.material))
     cols = exchange_energy_arrays(spec.material, *lab)
     return [
         column.tolist()
@@ -180,9 +192,47 @@ def _row_columns(spec: SweepSpec) -> list:
     ]
 
 
+def _scalar_rows(spec: SweepSpec) -> list:
+    """`sweep`'s rows point by point, by `exchange_energy` and `overlap`.
+
+    A row is singular exactly where the kernel's mask is False: where
+    `_lab_point` would reject the point, b, d or chi is out of range, or
+    `exchange_energy` raises SingularConfigurationError.  Inside that mask
+    the only InvalidParameterError it raises is b d^2 or chi^2 / d^2
+    overflowing, which propagates from the first such point, as the kernel's.
+    """
+    const = _material_constants(spec.material)
+    c, scale = const.c, spec.material.confinement_energy
+    isfinite = math.isfinite
+    rows = []
+    for x in _grid(spec.start, spec.stop, spec.steps):
+        B, E, a = _axis_fields(spec.fixed, spec.vary, x, const.bohr_radius)
+        if isfinite(a) and a > 0.0 and isfinite(B) and isfinite(E):  # `_lab_point`'s check
+            _, _, b, d, chi = _lab_point(const, B, E, a)
+            if isfinite(b) and b >= 1.0 - 1e-12 and isfinite(d) and d > 0.0 and isfinite(chi):
+                try:
+                    bd = exchange_energy(b, d, c, chi, scale)
+                except SingularConfigurationError:  # d^2 rounds to 0, J or its prefactor overflows
+                    pass
+                else:
+                    rows.append(SweepRow(x, bd.j_mev, b, d, overlap(b, d), *bd[:5]))
+                    continue
+        rows.append(SweepRow(x, *[math.nan] * 9, singular=True))
+    return rows
+
+
 def sweep(spec: SweepSpec) -> list[SweepRow]:
-    """Evaluate the exchange energy along a monotone grid, in one array call."""
+    """Evaluate the exchange energy along a monotone grid.
+
+    A grid of up to `_SCALAR_MAX_STEPS` points is evaluated point by point
+    with the scalar closed form, and its rows carry `exchange_energy_lab`'s
+    bits; a longer one in one call of the array kernel, whose rows are
+    within `ExchangeColumns`' rounding of those.  Both mark the same rows
+    singular and raise the same error at the same point.
+    """
     spec.validate()
+    if spec.steps <= _SCALAR_MAX_STEPS:
+        return _scalar_rows(spec)
     *columns, invalid = _row_columns(spec)
     # tuple.__new__ skips the record's Python __new__ and defaults: singular is given.
     rows = list(map(tuple.__new__, repeat(SweepRow), zip(*columns, repeat(False))))

@@ -8,11 +8,12 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
+import dotx.sweeps
 from dotx.closed_form import exchange_energy, overlap
-from dotx.errors import InvalidParameterError, SingularConfigurationError
+from dotx.errors import DotxError, InvalidParameterError, SingularConfigurationError
 from dotx.oracle import _point
 from dotx.special import QuadratureSpec, _refine, bessel_i0e, integrate_2d
-from dotx.sweeps import SweepRow
+from dotx.sweeps import SweepRow, sweep
 from dotx.units import GAAS, FieldConfig, bohr_radius_nm, derive_parameters
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "pinned_values.json"
@@ -174,7 +175,9 @@ def j_mp(b, d, c, chi):
 
 
 def loop_sweep(spec):
-    """The per-point sweep that `sweep` replaced, kept as its reference."""
+    """The per-point sweep, kept as `sweep`'s reference.  On a grid of up to
+    `_SCALAR_MAX_STEPS` points `sweep` gives these rows by repr.  Where b d^2
+    or chi^2 / d^2 overflows, `sweep` raises; this loop marks the row singular."""
     rows = []
     for x in np.linspace(spec.start, spec.stop, spec.steps).tolist():
         B, E, a = spec.fixed.B, spec.fixed.E, spec.fixed.a
@@ -195,6 +198,34 @@ def loop_sweep(spec):
             continue
         rows.append(SweepRow(x, bd.j_mev, p.b, p.d, overlap(p.b, p.d), *bd[:5]))
     return rows
+
+
+def on_both_sweep_paths(run) -> list:
+    """[run() with every sweep grid on the scalar path, run() with every one
+    on the array path]: `sweeps._SCALAR_MAX_STEPS` is moved past either end
+    of the step range for the call.  An error run() raises is its result."""
+    results = []
+    for limit in (dotx.sweeps._MAX_STEPS, 1):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dotx.sweeps, "_SCALAR_MAX_STEPS", limit)
+            try:
+                results.append(run())
+            except DotxError as exc:
+                results.append(exc)
+    return results
+
+
+def sweep_both(spec) -> list:
+    """`sweep(spec)`'s rows on the scalar path, once the array path has marked
+    the same rows singular.  Where the scalar path raises, the array path must
+    raise the same error type and message, and that error is raised."""
+    scalar, array = on_both_sweep_paths(lambda: sweep(spec))
+    if isinstance(scalar, Exception):
+        assert type(array) is type(scalar) and str(array) == str(scalar), (scalar, array)
+        raise scalar
+    assert not isinstance(array, Exception), array
+    assert [r.singular for r in array] == [r.singular for r in scalar]
+    return scalar
 
 
 def efield_switch_mp(mat, B, a_nm, lo, hi, width=1e-6):

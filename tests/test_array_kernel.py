@@ -1,8 +1,8 @@
 """The array closed form against the scalar one, and both against mpmath.
 
-`sweep` (and with it `figure`) evaluates J through
-`exchange_energy_arrays`; the point evaluators, Brent, the switch
-pre-scan and the scenario phases use the scalar closed form.  The kernel
+`sweep` evaluates a grid of more than 512 points through
+`exchange_energy_arrays`; a shorter one, the point evaluators, Brent, the
+switch pre-scan and the scenario phases use the scalar closed form.  The kernel
 runs the scalar operations as numpy ufuncs, whose exp, expm1, sinh and
 hypot may round differently from the C library's, so each array row is
 held to the scalar one within the per-column bounds of
@@ -34,7 +34,16 @@ from dotx.units import (
     fields_from_dimensionless,
 )
 
-from conftest import EPS, assert_kernel_close, assert_rows_close, j_bound, j_mp, loop_sweep, rel_err
+from conftest import (
+    EPS,
+    assert_kernel_close,
+    assert_rows_close,
+    j_bound,
+    j_mp,
+    loop_sweep,
+    rel_err,
+    sweep_both,
+)
 
 A_B = bohr_radius_nm(GAAS)
 
@@ -280,7 +289,7 @@ class TestKernelMatchesScalar:
         spec = SweepSpec(vary="B", start=0.0, stop=3.0, steps=5, fixed=FieldConfig(0.0, 0.0, a),
                          material=mat)
         for run in (
-            lambda: sweep(spec),
+            lambda: sweep_both(spec),
             lambda: scan_switches("E", mat, FieldConfig(2.0, 0.0, a), 0.0, 2e5),
             lambda: switching_scenario(mat, a),
         ):

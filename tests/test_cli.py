@@ -13,13 +13,27 @@ from dotx.cli import main
 from dotx.sweeps import AXIS_XTOL
 from dotx.units import GAAS, bohr_radius_nm
 
-from conftest import efield_switch_mp
+from conftest import efield_switch_mp, on_both_sweep_paths
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_both(capsys, *argv):
+    """`run` with a sweep on its scalar path and on its array path: the same
+    exit code, error text and singular rows (the CSV lines of nan).  Returns
+    the scalar path's run."""
+    scalar, array = on_both_sweep_paths(lambda: run(capsys, *argv))
+
+    def singular(out):
+        return [line.endswith(",nan" * 8) for line in out.splitlines()]
+
+    assert (array[0], array[2]) == (scalar[0], scalar[2])
+    assert singular(array[1]) == singular(scalar[1])
+    return scalar
 
 
 class TestEval:
@@ -530,7 +544,7 @@ class TestErrorMapping:
         assert out == ""
         assert err.startswith("dotx: error: singular configuration d=1e-170")
         assert err.count("\n") == 1
-        code, out, _ = run(
+        code, out, _ = run_both(
             capsys, "sweep", "--vary", "d", "--from", "1e-170", "--to", "1", "--steps", "3"
         )
         assert code == 0
@@ -546,7 +560,7 @@ class TestErrorMapping:
             "dotx: error: prefactor 1/sinh(2 d^2 (2b - 1/b)) overflows at d=1e-155, "
             "b=8.697057808713865: the two dots all but coincide\n"
         )
-        code, out, _ = run(
+        code, out, _ = run_both(
             capsys, "sweep", "--vary", "d", "--B", "30", "--from", "1e-155", "--to", "1", "--steps", "2"
         )
         assert code == 0
@@ -585,7 +599,7 @@ class TestErrorMapping:
         mat.write_text(
             '{"effective_mass": 0.067, "dielectric_const": 1e-320, "confinement_energy_mev": 3.0}'
         )
-        code, out, err = run(capsys, *argv, "--material-file", str(mat))
+        code, out, err = run_both(capsys, *argv, "--material-file", str(mat))
         assert code == 2
         assert out == ""
         assert err == (
@@ -608,7 +622,7 @@ class TestErrorMapping:
         mat.write_text(
             '{"effective_mass": 1e-300, "dielectric_const": 13.1, "confinement_energy_mev": 1e-20}'
         )
-        code, out, err = run(capsys, *argv, "--material-file", str(mat))
+        code, out, err = run_both(capsys, *argv, "--material-file", str(mat))
         assert code == 2
         assert out == ""
         assert err == (
@@ -628,7 +642,7 @@ class TestErrorMapping:
     def test_scaled_distance_overflow_is_named(self, capsys, argv):
         # At b > 1 and d ~ 1e154, b d^2 overflows while d^2 does not: an
         # error naming d and b, not "J: nan meV" with exit 0
-        code, out, err = run(capsys, *argv, "--B", "30")
+        code, out, err = run_both(capsys, *argv, "--B", "30")
         assert code == 2
         assert out == ""
         assert err.startswith("dotx: error: distance d=")
@@ -643,7 +657,7 @@ class TestErrorMapping:
         assert out == ""
         assert err.startswith("dotx: error: distance d=") and "d^2 overflows" in err
         assert err.count("\n") == 1
-        code, out, err = run(
+        code, out, err = run_both(
             capsys, "sweep", "--vary", "d", "--from", "1", "--to", "1e160", "--steps", "3"
         )
         assert code == 2
@@ -660,7 +674,7 @@ class TestErrorMapping:
     def test_field_overflow_is_named(self, capsys, argv):
         # chi^2 / d^2 overflows: an error naming the field and the distance,
         # not "J: inf meV" with exit 0
-        code, out, err = run(capsys, *argv)
+        code, out, err = run_both(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("dotx: error: electric field chi=")
         assert "at distance d=0.7: chi^2/d^2 overflows" in err
@@ -688,13 +702,58 @@ class TestErrorMapping:
 
     @pytest.mark.parametrize("extra, code", [([], 2), (["--B", "1e300", "--c-override", "1e5"], 0)])
     def test_sweep_distance_overflow_warns_nothing(self, capsys, extra, code):
-        # d * a_B overflows to a = inf on the grid: the kernel marks that row
-        # invalid, with no numpy RuntimeWarning (an error under pytest)
+        # d * a_B overflows to a = inf on the grid: both sweep paths mark that
+        # row singular, with no numpy RuntimeWarning (an error under pytest)
         argv = ["sweep", "--vary", "d", "--from", "0.3", "--to", "1e308", *extra]
-        got, out, err = run(capsys, *argv)
+        got, out, err = run_both(capsys, *argv)
         assert got == code
         if code == 2:
             assert out == ""
             assert err == "dotx: error: distance d=1e+306 is too large: d^2 overflows\n"
         else:
             assert err == "" and out.splitlines()[-1] == "1e+308,nan,nan,nan,nan,nan,nan,nan,nan"
+
+
+def strict_json(text: str):
+    """`text` parsed as strict JSON: a bare NaN or Infinity token fails."""
+
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestStrictJson:
+    """A float that is not finite is written as null, which every JSON
+    parser reads; the bare NaN and -Infinity tokens before were not JSON."""
+
+    def test_eval_overflowing_coulomb_term(self, capsys):
+        # 2 d^2 (b - 1/b) >= 700: the printed coulomb term is -inf, J is finite
+        code, out, _ = run(capsys, "eval", "--json", "--B", "20", "--a-over-ab", "30")
+        payload = strict_json(out)
+        assert code == 0 and payload["coulomb_term"] is None
+        assert math.isfinite(payload["J_meV"]) and math.isfinite(payload["prefactor"])
+
+    def test_sweep_singular_rows(self, capsys):
+        code, out, _ = run(
+            capsys, "sweep", "--vary", "d", "--from", "1e-170", "--to", "1", "--steps", "3",
+            "--format", "json",
+        )
+        rows = strict_json(out)["rows"]
+        assert code == 0 and [row["singular"] for row in rows] == [True, False, False]
+        assert rows[0] == {"x": 1e-170, "J_meV": None, "b": None, "d": None, "S": None,
+                           "singular": True}
+        assert all(math.isfinite(row["J_meV"]) for row in rows[1:])
+
+    def test_oracle_failed_point(self, capsys, tmp_path):
+        # At E = 1e100 V/m the field bracket does not converge: the oracle J,
+        # its discrepancy and the bracket's estimate are nan
+        out = tmp_path / "oracle.json"
+        code, _, _ = run(capsys, "oracle", "--grid-b", "1", "--grid-d", "0.7", "--E", "1e100",
+                         "--out", str(out))
+        payload = strict_json(out.read_text())
+        point = payload["points"][0]
+        assert code == 4 and point["incomplete"] is True
+        assert point["j_oracle"] is None and point["rel_discrepancy"] is None
+        assert point["upsilon"]["u5"] == {"error": None, "value": None}
+        assert math.isfinite(point["j_closed_form"])

@@ -1,6 +1,7 @@
 """numpy loads on the first array call: importing dotx or dotx.oracle, and
-the commands that evaluate J at points, find a switch, run the scenario or
-compare with the oracle, run without it.
+the commands that evaluate J at points, sweep up to 512 points, draw a
+figure, find a switch, run the scenario or compare with the oracle, run
+without it; a sweep of 513 points loads it.
 The drivers load on first use too: importing dotx or dotx.cli loads neither
 `dotx.sweeps` nor `dotx.oracle` (nor json), and each command loads only the
 one it runs.  No dotx process loads `dataclasses`: every record is a NamedTuple.
@@ -109,6 +110,10 @@ def test_oracle_import_loads_no_numpy(tmp_path):
         ["switch", "--vary", "B", "--scan", "--from", "0.3", "--to", "4"],
         ["scenario"],
         ["oracle", "--grid-b", "1", "--grid-d", "0.7"],
+        ["sweep", "--vary", "B", "--from", "0", "--to", "3", "--steps", "11"],
+        ["figure", "--id", "1"],
+        ["figure", "--id", "2"],
+        ["figure", "--id", "4"],
     ],
 )
 def test_scalar_commands_run_without_numpy(tmp_path, argv):
@@ -118,8 +123,7 @@ def test_scalar_commands_run_without_numpy(tmp_path, argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["sweep", "--vary", "B", "--from", "0", "--to", "3", "--steps", "11"],
-        ["figure", "--id", "1"],
+        ["sweep", "--vary", "B", "--from", "0", "--to", "3", "--steps", "513"],
     ],
 )
 def test_array_commands_load_numpy_and_succeed(tmp_path, argv):

@@ -22,6 +22,7 @@ from dotx.errors import (
     NoRootInBracketError,
     RootConvergenceError,
     ScenarioError,
+    SingularConfigurationError,
 )
 from dotx.sweeps import (
     AXIS_XTOL,
@@ -49,6 +50,7 @@ from conftest import (
     loop_sweep,
     rel_err,
     row_columns,
+    sweep_both,
 )
 
 
@@ -113,7 +115,7 @@ class TestSweep:
     def test_singular_rows_do_not_abort(self, gaas):
         # a degenerate fixed geometry flags every row, sweep still runs
         fixed = FieldConfig(B=0.0, E=0.0, a=0.0)
-        rows = sweep(make_spec(gaas, fixed=fixed, steps=7))
+        rows = sweep_both(make_spec(gaas, fixed=fixed, steps=7))
         assert len(rows) == 7
         assert all(r.singular and math.isnan(r.j_mev) for r in rows)
 
@@ -145,8 +147,15 @@ class TestSweep:
 
     def test_tiny_distance_row_is_singular(self, gaas):
         # 1 - S^4 rounds to 0 at d = 1e-170: singular, not a ZeroDivisionError
-        rows = sweep(make_spec(gaas, vary="d", start=1e-170, stop=1.0, steps=3))
+        rows = sweep_both(make_spec(gaas, vary="d", start=1e-170, stop=1.0, steps=3))
         assert [r.singular for r in rows] == [True, False, False]
+
+    def test_infinite_field_ratio_row_is_singular(self, gaas):
+        # chi = e E a / (hbar omega_0) is inf at E = 1e300 V/m, a = 1e15 nm:
+        # a singular row on both paths, as the kernel's mask makes it, not an error
+        fixed = FieldConfig(B=1.0, E=0.0, a=1e15)
+        rows = sweep_both(make_spec(gaas, vary="E", start=0.0, stop=1e300, steps=2, fixed=fixed))
+        assert [r.singular for r in rows] == [False, True]
 
     @pytest.mark.parametrize(
         "vary, start, stop", [("B", 0.0, 8.0), ("E", -2e5, 2e5), ("d", 0.05, 4.0)]
@@ -167,22 +176,33 @@ class TestSweep:
             )
 
     def test_derives_each_point_once(self, gaas, count_derivations, monkeypatch):
-        # All 31 points come from one array kernel call; none is derived alone.
+        # Up to 512 points, each is one scalar closed-form call and there is
+        # no array call; past 512, all come from one array kernel call and
+        # none from the scalar form.  Neither derives a point alone.
         per_point = count_derivations(dotx.closed_form)
-        arrays = []
-        kernel = dotx.sweeps.exchange_energy_arrays
+        arrays, scalars = [], []
+        kernel, scalar = dotx.sweeps.exchange_energy_arrays, dotx.sweeps.exchange_energy
 
-        def counting(mat, B, E, a):
+        def counting_kernel(mat, B, E, a):
             arrays.append(np.broadcast(B, E, a).size)
             return kernel(mat, B, E, a)
 
-        def scalar(*args):
-            raise AssertionError("scalar closed form called")
+        def counting_scalar(*args):
+            scalars.append(args)
+            return scalar(*args)
 
-        monkeypatch.setattr(dotx.sweeps, "exchange_energy_arrays", counting)
-        monkeypatch.setattr(dotx.sweeps, "exchange_energy_lab", scalar)
-        sweep(make_spec(gaas, steps=31))
-        assert arrays == [31]
+        def lab(*args):
+            raise AssertionError("exchange_energy_lab called")
+
+        monkeypatch.setattr(dotx.sweeps, "exchange_energy_arrays", counting_kernel)
+        monkeypatch.setattr(dotx.sweeps, "exchange_energy", counting_scalar)
+        monkeypatch.setattr(dotx.sweeps, "exchange_energy_lab", lab)
+        assert dotx.sweeps._SCALAR_MAX_STEPS == 512
+        for steps, want in ((31, ([], 31)), (512, ([], 512)), (513, ([513], 0))):
+            arrays.clear()
+            scalars.clear()
+            sweep(make_spec(gaas, steps=steps))
+            assert (arrays, len(scalars)) == want, steps
         assert per_point == []
 
     def test_csv_text_layout(self, gaas):
@@ -198,10 +218,18 @@ class TestSweep:
 class TestRowContract:
     """Rows and breakdowns are immutable records with fixed fields."""
 
-    def singular_start_spec(self, gaas):
+    def singular_start_spec(self, gaas, steps=41):
         # J overflows below d ~ 1e-154 and 1 - S^4 rounds to 0 below d ~ 1e-162:
         # the first rows are singular
-        return make_spec(gaas, vary="d", start=1e-170, stop=2e-153, steps=41)
+        return make_spec(gaas, vary="d", start=1e-170, stop=2e-153, steps=steps)
+
+    def axis_spec(self, gaas, axis, steps):
+        """A grid along `axis` over J's whole range, or the singular-start one."""
+        if axis == "singular-start":
+            return self.singular_start_spec(gaas, steps)
+        start, stop = {"B": (-60.0, 60.0), "E": (-1e12, 1e12), "d": (1e-9, 15.0)}[axis]
+        fixed = FieldConfig(B=1.5, E=5e4, a=0.7 * bohr_radius_nm(gaas))
+        return make_spec(gaas, vary=axis, start=start, stop=stop, steps=steps, fixed=fixed)
 
     def test_fields_and_positional_constructors(self):
         assert ExchangeBreakdown._fields == (
@@ -241,7 +269,7 @@ class TestRowContract:
             row.breakdown.j_mev = 0.0
 
     def test_singular_rows(self, gaas):
-        rows = sweep(self.singular_start_spec(gaas))
+        rows = sweep_both(self.singular_start_spec(gaas))
         singular = [r for r in rows if r.singular]
         assert rows[0].singular and not rows[-1].singular
         assert 0 < len(singular) < len(rows)
@@ -252,32 +280,47 @@ class TestRowContract:
 
     @pytest.mark.parametrize("axis", ["B", "E", "d", "singular-start"])
     def test_breakdown_is_the_kernel_columns(self, gaas, axis):
-        # Each row's breakdown is built from its own fields: bit for bit the
-        # kernel's columns at its index, and None exactly on singular rows.
-        if axis == "singular-start":
-            spec = self.singular_start_spec(gaas)
-        else:
-            start, stop = {"B": (-60.0, 60.0), "E": (-1e12, 1e12), "d": (1e-9, 15.0)}[axis]
-            fixed = FieldConfig(B=1.5, E=5e4, a=0.7 * bohr_radius_nm(gaas))
-            spec = make_spec(gaas, vary=axis, start=start, stop=stop, steps=41, fixed=fixed)
-        rows = sweep(spec)
-        grid = np.linspace(spec.start, spec.stop, spec.steps)
-        with np.errstate(over="ignore"):
-            lab = dotx.sweeps._axis_fields(gaas, spec.fixed, spec.vary, grid)
-        cols = exchange_energy_arrays(gaas, *lab)
-        singular = [r.singular for r in rows]
-        assert singular == (~cols.valid).tolist()
-        assert [r.breakdown is None for r in rows] == singular
-        assert (0 < sum(singular) < len(rows)) == (axis == "singular-start")
-        for i, row in enumerate(rows):
-            assert not any(isinstance(v, tuple) for v in row)
-            if not row.singular:
-                want = [getattr(cols, name)[i].item() for name in ExchangeBreakdown._fields]
-                assert repr(row.breakdown) == repr(ExchangeBreakdown(*want)), i
+        # Each row's breakdown is built from its own fields, and is None
+        # exactly on singular rows: up to 512 points bit for bit the scalar
+        # closed form's at its x, past 512 the kernel's columns at its index.
+        a_b = bohr_radius_nm(gaas)
+        for steps in (41, 1601):
+            spec = self.axis_spec(gaas, axis, steps)
+            rows = sweep(spec)
+            grid = np.linspace(spec.start, spec.stop, spec.steps)
+            if steps <= dotx.sweeps._SCALAR_MAX_STEPS:
+                want = []
+                for x in grid.tolist():
+                    fields = FieldConfig(*dotx.sweeps._axis_fields(spec.fixed, spec.vary, x, a_b))
+                    try:
+                        want.append(exchange_energy_lab(gaas, fields))
+                    except (InvalidParameterError, SingularConfigurationError):
+                        want.append(None)
+            else:
+                with np.errstate(over="ignore"):
+                    lab = dotx.sweeps._axis_fields(spec.fixed, spec.vary, grid, a_b)
+                cols = exchange_energy_arrays(gaas, *lab)
+                want = [
+                    ExchangeBreakdown(*(getattr(cols, name)[i].item()
+                                        for name in ExchangeBreakdown._fields))
+                    if valid else None
+                    for i, valid in enumerate(cols.valid.tolist())
+                ]
+            singular = [r.singular for r in rows]
+            assert singular == [w is None for w in want]
+            assert (0 < sum(singular) < len(rows)) == (axis == "singular-start")
+            for i, row in enumerate(rows):
+                assert not any(isinstance(v, tuple) for v in row)
+                assert repr(row.breakdown) == repr(want[i]), (steps, i)
+
+    @pytest.mark.parametrize("axis", ["B", "E", "d", "singular-start"])
+    def test_short_grid_is_the_loop_by_repr(self, gaas, axis):
+        spec = self.axis_spec(gaas, axis, dotx.sweeps._SCALAR_MAX_STEPS)
+        assert repr(sweep(spec)) == repr(loop_sweep(spec))
 
     def test_singular_grid_is_deterministic_and_matches_loop(self, gaas):
         spec = self.singular_start_spec(gaas)
-        rows = sweep(spec)
+        rows = sweep_both(spec)
         assert repr(rows) == repr(sweep(spec))
         assert_rows_close(rows, loop_sweep(spec), gaas)
 
