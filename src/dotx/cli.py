@@ -338,7 +338,7 @@ def cmd_oracle(args, cfg: RunConfig) -> _Output:
     quad = QuadratureSpec(**{k: v for k, v in overrides.items() if v is not None})
     quad.validate()  # a bad order or rel_tol is reported ahead of a bad material or grid
     a_b = bohr_radius_nm(cfg.material)
-    records, worst, any_incomplete = [], 0.0, False
+    records, compared = [], []
     for b_field in args.grid_b:
         for d in args.grid_d:
             fields = FieldConfig(B=b_field, E=cfg.fields.E, a=d * a_b)
@@ -347,11 +347,12 @@ def cmd_oracle(args, cfg: RunConfig) -> _Output:
                 "B_T": b_field, "E_Vm": cfg.fields.E, "a_nm": fields.a, "b": breakdown.b,
                 "d": breakdown.d, "c": breakdown.c,
             }))
-            if breakdown.incomplete:
-                any_incomplete = True
-            else:
-                worst = max(worst, breakdown.rel_discrepancy)
-    failed = worst > args.threshold or any_incomplete
+            if not breakdown.incomplete:
+                compared.append(breakdown.rel_discrepancy)
+    # an incomplete point is not compared, and fails the run; with none
+    # compared there is no maximum, and from 0.0 a nan discrepancy is never one
+    worst = max(0.0, *compared) if compared else None
+    failed = len(compared) < len(records) or worst > args.threshold
     payload = {
         "params": _provenance(cfg, {"grid_B_T": args.grid_b, "grid_d": args.grid_d}),
         "threshold": args.threshold,
@@ -361,7 +362,8 @@ def cmd_oracle(args, cfg: RunConfig) -> _Output:
     }
     return _Output(
         _json_text(payload), args.out,
-        after=f"max relative discrepancy: {worst!r} (threshold {args.threshold!r})",
+        after=(f"max relative discrepancy: {worst!r}" if compared else "no point compared")
+        + f" (threshold {args.threshold!r})",
         code=EXIT_ORACLE if failed else EXIT_OK,
     )
 

@@ -49,8 +49,8 @@ width times a polynomial of degree <= 4, which the rules of orders 3 and 4
 (exact to degrees 5 and 7) both integrate exactly.  Their difference is
 rounding; with the sum of |f| at order 4, bounded through |P + Q| <=
 |a| |u|^2 + |b| |u| + |c + q0| + |q2| |y|^2 for P = (a u + b) u + c and
-Q = q2 y^2 + q0, it gives the error by the test `_refine_many` accepts a
-level with.  Whatever imaginary part a sum keeps joins the error.
+Q = q2 y^2 + q0, it gives the error by the test `_refine` accepts a level
+with.  Whatever imaginary part a sum keeps joins the error.
 
 The Coulomb pair goes through the Gaussian transform 1/r = (2/sqrt(pi))
 int_0^inf exp(-r^2 t^2) dt (Boys, Proc. R. Soc. A 200, 542 (1950)).  The
@@ -82,7 +82,7 @@ from typing import NamedTuple
 
 from .closed_form import exchange_energy
 from .errors import QuadratureError, SingularConfigurationError
-from .special import QuadratureSpec, _compare_levels, _refine_many
+from .special import QuadratureSpec, _compare_levels, _refine
 from .units import FieldConfig, MaterialParams, derive_parameters
 
 #: Relative-discrepancy denominators never drop below this (in units of
@@ -358,21 +358,19 @@ def _phi_integral(z, n):
 
 def _coulomb(pt: _Point, quad, failures):
     """Coulomb direct and exchange sums (u3, u4), as the two trapezoid sums
-    of the module docstring, refined in lockstep; their integrands are
+    of the module docstring, each refined on its own; their integrands are
     positive, so each sum of |f| is its value."""
     a = 0.5 * pt.b  # exponent of the relative coordinate's Gaussian
     delta = -2.0 * pt.d  # x[1] - x[2], as in `_pair_levels`
     kappa = -pt.lam * (2.0 * pt.d)  # k[2] - k[1]
     amplitude = pt.b / (2.0 * math.pi) * (pt.c * math.sqrt(2.0 / math.pi))  # density norm, v0
-    z = (a * delta * delta, kappa * kappa / (4.0 * a))
 
-    def sample(n, n_hi, open_):
-        hi = [_phi_integral(z[i], n_hi) for i in open_]
-        return [(_phi_integral(z[i], n), None) for i in open_], [(v, v) for v in hi]
+    def refined(z, label):
+        sample = lambda n, with_l1: (v := _phi_integral(z, n), v if with_l1 else None)  # noqa: E731
+        return _settle(_refine(sample, _sin_squared, quad, "Coulomb trapezoid rule"), failures, label)
 
-    direct, exchange = _refine_many(sample, 2, _sin_squared, quad, "Coulomb trapezoid rule")
-    direct, err3 = _settle(direct, failures, "u3 direct coulomb")
-    exchange, err4 = _settle(exchange, failures, "u4 exchange coulomb")
+    direct, err3 = refined(a * delta * delta, "u3 direct coulomb")
+    exchange, err4 = refined(kappa * kappa / (4.0 * a), "u4 exchange coulomb")
     p3 = 2.0 * amplitude * 2.0 * _SQRT_PI / math.sqrt(a)  # P of the module docstring
     p4 = p3 * math.exp(-a * delta * delta)
     return TermEstimate(p3 * direct, p3 * err3), TermEstimate(p4 * exchange, p4 * err4)

@@ -3,9 +3,9 @@
 Only what the exchange-energy formula and its numerical cross-check need:
 I0 (plus its exponentially scaled variant), a tensor Gauss-Hermite rule
 for Gaussian-times-polynomial integrands over the plane, and the
-refinement loop that `integrate_2d` and the oracle's Coulomb trapezoid
-sums run on, with the test by which it, and the oracle's fixed-order
-brackets, accept a level.
+refinement loop of one integral, which `integrate_2d` and each of the
+oracle's Coulomb trapezoid sums run, with the test by which it, and the
+oracle's fixed-order brackets, accept a level.
 
 All quadratures are deterministic: nodes are cached per order and sums
 run in a fixed order, so identical inputs give bit-identical results.
@@ -245,51 +245,33 @@ def _compare_levels(v_lo, v_hi, l1, rel_tol):
     return (value, err), err <= rel_tol * max(math.hypot(v_hi.real, v_hi.imag), l1) < math.inf
 
 
-def _refine_many(sample, count, nodes, spec: QuadratureSpec, label: str):
-    """Refine `count` integrals in lockstep at increasing order, each until
-    `_compare_levels` certifies its round; returns (value, error), or the
-    QuadratureError, of each.
+def _refine(sample, nodes, spec: QuadratureSpec, label: str):
+    """Refine one integral at increasing order until `_compare_levels`
+    certifies a round; returns (value, error), or the QuadratureError.
 
-    A round samples both its levels at once: `sample(n, n_hi, open_)` gives
-    (lo, hi), lists of a (value, None) and a (value, l1) pair per integral in
-    `open_`, those not yet converged; l1 is the sum of |f| at order n_hi.  A
-    round at an order for which `nodes` has no rule is not sampled: its
-    QuadratureError carries the last sampled level.  Past the last round it
-    names the last order sampled.
+    Round k samples orders n = spec.order * 2^k and n_hi = n + max(2, n // 2)
+    by `sample(n, with_l1)`, which gives (value, l1), l1 the sum of |f| or
+    None unless `with_l1`, taken on n_hi only.  A round at an order for which
+    `nodes` has no rule is not sampled: its QuadratureError carries the last
+    sampled level.  Past the last round it names the last order sampled.
     """
     n = spec.order
-    results = [(None, None)] * count
-    open_ = list(range(count))
+    result = (None, None)
     for _ in range(4):
         n_hi = n + max(2, n // 2)
         if nodes(n) is None or nodes(n_hi) is None:
             n_bad = n if nodes(n) is None else n_hi
             reason = f": no rule of order {n_bad} with finite nodes and positive weights"
             break
-        levels = zip(open_, *sample(n, n_hi, open_))
-        open_ = []
-        for i, (v_lo, _), (v_hi, l1) in levels:
-            results[i], converged = _compare_levels(v_lo, v_hi, l1, spec.rel_tol)
-            if not converged:
-                open_.append(i)
-        if not open_:
-            return results
+        (v_lo, _), (v_hi, l1) = sample(n, False), sample(n_hi, True)
+        result, converged = _compare_levels(v_lo, v_hi, l1, spec.rel_tol)
+        if converged:
+            return result
         n *= 2
     else:
         reason = f" by order {n_hi}"
     message = f"{label} did not converge to rel_tol={spec.rel_tol}{reason}"
-    for i in open_:
-        results[i] = QuadratureError(message, value=results[i][0], error_estimate=results[i][1])
-    return results
-
-
-def _refine(sample, nodes, spec: QuadratureSpec, label: str):
-    """`_refine_many` of one integral, a level at a time by `sample(n, with_l1)`; raises on failure."""
-    rounds = lambda n, n_hi, _: ([sample(n, False)], [sample(n_hi, True)])  # noqa: E731
-    (result,) = _refine_many(rounds, 1, nodes, spec, label)
-    if isinstance(result, QuadratureError):
-        raise result
-    return result
+    return QuadratureError(message, value=result[0], error_estimate=result[1])
 
 
 def integrate_2d(f, spec: QuadratureSpec | None = None, center=(0.0, 0.0), scale=1.0):
@@ -304,4 +286,7 @@ def integrate_2d(f, spec: QuadratureSpec | None = None, center=(0.0, 0.0), scale
     spec = spec or QuadratureSpec()
     spec.validate()
     sample = lambda n, l1: _gauss_hermite_sample(f, n, center, scale, l1)  # noqa: E731
-    return _refine(sample, _hermite_nodes, spec, "integrate_2d")
+    result = _refine(sample, _hermite_nodes, spec, "integrate_2d")
+    if isinstance(result, QuadratureError):
+        raise result
+    return result

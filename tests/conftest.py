@@ -10,7 +10,7 @@ import pytest
 
 import dotx.sweeps
 from dotx.closed_form import exchange_energy, overlap
-from dotx.errors import DotxError, InvalidParameterError, SingularConfigurationError
+from dotx.errors import DotxError, InvalidParameterError, QuadratureError, SingularConfigurationError
 from dotx.oracle import _point
 from dotx.special import QuadratureSpec, _refine, bessel_i0e, integrate_2d
 from dotx.sweeps import SweepRow, sweep
@@ -375,12 +375,20 @@ def polar_sample(g, n, r_max, with_l1, center=None):
     return value, float(np.sum(weight * np.abs(vals))) if with_l1 else None
 
 
+def refine_polar(sample, quad, label):
+    """`_refine` of a polar-rule sampler over `legendre_nodes`, raising its
+    QuadratureError as `integrate_2d` does."""
+    result = _refine(sample, legendre_nodes, quad, label)
+    if isinstance(result, QuadratureError):
+        raise result
+    return result
+
+
 def integrate_polar_2d(f, quad=None, center=(0.0, 0.0), scale=1.0):
     """f(x, y) over the plane by the polar rule around `center`, refined as
     `integrate_2d` is; `scale` is the Gaussian width of f."""
-    return _refine(
+    return refine_polar(
         lambda n, l1: polar_sample(f, n, POLAR_DOMAIN_CUT * scale, l1, center),
-        legendre_nodes,
         quad or QuadratureSpec(),
         "polar rule",
     )
@@ -394,9 +402,8 @@ def integrate_coulomb_relative(g, quad=None, scale=1.0, r_peak=0.0):
     radial Gaussian width of g and `r_peak` a radius where its mass is
     concentrated; the radial domain ends at r_peak + 8 scale.
     """
-    return _refine(
+    return refine_polar(
         lambda n, l1: polar_sample(g, n, r_peak + POLAR_DOMAIN_CUT * scale, l1),
-        legendre_nodes,
         quad or QuadratureSpec(rel_tol=1e-8),
         "polar Coulomb rule",
     )

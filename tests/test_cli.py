@@ -305,6 +305,18 @@ class TestOracleCommand:
         assert code == 4
         assert out.exists()  # report still written
 
+    def test_no_point_compared(self, capsys, tmp_path):
+        # the one point is incomplete (E = 1e100 V/m): nothing was compared, so
+        # there is no maximum discrepancy, and the run still fails
+        out = tmp_path / "report.json"
+        code, stdout, err = run(
+            capsys, "oracle", "--grid-b", "1", "--grid-d", "0.7", "--E", "1e100", "--out", str(out)
+        )
+        assert (code, err) == (4, "")
+        assert stdout.splitlines()[-1] == "no point compared (threshold 0.01)"
+        payload = json.loads(out.read_text())
+        assert payload["max_rel_discrepancy"] is None and payload["all_within_threshold"] is False
+
     def test_each_grid_point_derived_once(self, capsys, tmp_path, count_derivations):
         # one derivation for the provenance, one per grid point, whose b, d and
         # c the report takes from the oracle's own point
@@ -441,6 +453,13 @@ class TestErrorMapping:
         ]
         assert all(line.endswith("Gauss-Hermite bracket rule did not converge to rel_tol=1e-10 by order 4")
                    for line in failures)
+
+    def test_root_above_tol_is_a_convergence_error(self, capsys):
+        # |J| at the float nearest the root cannot reach tol 0
+        code, out, err = run(capsys, "switch", "--vary", "B", "--from", "0.5", "--to", "3",
+                             "--a-over-ab", "0.5", "--tol", "0")
+        assert (code, out) == (3, "")
+        assert err == "dotx: error: |J(root)| = 1.717454288848172e-15 meV exceeds tol 0.0\n"
 
     def test_field_overflow_after_quadrature_is_named(self, capsys):
         code, out, err = run(capsys, "oracle", "--grid-b", "1", "--grid-d", "0.7", "--E", "1e300")

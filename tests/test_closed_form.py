@@ -96,6 +96,18 @@ class TestExchangeEnergy:
         with pytest.raises(InvalidParameterError):
             exchange_energy(1.0, 0.7, 2.36, math.inf)
 
+    @pytest.mark.parametrize(
+        "call, got",
+        [
+            (lambda: exchange_energy(1.0, -1.0, 1.0, 0.0), "-1.0"),
+            (lambda: exchange_energy(1.0, math.nan, 1.0, 0.0), "nan"),
+            (lambda: overlap(1.0, -0.5), "-0.5"),
+        ],
+    )
+    def test_negative_or_nan_distance_rejected(self, call, got):
+        with pytest.raises(InvalidParameterError, match=f"^distance d must be finite and >= 0, got {got}$"):
+            call()
+
     def test_extreme_arguments_stay_finite(self):
         bd = exchange_energy(12.0, 6.0, 2.36, 0.0)
         assert math.isfinite(bd.j_dimensionless)

@@ -484,21 +484,20 @@ def refinements(monkeypatch):
     """Per integral the oracle refines, one (order, value, l1) triple per
     sampled level; l1 is None on a round's lower level."""
     runs = []
-    refine = dotx.oracle._refine_many
+    refine = dotx.oracle._refine
 
-    def refine_counted(sample, count, *args):
-        levels = [[] for _ in range(count)]
-        runs.extend(levels)
+    def refine_counted(sample, *args):
+        levels = []
+        runs.append(levels)
 
-        def counted(n, n_hi, open_):
-            lo, hi = sample(n, n_hi, open_)
-            for i, (v_lo, l1_lo), (v_hi, l1_hi) in zip(open_, lo, hi):
-                levels[i] += [(n, v_lo, l1_lo), (n_hi, v_hi, l1_hi)]
-            return lo, hi
+        def counted(n, with_l1):
+            value, l1 = sample(n, with_l1)
+            levels.append((n, value, l1))
+            return value, l1
 
-        return refine(counted, count, *args)
+        return refine(counted, *args)
 
-    monkeypatch.setattr(dotx.oracle, "_refine_many", refine_counted)
+    monkeypatch.setattr(dotx.oracle, "_refine", refine_counted)
     return runs
 
 

@@ -13,7 +13,6 @@ from dotx.special import (  # noqa: the refinement loop is internal, exercised d
     QuadratureSpec,
     _hermite_nodes,
     _refine,
-    _refine_many,
     bessel_i0,
     bessel_i0e,
     integrate_2d,
@@ -198,25 +197,24 @@ class TestIntegrate2D:
 
 
 class TestRefinement:
-    """The refinement loop on its own, with a scripted round sampler."""
+    """The refinement loop on its own, with a scripted sampler."""
 
     @staticmethod
     def scripted(values, log):
-        """A round sampler of one integral; logs (order, |f| summed) per level."""
+        """A sampler of one integral; logs (order, |f| summed) per level."""
 
-        def sample(n, n_hi, open_):
-            assert open_ == [0]
-            log.extend([(n, False), (n_hi, True)])
-            return [(values(n), None)], [(values(n_hi), 1.0)]
+        def sample(n, with_l1):
+            log.append((n, with_l1))
+            return values(n), (1.0 if with_l1 else None)
 
         return sample
 
     @staticmethod
     def refine_one(sample, nodes, spec):
-        (result,) = _refine_many(sample, 1, nodes, spec, "scripted")
-        return result
+        return _refine(sample, nodes, spec, "scripted")
 
     def test_one_abs_pass_per_round(self):
+        # one level at a time, |f| summed on each round's higher level only
         log = []
         sample = self.scripted(lambda n: complex(1.0 / n), log)
         result = self.refine_one(sample, lambda n: (), QuadratureSpec(order=8, rel_tol=1e-12))
@@ -225,34 +223,16 @@ class TestRefinement:
                        (32, False), (48, True), (64, False), (96, True)]
         # the last order sampled, not the next round's lower order
         assert str(result) == "scripted did not converge to rel_tol=1e-12 by order 96"
+        assert result.value == 1.0 / 96
 
-    def test_refine_samples_one_level_at_a_time(self):
-        # `_refine` runs a one-level sampler(n, with_l1) through the same rounds
+    def test_a_certified_round_ends_the_refinement(self):
+        # a constant integral converges in the first round, keeping its value
+        # and the roundoff floor 16 eps of its sum of |f| as the error
         log = []
-
-        def sample(n, with_l1):
-            log.append((n, with_l1))
-            return complex(1.0 / n), (1.0 if with_l1 else None)
-
-        with pytest.raises(QuadratureError, match="by order 96$"):
-            _refine(sample, lambda n: (), QuadratureSpec(order=8, rel_tol=1e-12), "scripted")
-        assert log == [(8, False), (12, True), (16, False), (24, True),
-                       (32, False), (48, True), (64, False), (96, True)]
-
-    def test_converged_integral_is_not_sampled_again(self):
-        # integral 0 converges in the first round and keeps that round's
-        # value and error; integral 1 never converges
-        log = []
-        values = {0: lambda n: complex(1.0), 1: lambda n: complex(1.0 / n)}
-
-        def sample(n, n_hi, open_):
-            log.append((n, n_hi, list(open_)))
-            return [(values[i](n), None) for i in open_], [(values[i](n_hi), 1.0) for i in open_]
-
-        first, second = _refine_many(sample, 2, lambda n: (), QuadratureSpec(order=8), "scripted")
-        assert log == [(8, 12, [0, 1]), (16, 24, [1]), (32, 48, [1]), (64, 96, [1])]
-        assert first == (1.0, 16.0 * sys.float_info.epsilon)
-        assert isinstance(second, QuadratureError) and second.value == 1.0 / 96
+        result = self.refine_one(self.scripted(lambda n: complex(1.0), log), lambda n: (),
+                                 QuadratureSpec(order=8))
+        assert log == [(8, False), (12, True)]
+        assert result == (1.0, 16.0 * sys.float_info.epsilon)
 
     def test_stops_before_an_order_without_a_rule(self):
         # the round (32, 48) has no finite nodes: nothing is sampled there and

@@ -102,6 +102,18 @@ def test_dimensionless_fields_past_the_float_range_rejected(gaas, b, d, chi, mes
         fields_from_dimensionless(gaas, b, d, chi)
 
 
+@pytest.mark.parametrize(
+    "b,d,message",
+    [
+        (0.5, 0.7, "compression factor b must be finite and >= 1, got 0.5"),
+        (1.5, 0.0, "dimensionless distance d must be > 0, got 0.0"),
+    ],
+)
+def test_dimensionless_inputs_out_of_range_rejected(gaas, b, d, message):
+    with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+        fields_from_dimensionless(gaas, b, d)
+
+
 def test_dimensionless_distance_underflowing_to_zero_rejected(gaas):
     tiny = gaas._replace(effective_mass=1e150, confinement_energy=1e100)  # a_B near 1e-124 nm
     with pytest.raises(InvalidParameterError, match="singular configuration d=0"):
