@@ -253,15 +253,19 @@ def brent(
     width, steps of at least one float go on until |f| <= ftol or the ends are
     adjacent floats.  Returns (root, f(root), (lo, hi), iterations, (f(lo),
     f(hi))) where (lo, hi) is the final bracket.  Requires f(a) and f(b) of
-    opposite sign; `fa` and `fb` are f(a) and f(b) when the caller has them.
+    opposite sign, or an end where f is 0, which is the root; `fa` and `fb`
+    are f(a) and f(b) when the caller has them.
     """
     if fa is None:
         fa = f(a)
     if fb is None:
         fb = f(b)
-    at_end = _root_at_end(a, b, fa, fb)
-    if at_end is not None:
-        return at_end
+    if fa == 0.0:
+        return a, 0.0, (a, a), 0, (fa, fa)
+    if fb == 0.0:
+        return b, 0.0, (b, b), 0, (fb, fb)
+    if math.copysign(1.0, fa) == math.copysign(1.0, fb):
+        raise NoRootInBracketError(f"no sign change on [{a}, {b}]: f={fa}, {fb}")
     c, fc = a, fa
     e = d = b - a
     eps = sys.float_info.epsilon
@@ -317,18 +321,6 @@ def brent(
     )
 
 
-def _root_at_end(a: float, b: float, fa: float, fb: float):
-    """brent's result where an end of [a, b] is a root, else None; raises
-    NoRootInBracketError where f has the same sign at both ends."""
-    if fa == 0.0:
-        return a, 0.0, (a, a), 0, (fa, fa)
-    if fb == 0.0:
-        return b, 0.0, (b, b), 0, (fb, fb)
-    if math.copysign(1.0, fa) == math.copysign(1.0, fb):
-        raise NoRootInBracketError(f"no sign change on [{a}, {b}]: f={fa}, {fb}")
-    return None
-
-
 # Width, in ulps of E*, of the bracket the E-axis polish tries first: the
 # sign change of J lies within it for about 99% of closed-form roots.
 _E_PROBE_ULPS = 16
@@ -337,8 +329,8 @@ _E_PROBE_ULPS = 16
 def _efield_root(j, lo: float, hi: float, j_lo: float, j_hi: float, tol: float, e_star):
     """brent's result on the E axis, from the closed-form switch `e_star`.
 
-    J at both ends decides the bracket exactly as in brent.  J is even in E,
-    so a sign change holds one of +-E*; J is evaluated there once.  Where
+    J is nonzero at both ends, with opposite signs.  J is even in E, so the
+    sign change holds one of +-E*; J is evaluated there once.  Where
     |J(E*)| <= tol, E* is the root, in the half of the bracket that keeps
     the sign change.  Otherwise J is also evaluated `_E_PROBE_ULPS` ulps
     from E* towards the sign change, and brent narrows the few ulps between
@@ -346,9 +338,6 @@ def _efield_root(j, lo: float, hi: float, j_lo: float, j_hi: float, tol: float, 
     half-bracket, to 1 V/m and `tol`.  Where rounding leaves E* nan or not
     strictly inside, brent searches the whole bracket.
     """
-    at_end = _root_at_end(lo, hi, j_lo, j_hi)
-    if at_end is not None:
-        return at_end
     root = e_star if lo < e_star < hi else -e_star
     if not lo < root < hi:
         return brent(j, lo, hi, AXIS_XTOL["E"], fa=j_lo, ftol=tol, fb=j_hi)
@@ -387,8 +376,9 @@ def find_switch(
     `efield_switch`, with no bracket iteration (`iterations` is 0); where
     |J| there exceeds `tol`, or rounding puts it outside the bracket,
     Brent narrows the sign change to 1 V/m and `tol` (see `_efield_root`).
-    The direction is read from the first end of the bracket where J is
-    not 0; where J is 0 at both ends there is no switch to find.
+    J must be nonzero at both ends, with opposite signs: J = 0 (a root on an
+    end, or underflow) has no sign, as in `scan_switches`, so such a bracket
+    raises NoRootInBracketError.  The direction is the sign of J at `lo`.
     """
     if axis not in AXES:
         raise InvalidParameterError(f"axis must be one of {AXES}, got {axis!r}")
@@ -405,8 +395,8 @@ def find_switch(
         return j_at(x)
 
     j_lo, j_hi = j(lo), j(hi)
-    if j_lo == 0.0 and j_hi == 0.0:  # e.g. J underflowing: no sign, so no switch
-        raise NoRootInBracketError(f"J is 0 at both ends of [{lo}, {hi}]: no sign change")
+    if j_lo == 0.0 or j_hi == 0.0 or (j_lo > 0.0) == (j_hi > 0.0):
+        raise NoRootInBracketError(f"no sign change on [{lo}, {hi}]: f={j_lo}, {j_hi}")
     if axis == "E":
         e_star = efield_switch(material, fixed.B, fixed.a)
         result = _efield_root(j, lo, hi, j_lo, j_hi, tol, e_star)
@@ -417,13 +407,12 @@ def find_switch(
         raise RootConvergenceError(
             f"|J(root)| = {abs(j_root)} meV exceeds tol {tol}", bracket=final_bracket
         )
-    antiferro = j_lo > 0.0 if j_lo != 0.0 else j_hi < 0.0
     return SwitchPoint(
         axis=axis,
         value=root,
         bracket=(lo, hi),
         residual=abs(j_root),
-        direction="antiferro_to_ferro" if antiferro else "ferro_to_antiferro",
+        direction="antiferro_to_ferro" if j_lo > 0.0 else "ferro_to_antiferro",
         iterations=iterations,
         evaluations=evaluations,
         final_bracket=final_bracket,

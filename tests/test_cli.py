@@ -194,6 +194,21 @@ class TestSwitchCommand:
         assert code == 2
         assert "no sign change" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # J underflows to exactly 0 from 51.67 T on; the switch is near 0.88 T
+            ("--vary", "B", "--from", "0", "--to", "100", "--a-over-ab", "5"),
+            # J > 0 up to d = 19.3 and exactly 0 past it, never < 0
+            ("--vary", "d", "--from", "0.5", "--to", "40"),
+        ],
+    )
+    def test_zero_at_an_end_exits_two(self, capsys, argv):
+        # J = 0 has no sign, so an end where J underflows is no switch
+        code, out, err = run(capsys, "switch", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("dotx: error: no sign change") and err.count("\n") == 1
+
     def test_scan_mode(self, capsys, tmp_path):
         out = tmp_path / "scan.json"
         code, _, _ = run(

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dotx.closed_form
@@ -18,6 +18,7 @@ from dotx.closed_form import (
     overlap,
 )
 from dotx.errors import (
+    DotxError,
     InvalidParameterError,
     NoRootInBracketError,
     RootConvergenceError,
@@ -648,29 +649,61 @@ class TestExactZeros:
         for point, (value, _, _) in zip(points, want):
             assert j(point.value) == 0.0 and value in (None, point.value)
 
+    @pytest.mark.parametrize("axis", ["B", "E", "d"])
     @pytest.mark.parametrize(
-        "j, bracket, direction",
+        "j, bracket",
         [
-            (lambda x: 1.0 - x, (1.0, 2.0), "antiferro_to_ferro"),
-            (lambda x: x - 1.0, (1.0, 2.0), "ferro_to_antiferro"),
-            (lambda x: 1.0 - x, (0.0, 1.0), "antiferro_to_ferro"),
-            (lambda x: x - 1.0, (0.0, 1.0), "ferro_to_antiferro"),
+            (lambda x: 1.0 - x, (1.0, 2.0)),
+            (lambda x: x - 1.0, (1.0, 2.0)),
+            (lambda x: 1.0 - x, (0.0, 1.0)),
+            (lambda x: x - 1.0, (0.0, 1.0)),
         ],
     )
-    def test_direction_from_the_first_nonzero_end(self, monkeypatch, j, bracket, direction):
+    def test_zero_at_an_end_is_no_switch(self, monkeypatch, axis, j, bracket):
+        # J = 0 has no sign, as in the scan, so a root on an end is no switch.
+        fixed_along(monkeypatch, j)
+        with pytest.raises(NoRootInBracketError, match=re.escape(
+            f"no sign change on [{bracket[0]}, {bracket[1]}]: f={j(bracket[0])}, {j(bracket[1])}"
+        )):
+            find_switch(axis, GAAS, FieldConfig(0.0, 0.0, 10.0), bracket)
+
+    @pytest.mark.parametrize(
+        "j, direction",
+        [(lambda x: 1.0 - x, "antiferro_to_ferro"), (lambda x: x - 1.0, "ferro_to_antiferro")],
+    )
+    @pytest.mark.parametrize("bracket", [(0.5, 2.0), (0.0, 1.5)])
+    def test_direction_from_the_lower_end(self, monkeypatch, j, direction, bracket):
         fixed_along(monkeypatch, j)
         point = find_switch("B", GAAS, FieldConfig(0.0, 0.0, 10.0), bracket)
-        assert (point.value, point.residual, point.direction) == (1.0, 0.0, direction)
+        assert abs(point.value - 1.0) <= AXIS_XTOL["B"] and point.residual <= 1e-9
+        assert point.direction == direction
 
     def test_zero_at_both_ends_is_no_switch(self, monkeypatch):
         # J underflows to 0 over [60, 100] T at a = 5 a_B; the bracket's
         # lower end was reported as a ferro-to-antiferro switch.
         fixed = FieldConfig(0.0, 0.0, 5.0 * bohr_radius_nm(GAAS))
-        with pytest.raises(NoRootInBracketError, match="J is 0 at both ends"):
+        with pytest.raises(NoRootInBracketError, match="no sign change"):
             find_switch("B", GAAS, fixed, (60.0, 100.0))
         fixed_along(monkeypatch, lambda x: 0.0)
-        with pytest.raises(NoRootInBracketError, match="J is 0 at both ends"):
+        with pytest.raises(NoRootInBracketError, match="no sign change"):
             find_switch("E", GAAS, fixed, (0.0, 1e5))
+
+    def test_underflow_at_one_end_is_no_switch(self):
+        # J > 0 below the switch near 0.88 T, < 0 past it, and exactly 0 from
+        # 51.67 T on: the bracket holds a switch, but its 100 T end has no sign.
+        fixed = FieldConfig(0.0, 0.0, 5.0 * bohr_radius_nm(GAAS))
+        assert exchange_energy_along(GAAS, fixed, "B")(100.0) == 0.0
+        with pytest.raises(NoRootInBracketError, match=re.escape(
+            "no sign change on [0.0, 100.0]: f="
+        )):
+            find_switch("B", GAAS, fixed, (0.0, 100.0))
+        # J > 0 up to d = 19.3 and exactly 0 past it, never < 0: no switch.
+        fixed = FieldConfig(0.0, 0.0, 0.7 * bohr_radius_nm(GAAS))
+        j = exchange_energy_along(GAAS, fixed, "d")
+        values = [j(x) for x in _grid(0.5, 40.0, 400)]
+        assert min(values) == 0.0 == j(40.0) and not any(v < 0.0 for v in values)
+        with pytest.raises(NoRootInBracketError, match="no sign change"):
+            find_switch("d", GAAS, fixed, (0.5, 40.0))
 
     def test_underflow_is_not_a_switch(self):
         # At a = 5 a_B, J < 0 past the switch near 0.88 T underflows to 0
@@ -684,6 +717,52 @@ class TestExactZeros:
         points = scan_switches("B", GAAS, fixed, 0.0, 100.0)
         assert [p.direction for p in points] == ["antiferro_to_ferro"]
         assert 0.8 < points[0].value < 0.9
+
+
+def switch_outcome(run):
+    """repr of what `run` returns, or the type and message of the dotx error it raises."""
+    try:
+        return repr(run())
+    except DotxError as exc:
+        return type(exc), str(exc)
+
+
+# Each lab field as a map of [0, 1]: B in [0, 150] T, E in [-1e6, 2e6] V/m and
+# d in [0.1, 63], cubed so that the draws hold the switches at small B, |E|
+# and d as well as the ranges where J underflows to exactly 0.
+CUBED_DRAWS = {
+    "B": lambda u: 150.0 * u**3,
+    "E": lambda u: 1e6 * (-1.0 + (1.0 + 2.0 ** (1.0 / 3.0)) * u) ** 3,
+    "d": lambda u: 0.1 + 62.9 * u**3,
+}
+
+
+class TestOneSignRule:
+    """`find_switch` on [lo, hi] decides as `scan_switches` does on the two
+    samples lo and hi: J = 0 has no sign, so an end where J underflows to 0
+    (or is a root) is no switch."""
+
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(
+        st.sampled_from(["B", "E", "d"]),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0).map(CUBED_DRAWS["B"]),
+        st.floats(0.0, 1.0).map(CUBED_DRAWS["E"]),
+        st.floats(0.0, 1.0).map(lambda u: (0.3 + 15.7 * u**3) * bohr_radius_nm(GAAS)),
+    )
+    def test_find_switch_is_the_two_sample_scan(self, axis, u, v, B, E, a):
+        lo, hi = sorted(map(CUBED_DRAWS[axis], (u, v)))
+        assume(lo < hi)
+        fixed = FieldConfig(B, E, a)
+        scanned = switch_outcome(lambda: scan_switches(axis, GAAS, fixed, lo, hi, scan_steps=2))
+        found = switch_outcome(lambda: find_switch(axis, GAAS, fixed, (lo, hi)))
+        if scanned == "[]":
+            assert found[0] is NoRootInBracketError
+        elif isinstance(scanned, str):  # one switch point
+            assert f"[{found}]" == scanned
+        else:  # J, or the switch, raises the same error on both
+            assert found == scanned
 
 
 class TestScanSwitches:
