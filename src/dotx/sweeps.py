@@ -160,7 +160,7 @@ class SwitchPoint(NamedTuple):
     direction: str  # "antiferro_to_ferro" or "ferro_to_antiferro"
     iterations: int = 0  # Brent iterations; on E, 0 unless E* misses tol
     evaluations: int = 0  # J evaluations, each at a distinct point
-    final_bracket: tuple = ()  # the last sign-change bracket (lo, hi) around value
+    final_bracket: tuple = ()  # last sign-change bracket around value; (value, value) if J = 0
 
 
 def _axis_fields(fixed: FieldConfig, axis: str, x, a_b: float):
@@ -242,34 +242,30 @@ def sweep(spec: SweepSpec) -> list[SweepRow]:
 
 
 def brent(
-    f, a: float, b: float, xtol: float, max_iter: int = 200,
-    fa: float | None = None, ftol: float = math.inf, fb: float | None = None,
+    f, a: float, b: float, xtol: float, max_iter: int = 200, *,
+    fa: float, fb: float, ftol: float = math.inf,
 ):
     """Classic Brent zero finder on a sign-change bracket [a, b].
 
+    `fa` and `fb` are f(a) and f(b), and must be nonzero and of opposite
+    sign, as `find_switch` requires of J: f = 0 has no sign, so an end where
+    f is 0 raises NoRootInBracketError.  f is evaluated only inside (a, b).
     Inverse quadratic interpolation with secant and bisection fallbacks,
     until the bracket is `xtol` wide (plus 4 eps of the root) and |f| at its
     best end is at most `ftol` (default inf: the width alone); past that
     width, steps of at least one float go on until |f| <= ftol or the ends are
-    adjacent floats.  Returns (root, f(root), (lo, hi), iterations, (f(lo),
-    f(hi))) where (lo, hi) is the final bracket.  Requires f(a) and f(b) of
-    opposite sign, or an end where f is 0, which is the root; `fa` and `fb`
-    are f(a) and f(b) when the caller has them.
+    adjacent floats.  An iterate where f is exactly 0 ends the search, with
+    the bracket (x, x).  Returns (root, f(root), (lo, hi), iterations), where
+    (lo, hi) is the final bracket.
     """
-    if fa is None:
-        fa = f(a)
-    if fb is None:
-        fb = f(b)
-    if fa == 0.0:
-        return a, 0.0, (a, a), 0, (fa, fa)
-    if fb == 0.0:
-        return b, 0.0, (b, b), 0, (fb, fb)
-    if math.copysign(1.0, fa) == math.copysign(1.0, fb):
+    if fa == 0.0 or fb == 0.0 or (fa > 0.0) == (fb > 0.0):
         raise NoRootInBracketError(f"no sign change on [{a}, {b}]: f={fa}, {fb}")
     c, fc = a, fa
     e = d = b - a
     eps = sys.float_info.epsilon
     for it in range(1, max_iter + 1):
+        if fb == 0.0:
+            return b, fb, (b, b), it
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
@@ -282,10 +278,8 @@ def brent(
             # one float per step, until the ends are adjacent floats.
             tol = math.ulp(min(abs(b), abs(c)))
             done = b + m in (b, c)
-        if done or fb == 0.0:
-            if b <= c:
-                return b, fb, (b, c), it, (fb, fc)
-            return b, fb, (c, b), it, (fc, fb)
+        if done:
+            return b, fb, (b, c) if b <= c else (c, b), it
         if abs(e) < tol or abs(fa) <= abs(fb):
             e = d = m
         else:
@@ -333,14 +327,16 @@ def _efield_root(j, lo: float, hi: float, j_lo: float, j_hi: float, tol: float, 
     sign change holds one of +-E*; J is evaluated there once.  Where
     |J(E*)| <= tol, E* is the root, in the half of the bracket that keeps
     the sign change.  Otherwise J is also evaluated `_E_PROBE_ULPS` ulps
-    from E* towards the sign change, and brent narrows the few ulps between
-    the two where J changes sign across them, else the rest of the
-    half-bracket, to 1 V/m and `tol`.  Where rounding leaves E* nan or not
-    strictly inside, brent searches the whole bracket.
+    from E* towards the sign change.  Where J is exactly 0 there, that probe
+    is the root, with the bracket (probe, probe), as for a brent iterate.
+    Else brent narrows the few ulps between the two where J changes sign
+    across them, else the rest of the half-bracket, to 1 V/m and `tol`.
+    Where rounding leaves E* nan or not strictly inside, brent searches the
+    whole bracket.  Returns brent's 4-tuple.
     """
     root = e_star if lo < e_star < hi else -e_star
     if not lo < root < hi:
-        return brent(j, lo, hi, AXIS_XTOL["E"], fa=j_lo, ftol=tol, fb=j_hi)
+        return brent(j, lo, hi, AXIS_XTOL["E"], fa=j_lo, fb=j_hi, ftol=tol)
     j_root = j(root)
     # The end of the bracket across the sign change from E*.
     if math.copysign(1.0, j_root) == math.copysign(1.0, j_lo):
@@ -348,17 +344,17 @@ def _efield_root(j, lo: float, hi: float, j_lo: float, j_hi: float, tol: float, 
     else:
         far, j_far = lo, j_lo
     if abs(j_root) <= tol:
-        if root < far:
-            return root, j_root, (root, far), 0, (j_root, j_far)
-        return root, j_root, (far, root), 0, (j_far, j_root)
+        return root, j_root, (root, far) if root < far else (far, root), 0
     near = root + math.copysign(_E_PROBE_ULPS * math.ulp(root), far - root)
     if abs(near - root) < abs(far - root):
         j_near = j(near)
-        if j_near == 0.0 or math.copysign(1.0, j_near) != math.copysign(1.0, j_root):
+        if j_near == 0.0:
+            return near, 0.0, (near, near), 0
+        if math.copysign(1.0, j_near) != math.copysign(1.0, j_root):
             far, j_far = near, j_near
         else:
             root, j_root = near, j_near
-    return brent(j, root, far, AXIS_XTOL["E"], fa=j_root, ftol=tol, fb=j_far)
+    return brent(j, root, far, AXIS_XTOL["E"], fa=j_root, fb=j_far, ftol=tol)
 
 
 def find_switch(
@@ -401,8 +397,8 @@ def find_switch(
         e_star = efield_switch(material, fixed.B, fixed.a)
         result = _efield_root(j, lo, hi, j_lo, j_hi, tol, e_star)
     else:
-        result = brent(j, lo, hi, AXIS_XTOL[axis], fa=j_lo, ftol=tol, fb=j_hi)
-    root, j_root, final_bracket, iterations, _ = result
+        result = brent(j, lo, hi, AXIS_XTOL[axis], fa=j_lo, fb=j_hi, ftol=tol)
+    root, j_root, final_bracket, iterations = result
     if abs(j_root) > tol:
         raise RootConvergenceError(
             f"|J(root)| = {abs(j_root)} meV exceeds tol {tol}", bracket=final_bracket

@@ -61,6 +61,15 @@ def rel_err(got, want):
 
 EPS = sys.float_info.epsilon
 
+
+def is_final_bracket(f, root, bracket) -> bool:
+    """Whether `bracket` can end a Brent search at `root`: a sign change of f
+    with the root at one end, or (root, root) where f(root) is exactly 0."""
+    lo, hi = bracket
+    if lo == hi:
+        return lo == root and f(root) == 0.0
+    return root in (lo, hi) and (f(lo) > 0.0) != (f(hi) > 0.0)
+
 # Below this |J| is out of the normal float range, or near it, and its error
 # is set by underflow: J is held to it as an absolute bound there.
 J_FLOOR = 1e-306

@@ -242,6 +242,18 @@ class TestEfieldSwitchCommands:
         assert points[0]["direction"] == "ferro_to_antiferro"
         assert points[0]["residual_mev"] <= 1e-9
 
+    def test_negative_exponent_value_attached_with_equals(self, capsys, tmp_path, e_switch_at_2t):
+        # argparse reads a separate "-2e5" as an option; "--from=-2e5" is the value.
+        out = tmp_path / "switch.json"
+        code, _, err = run(
+            capsys, "switch", "--vary", "E", "--B", "2", "--from=-2e5", "--to", "0",
+            "--out", str(out),
+        )
+        assert (code, err) == (0, "")
+        point = json.loads(out.read_text())["switch_point"]
+        assert abs(point["value"] + e_switch_at_2t) <= AXIS_XTOL["E"]
+        assert point["direction"] == "antiferro_to_ferro"
+
     def test_scenario(self, capsys, tmp_path, e_switch_at_2t):
         out = tmp_path / "scenario.json"
         code, _, err = run(capsys, "scenario", "--b-operating", "2.0", "--out", str(out))

