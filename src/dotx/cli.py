@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from typing import NamedTuple
 
@@ -89,6 +90,11 @@ class _Output(NamedTuple):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes "-1e5" for an option: read the exponent form as a number too
+        self._negative_number_matcher = re.compile(r"^-(\d+|\d*\.\d+)([eE][+-]?\d+)?$")
+
     def error(self, message):  # usage errors exit 1, not argparse's 2
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)

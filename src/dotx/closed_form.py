@@ -21,7 +21,7 @@ import math
 from collections.abc import Callable
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import InvalidParameterError, SingularConfigurationError
+from .errors import InvalidParameterError, ParameterOverflowError, SingularConfigurationError
 from .special import bessel_i0e, bessel_i0e_array
 from .units import (
     E_CHARGE,
@@ -61,9 +61,17 @@ class ExchangeBreakdown(NamedTuple):
 
 
 def overlap(b: float, d: float) -> float:
-    """Overlap S of the left and right dot orbitals."""
-    _check_bd(b, d, allow_zero_d=True)
-    return math.exp(-d * d * (2.0 * b - 1.0 / b))
+    """Overlap S of the left and right dot orbitals; raises `_terms`' error
+    for b or d out of range (d = 0 gives S = 1)."""
+    b_ok, d_ok, *_ = tests = _admits(b, d, 0.0, 0.0, math.isfinite)
+    if not (b_ok and d_ok):
+        _reject(_ADMITS, tests, b, d, 0.0, 0.0)
+    s = math.exp(-d * d * (2.0 * b - 1.0 / b))
+    if s != s:  # 0 * inf
+        raise InvalidParameterError(
+            f"overlap is undefined at b={b!r}, d={d!r}: d^2 rounds to 0 and 2b overflows"
+        )
+    return s
 
 
 def exchange_energy(
@@ -110,54 +118,88 @@ def exchange_energy_lab(mat: MaterialParams, fields: FieldConfig) -> ExchangeBre
 
 
 def _terms(b: float, d: float, c: float, efield_ratio: float, scale: float = 1.0) -> tuple:
-    """`_formula` of (b, d, c, chi), checked.
-
-    Raises where the inputs make J meaningless, in this order: b, d, c or
-    chi out of range (the checks of `_check_bd`, then c, then chi), d^2 or
-    b d^2 overflowing, 1 - S^4 rounding to 0 (exactly where d^2 does),
-    chi^2 / d^2 overflowing, J (or J times the energy `scale` it is reported
-    in) or 1/sinh(arg) overflowing.
-    """
+    """`_formula` of (b, d, c, chi), checked by the accept rule: raises the
+    error of the first case the point fails.  J times `scale`, the energy it
+    is reported in, must be finite."""
     isfinite = math.isfinite
-    d2 = d * d
-    if not (
-        isfinite(b) and b >= 1.0 - 1e-12 and isfinite(d) and d > 0.0
-        and isfinite(c) and c >= 0.0 and isfinite(efield_ratio)
-        and 0.0 < d2 and b * d2 < math.inf
-    ):
-        _check_bd(b, d, allow_zero_d=False)
-        if not (isfinite(c) and c >= 0.0):
-            raise InvalidParameterError(f"coulomb strength c must be finite and >= 0, got {c!r}")
-        if not isfinite(efield_ratio):
-            raise InvalidParameterError(f"efield_ratio must be finite, got {efield_ratio!r}")
-        if b * d2 == math.inf:  # J would be 0 * inf = nan
-            raise _overflow(b, d, efield_ratio)
-        raise SingularConfigurationError(
-            f"singular configuration d={d!r}: 1 - S^4 rounds to 0, the two dots coincide"
-        )
-    terms = _formula(b, d2, c, efield_ratio, bessel_i0e)
-    _, arg, _, _, _, _, _, efield_term, j_dimensionless = terms
-    if efield_term == math.inf:  # J would be inf
-        raise _overflow(b, d, efield_ratio)
-    if abs(j_dimensionless * scale) == math.inf:  # e.g. 1 - S^4 subnormal, d below ~1e-154
-        raise SingularConfigurationError(
-            f"J overflows at d={d!r}, chi={efield_ratio!r}: the two dots all but coincide, "
-            "or the field is too strong"
-        )
-    if 1.0 / arg == math.inf:  # the prefactor 1/sinh(arg) = 1/arg overflows, J need not
-        raise SingularConfigurationError(
-            f"prefactor 1/sinh(2 d^2 (2b - 1/b)) overflows at d={d!r}, b={b!r}: "
-            "the two dots all but coincide"
-        )
+    tests = _admits(b, d, c, efield_ratio, isfinite)
+    if tests != (True,) * 8:
+        _reject(_ADMITS, tests, b, d, c, efield_ratio)
+    terms = _formula(b, d * d, c, efield_ratio, bessel_i0e)
+    _, arg, _, csb, _, _, _, efield_term, j_dimensionless = terms
+    tests = _settles(arg, csb, efield_term, j_dimensionless * scale, isfinite)
+    if tests != (True,) * 4:
+        _reject(_SETTLES, tests, b, d, c, efield_ratio)
     return terms
+
+
+#: The closed form's accept rule: per case, in the order checked, the error
+#: of a point that fails it and its message.  A ParameterOverflowError
+#: raises in every caller; a sweep marks a point failing any other case
+#: singular.  `_admits` tests these cases before `_formula`, `_settles` after.
+_ADMITS = (
+    (InvalidParameterError, "compression factor b must be finite and >= 1, got {b!r}"),
+    (InvalidParameterError, "distance d must be finite and >= 0, got {d!r}"),
+    (SingularConfigurationError, "singular configuration d=0: the two dots coincide"),
+    (InvalidParameterError, "coulomb strength c must be finite and >= 0, got {c!r}"),
+    (InvalidParameterError, "efield_ratio must be finite, got {chi!r}"),
+    (SingularConfigurationError,
+     "singular configuration d={d!r}: 1 - S^4 rounds to 0, the two dots coincide"),
+    (ParameterOverflowError, "distance d={d!r} is too large: d^2 overflows"),
+    (ParameterOverflowError, "distance d={d!r} is too large at b={b!r}: b*d^2 overflows"),
+)
+_SETTLES = (
+    (ParameterOverflowError,
+     "electric field chi={chi!r} is too large at distance d={d!r}: chi^2/d^2 overflows"),
+    (ParameterOverflowError,
+     "coulomb strength c={c!r} is too large at b={b!r}: c*sqrt(b) overflows"),
+    (SingularConfigurationError, "J overflows at d={d!r}, chi={chi!r}: the two dots all "
+     "but coincide, or the field is too strong"),
+    (SingularConfigurationError, "prefactor 1/sinh(2 d^2 (2b - 1/b)) overflows at d={d!r}, "
+     "b={b!r}: the two dots all but coincide"),
+)
+
+
+def _admits(b, d, c, chi, isfinite):
+    """The tests of `_ADMITS`, True where the point passes, for floats with
+    math.isfinite or arrays with numpy's.  Past them 1 - S^4 > 0."""
+    d2 = d * d
+    return (
+        isfinite(b) & (b >= 1.0 - 1e-12), isfinite(d) & (d >= 0.0), d != 0.0,
+        isfinite(c) & (c >= 0.0), isfinite(chi),
+        d2 != 0.0,  # 1 - S^4 rounds to 0 exactly where d^2 does
+        d2 < math.inf, b * d2 < math.inf,  # else J = 0 * inf
+    )
+
+
+def _settles(arg, csb, efield_term, j_scaled, isfinite):
+    """The tests of `_SETTLES` on `_formula`'s outputs and J times the energy
+    scale, as `_admits`' are: J is neither inf nor nan, and the prefactor
+    1/sinh(arg) = 1/arg is finite, which J alone need not show."""
+    return efield_term < math.inf, csb < math.inf, isfinite(j_scaled), 1.0 / arg < math.inf
+
+
+def _reject(cases, tests, b, d, c, chi):
+    """Raise the error of the first of `cases` whose test in `tests` fails."""
+    error, message = cases[tests.index(False)]
+    raise error(message.format(b=b, d=d, c=c, chi=chi))
+
+
+def _fold(cases, tests, valid, overflows):
+    """`_reject` over arrays, in place: `valid` keeps the points that pass
+    every test, `overflows` gains those whose first failed case overflows."""
+    for test, (error, _) in zip(tests, cases):
+        if error is ParameterOverflowError:
+            overflows |= valid & ~test
+        valid &= test
 
 
 def _formula(b, d2, c, chi, i0e, exp=math.exp, expm1=math.expm1, sqrt=math.sqrt):
     """The operations of J for (b, d^2, c, chi), unchecked: (x2, arg, exp(-arg),
     c sqrt(b), I0e(x1), I0e(x2), quartic_term, efield_term, j), for floats or,
-    with `bessel_i0e_array` and numpy's exp, expm1 and sqrt, arrays.  The
-    callers' checks, b >= 1 - 1e-12 and 0 < d^2, b d^2 < inf, make 1 - S^4 > 0;
-    i0e comes per call, so a wrapper on the module attribute sees each call."""
+    with `bessel_i0e_array` and numpy's exp, expm1 and sqrt, arrays, on points
+    that pass `_admits`; i0e comes per call, so a wrapper on the module
+    attribute sees each call."""
     x1 = b * d2
     x2 = d2 * (b - 1.0 / b)
     arg = 2.0 * (x1 + x2)  # 2 d^2 (2b - 1/b)
@@ -173,20 +215,6 @@ def _formula(b, d2, c, chi, i0e, exp=math.exp, expm1=math.expm1, sqrt=math.sqrt)
         - 2.0 * csb * i0e_x2 * exp(-2.0 * x1)
     ) / denominator
     return x2, arg, em, csb, i0e_x1, i0e_x2, quartic_term, efield_term, j_dimensionless
-
-
-def _overflow(b: float, d: float, efield_ratio: float) -> InvalidParameterError:
-    """The error of the first overflow check `_terms` fails at this point."""
-    if d * d == math.inf:
-        return InvalidParameterError(f"distance d={d!r} is too large: d^2 overflows")
-    if b * (d * d) == math.inf:  # as the checks form it, not (b d) d
-        return InvalidParameterError(
-            f"distance d={d!r} is too large at b={b!r}: b*d^2 overflows"
-        )
-    return InvalidParameterError(
-        f"electric field chi={efield_ratio!r} is too large at distance d={d!r}: "
-        "chi^2/d^2 overflows"
-    )
 
 
 def efield_switch(mat: MaterialParams, B: float, a: float) -> float:
@@ -251,9 +279,9 @@ class ExchangeColumns(NamedTuple):
     expm1, sinh and hypot rounding unlike the C library's: b and the quartic
     term within a few eps, S and the prefactor within a few eps (1 + arg), J
     within a few eps (1 + arg) M, M the size of the terms that cancel in it.
-    valid is False where `exchange_energy_lab` raises InvalidParameterError or
-    SingularConfigurationError (the points a sweep marks singular), except d^2,
-    b d^2 or chi^2 / d^2 overflowing, which raises; every column is nan there.
+    valid is False where `units._lab_point` or the accept rule (`_ADMITS`, `_SETTLES`)
+    rejects the point, as `exchange_energy_lab` does: the points a sweep marks
+    singular.  Every column is nan there.
     """
 
     b: np.ndarray
@@ -275,9 +303,11 @@ def exchange_energy_arrays(mat: MaterialParams, B, E, a) -> ExchangeColumns:
     Maps the points to (b, d, chi) by `units._lab_point`'s formulas (b via
     numpy's hypot) and runs `_formula`, the scalar form's operations, with
     numpy's ufuncs (`ExchangeColumns` says how far that moves the values)
-    on the points its mask keeps.  Like the scalar form it raises
-    InvalidParameterError for a material it rejects and where d^2, b d^2
-    or chi^2 / d^2 overflows.
+    on the points its mask keeps.  The mask is the accept rule's, by
+    `_admits` and `_settles` on arrays; where one of its overflow cases fails
+    (d^2, b d^2, chi^2 / d^2 or c sqrt(b)), the kernel raises the scalar
+    form's error at the first such point, as it raises for a material it
+    rejects.
     """
     import numpy as np
 
@@ -288,23 +318,24 @@ def exchange_energy_arrays(mat: MaterialParams, B, E, a) -> ExchangeColumns:
         b = np.hypot(omega0, larmor) / omega0
         d = a / a_b
         chi = E_CHARGE * E * a * NM_TO_M / quantum
-        d2 = d * d
-        valid = (
-            np.isfinite(a) & (a > 0.0) & np.isfinite(B) & np.isfinite(E)  # `_lab_point`'s check
-            & np.isfinite(b) & (b >= 1.0 - 1e-12)
-            & np.isfinite(d) & (d > 0.0)
-            & np.isfinite(chi)
-            & (d2 != 0.0)  # where 1 - S^4 rounds to 0, as in `_terms`
-        )
-        overflow = valid & ((b * d2 == math.inf) | (1.5 * (chi * chi) / d2 == math.inf))
-        if overflow.any():  # the first point where the scalar form raises
-            first = np.flatnonzero(overflow)[0]
-            raise _overflow(b[first].item(), d[first].item(), chi[first].item())
-        keep = slice(None) if valid.all() else valid  # a view when every point is valid
-        b, d, d2, chi = b[keep], d[keep], d2[keep], chi[keep]
+        valid = np.isfinite(a) & (a > 0.0) & np.isfinite(B) & np.isfinite(E)  # `_lab_point`'s check
+        overflows = np.zeros_like(valid)
+        _fold(_ADMITS, _admits(b, d, c, chi, np.isfinite), valid, overflows)
+        points = b, d, chi
+        kept = np.flatnonzero(valid)
+        if kept.size < valid.size:  # else b, d and chi stay views
+            b, d, chi = b[kept], d[kept], chi[kept]
         x2, arg, em, csb, i0e_x1, i0e_x2, quartic_term, efield_term, j_dimensionless = _formula(
-            b, d2, c, chi, bessel_i0e_array, np.exp, np.expm1, np.sqrt
+            b, d * d, c, chi, bessel_i0e_array, np.exp, np.expm1, np.sqrt
         )
+        j_mev = j_dimensionless * mat.confinement_energy
+        ok, kept_overflows = np.ones_like(kept, dtype=bool), np.zeros_like(kept, dtype=bool)
+        _fold(_SETTLES, _settles(arg, csb, efield_term, j_mev, np.isfinite), ok, kept_overflows)
+        overflows[kept] |= kept_overflows
+        if overflows.any():  # the scalar form's error, at the first point where it raises
+            b0, d0, chi0 = (v[np.flatnonzero(overflows)[0]].item() for v in points)
+            _terms(b0, d0, c, chi0, mat.confinement_energy)
+        valid[kept[~ok]] = False
 
         prefactor = 2.0 * em
         near = arg < 350.0
@@ -315,9 +346,6 @@ def exchange_energy_arrays(mat: MaterialParams, B, E, a) -> ExchangeColumns:
             i0e_x1[finite] - np.exp(2.0 * x2[finite]) * i0e_x2[finite]
         )
         s_overlap = np.exp(-d * d * (2.0 * b - 1.0 / b))
-        j_mev = j_dimensionless * mat.confinement_energy
-        ok = np.isfinite(j_mev) & np.isfinite(prefactor)  # singular where `_terms` raises
-        valid[np.flatnonzero(valid)[~ok]] = False
 
     def column(values):
         if valid.all():
@@ -328,14 +356,3 @@ def exchange_energy_arrays(mat: MaterialParams, B, E, a) -> ExchangeColumns:
 
     columns = (b, d, chi, prefactor, coulomb_term, quartic_term, efield_term, j_dimensionless)
     return ExchangeColumns(*map(column, columns + (j_mev, s_overlap)), valid)
-
-
-def _check_bd(b: float, d: float, allow_zero_d: bool):
-    if not (math.isfinite(b) and b >= 1.0 - 1e-12):
-        raise InvalidParameterError(f"compression factor b must be finite and >= 1, got {b!r}")
-    if not math.isfinite(d) or d < 0.0:
-        raise InvalidParameterError(f"distance d must be finite and >= 0, got {d!r}")
-    if d == 0.0 and not allow_zero_d:
-        raise SingularConfigurationError(
-            "singular configuration d=0: the two dots coincide"
-        )

@@ -9,6 +9,12 @@ class InvalidParameterError(DotxError, ValueError):
     """A physical parameter is outside its allowed range."""
 
 
+class ParameterOverflowError(InvalidParameterError):
+    """Parameters in range give an input of J past the float range (d^2,
+    b d^2, chi^2/d^2 or c sqrt(b)); a sweep raises it, where it marks a
+    point out of range singular."""
+
+
 class InvalidArgumentError(DotxError, ValueError):
     """A numerical argument is unusable (NaN, wrong domain)."""
 

@@ -32,11 +32,12 @@ from .closed_form import (
     overlap,
 )
 from .errors import (
+    DotxError,
     InvalidParameterError,
     NoRootInBracketError,
+    ParameterOverflowError,
     RootConvergenceError,
     ScenarioError,
-    SingularConfigurationError,
 )
 from .units import FieldConfig, MaterialParams, _lab_point, _material_constants, bohr_radius_nm
 
@@ -178,8 +179,10 @@ def _row_columns(spec: SweepSpec) -> list:
     # arrays they come from are freed on return, before the rows are built.
     import numpy as np
 
-    grid = np.linspace(spec.start, spec.stop, spec.steps)
-    with np.errstate(over="ignore"):  # a d grid overflowing to a = inf is marked invalid
+    # linspace's last product overflows on some ranges up to the largest float,
+    # before stop replaces it; a d grid overflowing to a = inf is marked invalid
+    with np.errstate(over="ignore"):
+        grid = np.linspace(spec.start, spec.stop, spec.steps)
         lab = _axis_fields(spec.fixed, spec.vary, grid, bohr_radius_nm(spec.material))
     cols = exchange_energy_arrays(spec.material, *lab)
     return [
@@ -193,31 +196,25 @@ def _row_columns(spec: SweepSpec) -> list:
 
 
 def _scalar_rows(spec: SweepSpec) -> list:
-    """`sweep`'s rows point by point, by `exchange_energy` and `overlap`.
-
-    A row is singular exactly where the kernel's mask is False: where
-    `_lab_point` would reject the point, b, d or chi is out of range, or
-    `exchange_energy` raises SingularConfigurationError.  Inside that mask
-    the only InvalidParameterError it raises is b d^2 or chi^2 / d^2
-    overflowing, which propagates from the first such point, as the kernel's.
+    """`sweep`'s rows point by point, by `_lab_point`, `exchange_energy` and
+    `overlap`.  A row is singular where either of the first two rejects the
+    point, which is where the kernel's mask is False; a ParameterOverflowError
+    propagates from the first point that raises it, as the kernel's does.
     """
     const = _material_constants(spec.material)
     c, scale = const.c, spec.material.confinement_energy
-    isfinite = math.isfinite
     rows = []
     for x in _grid(spec.start, spec.stop, spec.steps):
         B, E, a = _axis_fields(spec.fixed, spec.vary, x, const.bohr_radius)
-        if isfinite(a) and a > 0.0 and isfinite(B) and isfinite(E):  # `_lab_point`'s check
+        try:
             _, _, b, d, chi = _lab_point(const, B, E, a)
-            if isfinite(b) and b >= 1.0 - 1e-12 and isfinite(d) and d > 0.0 and isfinite(chi):
-                try:
-                    bd = exchange_energy(b, d, c, chi, scale)
-                except SingularConfigurationError:  # d^2 rounds to 0, J or its prefactor overflows
-                    pass
-                else:
-                    rows.append(SweepRow(x, bd.j_mev, b, d, overlap(b, d), *bd[:5]))
-                    continue
-        rows.append(SweepRow(x, *[math.nan] * 9, singular=True))
+            bd = exchange_energy(b, d, c, chi, scale)
+        except ParameterOverflowError:
+            raise
+        except DotxError:
+            rows.append(SweepRow(x, *[math.nan] * 9, singular=True))
+            continue
+        rows.append(SweepRow(x, bd.j_mev, b, d, overlap(b, d), *bd[:5]))
     return rows
 
 
@@ -227,8 +224,9 @@ def sweep(spec: SweepSpec) -> list[SweepRow]:
     A grid of up to `_SCALAR_MAX_STEPS` points is evaluated point by point
     with the scalar closed form, and its rows carry `exchange_energy_lab`'s
     bits; a longer one in one call of the array kernel, whose rows are
-    within `ExchangeColumns`' rounding of those.  Both mark the same rows
-    singular and raise the same error at the same point.
+    within `ExchangeColumns`' rounding of those.  Both apply the closed
+    form's one accept rule (`closed_form._ADMITS` and `_SETTLES`), so they
+    mark the same rows singular and raise the same error at the same point.
     """
     spec.validate()
     if spec.steps <= _SCALAR_MAX_STEPS:

@@ -185,8 +185,9 @@ def j_mp(b, d, c, chi):
 
 def loop_sweep(spec):
     """The per-point sweep, kept as `sweep`'s reference.  On a grid of up to
-    `_SCALAR_MAX_STEPS` points `sweep` gives these rows by repr.  Where b d^2
-    or chi^2 / d^2 overflows, `sweep` raises; this loop marks the row singular."""
+    `_SCALAR_MAX_STEPS` points `sweep` gives these rows by repr.  Where an
+    input of J overflows (a ParameterOverflowError), `sweep` raises; this
+    loop marks the row singular."""
     rows = []
     for x in np.linspace(spec.start, spec.stop, spec.steps).tolist():
         B, E, a = spec.fixed.B, spec.fixed.E, spec.fixed.a

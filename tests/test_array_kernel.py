@@ -21,7 +21,12 @@ import dotx.closed_form
 import dotx.special
 import dotx.sweeps
 from dotx.closed_form import exchange_energy, exchange_energy_arrays, exchange_energy_lab, overlap
-from dotx.errors import InvalidArgumentError, InvalidParameterError, SingularConfigurationError
+from dotx.errors import (
+    InvalidArgumentError,
+    InvalidParameterError,
+    ParameterOverflowError,
+    SingularConfigurationError,
+)
 from dotx.special import _I0_SPLIT, bessel_i0e, bessel_i0e_array
 from dotx.sweeps import SweepSpec, scan_switches, sweep, switching_scenario
 from dotx.units import (
@@ -192,7 +197,7 @@ class TestKernelMatchesScalar:
                 exchange_energy_lab(GAAS, FieldConfig(*point))
             except (InvalidParameterError, SingularConfigurationError) as exc:
                 valid.append(False)
-                if type(exc) is InvalidParameterError and str(exc).endswith("overflows"):
+                if type(exc) is ParameterOverflowError:
                     overflow = overflow or exc
             else:
                 valid.append(True)
@@ -296,6 +301,20 @@ class TestKernelMatchesScalar:
             with pytest.raises(InvalidParameterError) as raised:
                 run()
             assert str(raised.value) == str(scalar.value)
+
+    @pytest.mark.parametrize("steps", [7, 513])
+    def test_coulomb_overflow_raises_on_both_sweep_paths(self, steps):
+        # c sqrt(b) overflows at every point: the scalar path wrote rows of
+        # nan not marked singular, the array path marked every row singular
+        mat = MaterialParams(0.067, 13.1, 3.0, c_override=1e308)
+        spec = SweepSpec(vary="d", start=2.0, stop=8.0, steps=steps,
+                         fixed=FieldConfig(60.0, 0.0, A_B), material=mat)
+        with pytest.raises(
+            ParameterOverflowError,
+            match=r"^coulomb strength c=1e\+308 is too large at b=17.30766472151697: "
+                  r"c\*sqrt\(b\) overflows$",
+        ):
+            sweep_both(spec)
 
     @pytest.mark.parametrize("B", [0.0, 1.0])
     def test_distance_overflow_raises_like_scalar(self, B):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import pathlib
@@ -254,6 +255,29 @@ class TestEfieldSwitchCommands:
         assert abs(point["value"] + e_switch_at_2t) <= AXIS_XTOL["E"]
         assert point["direction"] == "antiferro_to_ferro"
 
+    def test_negative_exponent_value_as_its_own_word(self, capsys, tmp_path, e_switch_at_2t):
+        # "-2e5" after an option is its value, as "-2" and "-0.5" are
+        out = tmp_path / "switch.json"
+        code, _, err = run(
+            capsys, "switch", "--vary", "E", "--B", "2", "--from", "-2e5", "--to", "0",
+            "--out", str(out),
+        )
+        assert (code, err) == (0, "")
+        point = json.loads(out.read_text())["switch_point"]
+        assert abs(point["value"] + e_switch_at_2t) <= AXIS_XTOL["E"]
+
+    @pytest.mark.parametrize(
+        "word, value", [("-1e5", -1e5), ("-2.5E-3", -2.5e-3), ("-.5e+1", -5.0)]
+    )
+    def test_negative_exponent_values_in_eval(self, capsys, word, value):
+        code, out, err = run(capsys, "eval", "--json", "--E", word)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["params"]["E_Vm"] == value
+
+    def test_an_option_after_an_option_is_still_missing_its_value(self, capsys):
+        code, _, err = run(capsys, "eval", "--E", "--B", "1")
+        assert code == 1 and "argument --E: expected one argument" in err
+
     def test_scenario(self, capsys, tmp_path, e_switch_at_2t):
         out = tmp_path / "scenario.json"
         code, _, err = run(capsys, "scenario", "--b-operating", "2.0", "--out", str(out))
@@ -370,7 +394,34 @@ class TestOracleCommand:
         assert abs(record["j_oracle"]) < 1e-5
 
 
+class TestOracleReport:
+    def test_default_report_bytes(self, capsys):
+        # The trapezoid sums add their nodes left to right, so the report has
+        # these bytes on every Python version; built-in sum compensates from 3.12 on.
+        code, out, err = run(capsys, "oracle")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "fd5ad86d2fc41dfc1e88645f9fb0eeb4d24257db2954a3463a1ebada3b2f10d9"
+        )
+
+
 class TestMaterialResolution:
+    def test_overflowing_coulomb_strength_exits_two(self, capsys, tmp_path):
+        # c sqrt(b) overflows: `eval` printed "J: nan meV" with exit 0
+        mat = tmp_path / "huge_c.json"
+        mat.write_text(
+            '{"effective_mass": 0.067, "dielectric_const": 13.1,'
+            ' "confinement_energy_mev": 3.0, "c_override": 1e308}'
+        )
+        code, out, err = run(
+            capsys, "eval", "--material-file", str(mat), "--B", "60", "--a-over-ab", "3"
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "dotx: error: coulomb strength c=1e+308 is too large at b=17.30766472151697: "
+            "c*sqrt(b) overflows\n"
+        )
+
     def test_material_file(self, capsys, tmp_path):
         mat = tmp_path / "custom.json"
         mat.write_text(
@@ -758,6 +809,16 @@ class TestErrorMapping:
             assert err == "dotx: error: distance d=1e+306 is too large: d^2 overflows\n"
         else:
             assert err == "" and out.splitlines()[-1] == "1e+308,nan,nan,nan,nan,nan,nan,nan,nan"
+
+    def test_sweep_up_to_the_largest_float_warns_nothing(self, capsys):
+        # linspace's last product, replaced by stop, overflows on this grid:
+        # the array path printed a numpy RuntimeWarning (an error under pytest)
+        got, out, err = run_both(
+            capsys, "sweep", "--vary", "B", "--from", "0", "--to", "1.7976931348623157e308",
+            "--steps", "514",
+        )
+        assert (got, err) == (0, "")
+        assert out.splitlines()[-1].startswith("1.7976931348623157e+308,")
 
 
 def strict_json(text: str):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from dotx.closed_form import exchange_energy, exchange_energy_lab, overlap
-from dotx.errors import InvalidParameterError, SingularConfigurationError
-from dotx.units import FieldConfig
+from dotx.errors import InvalidParameterError, ParameterOverflowError, SingularConfigurationError
+from dotx.units import FieldConfig, MaterialParams
 
 from conftest import rel_err
 
@@ -24,6 +24,17 @@ class TestOverlap:
             for d in (0.1, 0.7, 1.5, 3.0):
                 s = overlap(b, d)
                 assert 0.0 < s < 1.0
+
+    def test_undefined_where_d2_underflows_and_2b_overflows(self):
+        # -d^2 (2b - 1/b) is 0 * inf there: S was nan
+        with pytest.raises(
+            InvalidParameterError,
+            match=r"^overlap is undefined at b=1.7976931348623157e\+308, d=1e-300: "
+                  r"d\^2 rounds to 0 and 2b overflows$",
+        ):
+            overlap(1.7976931348623157e308, 1e-300)
+        assert overlap(1.7976931348623157e308, 1e-100) == 0.0  # d^2 > 0: S underflows to 0
+        assert overlap(1e300, 1e-300) == 1.0  # 2b is finite: S = exp(-0)
 
     def test_prefactor_consistency(self):
         # S^2/(1-S^4) must equal 1/(2 sinh(2 d^2 (2b - 1/b)))
@@ -108,6 +119,20 @@ class TestExchangeEnergy:
         with pytest.raises(InvalidParameterError, match=f"^distance d must be finite and >= 0, got {got}$"):
             call()
 
+    def test_overflowing_coulomb_strength_raises(self):
+        # c sqrt(b) = 2e308 is inf: J was nan, 0 * inf or inf - inf
+        with pytest.raises(
+            ParameterOverflowError,
+            match=r"^coulomb strength c=1e\+308 is too large at b=4.0: c\*sqrt\(b\) overflows$",
+        ):
+            exchange_energy(4.0, 0.7, 1e308, 0.0)
+
+    def test_nan_j_is_singular(self):
+        # c sqrt(b) = 1e308 is finite, but the two terms of J's regrouped
+        # sum overflow and cancel to nan, which used to be returned as J
+        with pytest.raises(SingularConfigurationError, match="^J overflows at d=0.1, chi=0.0"):
+            exchange_energy(1.0, 0.1, 1e308, 0.0)
+
     def test_extreme_arguments_stay_finite(self):
         bd = exchange_energy(12.0, 6.0, 2.36, 0.0)
         assert math.isfinite(bd.j_dimensionless)
@@ -115,6 +140,16 @@ class TestExchangeEnergy:
 
 
 class TestExchangeEnergyLab:
+    def test_overflowing_coulomb_strength_of_a_material_raises(self):
+        # c = 6.3e209 and sqrt(b) = 4.3e118: c sqrt(b) overflows, and J was nan
+        mat = MaterialParams(1.5e21, 8.8e-68, 2.1e-260)
+        with pytest.raises(
+            ParameterOverflowError,
+            match=r"^coulomb strength c=6.27.*e\+209 is too large at b=1.83.*e\+237: "
+                  r"c\*sqrt\(b\) overflows$",
+        ):
+            exchange_energy_lab(mat, FieldConfig(1.0, 0.0, 1.0))
+
     def test_composition_pins(self, gaas, gaas_fields, golden):
         bd = exchange_energy_lab(gaas, gaas_fields)
         assert rel_err(bd.j_mev, golden["j_mev_gaas_b0_a0p7ab"]) < 1e-12

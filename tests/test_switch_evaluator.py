@@ -238,7 +238,6 @@ def efield_switch_lab(mat, B, a):
     """efield_switch written on `derive_parameters`, as it was before it took
     b and d from the material constants: its result must keep these bits."""
     p = derive_parameters(mat, FieldConfig(B, 0.0, a))
-    dotx.closed_form._check_bd(p.b, p.d, allow_zero_d=False)
     x2, _, _, csb, i0e_x1, i0e_x2, quartic_term, _, _ = dotx.closed_form._terms(
         p.b, p.d, p.c_coulomb, 0.0
     )
