@@ -92,8 +92,10 @@ class _Output(NamedTuple):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse takes "-1e5" for an option: read the exponent form as a number too
-        self._negative_number_matcher = re.compile(r"^-(\d+|\d*\.\d+)([eE][+-]?\d+)?$")
+        # argparse takes "-1e5" and "-inf" for options: read them as numbers too
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+|\d*\.\d+)(e[+-]?\d+)?|inf(inity)?|nan)$", re.IGNORECASE
+        )
 
     def error(self, message):  # usage errors exit 1, not argparse's 2
         self.print_usage(sys.stderr)

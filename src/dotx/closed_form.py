@@ -117,15 +117,15 @@ def exchange_energy_lab(mat: MaterialParams, fields: FieldConfig) -> ExchangeBre
     )
 
 
-def _terms(b: float, d: float, c: float, efield_ratio: float, scale: float = 1.0) -> tuple:
+def _terms(b: float, d: float, c: float, efield_ratio: float, scale: float = 1.0, held=None) -> tuple:
     """`_formula` of (b, d, c, chi), checked by the accept rule: raises the
     error of the first case the point fails.  J times `scale`, the energy it
-    is reported in, must be finite."""
+    is reported in, must be finite.  `held` is `_formula`'s."""
     isfinite = math.isfinite
     tests = _admits(b, d, c, efield_ratio, isfinite)
     if tests != (True,) * 8:
         _reject(_ADMITS, tests, b, d, c, efield_ratio)
-    terms = _formula(b, d * d, c, efield_ratio, bessel_i0e)
+    terms = _formula(b, d * d, c, efield_ratio, bessel_i0e, held)
     _, arg, _, csb, _, _, _, efield_term, j_dimensionless = terms
     tests = _settles(arg, csb, efield_term, j_dimensionless * scale, isfinite)
     if tests != (True,) * 4:
@@ -194,26 +194,33 @@ def _fold(cases, tests, valid, overflows):
         valid &= test
 
 
-def _formula(b, d2, c, chi, i0e, exp=math.exp, expm1=math.expm1, sqrt=math.sqrt):
+def _formula(b, d2, c, chi, i0e, held, exp=math.exp, expm1=math.expm1, sqrt=math.sqrt):
     """The operations of J for (b, d^2, c, chi), unchecked: (x2, arg, exp(-arg),
     c sqrt(b), I0e(x1), I0e(x2), quartic_term, efield_term, j), for floats or,
     with `bessel_i0e_array` and numpy's exp, expm1 and sqrt, arrays, on points
     that pass `_admits`; i0e comes per call, so a wrapper on the module
-    attribute sees each call."""
-    x1 = b * d2
-    x2 = d2 * (b - 1.0 / b)
-    arg = 2.0 * (x1 + x2)  # 2 d^2 (2b - 1/b)
-    em = exp(-arg)
-    denominator = -expm1(-2.0 * arg)  # 1 - S^4, without cancelling at small d
-    csb = c * sqrt(b)
-    quartic_term = 0.75 / b * (1.0 + x1)
+    attribute sees each call.  `held` is None or a list that keeps the
+    chi-free part for later points at the same (b, d^2, c): an empty one is
+    set whole (a second setter writes the same values), a set one is read,
+    and only chi^2/d^2 and J are formed, in the same order and bits."""
+    if held:
+        x2, arg, em, denominator, csb, i0e_x1, i0e_x2, quartic_term, direct, exchange = held
+    else:
+        x1 = b * d2
+        x2 = d2 * (b - 1.0 / b)
+        arg = 2.0 * (x1 + x2)  # 2 d^2 (2b - 1/b)
+        em = exp(-arg)
+        denominator = -expm1(-2.0 * arg)  # 1 - S^4, without cancelling at small d
+        csb = c * sqrt(b)
+        quartic_term = 0.75 / b * (1.0 + x1)
+        i0e_x1 = i0e(x1)
+        i0e_x2 = i0e(x2)
+        direct = csb * i0e_x1 + quartic_term
+        exchange = 2.0 * csb * i0e_x2 * exp(-2.0 * x1)
+        if held is not None:
+            held[:] = x2, arg, em, denominator, csb, i0e_x1, i0e_x2, quartic_term, direct, exchange
     efield_term = 1.5 * (chi * chi) / d2
-    i0e_x1 = i0e(x1)
-    i0e_x2 = i0e(x2)
-    j_dimensionless = (
-        2.0 * em * (csb * i0e_x1 + quartic_term + efield_term)
-        - 2.0 * csb * i0e_x2 * exp(-2.0 * x1)
-    ) / denominator
+    j_dimensionless = (2.0 * em * (direct + efield_term) - exchange) / denominator
     return x2, arg, em, csb, i0e_x1, i0e_x2, quartic_term, efield_term, j_dimensionless
 
 
@@ -227,24 +234,11 @@ def efield_switch(mat: MaterialParams, B: float, a: float) -> float:
     never formed; E* is inf where exp(x2) alone overflows.  Raises what
     `exchange_energy_lab` raises at (B, 0, a).
 
-    b and d come from `units._lab_point`, with the bits and the checks of
-    `derive_parameters`, but no `DerivedParams` is built: on the E axis of
-    `find_switch` that was most of the switch's own cost.
+    E* is the `e_star` of the E evaluator of `exchange_energy_along`, which
+    takes it from the chi-free part the evaluator holds: `find_switch` asks
+    its own evaluator, whose J points have already paid for that part.
     """
-    const = _material_constants(mat)
-    _, _, b, d, _ = _lab_point(const, B, 0.0, a)
-    x2, _, _, csb, i0e_x1, i0e_x2, quartic_term, _, _ = _terms(
-        b, d, const.c, 0.0, mat.confinement_energy
-    )
-    # -(coulomb + quartic) = exp(2 x2) * radicand
-    radicand = csb * i0e_x2 - (csb * i0e_x1 + quartic_term) * math.exp(-2.0 * x2)
-    if not radicand >= 0.0:
-        return math.nan
-    try:
-        chi = d * math.sqrt(radicand / 1.5) * math.exp(x2)
-    except OverflowError:
-        return math.inf
-    return chi * mat.confinement_energy * MEV_TO_J / (E_CHARGE * a * NM_TO_M)
+    return exchange_energy_along(mat, FieldConfig(B, 0.0, a), "E").e_star()
 
 
 def exchange_energy_along(
@@ -255,20 +249,41 @@ def exchange_energy_along(
     axis is "B" (Tesla), "E" (V/m) or "d" (the half-distance in units of
     a_B).  Each value has the bits `exchange_energy_lab(...).j_mev` gives,
     and a point raises the error that path raises: the material is checked
-    and its constants derived once, so a point costs `units._lab_point`,
-    `_terms` and nothing else.
+    and its constants derived once, so a point costs `units._lab_point` and
+    `_terms`.  Along E only chi varies: the evaluator holds `_formula`'s
+    chi-free part from its first point that passes `_admits`, so later points
+    form no I0e, yet each runs the whole accept rule.  Its `e_star()` is
+    `efield_switch` at the fixed (B, a), from the same held part.
     """
     if axis not in AXES:
         raise InvalidParameterError(f"axis must be one of {AXES}, got {axis!r}")
     const = _material_constants(mat)
     a_b, c, scale = const.bohr_radius, const.c, mat.confinement_energy
     B0, E0, a0 = fixed.B, fixed.E, fixed.a
+    held = [] if axis == "E" else None
 
     def j_mev(x: float) -> float:
         B, E, a = (x, E0, a0) if axis == "B" else (B0, x, a0) if axis == "E" else (B0, E0, x * a_b)
         _, _, b, d, chi = _lab_point(const, B, E, a)
-        return _terms(b, d, c, chi, scale)[-1] * scale
+        return _terms(b, d, c, chi, scale, held)[-1] * scale
 
+    if held is None:
+        return j_mev
+
+    def e_star() -> float:
+        _, _, b, d, _ = _lab_point(const, B0, 0.0, a0)
+        x2, _, _, csb, i0e_x1, i0e_x2, quartic_term, _, _ = _terms(b, d, c, 0.0, scale, held)
+        # -(coulomb + quartic) = exp(2 x2) * radicand
+        radicand = csb * i0e_x2 - (csb * i0e_x1 + quartic_term) * math.exp(-2.0 * x2)
+        if not radicand >= 0.0:
+            return math.nan
+        try:
+            chi = d * math.sqrt(radicand / 1.5) * math.exp(x2)
+        except OverflowError:
+            return math.inf
+        return chi * scale * MEV_TO_J / (E_CHARGE * a0 * NM_TO_M)
+
+    j_mev.e_star = e_star
     return j_mev
 
 
@@ -326,7 +341,7 @@ def exchange_energy_arrays(mat: MaterialParams, B, E, a) -> ExchangeColumns:
         if kept.size < valid.size:  # else b, d and chi stay views
             b, d, chi = b[kept], d[kept], chi[kept]
         x2, arg, em, csb, i0e_x1, i0e_x2, quartic_term, efield_term, j_dimensionless = _formula(
-            b, d * d, c, chi, bessel_i0e_array, np.exp, np.expm1, np.sqrt
+            b, d * d, c, chi, bessel_i0e_array, None, np.exp, np.expm1, np.sqrt
         )
         j_mev = j_dimensionless * mat.confinement_energy
         ok, kept_overflows = np.ones_like(kept, dtype=bool), np.zeros_like(kept, dtype=bool)

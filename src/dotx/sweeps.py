@@ -24,7 +24,6 @@ from typing import NamedTuple
 from .closed_form import (
     AXES,
     ExchangeBreakdown,
-    efield_switch,
     exchange_energy,
     exchange_energy_along,
     exchange_energy_arrays,
@@ -367,7 +366,8 @@ def find_switch(
     `tol` bounds |J| at the root in meV.  Along B and d, Brent narrows the
     bracket to the axis resolution (1e-6 T, 1e-8 in d), and on until |J|
     at its best end is at most `tol`.  Along E the root is the closed form
-    `efield_switch`, with no bracket iteration (`iterations` is 0); where
+    `efield_switch`, taken from the `e_star` of the evaluator that gave J at
+    the ends, with no bracket iteration (`iterations` is 0); where
     |J| there exceeds `tol`, or rounding puts it outside the bracket,
     Brent narrows the sign change to 1 V/m and `tol` (see `_efield_root`).
     J must be nonzero at both ends, with opposite signs: J = 0 (a root on an
@@ -392,8 +392,7 @@ def find_switch(
     if j_lo == 0.0 or j_hi == 0.0 or (j_lo > 0.0) == (j_hi > 0.0):
         raise NoRootInBracketError(f"no sign change on [{lo}, {hi}]: f={j_lo}, {j_hi}")
     if axis == "E":
-        e_star = efield_switch(material, fixed.B, fixed.a)
-        result = _efield_root(j, lo, hi, j_lo, j_hi, tol, e_star)
+        result = _efield_root(j, lo, hi, j_lo, j_hi, tol, j_at.e_star())
     else:
         result = brent(j, lo, hi, AXIS_XTOL[axis], fa=j_lo, fb=j_hi, ftol=tol)
     root, j_root, final_bracket, iterations = result

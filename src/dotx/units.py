@@ -120,13 +120,25 @@ class _Material(NamedTuple):
     quantum: float  # confinement quantum hbar omega_0, J
 
 
+#: The last material `_material_constants` accepted, with its constants.
+_last_material: tuple = (object(), None)
+
+
 def _material_constants(mat: MaterialParams) -> _Material:
     """Check the material and derive its constants, each formula written once.
 
     c = sqrt(pi/2) * (e^2 / (4 pi eps0 kappa a_B)) / (hbar omega_0), i.e.
     the screened interaction energy at the Bohr-radius scale measured
     against the confinement quantum, unless the material overrides it.
+    The last material object accepted is remembered with its constants, one
+    slot matched by identity, so a switch map checks GaAs once.  Equal
+    materials stay apart (c_override -0.0 and 0.0 give `coulomb_term`s of
+    opposite sign), and a rejected material raises on every call.
     """
+    global _last_material
+    held, const = _last_material
+    if held is mat:
+        return const
     mat.validate()
     quantum = mat.confinement_energy * MEV_TO_J
     m = mat.effective_mass * M_ELECTRON
@@ -149,7 +161,9 @@ def _material_constants(mat: MaterialParams) -> _Material:
                 f"dielectric_const {mat.dielectric_const!r} gives a Coulomb strength "
                 "that is not finite"
             )
-    return _Material(m, omega0, a_b, c, quantum)
+    const = _Material(m, omega0, a_b, c, quantum)
+    _last_material = mat, const  # one tuple, so a reader sees both or neither
+    return const
 
 
 def _lab_point(const: _Material, B: float, E: float, a: float) -> tuple:

@@ -274,6 +274,16 @@ class TestEfieldSwitchCommands:
         assert (code, err) == (0, "")
         assert json.loads(out)["params"]["E_Vm"] == value
 
+    @pytest.mark.parametrize("word", ["-inf", "-Infinity", "-INF", "-nan", "-NaN"])
+    @pytest.mark.parametrize("attach", [False, True])
+    def test_negative_non_finite_values_in_eval(self, capsys, word, attach):
+        # "--E -inf" was read as an option missing its value (exit 1), while
+        # "--E=-inf" reached the field check (exit 2): both are the value
+        argv = [f"--E={word}"] if attach else ["--E", word]
+        code, out, err = run(capsys, "eval", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"dotx: error: E must be finite, got {float(word)!r}\n"
+
     def test_an_option_after_an_option_is_still_missing_its_value(self, capsys):
         code, _, err = run(capsys, "eval", "--E", "--B", "1")
         assert code == 1 and "argument --E: expected one argument" in err
@@ -403,6 +413,23 @@ class TestOracleReport:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "fd5ad86d2fc41dfc1e88645f9fb0eeb4d24257db2954a3463a1ebada3b2f10d9"
         )
+
+
+class TestSwitchReports:
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["scenario"], "23a8c74c11dd28b2d2af517faf6b569efef96e3ecd2775727897642b3c59391d"),
+            (["switch", "--vary", "E", "--B", "2", "--scan", "--from", "0", "--to", "2e6"],
+             "a4ecf7eebe37dc547c0c57f14ee6fd6efbfcf76f4a8ead7fe93c3377b7955069"),
+        ],
+    )
+    def test_e_switch_report_bytes(self, capsys, argv, digest):
+        # The E switches come from the closed form E*; these reports have
+        # these bytes on CPython 3.10-3.13.
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestMaterialResolution:

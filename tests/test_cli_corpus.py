@@ -9,7 +9,6 @@ Step counts, grid sizes and quadrature orders come from capped pools.
 
 import argparse
 import json
-import math
 import os
 import random
 import re
@@ -19,7 +18,7 @@ import pytest
 from dotx.cli import _COMMANDS, _add_field_args, _add_material_args, main
 
 EDGE_FLOATS = ["0", "-0", "inf", "-inf", "nan", "5e-324", "1e-300", "1e308", "1.8e308",
-               "-1e308", "-3", "bad", ""]
+               "-1e308", "-3", "bad", "", "-nan", "-Infinity"]
 EDGE_INTS = ["0", "-1", "1", "4", "128", "129", "100001", "2.5", "1e3", "x"]
 
 #: Ordinary values per argument dest; an argument not named here draws from
@@ -127,15 +126,16 @@ def argv_corpus(seed: int, n: int, work_dir: str) -> list:
 
 def _number_read_as_option(argv: list, err: str) -> bool:
     """Whether argparse reported an option as missing its value where the
-    word after it is a finite number, such as the "-1e5" of "--E -1e5"."""
+    word after it is a number, such as the "-1e5" of "--E -1e5" or "-inf"."""
     match = re.search(r"argument (\S+): expected one argument", err)
     if match is None or match.group(1) not in argv:
         return False
     following = argv[argv.index(match.group(1)) + 1:][:1]
     try:
-        return math.isfinite(float(*following))
+        float(*following)
     except (TypeError, ValueError):  # no word follows, or it is not a number
         return False
+    return True
 
 
 @pytest.mark.parametrize("seed", [1])

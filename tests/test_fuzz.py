@@ -7,7 +7,9 @@ underflows, 1.35e154, where d^2 overflows, the largest float, +-inf and
 nan), from log-uniform draws of either sign, and from any float.  The
 documented non-finite results are the -inf `coulomb_term` where exp(2 x2)
 overflows, and `efield_switch`'s nan where no switch exists and inf where
-E* is past the float range.  A singular sweep row is nan past x.
+E* is past the float range.  A singular sweep row is nan past x.  The
+switch scans and the scenario also draw ranges and fields near the GaAs
+switches, so that some calls find one.
 """
 
 import math
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 from dotx.closed_form import efield_switch, exchange_energy, exchange_energy_lab, overlap
 from dotx.errors import DotxError
 from dotx.special import bessel_i0e
-from dotx.sweeps import SweepSpec, find_switch
+from dotx.sweeps import SweepSpec, find_switch, scan_switches, switching_scenario
 from dotx.units import GAAS, FieldConfig, MaterialParams, bohr_radius_nm
 
 from conftest import sweep_both
@@ -46,6 +48,13 @@ MATERIALS = st.one_of(
     ),
 )
 
+
+def spread(lo, hi):
+    """Floats over [lo, hi], drawn as a fraction so that they spread over the
+    range rather than crowd its ends."""
+    return st.floats(0.0, 1.0).map(lambda u: lo + (hi - lo) * u)
+
+
 # Fields near the GaAs switches (B in 0-10 T, E in 0-2e5 V/m, a near a_B),
 # or anywhere.
 FIELDS = st.builds(
@@ -65,6 +74,11 @@ def finite(value) -> bool:
 def assert_breakdown_finite(bd):
     for name, value in bd._asdict().items():
         assert finite(value) or (name == "coulomb_term" and value == -math.inf), (name, bd)
+
+
+def assert_switch_finite(point):
+    assert finite(point.value) and finite(point.residual), point
+    assert all(finite(v) for v in point.bracket + point.final_bracket), point
 
 
 def outcome(call, *args):
@@ -131,6 +145,51 @@ def test_sweep_on_both_paths(vary, x, y, steps, mat, fields):
 def test_find_switch(axis, x, y, tol, mat, fields):
     point = outcome(find_switch, axis, mat, fields, (x, y), tol)
     if point is not None:
-        assert finite(point.value) and finite(point.residual), point
-        assert all(finite(v) for v in point.bracket + point.final_bracket), point
+        assert_switch_finite(point)
+
+
+def scan_range(axis):
+    """(axis, (x, y)): a range on the axis's scale near the GaAs switches
+    (1 T, 5e4 V/m, 0.5 a_B), or any two floats."""
+    scale = {"B": 1.0, "E": 5e4, "d": 0.5}[axis]
+    near = st.tuples(spread(0.1, 1.0), spread(1.0, 4.0)).map(
+        lambda ends: (scale * ends[0], scale * ends[1])
+    )
+    return st.tuples(st.just(axis), st.one_of(near, st.tuples(FLOATS, FLOATS)))
+
+
+# Fields where GaAs has a switch on each axis's scan range above, or any.
+SWITCH_FIELDS = st.one_of(
+    st.builds(FieldConfig, spread(1.5, 5.0), spread(0.0, 5e4),
+              spread(0.5, 1.0).map(lambda t: t * bohr_radius_nm(GAAS))),
+    FIELDS,
+)
+
+
+@settings(FUZZ, max_examples=400)
+@given(st.sampled_from(["B", "E", "d"]).flatmap(scan_range), st.integers(2, 25),
+       st.one_of(st.just(1e-9), FLOATS), MATERIALS, SWITCH_FIELDS)
+def test_scan_switches(axis_range, scan_steps, tol, mat, fields):
+    axis, (x, y) = axis_range
+    lo, hi = (x, y) if x < y else (y, x)
+    for point in outcome(scan_switches, axis, mat, fields, lo, hi, scan_steps, tol) or []:
+        assert_switch_finite(point)
+
+
+@settings(FUZZ, max_examples=200)
+@given(MATERIALS,
+       # a, B and the E limit near the GaAs switches (a in 0.5-1 a_B, B in
+       # 2-10 T, E* below 1e7 V/m), or anywhere
+       st.one_of(spread(0.5, 1.0).map(lambda t: t * bohr_radius_nm(GAAS)),
+                 FIELDS.map(lambda fields: fields.a)),
+       st.one_of(spread(2.0, 10.0), FLOATS),
+       st.one_of(spread(5.5, 7.0).map(lambda t: 10.0**t), FLOATS),
+       st.integers(1, 6))
+def test_switching_scenario(mat, a_nm, b_operating, e_limit, steps_per_phase):
+    result = outcome(switching_scenario, mat, a_nm, b_operating, e_limit, steps_per_phase)
+    if result is not None:
+        assert_switch_finite(result.b_switch)
+        assert_switch_finite(result.e_switch)
+        for step in result.steps:
+            assert finite(step.B) and finite(step.E) and finite(step.j_mev), step
 

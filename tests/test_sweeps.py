@@ -729,8 +729,8 @@ class TestExactZeros:
 
         got = dotx.sweeps._efield_root(j, 0.0, 2e5, j(0.0), j(2e5), 1e-9, e_star)
         assert got == (near, 0.0, (near, near), 0)
+        j.e_star = lambda: e_star  # as the E evaluator of exchange_energy_along has it
         fixed_along(monkeypatch, j)
-        monkeypatch.setattr(dotx.sweeps, "efield_switch", lambda *args: e_star)
         point = find_switch("E", GAAS, FieldConfig(2.0, 0.0, 10.0), (0.0, 2e5))
         assert (point.value, point.residual, point.final_bracket) == (near, 0.0, (near, near))
         assert (point.iterations, point.evaluations) == (0, 4)

@@ -1,11 +1,14 @@
 """The scalar evaluator of J along one axis, and the switch finder that uses it.
 
 `exchange_energy_along` derives the material's constants once and then
-runs only the per-point arithmetic; every value must still carry the bits
-of `exchange_energy_lab(...).j_mev`, and every rejected point its error.
+runs only the per-point arithmetic, along E from a held chi-free part;
+every value must still carry the bits of `exchange_energy_lab(...).j_mev`,
+every rejected point its error, and the E evaluator's `e_star()` the E*
+of `efield_switch` as written on `derive_parameters`.
 Values are compared by repr, which tells nan, -inf and -0.0 apart.
 """
 
+import functools
 import math
 
 import pytest
@@ -18,6 +21,7 @@ import dotx.units as units
 from dotx.cli import _switch_point_dict
 from dotx.closed_form import efield_switch, exchange_energy_along, exchange_energy_lab
 from dotx.errors import InvalidParameterError, RootConvergenceError
+from dotx.special import bessel_i0e
 from dotx.sweeps import AXIS_XTOL, brent, find_switch
 from dotx.units import GAAS, FieldConfig, MaterialParams, bohr_radius_nm, derive_parameters
 
@@ -114,16 +118,20 @@ class TestMatchesLabPath:
             exchange_energy_along(GAAS, FIXED, "x")
 
 
-def recording_along(points):
-    """`exchange_energy_along` that appends every point it evaluates to `points`."""
+def recording_along(points, e_star=None):
+    """`exchange_energy_along` that appends every point it evaluates to `points`;
+    its E evaluator keeps `e_star()`, or returns `e_star` where that is given."""
 
     def along(mat, fixed, axis):
         j = exchange_energy_along(mat, fixed, axis)
 
+        @functools.wraps(j)  # keeps the E evaluator's e_star
         def recorded(x):
             points.append(x)
             return j(x)
 
+        if e_star is not None:
+            recorded.e_star = lambda: e_star
         return recorded
 
     return along
@@ -251,11 +259,12 @@ def efield_switch_lab(mat, B, a):
     return chi * mat.confinement_energy * units.MEV_TO_J / (units.E_CHARGE * a * units.NM_TO_M)
 
 
-def counted_switch(mat, fixed, bracket, tol=1e-9):
-    """find_switch along E, and the points J was evaluated at."""
+def counted_switch(mat, fixed, bracket, tol=1e-9, e_star=None):
+    """find_switch along E, and the points J was evaluated at; E* is
+    `e_star` where that is given."""
     points = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dotx.sweeps, "exchange_energy_along", recording_along(points))
+        patch.setattr(dotx.sweeps, "exchange_energy_along", recording_along(points, e_star))
         return find_switch("E", mat, fixed, bracket, tol=tol), points
 
 
@@ -290,17 +299,15 @@ class TestEfieldSwitch:
         assert point.evaluations == len(points) == len(set(points)) == 3
 
     @pytest.mark.parametrize("lost", [math.nan, math.inf, 0.0, 2e5, 3e5, -7e4])
-    def test_polish_recovers_a_lost_closed_form(self, monkeypatch, lost):
+    def test_polish_recovers_a_lost_closed_form(self, lost):
         # E* nan, on an end or outside the bracket: the polish bisects the
         # whole bracket; E* off the root by 5 V/m: the polish starts from it.
         fixed = REFERENCE._replace(B=2.0)
         want = brent_switch(GAAS, fixed, 0.0, 2e5, 1e-9)[0]
-        monkeypatch.setattr(dotx.sweeps, "efield_switch", lambda *args: lost)
-        point, points = counted_switch(GAAS, fixed, (0.0, 2e5))
+        point, points = counted_switch(GAAS, fixed, (0.0, 2e5), e_star=lost)
         assert abs(point.value - want) <= AXIS_XTOL["E"] and point.residual <= 1e-9
         assert point.evaluations == len(points) == len(set(points)) > 3
-        monkeypatch.setattr(dotx.sweeps, "efield_switch", lambda *args: want + 5.0)
-        point, points = counted_switch(GAAS, fixed, (0.0, 2e5))
+        point, points = counted_switch(GAAS, fixed, (0.0, 2e5), e_star=want + 5.0)
         assert abs(point.value - want) <= AXIS_XTOL["E"] and point.residual <= 1e-9
         assert points[2] == want + 5.0 and len(points) == len(set(points)) > 3
 
@@ -396,3 +403,167 @@ class TestEfieldSwitch:
             with pytest.raises(RootConvergenceError, match="exceeds tol 1e-16"):
                 find_switch("E", GAAS, fixed, (0.0, 1.5e6), tol=1e-16)
         assert len(points) == len(set(points)) <= 10
+
+
+# E values the E evaluator rejects: chi^2/d^2 overflows (after the chi-free
+# part is formed), or E is not finite (before it is).
+REJECTED_E = st.sampled_from([1e305, -1e305, math.inf, -math.inf, math.nan])
+E_STAR = "E*"  # a step of a sequence that asks the evaluator for E*
+
+# Materials near GaAs, so that most points are valid and some have a switch.
+MATERIALS = st.one_of(
+    st.just(GAAS),
+    st.builds(
+        MaterialParams,
+        st.floats(0.02, 0.2),
+        st.floats(5.0, 20.0),
+        st.floats(0.5, 10.0),
+        st.none() | st.floats(0.0, 5.0),
+    ),
+)
+
+
+def e_star_outcome(j):
+    try:
+        return repr(j.e_star())
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def reference_e_star(mat, B, a):
+    try:
+        return repr(efield_switch_lab(mat, B, a))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestHeldPart:
+    """The E evaluator keeps the chi-free part of J from its first admitted
+    point on: every later value, error and E* must be what a fresh
+    evaluation gives."""
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(
+        MATERIALS,
+        st.floats(0.0, 10.0) | st.sampled_from([60.0, -2.0]),
+        st.floats(0.3, 1.5) | st.sampled_from([6.0, 30.0]),
+        REJECTED_E | st.floats(-1e7, 1e7),  # the first point, rejected or not
+        st.lists(
+            st.floats(-1e7, 1e7) | REJECTED_E | st.just(E_STAR), min_size=1, max_size=8
+        ),
+    )
+    def test_sequences_keep_the_lab_outcomes(self, mat, B, a_rel, first, rest):
+        # 2 x2 is 1242 at B = 60 T, a = 6 a_B (E* near 1e274 V/m), and exp(x2)
+        # overflows at a = 30 a_B (E* = inf); below the B threshold E* is nan.
+        fixed = FieldConfig(B=B, E=0.0, a=a_rel * bohr_radius_nm(mat))
+        j = exchange_energy_along(mat, fixed, "E")
+        for x in [first] + rest:
+            if x == E_STAR:
+                assert e_star_outcome(j) == reference_e_star(mat, B, fixed.a)
+                continue
+            try:
+                got = repr(j(x))
+            except Exception as exc:
+                got = type(exc), str(exc)
+            assert got == lab_outcome(mat, fixed._replace(E=x)), x
+        assert e_star_outcome(j) == reference_e_star(mat, B, fixed.a)
+        assert along_outcome(mat, fixed, "E", 0.0) == lab_outcome(mat, fixed)
+
+    @pytest.mark.parametrize(
+        "B, a_rel, want",
+        [
+            (0.0, 0.7, "nan"),  # J(B=0, E) > 0 for every E
+            (60.0, 30.0, "inf"),  # exp(x2) overflows
+            (60.0, 6.0, None),  # 2 x2 = 1242: exp(2 x2) would overflow
+            (2.0, 0.7, None),
+        ],
+    )
+    def test_e_star_before_and_after_the_points(self, B, a_rel, want):
+        fixed = FieldConfig(B=B, E=0.0, a=a_rel * A_B)
+        reference = repr(efield_switch_lab(GAAS, B, fixed.a))
+        assert want is None or reference == want
+        first = exchange_energy_along(GAAS, fixed, "E")
+        assert repr(first.e_star()) == reference  # before any point
+        after = exchange_energy_along(GAAS, fixed, "E")
+        after(1e5)
+        assert repr(after.e_star()) == repr(first.e_star()) == repr(efield_switch(GAAS, B, fixed.a))
+
+    @pytest.mark.parametrize("B, a", [(math.nan, 0.7), (2.0, 1e160), (2.0, 1e-170)])
+    def test_e_star_raises_like_the_lab_path(self, B, a):
+        fixed = FieldConfig(B=B, E=0.0, a=a * A_B)
+        j = exchange_energy_along(GAAS, fixed, "E")
+        want = reference_e_star(GAAS, B, fixed.a)
+        assert isinstance(want[0], type)
+        assert e_star_outcome(j) == e_star_outcome(j) == want
+
+    @pytest.mark.parametrize(
+        "axis, fixed, bracket, calls",
+        [
+            ("E", REFERENCE._replace(B=2.0), (0.0, 2e5), 2),  # 8 before the part was held
+            ("B", REFERENCE._replace(E=1e5), (0.2, 9.5), 22),  # 2 per evaluation, of 11
+        ],
+    )
+    def test_bessel_calls_per_switch(self, monkeypatch, axis, fixed, bracket, calls):
+        counted = []
+
+        def i0e(x):
+            counted.append(x)
+            return bessel_i0e(x)
+
+        monkeypatch.setattr(dotx.closed_form, "bessel_i0e", i0e)
+        point = find_switch(axis, GAAS, fixed, bracket)
+        assert len(counted) == calls
+        assert len(counted) == 2 * point.evaluations or axis == "E"
+
+
+class TestMaterialMemo:
+    """`units._material_constants` remembers the last material object it
+    accepted: by identity, never a rejected one."""
+
+    def test_signed_zero_overrides_stay_apart(self):
+        fields = FieldConfig(B=2.0, E=0.0, a=0.7 * A_B)
+        plus, minus = GAAS._replace(c_override=0.0), GAAS._replace(c_override=-0.0)
+        assert plus == minus and hash(plus) == hash(minus)  # an equality cache merges them
+        signs = [
+            math.copysign(1.0, exchange_energy_lab(mat, fields).coulomb_term)
+            for mat in (plus, minus, plus, minus)
+        ]
+        assert signs[0] == -signs[1] and signs == signs[:2] * 2
+        for mat in (plus, minus):
+            assert repr(units._material_constants(mat).c) == repr(mat.c_override)
+
+    @pytest.mark.parametrize(
+        "mat",
+        [
+            MaterialParams(effective_mass=-1.0, dielectric_const=13.1, confinement_energy=3.0),
+            GAAS._replace(c_override=math.nan),
+            # these pass `validate`; their Bohr radius or c is not finite
+            MaterialParams(effective_mass=1e-300, dielectric_const=13.1, confinement_energy=1e-20),
+            MaterialParams(effective_mass=0.067, dielectric_const=1e-320, confinement_energy=3.0),
+        ],
+    )
+    def test_a_rejected_material_raises_on_every_call(self, mat):
+        for _ in range(2):
+            with pytest.raises(InvalidParameterError):
+                units._material_constants(mat)
+            with pytest.raises(InvalidParameterError):
+                exchange_energy_along(mat, FIXED, "E")
+            assert units._material_constants(GAAS) == units._material_constants(GAAS)
+
+    def test_a_material_is_checked_once_while_it_is_the_last(self):
+        checks = []
+
+        class Counted(MaterialParams):
+            __slots__ = ()
+
+            def validate(self):
+                checks.append(self)
+                super().validate()
+
+        mat = Counted(*GAAS)
+        first = units._material_constants(mat)
+        for _ in range(3):
+            assert units._material_constants(mat) is first
+        assert len(checks) == 1
+        units._material_constants(GAAS)
+        assert units._material_constants(mat) == first and len(checks) == 2
