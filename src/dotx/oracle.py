@@ -52,6 +52,12 @@ rounding; with the sum of |f| at order 4, bounded through |P + Q| <=
 Q = q2 y^2 + q0, it gives the error by the test `_refine` accepts a level
 with.  Whatever imaginary part a sum keeps joins the error.
 
+The 13 brackets take their moments from four orbital pairs, and exchanging
+the two dots repeats three of the pairs' eight moment sets, so a point sums
+five: (1, 2) has the X of (2, 1), whose midpoint and (t + h)^2 + (t - h)^2
+are the same floats for the half separation h and -h, and the conjugate of
+its Y, as kappa flips sign; (1, 1) and (2, 2) share the Y of kappa = 0.
+
 The Coulomb pair goes through the Gaussian transform 1/r = (2/sqrt(pi))
 int_0^inf exp(-r^2 t^2) dt (Boys, Proc. R. Soc. A 200, 542 (1950)).  The
 relative coordinate of two width-b densities is a Gaussian of exponent
@@ -211,40 +217,61 @@ _RULES = tuple(
 )
 
 
-def _pair_levels(pt: _Point, pair):
-    """Per rule in `_RULES`, the sums over the nodes of the orbital pair number
-    `pair`: the moments mx[k] = sum w X x^k and ax[k] = sum w X |x|^k of X for
-    k = 0..4, and my = (sum w Y, sum w Y y^2) and (sum |w Y|, sum |w Y| |y|^2)
-    of Y on the contour through its saddle point."""
-    bra, ket = _PAIRS[pair]
+def _x_moments(pt: _Point, bra, ket):
+    """Per rule in `_RULES`, the moments mx[k] = sum w X x^k and ax[k] = sum w X |x|^k
+    of the orbital pair (bra, ket)'s X for k = 0..4."""
     beta = pt.b  # the orbitals of a point share their width
     scale = 1.0 / math.sqrt(beta)
     center = 0.5 * (pt.x[bra] + pt.x[ket])  # nodes centred between the two orbitals
-    # Half the centres' separation, and kappa = -lambda (x_ket - x_bra), from the
-    # wells at -d and +d: the field moves both centres by the same fshift, and
-    # taking the separation from the centres would only add their rounding.
+    # Half the centres' separation, from the wells at -d and +d: the field moves
+    # both centres by the same fshift, and taking the separation from the centres
+    # would only add their rounding.
     half = (ket - bra) * pt.d
-    i_kappa = 1j * (-pt.lam * (2.0 * half))
+    amplitude, exponent = beta / math.pi, -0.5 * beta
+    levels = []
+    for rule in _RULES:
+        m0 = m1 = m2 = m3 = m4 = a0 = a1 = a2 = a3 = a4 = 0.0
+        for t, w in rule:
+            st = scale * t
+            x = center + st
+            w0 = w * (amplitude * math.exp(exponent * ((st + half) ** 2 + (st - half) ** 2)))  # w X
+            w1 = w0 * x
+            w2 = w1 * x
+            w3 = w2 * x
+            w4 = w3 * x
+            m0, m1, m2, m3, m4 = m0 + w0, m1 + w1, m2 + w2, m3 + w3, m4 + w4
+            a0, a1, a2, a3, a4 = a0 + abs(w0), a1 + abs(w1), a2 + abs(w2), a3 + abs(w3), a4 + abs(w4)
+        levels.append(([m0, m1, m2, m3, m4], [a0, a1, a2, a3, a4]))
+    return levels
+
+
+def _y_moments(pt: _Point, bra, ket):
+    """Per rule in `_RULES`, my = (sum w Y, sum w Y y^2) and (sum |w Y|, sum |w Y| |y|^2)
+    of the orbital pair (bra, ket)'s Y on the contour through its saddle point."""
+    beta = pt.b
+    scale = 1.0 / math.sqrt(beta)
+    # kappa = -lambda (x_ket - x_bra), from the wells as in `_x_moments`
+    i_kappa = 1j * (-pt.lam * (2.0 * ((ket - bra) * pt.d)))
     saddle = i_kappa / (2.0 * beta)
     levels = []
     for rule in _RULES:
-        mx, ax, my, abs_my = [0.0] * 5, [0.0] * 5, [0.0, 0.0], [0.0, 0.0]
+        my0 = my2 = abs_my0 = abs_my2 = 0.0
         for t, w in rule:
-            st = scale * t
-            x, y = center + st, saddle + st
-            # X and Y of the module docstring, times the weight
-            wx = w * (beta / math.pi * math.exp(-0.5 * beta * ((st + half) ** 2 + (st - half) ** 2)))
-            for k in range(5):
-                mx[k] += wx
-                ax[k] += abs(wx)
-                wx *= x
-            wy = w * cmath.exp(i_kappa * y - beta * y * y)
-            my[0] += wy
-            my[1] += wy * y * y
-            abs_my[0] += abs(wy)
-            abs_my[1] += abs(wy) * abs(y) ** 2
-        levels.append((mx, ax, my, abs_my))
+            y = saddle + scale * t
+            wy = w * cmath.exp(i_kappa * y - beta * y * y)  # w Y
+            my0, my2 = my0 + wy, my2 + wy * y * y
+            abs_my0, abs_my2 = abs_my0 + abs(wy), abs_my2 + abs(wy) * abs(y) ** 2
+        levels.append(((my0, my2), (abs_my0, abs_my2)))
     return levels
+
+
+def _pair_levels(pt: _Point):
+    """Per orbital pair of `_PAIRS`, its moments (mx, ax, my, abs_my) at each
+    rule, from the five distinct sets of the module docstring."""
+    x_cross, y_cross, y_diag = _x_moments(pt, 2, 1), _y_moments(pt, 2, 1), _y_moments(pt, 1, 1)
+    y_conj = [((my0.conjugate(), my2.conjugate()), abs_my) for (my0, my2), abs_my in y_cross]
+    sets = ((x_cross, y_cross), (_x_moments(pt, 1, 1), y_diag), (_x_moments(pt, 2, 2), y_diag), (x_cross, y_conj))
+    return [[x + y for x, y in zip(xs, ys)] for xs, ys in sets]
 
 
 def _bracket_sum(br: _Bracket, level):
@@ -300,13 +327,13 @@ def _bracket(pt: _Point, pair, op):
 def _brackets(pt: _Point, quad, labels):
     """{label: (value, error) or QuadratureError} of the point's `labels`,
     each summed at orders 3 and 4 and accepted at quad.rel_tol."""
-    levels, out = {}, {}
+    levels, out = _pair_levels(pt), {}
     scale2 = 1.0 / pt.b  # the squared node scale
     for label in labels:
         br = _bracket(pt, *_PLAN[label])
-        if br.pair not in levels:
-            levels[br.pair] = _pair_levels(pt, br.pair)
-        (v_lo, _), (v_hi, l1) = (_bracket_sum(br, level) for level in levels[br.pair])
+        lo, hi = levels[br.pair]
+        v_lo = _bracket_sum(br, lo)[0]
+        v_hi, l1 = _bracket_sum(br, hi)
         out[label], converged = _compare_levels(v_lo * scale2, v_hi * scale2, l1 * scale2, quad.rel_tol)
         if not converged:
             value, error = out[label]
@@ -354,11 +381,11 @@ def _phi_integral(z, n):
     """The n-interval trapezoid sum of exp(-z sin^2 phi) over [0, pi/2], added
     left to right: built-in `sum` compensates from Python 3.12 on."""
     s = _sin_squared(n)
-    exp = math.exp
+    exp, neg_z = math.exp, -z
     total = 0.0
     for s2 in s:
-        total += exp(-z * s2)
-    return 0.5 * math.pi / n * (total - 0.5 * (exp(-z * s[0]) + exp(-z * s[-1])))
+        total += exp(neg_z * s2)
+    return 0.5 * math.pi / n * (total - 0.5 * (exp(neg_z * s[0]) + exp(neg_z * s[-1])))
 
 
 def _coulomb(pt: _Point, quad, failures):
@@ -366,7 +393,7 @@ def _coulomb(pt: _Point, quad, failures):
     of the module docstring, each refined on its own; their integrands are
     positive, so each sum of |f| is its value."""
     a = 0.5 * pt.b  # exponent of the relative coordinate's Gaussian
-    delta = -2.0 * pt.d  # x[1] - x[2], as in `_pair_levels`
+    delta = -2.0 * pt.d  # x[1] - x[2], as in `_x_moments`
     kappa = -pt.lam * (2.0 * pt.d)  # k[2] - k[1]
     amplitude = pt.b / (2.0 * math.pi) * (pt.c * math.sqrt(2.0 / math.pi))  # density norm, v0
 

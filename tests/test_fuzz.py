@@ -8,8 +8,9 @@ nan), from log-uniform draws of either sign, and from any float.  The
 documented non-finite results are the -inf `coulomb_term` where exp(2 x2)
 overflows, and `efield_switch`'s nan where no switch exists and inf where
 E* is past the float range.  A singular sweep row is nan past x.  The
-switch scans and the scenario also draw ranges and fields near the GaAs
-switches, so that some calls find one.
+switch searches and the scenario also draw ranges and fields near the GaAs
+switches, so that some calls find one.  The oracle draws those fields too,
+and a complete report of it is finite.
 """
 
 import math
@@ -20,7 +21,8 @@ from hypothesis import strategies as st
 
 from dotx.closed_form import efield_switch, exchange_energy, exchange_energy_lab, overlap
 from dotx.errors import DotxError
-from dotx.special import bessel_i0e
+from dotx.oracle import assemble_oracle
+from dotx.special import QuadratureSpec, bessel_i0e
 from dotx.sweeps import SweepSpec, find_switch, scan_switches, switching_scenario
 from dotx.units import GAAS, FieldConfig, MaterialParams, bohr_radius_nm
 
@@ -139,35 +141,45 @@ def test_sweep_on_both_paths(vary, x, y, steps, mat, fields):
             assert finite(row.coulomb_term) or row.coulomb_term == -math.inf, row
 
 
+AXES = st.sampled_from(["B", "E", "d"])
+
+
+def near_range(axis):
+    """A range (x, y) on the axis's scale near the GaAs switches (1 T, 5e4 V/m,
+    0.5 a_B)."""
+    scale = {"B": 1.0, "E": 5e4, "d": 0.5}[axis]
+    return st.tuples(spread(0.1, 1.0), spread(1.0, 4.0)).map(
+        lambda ends: (scale * ends[0], scale * ends[1])
+    )
+
+
+def scan_range(axis):
+    """(axis, (x, y)): a `near_range`, or any two floats."""
+    return st.tuples(st.just(axis), st.one_of(near_range(axis), st.tuples(FLOATS, FLOATS)))
+
+
+# Fields where GaAs has a switch on each axis's near range, or any.
+NEAR_FIELDS = st.builds(FieldConfig, spread(1.5, 5.0), spread(0.0, 5e4),
+                        spread(0.5, 1.0).map(lambda t: t * bohr_radius_nm(GAAS)))
+SWITCH_FIELDS = st.one_of(NEAR_FIELDS, FIELDS)
+
+
 @settings(FUZZ, max_examples=150)
-@given(st.sampled_from(["B", "E", "d"]), FLOATS, FLOATS, st.one_of(st.just(1e-9), FLOATS),
-       MATERIALS, FIELDS)
-def test_find_switch(axis, x, y, tol, mat, fields):
-    point = outcome(find_switch, axis, mat, fields, (x, y), tol)
+@given(st.one_of(
+    # all four parts near a GaAs switch, which independent draws rarely are at once
+    st.tuples(AXES.flatmap(lambda axis: st.tuples(st.just(axis), near_range(axis))),
+              st.just(1e-9), st.just(GAAS), NEAR_FIELDS),
+    st.tuples(AXES.flatmap(scan_range), st.one_of(st.just(1e-9), FLOATS), MATERIALS, SWITCH_FIELDS),
+))
+def test_find_switch(case):
+    (axis, (x, y)), tol, mat, fields = case
+    point = outcome(find_switch, axis, mat, fields, (x, y) if x < y else (y, x), tol)
     if point is not None:
         assert_switch_finite(point)
 
 
-def scan_range(axis):
-    """(axis, (x, y)): a range on the axis's scale near the GaAs switches
-    (1 T, 5e4 V/m, 0.5 a_B), or any two floats."""
-    scale = {"B": 1.0, "E": 5e4, "d": 0.5}[axis]
-    near = st.tuples(spread(0.1, 1.0), spread(1.0, 4.0)).map(
-        lambda ends: (scale * ends[0], scale * ends[1])
-    )
-    return st.tuples(st.just(axis), st.one_of(near, st.tuples(FLOATS, FLOATS)))
-
-
-# Fields where GaAs has a switch on each axis's scan range above, or any.
-SWITCH_FIELDS = st.one_of(
-    st.builds(FieldConfig, spread(1.5, 5.0), spread(0.0, 5e4),
-              spread(0.5, 1.0).map(lambda t: t * bohr_radius_nm(GAAS))),
-    FIELDS,
-)
-
-
 @settings(FUZZ, max_examples=400)
-@given(st.sampled_from(["B", "E", "d"]).flatmap(scan_range), st.integers(2, 25),
+@given(AXES.flatmap(scan_range), st.integers(2, 25),
        st.one_of(st.just(1e-9), FLOATS), MATERIALS, SWITCH_FIELDS)
 def test_scan_switches(axis_range, scan_steps, tol, mat, fields):
     axis, (x, y) = axis_range
@@ -193,3 +205,14 @@ def test_switching_scenario(mat, a_nm, b_operating, e_limit, steps_per_phase):
         for step in result.steps:
             assert finite(step.B) and finite(step.E) and finite(step.j_mev), step
 
+
+@settings(FUZZ, max_examples=400)
+@given(MATERIALS, SWITCH_FIELDS,
+       st.one_of(st.none(),
+                 st.builds(QuadratureSpec, st.integers(4, 12), st.sampled_from([1e-10, 1e-15, 0.5]))))
+def test_assemble_oracle(mat, fields, quad):
+    hb = outcome(assemble_oracle, mat, fields, quad)
+    if hb is not None and not hb.incomplete:
+        terms = [x for est in hb.upsilon.values() for x in est]
+        values = [hb.s_num, hb.j_oracle, hb.j_error, hb.j_closed_form, hb.rel_discrepancy] + terms
+        assert all(finite(v) for v in values), hb

@@ -1,5 +1,7 @@
 import cmath
+import hashlib
 import math
+import random
 import re
 import sys
 
@@ -592,9 +594,10 @@ class TestExactBrackets:
         # the two orders differ by less than the roundoff floor 16 eps l1, so
         # every error reported is that floor
         pt = _point(gaas, FieldConfig(B=B, E=E, a=d * bohr_radius_nm(gaas)))
+        levels = _pair_levels(pt)
         for label in LABELS:
             br = _bracket(pt, *_PLAN[label])
-            (v3, _), (v4, l1) = (_bracket_sum(br, level) for level in _pair_levels(pt, br.pair))
+            (v3, _), (v4, l1) = (_bracket_sum(br, level) for level in levels[br.pair])
             assert abs(v3 - v4) <= 16 * sys.float_info.epsilon * l1, label
 
     def test_brackets_do_not_depend_on_the_order(self, gaas):
@@ -631,6 +634,44 @@ class TestExactBrackets:
         assemble_oracle(gaas, fields_1t)
         assert calls == []
         assert not {"np", "numpy", "eval_orbital", "integrate_2d"} & set(vars(dotx.oracle))
+
+
+def pinned_points():
+    """The 50 check points, 300 seeded draws (B in [-60, 60] T and 0 at every
+    tenth, E in [-3e5, 3e5] V/m, d log-uniform in [0.02, 6] a_B) and two
+    points whose brackets fail, at E = 1e15 and 1e100 V/m."""
+    rng = random.Random(2070)
+    drawn = []
+    for i in range(300):
+        B, E = rng.uniform(-60.0, 60.0), rng.uniform(-3e5, 3e5)
+        d = math.exp(rng.uniform(math.log(0.02), math.log(6.0)))
+        drawn.append((0.0 if i % 10 == 0 else B, d, E))
+    return CHECK_POINTS + drawn + [(1.0, 0.7, 1e15), (1.0, 0.7, 1e100)]
+
+
+def oracle_digest(points, specs):
+    """sha256 over the repr of each `assemble_oracle` report on GaAs, or
+    `type: message` of its DotxError, point by point and spec by spec."""
+    digest = hashlib.sha256()
+    for B, d, E in points:
+        fields = FieldConfig(B=B, E=E, a=d * bohr_radius_nm(GAAS))
+        for spec in specs:
+            try:
+                out = repr(assemble_oracle(GAAS, fields, spec))
+            except DotxError as exc:
+                out = f"{type(exc).__name__}: {exc}"
+            digest.update(out.encode() + b"\n")
+    return digest.hexdigest()
+
+
+class TestPinnedBits:
+    def test_reports_and_errors_keep_their_bits(self):
+        # a regression guard: every report and error of these 1056 calls has
+        # these bits, on CPython 3.10-3.13
+        specs = [None, QuadratureSpec(order=4, rel_tol=1e-15), QuadratureSpec(order=8)]
+        assert oracle_digest(pinned_points(), specs) == (
+            "f667a33ce859cb4a5c618aec25b3a4134af45ec728e3499fb38de0696d663d4c"
+        )
 
 
 def coulomb_besseli(pt):

@@ -181,7 +181,8 @@ class TestIntegrate2D:
               for order in (8.0, 64.5, True, "64")),
         ]
         sampled = []
-        monkeypatch.setattr(dotx.oracle, "_pair_levels", lambda *args: sampled.append(args))
+        for sampler in ("_x_moments", "_y_moments"):  # the bracket nodes
+            monkeypatch.setattr(dotx.oracle, sampler, lambda *args: sampled.append(args))
         monkeypatch.setattr(dotx.oracle, "_sin_squared", sampled.append)
         singular = FieldConfig(B=1.0, E=0.0, a=0.0)  # its point raises when derived
         for spec, message in cases:
