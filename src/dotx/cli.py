@@ -357,10 +357,11 @@ def cmd_oracle(args, cfg: RunConfig) -> _Output:
             }))
             if not breakdown.incomplete:
                 compared.append(breakdown.rel_discrepancy)
-    # an incomplete point is not compared, and fails the run; with none
-    # compared there is no maximum, and from 0.0 a nan discrepancy is never one
-    worst = max(0.0, *compared) if compared else None
-    failed = len(compared) < len(records) or worst > args.threshold
+    # an incomplete point is not compared, and fails the run; with none compared
+    # there is no maximum, and a nan discrepancy (j_oracle not finite) is the
+    # maximum, which no threshold passes
+    worst = (math.nan if any(math.isnan(r) for r in compared) else max(compared)) if compared else None
+    failed = len(compared) < len(records) or not worst <= args.threshold
     payload = {
         "params": _provenance(cfg, {"grid_B_T": args.grid_b, "grid_d": args.grid_d}),
         "threshold": args.threshold,

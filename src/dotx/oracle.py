@@ -50,13 +50,17 @@ width times a polynomial of degree <= 4, which the rules of orders 3 and 4
 rounding; with the sum of |f| at order 4, bounded through |P + Q| <=
 |a| |u|^2 + |b| |u| + |c + q0| + |q2| |y|^2 for P = (a u + b) u + c and
 Q = q2 y^2 + q0, it gives the error by the test `_refine` accepts a level
-with.  Whatever imaginary part a sum keeps joins the error.
+with.  That bound is read at order 4 only, so only order 4 sums |.|
+moments, and as every X weight is >= 0 only the odd x^k need their own.
+Whatever imaginary part a sum keeps joins the error.
 
 The 13 brackets take their moments from four orbital pairs, and exchanging
 the two dots repeats three of the pairs' eight moment sets, so a point sums
 five: (1, 2) has the X of (2, 1), whose midpoint and (t + h)^2 + (t - h)^2
 are the same floats for the half separation h and -h, and the conjugate of
 its Y, as kappa flips sign; (1, 1) and (2, 2) share the Y of kappa = 0.
+Their operators have six coefficient sets, formed once per point: 1, W,
+and H1 and H2 on each ket, each H set serving one u1 and one u2 bracket.
 
 The Coulomb pair goes through the Gaussian transform 1/r = (2/sqrt(pi))
 int_0^inf exp(-r^2 t^2) dt (Boys, Proc. R. Soc. A 200, 542 (1950)).  The
@@ -190,17 +194,6 @@ def _settle(result, failures, label):
     return value, result.error_estimate if result.error_estimate is not None else math.inf
 
 
-class _Bracket(NamedTuple):
-    """<bra| P(x) + Q(y) |ket> for (bra, ket) = _PAIRS[pair], P = (a u + b) u + c
-    for p = (a, b, c), u = x^2 if quartic else x, and Q = q2 y^2 + q0 for
-    q = (q2, q0), or 0."""
-
-    pair: int
-    p: tuple
-    quartic: bool = False
-    q: tuple | None = None
-
-
 _SQRT_PI, _SQRT_6 = math.sqrt(math.pi), math.sqrt(6.0)
 
 # The Gauss-Hermite rules of orders 3 and 4 in closed form, as (node t,
@@ -218,8 +211,9 @@ _RULES = tuple(
 
 
 def _x_moments(pt: _Point, bra, ket):
-    """Per rule in `_RULES`, the moments mx[k] = sum w X x^k and ax[k] = sum w X |x|^k
-    of the orbital pair (bra, ket)'s X for k = 0..4."""
+    """(mx3, mx4, ax4): the moments sum w X x^k of the orbital pair (bra, ket)'s X
+    for k = 0..4 at orders 3 and 4, and the order-4 sums of |w X x^k|.  Every
+    w X is >= 0, so the even k's are the signed sums, bit for bit."""
     beta = pt.b  # the orbitals of a point share their width
     scale = 1.0 / math.sqrt(beta)
     center = 0.5 * (pt.x[bra] + pt.x[ket])  # nodes centred between the two orbitals
@@ -229,8 +223,8 @@ def _x_moments(pt: _Point, bra, ket):
     half = (ket - bra) * pt.d
     amplitude, exponent = beta / math.pi, -0.5 * beta
     levels = []
-    for rule in _RULES:
-        m0 = m1 = m2 = m3 = m4 = a0 = a1 = a2 = a3 = a4 = 0.0
+    for rule, bound in zip(_RULES, (False, True)):
+        m0 = m1 = m2 = m3 = m4 = a1 = a3 = 0.0
         for t, w in rule:
             st = scale * t
             x = center + st
@@ -240,52 +234,66 @@ def _x_moments(pt: _Point, bra, ket):
             w3 = w2 * x
             w4 = w3 * x
             m0, m1, m2, m3, m4 = m0 + w0, m1 + w1, m2 + w2, m3 + w3, m4 + w4
-            a0, a1, a2, a3, a4 = a0 + abs(w0), a1 + abs(w1), a2 + abs(w2), a3 + abs(w3), a4 + abs(w4)
-        levels.append(([m0, m1, m2, m3, m4], [a0, a1, a2, a3, a4]))
-    return levels
+            if bound:
+                a1, a3 = a1 + abs(w1), a3 + abs(w3)
+        levels.append([m0, m1, m2, m3, m4])
+    return levels[0], levels[1], [m0, a1, m2, a3, m4]
 
 
 def _y_moments(pt: _Point, bra, ket):
-    """Per rule in `_RULES`, my = (sum w Y, sum w Y y^2) and (sum |w Y|, sum |w Y| |y|^2)
-    of the orbital pair (bra, ket)'s Y on the contour through its saddle point."""
+    """(my3, my4, ay4): (sum w Y, sum w Y y^2) of the orbital pair (bra, ket)'s Y on
+    the contour through its saddle point at orders 3 and 4, and the order-4
+    (sum |w Y|, sum |w Y| |y|^2)."""
     beta = pt.b
     scale = 1.0 / math.sqrt(beta)
     # kappa = -lambda (x_ket - x_bra), from the wells as in `_x_moments`
     i_kappa = 1j * (-pt.lam * (2.0 * ((ket - bra) * pt.d)))
     saddle = i_kappa / (2.0 * beta)
     levels = []
-    for rule in _RULES:
+    for rule, bound in zip(_RULES, (False, True)):
         my0 = my2 = abs_my0 = abs_my2 = 0.0
         for t, w in rule:
             y = saddle + scale * t
             wy = w * cmath.exp(i_kappa * y - beta * y * y)  # w Y
             my0, my2 = my0 + wy, my2 + wy * y * y
-            abs_my0, abs_my2 = abs_my0 + abs(wy), abs_my2 + abs(wy) * abs(y) ** 2
-        levels.append(((my0, my2), (abs_my0, abs_my2)))
-    return levels
+            if bound:
+                abs_wy = abs(wy)
+                abs_my0, abs_my2 = abs_my0 + abs_wy, abs_my2 + abs_wy * abs(y) ** 2
+        levels.append((my0, my2))
+    return levels[0], levels[1], (abs_my0, abs_my2)
 
 
 def _pair_levels(pt: _Point):
-    """Per orbital pair of `_PAIRS`, its moments (mx, ax, my, abs_my) at each
-    rule, from the five distinct sets of the module docstring."""
+    """Per orbital pair of `_PAIRS`, its moments (mx3, my3, mx4, my4, ax4, ay4)
+    at orders 3 and 4, from the five distinct sets of the module docstring."""
     x_cross, y_cross, y_diag = _x_moments(pt, 2, 1), _y_moments(pt, 2, 1), _y_moments(pt, 1, 1)
-    y_conj = [((my0.conjugate(), my2.conjugate()), abs_my) for (my0, my2), abs_my in y_cross]
+    (my3_0, my3_2), (my4_0, my4_2), ay4 = y_cross
+    y_conj = ((my3_0.conjugate(), my3_2.conjugate()), (my4_0.conjugate(), my4_2.conjugate()), ay4)
     sets = ((x_cross, y_cross), (_x_moments(pt, 1, 1), y_diag), (_x_moments(pt, 2, 2), y_diag), (x_cross, y_conj))
-    return [[x + y for x, y in zip(xs, ys)] for xs, ys in sets]
+    return [(mx3, my3, mx4, my4, ax4, ay4) for (mx3, mx4, ax4), (my3, my4, ay4) in sets]
 
 
-def _bracket_sum(br: _Bracket, level):
-    """The bracket's sum at one level from the pair's moments, and the bound
-    on its sum of |f| of the module docstring, both still to be multiplied
-    by the squared node scale 1/b."""
-    a, b, c = br.p
-    q2, q0 = br.q or (0.0, 0.0)
-    hi, lo = (4, 2) if br.quartic else (2, 1)  # the powers of x in u^2 and u
-    mx, ax, (my0, my2), (abs_my0, abs_my2) = level
-    c0 = c + q0  # first, as P's and Q's constants cancel in the H brackets
-    value = (a * mx[hi] + b * mx[lo]) * my0 + mx[0] * (c0 * my0 + q2 * my2)
-    l1 = (abs(a) * ax[hi] + abs(b) * ax[lo] + abs(c0) * ax[0]) * abs_my0 + ax[0] * abs(q2) * abs_my2
-    return complex(value), l1
+def _operators(pt: _Point):
+    """The point's six operator coefficient sets, {"1", "W", "H1A", "H1B", "H2A",
+    "H2B"}: H_j on the ket A (dot 1's orbital) or B (dot 2's) as P + Q of the
+    module docstring, and W = W_1 + W_2.  Each set is (a, b, c + q0, q2, hi, lo)
+    for P = (a u + b) u + c, Q = q2 y^2 + q0 and x^hi = u^2, x^lo = u.
+    W_s(x) = 1/2 [ (x^2 - d^2)^2 / (4 d^2) - (x - s d)^2 ] completes the
+    harmonic well s to the smooth quartic double well, so the sum over both
+    wells is what every two-particle bracket sees."""
+    d2 = pt.d * pt.d
+    beta, lam = pt.b, pt.lam
+    c2 = 0.5 * (1.0 + lam * lam - beta * beta)  # shared by P and Q
+    # W_1 + W_2 = x^4 / (4 d^2) - 3 x^2 / 2 - 3 d^2 / 4; q0 = 0 for 1 and W
+    ops = {"1": (0.0, 0.0, 1.0, 0.0, 2, 1), "W": (0.25 / d2, -1.5, -0.75 * d2, 0.0, 4, 2)}
+    for ket, name in ((1, "A"), (2, "B")):
+        k, cx = pt.k[ket], pt.x[ket]
+        for op, s_well in (("H1", -pt.d), ("H2", pt.d)):
+            p1 = beta * beta * cx + lam * k + pt.fshift - s_well
+            p0 = beta - 0.5 * beta * beta * cx * cx + 0.5 * s_well * s_well
+            # c + q0 before the moments, as P's and Q's constants cancel
+            ops[op + name] = (c2, p1, p0 + 0.5 * k * k, c2, 2, 1)
+    return ops
 
 
 # The single-particle brackets, in the order their failures are reported
@@ -295,46 +303,31 @@ _U5 = ("u5 <A|W|A>", "u5 <B|W|B>", "u5 <B|W|A>", "u5 <A|W|B>")
 
 
 # The brackets' (bra, ket) pairs as dot indices, and each label's pair number and
-# operator: "overlap" is <B|1|A>; in "uN <bra|op|ket>" A is dot 1's orbital, B dot 2's
+# `_operators` set: "overlap" is <B|1|A>; in "uN <bra|op|ket>" A is dot 1's
+# orbital, B dot 2's, and H_j takes the set of its ket
 _PAIRS = ((2, 1), (1, 1), (2, 2), (1, 2))
 _PLAN = {
-    label: (_PAIRS.index(("AB".index(bra) + 1, "AB".index(ket) + 1)), op)
+    label: (_PAIRS.index(("AB".index(bra) + 1, "AB".index(ket) + 1)), op + ket if op[0] == "H" else op)
     for label in ("overlap",) + _U1 + _U2 + _U5
     for bra, op, ket in [label[4:-1].split("|") if label != "overlap" else ("B", "1", "A")]
 }
 
 
-def _bracket(pt: _Point, pair, op):
-    """The bracket of `op` on the ket of the orbital pair number `pair`: "1",
-    H_j as "Hj" (P + Q of the module docstring), or "W" for W = W_1 + W_2.
-    W_s(x) = 1/2 [ (x^2 - d^2)^2 / (4 d^2) - (x - s d)^2 ] completes the
-    harmonic well s to the smooth quartic double well, so the sum over both
-    wells is what every two-particle bracket sees."""
-    d2 = pt.d * pt.d
-    if op == "1":
-        return _Bracket(pair, (0.0, 0.0, 1.0))
-    if op == "W":  # W_1 + W_2 = x^4 / (4 d^2) - 3 x^2 / 2 - 3 d^2 / 4
-        return _Bracket(pair, (0.25 / d2, -1.5, -0.75 * d2), quartic=True)
-    ket = _PAIRS[pair][1]
-    beta, k, cx, lam = pt.b, pt.k[ket], pt.x[ket], pt.lam
-    s_well = pt.d if op == "H2" else -pt.d
-    c2 = 0.5 * (1.0 + lam * lam - beta * beta)  # shared by P and Q
-    p1 = beta * beta * cx + lam * k + pt.fshift - s_well
-    p0 = beta - 0.5 * beta * beta * cx * cx + 0.5 * s_well * s_well
-    return _Bracket(pair, (c2, p1, p0), q=(c2, 0.5 * k * k))
-
-
 def _brackets(pt: _Point, quad, labels):
-    """{label: (value, error) or QuadratureError} of the point's `labels`,
-    each summed at orders 3 and 4 and accepted at quad.rel_tol."""
-    levels, out = _pair_levels(pt), {}
+    """{label: (value, error) or QuadratureError} of the point's `labels`, each
+    summed at orders 3 and 4 from its pair's moments, as (int X P)(int Y) +
+    (int X)(int Y Q), with the order-4 bound on its sum of |f| of the module
+    docstring, and accepted at quad.rel_tol."""
+    levels, ops, out = _pair_levels(pt), _operators(pt), {}
     scale2 = 1.0 / pt.b  # the squared node scale
     for label in labels:
-        br = _bracket(pt, *_PLAN[label])
-        lo, hi = levels[br.pair]
-        v_lo = _bracket_sum(br, lo)[0]
-        v_hi, l1 = _bracket_sum(br, hi)
-        out[label], converged = _compare_levels(v_lo * scale2, v_hi * scale2, l1 * scale2, quad.rel_tol)
+        pair, key = _PLAN[label]
+        a, b, c0, q2, hi, lo = ops[key]
+        mx3, (y3, y3_2), mx4, (y4, y4_2), ax, (ay, ay_2) = levels[pair]
+        v3 = (a * mx3[hi] + b * mx3[lo]) * y3 + mx3[0] * (c0 * y3 + q2 * y3_2)
+        v4 = (a * mx4[hi] + b * mx4[lo]) * y4 + mx4[0] * (c0 * y4 + q2 * y4_2)
+        l1 = (abs(a) * ax[hi] + abs(b) * ax[lo] + abs(c0) * ax[0]) * ay + ax[0] * abs(q2) * ay_2
+        out[label], converged = _compare_levels(v3 * scale2, v4 * scale2, l1 * scale2, quad.rel_tol)
         if not converged:
             value, error = out[label]
             message = f"Gauss-Hermite bracket rule did not converge to rel_tol={quad.rel_tol} by order 4"

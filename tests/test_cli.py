@@ -378,6 +378,23 @@ class TestOracleCommand:
         payload = json.loads(out.read_text())
         assert payload["max_rel_discrepancy"] is None and payload["all_within_threshold"] is False
 
+    def test_nan_discrepancy_fails(self, capsys, tmp_path):
+        # u4/S^2 overflows in the assembly: j_oracle is -inf against a finite
+        # closed-form J, so the complete point's discrepancy is nan, the
+        # maximum is nan and the run fails
+        out = tmp_path / "report.json"
+        code, stdout, err = run(
+            capsys, "oracle", "--grid-b", "10", "--grid-d", "1.9572078416108338", "--E", "1e5",
+            "--c-override", "6.167970177000712e+301", "--out", str(out),
+        )
+        assert (code, err) == (4, "")
+        assert stdout.splitlines()[-1] == "max relative discrepancy: nan (threshold 0.01)"
+        payload = json.loads(out.read_text())
+        assert payload["max_rel_discrepancy"] is None and payload["all_within_threshold"] is False
+        (point,) = payload["points"]
+        assert "incomplete" not in point and point["j_oracle"] is None and point["rel_discrepancy"] is None
+        assert math.isfinite(point["j_closed_form"])
+
     def test_each_grid_point_derived_once(self, capsys, tmp_path, count_derivations):
         # one derivation for the provenance, one per grid point, whose b, d and
         # c the report takes from the oracle's own point

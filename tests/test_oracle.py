@@ -16,7 +16,7 @@ from dotx.errors import DotxError, QuadratureError, SingularConfigurationError
 from dotx.oracle import assemble_oracle
 import dotx.special
 from dotx.oracle import (  # noqa: internal, exercised directly
-    _PAIRS, _PLAN, _U1, _U2, _U5, _bracket, _bracket_sum, _brackets, _coulomb, _pair_levels, _point,
+    _PAIRS, _PLAN, _RULES, _U1, _U2, _U5, _brackets, _compare_levels, _coulomb, _operators, _point,
     _sum_elements,
 )
 from dotx.special import QuadratureSpec
@@ -530,11 +530,12 @@ def gaussian_moment_bracket(pt, label):
         int Y dy = sqrt(pi/b) exp(-kappa^2/(4b)),
         int Y y^2 dy = int Y dy (1/(2b) - kappa^2/(4b^2)).
 
-    P and Q are the oracle's own float coefficients (`_bracket`)."""
+    P and Q are the oracle's own float coefficients (`_operators`), with
+    P's and Q's constants summed as c0 = c + q0."""
     from mpmath import mp, mpf
 
-    pair, op = _PLAN[label]
-    br = _bracket(pt, pair, op)
+    pair, key = _PLAN[label]
+    a, b, c0, q2, hi, lo = _operators(pt)[key]
     bra, ket = _PAIRS[pair]
     with mp.workdps(40):
         beta, d, lam, f = (mpf(v) for v in (pt.b, pt.d, pt.lam, pt.fshift))
@@ -546,11 +547,96 @@ def gaussian_moment_bracket(pt, label):
         mx = [gx * m for m in (1, c, c**2 + v, c**3 + 3 * c * v, c**4 + 6 * c * c * v + 3 * v * v)]
         my0 = mp.sqrt(mp.pi / beta) * mp.exp(-kappa**2 / (4 * beta))
         my2 = my0 * (v - kappa**2 / (4 * beta**2))
-        a, b, c0 = (mpf(t) for t in br.p)
-        q2, q0 = (mpf(t) for t in (br.q or (0.0, 0.0)))
-        hi, lo = (4, 2) if br.quartic else (2, 1)
-        value = (a * mx[hi] + b * mx[lo] + c0 * mx[0]) * my0 + mx[0] * (q2 * my2 + q0 * my0)
+        a, b, c0, q2 = (mpf(t) for t in (a, b, c0, q2))
+        value = (a * mx[hi] + b * mx[lo] + c0 * mx[0]) * my0 + mx[0] * q2 * my2
         return value, beta * h * h + kappa**2 / (4 * beta)
+
+
+def reference_moments(pt, bra, ket):
+    """Per rule of `_RULES`, (mx, ax, (my0, my2), (abs_my0, abs_my2)) of the
+    orbital pair (bra, ket): sum w X x^k and sum |w X x^k| for k = 0..4, and
+    Y's (sum w Y, sum w Y y^2) and (sum |w Y|, sum |w Y| |y|^2), every sum
+    taken at both orders.  (1, 2) takes the conjugate of (2, 1)'s Y, as the
+    oracle defines it; its X is summed on its own."""
+    beta = pt.b
+    scale = 1.0 / math.sqrt(beta)
+    center, half = 0.5 * (pt.x[bra] + pt.x[ket]), (ket - bra) * pt.d
+    y_bra, y_ket = (2, 1) if (bra, ket) == (1, 2) else (bra, ket)
+    i_kappa = 1j * (-pt.lam * (2.0 * ((y_ket - y_bra) * pt.d)))
+    saddle = i_kappa / (2.0 * beta)
+    levels = []
+    for rule in _RULES:
+        mx, ax = [0.0] * 5, [0.0] * 5
+        my0 = my2 = abs_my0 = abs_my2 = 0.0
+        for t, w in rule:
+            st = scale * t
+            x = center + st
+            wx = w * (beta / math.pi * math.exp(-0.5 * beta * ((st + half) ** 2 + (st - half) ** 2)))
+            for k in range(5):
+                mx[k] += wx
+                ax[k] += abs(wx)
+                wx *= x
+            y = saddle + scale * t
+            wy = w * cmath.exp(i_kappa * y - beta * y * y)
+            my0, my2 = my0 + wy, my2 + wy * y * y
+            abs_my0, abs_my2 = abs_my0 + abs(wy), abs_my2 + abs(wy) * abs(y) ** 2
+        if (y_bra, y_ket) != (bra, ket):
+            my0, my2 = my0.conjugate(), my2.conjugate()
+        levels.append((mx, ax, (my0, my2), (abs_my0, abs_my2)))
+    return levels
+
+
+def reference_sums(pt, label):
+    """(v3, v4, l1) of the bracket `label`, summed as each bracket once was on
+    its own: its operator's coefficients formed for it alone, and its value at
+    orders 3 and 4 and its bound on the sum of |f| at order 4 from its pair's
+    full moments, all still to be multiplied by the squared node scale 1/b."""
+    bra, op, ket = label[4:-1].split("|") if label != "overlap" else ("B", "1", "A")
+    bra, ket = "AB".index(bra) + 1, "AB".index(ket) + 1
+    d2 = pt.d * pt.d
+    if op == "1":
+        (a, b, c), quartic, (q2, q0) = (0.0, 0.0, 1.0), False, (0.0, 0.0)
+    elif op == "W":
+        (a, b, c), quartic, (q2, q0) = (0.25 / d2, -1.5, -0.75 * d2), True, (0.0, 0.0)
+    else:
+        beta, k, cx, lam = pt.b, pt.k[ket], pt.x[ket], pt.lam
+        s_well = pt.d if op == "H2" else -pt.d
+        c2 = 0.5 * (1.0 + lam * lam - beta * beta)
+        a, b = c2, beta * beta * cx + lam * k + pt.fshift - s_well
+        c = beta - 0.5 * beta * beta * cx * cx + 0.5 * s_well * s_well
+        quartic, (q2, q0) = False, (c2, 0.5 * k * k)
+    hi, lo = (4, 2) if quartic else (2, 1)
+    sums = []
+    for mx, ax, (my0, my2), (abs_my0, abs_my2) in reference_moments(pt, bra, ket):
+        c0 = c + q0
+        value = (a * mx[hi] + b * mx[lo]) * my0 + mx[0] * (c0 * my0 + q2 * my2)
+        l1 = (abs(a) * ax[hi] + abs(b) * ax[lo] + abs(c0) * ax[0]) * abs_my0 + ax[0] * abs(q2) * abs_my2
+        sums.append((complex(value), l1))
+    (v3, _), (v4, l1) = sums
+    return v3, v4, l1
+
+
+def reference_brackets(pt, quad, labels):
+    """`_brackets` from `reference_sums`, each bracket accepted as the oracle
+    accepts it."""
+    out = {}
+    for label in labels:
+        v3, v4, l1 = reference_sums(pt, label)
+        scale2 = 1.0 / pt.b
+        out[label], converged = _compare_levels(v3 * scale2, v4 * scale2, l1 * scale2, quad.rel_tol)
+        if not converged:
+            message = f"Gauss-Hermite bracket rule did not converge to rel_tol={quad.rel_tol} by order 4"
+            out[label] = QuadratureError(message, value=out[label][0], error_estimate=out[label][1])
+    return out
+
+
+def bracket_outcomes(res):
+    """The repr of a `_brackets` result, each QuadratureError as its message,
+    value and error estimate."""
+    return repr([
+        (label, (str(r), r.value, r.error_estimate) if isinstance(r, QuadratureError) else r)
+        for label, r in res.items()
+    ])
 
 
 class TestExactBrackets:
@@ -592,13 +678,34 @@ class TestExactBrackets:
     @pytest.mark.parametrize("B, d, E", CHECK_POINTS)
     def test_orders_three_and_four_agree_to_rounding(self, gaas, B, d, E):
         # the two orders differ by less than the roundoff floor 16 eps l1, so
-        # every error reported is that floor
+        # every error reported is that floor (`reference_sums` has the
+        # oracle's bits, as the next test checks)
         pt = _point(gaas, FieldConfig(B=B, E=E, a=d * bohr_radius_nm(gaas)))
-        levels = _pair_levels(pt)
+        res = _brackets(pt, QuadratureSpec(), LABELS)
         for label in LABELS:
-            br = _bracket(pt, *_PLAN[label])
-            (v3, _), (v4, l1) = (_bracket_sum(br, level) for level in levels[br.pair])
+            v3, v4, l1 = reference_sums(pt, label)
             assert abs(v3 - v4) <= 16 * sys.float_info.epsilon * l1, label
+            assert res[label][1] == 16 * sys.float_info.epsilon * (l1 * (1.0 / pt.b)), label
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(
+        B=st.floats(-60.0, 60.0),
+        log_d=st.floats(math.log(0.02), math.log(6.0)),
+        E=st.floats(-3e5, 3e5),
+        spec=st.sampled_from([QuadratureSpec(), QuadratureSpec(order=4, rel_tol=1e-15)]),
+    )
+    @example(B=0.0, log_d=math.log(0.7), E=1e5, spec=QuadratureSpec())
+    @example(B=0.0, log_d=math.log(6.0), E=-3e5, spec=QuadratureSpec(order=4, rel_tol=1e-15))
+    @example(B=1.0, log_d=math.log(0.7), E=1e100, spec=QuadratureSpec())  # x^4 overflows
+    def test_brackets_have_the_bits_of_per_bracket_sums(self, B, log_d, E, spec):
+        # the six shared operator sets, the |.| moments summed at order 4 only
+        # and the even ones read from the signed sums move no bit
+        try:
+            pt = _point(GAAS, FieldConfig(B=B, E=E, a=math.exp(log_d) * bohr_radius_nm(GAAS)))
+        except DotxError:
+            return
+        got, want = _brackets(pt, spec, LABELS), reference_brackets(pt, spec, LABELS)
+        assert bracket_outcomes(got) == bracket_outcomes(want)
 
     def test_brackets_do_not_depend_on_the_order(self, gaas):
         pt = _point(gaas, FieldConfig(B=3.0, E=1e5, a=bohr_radius_nm(gaas)))
