@@ -187,11 +187,15 @@ def _reject(cases, tests, b, d, c, chi):
 
 def _fold(cases, tests, valid, overflows):
     """`_reject` over arrays, in place: `valid` keeps the points that pass
-    every test, `overflows` gains those whose first failed case overflows."""
+    every test, `overflows` gains those whose first failed case overflows.
+    True if some test fails; where none does, it changes nothing."""
+    if all(test.all() for test in tests):
+        return False
     for test, (error, _) in zip(tests, cases):
         if error is ParameterOverflowError:
             overflows |= valid & ~test
         valid &= test
+    return True
 
 
 def _formula(b, d2, c, chi, i0e, held, exp=math.exp, expm1=math.expm1, sqrt=math.sqrt):
@@ -345,25 +349,22 @@ def exchange_energy_arrays(mat: MaterialParams, B, E, a) -> ExchangeColumns:
         )
         j_mev = j_dimensionless * mat.confinement_energy
         ok, kept_overflows = np.ones_like(kept, dtype=bool), np.zeros_like(kept, dtype=bool)
-        _fold(_SETTLES, _settles(arg, csb, efield_term, j_mev, np.isfinite), ok, kept_overflows)
-        overflows[kept] |= kept_overflows
+        if _fold(_SETTLES, _settles(arg, csb, efield_term, j_mev, np.isfinite), ok, kept_overflows):
+            overflows[kept] |= kept_overflows
+            valid[kept[~ok]] = False
         if overflows.any():  # the scalar form's error, at the first point where it raises
             b0, d0, chi0 = (v[np.flatnonzero(overflows)[0]].item() for v in points)
             _terms(b0, d0, c, chi0, mat.confinement_energy)
-        valid[kept[~ok]] = False
 
-        prefactor = 2.0 * em
-        near = arg < 350.0
-        prefactor[near] = 1.0 / np.sinh(arg[near])
-        coulomb_term = np.full_like(arg, -math.inf)
-        finite = 2.0 * x2 < 700.0
-        coulomb_term[finite] = csb[finite] * (
-            i0e_x1[finite] - np.exp(2.0 * x2[finite]) * i0e_x2[finite]
+        prefactor = np.where(arg < 350.0, 1.0 / np.sinh(arg), 2.0 * em)
+        coulomb_term = np.where(
+            2.0 * x2 < 700.0, csb * (i0e_x1 - np.exp(2.0 * x2) * i0e_x2), -math.inf
         )
         s_overlap = np.exp(-d * d * (2.0 * b - 1.0 / b))
+    all_valid = valid.all()
 
     def column(values):
-        if valid.all():
+        if all_valid:
             return values
         out = np.full(valid.shape, math.nan)
         out[valid] = values[ok]

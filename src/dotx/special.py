@@ -139,28 +139,63 @@ def bessel_i0e(x: float) -> float:
 
 
 def bessel_i0e_array(x: np.ndarray) -> np.ndarray:
-    """`bessel_i0e` of each element of a 1-D float array; numpy's exp in the
-    series branch may move a value by an ulp or two from the scalar one."""
+    """`bessel_i0e` of each element of a 1-D array, taken as float64; numpy's
+    exp in the series branch may move a value by an ulp or two from the
+    scalar one.
+
+    The series sums the terms of `_i0_series` for every element at once and
+    ends at the first k where the term of the element with the largest q =
+    x^2/4 is below 2^-55 of its sum, at most `_I0_SERIES_TERMS` terms.  That
+    keeps the bits of the whole fixed-length sum: the ratio of the k-th term
+    q^k/(k!)^2 to the sum up to it rises with q, so every element's term is
+    below 2^-55 of its sum too.  A term that small is past the largest one
+    (a largest term is at least 1/(k+1) of the sum), so q/(k+1)^2 < 1 and
+    each later term is smaller still: under half an ulp of the sum, which
+    adding it leaves as it is.
+    """
     import numpy as np
 
+    x = np.abs(np.asarray(x, dtype=np.float64))
     if np.isnan(x).any():
         raise InvalidArgumentError("bessel_i0e received NaN")
-    x = np.abs(x)
-    out = np.empty_like(x)
     small = x < _I0_SPLIT
-    xs, xl = x[small], x[~small]
-    if xs.size:  # each branch runs only on a non-empty part
-        q = 0.25 * xs * xs
-        total = np.ones_like(xs)
-        term = np.ones_like(xs)
-        for k2 in _K_SQUARED:
-            term *= q / k2
-            total += term
-        out[small] = np.exp(-xs) * total
-    if xl.size:
-        with np.errstate(over="ignore"):  # 2 pi x is inf near x = 1e308, as in float
-            out[~small] = _i0e_large(xl, np.sqrt)
+    if small.all():  # an array on one side of the splice is neither gathered nor scattered
+        return _i0e_series_array(x)
+    with np.errstate(over="ignore"):  # 2 pi x is inf near x = 1e308, as in float
+        if not small.any():
+            return _i0e_large(x, np.sqrt)
+        out = np.empty_like(x)
+        out[~small] = _i0e_large(x[~small], np.sqrt)
+    out[small] = _i0e_series_array(x[small])
     return out
+
+
+def _i0e_series_array(x):
+    # exp(-x) times `_i0_series` of a float64 array below the splice, to the
+    # term at which `bessel_i0e_array` stops.
+    import numpy as np
+
+    q = 0.25 * x * x
+    total = np.ones_like(x)
+    term = np.ones_like(x)
+    ratio = np.empty_like(x)
+    for k2 in _K_SQUARED[:_series_length(float(q.max(initial=0.0)))]:
+        term *= np.divide(q, k2, out=ratio)
+        total += term
+    total *= np.exp(-x, out=ratio)
+    return total
+
+
+def _series_length(q):
+    # The terms the series of the largest q needs: its recurrence, in the
+    # array's float operations, to the first term below 2^-55 of the sum.
+    total = term = 1.0
+    for n, k2 in enumerate(_K_SQUARED, 1):
+        term *= q / k2
+        total += term
+        if term < 2.0**-55 * total:
+            return n
+    return _I0_SERIES_TERMS
 
 
 # The oracle's Coulomb trapezoid sums reach 12x this order by their fourth

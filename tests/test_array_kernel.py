@@ -131,8 +131,9 @@ class TestBesselArray:
             ([_I0_SPLIT, 12.0, -800.0, 1e300, math.inf], 1),
             ([0.3, _I0_SPLIT, -2.0, 40.0], 1),
             ([], 0),
+            ([1, 2], 0),
         ],
-        ids=["all-small", "all-large", "mixed", "empty"],
+        ids=["all-small", "all-large", "mixed", "empty", "int"],
     )
     def test_branches_run_only_on_their_arguments(self, monkeypatch, x, large_calls):
         calls = []
@@ -143,7 +144,7 @@ class TestBesselArray:
             return large(values, *args)
 
         monkeypatch.setattr(dotx.special, "_i0e_large", counted)
-        got = bessel_i0e_array(np.array(x, dtype=float)).tolist()
+        got = bessel_i0e_array(np.array(x)).tolist()
         assert len(calls) == large_calls and 0 not in calls
         monkeypatch.undo()
         assert_i0e_close(got, x)
@@ -166,6 +167,140 @@ class TestBesselArray:
 
         xs = np.linspace(0.0, _I0_SPLIT, 50001)[:-1].tolist() + [math.nextafter(_I0_SPLIT, 0.0)]
         assert dotx.special._I0_SERIES_TERMS == max(map(loop_length, xs))
+
+
+def i0e_whole_series(x):
+    """`bessel_i0e_array` with every term of the series summed, each branch
+    gathered from and scattered back into the whole array."""
+    x = np.abs(np.asarray(x, dtype=float))
+    out = np.empty_like(x)
+    small = x < _I0_SPLIT
+    xs, xl = x[small], x[~small]
+    if xs.size:
+        q = 0.25 * xs * xs
+        total, term = np.ones_like(xs), np.ones_like(xs)
+        for k in range(1, dotx.special._I0_SERIES_TERMS + 1):
+            term *= q / float(k * k)
+            total += term
+        out[small] = np.exp(-xs) * total
+    if xl.size:
+        with np.errstate(over="ignore"):
+            out[~small] = dotx.special._i0e_large(xl, np.sqrt)
+    return out
+
+
+def kernel_whole_work(mat, B, E, a):
+    """`exchange_energy_arrays` with every row's whole work: the series of
+    `i0e_whole_series`, the accept rule folded on every row, and `prefactor`
+    and `coulomb_term` gathered on their branches and scattered back."""
+    from dotx.closed_form import _ADMITS, _SETTLES, _admits, _formula, _settles
+    from dotx.units import E_CHARGE, NM_TO_M, _material_constants
+
+    def fold(cases, tests, valid, overflows):
+        for test, (error, _) in zip(tests, cases):
+            if error is ParameterOverflowError:
+                overflows |= valid & ~test
+            valid &= test
+
+    B, E, a = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float)) for v in (B, E, a)))
+    m, omega0, a_b, c, quantum = _material_constants(mat)
+    with np.errstate(all="ignore"):
+        b = np.hypot(omega0, E_CHARGE * np.abs(B) / (2.0 * m)) / omega0
+        d = a / a_b
+        chi = E_CHARGE * E * a * NM_TO_M / quantum
+        valid = np.isfinite(a) & (a > 0.0) & np.isfinite(B) & np.isfinite(E)
+        overflows = np.zeros_like(valid)
+        fold(_ADMITS, _admits(b, d, c, chi, np.isfinite), valid, overflows)
+        kept = np.flatnonzero(valid)
+        b, d, chi = b[kept], d[kept], chi[kept]
+        x2, arg, em, csb, i0e_x1, i0e_x2, quartic_term, efield_term, j_dimensionless = _formula(
+            b, d * d, c, chi, i0e_whole_series, None, np.exp, np.expm1, np.sqrt
+        )
+        j_mev = j_dimensionless * mat.confinement_energy
+        ok, kept_overflows = np.ones_like(kept, dtype=bool), np.zeros_like(kept, dtype=bool)
+        fold(_SETTLES, _settles(arg, csb, efield_term, j_mev, np.isfinite), ok, kept_overflows)
+        overflows[kept] |= kept_overflows
+        assert not overflows.any()
+        valid[kept[~ok]] = False
+        prefactor = 2.0 * em
+        near = arg < 350.0
+        prefactor[near] = 1.0 / np.sinh(arg[near])
+        coulomb_term = np.full_like(arg, -math.inf)
+        finite = 2.0 * x2 < 700.0
+        coulomb_term[finite] = csb[finite] * (
+            i0e_x1[finite] - np.exp(2.0 * x2[finite]) * i0e_x2[finite]
+        )
+        s_overlap = np.exp(-d * d * (2.0 * b - 1.0 / b))
+    columns = []
+    for values in (b, d, chi, prefactor, coulomb_term, quartic_term, efield_term,
+                   j_dimensionless, j_mev, s_overlap):
+        out = np.full(valid.shape, math.nan)
+        out[valid] = values[ok]
+        columns.append(out)
+    return columns + [valid]
+
+
+# A d row from 1e-170 to 2e-153, whose first 64 points the accept rule rejects.
+SINGULAR_D_ROW = (np.zeros(1601), np.zeros(1601), np.linspace(1e-170, 2e-153, 1601) * A_B)
+
+
+def phase_map_rows():
+    """(B, E, a) rows of 1601 points over the bench phase-map's ranges: B
+    rows to 7-8 T at E up to 3e5 V/m, d rows over 0.1-1.5 at B up to 3 T,
+    both at a/a_B in 0.6-0.8; and `SINGULAR_D_ROW`."""
+    rng = np.random.default_rng(35)
+    rows = []
+    for i in range(6):
+        a = np.full(1601, rng.uniform(0.6, 0.8) * A_B)
+        B = np.linspace(0.0, rng.uniform(7.0, 8.0), 1601)
+        rows.append(pytest.param(B, np.full(1601, rng.uniform(0.0, 3e5)), a, id=f"B-{i}"))
+        d = np.linspace(rng.uniform(0.1, 0.15), rng.uniform(1.4, 1.5), 1601)
+        B, E = np.full(1601, rng.uniform(0.0, 3.0)), np.full(1601, rng.uniform(0.0, 5e4))
+        rows.append(pytest.param(B, E, d * A_B, id=f"d-{i}"))
+    return rows + [pytest.param(*SINGULAR_D_ROW, id="singular-d")]
+
+
+class TestSameBitsAsWholeWork:
+    """The early-stopping series and the row that skips its mask work give
+    the bytes of the forms that do all of it, on the machine that runs the
+    test (numpy's exp and sinh bits vary by CPU, so no digest is pinned)."""
+
+    @pytest.mark.parametrize("B, E, a", phase_map_rows())
+    def test_kernel_columns(self, B, E, a):
+        got = exchange_energy_arrays(GAAS, B, E, a)
+        want = kernel_whole_work(GAAS, B, E, a)
+        for name, g, w in zip(COLUMNS + ("valid",), got, want):
+            assert g.tobytes() == w.tobytes(), name
+
+    def test_singular_row_rejects_its_first_64_points(self):
+        valid = exchange_energy_arrays(GAAS, *SINGULAR_D_ROW).valid
+        assert not valid[:64].any() and valid[64:].all()
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            [0.0],
+            [5e-324],
+            [math.nextafter(_I0_SPLIT, 0.0)],
+            [_I0_SPLIT],
+            [1e300],
+            [0.0, 5e-324, math.nextafter(_I0_SPLIT, 0.0), _I0_SPLIT, 40.0, 800.0, 1e300, math.inf],
+            [3.0, -0.5, 12.0, 7.4],
+            [12.0, 1e5, 1e300],
+            [],
+        ],
+        ids=["0", "subnormal", "below-split", "split", "large", "mixed", "mixed-2", "all-large",
+             "empty"],
+    )
+    def test_i0e_special_arguments(self, x):
+        x = np.array(x)
+        assert bessel_i0e_array(x).tobytes() == i0e_whole_series(x).tobytes()
+
+    def test_i0e_at_every_stopping_length(self):
+        # rows whose largest argument runs the series from 1 term to all 20
+        for top in np.linspace(0.0, _I0_SPLIT, 1001)[:-1].tolist() + [math.nextafter(_I0_SPLIT, 0.0)]:
+            x = np.linspace(0.0, top, 65)[::-1]
+            assert bessel_i0e_array(x).tobytes() == i0e_whole_series(x).tobytes(), top
 
 
 class TestKernelMatchesScalar:
