@@ -159,11 +159,9 @@ def bessel_i0e_array(x: np.ndarray) -> np.ndarray:
     if np.isnan(x).any():
         raise InvalidArgumentError("bessel_i0e received NaN")
     small = x < _I0_SPLIT
-    if small.all():  # an array on one side of the splice is neither gathered nor scattered
+    if small.all():  # an array below the splice is neither gathered nor scattered
         return _i0e_series_array(x)
     with np.errstate(over="ignore"):  # 2 pi x is inf near x = 1e308, as in float
-        if not small.any():
-            return _i0e_large(x, np.sqrt)
         out = np.empty_like(x)
         out[~small] = _i0e_large(x[~small], np.sqrt)
     out[small] = _i0e_series_array(x[small])
