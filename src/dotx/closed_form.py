@@ -292,15 +292,15 @@ def exchange_energy_along(
 
 
 class ExchangeColumns(NamedTuple):
-    """`exchange_energy_lab` and `overlap` over 1-D arrays of lab points.
+    """`exchange_energy_lab` and `overlap` over lab arrays of any broadcast shape.
 
     Each column holds the scalar functions' number, up to numpy's exp,
     expm1, sinh and hypot rounding unlike the C library's: b and the quartic
     term within a few eps, S and the prefactor within a few eps (1 + arg), J
     within a few eps (1 + arg) M, M the size of the terms that cancel in it.
-    valid is False where `units._lab_point` or the accept rule (`_ADMITS`, `_SETTLES`)
-    rejects the point, as `exchange_energy_lab` does: the points a sweep marks
-    singular.  Every column is nan there.
+    valid is False where the accept rule (`_ADMITS`, `_SETTLES`) rejects the
+    point, as `exchange_energy_lab` does: the points a sweep marks singular.
+    Every column is nan there.
     """
 
     b: np.ndarray
@@ -317,16 +317,18 @@ class ExchangeColumns(NamedTuple):
 
 
 def exchange_energy_arrays(mat: MaterialParams, B, E, a) -> ExchangeColumns:
-    """Exchange splitting over lab arrays (Tesla, V/m, nm), broadcast to 1-D.
+    """Exchange splitting over lab arrays (Tesla, V/m, nm) of any broadcast shape.
 
     Maps the points to (b, d, chi) by `units._lab_point`'s formulas (b via
     numpy's hypot) and runs `_formula`, the scalar form's operations, with
     numpy's ufuncs (`ExchangeColumns` says how far that moves the values)
-    on the points its mask keeps.  The mask is the accept rule's, by
-    `_admits` and `_settles` on arrays; where one of its overflow cases fails
-    (d^2, b d^2, chi^2 / d^2 or c sqrt(b)), the kernel raises the scalar
-    form's error at the first such point, as it raises for a material it
-    rejects.
+    on every point.  The mask is the accept rule's, by `_admits` and
+    `_settles` on arrays; a point `_lab_point` rejects fails one of
+    `_admits`' range tests, and one `_admits` rejects runs `_formula` as
+    (b, d, chi) = (1, 1, 0), so that no nan reaches I0e.  Where one of the
+    overflow cases fails (d^2, b d^2, chi^2 / d^2 or c sqrt(b)), the kernel
+    raises the scalar form's error at the first such point, as it raises
+    for a material it rejects.
     """
     import numpy as np
 
@@ -337,23 +339,19 @@ def exchange_energy_arrays(mat: MaterialParams, B, E, a) -> ExchangeColumns:
         b = np.hypot(omega0, larmor) / omega0
         d = a / a_b
         chi = E_CHARGE * E * a * NM_TO_M / quantum
-        valid = np.isfinite(a) & (a > 0.0) & np.isfinite(B) & np.isfinite(E)  # `_lab_point`'s check
-        overflows = np.zeros_like(valid)
-        _fold(_ADMITS, _admits(b, d, c, chi, np.isfinite), valid, overflows)
         points = b, d, chi
-        kept = np.flatnonzero(valid)
-        if kept.size < valid.size:  # else b, d and chi stay views
-            b, d, chi = b[kept], d[kept], chi[kept]
+        valid = np.ones(b.shape, dtype=bool)
+        overflows = np.zeros_like(valid)
+        if _fold(_ADMITS, _admits(b, d, c, chi, np.isfinite), valid, overflows):
+            b, d, chi = np.where(valid, b, 1.0), np.where(valid, d, 1.0), np.where(valid, chi, 0.0)
         x2, arg, em, csb, i0e_x1, i0e_x2, quartic_term, efield_term, j_dimensionless = _formula(
             b, d * d, c, chi, bessel_i0e_array, None, np.exp, np.expm1, np.sqrt
         )
         j_mev = j_dimensionless * mat.confinement_energy
-        ok, kept_overflows = np.ones_like(kept, dtype=bool), np.zeros_like(kept, dtype=bool)
-        if _fold(_SETTLES, _settles(arg, csb, efield_term, j_mev, np.isfinite), ok, kept_overflows):
-            overflows[kept] |= kept_overflows
-            valid[kept[~ok]] = False
+        _fold(_SETTLES, _settles(arg, csb, efield_term, j_mev, np.isfinite), valid, overflows)
         if overflows.any():  # the scalar form's error, at the first point where it raises
-            b0, d0, chi0 = (v[np.flatnonzero(overflows)[0]].item() for v in points)
+            i = overflows.argmax()
+            b0, d0, chi0 = (v.item(i) for v in points)
             _terms(b0, d0, c, chi0, mat.confinement_energy)
 
         prefactor = np.where(arg < 350.0, 1.0 / np.sinh(arg), 2.0 * em)
@@ -361,14 +359,8 @@ def exchange_energy_arrays(mat: MaterialParams, B, E, a) -> ExchangeColumns:
             2.0 * x2 < 700.0, csb * (i0e_x1 - np.exp(2.0 * x2) * i0e_x2), -math.inf
         )
         s_overlap = np.exp(-d * d * (2.0 * b - 1.0 / b))
-    all_valid = valid.all()
-
-    def column(values):
-        if all_valid:
-            return values
-        out = np.full(valid.shape, math.nan)
-        out[valid] = values[ok]
-        return out
-
-    columns = (b, d, chi, prefactor, coulomb_term, quartic_term, efield_term, j_dimensionless)
-    return ExchangeColumns(*map(column, columns + (j_mev, s_overlap)), valid)
+    columns = (b, d, chi, prefactor, coulomb_term, quartic_term, efield_term, j_dimensionless,
+               j_mev, s_overlap)
+    if not valid.all():
+        columns = [np.where(valid, column, math.nan) for column in columns]
+    return ExchangeColumns(*columns, valid)

@@ -139,7 +139,7 @@ def bessel_i0e(x: float) -> float:
 
 
 def bessel_i0e_array(x: np.ndarray) -> np.ndarray:
-    """`bessel_i0e` of each element of a 1-D array, taken as float64; numpy's
+    """`bessel_i0e` of each element of an array, taken as float64; numpy's
     exp in the series branch may move a value by an ulp or two from the
     scalar one.
 

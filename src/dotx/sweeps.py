@@ -174,8 +174,9 @@ def _axis_fields(fixed: FieldConfig, axis: str, x, a_b: float):
 
 
 def _row_columns(spec: SweepSpec) -> list:
-    # Per-point lists in SweepRow's field order, then the invalid indices; the
-    # arrays they come from are freed on return, before the rows are built.
+    # Per-point lists in SweepRow's field order, singular last (the kernel's
+    # columns are nan there); the arrays they come from are freed on return,
+    # before the rows are built.
     import numpy as np
 
     # linspace's last product overflows on some ranges up to the largest float,
@@ -189,7 +190,7 @@ def _row_columns(spec: SweepSpec) -> list:
         for column in (
             grid, cols.j_mev, cols.b, cols.d, cols.s_overlap, cols.prefactor,
             cols.coulomb_term, cols.quartic_term, cols.efield_term, cols.j_dimensionless,
-            np.flatnonzero(~cols.valid),
+            ~cols.valid,
         )
     ]
 
@@ -230,12 +231,8 @@ def sweep(spec: SweepSpec) -> list[SweepRow]:
     spec.validate()
     if spec.steps <= _SCALAR_MAX_STEPS:
         return _scalar_rows(spec)
-    *columns, invalid = _row_columns(spec)
     # tuple.__new__ skips the record's Python __new__ and defaults: singular is given.
-    rows = list(map(tuple.__new__, repeat(SweepRow), zip(*columns, repeat(False))))
-    for i in invalid:
-        rows[i] = SweepRow(columns[0][i], *[math.nan] * 9, singular=True)
-    return rows
+    return list(map(tuple.__new__, repeat(SweepRow), zip(*_row_columns(spec))))
 
 
 def brent(
@@ -312,24 +309,16 @@ def brent(
     )
 
 
-# Width, in ulps of E*, of the bracket the E-axis polish tries first: the
-# sign change of J lies within it for about 99% of closed-form roots.
-_E_PROBE_ULPS = 16
-
-
 def _efield_root(j, lo: float, hi: float, j_lo: float, j_hi: float, tol: float, e_star):
     """brent's result on the E axis, from the closed-form switch `e_star`.
 
     J is nonzero at both ends, with opposite signs.  J is even in E, so the
     sign change holds one of +-E*; J is evaluated there once.  Where
     |J(E*)| <= tol, E* is the root, in the half of the bracket that keeps
-    the sign change.  Otherwise J is also evaluated `_E_PROBE_ULPS` ulps
-    from E* towards the sign change.  Where J is exactly 0 there, that probe
-    is the root, with the bracket (probe, probe), as for a brent iterate.
-    Else brent narrows the few ulps between the two where J changes sign
-    across them, else the rest of the half-bracket, to 1 V/m and `tol`.
-    Where rounding leaves E* nan or not strictly inside, brent searches the
-    whole bracket.  Returns brent's 4-tuple.
+    the sign change.  Otherwise brent narrows that half-bracket, from E*
+    to the end across the sign change, to 1 V/m and `tol`.  Where rounding
+    leaves E* nan or not strictly inside, brent searches the whole bracket.
+    Returns brent's 4-tuple.
     """
     root = e_star if lo < e_star < hi else -e_star
     if not lo < root < hi:
@@ -342,15 +331,6 @@ def _efield_root(j, lo: float, hi: float, j_lo: float, j_hi: float, tol: float, 
         far, j_far = lo, j_lo
     if abs(j_root) <= tol:
         return root, j_root, (root, far) if root < far else (far, root), 0
-    near = root + math.copysign(_E_PROBE_ULPS * math.ulp(root), far - root)
-    if abs(near - root) < abs(far - root):
-        j_near = j(near)
-        if j_near == 0.0:
-            return near, 0.0, (near, near), 0
-        if math.copysign(1.0, j_near) != math.copysign(1.0, j_root):
-            far, j_far = near, j_near
-        else:
-            root, j_root = near, j_near
     return brent(j, root, far, AXIS_XTOL["E"], fa=j_root, fb=j_far, ftol=tol)
 
 

@@ -244,10 +244,33 @@ def kernel_whole_work(mat, B, E, a):
 SINGULAR_D_ROW = (np.zeros(1601), np.zeros(1601), np.linspace(1e-170, 2e-153, 1601) * A_B)
 
 
+def rejection_row():
+    """A 1601-point B row at 1e5 V/m and a = 0.7 a_B, every 7th point of
+    which is changed so that one of the accept rule's cases that do not
+    overflow rejects it, each case in turn; and those points' mask."""
+    a0 = 0.7 * A_B
+    lab = {"B": np.linspace(0.0, 7.5, 1601), "E": np.full(1601, 1e5), "a": np.full(1601, a0)}
+    rejections = [
+        {"B": math.nan}, {"B": math.inf}, {"B": -math.inf}, {"B": 1e300},  # b not finite
+        {"E": math.inf}, {"E": -math.inf},  # chi not finite
+        {"a": 0.0}, {"a": -0.0}, {"a": -a0}, {"a": math.nan}, {"a": math.inf},  # d out of range
+        {"a": 1e-170 * A_B},  # d^2 rounds to 0
+        {"a": 1e-158 * A_B},  # J overflows
+        {"B": 30.0, "a": 1e-155 * A_B},  # 1/sinh(arg) overflows
+    ]
+    rejected = np.zeros(1601, dtype=bool)
+    rejected[3::7] = True
+    for k, i in enumerate(np.flatnonzero(rejected)):
+        for name, value in rejections[k % len(rejections)].items():
+            lab[name][i] = value
+    B, E, a = lab.values()
+    return B, E, a, rejected
+
+
 def phase_map_rows():
     """(B, E, a) rows of 1601 points over the bench phase-map's ranges: B
     rows to 7-8 T at E up to 3e5 V/m, d rows over 0.1-1.5 at B up to 3 T,
-    both at a/a_B in 0.6-0.8; and `SINGULAR_D_ROW`."""
+    both at a/a_B in 0.6-0.8; `SINGULAR_D_ROW`; and the `rejection_row`."""
     rng = np.random.default_rng(35)
     rows = []
     for i in range(6):
@@ -257,7 +280,8 @@ def phase_map_rows():
         d = np.linspace(rng.uniform(0.1, 0.15), rng.uniform(1.4, 1.5), 1601)
         B, E = np.full(1601, rng.uniform(0.0, 3.0)), np.full(1601, rng.uniform(0.0, 5e4))
         rows.append(pytest.param(B, E, d * A_B, id=f"d-{i}"))
-    return rows + [pytest.param(*SINGULAR_D_ROW, id="singular-d")]
+    rows.append(pytest.param(*SINGULAR_D_ROW, id="singular-d"))
+    return rows + [pytest.param(*rejection_row()[:3], id="rejections")]
 
 
 class TestSameBitsAsWholeWork:
@@ -275,6 +299,10 @@ class TestSameBitsAsWholeWork:
     def test_singular_row_rejects_its_first_64_points(self):
         valid = exchange_energy_arrays(GAAS, *SINGULAR_D_ROW).valid
         assert not valid[:64].any() and valid[64:].all()
+
+    def test_rejection_row_rejects_its_changed_points(self):
+        B, E, a, rejected = rejection_row()
+        assert (exchange_energy_arrays(GAAS, B, E, a).valid == ~rejected).all()
 
     @pytest.mark.parametrize(
         "x",
@@ -410,6 +438,31 @@ class TestKernelMatchesScalar:
         assert type(array.value) is type(scalar.value) and str(array.value) == str(scalar.value)
         cols = exchange_energy_arrays(GAAS, 1.0, [1e5, 1e306], [a, 1e-170 * A_B])
         assert cols.valid.tolist() == [True, False]  # singular before it overflows
+
+    def test_grid_columns_are_the_flat_rows(self):
+        # A (B, E) grid with a rejected point gives the columns of its points
+        # as one row, reshaped (an IndexError in the gathers before).
+        B = np.linspace(0.0, 7.5, 12).reshape(3, 4)
+        B[1, 2] = math.nan
+        E = np.linspace(0.0, 3e5, 5)[:, None, None]
+        a = 0.7 * A_B
+        grid = exchange_energy_arrays(GAAS, B, E, a)
+        flat = exchange_energy_arrays(GAAS, *(np.broadcast_to(v, (5, 3, 4)).ravel() for v in (B, E, a)))
+        assert grid.valid.shape == (5, 3, 4) and grid.valid.sum() == 55
+        assert not grid.valid[:, 1, 2].any()
+        for name, g, f in zip(COLUMNS + ("valid",), grid, flat):
+            assert g.shape == (5, 3, 4), name
+            assert g.tobytes() == f.tobytes(), name
+
+    def test_grid_overflow_raises_the_flat_rows_error(self):
+        # chi^2/d^2 overflows at one point of a 2-D grid: the flat row's error
+        # (numpy's broadcast ValueError before)
+        with pytest.raises(InvalidParameterError) as flat:
+            exchange_energy_arrays(GAAS, 1.0, [0.0, 1.0, 1e300, 2.0], 10.0)
+        assert "chi^2/d^2 overflows" in str(flat.value)
+        with pytest.raises(InvalidParameterError) as grid:
+            exchange_energy_arrays(GAAS, 1.0, [[0.0, 1.0], [1e300, 2.0]], 10.0)
+        assert type(grid.value) is type(flat.value) and str(grid.value) == str(flat.value)
 
     @pytest.mark.parametrize(
         "mat",

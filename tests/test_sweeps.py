@@ -718,9 +718,10 @@ class TestExactZeros:
         assert abs(point.value - 1.0) <= AXIS_XTOL["B"] and point.residual <= 1e-9
         assert point.direction == direction
 
-    def test_efield_probe_on_an_exact_zero_is_the_root(self, monkeypatch):
-        # |J(E*)| > tol, and J is exactly 0 at the probe 16 ulps from E*: the
-        # probe is the root, with the zero-width bracket of a Brent iterate.
+    def test_efield_exact_zero_near_e_star_is_the_root(self, monkeypatch):
+        # |J(E*)| > tol, and J is exactly 0 16 ulps from E*: brent, run from
+        # E* to the far end, lands on that zero and ends with its zero-width
+        # bracket.
         e_star = 1e5
         near = e_star + 16 * math.ulp(e_star)
 
@@ -728,12 +729,12 @@ class TestExactZeros:
             return 1e3 * (x - near)
 
         got = dotx.sweeps._efield_root(j, 0.0, 2e5, j(0.0), j(2e5), 1e-9, e_star)
-        assert got == (near, 0.0, (near, near), 0)
+        assert got == (near, 0.0, (near, near), 3)
         j.e_star = lambda: e_star  # as the E evaluator of exchange_energy_along has it
         fixed_along(monkeypatch, j)
         point = find_switch("E", GAAS, FieldConfig(2.0, 0.0, 10.0), (0.0, 2e5))
         assert (point.value, point.residual, point.final_bracket) == (near, 0.0, (near, near))
-        assert (point.iterations, point.evaluations) == (0, 4)
+        assert (point.iterations, point.evaluations) == (3, 5)
 
     def test_zero_at_both_ends_is_no_switch(self, monkeypatch):
         # J underflows to 0 over [60, 100] T at a = 5 a_B; the bracket's
