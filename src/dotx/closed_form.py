@@ -325,7 +325,8 @@ def exchange_energy_arrays(mat: MaterialParams, B, E, a) -> ExchangeColumns:
     on every point.  The mask is the accept rule's, by `_admits` and
     `_settles` on arrays; a point `_lab_point` rejects fails one of
     `_admits`' range tests, and one `_admits` rejects runs `_formula` as
-    (b, d, chi) = (1, 1, 0), so that no nan reaches I0e.  Where one of the
+    (b, d, chi) = (1, 0, 0): its I0e arguments are 0, so no nan reaches
+    I0e and the point adds no term to its series.  Where one of the
     overflow cases fails (d^2, b d^2, chi^2 / d^2 or c sqrt(b)), the kernel
     raises the scalar form's error at the first such point, as it raises
     for a material it rejects.
@@ -343,7 +344,7 @@ def exchange_energy_arrays(mat: MaterialParams, B, E, a) -> ExchangeColumns:
         valid = np.ones(b.shape, dtype=bool)
         overflows = np.zeros_like(valid)
         if _fold(_ADMITS, _admits(b, d, c, chi, np.isfinite), valid, overflows):
-            b, d, chi = np.where(valid, b, 1.0), np.where(valid, d, 1.0), np.where(valid, chi, 0.0)
+            b, d, chi = np.where(valid, b, 1.0), np.where(valid, d, 0.0), np.where(valid, chi, 0.0)
         x2, arg, em, csb, i0e_x1, i0e_x2, quartic_term, efield_term, j_dimensionless = _formula(
             b, d * d, c, chi, bessel_i0e_array, None, np.exp, np.expm1, np.sqrt
         )
