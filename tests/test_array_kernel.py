@@ -270,7 +270,7 @@ def rejection_row():
 def phase_map_rows():
     """(B, E, a) rows of 1601 points over the bench phase-map's ranges: B
     rows to 7-8 T at E up to 3e5 V/m, d rows over 0.1-1.5 at B up to 3 T,
-    both at a/a_B in 0.6-0.8; `SINGULAR_D_ROW`; and the `rejection_row`."""
+    both at a/a_B in 0.6-0.8; `SINGULAR_D_ROW`; and `rejection_row`'s row."""
     rng = np.random.default_rng(35)
     rows = []
     for i in range(6):
@@ -280,8 +280,10 @@ def phase_map_rows():
         d = np.linspace(rng.uniform(0.1, 0.15), rng.uniform(1.4, 1.5), 1601)
         B, E = np.full(1601, rng.uniform(0.0, 3.0)), np.full(1601, rng.uniform(0.0, 5e4))
         rows.append(pytest.param(B, E, d * A_B, id=f"d-{i}"))
-    rows.append(pytest.param(*SINGULAR_D_ROW, id="singular-d"))
-    return rows + [pytest.param(*rejection_row()[:3], id="rejections")]
+    return rows + [
+        pytest.param(*SINGULAR_D_ROW, id="singular-d"),
+        pytest.param(*rejection_row()[:3], id="rejections"),
+    ]
 
 
 class TestSameBitsAsWholeWork:
