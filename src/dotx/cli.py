@@ -14,7 +14,7 @@ import re
 import sys
 from typing import NamedTuple
 
-from .closed_form import exchange_energy
+from .closed_form import AXES, exchange_energy
 from .errors import (
     DotxError,
     InvalidArgumentError,
@@ -129,12 +129,6 @@ def _float_list(text: str) -> list:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers: {text!r}") from None
 
 
-def _add_quadrature_args(p):
-    p.add_argument("--quad-order", type=int, default=None, help="first level of the Coulomb trapezoid sums, "
-                   "in intervals, 4..128 (default 64); the single-particle brackets are exact at a fixed order")
-    p.add_argument("--quad-rel-tol", type=float, default=None, help="quadrature rel_tol override")
-
-
 def _resolve_config(args) -> RunConfig:
     name = args.material_file or args.material
     mat = load_material(name) if args.material_file else material_by_name(name)
@@ -191,21 +185,12 @@ def _json_text(payload: dict) -> str:
     return json.dumps(_finite(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _csv_lines(title: str, provenance: dict) -> list:
-    """The CSV header: a title line, then one comment line per provenance key."""
-    return [f"# dotx {title}"] + [f"# {key} = {provenance[key]!r}" for key in sorted(provenance)]
-
-
-def _sweep_csv(rows: list, provenance: dict) -> str:
-    lines = _csv_lines("sweep", provenance)
-    lines.append("x,J_meV,prefactor,coulomb_term,quartic_term,efield_term,b,d,S")
-    for row in rows:
-        if row.singular:
-            lines.append(f"{row.x!r},nan,nan,nan,nan,nan,nan,nan,nan")
-            continue
-        values = (row.x, row.j_mev, row.prefactor, row.coulomb_term, row.quartic_term,
-                  row.efield_term, row.b, row.d, row.s_overlap)
-        lines.append(",".join(repr(float(v)) for v in values))
+def _csv_text(title: str, provenance: dict, names, rows) -> str:
+    """A CSV: a title line, one comment line per provenance key, the column
+    `names`, then each of `rows`, a tuple of floats, by repr (nan as nan)."""
+    lines = [f"# dotx {title}"] + [f"# {key} = {provenance[key]!r}" for key in sorted(provenance)]
+    lines.append(",".join(names))
+    lines += [",".join(repr(float(v)) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -249,7 +234,7 @@ def cmd_eval(args, cfg: RunConfig) -> _Output:
 
 
 def cmd_sweep(args, cfg: RunConfig) -> _Output:
-    from .sweeps import SweepSpec, sweep
+    from .sweeps import SweepSpec, _sign_changes, sweep
 
     spec = SweepSpec(args.vary, getattr(args, "from"), args.to, args.steps, cfg.fields,
                      cfg.material)
@@ -267,12 +252,14 @@ def cmd_sweep(args, cfg: RunConfig) -> _Output:
             ],
         })
     else:
-        text = _sweep_csv(rows, prov)
+        text = _csv_text(
+            "sweep", prov, "x J_meV prefactor coulomb_term quartic_term efield_term b d S".split(),
+            ((r.x, r.j_mev, r.prefactor, r.coulomb_term, r.quartic_term, r.efield_term, r.b, r.d,
+              r.s_overlap) for r in rows),
+        )
     if not args.out:
         return _Output(text)
-    # as scan_switches counts them: J = 0 (a root on the grid, or underflow) has no sign
-    signs = [r.j_mev > 0.0 for r in rows if not r.singular and r.j_mev != 0.0]
-    n_sign = sum(s1 != s2 for s1, s2 in zip(signs, signs[1:]))
+    n_sign = len(_sign_changes((r.x, r.j_mev) for r in rows))
     return _Output(text, args.out, wrote=f" ({len(rows)} rows, {n_sign} sign change(s))")
 
 
@@ -322,21 +309,18 @@ def cmd_figure(args, cfg: RunConfig) -> _Output:
     from .sweeps import SweepSpec, sweep
 
     layout = FIGURES[args.id]
-    columns = []
+    names, curves = ["x"], []
     for key, value in layout["curves"]:
         fixed = cfg.fields._replace(**({"B": value} if key == "B_T" else {"E": value}))
         spec = SweepSpec(layout["vary"], layout["start"], layout["stop"], layout["steps"], fixed,
                          cfg.material)
-        columns.append(((key, value), sweep(spec)))
-    lines = _csv_lines(
-        f"figure {args.id}", _provenance(cfg, {"vary": layout["vary"], "steps": layout["steps"]})
+        names.append(f"J_meV_{key}={value!r}")
+        curves.append(sweep(spec))
+    text = _csv_text(
+        f"figure {args.id}", _provenance(cfg, {"vary": layout["vary"], "steps": layout["steps"]}),
+        names, ((rows[0].x, *(r.j_mev for r in rows)) for rows in zip(*curves)),
     )
-    lines.append(",".join(["x"] + [f"J_meV_{key}={value!r}" for (key, value), _ in columns]))
-    for i, row in enumerate(columns[0][1]):
-        values = [row.x] + [rows[i].j_mev for _, rows in columns]
-        lines.append(",".join(repr(float(v)) for v in values))
-    path = os.path.join(args.out or ".", f"fig{args.id}.csv")
-    return _Output("\n".join(lines) + "\n", path)
+    return _Output(text, os.path.join(args.out or ".", f"fig{args.id}.csv"))
 
 
 def cmd_oracle(args, cfg: RunConfig) -> _Output:
@@ -344,7 +328,7 @@ def cmd_oracle(args, cfg: RunConfig) -> _Output:
 
     overrides = {"order": args.quad_order, "rel_tol": args.quad_rel_tol}
     quad = QuadratureSpec(**{k: v for k, v in overrides.items() if v is not None})
-    quad.validate()  # a bad order or rel_tol is reported ahead of a bad material or grid
+    quad.validate()  # after a bad material (resolved first), ahead of the grid's first point
     a_b = bohr_radius_nm(cfg.material)
     records, compared = [], []
     for b_field in args.grid_b:
@@ -404,7 +388,7 @@ def _eval_args(p):
 
 
 def _sweep_args(p):
-    p.add_argument("--vary", required=True, choices=("B", "E", "d"))
+    p.add_argument("--vary", required=True, choices=AXES)
     p.add_argument("--from", type=float, required=True, dest="from")
     p.add_argument("--to", type=float, required=True)
     p.add_argument("--steps", type=int, default=101)
@@ -413,7 +397,7 @@ def _sweep_args(p):
 
 
 def _switch_args(p):
-    p.add_argument("--vary", required=True, choices=("B", "E", "d"))
+    p.add_argument("--vary", required=True, choices=AXES)
     p.add_argument("--from", type=float, required=True, dest="from")
     p.add_argument("--to", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-9, help="|J| tolerance at root, meV")
@@ -435,7 +419,9 @@ def _figure_args(p):
 
 
 def _oracle_args(p):
-    _add_quadrature_args(p)
+    p.add_argument("--quad-order", type=int, default=None, help="first level of the Coulomb trapezoid sums, "
+                   "in intervals, 4..128 (default 64); the single-particle brackets are exact at a fixed order")
+    p.add_argument("--quad-rel-tol", type=float, default=None, help="quadrature rel_tol override")
     p.add_argument(
         "--grid-b", type=_float_list, default="0,1,1.5,2,3", help="comma-separated B values, T"
     )

@@ -27,7 +27,6 @@ from .closed_form import (
     exchange_energy,
     exchange_energy_along,
     exchange_energy_arrays,
-    exchange_energy_lab,
     overlap,
 )
 from .errors import (
@@ -392,6 +391,19 @@ def find_switch(
     )
 
 
+def _sign_changes(points) -> list:
+    """The (left, right) brackets of J's sign changes over (x, J) `points`:
+    between consecutive signed samples of opposite sign.  J of exactly 0 (a
+    root on the grid, or underflow) has no sign, nor has a nan J (a singular
+    sweep row)."""
+    signed = [(x, j) for x, j in points if j > 0.0 or j < 0.0]
+    return [
+        (left, right)
+        for (left, j_left), (right, j_right) in zip(signed, signed[1:])
+        if (j_left > 0.0) != (j_right > 0.0)
+    ]
+
+
 def scan_switches(
     axis: str,
     material: MaterialParams,
@@ -403,11 +415,10 @@ def scan_switches(
 ) -> list[SwitchPoint]:
     """Pre-scan [lo, hi] on a uniform grid and refine every sign change.
 
-    A sign change lies between consecutive nonzero samples of opposite
-    sign, with any samples where J is exactly 0 (a root on the grid, or
-    underflow) between them, and is refined and reported once.  The
-    closed form is not expected to produce more than one crossing per
-    axis, but nothing assumes that: each is reported in order.
+    Each sign change `_sign_changes` finds on the grid is refined and
+    reported once.  The closed form is not expected to produce more than
+    one crossing per axis, but nothing assumes that: each is reported in
+    order.
     """
     validate_scan_steps(scan_steps)
     _check_finite_range("scan", lo, hi)
@@ -416,12 +427,8 @@ def scan_switches(
     _check_tol(tol)
     grid = _grid(lo, hi, scan_steps)
     values = map(exchange_energy_along(material, fixed, axis), grid)
-    signed = [(x, j_x) for x, j_x in zip(grid, values) if j_x != 0.0]
-    return [
-        find_switch(axis, material, fixed, (left, right), tol=tol)
-        for (left, j_left), (right, j_right) in zip(signed, signed[1:])
-        if (j_left > 0.0) != (j_right > 0.0)
-    ]
+    return [find_switch(axis, material, fixed, bracket, tol=tol)
+            for bracket in _sign_changes(zip(grid, values))]
 
 
 class ScenarioStep(NamedTuple):
@@ -462,7 +469,8 @@ def switching_scenario(
     if not (math.isfinite(e_limit) and e_limit > 0.0):
         raise InvalidParameterError(f"e_limit {e_limit!r} V/m must be finite and > 0")
     fixed = FieldConfig(B=0.0, E=0.0, a=a_nm)
-    j_operating = exchange_energy_along(material, fixed, "B")(b_operating)
+    j_b = exchange_energy_along(material, fixed, "B")
+    j_operating = j_b(b_operating)
     if j_operating == 0.0:
         raise ScenarioError(
             f"J underflows to 0 at the operating field {b_operating} T, so its sign "
@@ -493,6 +501,7 @@ def switching_scenario(
     e_switch = e_points[0]
     e_stop = 1.25 * e_switch.value
 
+    j_e = exchange_energy_along(material, fixed_b, "E")
     plateau = max(2, steps_per_phase // 4)
     path = (
         [("A", x, 0.0) for x in _grid(0.0, b_operating, steps_per_phase)]
@@ -502,7 +511,7 @@ def switching_scenario(
     )
     steps = []
     for phase, b, e in path:
-        j = exchange_energy_lab(material, FieldConfig(b, e, a_nm)).j_mev
+        j = j_b(b) if phase in "AB" else j_e(e)
         steps.append(ScenarioStep(phase, b, e, j, 0 if j == 0.0 else (1 if j > 0.0 else -1)))
 
     return ScenarioResult(steps=steps, b_switch=b_switch, e_switch=e_switch)

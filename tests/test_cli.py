@@ -160,6 +160,15 @@ class TestSweepCommand:
         code, _, err = run(capsys, "switch", *argv, "--scan")
         assert code == 2 and "no sign change" in err
 
+    @pytest.mark.parametrize("steps, n_singular", [(41, 2), (1601, 64)])
+    def test_singular_rows_are_no_sign_change(self, capsys, tmp_path, steps, n_singular):
+        # J overflows, or 1 - S^4 = 0, at the first rows: their J is nan, which has no sign
+        out = tmp_path / "s.csv"
+        code, stdout, _ = run(capsys, "sweep", "--vary", "d", "--from", "1e-170", "--to", "2e-153",
+                              "--steps", str(steps), "--out", str(out))
+        assert (code, stdout) == (0, f"wrote {out} ({steps} rows, 0 sign change(s))\n")
+        assert out.read_text().count(",nan" * 8 + "\n") == n_singular
+
     def test_one_switch_is_one_sign_change(self, capsys, tmp_path):
         # 8 steps on [0, 3] T cross the B switch near 1.4 T once
         out = tmp_path / "s.csv"
@@ -449,6 +458,44 @@ class TestSwitchReports:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+class TestCsvAndScanBytes:
+    # Grids of at most 512 points run the scalar closed form, so these bytes
+    # are the same on CPython 3.10-3.13 and every CPU; the array kernel's
+    # may differ with numpy's SIMD paths.
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["sweep", "--vary", "B", "--from", "0", "--to", "8", "--steps", "161"],
+             "5463c08a94ab428366fa0cbeefd69242442fde90197cd3a2164d06e9f125cb78"),
+            (["sweep", "--vary", "B", "--from", "0", "--to", "8", "--steps", "161", "--format", "json"],
+             "987efd227e5e45c374268f5d8a514bc2d438bcefcebb3b957f6ce6aa1713dd50"),
+            # the first 2 rows are singular
+            (["sweep", "--vary", "d", "--from", "1e-170", "--to", "2e-153", "--steps", "41"],
+             "559eb3bd6f1272501e134e32a50b3f948e82fde50f607bbe17bea83ca769a6b2"),
+            (["switch", "--vary", "B", "--scan", "--from", "0.3", "--to", "4"],
+             "181e0bb0bf385b0bbcb23db514cd2dedf9a0d8c5ae2f0dcf8386218dff0abc25"),
+        ],
+    )
+    def test_stdout_bytes(self, capsys, argv, digest):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "fig_id, digest",
+        [
+            ("1", "8c0c36074710238927851143e8a4c46f8b1ced79da55e618cb9a6b799991054e"),
+            ("2", "53f83aeaf82124c2c8349bf79a3a71941f194179a6b6addf76967e3b752d9cc2"),
+            ("4", "77efbe716a5750023336aa7eb5bb589e9f8c65285959c00bd67d6fa34f4fa451"),
+        ],
+    )
+    def test_figure_file_bytes(self, capsys, tmp_path, fig_id, digest):
+        code, _, err = run(capsys, "figure", "--id", fig_id, "--out", str(tmp_path))
+        assert (code, err) == (0, "")
+        data = (tmp_path / f"fig{fig_id}.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
+
 class TestMaterialResolution:
     def test_overflowing_coulomb_strength_exits_two(self, capsys, tmp_path):
         # c sqrt(b) overflows: `eval` printed "J: nan meV" with exit 0
@@ -598,6 +645,21 @@ class TestErrorMapping:
         assert out == ""
         assert err.startswith("dotx: error: --threshold must be finite and >= 0")
         assert err.count("\n") == 1
+
+    def test_quadrature_order_error_comes_after_the_material_ahead_of_the_grid(
+        self, capsys, tmp_path
+    ):
+        missing = tmp_path / "missing.json"
+        for argv, message in [
+            (["--material-file", str(missing)], f"cannot read material file {missing}"),
+            (["--c-override", "-1"], "c_override must be finite and >= 0, got -1.0"),
+            (["--grid-d", "0"], "quadrature order must be <= 128"),
+        ]:
+            code, out, err = run(capsys, "oracle", "--quad-order", "129", *argv)
+            assert (code, out) == (2, "")
+            assert err.startswith(f"dotx: error: {message}") and err.count("\n") == 1
+        code, _, err = run(capsys, "oracle", "--grid-d", "0")
+        assert (code, err) == (2, "dotx: error: singular configuration d=0: the two dots coincide\n")
 
     def test_huge_quadrature_order_fails_before_any_node(self, capsys, monkeypatch):
         def no_nodes(n):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import dotx.closed_form
 import dotx.sweeps
-from dotx.cli import _sweep_csv
+from dotx.cli import _csv_text
 from dotx.closed_form import (
     ExchangeBreakdown,
     exchange_energy_along,
@@ -193,12 +193,8 @@ class TestSweep:
             scalars.append(args)
             return scalar(*args)
 
-        def lab(*args):
-            raise AssertionError("exchange_energy_lab called")
-
         monkeypatch.setattr(dotx.sweeps, "exchange_energy_arrays", counting_kernel)
         monkeypatch.setattr(dotx.sweeps, "exchange_energy", counting_scalar)
-        monkeypatch.setattr(dotx.sweeps, "exchange_energy_lab", lab)
         assert dotx.sweeps._SCALAR_MAX_STEPS == 512
         for steps, want in ((31, ([], 31)), (512, ([], 512)), (513, ([513], 0))):
             arrays.clear()
@@ -207,14 +203,12 @@ class TestSweep:
             assert (arrays, len(scalars)) == want, steps
         assert per_point == []
 
-    def test_csv_text_layout(self, gaas):
-        spec = make_spec(gaas, steps=5)
-        text = _sweep_csv(sweep(spec), {"material": "gaas"})
-        lines = text.splitlines()
-        assert lines[0] == "# dotx sweep"
-        assert lines[1] == "# material = 'gaas'"
-        assert lines[2] == "x,J_meV,prefactor,coulomb_term,quartic_term,efield_term,b,d,S"
-        assert len(lines) == 3 + 5
+    def test_csv_text_layout(self):
+        # the title, the provenance keys in sorted order, the column names,
+        # then each row's floats by repr: a singular row's nan is written as nan
+        text = _csv_text("sweep", {"steps": 2, "material": "gaas"}, ["x", "J_meV"],
+                         [(0.0, 0.125), (1.0, math.nan)])
+        assert text == "# dotx sweep\n# material = 'gaas'\n# steps = 2\nx,J_meV\n0.0,0.125\n1.0,nan\n"
 
 
 class TestRowContract:
@@ -688,6 +682,14 @@ class TestExactZeros:
         assert [(p.bracket, p.direction) for p in points] == [w[1:] for w in want]
         for point, (value, _, _) in zip(points, want):
             assert j(point.value) == 0.0 and value in (None, point.value)
+
+    def test_zero_and_nan_have_no_sign(self):
+        # the rule both the scan and `sweep --out`'s count use: a sign change
+        # lies between consecutive signed samples, past any 0, -0.0 or nan
+        points = [(0.0, 1.0), (1.0, 0.0), (2.0, -1.0), (3.0, math.nan), (4.0, -2.0),
+                  (5.0, 5e-324), (6.0, -0.0), (7.0, 3.0), (8.0, math.nan)]
+        assert dotx.sweeps._sign_changes(points) == [(0.0, 2.0), (4.0, 5.0)]
+        assert dotx.sweeps._sign_changes([(0.0, math.nan), (1.0, 0.0)]) == []
 
     @pytest.mark.parametrize("axis", ["B", "E", "d"])
     @pytest.mark.parametrize(

@@ -143,7 +143,6 @@ class TestFindSwitchEvaluations:
             raise AssertionError("exchange_energy_lab called")
 
         monkeypatch.setattr(dotx.closed_form, "exchange_energy_lab", lab)
-        monkeypatch.setattr(dotx.sweeps, "exchange_energy_lab", lab)
         point = find_switch("B", GAAS, REFERENCE, (0.5, 3.0))
         assert 1.2 <= point.value <= 1.5
 
