@@ -196,17 +196,17 @@ def _row_columns(spec: SweepSpec) -> list:
 
 def _scalar_rows(spec: SweepSpec) -> list:
     """`sweep`'s rows point by point, by `_lab_point`, `exchange_energy` and
-    `overlap`.  A row is singular where either of the first two rejects the
-    point, which is where the kernel's mask is False; a ParameterOverflowError
-    propagates from the first point that raises it, as the kernel's does.
-    """
+    `overlap`.  A row is singular where `exchange_energy` rejects the point,
+    as it does each that `FieldConfig` rejects: where the kernel's mask is
+    False.  A ParameterOverflowError propagates from the first point that
+    raises it, as the kernel's does."""
     const = _material_constants(spec.material)
     c, scale = const.c, spec.material.confinement_energy
     rows = []
     for x in _grid(spec.start, spec.stop, spec.steps):
         B, E, a = _axis_fields(spec.fixed, spec.vary, x, const.bohr_radius)
+        _, _, b, d, chi = _lab_point(const, B, E, a)
         try:
-            _, _, b, d, chi = _lab_point(const, B, E, a)
             bd = exchange_energy(b, d, c, chi, scale)
         except ParameterOverflowError:
             raise
@@ -317,11 +317,11 @@ def _efield_root(j, lo: float, hi: float, j_lo: float, j_hi: float, tol: float, 
     the sign change.  Otherwise brent narrows that half-bracket, from E*
     to the end across the sign change, to 1 V/m and `tol`.  Where rounding
     leaves E* nan or not strictly inside, brent searches the whole bracket.
-    Returns brent's 4-tuple.
+    Returns brent's 4-tuple and the count of J's values at E*, 1 or 0.
     """
     root = e_star if lo < e_star < hi else -e_star
     if not lo < root < hi:
-        return brent(j, lo, hi, AXIS_XTOL["E"], fa=j_lo, fb=j_hi, ftol=tol)
+        return (*brent(j, lo, hi, AXIS_XTOL["E"], fa=j_lo, fb=j_hi, ftol=tol), 0)
     j_root = j(root)
     # The end of the bracket across the sign change from E*.
     if math.copysign(1.0, j_root) == math.copysign(1.0, j_lo):
@@ -329,8 +329,8 @@ def _efield_root(j, lo: float, hi: float, j_lo: float, j_hi: float, tol: float, 
     else:
         far, j_far = lo, j_lo
     if abs(j_root) <= tol:
-        return root, j_root, (root, far) if root < far else (far, root), 0
-    return brent(j, root, far, AXIS_XTOL["E"], fa=j_root, fb=j_far, ftol=tol)
+        return root, j_root, (root, far) if root < far else (far, root), 0, 1
+    return (*brent(j, root, far, AXIS_XTOL["E"], fa=j_root, fb=j_far, ftol=tol), 1)
 
 
 def find_switch(
@@ -359,36 +359,28 @@ def find_switch(
     if not lo < hi:
         raise InvalidParameterError("bracket must satisfy lo < hi")
     _check_tol(tol)
-    j_at = exchange_energy_along(material, fixed, axis)
-    evaluations = 0
+    j = exchange_energy_along(material, fixed, axis)
+    return _refine(axis, j, lo, hi, j(lo), j(hi), tol)
 
-    def j(x: float) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        return j_at(x)
 
-    j_lo, j_hi = j(lo), j(hi)
+def _refine(axis: str, j, lo: float, hi: float, j_lo: float, j_hi: float, tol: float):
+    """`find_switch`'s search on [lo, hi] with the evaluator `j` of `axis`,
+    from J at the ends.  `evaluations` counts those two, one per Brent
+    iteration but the last (where it returns), and E* where it is evaluated."""
     if j_lo == 0.0 or j_hi == 0.0 or (j_lo > 0.0) == (j_hi > 0.0):
         raise NoRootInBracketError(f"no sign change on [{lo}, {hi}]: f={j_lo}, {j_hi}")
     if axis == "E":
-        result = _efield_root(j, lo, hi, j_lo, j_hi, tol, j_at.e_star())
+        *result, probes = _efield_root(j, lo, hi, j_lo, j_hi, tol, j.e_star())
     else:
-        result = brent(j, lo, hi, AXIS_XTOL[axis], fa=j_lo, fb=j_hi, ftol=tol)
+        result, probes = brent(j, lo, hi, AXIS_XTOL[axis], fa=j_lo, fb=j_hi, ftol=tol), 0
     root, j_root, final_bracket, iterations = result
     if abs(j_root) > tol:
         raise RootConvergenceError(
             f"|J(root)| = {abs(j_root)} meV exceeds tol {tol}", bracket=final_bracket
         )
-    return SwitchPoint(
-        axis=axis,
-        value=root,
-        bracket=(lo, hi),
-        residual=abs(j_root),
-        direction="antiferro_to_ferro" if j_lo > 0.0 else "ferro_to_antiferro",
-        iterations=iterations,
-        evaluations=evaluations,
-        final_bracket=final_bracket,
-    )
+    direction = "antiferro_to_ferro" if j_lo > 0.0 else "ferro_to_antiferro"
+    return SwitchPoint(axis, root, (lo, hi), abs(j_root), direction, iterations,
+                       2 + probes + max(iterations - 1, 0), final_bracket)
 
 
 def _sign_changes(points) -> list:
@@ -415,7 +407,8 @@ def scan_switches(
 ) -> list[SwitchPoint]:
     """Pre-scan [lo, hi] on a uniform grid and refine every sign change.
 
-    Each sign change `_sign_changes` finds on the grid is refined and
+    Each sign change `_sign_changes` finds on the grid is refined, by
+    `find_switch`'s search with the scan's evaluator and J at its ends, and
     reported once.  The closed form is not expected to produce more than
     one crossing per axis, but nothing assumes that: each is reported in
     order.
@@ -425,10 +418,10 @@ def scan_switches(
     if not lo < hi:
         raise InvalidParameterError("scan range must satisfy lo < hi")
     _check_tol(tol)
-    grid = _grid(lo, hi, scan_steps)
-    values = map(exchange_energy_along(material, fixed, axis), grid)
-    return [find_switch(axis, material, fixed, bracket, tol=tol)
-            for bracket in _sign_changes(zip(grid, values))]
+    j = exchange_energy_along(material, fixed, axis)
+    values = {x: j(x) for x in _grid(lo, hi, scan_steps)}
+    return [_refine(axis, j, left, right, values[left], values[right], tol)
+            for left, right in _sign_changes(values.items())]
 
 
 class ScenarioStep(NamedTuple):

@@ -166,16 +166,23 @@ def _material_constants(mat: MaterialParams) -> _Material:
     return const
 
 
-def _lab_point(const: _Material, B: float, E: float, a: float) -> tuple:
+def _lab_point(const: _Material, B, E, a, hypot=math.hypot) -> tuple:
     """(larmor, fock_darwin, b, d, efield_ratio) of the lab point (B, E, a) for
-    the material's constants.  This is the one scalar map from lab fields to
-    the model; a point `FieldConfig.validate` rejects raises its error."""
-    if not (math.isfinite(a) and a > 0.0 and math.isfinite(B) and math.isfinite(E)):
-        FieldConfig(B, E, a).validate()  # raises: the accept condition above fails
+    the material's constants, unchecked: the one map from lab fields to the
+    model, for floats or, with numpy's hypot, arrays."""
+    return (*_lab_b(const, B, hypot), a / const.bohr_radius, _lab_chi(const, E, a))
+
+
+def _lab_b(const: _Material, B, hypot=math.hypot) -> tuple:
+    """(larmor, fock_darwin, b) of B, as `_lab_point` forms them."""
     larmor = E_CHARGE * abs(B) / (2.0 * const.mass)
-    fock_darwin = math.hypot(const.omega0, larmor)
-    chi = E_CHARGE * E * a * NM_TO_M / const.quantum
-    return larmor, fock_darwin, fock_darwin / const.omega0, a / const.bohr_radius, chi
+    fock_darwin = hypot(const.omega0, larmor)
+    return larmor, fock_darwin, fock_darwin / const.omega0
+
+
+def _lab_chi(const: _Material, E, a):
+    """chi = e E a / (hbar omega_0) of E and a (nm), as `_lab_point` forms it."""
+    return E_CHARGE * E * a * NM_TO_M / const.quantum
 
 
 def bohr_radius_nm(mat: MaterialParams) -> float:
@@ -193,9 +200,13 @@ def coulomb_strength(mat: MaterialParams) -> float:
 
 
 def derive_parameters(mat: MaterialParams, fields: FieldConfig) -> DerivedParams:
-    """Map lab inputs to the dimensionless model parameters."""
+    """Map lab inputs to the dimensionless model parameters; fields
+    `FieldConfig.validate` rejects raise its error."""
     const = _material_constants(mat)
-    larmor, fock_darwin, b, d, chi = _lab_point(const, fields.B, fields.E, fields.a)
+    B, E, a = fields
+    if not (math.isfinite(a) and a > 0.0 and math.isfinite(B) and math.isfinite(E)):
+        fields.validate()  # raises: the accept condition above fails
+    larmor, fock_darwin, b, d, chi = _lab_point(const, B, E, a)
     return DerivedParams(larmor, fock_darwin, b, d, const.bohr_radius, const.c, chi)
 
 

@@ -474,6 +474,15 @@ class TestCsvAndScanBytes:
              "559eb3bd6f1272501e134e32a50b3f948e82fde50f607bbe17bea83ca769a6b2"),
             (["switch", "--vary", "B", "--scan", "--from", "0.3", "--to", "4"],
              "181e0bb0bf385b0bbcb23db514cd2dedf9a0d8c5ae2f0dcf8386218dff0abc25"),
+            # the d evaluator, refined from a scan and from a bracket, and the
+            # B evaluator on a bracket at E != 0
+            (["switch", "--vary", "d", "--B", "1.5", "--scan", "--from", "0.3", "--to", "1.2"],
+             "415961455d9e953be04f8b7e8bd0dfd92bee11a41a7626c9a48b2666152b22c7"),
+            (["switch", "--vary", "d", "--B", "2", "--E", "1e5", "--from", "0.3", "--to", "1.2"],
+             "bd29fb831556efb95240d4edbaf9cf42e4a06def838258f2fea37b78c87f8c37"),
+            (["switch", "--vary", "B", "--E", "1e5", "--a-over-ab", "0.8", "--from", "0.2",
+              "--to", "9.5"],
+             "0ec3fb3b2aa17c8470d7b0b83909efa44290ad2bdbcae11bab94613cdd924044"),
         ],
     )
     def test_stdout_bytes(self, capsys, argv, digest):

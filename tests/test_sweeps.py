@@ -723,7 +723,7 @@ class TestExactZeros:
     def test_efield_exact_zero_near_e_star_is_the_root(self, monkeypatch):
         # |J(E*)| > tol, and J is exactly 0 16 ulps from E*: brent, run from
         # E* to the far end, lands on that zero and ends with its zero-width
-        # bracket.
+        # bracket; J was evaluated at E* too.
         e_star = 1e5
         near = e_star + 16 * math.ulp(e_star)
 
@@ -731,7 +731,7 @@ class TestExactZeros:
             return 1e3 * (x - near)
 
         got = dotx.sweeps._efield_root(j, 0.0, 2e5, j(0.0), j(2e5), 1e-9, e_star)
-        assert got == (near, 0.0, (near, near), 3)
+        assert got == (near, 0.0, (near, near), 3, 1)
         j.e_star = lambda: e_star  # as the E evaluator of exchange_energy_along has it
         fixed_along(monkeypatch, j)
         point = find_switch("E", GAAS, FieldConfig(2.0, 0.0, 10.0), (0.0, 2e5))

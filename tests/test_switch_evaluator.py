@@ -22,7 +22,7 @@ from dotx.cli import _switch_point_dict
 from dotx.closed_form import efield_switch, exchange_energy_along, exchange_energy_lab
 from dotx.errors import InvalidParameterError, RootConvergenceError
 from dotx.special import bessel_i0e
-from dotx.sweeps import AXIS_XTOL, brent, find_switch
+from dotx.sweeps import AXIS_XTOL, brent, find_switch, scan_switches
 from dotx.units import GAAS, FieldConfig, MaterialParams, bohr_radius_nm, derive_parameters
 
 from conftest import EPS, is_final_bracket
@@ -117,6 +117,48 @@ class TestMatchesLabPath:
         with pytest.raises(InvalidParameterError, match="axis must be one of"):
             exchange_energy_along(GAAS, FIXED, "x")
 
+    @pytest.mark.parametrize(
+        "axis, name, value",
+        [
+            (axis, name, value)
+            for axis in ("B", "E", "d")
+            for name, value in [
+                ("a", 0.0), ("a", -3.0), ("a", math.nan), ("a", math.inf),
+                ("B", math.nan), ("B", math.inf),
+                ("E", math.inf), ("E", -math.inf), ("E", math.nan), ("E", 1e305),
+            ]
+            if name != axis
+        ],
+    )
+    def test_rejected_fixed_coordinate_raises_at_each_point(self, axis, name, value):
+        # The evaluator maps the fixed coordinates when it is made, so a bad
+        # one must raise nothing then, and at each point what the lab path
+        # raises there: the moving coordinate's error where that comes
+        # first, and a J where the moving coordinate replaces the bad one.
+        fixed = FIXED._replace(**{name: value})
+        j = exchange_energy_along(GAAS, fixed, axis)
+        moving = {"B": [2.0, math.nan], "E": [1e5, math.nan], "d": [0.7, math.nan, 0.0]}[axis]
+        for x in moving + moving:
+            try:
+                got = repr(j(x))
+            except Exception as exc:  # the comparison is of whatever the path raises
+                got = type(exc), str(exc)
+            assert got == lab_outcome(GAAS, lab_fields(fixed, axis, x)), x
+        if axis == "E":
+            assert e_star_outcome(j) == reference_e_star(GAAS, fixed.B, fixed.a)
+
+    @pytest.mark.parametrize(
+        "axis, name, value, x, want",
+        [
+            ("B", "E", math.inf, math.nan, "B must be finite, got nan"),
+            ("d", "a", -3.0, 0.7, None),
+            ("B", "E", 1e305, 2.0, "chi^2/d^2 overflows"),
+        ],
+    )
+    def test_rejected_fixed_coordinate_examples(self, axis, name, value, x, want):
+        got = along_outcome(GAAS, FIXED._replace(**{name: value}), axis, x)
+        assert isinstance(got, str) if want is None else want in got[1]
+
 
 def recording_along(points, e_star=None):
     """`exchange_energy_along` that appends every point it evaluates to `points`;
@@ -187,6 +229,28 @@ class TestFindSwitchEvaluations:
         assert is_final_bracket(j, point.value, (lo, hi))
         if brent_runs:
             assert hi - lo <= AXIS_XTOL[axis] + 4.0 * EPS * abs(point.value)
+
+    @pytest.mark.parametrize(
+        "axis, fixed, lo, hi, switches",
+        [
+            ("B", REFERENCE, 0.3, 4.0, 1),
+            ("B", REFERENCE._replace(E=1e5), 0.2, 9.5, 1),
+            ("E", REFERENCE._replace(B=2.0), 0.0, 2e6, 1),
+            ("E", REFERENCE._replace(B=2.0), -2e6, 2e6, 2),  # -E* and +E*
+            ("d", REFERENCE._replace(B=1.5), 0.3, 1.2, 1),
+        ],
+    )
+    def test_scan_evaluates_each_point_once(self, monkeypatch, axis, fixed, lo, hi, switches):
+        # A scan refines each sign change with its own evaluator, from the J
+        # values it gave at the bracket ends: the ends are not evaluated
+        # again, and each switch is find_switch's on its bracket.
+        want = [find_switch(axis, GAAS, fixed, bracket) for bracket in
+                [p.bracket for p in scan_switches(axis, GAAS, fixed, lo, hi, 61)]]
+        points = []
+        monkeypatch.setattr(dotx.sweeps, "exchange_energy_along", recording_along(points))
+        got = scan_switches(axis, GAAS, fixed, lo, hi, 61)
+        assert len(got) == switches and got == want
+        assert len(points) == len(set(points)) == 61 + sum(p.evaluations - 2 for p in got)
 
     def test_switch_dict_keeps_its_keys(self):
         point = find_switch("B", GAAS, REFERENCE, (0.5, 3.0))
