@@ -22,7 +22,7 @@ from collections.abc import Callable
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InvalidParameterError, ParameterOverflowError, SingularConfigurationError
-from .special import bessel_i0e, bessel_i0e_array
+from .special import _i0e_array_pair, _i0e_pair
 from .units import (
     E_CHARGE,
     MEV_TO_J,
@@ -127,7 +127,7 @@ def _terms(b: float, d: float, c: float, efield_ratio: float, scale: float = 1.0
     tests = _admits(b, d, c, efield_ratio, isfinite)
     if tests != (True,) * 8:
         _reject(_ADMITS, tests, b, d, c, efield_ratio, fields)
-    terms = _formula(b, d * d, c, efield_ratio, bessel_i0e, held)
+    terms = _formula(b, d * d, c, efield_ratio, _i0e_pair, held)
     _, arg, _, csb, _, _, _, efield_term, j_dimensionless = terms
     tests = _settles(arg, csb, efield_term, j_dimensionless * scale, isfinite)
     if tests != (True,) * 4:
@@ -169,7 +169,7 @@ def _admits(b, d, c, chi, isfinite):
     b_in_range, bd2_finite = _admits_b(b, d2, isfinite)
     return (
         b_in_range, isfinite(d) & (d >= 0.0), d != 0.0,
-        isfinite(c) & (c >= 0.0), isfinite(chi),
+        isfinite(c) & (c >= 0.0), _admits_chi(chi, isfinite),
         d2 != 0.0,  # 1 - S^4 rounds to 0 exactly where d^2 does
         d2 < math.inf, bd2_finite,  # else J = 0 * inf
     )
@@ -178,6 +178,11 @@ def _admits(b, d, c, chi, isfinite):
 def _admits_b(b, d2, isfinite):
     """`_admits`' tests on b, its first and last, at d^2 = `d2`."""
     return isfinite(b) & (b >= 1.0 - 1e-12), b * d2 < math.inf
+
+
+def _admits_chi(chi, isfinite):
+    """`_admits`' test on chi, its fifth."""
+    return isfinite(chi)
 
 
 def _settles(arg, csb, efield_term, j_scaled, isfinite):
@@ -212,12 +217,14 @@ def _fold(cases, tests, valid, overflows):
 def _formula(b, d2, c, chi, i0e, held, exp=math.exp, expm1=math.expm1, sqrt=math.sqrt):
     """The operations of J for (b, d^2, c, chi), unchecked: (x2, arg, exp(-arg),
     c sqrt(b), I0e(x1), I0e(x2), quartic_term, efield_term, j), for floats or,
-    with `bessel_i0e_array` and numpy's exp, expm1 and sqrt, arrays, on points
-    that pass `_admits`; i0e comes per call, so a wrapper on the module
-    attribute sees each call.  `held` is None or a list that keeps the
-    chi-free part for later points at the same (b, d^2, c): an empty one is
-    set whole (a second setter writes the same values), a set one is read,
-    and only chi^2/d^2 and J are formed, in the same order and bits."""
+    with `_i0e_array_pair` and numpy's exp, expm1 and sqrt, arrays, on points
+    that pass `_admits`.  `i0e(x1, x2)` returns (I0e(x1), I0e(x2)) from one
+    call, `bessel_i0e`'s bits for floats (`_i0e_pair`); it comes per call, so
+    a wrapper on the module attribute sees each call.  `held` is None or a
+    list that keeps the chi-free part for later points at the same (b, d^2,
+    c): an empty one is set whole (a second setter writes the same values),
+    a set one is read, and only chi^2/d^2 and J are formed, in the same
+    order and bits."""
     if held:
         x2, arg, em, denominator, csb, i0e_x1, i0e_x2, quartic_term, direct, exchange = held
     else:
@@ -228,8 +235,7 @@ def _formula(b, d2, c, chi, i0e, held, exp=math.exp, expm1=math.expm1, sqrt=math
         denominator = -expm1(-2.0 * arg)  # 1 - S^4, without cancelling at small d
         csb = c * sqrt(b)
         quartic_term = 0.75 / b * (1.0 + x1)
-        i0e_x1 = i0e(x1)
-        i0e_x2 = i0e(x2)
+        i0e_x1, i0e_x2 = i0e(x1, x2)
         direct = csb * i0e_x1 + quartic_term
         exchange = 2.0 * csb * i0e_x2 * exp(-2.0 * x1)
         if held is not None:
@@ -263,13 +269,16 @@ def exchange_energy_along(
     and the model coordinates the axis fixes (d and chi along B, b and d
     along E, b along d) are formed once; a point maps what it moves, by
     `units._lab_point`'s maps, and runs `_terms`, which checks the lab
-    fields where the model rejects the point.  Along B, once `_admits`
-    passes the fixed (d, c, chi), a point runs `_admits_b`, `_formula` and
-    `_settles`, and `_terms` only to raise: about 2.5 us on CPython 3.11,
-    1.8 of it `_formula` and 1.25 its two I0e.  Along E the evaluator holds
-    `_formula`'s chi-free part from its first point that passes `_admits`,
-    so later points form no I0e (about 1.0 us); its `e_star()` is
-    `efield_switch` from that part.
+    fields where the model rejects the point.  Along B and E the evaluator
+    tests `_admits` once on what the axis fixes, (d, c, chi) at b = 1 or
+    (b, d, c) at chi = 0; where that passes, a point tests only its own
+    coordinate's cases (`_admits_b` or `_admits_chi`), runs `_formula` and
+    `_settles`, and goes through `_terms` only to raise.  A B point takes
+    about 2.3-2.6 us on CPython 3.11, most of it `_formula` and its one
+    `_i0e_pair` call.  Along E the evaluator holds `_formula`'s chi-free
+    part from its first point that passes, so later points form no I0e
+    (about 0.6 us); its `e_star()` is `efield_switch` from that part.
+    Along d a point runs `_terms` whole.
     """
     if axis not in AXES:
         raise InvalidParameterError(f"axis must be one of {AXES}, got {axis!r}")
@@ -284,7 +293,7 @@ def exchange_energy_along(
         def j_mev(x: float) -> float:
             b = _lab_b(const, x)[2]
             if admitted and _admits_b(b, d2, isfinite) == (True, True):
-                _, arg, _, csb, _, _, _, efield_term, j = _formula(b, d2, c, chi, bessel_i0e, None)
+                _, arg, _, csb, _, _, _, efield_term, j = _formula(b, d2, c, chi, _i0e_pair, None)
                 if _settles(arg, csb, efield_term, j * scale, isfinite) == (True,) * 4:
                     return j * scale
             return _terms(b, d, c, chi, scale, None, (x, E0, a0))[-1] * scale  # raises
@@ -295,9 +304,17 @@ def exchange_energy_along(
             a = x * a_b
             return _terms(b, a / a_b, c, _lab_chi(const, E0, a), scale, None, (B0, E0, a))[-1] * scale
         return j_mev
+    d2, isfinite = d * d, math.isfinite
+    admitted = _admits(b, d, c, 0.0, isfinite) == (True,) * 8  # the fixed (b, d, c) pass
     held = []
+
     def j_mev(x: float) -> float:
-        return _terms(b, d, c, _lab_chi(const, x, a0), scale, held, (B0, x, a0))[-1] * scale
+        chi = _lab_chi(const, x, a0)
+        if admitted and _admits_chi(chi, isfinite):
+            _, arg, _, csb, _, _, _, efield_term, j = _formula(b, d2, c, chi, _i0e_pair, held)
+            if _settles(arg, csb, efield_term, j * scale, isfinite) == (True,) * 4:
+                return j * scale
+        return _terms(b, d, c, chi, scale, held, (B0, x, a0))[-1] * scale  # raises
 
     def e_star() -> float:
         x2, _, _, csb, i0e_x1, i0e_x2, quartic, _, _ = _terms(b, d, c, 0.0, scale, held, (B0, 0.0, a0))
@@ -366,7 +383,7 @@ def exchange_energy_arrays(mat: MaterialParams, B, E, a) -> ExchangeColumns:
         if _fold(_ADMITS, _admits(b, d, const.c, chi, np.isfinite), valid, overflows):
             b, d, chi = np.where(valid, b, 1.0), np.where(valid, d, 0.0), np.where(valid, chi, 0.0)
         x2, arg, em, csb, i0e_x1, i0e_x2, quartic_term, efield_term, j_dimensionless = _formula(
-            b, d * d, const.c, chi, bessel_i0e_array, None, np.exp, np.expm1, np.sqrt
+            b, d * d, const.c, chi, _i0e_array_pair, None, np.exp, np.expm1, np.sqrt
         )
         j_mev = j_dimensionless * mat.confinement_energy
         _fold(_SETTLES, _settles(arg, csb, efield_term, j_mev, np.isfinite), valid, overflows)

@@ -138,6 +138,40 @@ def bessel_i0e(x: float) -> float:
     return _i0e_large(x)
 
 
+def _i0e_pair(x1, x2):
+    """(bessel_i0e(x1), bessel_i0e(x2)), bit for bit, for J's arguments
+    x1 = b d^2 and x2 = d^2 (b - 1/b), with 0 <= |x2| <= x1 and no nan.
+
+    Below the splice one loop advances both series and stops where x1's
+    does.  By then no term of x2 can change its sum.  Where the two sums
+    share a binade, x2's term is at most x1's, which is at most half an ulp.
+    Where x2's sum lies in a lower binade, its term at x1's stop is below
+    0.87 of its half ulp at each binade boundary under the splice, where it
+    is largest (a test checks each).  Past that term the terms fall, as in
+    `bessel_i0e_array`'s ratio argument, so adding them changes nothing."""
+    if not x1 < _I0_SPLIT:
+        return _i0e_large(x1), bessel_i0e(x2)
+    x2 = abs(x2)
+    q1 = 0.25 * x1 * x1
+    q2 = 0.25 * x2 * x2
+    total1 = term1 = total2 = term2 = 1.0
+    for k2 in _K_SQUARED:
+        term1 *= q1 / k2
+        updated = total1 + term1
+        if updated == total1:
+            break
+        total1 = updated
+        term2 *= q2 / k2
+        total2 += term2
+    return math.exp(-x1) * total1, math.exp(-x2) * total2
+
+
+def _i0e_array_pair(x1, x2):
+    # `_i0e_pair`'s contract over arrays: one `bessel_i0e_array` call each,
+    # so x2's series stops at its own length (a stacked call measured slower).
+    return bessel_i0e_array(x1), bessel_i0e_array(x2)
+
+
 def bessel_i0e_array(x: np.ndarray) -> np.ndarray:
     """`bessel_i0e` of each element of an array, taken as float64; numpy's
     exp in the series branch may move a value by an ulp or two from the
@@ -151,7 +185,8 @@ def bessel_i0e_array(x: np.ndarray) -> np.ndarray:
     below 2^-55 of its sum too.  A term that small is past the largest one
     (a largest term is at least 1/(k+1) of the sum), so q/(k+1)^2 < 1 and
     each later term is smaller still: under half an ulp of the sum, which
-    adding it leaves as it is.
+    adding it leaves as it is.  `_i0e_pair` stops x2's series at x1's stop
+    on the same ratio argument.
     """
     import numpy as np
 

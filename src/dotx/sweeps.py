@@ -15,6 +15,7 @@ import would cost more than the array call saves there.  So these,
 
 from __future__ import annotations
 
+import gc
 import math
 import operator
 import sys
@@ -230,8 +231,17 @@ def sweep(spec: SweepSpec) -> list[SweepRow]:
     spec.validate()
     if spec.steps <= _SCALAR_MAX_STEPS:
         return _scalar_rows(spec)
-    # tuple.__new__ skips the record's Python __new__ and defaults: singular is given.
-    return list(map(tuple.__new__, repeat(SweepRow), zip(*_row_columns(spec))))
+    # The rows hold floats and a bool, so they form no cycle: the collector
+    # pauses while they are built, not to walk the young column lists on
+    # every pass their allocations set off.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        # tuple.__new__ skips the record's Python __new__ and defaults: singular is given.
+        return list(map(tuple.__new__, repeat(SweepRow), zip(*_row_columns(spec))))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def brent(
@@ -255,25 +265,28 @@ def brent(
         raise NoRootInBracketError(f"no sign change on [{a}, {b}]: f={fa}, {fb}")
     c, fc = a, fa
     e = d = b - a
-    eps = sys.float_info.epsilon
+    # 2 eps |b| is evaluated as (2 eps) |b|, so the hoisted factors keep tol's bits
+    two_eps, half_xtol = 2.0 * sys.float_info.epsilon, 0.5 * xtol
     for it in range(1, max_iter + 1):
         if fb == 0.0:
             return b, fb, (b, b), it
-        if abs(fc) < abs(fb):
+        abs_fb, abs_fc = abs(fb), abs(fc)
+        if abs_fc < abs_fb:
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol = 2.0 * eps * abs(b) + 0.5 * xtol
+            abs_fb = abs_fc
+        tol = two_eps * abs(b) + half_xtol
         m = 0.5 * (c - b)
-        done = abs(m) <= tol
-        fine = done and abs(fb) > ftol
+        fine = abs(m) <= tol  # narrow enough; past the return, |f| > ftol
         if fine:
+            if not abs_fb > ftol:  # |f| <= ftol, or f is nan
+                return b, fb, (b, c) if b <= c else (c, b), it
             # Narrow enough, but |f| is not small enough: narrow on, at least
             # one float per step, until the ends are adjacent floats.
             tol = math.ulp(min(abs(b), abs(c)))
-            done = b + m in (b, c)
-        if done:
-            return b, fb, (b, c) if b <= c else (c, b), it
-        if abs(e) < tol or abs(fa) <= abs(fb):
+            if b + m in (b, c):
+                return b, fb, (b, c) if b <= c else (c, b), it
+        if abs(e) < tol or abs(fa) <= abs_fb:
             e = d = m
         else:
             s = fb / fa

@@ -191,7 +191,7 @@ def i0e_whole_series(x):
 
 def kernel_whole_work(mat, B, E, a):
     """`exchange_energy_arrays` with every row's whole work: the series of
-    `i0e_whole_series`, the accept rule folded on every row, and `prefactor`
+    `i0e_whole_series` for each of `_formula`'s I0e pair, the accept rule folded on every row, and `prefactor`
     and `coulomb_term` gathered on their branches and scattered back."""
     from dotx.closed_form import _ADMITS, _SETTLES, _admits, _formula, _settles
     from dotx.units import E_CHARGE, NM_TO_M, _material_constants
@@ -214,7 +214,8 @@ def kernel_whole_work(mat, B, E, a):
         kept = np.flatnonzero(valid)
         b, d, chi = b[kept], d[kept], chi[kept]
         x2, arg, em, csb, i0e_x1, i0e_x2, quartic_term, efield_term, j_dimensionless = _formula(
-            b, d * d, c, chi, i0e_whole_series, None, np.exp, np.expm1, np.sqrt
+            b, d * d, c, chi, lambda x1, x2: (i0e_whole_series(x1), i0e_whole_series(x2)),
+            None, np.exp, np.expm1, np.sqrt,
         )
         j_mev = j_dimensionless * mat.confinement_energy
         ok, kept_overflows = np.ones_like(kept, dtype=bool), np.zeros_like(kept, dtype=bool)

@@ -9,12 +9,17 @@ from hypothesis import strategies as st
 import dotx.oracle
 import dotx.special
 from dotx.errors import InvalidArgumentError, QuadratureError
-from dotx.special import (  # noqa: the refinement loop is internal, exercised directly
+from dotx.closed_form import _admits
+from dotx.special import (  # noqa: the refinement loop and the I0e pair are internal, exercised directly
+    _I0_SPLIT,
     QuadratureSpec,
     _hermite_nodes,
+    _i0e_array_pair,
+    _i0e_pair,
     _refine,
     bessel_i0,
     bessel_i0e,
+    bessel_i0e_array,
     integrate_2d,
 )
 from dotx.units import GAAS, FieldConfig
@@ -101,6 +106,107 @@ class TestBesselI0:
         x = 1e6
         leading = 1.0 / math.sqrt(2.0 * math.pi * x)
         assert rel_err(bessel_i0e(x), leading * (1.0 + 1.0 / (8.0 * x))) < 1e-9
+
+
+def j_arguments(b, d):
+    """I0e's two arguments at (b, d) as `closed_form._formula` forms them."""
+    d2 = d * d
+    return b * d2, d2 * (b - 1.0 / b)
+
+
+def admitted(b, d):
+    return _admits(b, d, 1.0, 0.0, math.isfinite) == (True,) * 8
+
+
+# (b, d) points the accept rule admits: b on [1 - 1e-12, 1), where x2 < 0, and
+# up to 1e12; d up to the splice and where d^2, and with it x1, is subnormal.
+J_POINTS = st.tuples(
+    st.floats(1.0 - 1e-12, 1.0, exclude_max=True) | st.floats(1.0, 50.0) | st.floats(50.0, 1e12),
+    st.floats(0.0, 3.0) | st.floats(-162.0, -154.0).map(lambda t: 10.0**t),
+).filter(lambda p: admitted(*p))
+
+_BELOW, _ABOVE = math.nextafter(_I0_SPLIT, 0.0), math.nextafter(_I0_SPLIT, math.inf)
+
+# (x1, x2) with 0 <= |x2| <= x1 at the splice: each side of it within an ulp,
+# x1 >= 7.5 > |x2|, and both at or past 7.5.
+SPLICE_PAIRS = st.tuples(
+    st.sampled_from([_BELOW, _I0_SPLIT, _ABOVE]) | st.floats(_I0_SPLIT, 1e3),
+    st.floats(-1e-12, 1.0) | st.sampled_from([1.0, 0.0, -1e-12]),
+).map(lambda p: (p[0], p[0] * p[1])) | st.sampled_from(
+    [(_ABOVE, _BELOW), (_I0_SPLIT, _BELOW), (_ABOVE, _I0_SPLIT), (_BELOW, -_BELOW),
+     (_BELOW, 5e-324), (5e-324, 0.0), (5e-324, -5e-324), (1e-310, 0.0)]
+)
+
+
+def series_terms(x):
+    """`_i0_series`' terms at x, the whole table's worth."""
+    q, term, terms = 0.25 * x * x, 1.0, []
+    for k2 in dotx.special._K_SQUARED:
+        term *= q / k2
+        terms.append(term)
+    return terms
+
+
+class TestI0ePair:
+    """`_i0e_pair` has the bits of two `bessel_i0e` calls on J's arguments."""
+
+    @settings(derandomize=True, database=None, max_examples=1500, deadline=None)
+    @given(J_POINTS)
+    def test_j_points(self, point):
+        x1, x2 = j_arguments(*point)
+        assert repr(_i0e_pair(x1, x2)) == repr((bessel_i0e(x1), bessel_i0e(x2)))
+
+    @settings(derandomize=True, database=None, max_examples=500, deadline=None)
+    @given(SPLICE_PAIRS)
+    def test_splice_and_subnormal_pairs(self, pair):
+        x1, x2 = pair
+        assert abs(x2) <= x1
+        assert repr(_i0e_pair(x1, x2)) == repr((bessel_i0e(x1), bessel_i0e(x2)))
+
+    def test_drawn_points_reach_each_case(self):
+        # Each case the first test is to cover is an admitted point of its strategy.
+        negative, subnormal, below, across, past = (
+            j_arguments(b, d)
+            for b, d in [(1.0 - 1e-13, 0.8), (2.0, 1e-158), (3.0, 1.5), (1.2, 2.6), (1e4, 0.03)]
+            if admitted(b, d)
+        )
+        assert negative[1] < 0.0 < subnormal[0] < sys.float_info.min
+        assert abs(below[1]) <= below[0] < _I0_SPLIT
+        assert across[1] < _I0_SPLIT <= across[0] and _I0_SPLIT <= past[1] <= past[0]
+        for x1, x2 in (negative, subnormal, below, across, past):
+            assert repr(_i0e_pair(x1, x2)) == repr((bessel_i0e(x1), bessel_i0e(x2)))
+
+    def test_x1_stop_covers_x2_across_binades(self):
+        # x2's series stops with x1's.  Where x2's sum lies in a lower binade
+        # than x1's, x2's term at x1's stop is largest with x1 at the bottom of
+        # its binade and x2 at the top of its own: below 0.87 of x2's half ulp
+        # there, it is below it everywhere, and so are the falling terms after it.
+        def reaching(e):  # the least x whose series sum is at least 2^e
+            lo, hi = 0.0, _I0_SPLIT
+            while math.nextafter(lo, hi) < hi:
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if dotx.special._i0_series(mid) < 2.0**e else (lo, mid)
+            return hi
+
+        top = math.frexp(dotx.special._i0_series(_BELOW))[1] - 1  # the binade of I0(7.5-)
+        assert top == 8
+        for e1 in range(1, top + 1):
+            stop = next(
+                k for k, t in enumerate(series_terms(reaching(e1))) if t <= 2.0 ** (e1 - 53)
+            )
+            for e2 in range(e1):
+                assert series_terms(reaching(e2 + 1))[stop] < 0.87 * 2.0 ** (e2 - 53), (e1, e2)
+
+    @pytest.mark.parametrize(
+        "x1, x2",
+        [([0.0, 5e-324, 1.0, _BELOW, _I0_SPLIT, 40.0], [0.0, -5e-324, 0.5, _BELOW, 3.0, 39.0]),
+         ([2.0, 3.0], [-1e-12, 1.5])],
+    )
+    def test_array_pair_is_two_array_calls(self, x1, x2):
+        x1, x2 = np.array(x1), np.array(x2)
+        got = _i0e_array_pair(x1, x2)
+        want = bessel_i0e_array(x1), bessel_i0e_array(x2)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
 
 def gaussian_density(x, y):

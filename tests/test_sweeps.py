@@ -1,5 +1,7 @@
+import gc
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from dotx.errors import (
     DotxError,
     InvalidParameterError,
     NoRootInBracketError,
+    ParameterOverflowError,
     RootConvergenceError,
     ScenarioError,
     SingularConfigurationError,
@@ -211,6 +214,37 @@ class TestSweep:
         assert text == "# dotx sweep\n# material = 'gaas'\n# steps = 2\nx,J_meV\n0.0,0.125\n1.0,nan\n"
 
 
+class TestKernelSweepCollector:
+    """A kernel sweep builds its rows with the cyclic collector paused and
+    leaves it as the caller had it, also where the kernel raises."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_caller_state_kept(self, gaas, monkeypatch, enabled):
+        paused = []
+        row_columns = dotx.sweeps._row_columns
+
+        def spied(spec):
+            paused.append(not gc.isenabled())
+            return row_columns(spec)
+
+        monkeypatch.setattr(dotx.sweeps, "_row_columns", spied)
+        long_b = make_spec(gaas, stop=8.0, steps=1601)
+        # chi^2/d^2 overflows from the first point: a ParameterOverflowError
+        overflowing = make_spec(gaas, vary="E", start=1e304, stop=1e305, steps=600)
+        caller = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            rows = sweep(long_b)
+            after_rows = gc.isenabled()
+            with pytest.raises(ParameterOverflowError):
+                sweep(overflowing)
+            after_raise = gc.isenabled()
+        finally:
+            (gc.enable if caller else gc.disable)()
+        assert len(rows) == 1601 and paused == [True, True]
+        assert after_rows is after_raise is enabled
+
+
 class TestRowContract:
     """Rows and breakdowns are immutable records with fixed fields."""
 
@@ -368,6 +402,101 @@ def brent_width_only(f, a, b, xtol, max_iter=200, *, fa, fb):
     raise RootConvergenceError(f"root refinement exceeded {max_iter} iterations")
 
 
+def brent_before_hoist(
+    f, a: float, b: float, xtol: float, max_iter: int = 200, *,
+    fa: float, fb: float, ftol: float = math.inf,
+):
+    """`brent` as it was before it formed each |f(b)| once and hoisted its
+    constant factors, verbatim: the reference whose points, results and
+    errors it must keep bit for bit."""
+    if fa == 0.0 or fb == 0.0 or (fa > 0.0) == (fb > 0.0):
+        raise NoRootInBracketError(f"no sign change on [{a}, {b}]: f={fa}, {fb}")
+    c, fc = a, fa
+    e = d = b - a
+    eps = sys.float_info.epsilon
+    for it in range(1, max_iter + 1):
+        if fb == 0.0:
+            return b, fb, (b, b), it
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = 2.0 * eps * abs(b) + 0.5 * xtol
+        m = 0.5 * (c - b)
+        done = abs(m) <= tol
+        fine = done and abs(fb) > ftol
+        if fine:
+            # Narrow enough, but |f| is not small enough: narrow on, at least
+            # one float per step, until the ends are adjacent floats.
+            tol = math.ulp(min(abs(b), abs(c)))
+            done = b + m in (b, c)
+        if done:
+            return b, fb, (b, c) if b <= c else (c, b), it
+        if abs(e) < tol or abs(fa) <= abs(fb):
+            e = d = m
+        else:
+            s = fb / fa
+            if a == c:
+                p = 2.0 * m * s
+                q = 1.0 - s
+            else:
+                q = fa / fc
+                r = fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            s, e = e, d
+            if 2.0 * p < 3.0 * m * q - abs(tol * q) and p < abs(0.5 * s * q):
+                d = p / q
+            else:
+                e = d = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        if fine and b in (a, c):  # rounded back onto an end
+            b = math.nextafter(a, c)
+        fb = f(b)
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            e = d = b - a
+    lo, hi = (b, c) if b <= c else (c, b)
+    raise RootConvergenceError(
+        f"root refinement exceeded {max_iter} iterations", bracket=(lo, hi)
+    )
+
+
+def replay(run, f, a, b, xtol, max_iter, fa, fb, ftol):
+    """`run`'s outcome, the repr of its result or its error with the error's
+    bracket, and the points at which it evaluated f, in order."""
+    points = []
+
+    def recorded(x):
+        points.append(x)
+        return f(x)
+
+    try:
+        outcome = repr(run(recorded, a, b, xtol, max_iter, fa=fa, fb=fb, ftol=ftol))
+    except (NoRootInBracketError, RootConvergenceError) as error:
+        outcome = (type(error), str(error), getattr(error, "bracket", None))
+    return outcome, points
+
+
+def objective(shape, r, k, c, w):
+    """A sign change at r: smooth, with a jump that no float closes (so
+    ftol = 0 narrows to adjacent floats), with f exactly 0 or nan on a window
+    of half-width w around r."""
+    def smooth(x):
+        return math.tanh(k * (x - r)) + c * (x - r) ** 3
+
+    if shape == "smooth":
+        return smooth
+    if shape == "jump":
+        return lambda x: (x - r) * k + (1e-6 if x > r else -1.0)
+    hole = 0.0 if shape == "zero" else math.nan
+    return lambda x: hole if abs(x - r) < w else smooth(x)
+
+
 def opposite_signs(u, v):
     """A sign change of J between u and v, counting an exact 0 at either."""
     return u == 0.0 or v == 0.0 or (u > 0.0) != (v > 0.0)
@@ -429,6 +558,63 @@ class TestBrent:
             result = run(recorded, a, b, xtol, fa=f(a), fb=f(b))
             outcomes.append((repr(result), points))
         assert outcomes[0] == outcomes[1]
+
+    @settings(derandomize=True, database=None, max_examples=600, deadline=None)
+    @given(
+        st.sampled_from(["smooth", "jump", "zero", "nan"]),
+        st.floats(-5.0, 5.0),
+        st.floats(0.05, 20.0),
+        st.floats(0.0, 3.0),
+        st.floats(1e-9, 1e-2),
+        st.floats(1e-3, 10.0),
+        st.floats(1e-3, 10.0),
+        st.sampled_from([1e-14, 1e-10, 1e-6, 1e-3, 0.0]),
+        st.sampled_from([math.inf, 1e-9, 0.0]),
+        st.just(200) | st.integers(1, 30),
+        st.sampled_from([1.0] * 6 + [-1.0, 0.0]),
+    )
+    def test_replays_the_reference(self, shape, r, k, c, w, left, right, xtol, ftol, max_iter, flip):
+        # The same points, in the same order, and the same result or error,
+        # with its bracket: past max_iter, for an end value of the wrong sign
+        # or 0 (flip), and where an iterate finds f exactly 0 or nan.
+        f = objective(shape, r, k, c, w)
+        a, b = r - left, r + right
+        fa, fb = f(a), flip * f(b)
+        want = replay(brent_before_hoist, f, a, b, xtol, max_iter, fa, fb, ftol)
+        assert replay(brent, f, a, b, xtol, max_iter, fa, fb, ftol) == want
+
+    @pytest.mark.parametrize(
+        "shape, ftol, max_iter, exit",
+        [
+            ("smooth", math.inf, 200, "width"),
+            ("smooth", 1e-9, 200, "residual"),
+            ("jump", 0.0, 200, "adjacent"),
+            ("jump", 0.0, 6, "max_iter"),
+            ("zero", 1e-9, 200, "zero"),
+            ("nan", 1e-9, 200, "nan"),
+        ],
+    )
+    def test_replay_reaches_each_exit(self, shape, ftol, max_iter, exit):
+        # Examples of the exits the replay's draws take.
+        f = objective(shape, 0.3, 200.0, 0.5, 1e-3)
+        a, b = -0.4, 2.0
+        want = replay(brent_before_hoist, f, a, b, 1e-6, max_iter, f(a), f(b), ftol)
+        assert replay(brent, f, a, b, 1e-6, max_iter, f(a), f(b), ftol) == want
+        if exit == "max_iter":
+            with pytest.raises(RootConvergenceError) as error:
+                brent(f, a, b, 1e-6, max_iter, fa=f(a), fb=f(b), ftol=ftol)
+            lo, hi = error.value.bracket
+            assert a < lo < hi < b
+            return
+        _, f_root, (lo, hi), _ = brent(f, a, b, 1e-6, max_iter, fa=f(a), fb=f(b), ftol=ftol)
+        reached = {
+            "width": 0.0 < hi - lo <= 1e-6 + 4.0 * EPS and abs(f_root) > 1e-6,
+            "residual": 0.0 < abs(f_root) <= ftol,
+            "adjacent": hi == math.nextafter(lo, math.inf) and f_root != 0.0,
+            "zero": f_root == 0.0 and lo == hi,
+            "nan": math.isnan(f_root),
+        }
+        assert reached[exit]
 
     @pytest.mark.parametrize(
         "f, a, b, xtol, ftol",
