@@ -185,8 +185,8 @@ def bessel_i0e_array(x: np.ndarray) -> np.ndarray:
     below 2^-55 of its sum too.  A term that small is past the largest one
     (a largest term is at least 1/(k+1) of the sum), so q/(k+1)^2 < 1 and
     each later term is smaller still: under half an ulp of the sum, which
-    adding it leaves as it is.  `_i0e_pair` stops x2's series at x1's stop
-    on the same ratio argument.
+    adding it leaves as it is.  `_i0e_pair` relies on that last step for
+    x2's terms past the one at which x1's series stops.
     """
     import numpy as np
 
