@@ -224,7 +224,9 @@ def _formula(b, d2, c, chi, i0e, held, exp=math.exp, expm1=math.expm1, sqrt=math
     list that keeps the chi-free part for later points at the same (b, d^2,
     c): an empty one is set whole (a second setter writes the same values),
     a set one is read, and only chi^2/d^2 and J are formed, in the same
-    order and bits."""
+    order and bits.  J's factor 2 is applied last, to the quotient: the two
+    terms of the regrouped sum, each doubled first, can overflow to inf - inf
+    where J is finite, and doubling is exact short of overflow."""
     if held:
         x2, arg, em, denominator, csb, i0e_x1, i0e_x2, quartic_term, direct, exchange = held
     else:
@@ -237,11 +239,11 @@ def _formula(b, d2, c, chi, i0e, held, exp=math.exp, expm1=math.expm1, sqrt=math
         quartic_term = 0.75 / b * (1.0 + x1)
         i0e_x1, i0e_x2 = i0e(x1, x2)
         direct = csb * i0e_x1 + quartic_term
-        exchange = 2.0 * csb * i0e_x2 * exp(-2.0 * x1)
+        exchange = csb * i0e_x2 * exp(-2.0 * x1)  # half the exchange term
         if held is not None:
             held[:] = x2, arg, em, denominator, csb, i0e_x1, i0e_x2, quartic_term, direct, exchange
     efield_term = 1.5 * (chi * chi) / d2
-    j_dimensionless = (2.0 * em * (direct + efield_term) - exchange) / denominator
+    j_dimensionless = 2.0 * ((em * (direct + efield_term) - exchange) / denominator)
     return x2, arg, em, csb, i0e_x1, i0e_x2, quartic_term, efield_term, j_dimensionless
 
 
@@ -342,6 +344,12 @@ class ExchangeColumns(NamedTuple):
     valid is False where the accept rule (`_ADMITS`, `_SETTLES`) rejects the
     point, as `exchange_energy_lab` does: the points a sweep marks singular.
     Every column is nan there.
+
+    Every column has the inputs' broadcast shape, at least 1-D.  A column
+    formed on fewer coordinates than the grid has (b on B alone, d on a,
+    b's and d's terms on (B, a)) is an `np.broadcast_to` view of that
+    shape, which is read-only: copy it before writing into it.  Where a
+    point is rejected, every column is a new array.
     """
 
     b: np.ndarray
@@ -362,23 +370,30 @@ def exchange_energy_arrays(mat: MaterialParams, B, E, a) -> ExchangeColumns:
 
     Maps the points to (b, d, chi) by `units._lab_point` with numpy's hypot
     and runs `_formula`, the scalar form's operations, with numpy's ufuncs
-    (`ExchangeColumns` says how far that moves the values) on every point.
-    The mask is the accept rule's, by `_admits` and `_settles` on arrays; a
-    point `FieldConfig` rejects fails one of `_admits`' range tests, and one
+    (`ExchangeColumns` says how far that moves the values).  B, E and a are
+    taken as they come, not broadcast: numpy's broadcasting gives each term
+    the shape of the coordinates it depends on, so a (B, E) grid forms b,
+    d^2 and the I0e pair once per B, and only chi's terms and J per point.
+    Elementwise ufuncs give the same bits on a broadcast operand.
+    The mask is the accept rule's, by `_admits` and `_settles` on arrays,
+    whose tests of mixed shape `_fold` folds into the grid's; a point
+    `FieldConfig` rejects fails one of `_admits`' range tests, and one
     `_admits` rejects runs `_formula` as (b, d, chi) = (1, 0, 0): its I0e
     arguments are 0, so no nan reaches I0e and the point adds no term to
     its series.  Where one of the overflow cases fails (d^2, b d^2,
     chi^2 / d^2 or c sqrt(b)), the kernel raises the scalar form's error at
-    the first such point, as it raises for a material it rejects.
+    the first such point in flat order, with (b, d, chi) broadcast to the
+    grid only then, as it raises for a material it rejects.
     """
     import numpy as np
 
-    B, E, a = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float)) for v in (B, E, a)))
+    B, E, a = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (B, E, a))
+    shape = np.broadcast_shapes(B.shape, E.shape, a.shape)
     const = _material_constants(mat)
     with np.errstate(all="ignore"):  # floats overflow silently; so do the columns
         _, _, b, d, chi = _lab_point(const, B, E, a, np.hypot)
         points = b, d, chi
-        valid = np.ones(b.shape, dtype=bool)
+        valid = np.ones(shape, dtype=bool)
         overflows = np.zeros_like(valid)
         if _fold(_ADMITS, _admits(b, d, const.c, chi, np.isfinite), valid, overflows):
             b, d, chi = np.where(valid, b, 1.0), np.where(valid, d, 0.0), np.where(valid, chi, 0.0)
@@ -389,7 +404,7 @@ def exchange_energy_arrays(mat: MaterialParams, B, E, a) -> ExchangeColumns:
         _fold(_SETTLES, _settles(arg, csb, efield_term, j_mev, np.isfinite), valid, overflows)
         if overflows.any():  # the scalar form's error, at the first point where it raises
             i = overflows.argmax()
-            b0, d0, chi0 = (v.item(i) for v in points)
+            b0, d0, chi0 = (v.item(i) for v in np.broadcast_arrays(*points))
             _terms(b0, d0, const.c, chi0, mat.confinement_energy)
 
         prefactor = np.where(arg < 350.0, 1.0 / np.sinh(arg), 2.0 * em)
@@ -400,5 +415,8 @@ def exchange_energy_arrays(mat: MaterialParams, B, E, a) -> ExchangeColumns:
     columns = (b, d, chi, prefactor, coulomb_term, quartic_term, efield_term, j_dimensionless,
                j_mev, s_overlap)
     if not valid.all():
-        columns = [np.where(valid, column, math.nan) for column in columns]
-    return ExchangeColumns(*columns, valid)
+        return ExchangeColumns(*(np.where(valid, column, math.nan) for column in columns), valid)
+    return ExchangeColumns(
+        *(column if column.shape == shape else np.broadcast_to(column, shape) for column in columns),
+        valid,
+    )

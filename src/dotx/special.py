@@ -167,8 +167,14 @@ def _i0e_pair(x1, x2):
 
 
 def _i0e_array_pair(x1, x2):
-    # `_i0e_pair`'s contract over arrays: one `bessel_i0e_array` call each,
-    # so x2's series stops at its own length (a stacked call measured slower).
+    """(bessel_i0e_array(x1), bessel_i0e_array(x2)), bit for bit, under
+    `_i0e_pair`'s contract over float64 arrays of one shape: 0 <= |x2| <= x1
+    and no nan, which the accept rule has checked.  Where all of x1 lies
+    below the splice, so does |x2|: `_i0e_series_array` sums each series to
+    its own length (a stacked call measured slower), with no nan or splice
+    scan and no abs of x1.  Otherwise each goes through `bessel_i0e_array`."""
+    if x1.max(initial=0.0) < _I0_SPLIT:
+        return _i0e_series_array(x1), _i0e_series_array(abs(x2))
     return bessel_i0e_array(x1), bessel_i0e_array(x2)
 
 

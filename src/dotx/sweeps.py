@@ -176,7 +176,10 @@ def _axis_fields(fixed: FieldConfig, axis: str, x, a_b: float):
 def _row_columns(spec: SweepSpec) -> list:
     # Per-point lists in SweepRow's field order, singular last (the kernel's
     # columns are nan there); the arrays they come from are freed on return,
-    # before the rows are built.
+    # before the rows are built.  A column the kernel broadcast from one
+    # value (stride 0: d along B, b along d, all but chi's terms along E)
+    # becomes that one float repeated, as does singular on a row of valid
+    # points.
     import numpy as np
 
     # linspace's last product overflows on some ranges up to the largest float,
@@ -185,14 +188,14 @@ def _row_columns(spec: SweepSpec) -> list:
         grid = np.linspace(spec.start, spec.stop, spec.steps)
         lab = _axis_fields(spec.fixed, spec.vary, grid, bohr_radius_nm(spec.material))
     cols = exchange_energy_arrays(spec.material, *lab)
+    n = spec.steps
     return [
-        column.tolist()
+        [column.item(0)] * n if column.strides == (0,) else column.tolist()
         for column in (
             grid, cols.j_mev, cols.b, cols.d, cols.s_overlap, cols.prefactor,
             cols.coulomb_term, cols.quartic_term, cols.efield_term, cols.j_dimensionless,
-            ~cols.valid,
         )
-    ]
+    ] + [[False] * n if cols.valid.all() else (~cols.valid).tolist()]
 
 
 def _scalar_rows(spec: SweepSpec) -> list:

@@ -190,10 +190,13 @@ def i0e_whole_series(x):
 
 
 def kernel_whole_work(mat, B, E, a):
-    """`exchange_energy_arrays` with every row's whole work: the series of
-    `i0e_whole_series` for each of `_formula`'s I0e pair, the accept rule folded on every row, and `prefactor`
-    and `coulomb_term` gathered on their branches and scattered back."""
-    from dotx.closed_form import _ADMITS, _SETTLES, _admits, _formula, _settles
+    """`exchange_energy_arrays` with every point's whole work: the inputs
+    broadcast to the grid's shape up front and flattened, the series of
+    `i0e_whole_series` for each of `_formula`'s I0e pair, the accept rule
+    folded on every row, `prefactor` and `coulomb_term` gathered on their
+    branches and scattered back, and the scalar form's error raised at the
+    first point, in flat order, where an overflow case fails."""
+    from dotx.closed_form import _ADMITS, _SETTLES, _admits, _formula, _settles, _terms
     from dotx.units import E_CHARGE, NM_TO_M, _material_constants
 
     def fold(cases, tests, valid, overflows):
@@ -203,11 +206,14 @@ def kernel_whole_work(mat, B, E, a):
             valid &= test
 
     B, E, a = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float)) for v in (B, E, a)))
+    shape = B.shape
+    B, E, a = B.ravel(), E.ravel(), a.ravel()
     m, omega0, a_b, c, quantum = _material_constants(mat)
     with np.errstate(all="ignore"):
         b = np.hypot(omega0, E_CHARGE * np.abs(B) / (2.0 * m)) / omega0
         d = a / a_b
         chi = E_CHARGE * E * a * NM_TO_M / quantum
+        points = b, d, chi
         valid = np.isfinite(a) & (a > 0.0) & np.isfinite(B) & np.isfinite(E)
         overflows = np.zeros_like(valid)
         fold(_ADMITS, _admits(b, d, c, chi, np.isfinite), valid, overflows)
@@ -221,7 +227,11 @@ def kernel_whole_work(mat, B, E, a):
         ok, kept_overflows = np.ones_like(kept, dtype=bool), np.zeros_like(kept, dtype=bool)
         fold(_SETTLES, _settles(arg, csb, efield_term, j_mev, np.isfinite), ok, kept_overflows)
         overflows[kept] |= kept_overflows
-        assert not overflows.any()
+        if overflows.any():
+            i = overflows.argmax()
+            b0, d0, chi0 = (v.item(i) for v in points)
+            _terms(b0, d0, c, chi0, mat.confinement_energy)
+            raise AssertionError("an overflow case fails, but _terms raises nothing")
         valid[kept[~ok]] = False
         prefactor = 2.0 * em
         near = arg < 350.0
@@ -237,8 +247,8 @@ def kernel_whole_work(mat, B, E, a):
                    j_dimensionless, j_mev, s_overlap):
         out = np.full(valid.shape, math.nan)
         out[valid] = values[ok]
-        columns.append(out)
-    return columns + [valid]
+        columns.append(out.reshape(shape))
+    return columns + [valid.reshape(shape)]
 
 
 # A d row from 1e-170 to 2e-153, whose first 64 points the accept rule rejects.
@@ -287,6 +297,50 @@ def phase_map_rows():
     ]
 
 
+def unbroadcast_inputs():
+    """(B, E, a) as `sweep` passes them, the fixed coordinates as floats:
+    rows along B, E and d; (161, 1) x (1, 101) outer grids in (B, E) and
+    (B, d); those grids with a nan B and with a d whose square underflows;
+    and 0-d inputs."""
+    rng = np.random.default_rng(40)
+    B_col = np.linspace(0.0, 8.0, 161)[:, None]
+    E_row = np.linspace(-3e5, 3e5, 101)[None, :]
+    a_row = np.linspace(0.1, 1.5, 101)[None, :] * A_B
+    nan_B = B_col.copy()
+    nan_B[37, 0] = math.nan
+    tiny_a = a_row.copy()
+    tiny_a[0, 23] = 1e-170 * A_B
+    params = []
+    for i in range(3):
+        a = rng.uniform(0.6, 0.8) * A_B
+        B, E = rng.uniform(0.0, 3.0), rng.uniform(0.0, 3e5)
+        params += [
+            pytest.param(np.linspace(0.0, rng.uniform(7.0, 8.0), 1601), E, a, id=f"B-{i}"),
+            pytest.param(B, np.linspace(-3e5, 3e5, 1601), a, id=f"E-{i}"),
+            pytest.param(B, E, np.linspace(0.1, 1.5, 1601) * A_B, id=f"d-{i}"),
+        ]
+    return params + [
+        pytest.param(2.0, np.linspace(-1e12, 1e12, 1601), 0.7 * A_B, id="E-wide"),
+        pytest.param(B_col, E_row, 0.7 * A_B, id="BE-grid"),
+        pytest.param(B_col, 1e5, a_row, id="Bd-grid"),
+        pytest.param(nan_B, E_row, 0.7 * A_B, id="BE-grid-nan-B"),
+        pytest.param(B_col, 1e5, tiny_a, id="Bd-grid-d2-underflows"),
+        pytest.param(np.array(1.5), np.array(1e5), np.array(0.7 * A_B), id="0-d"),
+    ]
+
+
+# Inputs at which an overflow case fails first at a point past the first:
+# chi^2/d^2 at flat index 1 (E = 1e298 at a = 1e-5 a_B), and b*d^2 in row
+# 5 of a (d, B) grid, at the first B whose b passes 1.8 (d^2 = 1e308).
+OVERFLOW_INPUTS = [
+    pytest.param(np.linspace(0.0, 8.0, 161)[:, None], np.linspace(0.0, 1e300, 101)[None, :],
+                 1e-5 * A_B, "chi^2/d^2 overflows", id="chi2-over-d2"),
+    pytest.param(np.linspace(0.0, 30.0, 101)[None, :], 0.0,
+                 np.where(np.arange(161) == 5, 1e154, 0.7)[:, None] * A_B, "b*d^2 overflows",
+                 id="b-d2"),
+]
+
+
 class TestSameBitsAsWholeWork:
     """The early-stopping series and the row that skips its mask work give
     the bytes of the forms that do all of it, on the machine that runs the
@@ -298,6 +352,46 @@ class TestSameBitsAsWholeWork:
         want = kernel_whole_work(GAAS, B, E, a)
         for name, g, w in zip(COLUMNS + ("valid",), got, want):
             assert g.tobytes() == w.tobytes(), name
+
+    @pytest.mark.parametrize("B, E, a", unbroadcast_inputs())
+    def test_unbroadcast_inputs(self, B, E, a):
+        got = exchange_energy_arrays(GAAS, B, E, a)
+        want = kernel_whole_work(GAAS, B, E, a)
+        for name, g, w in zip(COLUMNS + ("valid",), got, want):
+            assert g.shape == w.shape, name
+            assert g.tobytes() == w.tobytes(), name
+
+    @pytest.mark.parametrize("B, E, a, case", OVERFLOW_INPUTS)
+    def test_overflow_past_the_first_point(self, B, E, a, case):
+        with pytest.raises(ParameterOverflowError) as want:
+            kernel_whole_work(GAAS, B, E, a)
+        with pytest.raises(ParameterOverflowError) as got:
+            exchange_energy_arrays(GAAS, B, E, a)
+        assert case in str(want.value)
+        assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+    def test_grid_sums_each_series_once_per_b(self, monkeypatch):
+        # On a (161, 1) x (1, 101) (B, E) grid, x1 and x2 depend on B alone
+        sizes = []
+        series = dotx.special._i0e_series_array
+
+        def counted(x):
+            sizes.append(x.size)
+            return series(x)
+
+        monkeypatch.setattr(dotx.special, "_i0e_series_array", counted)
+        cols = exchange_energy_arrays(
+            GAAS, np.linspace(0.0, 8.0, 161)[:, None], np.linspace(-3e5, 3e5, 101)[None, :],
+            0.7 * A_B,
+        )
+        assert cols.j_mev.shape == (161, 101)
+        assert sizes == [161, 161]
+
+    def test_broadcast_columns_are_read_only_views(self):
+        cols = exchange_energy_arrays(GAAS, 2.0, np.linspace(-3e5, 3e5, 1601), 0.7 * A_B)
+        assert cols.b.shape == (1601,) and cols.b.strides == (0,)
+        assert not cols.b.flags.writeable
+        assert cols.j_mev.flags.writeable  # formed at every point
 
     def test_singular_row_rejects_its_first_64_points(self):
         valid = exchange_energy_arrays(GAAS, *SINGULAR_D_ROW).valid
@@ -659,6 +753,28 @@ class TestDriversMatchLoops:
         spec = SweepSpec(vary=vary, start=start, stop=stop, steps=1601,
                          fixed=FieldConfig(B, E, a_rel * A_B), material=GAAS)
         assert_rows_close(sweep(spec), loop_sweep(spec), GAAS)
+
+    @pytest.mark.parametrize(
+        "vary, start, stop, repeated",
+        [
+            ("B", 0.0, 8.0, {"d", "efield_term"}),
+            ("E", -3e5, 3e5, {"b", "d", "s_overlap", "prefactor", "coulomb_term", "quartic_term"}),
+            ("d", 0.1, 1.5, {"b"}),
+        ],
+    )
+    def test_row_columns_repeat_broadcast_values(self, vary, start, stop, repeated):
+        spec = SweepSpec(vary=vary, start=start, stop=stop, steps=1601,
+                         fixed=FieldConfig(1.5, 3e4, 0.7 * A_B), material=GAAS)
+        got = dict(zip(dotx.sweeps.SweepRow._fields, dotx.sweeps._row_columns(spec)))
+        lab = dotx.sweeps._axis_fields(spec.fixed, vary, np.linspace(start, stop, 1601), A_B)
+        cols = exchange_energy_arrays(GAAS, *lab)._asdict()
+        cols["singular"] = ~cols.pop("valid")
+        for name in set(got) - {"x"}:
+            want = np.array(cols[name]).tolist()  # materialised, not a view
+            assert repr(got[name]) == repr(want), name
+            assert {type(v) for v in got[name]} == {bool if name == "singular" else float}, name
+            # a repeated column holds one float object
+            assert (len({id(v) for v in got[name]}) == 1) == (name in repeated | {"singular"}), name
 
     def test_scan_prescan_makes_no_array_call(self, monkeypatch):
         def array(*args):

@@ -7,7 +7,7 @@ from dotx.closed_form import exchange_energy, exchange_energy_lab, overlap
 from dotx.errors import InvalidParameterError, ParameterOverflowError, SingularConfigurationError
 from dotx.units import FieldConfig, MaterialParams
 
-from conftest import rel_err
+from conftest import j_mp, rel_err
 
 
 class TestOverlap:
@@ -128,10 +128,16 @@ class TestExchangeEnergy:
             exchange_energy(4.0, 0.7, 1e308, 0.0)
 
     def test_nan_j_is_singular(self):
-        # c sqrt(b) = 1e308 is finite, but the two terms of J's regrouped
-        # sum overflow and cancel to nan, which used to be returned as J
-        with pytest.raises(SingularConfigurationError, match="^J overflows at d=0.1, chi=0.0"):
-            exchange_energy(1.0, 0.1, 1e308, 0.0)
+        # chi^2/d^2 = 1e308 is finite, but J, about 1.5e308 / sinh(0.02), is not
+        with pytest.raises(SingularConfigurationError, match=r"^J overflows at d=0.1, chi=1e\+153"):
+            exchange_energy(1.0, 0.1, 2.36, 1e153)
+
+    def test_j_near_the_float_limit_is_representable(self):
+        # Twice each half of J's regrouped sum overflows here (inf - inf
+        # reported this J as singular); the halves do not
+        j = exchange_energy(1.0, 0.1, 1e308, 0.0).j_dimensionless
+        assert math.isfinite(j)
+        assert rel_err(j, float(j_mp(1.0, 0.1, 1e308, 0.0))) < 1e-13
 
     def test_extreme_arguments_stay_finite(self):
         bd = exchange_energy(12.0, 6.0, 2.36, 0.0)

@@ -200,7 +200,11 @@ class TestI0ePair:
     @pytest.mark.parametrize(
         "x1, x2",
         [([0.0, 5e-324, 1.0, _BELOW, _I0_SPLIT, 40.0], [0.0, -5e-324, 0.5, _BELOW, 3.0, 39.0]),
-         ([2.0, 3.0], [-1e-12, 1.5])],
+         ([2.0, 3.0], [-1e-12, 1.5]),
+         # every x1 below the splice: both series summed whole, no scans
+         ([0.0, 5e-324, 1.0, 6.0, _BELOW], [0.0, -5e-324, -1e-12, 6.0, _BELOW]),
+         ([[0.5], [7.0]], [[-0.0], [3.5]]),
+         ([], [])],
     )
     def test_array_pair_is_two_array_calls(self, x1, x2):
         x1, x2 = np.array(x1), np.array(x2)
